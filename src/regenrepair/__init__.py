@@ -10,6 +10,7 @@ from .ambr import AdaptiveMBRCode
 from .framework import (
     CouplingSystem,
     InvalidHelperCountError,
+    InvalidRepairInputError,
     RepairProblem,
     RepairTranscript,
     SingularCouplingError,
@@ -59,6 +60,7 @@ __all__ = [
     "IACode",
     "InfeasibleBandwidthError",
     "InvalidHelperCountError",
+    "InvalidRepairInputError",
     "InvalidScenarioError",
     "MDSStripeCode",
     "Matrix",

@@ -28,6 +28,10 @@ class InvalidHelperCountError(ValueError):
     """Helper set size is incompatible with the requested repair degree."""
 
 
+class InvalidRepairInputError(ValueError):
+    """A repair was handed unknown node ids or malformed helper shards."""
+
+
 @dataclass(frozen=True)
 class RepairProblem:
     """One centralized repair instance: who failed, who helps, transfer size."""

@@ -403,7 +403,6 @@ class IACode:
             for lset in combinations(sys_nodes, size):
                 for jset in combinations(par_nodes, size):
                     for sigma in permutations(range(size)):
-                        sgn_a = _perm_sign(sigma)
                         prod_a = 1
                         for i, t in enumerate(sigma):
                             prod_a = f.mul(prod_a, self.P.data[lset[i] - 1][jset[t] - 1])
@@ -418,13 +417,6 @@ class IACode:
         rhs = f.mul(rhs, f.pow(self.one_minus_k2, s * (s - 1) // 2 + p * (p - 1) // 2))
         rhs = f.mul(rhs, f.pow(bracket, e))
         return lhs, rhs, lhs == rhs
-
-
-def _perm_sign(sigma):
-    inversions = sum(
-        1 for a in range(len(sigma)) for b in range(a + 1, len(sigma)) if sigma[a] > sigma[b]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def field_search(field, k, e_max, trials=200, seed=0):

@@ -4,14 +4,101 @@ Node i (ids are 1-based) stores psi_i^t M where psi_i = [1, lam_i, ...,
 lam_i^{d-1}] and M stacks two symmetric (alpha x alpha) matrices S1, S2.
 Single repair sends one inner product per helper; repairing e nodes at
 once routes the missing cross-failure transfers through the coupling
-system of the framework module, with coefficients evaluated through the
-elementary-symmetric form of the Vandermonde inverse.
+system of the framework module.
+
+Every linear map of a repair comes from one Lagrange table per pattern.
+With pool P = failed + helpers (d+1 nodes), Q(x) = prod_{m in P} (x+lam_m)
+is built once; G_{i,l} = Q / ((x+lam_i)(x+lam_l)) by two synthetic
+divisions interpolates node i's decoder at source l, and its row
+c_{i,l}[h] = (G[h] + lam_i^alpha G[h+alpha]) / G(lam_l), h < alpha, gives
+node i's content as sum_l t_{l->i} c_{i,l}. The coupling coefficient of
+(i, j, l) is c_{i,l} . phi_j, and the right-hand side of row (i, j) is
+the helpers' part of node i's decode projected on phi_j.
 """
 
 import random
 
-from .framework import CouplingSystem, RepairProblem, solve_and_regenerate, unknown_pairs
-from .gf import Field, Matrix, dot, mat_mul, mat_solve, vandermonde
+from .framework import (
+    CouplingSystem,
+    InvalidRepairInputError,
+    RepairProblem,
+    solve_and_regenerate,
+    unknown_pairs,
+)
+from .gf import Matrix, dot, mat_mul, mat_solve, vandermonde
+
+
+def _axpy(field, acc, coef, row):
+    """acc += coef * row, in place."""
+    if coef:
+        mul = field.mul
+        for c, x in enumerate(row):
+            if x:
+                acc[c] ^= mul(coef, x)
+
+
+def _divide_root(field, poly, lam):
+    """poly / (x + lam) for a poly with root lam; ascending coefficients.
+
+    Synthetic division from the top: q[t-1] = poly[t] + lam q[t]; plus
+    equals minus in characteristic 2 so no sign bookkeeping is needed.
+    """
+    mul = field.mul
+    q = [0] * (len(poly) - 1)
+    q[-1] = poly[-1]
+    for t in range(len(q) - 1, 0, -1):
+        q[t - 1] = poly[t] ^ mul(lam, q[t])
+    return q
+
+
+class _PoolTable:
+    """Decoder rows c_{i,l} over one pool of d+1 nodes, built on demand.
+
+    Q = prod_{m in pool} (x + lam_m) is built once, R_i = Q / (x + lam_i)
+    once per failed node, and each row costs one more division and one
+    Horner evaluation.
+    """
+
+    def __init__(self, code, pool):
+        if len(pool) != code.d + 1:
+            raise ValueError("pool must hold d+1 = %d nodes" % (code.d + 1))
+        f = code.field
+        q = [1]
+        for m in sorted(pool):
+            lam = code.lambdas[m - 1]
+            nxt = [0] * (len(q) + 1)
+            for t, c in enumerate(q):
+                nxt[t + 1] ^= c
+                nxt[t] ^= f.mul(c, lam)
+            q = nxt
+        self.code = code
+        self.pool = pool
+        self.q = q
+        self.r = {}
+        self.rows = {}
+
+    def row(self, i, l):
+        row = self.rows.get((i, l))
+        if row is not None:
+            return row
+        if i == l or i not in self.pool or l not in self.pool:
+            raise ValueError("need distinct nodes %d and %d from the pool" % (i, l))
+        code = self.code
+        f = code.field
+        r = self.r.get(i)
+        if r is None:
+            r = self.r[i] = _divide_root(f, self.q, code.lambdas[i - 1])
+        lam_l = code.lambdas[l - 1]
+        g = _divide_root(f, r, lam_l)  # degree d-1: Lagrange numerator at l
+        den = 0
+        for c in reversed(g):
+            den = f.mul(den, lam_l) ^ c
+        inv = f.inv(den)
+        lam_i = code.lam_alpha[i - 1]
+        a = code.alpha
+        row = [f.mul(g[h] ^ f.mul(lam_i, g[h + a]), inv) for h in range(a)]
+        self.rows[(i, l)] = row
+        return row
 
 
 class PMCode:
@@ -43,6 +130,7 @@ class PMCode:
         self.lam_alpha = powers
         self.Psi = vandermonde(field, lambdas, d)
         self.Phi = self.Psi.submatrix(range(n), range(alpha))
+        self._table = None  # _PoolTable of the last pool used
 
     # --- message handling ---
 
@@ -111,15 +199,6 @@ class PMCode:
         """The symbol a live node sends toward failed node target: w^t phi_target."""
         return dot(self.field, shard, self.Phi.data[target - 1])
 
-    def _decode_from_transfers(self, target, sources, transfers):
-        """Rebuild node target from d transfers {source: w_src^t phi_target}."""
-        f = self.field
-        ordered = sorted(sources)
-        psi_h = self.Psi.submatrix([h - 1 for h in ordered], range(self.d))
-        x = mat_solve(psi_h, [transfers[h] for h in ordered])  # x = M phi_target
-        lam = self.lam_alpha[target - 1]
-        return [f.add(x[c], f.mul(lam, x[self.alpha + c])) for c in range(self.alpha)]
-
     def default_helpers(self, shards, failed, count):
         live = [i for i in sorted(shards) if i not in failed]
         if len(live) < count:
@@ -130,68 +209,73 @@ class PMCode:
         contents, transcript = self.repair_multi(shards, (failed,), helpers)
         return contents[failed], transcript
 
-    def _gammas(self, others):
-        """Coefficients of prod_{m in others} (x + lam_m), ascending powers.
-
-        gammas[h-1] is the elementary-symmetric coefficient gamma_h; plus
-        equals minus in characteristic 2 so no sign bookkeeping is needed.
-        """
-        f = self.field
-        poly = [1]
-        for m in others:
-            lam = self.lambdas[m - 1]
-            nxt = [0] * (len(poly) + 1)
-            for t, c in enumerate(poly):
-                nxt[t + 1] = f.add(nxt[t + 1], c)
-                nxt[t] = f.add(nxt[t], f.mul(c, lam))
-            poly = nxt
-        return poly
+    def _pool_table(self, pool):
+        """The Lagrange table of pool, kept for one pool at a time."""
+        pool = frozenset(pool)
+        if self._table is None or self._table.pool != pool:
+            self._table = _PoolTable(self, pool)
+        return self._table
 
     def coupling_coefficient(self, i, j, l, pool):
         """Weight of transfer s_{l,i} inside the expansion of s_{i,j}.
 
         pool is the full participant set (failed + helpers); the repair of
         node i reads one transfer from every node of pool except i itself.
+        The weight is node i's decoder row for source l, projected on phi_j.
         """
-        f = self.field
-        others = sorted(m for m in pool if m != i and m != l)
-        gam = self._gammas(others)  # degree d-1, entries gamma_1..gamma_d
-        lam_i = self.lam_alpha[i - 1]
-        lam_j = self.lambdas[j - 1]
-        lam_l = self.lambdas[l - 1]
-        num = 0
-        pw = 1
-        for h in range(self.alpha):
-            term = f.add(gam[h], f.mul(lam_i, gam[h + self.alpha]))
-            num = f.add(num, f.mul(term, pw))
-            pw = f.mul(pw, lam_j)
-        den = 0
-        pw = 1
-        for h in range(self.d):
-            den = f.add(den, f.mul(gam[h], pw))
-            pw = f.mul(pw, lam_l)
-        return f.div(num, den)
+        return dot(self.field, self._pool_table(pool).row(i, l), self.Phi.data[j - 1])
 
-    def assemble_multi(self, shards, failed, helpers):
-        """Build the coupling system plus the transfers received from helpers."""
-        f = self.field
+    def coupling_matrix(self, failed, helpers):
+        """The coupling system of a pattern with b left at zero.
+
+        A depends on the lambdas alone, so no shard is needed to vet it.
+        """
         failed = tuple(sorted(failed))
-        pool = set(failed) | set(helpers)
-        received = {}
-        for h in helpers:
-            for j in failed:
-                received[(h, j)] = self.repair_transfer(shards[h], j)
-        system = CouplingSystem(f, failed)
+        pool = frozenset(failed) | frozenset(helpers)
+        system = CouplingSystem(self.field, failed)
         for i, j in unknown_pairs(failed):
             for l in failed:
                 if l != i:
                     system.add_entry((i, j), (l, i), self.coupling_coefficient(i, j, l, pool))
-            acc = 0
+        return system
+
+    def _assemble(self, shards, failed, helpers):
+        """Coupling system, helper transfers, and each failed node's partial
+        decode p_i = sum_h r_{h->i} c_{i,h} from the helpers alone."""
+        f = self.field
+        failed = tuple(sorted(failed))
+        table = self._pool_table(failed + tuple(helpers))
+        received = {}
+        for h in helpers:
+            for j in failed:
+                received[(h, j)] = self.repair_transfer(shards[h], j)
+        parts = {}
+        for i in failed:
+            acc = [0] * self.alpha
             for h in helpers:
-                c = self.coupling_coefficient(i, j, h, pool)
-                acc = f.add(acc, f.mul(c, received[(h, i)]))
-            system.add_rhs((i, j), acc)
+                _axpy(f, acc, received[(h, i)], table.row(i, h))
+            parts[i] = acc
+        system = self.coupling_matrix(failed, helpers)
+        for i, j in unknown_pairs(failed):
+            system.add_rhs((i, j), dot(f, parts[i], self.Phi.data[j - 1]))
+        return system, received, parts
+
+    def assemble_multi(self, shards, failed, helpers):
+        """Build the coupling system plus the transfers received from helpers."""
+        system, received, _ = self._assemble(shards, failed, helpers)
         return system, received
+
+    def _check_input(self, shards, failed, helpers):
+        """Refuse unknown node ids and malformed helper shards up front."""
+        bad = sorted(m for m in failed + helpers if not 1 <= m <= self.n)
+        if bad:
+            raise InvalidRepairInputError("node ids out of range 1..%d: %s" % (self.n, bad))
+        for h in helpers:
+            shard = shards[h]
+            if len(shard) != self.alpha or not all(0 <= x < self.field.size for x in shard):
+                raise InvalidRepairInputError(
+                    "shard of node %d is not %d symbols of GF(2^%d)" % (h, self.alpha, self.field.m)
+                )
 
     def repair_multi(self, shards, failed, helpers=None):
         failed = tuple(sorted(set(failed)))
@@ -206,22 +290,19 @@ class PMCode:
             raise ValueError("need exactly d-e+1 = %d helpers" % want)
         if set(helpers) & set(failed) or any(h not in shards for h in helpers):
             raise ValueError("helpers must be live non-failed nodes")
+        self._check_input(shards, failed, helpers)
         problem = RepairProblem(failed=failed, helpers=helpers)
-        if e == 1:
-            i = failed[0]
-            transfers = {h: self.repair_transfer(shards[h], i) for h in helpers}
-            decode = lambda node, solved: self._decode_from_transfers(node, helpers, transfers)
-            return solve_and_regenerate(None, decode, problem)
-        system, received = self.assemble_multi(shards, failed, helpers)
+        system, _, parts = self._assemble(shards, failed, helpers)
+        table = self._pool_table(failed + helpers)
 
         def decode(node, solved):
-            sources = [m for m in sorted(set(failed) | set(helpers)) if m != node]
-            transfers = {}
-            for m in sources:
-                transfers[m] = received[(m, node)] if m in shards else solved[(m, node)]
-            return self._decode_from_transfers(node, sources, transfers)
+            content = list(parts[node])
+            for l in failed:
+                if l != node:
+                    _axpy(self.field, content, solved[(l, node)], table.row(node, l))
+            return content
 
-        return solve_and_regenerate(system, decode, problem)
+        return solve_and_regenerate(system if e > 1 else None, decode, problem)
 
     def pattern_sweep(self, e, seed=0, sample=None):
         from .workbench import run_sweep
@@ -244,7 +325,8 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
 
     Multi-repair of e nodes needs d-e+1 >= k helpers, so e is capped at
     min(e_max, n-k, k-1). Singularity only depends on the lambdas, never
-    on the message, so candidates are vetted by determinant alone.
+    on the message, so candidates are vetted by the determinant of the
+    coupling matrix alone; no message is encoded.
     """
     from itertools import combinations
 
@@ -262,13 +344,11 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
             code = PMCode(field, n, k, lambdas)
         except ValueError:
             continue
-        shards = code.encode([0] * code.message_length)
         bad = 0
         for e in range(2, e_cap + 1):
             for pattern in combinations(code.node_ids(), e):
-                helpers = code.default_helpers(shards, pattern, code.d - e + 1)
-                system, _ = code.assemble_multi(shards, pattern, helpers)
-                if system.determinant() == 0:
+                helpers = [i for i in code.node_ids() if i not in pattern][: code.d - e + 1]
+                if code.coupling_matrix(pattern, helpers).determinant() == 0:
                     bad += 1
         if bad == 0:
             return lambdas

@@ -362,5 +362,7 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
     if fewer:
         a0 = M / Fraction(k)
         ratio = gamma_min_for_alpha(fewer, a0) / (e * gamma_min_for_alpha(single, a0))
-        assert ratio == Fraction(d - e + 1, d)
+        expected = Fraction(d - e + 1, d)
+        if ratio != expected:
+            raise ArithmeticError("MSMR ratio %s differs from (d-e+1)/d = %s" % (ratio, expected))
     return ComparisonReport(params, rows, ratio)

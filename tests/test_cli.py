@@ -115,6 +115,19 @@ def test_build_encode_repair_round_trip(capsys, tmp_path):
     assert rec["message"] == json.loads(enc.read_text())["message"]
 
 
+def test_repair_with_unknown_node_ids_exits_infeasible(capsys, tmp_path):
+    desc = tmp_path / "pm.json"
+    enc = tmp_path / "enc.json"
+    run(capsys, "code", "build", "--family", "pm", "--field", "8:11d",
+        "--n", "11", "--k", "6", "--out", str(desc))
+    run(capsys, "code", "encode", "--descriptor", str(desc), "--seed", "3",
+        "--out", str(enc))
+    for failed in ("0", "1,12"):
+        code, _ = run(capsys, "code", "repair", "--descriptor", str(desc),
+                      "--shards", str(enc), "--failed", failed)
+        assert code == INFEASIBLE
+
+
 def test_encode_with_explicit_message(capsys, tmp_path):
     desc = tmp_path / "mds.json"
     run(capsys, "code", "build", "--family", "mds", "--field", "5", "--n", "6",

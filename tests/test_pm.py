@@ -4,9 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from regenrepair.framework import SingularCouplingError
-from regenrepair.gf import Field, mat_inv
+from regenrepair.framework import (
+    CouplingSystem,
+    InvalidRepairInputError,
+    SingularCouplingError,
+    unknown_pairs,
+)
+from regenrepair.gf import Field, mat_det, mat_inv, mat_solve
 from regenrepair.pm import PMCode, field_search
 from regenrepair.workbench import AssignmentNotFoundError, run_sweep, verify_exact_repair
 
@@ -36,6 +42,175 @@ def generic_coefficient(code, i, j, l, pool):
         acc = f.add(acc, f.mul(pw, f.add(v[h], f.mul(lam_ia, v[h + code.alpha]))))
         pw = f.mul(pw, lam_j)
     return acc
+
+
+# --- reference formulas the per-pattern Lagrange table replaces ---
+
+def reference_gammas(code, others):
+    """prod_{m in others} (x + lam_m), rebuilt from scratch, ascending powers."""
+    f = code.field
+    poly = [1]
+    for m in others:
+        lam = code.lambdas[m - 1]
+        nxt = [0] * (len(poly) + 1)
+        for t, c in enumerate(poly):
+            nxt[t + 1] = f.add(nxt[t + 1], c)
+            nxt[t] = f.add(nxt[t], f.mul(c, lam))
+        poly = nxt
+    return poly
+
+
+def reference_row(code, i, l, pool):
+    """Decoder row c_{i,l} from a product rebuilt for this (i, l) alone."""
+    f = code.field
+    gam = reference_gammas(code, sorted(m for m in pool if m not in (i, l)))
+    den, pw = 0, 1
+    for h in range(code.d):
+        den = f.add(den, f.mul(gam[h], pw))
+        pw = f.mul(pw, code.lambdas[l - 1])
+    lam_i = code.lam_alpha[i - 1]
+    return [f.div(f.add(gam[h], f.mul(lam_i, gam[h + code.alpha])), den) for h in range(code.alpha)]
+
+
+def reference_coefficient(code, i, j, l, pool):
+    f = code.field
+    acc, pw = 0, 1
+    for c in reference_row(code, i, l, pool):
+        acc = f.add(acc, f.mul(c, pw))
+        pw = f.mul(pw, code.lambdas[j - 1])
+    return acc
+
+
+def reference_decode(code, target, transfers):
+    """Rebuild node target from {source: w_src^t phi_target} by solving the
+    sources' Vandermonde system for M phi_target."""
+    f = code.field
+    ordered = sorted(transfers)
+    psi_h = code.Psi.submatrix([h - 1 for h in ordered], range(code.d))
+    x = mat_solve(psi_h, [transfers[h] for h in ordered])
+    lam = code.lam_alpha[target - 1]
+    return [f.add(x[c], f.mul(lam, x[code.alpha + c])) for c in range(code.alpha)]
+
+
+def reference_coupling_matrix(code, failed, helpers):
+    pool = set(failed) | set(helpers)
+    system = CouplingSystem(code.field, failed)
+    for i, j in unknown_pairs(failed):
+        for l in failed:
+            if l != i:
+                system.add_entry((i, j), (l, i), reference_coefficient(code, i, j, l, pool))
+    return system.A
+
+
+# (field, n, k): alpha = 1, 2, 4 over GF(2^4), 3 and 5 over GF(2^6) and GF(2^8)
+TABLE_CONFIGS = [(F16, 4, 2), (F16, 5, 3), (F16, 9, 5), (F64, 7, 4), (F64, 11, 6), (F256, 8, 4), (F256, 11, 6)]
+
+
+@st.composite
+def pool_cases(draw):
+    """A code on drawn evaluation points, a pool of d+1 of its nodes, and
+    a node i of the pool with a source l != i and a destination j."""
+    field, n, k = draw(st.sampled_from(TABLE_CONFIGS))
+    lambdas = draw(st.lists(st.integers(0, field.size - 1), min_size=n, max_size=n, unique=True))
+    assume(len({field.pow(x, k - 1) for x in lambdas}) == n)
+    code = PMCode(field, n, k, lambdas)
+    pool = draw(st.lists(st.integers(1, n), min_size=code.d + 1, max_size=code.d + 1, unique=True))
+    i = draw(st.sampled_from(pool))
+    l = draw(st.sampled_from([m for m in pool if m != i]))
+    j = draw(st.integers(1, n))
+    return code, pool, i, l, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_cases())
+def test_table_rows_and_coefficients_match_references(case):
+    code, pool, i, l, j = case
+    assert code._pool_table(pool).row(i, l) == reference_row(code, i, l, pool)
+    got = code.coupling_coefficient(i, j, l, pool)
+    assert got == reference_coefficient(code, i, j, l, pool)
+    assert got == generic_coefficient(code, i, j, l, pool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pool_cases(), st.randoms(use_true_random=False))
+def test_table_decode_matches_vandermonde_solve(case, rng):
+    code, pool, i, _, _ = case
+    f = code.field
+    shards = code.encode(code.random_message(rng))
+    transfers = {l: code.repair_transfer(shards[l], i) for l in pool if l != i}
+    table = code._pool_table(pool)
+    decoded = [0] * code.alpha
+    for l, t in transfers.items():
+        for c, x in enumerate(table.row(i, l)):
+            decoded[c] = f.add(decoded[c], f.mul(t, x))
+    assert decoded == reference_decode(code, i, transfers) == shards[i]
+    helpers = [l for l in pool if l != i]
+    contents, _ = code.repair_multi({l: shards[l] for l in helpers}, (i,), helpers)
+    assert contents[i] == shards[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool_cases(), st.randoms(use_true_random=False), st.data())
+def test_multi_repair_on_drawn_pools_matches_reference_system(case, rng, data):
+    code, pool, _, _, _ = case
+    e_cap = min(code.n - code.k, code.k - 1)
+    assume(e_cap >= 2)
+    e = data.draw(st.integers(2, e_cap))
+    failed = tuple(sorted(data.draw(st.permutations(pool))[:e]))
+    helpers = tuple(sorted(set(pool) - set(failed)))
+    assert code.coupling_matrix(failed, helpers).A == reference_coupling_matrix(code, failed, helpers)
+    shards = code.encode(code.random_message(rng))
+    survivors = {m: v for m, v in shards.items() if m not in failed}
+    system, _ = code.assemble_multi(survivors, failed, helpers)
+    try:
+        contents, _ = code.repair_multi(survivors, failed, helpers)
+    except SingularCouplingError:
+        assert mat_det(system.A) == 0
+        return
+    assert mat_det(system.A) != 0
+    assert all(contents[m] == shards[m] for m in failed)
+
+
+def test_singular_sets_match_reference_determinants_on_f32():
+    code = PMCode(Field(5), 9, 5)
+    rng = random.Random(13)
+    shards = code.encode(code.random_message(rng))
+    singular = []
+    for e in range(2, 5):
+        for failed in itertools.combinations(code.node_ids(), e):
+            survivors = {m: v for m, v in shards.items() if m not in failed}
+            helpers = code.default_helpers(survivors, failed, code.d - e + 1)
+            expected = mat_det(reference_coupling_matrix(code, failed, helpers)) == 0
+            try:
+                contents, _ = code.repair_multi(survivors, failed)
+            except SingularCouplingError:
+                singular.append(failed)
+                assert expected, failed
+                continue
+            assert not expected, failed
+            assert all(contents[m] == shards[m] for m in failed)
+    assert singular == [(3, 4), (6, 7), (3, 4, 5), (5, 6, 7)]
+
+
+def test_coupling_matrix_is_assemble_multis_matrix_without_shards():
+    code = example_code()
+    shards = code.encode(code.random_message(random.Random(43)))
+    failed, helpers = (2, 5, 9), (1, 3, 4, 6, 7, 8, 10, 11)
+    system = code.coupling_matrix(failed, helpers)
+    assert system.b == [0] * system.size
+    assembled, _ = code.assemble_multi(shards, failed, helpers)
+    assert system.A == assembled.A
+
+
+def test_coupling_coefficient_rejects_nodes_outside_the_pool():
+    code = example_code()
+    pool = list(range(1, code.d + 2))
+    with pytest.raises(ValueError):
+        code.coupling_coefficient(1, 2, 1, pool)  # l == i
+    with pytest.raises(ValueError):
+        code.coupling_coefficient(1, 2, 12, pool)  # l not in pool
+    with pytest.raises(ValueError):
+        code.coupling_coefficient(1, 2, 3, pool[:-1])  # pool of d nodes
 
 
 def test_construction_validation():
@@ -163,6 +338,40 @@ def test_multi_repair_validation():
         code.repair_multi({j: v for j, v in shards.items() if j > 2}, (1, 2), helpers=(2, 3, 4, 5, 6, 7, 8, 9, 10))
     with pytest.raises(ValueError):
         code.repair_multi({j: v for j, v in shards.items() if j != 1}, (1,), helpers=(2, 3))
+
+
+def test_repair_rejects_unknown_node_ids():
+    code = example_code()
+    shards = code.encode(code.random_message(random.Random(47)))
+    # node 0 used to read lambdas[-1] and return node 11's shard as its own
+    with pytest.raises(InvalidRepairInputError):
+        code.repair_multi(shards, (0,))
+    survivors = {m: v for m, v in shards.items() if m != 1}
+    with pytest.raises(InvalidRepairInputError):
+        code.repair_multi(survivors, (1, 12))
+    with pytest.raises(InvalidRepairInputError):
+        code.repair_multi({**survivors, 12: [0] * code.alpha}, (1,), helpers=tuple(range(3, 13)))
+
+
+def test_repair_rejects_short_helper_shard():
+    code = example_code()
+    shards = code.encode(code.random_message(random.Random(53)))
+    survivors = {m: v for m, v in shards.items() if m != 1}
+    survivors[2] = survivors[2][:-1]
+    with pytest.raises(InvalidRepairInputError):
+        code.repair_multi(survivors, (1,))
+
+
+def test_repair_rejects_symbols_outside_the_field():
+    code = example_code()
+    shards = code.encode(code.random_message(random.Random(59)))
+    survivors = {m: v for m, v in shards.items() if m != 1}
+    survivors[2] = [300] + survivors[2][1:]
+    with pytest.raises(InvalidRepairInputError):
+        code.repair_multi(survivors, (1,))
+    survivors[2] = [-1] + shards[2][1:]
+    with pytest.raises(InvalidRepairInputError):
+        code.repair_multi(survivors, (1,))
 
 
 def test_example_code_sweeps_clean_on_f256():

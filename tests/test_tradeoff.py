@@ -264,6 +264,20 @@ def test_compare_strategies_frozen_ratio_and_shape():
         assert row.gamma_centralized == row.gamma_separate == row.gamma_centralized_fewer
 
 
+def test_compare_strategies_checks_the_msmr_ratio_without_assert(monkeypatch):
+    from regenrepair import tradeoff
+
+    real = tradeoff.gamma_min_for_alpha
+
+    def skewed(params, alpha):
+        gamma = real(params, alpha)
+        return 2 * gamma if params.e == 1 else gamma
+
+    monkeypatch.setattr(tradeoff, "gamma_min_for_alpha", skewed)
+    with pytest.raises(ArithmeticError):
+        compare_strategies(SystemParams(1, 12, 7, 9, 3))
+
+
 def test_compare_strategies_fewer_helper_crossover_exists():
     # one batch of 3 on 7 helpers vs three singles on 9 helpers: the batch
     # wins at minimum storage but loses for some larger alpha
