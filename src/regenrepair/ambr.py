@@ -17,7 +17,7 @@ import random
 from itertools import combinations
 from math import prod
 
-from .framework import InvalidHelperCountError, RepairProblem, RepairTranscript
+from .framework import InvalidHelperCountError, RepairProblem, RepairTranscript, check_input
 from .gf import Matrix, mat_det, mat_solve, vandermonde
 
 
@@ -150,6 +150,7 @@ class AdaptiveMBRCode:
         nodes = sorted(shards)[: self.k]
         if len(nodes) < self.k:
             raise ValueError("need at least k shards")
+        check_input(self, shards, self.alpha, nodes)
         f, k, dm = self.field, self.k, self.d_min
         out = []
         for i in range(1, self.z + 1):
@@ -226,6 +227,7 @@ class AdaptiveMBRCode:
         helpers = tuple(sorted(helpers))
         if len(helpers) != d or any(h not in shards for h in helpers):
             raise InvalidHelperCountError("need shards from exactly d = %d helpers" % d)
+        check_input(self, shards, self.alpha, helpers, failed)
         RepairProblem(failed=failed, helpers=helpers)
         per_helper = {h: 0 for h in helpers}
         contents = {}

@@ -29,7 +29,25 @@ class InvalidHelperCountError(ValueError):
 
 
 class InvalidRepairInputError(ValueError):
-    """A repair was handed unknown node ids or malformed helper shards."""
+    """A repair or reconstruct was handed unknown node ids or malformed shards."""
+
+
+def check_input(code, shards, length, readers, others=()):
+    """Refuse unknown node ids and malformed shards before any arithmetic.
+
+    Every id in readers and others must lie in 1..code.n, and the shard of
+    each reader must hold length symbols of code.field.
+    """
+    bad = sorted(m for m in (*readers, *others) if not 1 <= m <= code.n)
+    if bad:
+        raise InvalidRepairInputError("node ids out of range 1..%d: %s" % (code.n, bad))
+    size = code.field.size
+    for node in readers:
+        shard = shards[node]
+        if len(shard) != length or min(shard) < 0 or max(shard) >= size:
+            raise InvalidRepairInputError(
+                "shard of node %d is not %d symbols of GF(2^%d)" % (node, length, code.field.m)
+            )
 
 
 @dataclass(frozen=True)
@@ -102,6 +120,7 @@ class CouplingSystem:
         self.failed = tuple(sorted(failed))
         self.beta = beta
         self.pairs = unknown_pairs(self.failed)
+        self._slot = {pair: t for t, pair in enumerate(self.pairs)}  # unknown_index, precomputed
         self.size = len(self.pairs) * beta
         self.A = Matrix.zero(field, self.size, self.size)
         self.b = [0] * self.size
@@ -110,12 +129,7 @@ class CouplingSystem:
             self.A.data[t][t] = minus_one
 
     def index(self, i, j, t=0):
-        return unknown_index(self.failed, i, j) * self.beta + t
-
-    def set_entry(self, row_pair, col_pair, value, t=0, u=0):
-        r = self.index(row_pair[0], row_pair[1], t)
-        c = self.index(col_pair[0], col_pair[1], u)
-        self.A.data[r][c] = value
+        return self._slot[(i, j)] * self.beta + t
 
     def add_entry(self, row_pair, col_pair, value, t=0, u=0):
         r = self.index(row_pair[0], row_pair[1], t)

@@ -362,6 +362,43 @@ def mat_det(a: Matrix) -> int:
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
     f = a.field
+    if f._exp is None:
+        return _det_direct(a)
+    exp, log, order = f._exp, f._log, f.order
+    m = [row[:] for row in a.data]
+    n = a.rows
+    det_log = 0  # log of the product of the pivots so far
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]  # sign flip is a no-op in char 2
+        row = m[col]
+        lp = log[row[col]]
+        det_log += lp
+        # column col below the pivot is never read again, so it is not cleared
+        tail = [(j, log[row[j]]) for j in range(col + 1, n) if row[j]]
+        for r in range(col + 1, n):
+            fct = m[r][col]
+            if fct == 0:
+                continue
+            lf = log[fct] - lp
+            if lf < 0:
+                lf += order
+            rr = m[r]
+            for j, lj in tail:
+                rr[j] ^= exp[lf + lj]
+    return exp[det_log % order]
+
+
+def _det_direct(a: Matrix) -> int:
+    """Determinant by elimination through Field.mul, for table-less fields."""
+    f = a.field
     mul, inv = f.mul, f.inv
     m = [row[:] for row in a.data]
     n = a.rows

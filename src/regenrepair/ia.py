@@ -15,7 +15,7 @@ and the constraint kappa^2 != 1 reduces to kappa != 1.
 
 import random
 
-from .framework import CouplingSystem, RepairProblem, solve_and_regenerate, unknown_pairs
+from .framework import CouplingSystem, RepairProblem, check_input, solve_and_regenerate, unknown_pairs
 from .gf import (
     Matrix,
     all_square_submatrices_invertible,
@@ -87,6 +87,7 @@ class IACode:
         self.Ud = Matrix(field, [[field.mul(kappa, x) for x in row] for row in mat_mul(V, self.Pd).data])
         self.one_minus_k2 = field.add(1, field.mul(kappa, kappa))  # 1 - kappa^2
         self.one_plus_k = field.add(1, kappa)  # 1 + kappa = 1 - kappa
+        self._terms = {}  # (x, y) -> _coupling_terms(x, y), filled on first use
 
     # --- structure helpers ---
 
@@ -147,12 +148,11 @@ class IACode:
         nodes = sorted(shards)[: self.k]
         if len(nodes) < self.k:
             raise ValueError("need at least k shards")
+        check_input(self, shards, self.alpha, nodes)
         f = self.field
         size = self.message_length
         rows, rhs = [], []
         for node in nodes:
-            if len(shards[node]) != self.alpha:
-                raise ValueError("bad shard length at node %d" % node)
             for t in range(self.alpha):
                 row = [0] * size
                 if self.is_systematic(node):
@@ -236,7 +236,15 @@ class IACode:
 
         Returns [(source, destination, coefficient)]; destination is always
         x. Sources that also failed become matrix entries, the rest feed b.
+        The expansion depends on the code alone, so each of the n(n-1)
+        ordered pairs is expanded once, on first use.
         """
+        terms = self._terms.get((x, y))
+        if terms is None:
+            terms = self._terms[(x, y)] = tuple(self._expand_terms(x, y))
+        return terms
+
+    def _expand_terms(self, x, y):
         f = self.field
         k = self.k
         kap = self.kappa
@@ -320,6 +328,7 @@ class IACode:
         if not 1 <= e <= self.k:
             raise ValueError("can repair 1..k nodes at once")
         survivors = tuple(h for h in sorted(shards) if h not in set(failed))
+        check_input(self, shards, self.alpha, survivors, failed)
         if len(survivors) != self.n - e or set(failed) & set(shards.keys()):
             raise ValueError("need shards from exactly the %d survivors" % (self.n - e))
         if helpers is not None and tuple(sorted(helpers)) != survivors:

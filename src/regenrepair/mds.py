@@ -12,7 +12,7 @@ stores delta = lcm(k..d_max) so every degree k <= d <= d_max divides M.
 import math
 import random
 
-from .framework import InvalidHelperCountError, RepairProblem, RepairTranscript
+from .framework import InvalidHelperCountError, RepairProblem, RepairTranscript, check_input
 from .gf import Matrix, mat_inv, mat_mul, mat_solve, vandermonde
 
 
@@ -78,6 +78,7 @@ class MDSStripeCode:
         nodes = sorted(shards)[: self.k]
         if len(nodes) < self.k:
             raise ValueError("need at least k shards")
+        check_input(self, shards, self.delta, nodes)
         positions, symbols = [], []
         for node in nodes:
             positions.extend(range((node - 1) * self.delta, node * self.delta))
@@ -103,6 +104,7 @@ class MDSStripeCode:
         helpers = tuple(sorted(helpers))
         if len(helpers) != d or any(h not in shards for h in helpers):
             raise InvalidHelperCountError("need shards from exactly d = %d helpers" % d)
+        check_input(self, shards, self.delta, helpers, failed)
         problem = RepairProblem(failed=failed, helpers=helpers)
         beta = self.message_length // d
         positions, symbols = [], []

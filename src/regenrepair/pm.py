@@ -20,8 +20,8 @@ import random
 
 from .framework import (
     CouplingSystem,
-    InvalidRepairInputError,
     RepairProblem,
+    check_input,
     solve_and_regenerate,
     unknown_pairs,
 )
@@ -177,13 +177,12 @@ class PMCode:
         nodes = sorted(shards)[: self.k]
         if len(nodes) < self.k:
             raise ValueError("need at least k shards")
+        check_input(self, shards, self.alpha, nodes)
         f = self.field
         size = self.message_length
         rows = []
         rhs = []
         for i in nodes:
-            if len(shards[i]) != self.alpha:
-                raise ValueError("bad shard length at node %d" % i)
             for c in range(self.alpha):
                 row = [0] * size
                 for a in range(self.d):
@@ -265,18 +264,6 @@ class PMCode:
         system, received, _ = self._assemble(shards, failed, helpers)
         return system, received
 
-    def _check_input(self, shards, failed, helpers):
-        """Refuse unknown node ids and malformed helper shards up front."""
-        bad = sorted(m for m in failed + helpers if not 1 <= m <= self.n)
-        if bad:
-            raise InvalidRepairInputError("node ids out of range 1..%d: %s" % (self.n, bad))
-        for h in helpers:
-            shard = shards[h]
-            if len(shard) != self.alpha or not all(0 <= x < self.field.size for x in shard):
-                raise InvalidRepairInputError(
-                    "shard of node %d is not %d symbols of GF(2^%d)" % (h, self.alpha, self.field.m)
-                )
-
     def repair_multi(self, shards, failed, helpers=None):
         failed = tuple(sorted(set(failed)))
         e = len(failed)
@@ -290,7 +277,7 @@ class PMCode:
             raise ValueError("need exactly d-e+1 = %d helpers" % want)
         if set(helpers) & set(failed) or any(h not in shards for h in helpers):
             raise ValueError("helpers must be live non-failed nodes")
-        self._check_input(shards, failed, helpers)
+        check_input(self, shards, self.alpha, helpers, failed)
         problem = RepairProblem(failed=failed, helpers=helpers)
         system, _, parts = self._assemble(shards, failed, helpers)
         table = self._pool_table(failed + helpers)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 RationalLike = Fraction | int
@@ -84,35 +83,25 @@ class CurvePoint:
     segment: int
 
 
-@lru_cache(maxsize=None)
-def _compositions(k: int, emax: int) -> tuple:
-    """All compositions of k with parts in 1..emax, lexicographic, with
-    the running prefix sum before each part (used by the cut sum)."""
+def enumerate_scenarios(k: int, e: int) -> list[Scenario]:
+    """Every scenario for k nodes in groups of at most e, lexicographic.
+
+    The list is built afresh on each call and nothing is cached; it grows
+    like ~1.9^k at e = 4. min_cut_oracle does not enumerate.
+    """
+    if k < 1 or e < 1:
+        raise InvalidScenarioError("k and e must be positive")
     out = []
 
     def rec(remaining, acc):
         if remaining == 0:
-            u = tuple(acc)
-            pref = []
-            s = 0
-            for x in u:
-                pref.append(s)
-                s += x
-            out.append((u, tuple(pref)))
+            out.append(Scenario(acc))
             return
-        for part in range(1, min(emax, remaining) + 1):
-            acc.append(part)
-            rec(remaining - part, acc)
-            acc.pop()
+        for part in range(1, min(e, remaining) + 1):
+            rec(remaining - part, acc + (part,))
 
-    rec(k, [])
-    return tuple(out)
-
-
-def enumerate_scenarios(k: int, e: int) -> list[Scenario]:
-    if k < 1 or e < 1:
-        raise InvalidScenarioError("k and e must be positive")
-    return [Scenario(u) for u, _ in _compositions(k, min(e, k))]
+    rec(k, ())
+    return out
 
 
 def cut_value(u, alpha: RationalLike, beta: RationalLike, d: int) -> Fraction:
@@ -133,11 +122,14 @@ def cut_value(u, alpha: RationalLike, beta: RationalLike, d: int) -> Fraction:
 
 
 def min_cut_oracle(params: SystemParams, alpha: RationalLike, beta: RationalLike):
-    """Exhaustive minimum over all scenarios; ties resolve to the
+    """Exact minimum cut over all scenarios; ties resolve to the
     lexicographically smallest u. Returns (value, Scenario).
 
-    Exact despite the integer inner loop: denominators are cleared up
-    front and restored on the way out.
+    A backward DP over the prefix sum p of u: V(k) = 0 and V(p) = min over
+    the next part x <= min(e, k-p) of min(x*alpha, (d-p)*beta) + V(p+x).
+    Taking the smallest attaining x at each p on the way forward yields
+    the lexicographically smallest minimiser. O(k*e) integer steps:
+    denominators are cleared up front and restored on the way out.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha < 0 or beta < 0:
@@ -145,23 +137,24 @@ def min_cut_oracle(params: SystemParams, alpha: RationalLike, beta: RationalLike
     den = lcm(alpha.denominator, beta.denominator)
     a = int(alpha * den)
     b = int(beta * den)
-    d = params.d
-    best = None
-    best_u = None
-    for u, pref in _compositions(params.k, min(params.e, params.k)):
-        acc = 0
-        pruned = False
-        for ui, pi in zip(u, pref):
-            x = ui * a
-            y = (d - pi) * b
-            acc += x if x < y else y
-            if best is not None and acc >= best:
-                pruned = True
-                break
-        if not pruned and (best is None or acc < best):
-            best = acc
-            best_u = u
-    return Fraction(best, den), Scenario(best_u)
+    k, d, e = params.k, params.d, params.e
+    value = [0] * (k + 1)
+    step = [0] * (k + 1)
+    for p in range(k - 1, -1, -1):
+        y = (d - p) * b
+        best = None
+        for x in range(1, min(e, k - p) + 1):
+            xa = x * a
+            acc = (xa if xa < y else y) + value[p + x]
+            if best is None or acc < best:
+                best, step[p] = acc, x
+        value[p] = best
+    u = []
+    p = 0
+    while p < k:
+        u.append(step[p])
+        p += step[p]
+    return Fraction(value[0], den), Scenario(u)
 
 
 def optimal_scenario(params: SystemParams, alpha: RationalLike, beta: RationalLike) -> Scenario:
@@ -246,7 +239,10 @@ def alpha_star(params: SystemParams, gamma: RationalLike) -> Fraction:
 def tradeoff_curve(params: SystemParams) -> list[CurvePoint]:
     """Breakpoints of alpha*(gamma), gamma ascending; the function is
     linear between consecutive rows and flat at M/k after the last."""
-    segs = _segments(params)
+    return _curve(params, _segments(params))
+
+
+def _curve(params: SystemParams, segs) -> list[CurvePoint]:
     if not segs:
         return [CurvePoint(Fraction(params.M), params.M / Fraction(params.k), 0)]
     pts = []
@@ -259,11 +255,13 @@ def tradeoff_curve(params: SystemParams) -> list[CurvePoint]:
 
 def gamma_min_for_alpha(params: SystemParams, alpha: RationalLike) -> Fraction:
     """Least feasible gamma at per-node storage alpha (inverse threshold)."""
-    alpha = Fraction(alpha)
+    return _gamma_min(params, _segments(params), Fraction(alpha))
+
+
+def _gamma_min(params: SystemParams, segs, alpha: Fraction) -> Fraction:
     M, k = params.M, params.k
     if alpha < M / Fraction(k):
         raise ValueError(f"alpha={alpha} below M/k={M / Fraction(k)}; no gamma suffices")
-    segs = _segments(params)
     if not segs:
         return Fraction(M)
     lo0, _, g0, den0 = segs[0]
@@ -343,25 +341,27 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
     fewer = None
     if d - e + 1 >= k:
         fewer = SystemParams(M, max(n, d - e + 1 + e), k, d - e + 1, e)
+    segs = _segments(params)
+    segs_single = _segments(single)
+    segs_fewer = _segments(fewer) if fewer else None
     if alphas is None:
-        cand = set()
-        for ps in (params, single) + ((fewer,) if fewer else ()):
-            for pt in tradeoff_curve(ps):
-                cand.add(pt.alpha)
+        cand = {pt.alpha for pt in _curve(params, segs) + _curve(single, segs_single)}
+        if fewer:
+            cand |= {pt.alpha for pt in _curve(fewer, segs_fewer)}
         grid = sorted(cand)
         mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
         alphas = sorted(set(grid) | set(mids))
     rows = []
     for alpha in alphas:
         alpha = Fraction(alpha)
-        g_cent = gamma_min_for_alpha(params, alpha)
-        g_sep = e * gamma_min_for_alpha(single, alpha)
-        g_few = gamma_min_for_alpha(fewer, alpha) if fewer else None
+        g_cent = _gamma_min(params, segs, alpha)
+        g_sep = e * _gamma_min(single, segs_single, alpha)
+        g_few = _gamma_min(fewer, segs_fewer, alpha) if fewer else None
         rows.append(ComparisonRow(alpha, g_cent, g_sep, g_few))
     ratio = None
     if fewer:
         a0 = M / Fraction(k)
-        ratio = gamma_min_for_alpha(fewer, a0) / (e * gamma_min_for_alpha(single, a0))
+        ratio = _gamma_min(fewer, segs_fewer, a0) / (e * _gamma_min(single, segs_single, a0))
         expected = Fraction(d - e + 1, d)
         if ratio != expected:
             raise ArithmeticError("MSMR ratio %s differs from (d-e+1)/d = %s" % (ratio, expected))

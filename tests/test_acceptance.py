@@ -30,6 +30,7 @@ from regenrepair.mds import MDSStripeCode
 from regenrepair.pm import PMCode
 from regenrepair.tradeoff import (
     InfeasibleBandwidthError,
+    Scenario,
     SystemParams,
     alpha_star,
     compare_strategies,
@@ -44,6 +45,8 @@ from regenrepair.tradeoff import (
     tradeoff_curve,
 )
 from regenrepair.workbench import SplitRandom, run_sweep, verify_exact_repair
+
+from exhaustive import exhaustive_min_cut
 
 # shared parameter grid: every (k, e, d) with 2<=k<=10, 1<=e<=k, k<=d<=13
 GRID = [
@@ -66,13 +69,14 @@ def test_criterion_01_closed_form_scenario_matches_exhaustive_min_cut():
         beta = F(1)
         for t in range(1, 101):
             alpha = F(t * (d + 1), 100)
-            best, _ = min_cut_oracle(params, alpha, beta)
+            best, best_u = exhaustive_min_cut(params, alpha, beta)
             got = cut_value(optimal_scenario(params, alpha, beta), alpha, beta, d)
             assert got == best, (k, e, d, alpha)
+            assert min_cut_oracle(params, alpha, beta) == (best, Scenario(best_u)), (k, e, d, alpha)
             checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
-    report("criterion 01 PASS: %d grid points, closed form == exhaustive min (%.1fs)"
+    report("criterion 01 PASS: %d grid points, closed form == DP oracle == exhaustive min (%.1fs)"
            % (checked, elapsed))
 
 

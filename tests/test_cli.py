@@ -128,6 +128,26 @@ def test_repair_with_unknown_node_ids_exits_infeasible(capsys, tmp_path):
         assert code == INFEASIBLE
 
 
+def test_reconstruct_with_bad_shards_exits_infeasible(capsys, tmp_path):
+    desc = tmp_path / "mds.json"
+    enc = tmp_path / "enc.json"
+    run(capsys, "code", "build", "--family", "mds", "--field", "8:11d",
+        "--n", "7", "--k", "3", "--d-max", "4", "--out", str(desc))
+    run(capsys, "code", "encode", "--descriptor", str(desc), "--seed", "5",
+        "--out", str(enc))
+    shards = json.loads(enc.read_text())["shards"]
+    code, payload = run_json(capsys, "code", "reconstruct", "--descriptor", str(desc),
+                             "--shards", str(enc), "--nodes", "2,3,4")
+    assert code == OK and payload["message"] == json.loads(enc.read_text())["message"]
+    for bad in ({"0": shards["1"], "2": shards["2"], "3": shards["3"]},
+                {"1": [300] + shards["1"][1:], "2": shards["2"], "3": shards["3"]}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, _ = run(capsys, "code", "reconstruct", "--descriptor", str(desc),
+                      "--shards", str(path))
+        assert code == INFEASIBLE
+
+
 def test_encode_with_explicit_message(capsys, tmp_path):
     desc = tmp_path / "mds.json"
     run(capsys, "code", "build", "--family", "mds", "--field", "5", "--n", "6",

@@ -38,6 +38,18 @@ def test_unknown_index_is_bijection_and_matches_pair_list():
         unknown_index([1, 2], 1, 1)
 
 
+def test_coupling_system_index_matches_unknown_index():
+    gf = Field(4)
+    rng = random.Random(11)
+    for e in range(1, 6):
+        failed = rng.sample(range(1, 30), e)
+        for beta in (1, 3):
+            sys_ = CouplingSystem(gf, failed, beta)
+            for i, j in unknown_pairs(failed):
+                for t in range(beta):
+                    assert sys_.index(i, j, t) == unknown_index(failed, i, j) * beta + t
+
+
 def test_unknown_order_ignores_input_permutation():
     assert unknown_pairs([12, 3, 7]) == unknown_pairs([3, 7, 12])
     assert unknown_index((7, 12, 3), 12, 7) == 5
@@ -62,7 +74,7 @@ def test_coupling_system_layout():
     assert sys_.size == 6
     # diagonal pre-filled with -1 = 1 in characteristic 2
     assert all(sys_.A.data[t][t] == 1 for t in range(6))
-    sys_.set_entry((2, 5), (5, 2), 7)
+    sys_.add_entry((2, 5), (5, 2), 7)
     assert sys_.A.data[0][1] == 7
     sys_.add_entry((2, 5), (5, 2), 7)
     assert sys_.A.data[0][1] == 0
@@ -92,8 +104,8 @@ def test_coupling_solve_round_trip():
 def test_coupling_singular_reports_pattern():
     gf = Field(4)
     sys_ = CouplingSystem(gf, [3, 9])
-    sys_.set_entry((3, 9), (9, 3), 1)
-    sys_.set_entry((9, 3), (3, 9), 1)  # [[1,1],[1,1]] singular
+    sys_.add_entry((3, 9), (9, 3), 1)
+    sys_.add_entry((9, 3), (3, 9), 1)  # [[1,1],[1,1]] singular
     assert sys_.determinant() == 0
     with pytest.raises(SingularCouplingError) as info:
         sys_.solve()

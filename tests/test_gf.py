@@ -1,8 +1,10 @@
 """Field and matrix layer: frozen arithmetic values, axioms, dual multiply paths."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regenrepair.gf import (
     DEFAULT_MODULI,
@@ -172,6 +174,48 @@ def test_solve_matches_multiply():
         b = mat_vec(a, x)
         assert mat_solve(a, b) == x
         done += 1
+
+
+def ref_det(field, rows):
+    """Leibniz sum over permutations with mul_direct: signs are 1 in
+    characteristic 2, so the determinant is the permanent."""
+    n = len(rows)
+    acc = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for r, c in enumerate(perm):
+            term = field.mul_direct(term, rows[r][c])
+        acc ^= term
+    return acc
+
+
+DET_FIELDS = {m: Field(m) for m in (1, 2, 3, 4, 5, 6, 7, 8, 13)}
+
+
+@st.composite
+def det_cases(draw):
+    """A square matrix of size 0..6 over GF(2^m); about half of those of
+    size >= 2 are made singular by replacing a row with a combination of
+    the others. GF(2^13) has no tables and takes the direct path."""
+    field = DET_FIELDS[draw(st.sampled_from(sorted(DET_FIELDS)))]
+    n = draw(st.integers(0, 6))
+    elem = st.integers(0, field.size - 1)
+    rows = draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        t, *others = draw(st.permutations(range(n)))
+        row = [0] * n
+        for o in others:
+            c = draw(elem)
+            row = [x ^ field.mul_direct(c, y) for x, y in zip(row, rows[o])]
+        rows[t] = row
+    return field, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(det_cases())
+def test_mat_det_matches_leibniz_reference(case):
+    field, rows = case
+    assert mat_det(Matrix(field, rows)) == ref_det(field, rows)
 
 
 def test_vandermonde_structure_and_duplicates():

@@ -1,0 +1,102 @@
+"""Every family refuses unknown node ids and out-of-field symbols up front.
+
+Repair and reconstruct go through framework.check_input and raise
+InvalidRepairInputError (a ValueError, so the CLI exits 2). Before the
+check, id 0 aliased node n through a negative index and a symbol of 300
+died inside a log table with IndexError. PM repair has its own cases in
+test_pm.
+"""
+
+import random
+
+import pytest
+
+from regenrepair.ambr import AdaptiveMBRCode
+from regenrepair.framework import InvalidRepairInputError
+from regenrepair.gf import Field
+from regenrepair.ia import IACode
+from regenrepair.mds import MDSStripeCode
+from regenrepair.pm import PMCode
+
+F256 = Field(8, 0x11D)
+CODES = {
+    "pm": lambda: PMCode(F256, 11, 6),
+    "ia": lambda: IACode(F256, 3),
+    "mds": lambda: MDSStripeCode(F256, 7, 3, d_max=4),
+    "ambr": lambda: AdaptiveMBRCode(F256, 7, 3, 4, 5),
+}
+
+
+@pytest.fixture(scope="module")
+def encoded():
+    out = {}
+    for family, build in CODES.items():
+        code = build()
+        out[family] = code, code.encode(code.random_message(random.Random(61)))
+    return out
+
+
+# symbols just past either end of GF(256), and the 300 of the CLI report
+OUTSIDE = (256, 300, -1)
+
+
+def failed_zero(code, shards):
+    yield lambda: code.repair_multi(dict(shards), (0,))
+
+
+def failed_past_n(code, shards):
+    yield lambda: code.repair_multi(dict(shards), (code.n + 1,))
+
+
+def helper_symbol_outside_field(code, shards):
+    for bad in OUTSIDE:
+        survivors = {m: list(v) for m, v in shards.items() if m != 1}
+        survivors[2][0] = bad
+        yield lambda: code.repair_multi(survivors, (1,))
+
+
+@pytest.mark.parametrize("case", [failed_zero, failed_past_n, helper_symbol_outside_field], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("family", ["ia", "mds", "ambr"])
+def test_repair_multi_rejects(encoded, family, case):
+    code, shards = encoded[family]
+    for call in case(code, shards):
+        with pytest.raises(InvalidRepairInputError):
+            call()
+
+
+def reader_zero(code, shards):
+    readers = {m: shards[m] for m in range(2, code.k + 1)}
+    readers[0] = shards[1]  # sorts first, so it is one of the k read
+    yield lambda: code.reconstruct(readers)
+
+
+def reader_symbol_outside_field(code, shards):
+    for bad in OUTSIDE:
+        readers = {m: list(shards[m]) for m in range(1, code.k + 1)}
+        readers[1][0] = bad
+        yield lambda: code.reconstruct(readers)
+
+
+def reader_short_shard(code, shards):
+    readers = {m: shards[m] for m in range(1, code.k + 1)}
+    readers[2] = shards[2][:-1]
+    yield lambda: code.reconstruct(readers)
+
+
+@pytest.mark.parametrize("case", [reader_zero, reader_symbol_outside_field, reader_short_shard], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_reconstruct_rejects(encoded, family, case):
+    code, shards = encoded[family]
+    for call in case(code, shards):
+        with pytest.raises(InvalidRepairInputError):
+            call()
+
+
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_valid_input_still_round_trips(encoded, family):
+    code, shards = encoded[family]
+    readers = {m: shards[m] for m in range(1, code.k + 1)}
+    msg = code.reconstruct(readers)
+    assert code.encode(msg) == shards
+    contents, _ = code.repair_multi({m: v for m, v in shards.items() if m != 1}, (1,))
+    assert contents[1] == shards[1]

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regenrepair.tradeoff import (
     ComparisonReport,
@@ -25,6 +26,8 @@ from regenrepair.tradeoff import (
     optimal_scenario,
     tradeoff_curve,
 )
+
+from exhaustive import exhaustive_min_cut
 
 
 # --- independent oracle: pure-Fraction recursion, no shared code path ---
@@ -118,6 +121,38 @@ def test_min_cut_oracle_tie_breaks_lexicographically():
     assert tuple(min(ties)) == scen.u
     assert (2, 3, 3) in [tuple(u) for u in ties]
     assert cut_value(optimal_scenario(params, alpha, beta), alpha, beta, 10) == val
+
+
+@st.composite
+def oracle_cases(draw):
+    """Parameters with k <= 14, e from 1 to above k and d in k..k+4, and a
+    nonnegative (alpha, beta) pair; zero and tie-prone small ratios included."""
+    k = draw(st.integers(1, 14))
+    e = draw(st.integers(1, k + 2))
+    d = draw(st.integers(k, k + 4))
+    rational = st.builds(F, st.integers(0, 24), st.integers(1, 6))
+    return SystemParams(1, d + e, k, d, e), draw(rational), draw(rational)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_dp_oracle_matches_exhaustive_value_and_scenario(case):
+    params, alpha, beta = case
+    best, best_u = exhaustive_min_cut(params, alpha, beta)
+    value, scen = min_cut_oracle(params, alpha, beta)
+    assert (value, scen.u) == (best, best_u)
+    assert cut_value(scen, alpha, beta, params.d) == value
+
+
+def test_dp_oracle_ties_go_to_the_lexicographically_smallest_scenario():
+    # alpha = beta = 0 makes every scenario optimal; (1, ..., 1) is the least
+    for k, e in [(1, 1), (5, 2), (9, 4)]:
+        value, scen = min_cut_oracle(SystemParams(1, k + e + 1, k, k + 1, e), 0, 0)
+        assert (value, scen.u) == (0, (1,) * k)
+    # beta = 0 with alpha > 0: every scenario cuts 0 as well
+    assert min_cut_oracle(SystemParams(1, 12, 8, 9, 3), 5, 0)[1].u == (1,) * 8
+    # alpha = 0 with beta > 0: likewise
+    assert min_cut_oracle(SystemParams(1, 12, 8, 9, 3), 0, 2)[1].u == (1,) * 8
 
 
 def test_closed_form_equals_oracle_on_grid():
@@ -264,16 +299,32 @@ def test_compare_strategies_frozen_ratio_and_shape():
         assert row.gamma_centralized == row.gamma_separate == row.gamma_centralized_fewer
 
 
+def test_compare_strategies_rows_match_gamma_min_for_alpha():
+    for params in grid_params(kmax=6, dmax=9):
+        e = params.e
+        single = SystemParams(params.M, params.n, params.k, params.d, 1)
+        fewer = None
+        if params.d - e + 1 >= params.k:
+            fewer = SystemParams(params.M, max(params.n, params.d + 1), params.k, params.d - e + 1, e)
+        rep = compare_strategies(params)
+        assert rep.rows
+        for row in rep.rows:
+            assert row.gamma_centralized == gamma_min_for_alpha(params, row.alpha)
+            assert row.gamma_separate == e * gamma_min_for_alpha(single, row.alpha)
+            want = gamma_min_for_alpha(fewer, row.alpha) if fewer else None
+            assert row.gamma_centralized_fewer == want
+
+
 def test_compare_strategies_checks_the_msmr_ratio_without_assert(monkeypatch):
     from regenrepair import tradeoff
 
-    real = tradeoff.gamma_min_for_alpha
+    real = tradeoff._gamma_min
 
-    def skewed(params, alpha):
-        gamma = real(params, alpha)
+    def skewed(params, segs, alpha):
+        gamma = real(params, segs, alpha)
         return 2 * gamma if params.e == 1 else gamma
 
-    monkeypatch.setattr(tradeoff, "gamma_min_for_alpha", skewed)
+    monkeypatch.setattr(tradeoff, "_gamma_min", skewed)
     with pytest.raises(ArithmeticError):
         compare_strategies(SystemParams(1, 12, 7, 9, 3))
 
