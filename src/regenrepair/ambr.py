@@ -17,11 +17,18 @@ import random
 from itertools import combinations
 from math import prod
 
-from .framework import InvalidHelperCountError, RepairProblem, RepairTranscript, check_input
-from .gf import Matrix, mat_det, mat_solve, vandermonde
+from .framework import (
+    InvalidHelperCountError,
+    RepairableCode,
+    RepairProblem,
+    RepairTranscript,
+    check_input,
+    check_message,
+)
+from .gf import Matrix, dot, mat_det, mat_solve, vandermonde, vec_mat
 
 
-class AdaptiveMBRCode:
+class AdaptiveMBRCode(RepairableCode):
     def __init__(self, field, n, k, d_min, d_max):
         if not 1 <= k <= d_min <= d_max <= n - 1:
             raise ValueError("need 1 <= k <= d_min <= d_max <= n-1")
@@ -55,7 +62,8 @@ class AdaptiveMBRCode:
         pool = [x for x in field.elements() if x != 0]
         for _ in range(25):
             points = sorted(rng.sample(pool, self.z * n))
-            self.Psi = Matrix(field, [_scaled_power_row(field, x, d_min) for x in points])
+            # rows [x, x^2, ..., x^d_min]: the Vandermonde rows without their leading 1
+            self.Psi = Matrix(field, [row[1:] for row in vandermonde(field, points, d_min + 1).data])
             if all(
                 mat_det(self._theta(subset, d)) != 0
                 for d in range(d_min + 1, d_max + 1)
@@ -66,9 +74,6 @@ class AdaptiveMBRCode:
             raise ValueError("no point assignment found with invertible decode maps")
 
     # --- structure helpers ---
-
-    def node_ids(self):
-        return list(range(1, self.n + 1))
 
     def _psi_row(self, node, block):
         return self.Psi.data[(node - 1) * self.z + (block - 1)]
@@ -121,26 +126,18 @@ class AdaptiveMBRCode:
         out = []
         for i in range(self.z):
             vals = data[i * bs : (i + 1) * bs]
-            out.append([[self._block_entry(vals, r, c) for c in range(self.d_min)] for r in range(self.d_min)])
+            entries = [[self._block_entry(vals, r, c) for c in range(self.d_min)] for r in range(self.d_min)]
+            out.append(Matrix(self.field, entries))
         return out
 
     def encode(self, data):
-        if len(data) != self.message_length:
-            raise ValueError("message must have z*(k*d_min - C(k,2)) symbols")
-        f = self.field
+        check_message(self, data)
         blocks = self._blocks(data)
         shards = {}
-        for l in range(1, self.n + 1):
+        for l in self.node_ids():
             content = []
             for i in range(1, self.z + 1):
-                psi = self._psi_row(l, i)
-                block = blocks[i - 1]
-                for c in range(self.d_min):
-                    acc = 0
-                    for r in range(self.d_min):
-                        if psi[r] and block[r][c]:
-                            acc = f.add(acc, f.mul(psi[r], block[r][c]))
-                    content.append(acc)
+                content.extend(vec_mat(self._psi_row(l, i), blocks[i - 1]))
             shards[l] = content
         return shards
 
@@ -183,19 +180,10 @@ class AdaptiveMBRCode:
     def _transfer(self, shard, target, d):
         """alpha/d symbols a source sends toward a failed node."""
         f = self.field
-        s = []
-        for i in range(1, self.z + 1):
-            block = shard[(i - 1) * self.d_min : i * self.d_min]
-            psi = self._psi_row(target, i)
-            acc = 0
-            for c in range(self.d_min):
-                if block[c] and psi[c]:
-                    acc = f.add(acc, f.mul(block[c], psi[c]))
-            s.append(acc)
+        dm = self.d_min
+        s = [dot(f, shard[(i - 1) * dm : i * dm], self._psi_row(target, i)) for i in range(1, self.z + 1)]
         rows_per = self.alpha // d
-        return [
-            sum_dot(f, self.Omega.data[r], s) for r in range(rows_per)
-        ]
+        return [dot(f, self.Omega.data[r], s) for r in range(rows_per)]
 
     def _regenerate(self, sources, transfers, d):
         theta = self._theta(sources, d)
@@ -203,10 +191,6 @@ class AdaptiveMBRCode:
         for src in sources:
             t.extend(transfers[src])
         return mat_solve(theta, t)
-
-    def repair_single(self, shards, failed, helpers=None, d=None):
-        contents, transcript = self.repair_multi(shards, (failed,), helpers, d)
-        return contents[failed], transcript
 
     def repair_multi(self, shards, failed, helpers=None, d=None):
         failed = tuple(sorted(set(failed)))
@@ -256,12 +240,6 @@ class AdaptiveMBRCode:
             raise ValueError("need 1 <= e <= k")
         return e * self.alpha - e * (e - 1) // 2 * self.z
 
-    def pattern_sweep(self, e, seed=0, sample=None, d=None):
-        from .workbench import run_sweep
-
-        extra = {} if d is None else {"d": d}
-        return run_sweep(self, e, seed=seed, sample=sample, **extra)
-
     def coefficient_matrix(self, nodes):
         """Linear map message -> stacked contents of the given nodes."""
         cols = []
@@ -275,18 +253,3 @@ class AdaptiveMBRCode:
             cols.append(col)
         rows = len(nodes) * self.alpha
         return Matrix(self.field, [[cols[c][r] for c in range(self.message_length)] for r in range(rows)])
-
-
-def sum_dot(field, weights, values):
-    acc = 0
-    for w, v in zip(weights, values):
-        if w and v:
-            acc = field.add(acc, field.mul(w, v))
-    return acc
-
-
-def _scaled_power_row(field, x, width):
-    row = [x]
-    for _ in range(width - 1):
-        row.append(field.mul(row[-1], x))
-    return row

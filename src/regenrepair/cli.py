@@ -213,14 +213,7 @@ def cmd_build(args):
 def cmd_encode(args):
     code = build_code(load_json(args.descriptor))
     if args.message is not None:
-        msg = list(parse_ints(args.message))
-        if len(msg) != code.message_length:
-            raise ValueError(
-                "message wants %d symbols, got %d" % (code.message_length, len(msg))
-            )
-        bad = [x for x in msg if not 0 <= x < code.field.size]
-        if bad:
-            raise ValueError("symbols out of field range: %s" % bad)
+        msg = list(parse_ints(args.message))  # encode checks length and range
     else:
         msg = code.random_message(random.Random(args.seed))
     shards = code.encode(msg)

@@ -11,7 +11,7 @@ not repairable with the chosen code coefficients, which is a reportable
 outcome rather than a bug.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .gf import Matrix, SingularMatrixError, mat_det, mat_solve
 
@@ -41,13 +41,44 @@ def check_input(code, shards, length, readers, others=()):
     bad = sorted(m for m in (*readers, *others) if not 1 <= m <= code.n)
     if bad:
         raise InvalidRepairInputError("node ids out of range 1..%d: %s" % (code.n, bad))
-    size = code.field.size
     for node in readers:
-        shard = shards[node]
-        if len(shard) != length or min(shard) < 0 or max(shard) >= size:
+        if not _is_word(code.field, shards[node], length):
             raise InvalidRepairInputError(
                 "shard of node %d is not %d symbols of GF(2^%d)" % (node, length, code.field.m)
             )
+
+
+def check_message(code, data):
+    """Refuse a message that is not code.message_length symbols of code.field."""
+    if not _is_word(code.field, data, code.message_length):
+        raise InvalidRepairInputError(
+            "message is not %d symbols of GF(2^%d)" % (code.message_length, code.field.m)
+        )
+
+
+def _is_word(field, symbols, length):
+    return len(symbols) == length and 0 <= min(symbols) and max(symbols) < field.size
+
+
+class RepairableCode:
+    """What every code family shares on top of its own repair_multi.
+
+    encode, reconstruct, repair_multi and random_message stay on each
+    family. Keyword arguments such as an explicit repair degree d pass
+    through to repair_multi.
+    """
+
+    def node_ids(self):
+        return list(range(1, self.n + 1))
+
+    def repair_single(self, shards, failed, helpers=None, **degree):
+        contents, transcript = self.repair_multi(shards, (failed,), helpers, **degree)
+        return contents[failed], transcript
+
+    def pattern_sweep(self, e, seed=0, sample=None, **degree):
+        from .workbench import run_sweep
+
+        return run_sweep(self, e, seed=seed, sample=sample, **degree)
 
 
 @dataclass(frozen=True)
@@ -167,8 +198,6 @@ class RepairTranscript:
 
     per_helper: dict
     total: int = 0
-    success: bool = True
-    notes: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         if not self.total:

@@ -5,6 +5,13 @@ binary polynomial given as a bitmask (bit i = coefficient of x^i).
 Multiplication uses log/antilog tables up to TABLE_LIMIT bits and falls
 back to carry-less shift-and-reduce beyond that. The shift-and-reduce
 path is always available (`mul_direct`) so the two can be cross-checked.
+
+Every elimination goes through one row-reduction kernel, `_reduce`,
+which works on the log/antilog tables and returns the pivot columns and
+the determinant. mat_solve and mat_inv run it Gauss-Jordan on an
+augmented matrix; mat_det and mat_rank run it below the pivots only.
+Fields without tables take `_reduce_direct`, the same loop through
+Field.mul, which the tests also use as the kernel's reference.
 """
 
 from __future__ import annotations
@@ -303,41 +310,99 @@ def dot(field: Field, u: list[int], v: list[int]) -> int:
     return acc
 
 
-def _eliminate(field: Field, aug: list[list[int]], n: int):
-    """In-place Gauss-Jordan on n pivot columns; pivot = first nonzero.
+def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
+    """Row-reduce rows in place on their first ncols columns.
 
-    Returns the list of pivot values (length n) or raises SingularMatrixError.
-    Row swaps do not change determinants in characteristic 2.
+    The one elimination loop behind mat_solve, mat_inv, mat_det and
+    mat_rank. Column by column, the pivot is the first nonzero entry at or
+    below the current rank; its row moves up to that rank and is scaled by
+    the pivot's inverse, and the column is cleared below the pivot, and
+    above it too when full is set (Gauss-Jordan). A column with no pivot
+    is skipped. The pivot column is never read again, so it is not
+    written. Columns past ncols (a right-hand side, an identity) are
+    carried along.
+
+    Returns (pivot_cols, det): det is the product of the pivots when every
+    one of the ncols columns has one, else 0; row swaps leave it alone in
+    characteristic 2. Products run on the log/antilog tables; fields
+    without them take _reduce_direct, the same loop through Field.mul.
     """
-    mul, inv = field.mul, field.inv
+    if field._exp is None:
+        return _reduce_direct(field, rows, ncols, full)
+    exp, log, order = field._exp, field._log, field.order
+    nrows = len(rows)
+    width = len(rows[0]) if rows else 0
     pivots = []
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
+    det_log = 0
+    for col in range(ncols):
+        rank = len(pivots)
+        for r in range(rank, nrows):
+            if rows[r][col]:
                 break
-        if piv is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        pivots.append(pv)
+        else:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        row = rows[rank]
+        lp = log[row[col]]
+        det_log += lp
+        tail = []  # (column, log of the scaled entry) of the pivot row
+        for j in range(col + 1, width):
+            if row[j]:
+                lj = (log[row[j]] - lp) % order
+                row[j] = exp[lj]
+                tail.append((j, lj))
+        pivots.append(col)
+        for r in range(0 if full else rank + 1, nrows):
+            fct = rows[r][col]
+            if fct and r != rank:
+                rr = rows[r]
+                lf = log[fct]
+                for j, lj in tail:
+                    rr[j] ^= exp[lf + lj]
+    return pivots, exp[det_log % order] if len(pivots) == ncols else 0
+
+
+def _reduce_direct(field: Field, rows: list[list[int]], ncols: int, full: bool):
+    """_reduce with every product through Field.mul: the path of fields
+    past TABLE_LIMIT, and the reference the tests hold _reduce to."""
+    mul, inv = field.mul, field.inv
+    nrows = len(rows)
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    det = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        for r in range(rank, nrows):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        row = rows[rank]
+        pv = row[col]
+        det = mul(det, pv)
         pinv = inv(pv)
-        row = aug[col]
-        for j in range(col, len(row)):
-            row[j] = mul(row[j], pinv)
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f == 0:
-                continue
-            rr = aug[r]
-            for j in range(col, len(row)):
-                if row[j]:
-                    rr[j] ^= mul(f, row[j])
-    return pivots
+        tail = []  # (column, scaled entry) of the pivot row
+        for j in range(col + 1, width):
+            if row[j]:
+                row[j] = mul(row[j], pinv)
+                tail.append((j, row[j]))
+        pivots.append(col)
+        for r in range(0 if full else rank + 1, nrows):
+            fct = rows[r][col]
+            if fct and r != rank:
+                rr = rows[r]
+                for j, x in tail:
+                    rr[j] ^= mul(fct, x)
+    return pivots, det if len(pivots) == ncols else 0
+
+
+def _gauss_jordan(field: Field, aug: list[list[int]], n: int) -> None:
+    """Turn [A | B] with square A (n x n) into [* | A^-1 B] in place."""
+    pivots, _ = _reduce(field, aug, n, True)
+    if len(pivots) < n:
+        col = next(c for c, p in enumerate(pivots + [n]) if c != p)
+        raise SingularMatrixError(f"no pivot in column {col}")
 
 
 def mat_solve(a: Matrix, b: list[int]) -> list[int]:
@@ -345,7 +410,7 @@ def mat_solve(a: Matrix, b: list[int]) -> list[int]:
     if a.rows != a.cols or a.rows != len(b):
         raise ValueError("mat_solve needs a square system")
     aug = [row + [bv] for row, bv in zip(a.data, b)]
-    _eliminate(a.field, aug, a.rows)
+    _gauss_jordan(a.field, aug, a.rows)
     return [row[-1] for row in aug]
 
 
@@ -354,110 +419,18 @@ def mat_inv(a: Matrix) -> Matrix:
         raise ValueError("only square matrices invert")
     n = a.rows
     aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a.data)]
-    _eliminate(a.field, aug, n)
+    _gauss_jordan(a.field, aug, n)
     return Matrix(a.field, [row[n:] for row in aug])
 
 
 def mat_det(a: Matrix) -> int:
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    f = a.field
-    if f._exp is None:
-        return _det_direct(a)
-    exp, log, order = f._exp, f._log, f.order
-    m = [row[:] for row in a.data]
-    n = a.rows
-    det_log = 0  # log of the product of the pivots so far
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]  # sign flip is a no-op in char 2
-        row = m[col]
-        lp = log[row[col]]
-        det_log += lp
-        # column col below the pivot is never read again, so it is not cleared
-        tail = [(j, log[row[j]]) for j in range(col + 1, n) if row[j]]
-        for r in range(col + 1, n):
-            fct = m[r][col]
-            if fct == 0:
-                continue
-            lf = log[fct] - lp
-            if lf < 0:
-                lf += order
-            rr = m[r]
-            for j, lj in tail:
-                rr[j] ^= exp[lf + lj]
-    return exp[det_log % order]
-
-
-def _det_direct(a: Matrix) -> int:
-    """Determinant by elimination through Field.mul, for table-less fields."""
-    f = a.field
-    mul, inv = f.mul, f.inv
-    m = [row[:] for row in a.data]
-    n = a.rows
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]  # sign flip is a no-op in char 2
-        pv = m[col][col]
-        det = mul(det, pv)
-        pinv = inv(pv)
-        row = m[col]
-        for r in range(col + 1, n):
-            fct = m[r][col]
-            if fct == 0:
-                continue
-            fct = mul(fct, pinv)
-            rr = m[r]
-            for j in range(col, n):
-                if row[j]:
-                    rr[j] ^= mul(fct, row[j])
-    return det
+    return _reduce(a.field, [row[:] for row in a.data], a.cols, False)[1]
 
 
 def mat_rank(a: Matrix) -> int:
-    f = a.field
-    mul, inv = f.mul, f.inv
-    m = [row[:] for row in a.data]
-    rank = 0
-    for col in range(a.cols):
-        piv = None
-        for r in range(rank, a.rows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pinv = inv(m[rank][col])
-        row = m[rank]
-        for r in range(rank + 1, a.rows):
-            fct = m[r][col]
-            if fct == 0:
-                continue
-            fct = mul(fct, pinv)
-            rr = m[r]
-            for j in range(col, a.cols):
-                if row[j]:
-                    rr[j] ^= mul(fct, row[j])
-        rank += 1
-        if rank == a.rows:
-            break
-    return rank
+    return len(_reduce(a.field, [row[:] for row in a.data], a.cols, False)[0])
 
 
 def vandermonde(field: Field, points: list[int], cols: int) -> Matrix:

@@ -15,7 +15,15 @@ and the constraint kappa^2 != 1 reduces to kappa != 1.
 
 import random
 
-from .framework import CouplingSystem, RepairProblem, check_input, solve_and_regenerate, unknown_pairs
+from .framework import (
+    CouplingSystem,
+    RepairableCode,
+    RepairProblem,
+    check_input,
+    check_message,
+    solve_and_regenerate,
+    unknown_pairs,
+)
 from .gf import (
     Matrix,
     all_square_submatrices_invertible,
@@ -54,7 +62,7 @@ def default_kappa(field):
     raise ValueError("field has no kappa with kappa^2 != 1")
 
 
-class IACode:
+class IACode(RepairableCode):
     def __init__(self, field, k, P=None, V=None, kappa=None):
         if k < 1:
             raise ValueError("need k >= 1")
@@ -91,9 +99,6 @@ class IACode:
 
     # --- structure helpers ---
 
-    def node_ids(self):
-        return list(range(1, self.n + 1))
-
     def is_systematic(self, node):
         return 1 <= node <= self.k
 
@@ -121,8 +126,7 @@ class IACode:
         return [rng.randrange(self.field.size) for _ in range(self.message_length)]
 
     def encode(self, data):
-        if len(data) != self.message_length:
-            raise ValueError("data must have k*alpha symbols")
+        check_message(self, data)
         f = self.field
         shards = {}
         systematic = []
@@ -224,10 +228,6 @@ class IACode:
         if self.is_systematic(target):
             return self._decode_systematic(target, transfers)
         return self._decode_parity(target - self.k, transfers)
-
-    def repair_single(self, shards, failed, helpers=None):
-        contents, transcript = self.repair_multi(shards, (failed,), helpers)
-        return contents[failed], transcript
 
     # --- multi-node repair ---
 
@@ -350,11 +350,6 @@ class IACode:
             return self._decode_from_transfers(node, transfers)
 
         return solve_and_regenerate(system, decode, problem)
-
-    def pattern_sweep(self, e, seed=0, sample=None):
-        from .workbench import run_sweep
-
-        return run_sweep(self, e, seed=seed, sample=sample)
 
     # --- closed-form repairability conditions ---
 

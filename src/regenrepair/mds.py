@@ -12,11 +12,18 @@ stores delta = lcm(k..d_max) so every degree k <= d <= d_max divides M.
 import math
 import random
 
-from .framework import InvalidHelperCountError, RepairProblem, RepairTranscript, check_input
-from .gf import Matrix, mat_inv, mat_mul, mat_solve, vandermonde
+from .framework import (
+    InvalidHelperCountError,
+    RepairableCode,
+    RepairProblem,
+    RepairTranscript,
+    check_input,
+    check_message,
+)
+from .gf import Matrix, mat_inv, mat_mul, mat_solve, mat_vec, vandermonde
 
 
-class MDSStripeCode:
+class MDSStripeCode(RepairableCode):
     def __init__(self, field, n, k, d=None, d_max=None):
         if k < 1 or n < k:
             raise ValueError("need n >= k >= 1")
@@ -44,31 +51,17 @@ class MDSStripeCode:
         v_sys = Matrix(field, v_all.data[: self.message_length])
         self.generator = mat_mul(v_all, mat_inv(v_sys))
 
-    def node_ids(self):
-        return list(range(1, self.n + 1))
-
     def random_message(self, rng):
         return [rng.randrange(self.field.size) for _ in range(self.message_length)]
 
-    def _codeword_rows(self, positions, data):
-        f = self.field
-        out = []
-        for pos in positions:
-            row = self.generator.data[pos]
-            acc = 0
-            for c, x in enumerate(data):
-                if x:
-                    acc = f.add(acc, f.mul(row[c], x))
-            out.append(acc)
-        return out
+    def _shard(self, node, data):
+        """The node's codeword positions: its generator rows times the file."""
+        lo = (node - 1) * self.delta
+        return mat_vec(Matrix(self.field, self.generator.data[lo : lo + self.delta]), data)
 
     def encode(self, data):
-        if len(data) != self.message_length:
-            raise ValueError("file must have k*delta symbols")
-        shards = {}
-        for j in range(1, self.n + 1):
-            shards[j] = self._codeword_rows(range((j - 1) * self.delta, j * self.delta), data)
-        return shards
+        check_message(self, data)
+        return {j: self._shard(j, data) for j in self.node_ids()}
 
     def _solve_positions(self, positions, symbols):
         rows = [self.generator.data[pos] for pos in positions]
@@ -112,22 +105,9 @@ class MDSStripeCode:
             positions.extend(range((h - 1) * self.delta, (h - 1) * self.delta + beta))
             symbols.extend(shards[h][:beta])
         data = self._solve_positions(positions, symbols)
-        contents = {
-            f: self._codeword_rows(range((f - 1) * self.delta, f * self.delta), data)
-            for f in failed
-        }
+        contents = {f: self._shard(f, data) for f in failed}
         transcript = RepairTranscript(per_helper={h: beta for h in helpers})
         return contents, transcript
-
-    def repair_single(self, shards, failed, helpers=None, d=None):
-        contents, transcript = self.repair_multi(shards, (failed,), helpers, d)
-        return contents[failed], transcript
-
-    def pattern_sweep(self, e, seed=0, sample=None, d=None):
-        from .workbench import run_sweep
-
-        extra = {} if d is None else {"d": d}
-        return run_sweep(self, e, seed=seed, sample=sample, **extra)
 
     def descriptor(self):
         return {

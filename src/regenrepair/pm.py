@@ -20,8 +20,10 @@ import random
 
 from .framework import (
     CouplingSystem,
+    RepairableCode,
     RepairProblem,
     check_input,
+    check_message,
     solve_and_regenerate,
     unknown_pairs,
 )
@@ -101,7 +103,7 @@ class _PoolTable:
         return row
 
 
-class PMCode:
+class PMCode(RepairableCode):
     def __init__(self, field, n, k, lambdas=None):
         if k < 2:
             raise ValueError("need k >= 2 so that alpha = k-1 >= 1")
@@ -138,16 +140,12 @@ class PMCode:
     def message_length(self):
         return self.k * (self.k - 1)
 
-    def node_ids(self):
-        return list(range(1, self.n + 1))
-
     def random_message(self, rng):
         return [rng.randrange(self.field.size) for _ in range(self.message_length)]
 
     def message_matrix(self, msg):
         """Fill S1 and S2 upper triangles row-major and stack them (d x alpha)."""
-        if len(msg) != self.message_length:
-            raise ValueError("message must have k(k-1) symbols")
+        check_message(self, msg)
         a = self.alpha
         m = Matrix.zero(self.field, self.d, a)
         pos = 0
@@ -203,10 +201,6 @@ class PMCode:
         if len(live) < count:
             raise ValueError("not enough live nodes: need %d" % count)
         return tuple(live[:count])
-
-    def repair_single(self, shards, failed, helpers=None):
-        contents, transcript = self.repair_multi(shards, (failed,), helpers)
-        return contents[failed], transcript
 
     def _pool_table(self, pool):
         """The Lagrange table of pool, kept for one pool at a time."""
@@ -290,11 +284,6 @@ class PMCode:
             return content
 
         return solve_and_regenerate(system if e > 1 else None, decode, problem)
-
-    def pattern_sweep(self, e, seed=0, sample=None):
-        from .workbench import run_sweep
-
-        return run_sweep(self, e, seed=seed, sample=sample)
 
     def descriptor(self):
         return {

@@ -362,7 +362,11 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
     if fewer:
         a0 = M / Fraction(k)
         ratio = _gamma_min(fewer, segs_fewer, a0) / (e * _gamma_min(single, segs_single, a0))
-        expected = Fraction(d - e + 1, d)
+        # at alpha = M/k a batch of e >= k failures downloads the whole file M
+        if e <= k:
+            expected, form = Fraction(d - e + 1, d), "(d-e+1)/d"
+        else:
+            expected, form = Fraction(k * (d - k + 1), e * d), "k(d-k+1)/(e*d)"
         if ratio != expected:
-            raise ArithmeticError("MSMR ratio %s differs from (d-e+1)/d = %s" % (ratio, expected))
+            raise ArithmeticError("MSMR ratio %s differs from %s = %s" % (ratio, form, expected))
     return ComparisonReport(params, rows, ratio)

@@ -85,6 +85,10 @@ def test_compare_json_includes_msmr_ratio(capsys):
     assert first["alpha"] == [5, 1]
     assert first["batched"] == [15, 1]
     assert first["separate"] == [20, 1]
+    # e > k: the batch costs the whole file at minimum storage
+    code, payload = run_json(capsys, "tradeoff", "compare", "--params", "10,6,1,3,2")
+    assert code == OK
+    assert payload["msmr_ratio"] == [1, 2]
 
 
 def test_build_encode_repair_round_trip(capsys, tmp_path):

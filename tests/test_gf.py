@@ -13,12 +13,15 @@ from regenrepair.gf import (
     Matrix,
     SingularMatrixError,
     ZeroInverseError,
+    _reduce,
+    _reduce_direct,
     all_square_submatrices_invertible,
     cauchy,
     is_irreducible,
     mat_det,
     mat_inv,
     mat_mul,
+    mat_rank,
     mat_solve,
     mat_vec,
     vandermonde,
@@ -194,16 +197,18 @@ DET_FIELDS = {m: Field(m) for m in (1, 2, 3, 4, 5, 6, 7, 8, 13)}
 
 @st.composite
 def det_cases(draw):
-    """A square matrix of size 0..6 over GF(2^m); about half of those of
-    size >= 2 are made singular by replacing a row with a combination of
-    the others. GF(2^13) has no tables and takes the direct path."""
+    """A matrix of 0..6 rows over GF(2^m), square about half the time and
+    0..6 columns otherwise; about half of those with >= 2 rows are made
+    rank-deficient by replacing a row with a combination of the others.
+    GF(2^13) has no tables and takes the direct path."""
     field = DET_FIELDS[draw(st.sampled_from(sorted(DET_FIELDS)))]
     n = draw(st.integers(0, 6))
+    cols = n if draw(st.booleans()) else draw(st.integers(0, 6))
     elem = st.integers(0, field.size - 1)
-    rows = draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=n, max_size=n))
     if n >= 2 and draw(st.booleans()):
         t, *others = draw(st.permutations(range(n)))
-        row = [0] * n
+        row = [0] * cols
         for o in others:
             c = draw(elem)
             row = [x ^ field.mul_direct(c, y) for x, y in zip(row, rows[o])]
@@ -215,7 +220,54 @@ def det_cases(draw):
 @given(det_cases())
 def test_mat_det_matches_leibniz_reference(case):
     field, rows = case
-    assert mat_det(Matrix(field, rows)) == ref_det(field, rows)
+    a = Matrix(field, rows)
+    if a.rows != a.cols:
+        with pytest.raises(ValueError):
+            mat_det(a)
+        return
+    assert mat_det(a) == ref_det(field, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(det_cases())
+def test_reduce_matches_field_mul_twin(case):
+    """The table kernel and its Field.mul twin agree in pivots, determinant
+    and every reduced row, below-only and Gauss-Jordan, with and without
+    carried columns."""
+    field, rows = case
+    cols = len(rows[0]) if rows else 0
+    for ncols in {cols, cols // 2}:
+        for full in (False, True):
+            table = [list(r) for r in rows]
+            direct = [list(r) for r in rows]
+            got = _reduce(field, table, ncols, full)
+            assert got == _reduce_direct(field, direct, ncols, full)
+            assert table == direct
+
+
+@settings(max_examples=300, deadline=None)
+@given(det_cases(), st.data())
+def test_elimination_wrappers_agree(case, data):
+    field, rows = case
+    a = Matrix(field, rows)
+    rank = mat_rank(a)
+    assert rank == mat_rank(a.transpose()) <= min(a.rows, a.cols)
+    if a.rows != a.cols:
+        return
+    n = a.rows
+    det = mat_det(a)
+    assert (rank == n) == (det != 0)
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            mat_solve(a, [0] * n)
+        with pytest.raises(SingularMatrixError):
+            mat_inv(a)
+        return
+    x = data.draw(st.lists(st.integers(0, field.size - 1), min_size=n, max_size=n))
+    assert mat_solve(a, mat_vec(a, x)) == x
+    inv = mat_inv(a)
+    assert mat_mul(a, inv) == mat_mul(inv, a) == Matrix.identity(field, n)
+    assert mat_inv(inv) == a
 
 
 def test_vandermonde_structure_and_duplicates():

@@ -1,10 +1,11 @@
 """Every family refuses unknown node ids and out-of-field symbols up front.
 
-Repair and reconstruct go through framework.check_input and raise
-InvalidRepairInputError (a ValueError, so the CLI exits 2). Before the
-check, id 0 aliased node n through a negative index and a symbol of 300
-died inside a log table with IndexError. PM repair has its own cases in
-test_pm.
+Repair and reconstruct go through framework.check_input, encode through
+framework.check_message, and all raise InvalidRepairInputError (a
+ValueError, so the CLI exits 2). Before the checks, id 0 aliased node n
+through a negative index and a symbol of 300 died inside a log table with
+IndexError, while -1 was read silently through it. PM repair has its own
+cases in test_pm.
 """
 
 import random
@@ -86,6 +87,27 @@ def reader_short_shard(code, shards):
 @pytest.mark.parametrize("case", [reader_zero, reader_symbol_outside_field, reader_short_shard], ids=lambda c: c.__name__)
 @pytest.mark.parametrize("family", sorted(CODES))
 def test_reconstruct_rejects(encoded, family, case):
+    code, shards = encoded[family]
+    for call in case(code, shards):
+        with pytest.raises(InvalidRepairInputError):
+            call()
+
+
+def message_symbol_outside_field(code, shards):
+    for bad in OUTSIDE:
+        msg = [0] * code.message_length
+        msg[0] = bad
+        yield lambda: code.encode(msg)
+
+
+def message_wrong_length(code, shards):
+    for length in (code.message_length - 1, code.message_length + 1):
+        yield lambda: code.encode([1] * length)
+
+
+@pytest.mark.parametrize("case", [message_symbol_outside_field, message_wrong_length], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_encode_rejects(encoded, family, case):
     code, shards = encoded[family]
     for call in case(code, shards):
         with pytest.raises(InvalidRepairInputError):

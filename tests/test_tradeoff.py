@@ -329,6 +329,17 @@ def test_compare_strategies_checks_the_msmr_ratio_without_assert(monkeypatch):
         compare_strategies(SystemParams(1, 12, 7, 9, 3))
 
 
+@pytest.mark.parametrize("k, e, d", [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 5)])
+def test_compare_strategies_msmr_ratio_when_e_exceeds_k(k, e, d):
+    # at alpha = M/k a batch of e > k failures downloads the whole file
+    params = SystemParams(10, d + e, k, d, e)
+    alpha = params.M / k
+    fewer = SystemParams(params.M, params.n, k, d - e + 1, e)
+    single = SystemParams(params.M, params.n, k, d, 1)
+    want = gamma_min_for_alpha(fewer, alpha) / (e * gamma_min_for_alpha(single, alpha))
+    assert compare_strategies(params).msmr_ratio == want == F(k * (d - k + 1), e * d)
+
+
 def test_compare_strategies_fewer_helper_crossover_exists():
     # one batch of 3 on 7 helpers vs three singles on 9 helpers: the batch
     # wins at minimum storage but loses for some larger alpha
