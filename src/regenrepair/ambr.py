@@ -23,9 +23,8 @@ from .framework import (
     RepairProblem,
     RepairTranscript,
     check_input,
-    check_message,
 )
-from .gf import Matrix, dot, mat_det, mat_solve, vandermonde, vec_mat
+from .gf import LinearMap, Matrix, mat_det, mat_inv, vandermonde
 
 
 class AdaptiveMBRCode(RepairableCode):
@@ -39,7 +38,7 @@ class AdaptiveMBRCode(RepairableCode):
         self.k = k
         self.d_min = d_min
         self.d_max = d_max
-        self.alpha = prod(range(d_min, d_max + 1))
+        self.alpha = self.shard_length = prod(range(d_min, d_max + 1))
         self.z = self.alpha // d_min
         self.block_symbols = k * d_min - k * (k - 1) // 2
         self.message_length = self.z * self.block_symbols  # M
@@ -94,16 +93,17 @@ class AdaptiveMBRCode(RepairableCode):
                 data.append(row)
         return Matrix(self.field, data)
 
-    def _block_entry(self, block_values, r, c):
-        """Entry (r, c) of M_i given the block's free symbols."""
+    def _block_index(self, r, c):
+        """Position within the block's free symbols of entry (r, c) of M_i,
+        None in the zero lower-right (d_min - k)^2 corner."""
         k, dm = self.k, self.d_min
         if r > c:
             r, c = c, r
         if r >= k:
-            return 0  # lower-right (d_min - k)^2 corner
+            return None
         if c < k:
-            return block_values[r * k - r * (r - 1) // 2 + (c - r)]
-        return block_values[k * (k + 1) // 2 + r * (dm - k) + (c - k)]
+            return r * k - r * (r - 1) // 2 + (c - r)
+        return k * (k + 1) // 2 + r * (dm - k) + (c - k)
 
     def descriptor(self):
         return {
@@ -121,76 +121,27 @@ class AdaptiveMBRCode(RepairableCode):
     def random_message(self, rng):
         return [rng.randrange(self.field.size) for _ in range(self.message_length)]
 
-    def _blocks(self, data):
-        bs = self.block_symbols
-        out = []
-        for i in range(self.z):
-            vals = data[i * bs : (i + 1) * bs]
-            entries = [[self._block_entry(vals, r, c) for c in range(self.d_min)] for r in range(self.d_min)]
-            out.append(Matrix(self.field, entries))
-        return out
-
-    def encode(self, data):
-        check_message(self, data)
-        blocks = self._blocks(data)
-        shards = {}
+    def _generator(self):
+        """Block i of node l is psi_{l,i}^t M_i: row (l, i, c) adds psi[r] at
+        the free symbol of M_i[r][c], for all r."""
+        dm, bs = self.d_min, self.block_symbols
+        index = [[self._block_index(r, c) for r in range(dm)] for c in range(dm)]
+        rows = []
         for l in self.node_ids():
-            content = []
             for i in range(1, self.z + 1):
-                content.extend(vec_mat(self._psi_row(l, i), blocks[i - 1]))
-            shards[l] = content
-        return shards
+                psi = self._psi_row(l, i)
+                for c in range(dm):
+                    row = [0] * self.message_length
+                    for r, p in enumerate(index[c]):
+                        if p is not None:
+                            row[(i - 1) * bs + p] ^= psi[r]
+                    rows.append(row)
+        return Matrix(self.field, rows)
 
-    def reconstruct(self, shards):
-        """Message from any k shards, block by block: the trailing columns
-        pin L_i through the leading k x k evaluations, then N_i follows."""
-        nodes = sorted(shards)[: self.k]
-        if len(nodes) < self.k:
-            raise ValueError("need at least k shards")
-        check_input(self, shards, self.alpha, nodes)
-        f, k, dm = self.field, self.k, self.d_min
-        out = []
-        for i in range(1, self.z + 1):
-            rows = [shards[node][(i - 1) * dm : i * dm] for node in nodes]
-            phi = Matrix(f, [[self._psi_row(node, i)[c] for c in range(k)] for node in nodes])
-            delta = [[self._psi_row(node, i)[c] for c in range(k, dm)] for node in nodes]
-            lmat = []  # L_i, one solved column at a time
-            for c in range(dm - k):
-                col = mat_solve(phi, [rows[r][k + c] for r in range(k)])
-                lmat.append(col)
-            nmat = []
-            for c in range(k):
-                rhs = []
-                for r in range(k):
-                    acc = rows[r][c]
-                    for j in range(dm - k):
-                        acc = f.add(acc, f.mul(delta[r][j], lmat[j][c]))
-                    rhs.append(acc)
-                nmat.append(mat_solve(phi, rhs))
-            for r in range(k):
-                for c in range(r, k):
-                    out.append(nmat[c][r])
-            for r in range(k):
-                for c in range(dm - k):
-                    out.append(lmat[c][r])
-        return out
+    encode = RepairableCode.encode
+    reconstruct = RepairableCode.reconstruct
 
     # --- repair ---
-
-    def _transfer(self, shard, target, d):
-        """alpha/d symbols a source sends toward a failed node."""
-        f = self.field
-        dm = self.d_min
-        s = [dot(f, shard[(i - 1) * dm : i * dm], self._psi_row(target, i)) for i in range(1, self.z + 1)]
-        rows_per = self.alpha // d
-        return [dot(f, self.Omega.data[r], s) for r in range(rows_per)]
-
-    def _regenerate(self, sources, transfers, d):
-        theta = self._theta(sources, d)
-        t = []
-        for src in sources:
-            t.extend(transfers[src])
-        return mat_solve(theta, t)
 
     def repair_multi(self, shards, failed, helpers=None, d=None):
         failed = tuple(sorted(set(failed)))
@@ -214,26 +165,24 @@ class AdaptiveMBRCode(RepairableCode):
         check_input(self, shards, self.alpha, helpers, failed)
         RepairProblem(failed=failed, helpers=helpers)
         per_helper = {h: 0 for h in helpers}
-        contents = {}
-        first = failed[0]
-        transfers = {h: self._transfer(shards[h], first, d) for h in helpers}
-        contents[first] = self._regenerate(helpers, transfers, d)
-        for h in helpers:
-            per_helper[h] += self.alpha // d
-        for idx in range(1, e):
-            target = failed[idx]
-            local = list(failed[:idx])
-            fresh = list(helpers[: self.d_min - idx])
-            sources = sorted(local + fresh)
-            transfers = {}
-            for src in local:
-                transfers[src] = self._transfer(contents[src], target, self.d_min)
+        contents, held = {}, dict(shards)
+        for idx, target in enumerate(failed):
+            # the first node hears d helpers; each next one d_min sources,
+            # the nodes already regenerated (free) plus fresh helpers
+            degree = self.d_min if idx else d
+            fresh = helpers[: degree - idx]
+            sources = tuple(sorted(failed[:idx] + fresh))
+            # a source sends Omega's first alpha/degree rows times its
+            # per-block products with psi_{target,i}: target's rows of theta
+            send = self._compiled(("send", target, degree), lambda: LinearMap(self._theta((target,), degree)))
+            word = [x for src in sources for x in send.apply(held[src])]
+            solve = self._compiled(
+                ("theta", sources, degree), lambda: LinearMap(mat_inv(self._theta(sources, degree)))
+            )
+            contents[target] = held[target] = solve.apply(word)
             for src in fresh:
-                transfers[src] = self._transfer(shards[src], target, self.d_min)
-                per_helper[src] += self.z
-            contents[target] = self._regenerate(sources, transfers, self.d_min)
-        transcript = RepairTranscript(per_helper=per_helper)
-        return contents, transcript
+                per_helper[src] += self.alpha // degree
+        return contents, RepairTranscript(per_helper=per_helper)
 
     def mbr_bandwidth_bound(self, e):
         if not 1 <= e <= self.k:
@@ -242,14 +191,5 @@ class AdaptiveMBRCode(RepairableCode):
 
     def coefficient_matrix(self, nodes):
         """Linear map message -> stacked contents of the given nodes."""
-        cols = []
-        for j in range(self.message_length):
-            basis = [0] * self.message_length
-            basis[j] = 1
-            shards = self.encode(basis)
-            col = []
-            for node in nodes:
-                col.extend(shards[node])
-            cols.append(col)
-        rows = len(nodes) * self.alpha
-        return Matrix(self.field, [[cols[c][r] for c in range(self.message_length)] for r in range(rows)])
+        g, a = self.generator_matrix().data, self.alpha
+        return Matrix(self.field, [g[(node - 1) * a + t] for node in nodes for t in range(a)])

@@ -9,11 +9,18 @@ cross-failure values. When A is invertible the unknowns are recovered and
 the ordinary decoders finish the job; a singular A means the pattern is
 not repairable with the chosen code coefficients, which is a reportable
 outcome rather than a bug.
+
+Encode and read-back are the same in every family: encode applies the
+generator matrix (message -> all shards), reconstruct the inverse of the
+readers' generator rows, each compiled once per code (and reader set) into
+a gf.LinearMap. MDS and AMBR repairs keep their maps in the same cache.
 """
 
 from dataclasses import dataclass
 
-from .gf import Matrix, SingularMatrixError, mat_det, mat_solve
+from .gf import LinearMap, Matrix, SingularMatrixError, _reduce, mat_det, mat_solve
+
+MAP_CACHE_LIMIT = 1024  # compiled maps kept per code; the oldest goes first
 
 
 class SingularCouplingError(ValueError):
@@ -57,19 +64,79 @@ def check_message(code, data):
 
 
 def _is_word(field, symbols, length):
-    return len(symbols) == length and 0 <= min(symbols) and max(symbols) < field.size
+    """length ints in 0..2^m-1; floats, strings and bools are refused too."""
+    return (
+        len(symbols) == length
+        and set(map(type, symbols)) <= {int}
+        and 0 <= min(symbols)
+        and max(symbols) < field.size
+    )
 
 
 class RepairableCode:
     """What every code family shares on top of its own repair_multi.
 
-    encode, reconstruct, repair_multi and random_message stay on each
-    family. Keyword arguments such as an explicit repair degree d pass
-    through to repair_multi.
+    A family gives n, k, field, message_length, shard_length and its
+    generator, through _generator() or generator_matrix(). Each family binds
+    encode and reconstruct in its own class body, so that they can be
+    wrapped per family; repair_multi and random_message stay on each family.
+    Keyword arguments such as an explicit repair degree d pass through to
+    repair_multi.
     """
 
     def node_ids(self):
         return list(range(1, self.n + 1))
+
+    def _compiled(self, key, build):
+        """The map under key, built on first use and kept with the code."""
+        cache = self.__dict__.setdefault("_maps", {})
+        value = cache.get(key)
+        if value is None:
+            if len(cache) >= MAP_CACHE_LIMIT:
+                del cache[next(iter(cache))]
+            value = cache[key] = build()
+        return value
+
+    def generator_matrix(self):
+        """Message -> every node's shard, node after node (n*shard_length x M)."""
+        return self._compiled("generator", self._generator)
+
+    def encode(self, data):
+        check_message(self, data)
+        word = self._compiled("encode", lambda: LinearMap(self.generator_matrix())).apply(data)
+        size = self.shard_length
+        return {node: word[(node - 1) * size : node * size] for node in self.node_ids()}
+
+    def reconstruct(self, shards):
+        """The message from the first k shards in node order."""
+        nodes = tuple(sorted(shards)[: self.k])
+        if len(nodes) < self.k:
+            raise ValueError("need at least k shards")
+        check_input(self, shards, self.shard_length, nodes)
+        read = self._compiled(("read", nodes), lambda: self._read_map(nodes))
+        return read.apply([x for node in nodes for x in shards[node]])
+
+    def _read_map(self, nodes):
+        """Left inverse of the readers' generator rows R (kL x M, kL >= M).
+
+        One Gauss-Jordan on [R^t | I] picks the first M independent rows
+        of R as its pivot columns and leaves E = (R_picked^t)^-1 on the
+        right; column p_t of the map is row t of E, and the rows not picked
+        get zero columns.
+        """
+        field, size, total = self.field, self.shard_length, self.message_length
+        g = self.generator_matrix().data
+        rows = [g[(node - 1) * size + t] for node in nodes for t in range(size)]
+        width = len(rows)
+        aug = [list(col) + [int(r == t) for r in range(total)] for t, col in enumerate(zip(*rows))]
+        picks, _ = _reduce(field, aug, width, True)
+        if len(picks) < total:
+            raise SingularMatrixError("reader rows have rank %d < %d" % (len(picks), total))
+        read = [[0] * width for _ in range(total)]
+        for p, row in zip(picks, aug):
+            for out, x in zip(read, row[width:]):
+                out[p] = x
+        return LinearMap(Matrix(field, read))
 
     def repair_single(self, shards, failed, helpers=None, **degree):
         contents, transcript = self.repair_multi(shards, (failed,), helpers, **degree)

@@ -12,6 +12,11 @@ the determinant. mat_solve and mat_inv run it Gauss-Jordan on an
 augmented matrix; mat_det and mat_rank run it below the pivots only.
 Fields without tables take `_reduce_direct`, the same loop through
 Field.mul, which the tests also use as the kernel's reference.
+
+A LinearMap is a matrix compiled for many products. Over m <= 8 it runs
+each column through bytes.translate with the multiply table of its input
+symbol and XORs the columns as ints: the split-table product of Plank,
+Greenan and Miller (FAST 2013), in the standard library.
 """
 
 from __future__ import annotations
@@ -109,6 +114,7 @@ class Field:
         self.order = self.size - 1  # multiplicative group order
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._mul_tables: list[bytes] | None = None  # built by mul_tables()
         self.generator = self._find_generator()
         if m <= self.TABLE_LIMIT:
             self._build_tables()
@@ -166,6 +172,26 @@ class Field:
 
     def elements(self) -> range:
         return range(self.size)
+
+    def mul_tables(self) -> list[bytes]:
+        """Multiply tables for bytes.translate, m <= 8 only: entry x is the
+        256-byte table y -> x*y for y < 2^m (entries past the field are
+        never read).
+
+        Built on first use from the log/antilog tables: the table of x is
+        the logs of 1..2^m-1 translated through the antilog run that
+        starts at log x, so it costs O(2^m) Python steps, not O(4^m).
+        """
+        if self._mul_tables is None:
+            if self.m > 8:
+                raise ValueError("byte multiply tables need m <= 8")
+            exp, log = self._exp, self._log
+            run = bytes(exp[i % self.order] for i in range(self.order + 256))
+            logs = bytes(log[1 : self.size]).ljust(255, b"\0")
+            self._mul_tables = [bytes(256)] + [
+                b"\0" + logs.translate(run[log[x] : log[x] + 256]) for x in range(1, self.size)
+            ]
+        return self._mul_tables
 
     # -- internals ----------------------------------------------------
 
@@ -254,6 +280,38 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over GF(2^{self.field.m}))"
 
 
+class LinearMap:
+    """y = A x for a fixed matrix A, compiled once and applied many times.
+
+    For m <= 8 A is kept column-major in one flat bytes object and A x is
+    the XOR of the columns, each translated through the multiply table of
+    its symbol of x and read as one int. Wider fields keep the Matrix and
+    run mat_vec. apply takes symbols already checked to lie in the field.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_columns", "_matrix")
+
+    def __init__(self, matrix: Matrix):
+        self.field = matrix.field
+        self.rows, self.cols = matrix.rows, matrix.cols
+        wide = self.field.m > 8
+        self._matrix = matrix if wide else None
+        self._columns = None if wide else bytes(itertools.chain.from_iterable(zip(*matrix.data)))
+
+    def apply(self, v: list[int]) -> list[int]:
+        if len(v) != self.cols:
+            raise ValueError("shape mismatch")
+        if self._matrix is not None:
+            return mat_vec(self._matrix, v)
+        tables = self.field.mul_tables()
+        columns, r = self._columns, self.rows
+        acc = 0
+        for start, x in zip(range(0, r * self.cols, r), v):
+            if x:
+                acc ^= int.from_bytes(columns[start : start + r].translate(tables[x]), "little")
+        return list(acc.to_bytes(r, "little"))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
@@ -284,20 +342,6 @@ def mat_vec(a: Matrix, v: list[int]) -> list[int]:
             if c and x:
                 acc ^= mul(c, x)
         out.append(acc)
-    return out
-
-
-def vec_mat(v: list[int], a: Matrix) -> list[int]:
-    if a.rows != len(v):
-        raise ValueError("shape mismatch")
-    mul = a.field.mul
-    out = [0] * a.cols
-    for x, row in zip(v, a.data):
-        if x == 0:
-            continue
-        for j in range(a.cols):
-            if row[j]:
-                out[j] ^= mul(x, row[j])
     return out
 
 

@@ -20,7 +20,6 @@ from .framework import (
     RepairableCode,
     RepairProblem,
     check_input,
-    check_message,
     solve_and_regenerate,
     unknown_pairs,
 )
@@ -31,7 +30,6 @@ from .gf import (
     dot,
     mat_inv,
     mat_mul,
-    mat_solve,
     mat_vec,
     vandermonde,
 )
@@ -70,7 +68,7 @@ class IACode(RepairableCode):
         self.k = k
         self.n = 2 * k
         self.d = 2 * k - 1
-        self.alpha = k
+        self.alpha = self.shard_length = k
         if V is None:
             V = Matrix.identity(field, k)
         if P is None:
@@ -125,56 +123,30 @@ class IACode(RepairableCode):
     def random_message(self, rng):
         return [rng.randrange(self.field.size) for _ in range(self.message_length)]
 
-    def encode(self, data):
-        check_message(self, data)
+    def _generator(self):
+        """Systematic node j stores w_j; parity node k+i stores, at t,
+        sum_j (w_j . u_i) V[t][j] + P[j][i] w_j[t]."""
         f = self.field
-        shards = {}
-        systematic = []
-        for j in range(1, self.k + 1):
-            w = list(data[(j - 1) * self.alpha : j * self.alpha])
-            systematic.append(w)
-            shards[j] = w
-        for i in range(1, self.k + 1):
-            u_i = self._col(self.U, i)
-            acc = [0] * self.alpha
-            for j in range(1, self.k + 1):
-                w = systematic[j - 1]
-                scale = dot(f, w, u_i)  # w_j^t u_i
-                p = self.P.data[j - 1][i - 1]
-                v_j = self._col(self.V, j)
-                for t in range(self.alpha):
-                    acc[t] = f.add(acc[t], f.add(f.mul(scale, v_j[t]), f.mul(p, w[t])))
-            shards[self.k + i] = acc
-        return shards
-
-    def reconstruct(self, shards):
-        """Recover the data from any k shards via a generic linear solve."""
-        nodes = sorted(shards)[: self.k]
-        if len(nodes) < self.k:
-            raise ValueError("need at least k shards")
-        check_input(self, shards, self.alpha, nodes)
-        f = self.field
-        size = self.message_length
-        rows, rhs = [], []
-        for node in nodes:
+        rows = []
+        for node in self.node_ids():
             for t in range(self.alpha):
-                row = [0] * size
+                row = [0] * self.message_length
                 if self.is_systematic(node):
                     row[(node - 1) * self.alpha + t] = 1
                 else:
                     i = node - self.k
                     u_i = self._col(self.U, i)
                     for j in range(1, self.k + 1):
-                        p = self.P.data[j - 1][i - 1]
                         base = (j - 1) * self.alpha
-                        # w_j contributes (w_j . u_i) V[t][j-1] + p w_j[t]
                         vj_t = self.V.data[t][j - 1]
-                        for s in range(self.alpha):
-                            row[base + s] = f.add(row[base + s], f.mul(u_i[s], vj_t))
-                        row[base + t] = f.add(row[base + t], p)
+                        for s, u in enumerate(u_i):
+                            row[base + s] ^= f.mul(u, vj_t)
+                        row[base + t] ^= self.P.data[j - 1][i - 1]
                 rows.append(row)
-                rhs.append(shards[node][t])
-        return mat_solve(Matrix(f, rows), rhs)
+        return Matrix(f, rows)
+
+    encode = RepairableCode.encode
+    reconstruct = RepairableCode.reconstruct
 
     # --- single-node repair ---
 

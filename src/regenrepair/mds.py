@@ -18,9 +18,8 @@ from .framework import (
     RepairProblem,
     RepairTranscript,
     check_input,
-    check_message,
 )
-from .gf import Matrix, mat_inv, mat_mul, mat_solve, mat_vec, vandermonde
+from .gf import LinearMap, Matrix, _gauss_jordan, mat_inv, mat_mul, vandermonde
 
 
 class MDSStripeCode(RepairableCode):
@@ -33,13 +32,13 @@ class MDSStripeCode(RepairableCode):
             if not k <= d <= n - 1:
                 raise ValueError("fixed repair degree needs k <= d <= n-1")
             self.mode = "fixed"
-            self.delta = d
+            self.delta = self.shard_length = d
             self.d_max = d
         else:
             if not k <= d_max <= n - 1:
                 raise ValueError("adaptive range needs k <= d_max <= n-1")
             self.mode = "adaptive"
-            self.delta = math.lcm(*range(k, d_max + 1))
+            self.delta = self.shard_length = math.lcm(*range(k, d_max + 1))
             self.d_max = d_max
         self.field = field
         self.n = n
@@ -54,29 +53,22 @@ class MDSStripeCode(RepairableCode):
     def random_message(self, rng):
         return [rng.randrange(self.field.size) for _ in range(self.message_length)]
 
-    def _shard(self, node, data):
-        """The node's codeword positions: its generator rows times the file."""
-        lo = (node - 1) * self.delta
-        return mat_vec(Matrix(self.field, self.generator.data[lo : lo + self.delta]), data)
+    def generator_matrix(self):
+        return self.generator
 
-    def encode(self, data):
-        check_message(self, data)
-        return {j: self._shard(j, data) for j in self.node_ids()}
+    encode = RepairableCode.encode
+    reconstruct = RepairableCode.reconstruct
 
-    def _solve_positions(self, positions, symbols):
-        rows = [self.generator.data[pos] for pos in positions]
-        return mat_solve(Matrix(self.field, rows), symbols)
-
-    def reconstruct(self, shards):
-        nodes = sorted(shards)[: self.k]
-        if len(nodes) < self.k:
-            raise ValueError("need at least k shards")
-        check_input(self, shards, self.delta, nodes)
-        positions, symbols = [], []
-        for node in nodes:
-            positions.extend(range((node - 1) * self.delta, node * self.delta))
-            symbols.extend(shards[node])
-        return self._solve_positions(positions, symbols)
+    def _repair_map(self, failed, helpers, beta):
+        """D = G_failed G_pos^-1: the helpers' first beta symbols -> the lost
+        shards, from one Gauss-Jordan on [G_pos^T | G_failed^T]."""
+        g = self.generator.data
+        pos = [g[(h - 1) * self.delta + t] for h in helpers for t in range(beta)]
+        lost = [g[(f - 1) * self.delta + t] for f in failed for t in range(self.delta)]
+        aug = [list(a) + list(b) for a, b in zip(zip(*pos), zip(*lost))]
+        size = self.message_length
+        _gauss_jordan(self.field, aug, size)
+        return LinearMap(Matrix(self.field, [list(col) for col in zip(*(row[size:] for row in aug))]))
 
     def repair_multi(self, shards, failed, helpers=None, d=None):
         failed = tuple(sorted(set(failed)))
@@ -98,14 +90,12 @@ class MDSStripeCode(RepairableCode):
         if len(helpers) != d or any(h not in shards for h in helpers):
             raise InvalidHelperCountError("need shards from exactly d = %d helpers" % d)
         check_input(self, shards, self.delta, helpers, failed)
-        problem = RepairProblem(failed=failed, helpers=helpers)
+        RepairProblem(failed=failed, helpers=helpers)
         beta = self.message_length // d
-        positions, symbols = [], []
-        for h in helpers:
-            positions.extend(range((h - 1) * self.delta, (h - 1) * self.delta + beta))
-            symbols.extend(shards[h][:beta])
-        data = self._solve_positions(positions, symbols)
-        contents = {f: self._shard(f, data) for f in failed}
+        key = ("repair", failed, helpers, beta)
+        plan = self._compiled(key, lambda: self._repair_map(failed, helpers, beta))
+        word = plan.apply([x for h in helpers for x in shards[h][:beta]])
+        contents = {f: word[i * self.delta : (i + 1) * self.delta] for i, f in enumerate(failed)}
         transcript = RepairTranscript(per_helper={h: beta for h in helpers})
         return contents, transcript
 

@@ -27,7 +27,7 @@ from .framework import (
     solve_and_regenerate,
     unknown_pairs,
 )
-from .gf import Matrix, dot, mat_mul, mat_solve, vandermonde
+from .gf import Matrix, dot, vandermonde
 
 
 def _axpy(field, acc, coef, row):
@@ -127,7 +127,7 @@ class PMCode(RepairableCode):
         self.n = n
         self.k = k
         self.d = d
-        self.alpha = alpha
+        self.alpha = self.shard_length = alpha
         self.lambdas = list(lambdas)
         self.lam_alpha = powers
         self.Psi = vandermonde(field, lambdas, d)
@@ -143,52 +143,38 @@ class PMCode(RepairableCode):
     def random_message(self, rng):
         return [rng.randrange(self.field.size) for _ in range(self.message_length)]
 
-    def message_matrix(self, msg):
-        """Fill S1 and S2 upper triangles row-major and stack them (d x alpha)."""
-        check_message(self, msg)
+    def _positions(self):
+        """d x alpha table of the message position that fills each entry of
+        M: S1 and S2 upper triangles row-major, mirrored below."""
         a = self.alpha
-        m = Matrix.zero(self.field, self.d, a)
+        table = [[0] * a for _ in range(self.d)]
         pos = 0
         for block in range(2):
             for r in range(a):
                 for c in range(r, a):
-                    m.data[block * a + r][c] = msg[pos]
-                    m.data[block * a + c][r] = msg[pos]
+                    table[block * a + r][c] = table[block * a + c][r] = pos
                     pos += 1
-        return m
+        return table
 
-    def encode(self, msg):
-        code = mat_mul(self.Psi, self.message_matrix(msg))
-        return {i + 1: list(code.data[i]) for i in range(self.n)}
+    def message_matrix(self, msg):
+        """Fill S1 and S2 upper triangles row-major and stack them (d x alpha)."""
+        check_message(self, msg)
+        return Matrix(self.field, [[msg[p] for p in row] for row in self._positions()])
 
-    def _msg_index(self, row, col):
-        """Position in the message vector feeding M[row][col]."""
-        a = self.alpha
-        block, r = divmod(row, a)
-        lo, hi = min(r, col), max(r, col)
-        # upper triangle row-major: row lo starts after lo rows of lengths a, a-1, ...
-        tri = lo * a - lo * (lo - 1) // 2 + (hi - lo)
-        return block * (a * (a + 1) // 2) + tri
-
-    def reconstruct(self, shards):
-        """Recover the message from any k shards via a generic linear solve."""
-        nodes = sorted(shards)[: self.k]
-        if len(nodes) < self.k:
-            raise ValueError("need at least k shards")
-        check_input(self, shards, self.alpha, nodes)
-        f = self.field
-        size = self.message_length
+    def _generator(self):
+        """Row (i, c) adds psi_i[a] at the position feeding M[a][c], for all a."""
+        positions = self._positions()
         rows = []
-        rhs = []
-        for i in nodes:
+        for psi in self.Psi.data:
             for c in range(self.alpha):
-                row = [0] * size
-                for a in range(self.d):
-                    pos = self._msg_index(a, c)
-                    row[pos] = f.add(row[pos], self.Psi.data[i - 1][a])
+                row = [0] * self.message_length
+                for a, x in enumerate(psi):
+                    row[positions[a][c]] ^= x
                 rows.append(row)
-                rhs.append(shards[i][c])
-        return mat_solve(Matrix(f, rows), rhs)
+        return Matrix(self.field, rows)
+
+    encode = RepairableCode.encode
+    reconstruct = RepairableCode.reconstruct
 
     # --- repair ---
 

@@ -1,0 +1,232 @@
+"""The per-family paths that compiled linear maps replaced, kept as test references.
+
+Before encode, read-back and the MDS and AMBR repairs ran as cached
+gf.LinearMap products, each family encoded by its own formula, read back
+by solving a freshly built system per call, repaired MDS by solving for the
+file and re-encoding the lost shards, and repaired AMBR node by node with
+mat_solve on theta. Those paths live on here, unchanged in arithmetic, as
+the references tests/test_compiled_maps.py holds the maps to. Input checks
+are left to the library calls they are compared with.
+"""
+
+from regenrepair.framework import RepairTranscript
+from regenrepair.gf import Matrix, dot, mat_mul, mat_solve, mat_vec
+
+
+def vec_mat(v, a):
+    """Row vector times matrix, the helper AMBR encoded with."""
+    mul = a.field.mul
+    out = [0] * a.cols
+    for x, row in zip(v, a.data):
+        if x == 0:
+            continue
+        for j in range(a.cols):
+            if row[j]:
+                out[j] ^= mul(x, row[j])
+    return out
+
+
+# --- PM: Psi times the message matrix; a generic solve on the readers' rows ---
+
+
+def pm_encode(code, msg):
+    product = mat_mul(code.Psi, code.message_matrix(msg))
+    return {i + 1: list(row) for i, row in enumerate(product.data)}
+
+
+def _pm_msg_index(code, row, col):
+    a = code.alpha
+    block, r = divmod(row, a)
+    lo, hi = min(r, col), max(r, col)
+    return block * (a * (a + 1) // 2) + lo * a - lo * (lo - 1) // 2 + (hi - lo)
+
+
+def pm_reconstruct(code, shards):
+    f = code.field
+    rows, rhs = [], []
+    for i in sorted(shards)[: code.k]:
+        for c in range(code.alpha):
+            row = [0] * code.message_length
+            for a in range(code.d):
+                pos = _pm_msg_index(code, a, c)
+                row[pos] = f.add(row[pos], code.Psi.data[i - 1][a])
+            rows.append(row)
+            rhs.append(shards[i][c])
+    return mat_solve(Matrix(f, rows), rhs)
+
+
+# --- IA: systematic w_j, parity sum_j (w_j . u_i) v_j + P_{j,i} w_j ---
+
+
+def ia_encode(code, data):
+    f = code.field
+    shards = {}
+    systematic = []
+    for j in range(1, code.k + 1):
+        w = list(data[(j - 1) * code.alpha : j * code.alpha])
+        systematic.append(w)
+        shards[j] = w
+    for i in range(1, code.k + 1):
+        u_i = code._col(code.U, i)
+        acc = [0] * code.alpha
+        for j in range(1, code.k + 1):
+            w = systematic[j - 1]
+            scale = dot(f, w, u_i)
+            p = code.P.data[j - 1][i - 1]
+            v_j = code._col(code.V, j)
+            for t in range(code.alpha):
+                acc[t] = f.add(acc[t], f.add(f.mul(scale, v_j[t]), f.mul(p, w[t])))
+        shards[code.k + i] = acc
+    return shards
+
+
+def ia_reconstruct(code, shards):
+    f = code.field
+    rows, rhs = [], []
+    for node in sorted(shards)[: code.k]:
+        for t in range(code.alpha):
+            row = [0] * code.message_length
+            if code.is_systematic(node):
+                row[(node - 1) * code.alpha + t] = 1
+            else:
+                i = node - code.k
+                u_i = code._col(code.U, i)
+                for j in range(1, code.k + 1):
+                    p = code.P.data[j - 1][i - 1]
+                    base = (j - 1) * code.alpha
+                    vj_t = code.V.data[t][j - 1]
+                    for s in range(code.alpha):
+                        row[base + s] = f.add(row[base + s], f.mul(u_i[s], vj_t))
+                    row[base + t] = f.add(row[base + t], p)
+            rows.append(row)
+            rhs.append(shards[node][t])
+    return mat_solve(Matrix(f, rows), rhs)
+
+
+# --- MDS: a node's generator rows times the file; solve, then re-encode ---
+
+
+def mds_shard(code, node, data):
+    lo = (node - 1) * code.delta
+    return mat_vec(Matrix(code.field, code.generator.data[lo : lo + code.delta]), data)
+
+
+def mds_encode(code, data):
+    return {j: mds_shard(code, j, data) for j in code.node_ids()}
+
+
+def _mds_solve_positions(code, positions, symbols):
+    return mat_solve(Matrix(code.field, [code.generator.data[pos] for pos in positions]), symbols)
+
+
+def mds_reconstruct(code, shards):
+    positions, symbols = [], []
+    for node in sorted(shards)[: code.k]:
+        positions.extend(range((node - 1) * code.delta, node * code.delta))
+        symbols.extend(shards[node])
+    return _mds_solve_positions(code, positions, symbols)
+
+
+def mds_repair(code, shards, failed, helpers, d):
+    beta = code.message_length // d
+    positions, symbols = [], []
+    for h in helpers:
+        positions.extend(range((h - 1) * code.delta, (h - 1) * code.delta + beta))
+        symbols.extend(shards[h][:beta])
+    data = _mds_solve_positions(code, positions, symbols)
+    return {f: mds_shard(code, f, data) for f in failed}, RepairTranscript({h: beta for h in helpers})
+
+
+# --- AMBR: psi_{l,i}^t M_i block by block; block-wise read; sequential theta solves ---
+
+
+def _ambr_block_entry(code, block_values, r, c):
+    """Entry (r, c) of M_i given the block's free symbols."""
+    k, dm = code.k, code.d_min
+    if r > c:
+        r, c = c, r
+    if r >= k:
+        return 0  # lower-right (d_min - k)^2 corner
+    if c < k:
+        return block_values[r * k - r * (r - 1) // 2 + (c - r)]
+    return block_values[k * (k + 1) // 2 + r * (dm - k) + (c - k)]
+
+
+def ambr_encode(code, data):
+    bs, dm = code.block_symbols, code.d_min
+    blocks = []
+    for i in range(code.z):
+        vals = data[i * bs : (i + 1) * bs]
+        blocks.append(Matrix(code.field, [[_ambr_block_entry(code, vals, r, c) for c in range(dm)] for r in range(dm)]))
+    shards = {}
+    for l in code.node_ids():
+        content = []
+        for i in range(1, code.z + 1):
+            content.extend(vec_mat(code._psi_row(l, i), blocks[i - 1]))
+        shards[l] = content
+    return shards
+
+
+def ambr_reconstruct(code, shards):
+    """Block by block: the trailing columns pin L_i through the leading
+    k x k evaluations, then N_i follows."""
+    nodes = sorted(shards)[: code.k]
+    f, k, dm = code.field, code.k, code.d_min
+    out = []
+    for i in range(1, code.z + 1):
+        rows = [shards[node][(i - 1) * dm : i * dm] for node in nodes]
+        phi = Matrix(f, [[code._psi_row(node, i)[c] for c in range(k)] for node in nodes])
+        delta = [[code._psi_row(node, i)[c] for c in range(k, dm)] for node in nodes]
+        lmat = [mat_solve(phi, [rows[r][k + c] for r in range(k)]) for c in range(dm - k)]
+        nmat = []
+        for c in range(k):
+            rhs = []
+            for r in range(k):
+                acc = rows[r][c]
+                for j in range(dm - k):
+                    acc = f.add(acc, f.mul(delta[r][j], lmat[j][c]))
+                rhs.append(acc)
+            nmat.append(mat_solve(phi, rhs))
+        for r in range(k):
+            for c in range(r, k):
+                out.append(nmat[c][r])
+        for r in range(k):
+            for c in range(dm - k):
+                out.append(lmat[c][r])
+    return out
+
+
+def ambr_transfer(code, shard, target, d):
+    f, dm = code.field, code.d_min
+    s = [dot(f, shard[(i - 1) * dm : i * dm], code._psi_row(target, i)) for i in range(1, code.z + 1)]
+    return [dot(f, code.Omega.data[r], s) for r in range(code.alpha // d)]
+
+
+def _ambr_regenerate(code, sources, transfers, d):
+    t = []
+    for src in sources:
+        t.extend(transfers[src])
+    return mat_solve(code._theta(sources, d), t)
+
+
+def ambr_repair(code, shards, failed, helpers, d):
+    per_helper = {h: 0 for h in helpers}
+    contents = {}
+    first = failed[0]
+    transfers = {h: ambr_transfer(code, shards[h], first, d) for h in helpers}
+    contents[first] = _ambr_regenerate(code, helpers, transfers, d)
+    for h in helpers:
+        per_helper[h] += code.alpha // d
+    for idx in range(1, len(failed)):
+        target = failed[idx]
+        local = list(failed[:idx])
+        fresh = list(helpers[: code.d_min - idx])
+        sources = sorted(local + fresh)
+        transfers = {}
+        for src in local:
+            transfers[src] = ambr_transfer(code, contents[src], target, code.d_min)
+        for src in fresh:
+            transfers[src] = ambr_transfer(code, shards[src], target, code.d_min)
+            per_helper[src] += code.z
+        contents[target] = _ambr_regenerate(code, sources, transfers, code.d_min)
+    return contents, RepairTranscript(per_helper)

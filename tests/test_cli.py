@@ -132,6 +132,22 @@ def test_repair_with_unknown_node_ids_exits_infeasible(capsys, tmp_path):
         assert code == INFEASIBLE
 
 
+def test_repair_with_float_symbol_exits_infeasible(capsys, tmp_path):
+    desc = tmp_path / "mds.json"
+    enc = tmp_path / "enc.json"
+    run(capsys, "code", "build", "--family", "mds", "--field", "8:11d",
+        "--n", "7", "--k", "3", "--d-max", "4", "--out", str(desc))
+    run(capsys, "code", "encode", "--descriptor", str(desc), "--seed", "5",
+        "--out", str(enc))
+    shards = json.loads(enc.read_text())["shards"]
+    shards["2"][0] = 1.5
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(shards))
+    code, _ = run(capsys, "code", "repair", "--descriptor", str(desc),
+                  "--shards", str(path), "--failed", "1")
+    assert code == INFEASIBLE
+
+
 def test_reconstruct_with_bad_shards_exits_infeasible(capsys, tmp_path):
     desc = tmp_path / "mds.json"
     enc = tmp_path / "enc.json"

@@ -10,6 +10,7 @@ from regenrepair.gf import (
     DEFAULT_MODULI,
     DuplicatePointError,
     Field,
+    LinearMap,
     Matrix,
     SingularMatrixError,
     ZeroInverseError,
@@ -304,3 +305,64 @@ def test_all_submatrix_check_catches_zero_entry():
     m = Matrix(f, [[0, 1], [1, 0]])
     assert mat_det(m) != 0
     assert not all_square_submatrices_invertible(m)
+
+
+# --- compiled linear maps: byte tables and the split-table executor ---
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_byte_tables_match_field_mul_exhaustively(m):
+    f = Field(m)
+    tables = f.mul_tables()
+    assert len(tables) == f.size and all(len(t) == 256 for t in tables)
+    for x in range(f.size):
+        assert list(tables[x][: f.size]) == [f.mul(x, y) for y in range(f.size)]
+
+
+def test_byte_tables_are_built_on_first_use_and_refused_past_m8():
+    f = Field(8, 0x11D)
+    assert f._mul_tables is None  # construction builds no byte tables
+    assert f.mul_tables() is f.mul_tables()
+    with pytest.raises(ValueError):
+        Field(9).mul_tables()
+
+
+@st.composite
+def map_cases(draw, ms):
+    """(field, matrix, vector), with zero vectors, zero columns and the
+    1 x n and n x 1 shapes drawn on purpose."""
+    field = Field(draw(st.sampled_from(ms)))
+    shape = draw(st.sampled_from(["any", "row", "column"]))
+    rows = 1 if shape == "row" else draw(st.integers(1, 12))
+    cols = 1 if shape == "column" else draw(st.integers(1, 12))
+    elem = st.integers(0, field.size - 1)
+    data = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for c in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in data:
+            row[c] = 0
+    v = [0] * cols if draw(st.booleans()) else draw(st.lists(elem, min_size=cols, max_size=cols))
+    return field, Matrix(field, data), v
+
+
+@settings(max_examples=400, deadline=None)
+@given(map_cases(list(range(1, 9))))
+def test_linear_map_matches_mat_vec(case):
+    field, a, v = case
+    assert LinearMap(a).apply(v) == mat_vec(a, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(map_cases([13]))
+def test_linear_map_falls_back_to_mat_vec_past_m8(case):
+    field, a, v = case
+    assert LinearMap(a).apply(v) == mat_vec(a, v)
+
+
+def test_linear_map_checks_length_and_returns_fresh_lists():
+    f = Field(8, 0x11D)
+    lm = LinearMap(Matrix(f, [[1, 2], [3, 4], [0, 0]]))
+    with pytest.raises(ValueError):
+        lm.apply([1])
+    first = lm.apply([5, 6])
+    first[0] ^= 1
+    assert lm.apply([5, 6]) == mat_vec(Matrix(f, [[1, 2], [3, 4], [0, 0]]), [5, 6])

@@ -39,6 +39,9 @@ def encoded():
 
 # symbols just past either end of GF(256), and the 300 of the CLI report
 OUTSIDE = (256, 300, -1)
+# a float passed the range check and died in a log table, a string in the
+# comparison; the byte tables would take a bool as an index
+NOT_INT = (1.5, 2.0, "7", True)
 
 
 def failed_zero(code, shards):
@@ -122,3 +125,20 @@ def test_valid_input_still_round_trips(encoded, family):
     assert code.encode(msg) == shards
     contents, _ = code.repair_multi({m: v for m, v in shards.items() if m != 1}, (1,))
     assert contents[1] == shards[1]
+
+
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_non_int_symbols_are_refused(encoded, family):
+    code, shards = encoded[family]
+    for bad in NOT_INT:
+        msg = code.random_message(random.Random(3))
+        msg[0] = bad
+        readers = {m: list(shards[m]) for m in range(1, code.k + 1)}
+        readers[1][0] = bad
+        survivors = {m: list(v) for m, v in shards.items() if m != 1}
+        survivors[2][0] = bad
+        calls = (lambda: code.encode(msg), lambda: code.reconstruct(readers),
+                 lambda: code.repair_multi(survivors, (1,)))
+        for call in calls:
+            with pytest.raises(InvalidRepairInputError):
+                call()
