@@ -10,21 +10,17 @@ d * alpha/d = alpha in total for every d in range.
 Multiple failures are repaired sequentially: the first with d helpers,
 each next one with d_min sources that mix the already-regenerated nodes
 (free, they sit at the central node) with fresh helpers at z symbols each,
-for a grand total of e*alpha - C(e,2)*alpha/d_min.
+for a grand total of e*alpha - C(e,2)*alpha/d_min. The chain is linear in
+the helpers' shards, so it compiles into one repair plan per pattern,
+degree and helper set.
 """
 
 import random
 from itertools import combinations
 from math import prod
 
-from .framework import (
-    InvalidHelperCountError,
-    RepairableCode,
-    RepairProblem,
-    RepairTranscript,
-    check_input,
-)
-from .gf import LinearMap, Matrix, mat_det, mat_inv, vandermonde
+from .framework import InvalidHelperCountError, RepairableCode, RepairPlan
+from .gf import LinearMap, Matrix, mat_det, mat_inv, mat_mul, vandermonde
 
 
 class AdaptiveMBRCode(RepairableCode):
@@ -143,7 +139,9 @@ class AdaptiveMBRCode(RepairableCode):
 
     # --- repair ---
 
-    def repair_multi(self, shards, failed, helpers=None, d=None):
+    repair_multi = RepairableCode.repair_multi
+
+    def _plan_key(self, shards, failed, helpers=None, d=None):
         failed = tuple(sorted(set(failed)))
         e = len(failed)
         if not 1 <= e <= self.k:
@@ -156,33 +154,56 @@ class AdaptiveMBRCode(RepairableCode):
             raise InvalidHelperCountError("repair degree %d out of range" % d)
         if e + d > self.n:
             raise InvalidHelperCountError("need e + d <= n")
-        survivors = [h for h in sorted(shards) if h not in failed]
-        if helpers is None:
-            helpers = survivors[:d]
-        helpers = tuple(sorted(helpers))
-        if len(helpers) != d or any(h not in shards for h in helpers):
-            raise InvalidHelperCountError("need shards from exactly d = %d helpers" % d)
-        check_input(self, shards, self.alpha, helpers, failed)
-        RepairProblem(failed=failed, helpers=helpers)
-        per_helper = {h: 0 for h in helpers}
-        contents, held = {}, dict(shards)
+        return ("repair", failed, d, self._degree_helpers(shards, failed, helpers, d))
+
+    def _compile_plan(self, failed, d, helpers):
+        """The sequential repair folded into one plan.
+
+        The first failed node hears d helpers; each next one d_min sources,
+        the nodes already regenerated plus fresh helpers. A source sends
+        Omega's first alpha/degree rows times its per-block products with
+        psi_{target,i}: target's rows of theta, the send matrix S. Each
+        regenerated node is a map of the received symbols, so a node that
+        sources a later one enters that one's decode as S times its own map.
+        """
+        f, alpha = self.field, self.alpha
+        steps, sends = [], {h: [] for h in helpers}
         for idx, target in enumerate(failed):
-            # the first node hears d helpers; each next one d_min sources,
-            # the nodes already regenerated (free) plus fresh helpers
             degree = self.d_min if idx else d
             fresh = helpers[: degree - idx]
-            sources = tuple(sorted(failed[:idx] + fresh))
-            # a source sends Omega's first alpha/degree rows times its
-            # per-block products with psi_{target,i}: target's rows of theta
-            send = self._compiled(("send", target, degree), lambda: LinearMap(self._theta((target,), degree)))
-            word = [x for src in sources for x in send.apply(held[src])]
-            solve = self._compiled(
-                ("theta", sources, degree), lambda: LinearMap(mat_inv(self._theta(sources, degree)))
-            )
-            contents[target] = held[target] = solve.apply(word)
-            for src in fresh:
-                per_helper[src] += self.alpha // degree
-        return contents, RepairTranscript(per_helper=per_helper)
+            rows = self._compiled(("send", target, degree), lambda: self._theta((target,), degree))
+            steps.append((target, degree, tuple(sorted(failed[:idx] + fresh)), rows))
+            for h in fresh:
+                sends[h].append((target, rows))
+        # the received symbols, helper after helper, each one's sends in step order
+        at, total = {}, 0
+        for h in helpers:
+            for target, rows in sends[h]:
+                at[(h, target)] = total
+                total += rows.rows
+        decoded = {}  # regenerated node -> its content as a map of the received symbols
+        for target, degree, sources, rows in steps:
+            theta = self._compiled(("theta", sources, degree), lambda: mat_inv(self._theta(sources, degree)))
+            per = rows.rows  # theta^-1 takes per symbols from each source, in source order
+            blocks = {src: range(t * per, (t + 1) * per) for t, src in enumerate(sources)}
+            local = [src for src in sources if src in decoded]
+            content = Matrix.zero(f, alpha, total)
+            if local:
+                content = mat_mul(
+                    Matrix(f, [[row[c] for src in local for c in blocks[src]] for row in theta.data]),
+                    Matrix(f, [r for src in local for r in mat_mul(rows, decoded[src]).data]),
+                )
+            for src in sources:
+                if src not in decoded:
+                    # the local part reads only sends toward earlier targets,
+                    # so it is zero where the fresh helper's symbols land
+                    first, block = at[(src, target)], blocks[src]
+                    for out, row in zip(content.data, theta.data):
+                        out[first : first + per] = row[block.start : block.stop]
+            decoded[target] = content
+        send = tuple(LinearMap(Matrix(f, [r for _, rows in sends[h] for r in rows.data])) for h in helpers)
+        decode = LinearMap(Matrix(f, [r for target in failed for r in decoded[target].data]))
+        return RepairPlan(failed, helpers, send, decode)
 
     def mbr_bandwidth_bound(self, e):
         if not 1 <= e <= self.k:

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from .ambr import AdaptiveMBRCode
-from .framework import InvalidHelperCountError, SingularCouplingError
+from .framework import InvalidHelperCountError, InvalidRepairInputError, SingularCouplingError
 from .gf import Field
 from .ia import IACode
 from .mds import MDSStripeCode
@@ -100,11 +100,17 @@ def load_json(path):
 
 
 def load_shards(path):
-    """Accept either {"shards": {...}} (encode output) or a bare node map."""
+    """Accept either {"shards": {...}} (encode output) or a bare node map,
+    node id -> list of symbols; refuse any other JSON."""
     data = load_json(path)
     if isinstance(data, dict) and "shards" in data:
         data = data["shards"]
-    return {int(node): list(vals) for node, vals in data.items()}
+    if not isinstance(data, dict) or not all(isinstance(vals, list) for vals in data.values()):
+        raise InvalidRepairInputError("shards must map node ids to lists of symbols")
+    try:
+        return {int(node): vals for node, vals in data.items()}
+    except ValueError:
+        raise InvalidRepairInputError("node ids must be integers") from None
 
 
 # --- tradeoff subcommands ---

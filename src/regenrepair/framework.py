@@ -10,24 +10,43 @@ the ordinary decoders finish the job; a singular A means the pattern is
 not repairable with the chosen code coefficients, which is a reportable
 outcome rather than a bug.
 
+Once the code and the failure pattern are fixed, the whole repair, the
+coupling solve included, is one linear map from the helpers' shards to the
+lost shards. A RepairPlan holds it as one send map per helper (its shard ->
+the symbols it sends) and one decode map (the received symbols -> the lost
+shards). RepairableCode.repair_multi validates the request, fetches the
+pattern's plan from the code's cache or has the family compile it, and
+applies it; the transcript counts the rows of each send map. IA, MDS and
+adaptive MBR repair this way. PM repairs symbolically, through
+CouplingSystem.solve and solve_and_regenerate, on every call.
+
 Encode and read-back are the same in every family: encode applies the
 generator matrix (message -> all shards), reconstruct the inverse of the
 readers' generator rows, each compiled once per code (and reader set) into
-a gf.LinearMap. MDS and AMBR repairs keep their maps in the same cache.
+a gf.LinearMap kept in the same cache as the plans.
 """
 
 from dataclasses import dataclass
 
-from .gf import LinearMap, Matrix, SingularMatrixError, _reduce, mat_det, mat_solve
+from .gf import LinearMap, Matrix, SingularMatrixError, _reduce, mat_det
 
-MAP_CACHE_LIMIT = 1024  # compiled maps kept per code; the oldest goes first
+# Compiled maps and plans kept per code; the oldest goes first. An IA(6)
+# plan holds ~1.8 KB, and on draws over all 2,509 of its patterns 512
+# entries miss on 70% of repairs against 65% with 1,024.
+MAP_CACHE_LIMIT = 512
 
 
 class SingularCouplingError(ValueError):
-    """Coupling matrix is singular: the failure pattern is unrecoverable."""
+    """Coupling matrix is singular: the failure pattern is unrecoverable.
 
-    def __init__(self, failed):
+    dependent names the cross-failure transfers, in unknown_pairs order,
+    whose columns of the coupling matrix got no pivot: each is a
+    combination of the ones before it, and there are size - rank of them.
+    """
+
+    def __init__(self, failed, dependent=()):
         self.failed = tuple(sorted(failed))
+        self.dependent = tuple(dependent)
         super().__init__("singular coupling system for failed nodes %s" % (self.failed,))
 
 
@@ -74,13 +93,14 @@ def _is_word(field, symbols, length):
 
 
 class RepairableCode:
-    """What every code family shares on top of its own repair_multi.
+    """What every code family shares.
 
     A family gives n, k, field, message_length, shard_length and its
-    generator, through _generator() or generator_matrix(). Each family binds
-    encode and reconstruct in its own class body, so that they can be
-    wrapped per family; repair_multi and random_message stay on each family.
-    Keyword arguments such as an explicit repair degree d pass through to
+    generator, through _generator() or generator_matrix(). A family that
+    repairs by plans gives _plan_key and _compile_plan; PM keeps its own
+    repair_multi. Each family binds encode, reconstruct and repair_multi in
+    its own class body, so that they can be wrapped per family; keyword
+    arguments such as an explicit repair degree d pass through to
     repair_multi.
     """
 
@@ -88,7 +108,7 @@ class RepairableCode:
         return list(range(1, self.n + 1))
 
     def _compiled(self, key, build):
-        """The map under key, built on first use and kept with the code."""
+        """The map or plan under key, built on first use and kept with the code."""
         cache = self.__dict__.setdefault("_maps", {})
         value = cache.get(key)
         if value is None:
@@ -96,6 +116,30 @@ class RepairableCode:
                 del cache[next(iter(cache))]
             value = cache[key] = build()
         return value
+
+    def repair_multi(self, shards, failed, helpers=None, **degree):
+        """Regenerate the failed nodes from the helpers' shards.
+
+        The family's _plan_key validates the request and names its plan,
+        ("repair", ...) with the rest of the key the arguments of the
+        family's _compile_plan. The plan is compiled on first use and
+        cached with the code.
+        """
+        key = self._plan_key(shards, failed, helpers, **degree)
+        plan = self._compiled(key, lambda: self._compile_plan(*key[1:]))
+        return plan.apply(shards), plan.transcript()
+
+    def _degree_helpers(self, shards, failed, helpers, d):
+        """The d helpers of a repair of degree d, the first d survivors by
+        default, checked with their shards."""
+        if helpers is None:
+            helpers = [h for h in sorted(shards) if h not in failed][:d]
+        helpers = tuple(sorted(helpers))
+        if len(helpers) != d or any(h not in shards for h in helpers):
+            raise InvalidHelperCountError("need shards from exactly d = %d helpers" % d)
+        check_input(self, shards, self.shard_length, helpers, failed)
+        RepairProblem(failed=failed, helpers=helpers)
+        return helpers
 
     def generator_matrix(self):
         """Message -> every node's shard, node after node (n*shard_length x M)."""
@@ -241,22 +285,67 @@ class CouplingSystem:
     def determinant(self):
         return mat_det(self.A)
 
+    def dependent(self, pivots):
+        """The pairs, in unknown_pairs order, with a column of A that got no
+        pivot in a reduction that found the given pivot columns."""
+        pivots = set(pivots)
+        return [
+            pair
+            for t, pair in enumerate(self.pairs)
+            if any(c not in pivots for c in range(t * self.beta, (t + 1) * self.beta))
+        ]
+
     def solve(self):
         """Solve for the unknown transfers, keyed by (source, destination).
 
         Values are scalars when beta is 1, lists of beta symbols otherwise.
+        A singular A raises SingularCouplingError with its dependent pairs.
         """
         if self.size == 0:
             return {}
-        try:
-            x = mat_solve(self.A, self.b)
-        except SingularMatrixError:
-            raise SingularCouplingError(self.failed) from None
+        aug = [row + [bv] for row, bv in zip(self.A.data, self.b)]
+        pivots, _ = _reduce(self.field, aug, self.size, True)
+        if len(pivots) < self.size:
+            raise SingularCouplingError(self.failed, self.dependent(pivots))
+        x = [row[-1] for row in aug]
         out = {}
         for idx, pair in enumerate(self.pairs):
             vals = x[idx * self.beta : (idx + 1) * self.beta]
             out[pair] = vals[0] if self.beta == 1 else vals
         return out
+
+
+class RepairPlan:
+    """One compiled repair of a failure pattern.
+
+    send[t] maps the shard of helpers[t] to the symbols it sends; decode
+    maps the symbols received, helper after helper, to the lost shards,
+    failed node after failed node. A singular pattern compiles to a plan
+    with no maps that raises a fresh SingularCouplingError on every apply.
+    """
+
+    __slots__ = ("failed", "helpers", "send", "decode", "dependent")
+
+    def __init__(self, failed, helpers, send, decode, dependent=()):
+        self.failed = failed
+        self.helpers = helpers
+        self.send = send
+        self.decode = decode
+        self.dependent = tuple(dependent)
+
+    def apply(self, shards):
+        if self.decode is None:
+            raise SingularCouplingError(self.failed, self.dependent)
+        received = []
+        for helper, send in zip(self.helpers, self.send):
+            received += send.apply(shards[helper])
+        word = self.decode.apply(received)
+        size = len(word) // len(self.failed)
+        return {f: word[i * size : (i + 1) * size] for i, f in enumerate(self.failed)}
+
+    def transcript(self):
+        """Symbols moved: the row count of each helper's send map."""
+        return RepairTranscript({h: send.rows for h, send in zip(self.helpers, self.send)})
 
 
 @dataclass

@@ -7,11 +7,18 @@ back to carry-less shift-and-reduce beyond that. The shift-and-reduce
 path is always available (`mul_direct`) so the two can be cross-checked.
 
 Every elimination goes through one row-reduction kernel, `_reduce`,
-which works on the log/antilog tables and returns the pivot columns and
-the determinant. mat_solve and mat_inv run it Gauss-Jordan on an
+which returns the pivot columns and the determinant. mat_solve, mat_inv
+and the compiles of read maps and repair plans run it Gauss-Jordan on an
 augmented matrix; mat_det and mat_rank run it below the pivots only.
+An elimination that carries more than one column past the reduced ones
+(an inverse, a read map, a plan compile) runs, over m <= 8, on packed rows
+(`_reduce_packed`): a row is one int of bytes and a row operation is one
+bytes.translate through the multiply table plus one XOR. Square det and
+rank, and solves with one right-hand side, keep the list loop on the
+log/antilog tables, which is faster on small sparse coupling systems.
 Fields without tables take `_reduce_direct`, the same loop through
-Field.mul, which the tests also use as the kernel's reference.
+Field.mul, which the tests also use as the reference of both kernels.
+mat_mul runs on packed rows too.
 
 A LinearMap is a matrix compiled for many products. Over m <= 8 it runs
 each column through bytes.translate with the multiply table of its input
@@ -178,19 +185,22 @@ class Field:
         256-byte table y -> x*y for y < 2^m (entries past the field are
         never read).
 
-        Built on first use from the log/antilog tables: the table of x is
-        the logs of 1..2^m-1 translated through the antilog run that
-        starts at log x, so it costs O(2^m) Python steps, not O(4^m).
+        Built on first use, one translate per element: the table of
+        g^(i+1) is the table of g^i translated through the table of the
+        generator g. Code constructions that invert or multiply matrices
+        build them, so this runs once per field.
         """
         if self._mul_tables is None:
             if self.m > 8:
                 raise ValueError("byte multiply tables need m <= 8")
-            exp, log = self._exp, self._log
-            run = bytes(exp[i % self.order] for i in range(self.order + 256))
-            logs = bytes(log[1 : self.size]).ljust(255, b"\0")
-            self._mul_tables = [bytes(256)] + [
-                b"\0" + logs.translate(run[log[x] : log[x] + 256]) for x in range(1, self.size)
-            ]
+            pad = bytes(256 - self.size)
+            power = bytes(range(self.size)) + pad  # the table of g^0 = 1
+            step = bytes(self.mul(self.generator, y) for y in range(self.size)) + pad
+            tables = [bytes(256)] * self.size
+            for i in range(self.order):
+                tables[self._exp[i]] = power
+                power = power.translate(step)
+            self._mul_tables = tables
         return self._mul_tables
 
     # -- internals ----------------------------------------------------
@@ -286,14 +296,18 @@ class LinearMap:
     For m <= 8 A is kept column-major in one flat bytes object and A x is
     the XOR of the columns, each translated through the multiply table of
     its symbol of x and read as one int. Wider fields keep the Matrix and
-    run mat_vec. apply takes symbols already checked to lie in the field.
+    run mat_vec. A whose rows are all unit vectors (a helper that sends
+    some of its symbols as they are) only picks symbols of x. apply takes
+    symbols already checked to lie in the field.
     """
 
-    __slots__ = ("field", "rows", "cols", "_columns", "_matrix")
+    __slots__ = ("field", "rows", "cols", "_columns", "_matrix", "_picks")
 
     def __init__(self, matrix: Matrix):
         self.field = matrix.field
         self.rows, self.cols = matrix.rows, matrix.cols
+        picks = [row.index(1) for row in matrix.data if row.count(0) == self.cols - 1 and 1 in row]
+        self._picks = picks if len(picks) == self.rows else None
         wide = self.field.m > 8
         self._matrix = matrix if wide else None
         self._columns = None if wide else bytes(itertools.chain.from_iterable(zip(*matrix.data)))
@@ -301,6 +315,8 @@ class LinearMap:
     def apply(self, v: list[int]) -> list[int]:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
+        if self._picks is not None:
+            return [v[j] for j in self._picks]
         if self._matrix is not None:
             return mat_vec(self._matrix, v)
         tables = self.field.mul_tables()
@@ -316,6 +332,19 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     f = a.field
+    if f.m <= 8:
+        # row i of the product is the XOR of b's rows, each translated
+        # through the multiply table of its coefficient in a's row i
+        tables, width = f.mul_tables(), b.cols
+        packed = [bytes(row) for row in b.data]
+        out = []
+        for ai in a.data:
+            acc = 0
+            for x, row in zip(ai, packed):
+                if x:
+                    acc ^= int.from_bytes(row.translate(tables[x]), "little")
+            out.append(list(acc.to_bytes(width, "little")))
+        return Matrix(f, out)
     mul = f.mul
     out = [[0] * b.cols for _ in range(a.rows)]
     for i in range(a.rows):
@@ -357,14 +386,16 @@ def dot(field: Field, u: list[int], v: list[int]) -> int:
 def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
     """Row-reduce rows in place on their first ncols columns.
 
-    The one elimination loop behind mat_solve, mat_inv, mat_det and
-    mat_rank. Column by column, the pivot is the first nonzero entry at or
-    below the current rank; its row moves up to that rank and is scaled by
-    the pivot's inverse, and the column is cleared below the pivot, and
-    above it too when full is set (Gauss-Jordan). A column with no pivot
-    is skipped. The pivot column is never read again, so it is not
-    written. Columns past ncols (a right-hand side, an identity) are
-    carried along.
+    The one elimination behind mat_solve, mat_inv, mat_det, mat_rank and
+    the compiles of read maps and repair plans. Column by column, the
+    pivot is the first nonzero entry at or below the current rank; its row
+    moves up to that rank and is scaled by the pivot's inverse, and the
+    column is cleared below the pivot, and above it too when full is set
+    (Gauss-Jordan). A column with no pivot is skipped. The pivot column is
+    never read again, so it is not written. Columns past ncols (a
+    right-hand side, an identity) are carried along; with two or more of
+    them and m <= 8 the rows are packed and reduced by _reduce_packed,
+    which gives the same rows.
 
     Returns (pivot_cols, det): det is the product of the pivots when every
     one of the ncols columns has one, else 0; row swaps leave it alone in
@@ -373,9 +404,14 @@ def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
     """
     if field._exp is None:
         return _reduce_direct(field, rows, ncols, full)
-    exp, log, order = field._exp, field._log, field.order
     nrows = len(rows)
     width = len(rows[0]) if rows else 0
+    if width > ncols + 1 and field.m <= 8:
+        packed = [int.from_bytes(bytes(row), "little") for row in rows]
+        result = _reduce_packed(field, packed, width, ncols, full)
+        rows[:] = [list(row.to_bytes(width, "little")) for row in packed]
+        return result
+    exp, log, order = field._exp, field._log, field.order
     pivots = []
     det_log = 0
     for col in range(ncols):
@@ -403,6 +439,43 @@ def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
                 lf = log[fct]
                 for j, lj in tail:
                     rr[j] ^= exp[lf + lj]
+    return pivots, exp[det_log % order] if len(pivots) == ncols else 0
+
+
+def _reduce_packed(field, rows, width, ncols, full):
+    """_reduce on packed rows, m <= 8: byte j of the int rows[r] is entry
+    (r, j), and rows is reduced in place.
+
+    The pivot row's tail, the columns right of the pivot, is scaled by one
+    translate through the multiply table of the pivot's inverse, and
+    clearing a row XORs in that tail translated through the table of the
+    row's entry, all tail columns at once. The pivot column and the ones
+    left of it are left alone, as the list loop leaves them.
+    """
+    tables, exp, log, order = field.mul_tables(), field._exp, field._log, field.order
+    nrows = len(rows)
+    pivots = []
+    det_log = 0
+    for col in range(ncols):
+        rank = len(pivots)
+        shift = 8 * col
+        for r in range(rank, nrows):
+            if rows[r] >> shift & 255:
+                break
+        else:
+            continue
+        row = rows[r].to_bytes(width, "little")
+        lp = log[row[col]]
+        det_log += lp
+        tail = row[col + 1 :].translate(tables[exp[order - lp]])
+        pivot = bytes(col + 1) + tail
+        rows[r] = rows[rank]
+        rows[rank] = int.from_bytes(row[: col + 1] + tail, "little")
+        pivots.append(col)
+        for r in range(0 if full else rank + 1, nrows):
+            fct = rows[r] >> shift & 255
+            if fct and r != rank:
+                rows[r] ^= int.from_bytes(pivot.translate(tables[fct]), "little")
     return pivots, exp[det_log % order] if len(pivots) == ncols else 0
 
 

@@ -6,7 +6,9 @@ of a failed node downloads one inner product from each of the other 2k-1
 nodes and cancels the interference through the dual bases U', V'. With e
 failures the 2k-e survivors all act as helpers and the cross-failure
 transfers are recovered from the coupling system, whose rows come in four
-flavors depending on which side of the code each endpoint lives on.
+flavors depending on which side of the code each endpoint lives on. The
+whole repair of a pattern compiles into one repair plan: the coupling
+solve over the received transfers, folded into each failed node's decoder.
 
 All arithmetic is over GF(2^m), where addition and subtraction coincide;
 the formulas keep the textbook shape and simply evaluate minus as plus,
@@ -18,20 +20,19 @@ import random
 from .framework import (
     CouplingSystem,
     RepairableCode,
-    RepairProblem,
+    RepairPlan,
     check_input,
-    solve_and_regenerate,
     unknown_pairs,
 )
 from .gf import (
+    LinearMap,
     Matrix,
+    _reduce,
     all_square_submatrices_invertible,
     cauchy,
     dot,
     mat_inv,
     mat_mul,
-    mat_vec,
-    vandermonde,
 )
 
 
@@ -94,6 +95,7 @@ class IACode(RepairableCode):
         self.one_minus_k2 = field.add(1, field.mul(kappa, kappa))  # 1 - kappa^2
         self.one_plus_k = field.add(1, kappa)  # 1 + kappa = 1 - kappa
         self._terms = {}  # (x, y) -> _coupling_terms(x, y), filled on first use
+        self._decoders = {}  # target -> _decoder(target), filled on first use
 
     # --- structure helpers ---
 
@@ -150,56 +152,62 @@ class IACode(RepairableCode):
 
     # --- single-node repair ---
 
+    def _projection(self, target):
+        """What a live node projects its content on toward failed node
+        target: v'_l for a systematic target l, u_m for a parity target k+m."""
+        if self.is_systematic(target):
+            return self._col(self.Vd, target)
+        return self._col(self.U, target - self.k)
+
     def repair_transfer(self, shard, target):
-        """Symbol a live node sends toward failed node target.
+        """Symbol a live node sends toward failed node target."""
+        return dot(self.field, shard, self._projection(target))
 
-        Every node projects its content on v'_l for a systematic target l,
-        and on u_m for a parity target k+m.
+    def _decoder(self, target):
+        """Target's single-failure decode as an alpha x n matrix: its content
+        is the matrix times the transfers t, t[node-1] from each other node.
+
+        Systematic l: w_l = (U' + kappa^2/(1+kappa) v_l P'_l^t) y with
+        y_i = sbar_{i,l} + sum_{j != l} P_{j,i} r_{j,l}.
+        Parity k+m: wbar_m = ((1-kappa^2) V + (1+kappa) u'_m P_m^t) z with
+        z_i = s_{i,m} + kappa^2/(1-kappa^2) sum_{j != m} P'_{i,j} rbar_{j,m}.
+        Built once per target, on first use.
         """
+        dec = self._decoders.get(target)
+        if dec is not None:
+            return dec
+        f, k, kap2 = self.field, self.k, self.field.mul(self.kappa, self.kappa)
+        mix = [[0] * self.n for _ in range(k)]  # y (or z) from the transfers
         if self.is_systematic(target):
-            return dot(self.field, shard, self._col(self.Vd, target))
-        return dot(self.field, shard, self._col(self.U, target - self.k))
-
-    def _decode_systematic(self, l, transfers):
-        """w_l = (U' - kappa^2/(1+kappa) V e_l e_l^t P') y with
-        y_i = sbar_{i,l} - sum_{j != l} P_{j,i} r_{j,l}."""
-        f = self.field
-        y = []
-        for i in range(1, self.k + 1):
-            acc = transfers[self.k + i]
-            for j in range(1, self.k + 1):
-                if j != l:
-                    acc = f.add(acc, f.mul(self.P.data[j - 1][i - 1], transfers[j]))
-            y.append(acc)
-        out = mat_vec(self.Ud, y)
-        scale = f.mul(
-            f.div(f.mul(self.kappa, self.kappa), self.one_plus_k),
-            dot(f, self.Pd.data[l - 1], y),
-        )
-        v_l = self._col(self.V, l)
-        return [f.add(out[t], f.mul(scale, v_l[t])) for t in range(self.alpha)]
-
-    def _decode_parity(self, m, transfers):
-        """wbar_m = ((1-kappa^2) V + (1+kappa) U' e_m e_m^t P^t) z with
-        z_i = s_{i,m} + kappa^2/(1-kappa^2) sum_{j != m} P'_{i,j} rbar_{j,m}."""
-        f = self.field
-        ratio = f.div(f.mul(self.kappa, self.kappa), self.one_minus_k2)
-        z = []
-        for i in range(1, self.k + 1):
-            acc = transfers[i]
-            for j in range(1, self.k + 1):
-                if j != m:
-                    acc = f.add(acc, f.mul(ratio, f.mul(self.Pd.data[i - 1][j - 1], transfers[self.k + j])))
-            z.append(acc)
-        vz = mat_vec(self.V, z)
-        scale = f.mul(self.one_plus_k, dot(f, [self.P.data[j][m - 1] for j in range(self.k)], z))
-        ud_m = self._col(self.Ud, m)
-        return [f.add(f.mul(self.one_minus_k2, vz[t]), f.mul(scale, ud_m[t])) for t in range(self.alpha)]
-
-    def _decode_from_transfers(self, target, transfers):
-        if self.is_systematic(target):
-            return self._decode_systematic(target, transfers)
-        return self._decode_parity(target - self.k, transfers)
+            l = target - 1
+            c = f.div(kap2, self.one_plus_k)
+            core = [
+                [self.Ud.data[r][i] ^ f.mul(c, f.mul(self.V.data[r][l], self.Pd.data[l][i])) for i in range(k)]
+                for r in range(k)
+            ]
+            for i in range(k):
+                mix[i][k + i] = 1
+                for j in range(k):
+                    if j != l:
+                        mix[i][j] = self.P.data[j][i]
+        else:
+            m = target - k - 1
+            ratio = f.div(kap2, self.one_minus_k2)
+            core = [
+                [
+                    f.mul(self.one_minus_k2, self.V.data[r][i])
+                    ^ f.mul(self.one_plus_k, f.mul(self.Ud.data[r][m], self.P.data[i][m]))
+                    for i in range(k)
+                ]
+                for r in range(k)
+            ]
+            for i in range(k):
+                mix[i][i] = 1
+                for j in range(k):
+                    if j != m:
+                        mix[i][k + j] = f.mul(ratio, self.Pd.data[i][j])
+        dec = self._decoders[target] = mat_mul(Matrix(f, core), Matrix(f, mix))
+        return dec
 
     # --- multi-node repair ---
 
@@ -294,7 +302,9 @@ class IACode(RepairableCode):
             system.add_rhs(pair, acc)
         return system, received
 
-    def repair_multi(self, shards, failed, helpers=None):
+    repair_multi = RepairableCode.repair_multi
+
+    def _plan_key(self, shards, failed, helpers=None):
         failed = tuple(sorted(set(failed)))
         e = len(failed)
         if not 1 <= e <= self.k:
@@ -305,23 +315,49 @@ class IACode(RepairableCode):
             raise ValueError("need shards from exactly the %d survivors" % (self.n - e))
         if helpers is not None and tuple(sorted(helpers)) != survivors:
             raise ValueError("all survivors must help: d-e+1 = n-e here")
-        problem = RepairProblem(failed=failed, helpers=survivors)
-        if e == 1:
-            target = failed[0]
-            transfers = {h: self.repair_transfer(shards[h], target) for h in survivors}
-            decode = lambda node, solved: self._decode_from_transfers(node, transfers)
-            return solve_and_regenerate(None, decode, problem)
-        system, received = self.assemble_multi(shards, failed)
+        return ("repair", failed)
 
-        def decode(node, solved):
-            transfers = {}
-            for src in self.node_ids():
-                if src == node:
-                    continue
-                transfers[src] = received[(src, node)] if src in shards else solved[(src, node)]
-            return self._decode_from_transfers(node, transfers)
+    def _compile_plan(self, failed):
+        """Every survivor sends one symbol toward each failed node.
 
-        return solve_and_regenerate(system, decode, problem)
+        The unknown transfers solve A s = K r, with r the received symbols
+        and K the known-term coefficients of b, so one Gauss-Jordan on
+        [A | K] gives s = A^-1 K r; folding that into each target's decoder
+        gives the decode map. A singular A compiles to a singular plan
+        naming the dependent transfers.
+        """
+        f, e = self.field, len(failed)
+        helpers = tuple(h for h in self.node_ids() if h not in failed)
+        # received symbol a*e + b is helper a's transfer toward failed[b]
+        at = {(h, j): a * e + b for a, h in enumerate(helpers) for b, j in enumerate(failed)}
+        width = len(at)
+        system, known = self.coupling_system(failed)
+        size = system.size
+        aug = [row + [0] * width for row in system.A.data]
+        for row, pair in zip(aug, system.pairs):
+            for src, dst, coeff in known[pair]:
+                row[size + at[(src, dst)]] ^= coeff
+        pivots, _ = _reduce(f, aug, size, True)
+        if len(pivots) < size:
+            return RepairPlan(failed, (), (), None, system.dependent(pivots))
+        decode = []
+        for b, i in enumerate(failed):
+            # node i's decode reads the transfers of the other failed nodes
+            # through A^-1 K and each helper's transfer as received
+            dec = self._decoder(i).data
+            others = [r for r, (src, dst) in enumerate(system.pairs) if dst == i]
+            part = Matrix.zero(f, self.alpha, width)
+            if others:
+                part = mat_mul(
+                    Matrix(f, [[row[system.pairs[r][0] - 1] for r in others] for row in dec]),
+                    Matrix(f, [aug[r][size:] for r in others]),
+                )
+            for out, row in zip(part.data, dec):
+                for a, h in enumerate(helpers):
+                    out[a * e + b] ^= row[h - 1]
+            decode += part.data
+        send = LinearMap(Matrix(f, [self._projection(j) for j in failed]))
+        return RepairPlan(failed, helpers, (send,) * len(helpers), LinearMap(Matrix(f, decode)))
 
     # --- closed-form repairability conditions ---
 
@@ -360,39 +396,6 @@ class IACode(RepairableCode):
             acc = f.add(acc, f.mul(f.mul(q(l1, m2), w(l2, m2)), f.mul(q(l2, m1), w(l1, m1))))
             return acc != 0
         raise UnsupportedPatternError("no closed form for %d systematic + %d parity" % (s, p))
-
-    def conjecture_eval(self, failed):
-        """Compare det(A) with the conjectured product formula (report only)."""
-        from itertools import combinations, permutations
-
-        f = self.field
-        failed = tuple(sorted(set(failed)))
-        sys_nodes = [x for x in failed if self.is_systematic(x)]
-        par_nodes = [x - self.k for x in failed if not self.is_systematic(x)]
-        s, p = len(sys_nodes), len(par_nodes)
-        e = s + p
-        system, _ = self.coupling_system(failed)
-        lhs = system.determinant()
-        # kappa^{2sp} (1-kappa^2)^{C(s,2)+C(p,2)} (1 - sum over matchings)^e
-        bracket = 1
-        for size in range(1, min(s, p) + 1):
-            for lset in combinations(sys_nodes, size):
-                for jset in combinations(par_nodes, size):
-                    for sigma in permutations(range(size)):
-                        prod_a = 1
-                        for i, t in enumerate(sigma):
-                            prod_a = f.mul(prod_a, self.P.data[lset[i] - 1][jset[t] - 1])
-                        for sigma2 in permutations(range(size)):
-                            prod_b = 1
-                            for i, t in enumerate(sigma2):
-                                prod_b = f.mul(prod_b, self.Pd.data[lset[i] - 1][jset[t] - 1])
-                            term = f.mul(prod_a, prod_b)
-                            # signs are powers of -1 = 1 in characteristic 2
-                            bracket = f.add(bracket, term)
-        rhs = f.pow(self.kappa, 2 * s * p)
-        rhs = f.mul(rhs, f.pow(self.one_minus_k2, s * (s - 1) // 2 + p * (p - 1) // 2))
-        rhs = f.mul(rhs, f.pow(bracket, e))
-        return lhs, rhs, lhs == rhs
 
 
 def field_search(field, k, e_max, trials=200, seed=0):

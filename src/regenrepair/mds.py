@@ -10,15 +10,8 @@ stores delta = lcm(k..d_max) so every degree k <= d <= d_max divides M.
 """
 
 import math
-import random
 
-from .framework import (
-    InvalidHelperCountError,
-    RepairableCode,
-    RepairProblem,
-    RepairTranscript,
-    check_input,
-)
+from .framework import InvalidHelperCountError, RepairableCode, RepairPlan
 from .gf import LinearMap, Matrix, _gauss_jordan, mat_inv, mat_mul, vandermonde
 
 
@@ -59,23 +52,13 @@ class MDSStripeCode(RepairableCode):
     encode = RepairableCode.encode
     reconstruct = RepairableCode.reconstruct
 
-    def _repair_map(self, failed, helpers, beta):
-        """D = G_failed G_pos^-1: the helpers' first beta symbols -> the lost
-        shards, from one Gauss-Jordan on [G_pos^T | G_failed^T]."""
-        g = self.generator.data
-        pos = [g[(h - 1) * self.delta + t] for h in helpers for t in range(beta)]
-        lost = [g[(f - 1) * self.delta + t] for f in failed for t in range(self.delta)]
-        aug = [list(a) + list(b) for a, b in zip(zip(*pos), zip(*lost))]
-        size = self.message_length
-        _gauss_jordan(self.field, aug, size)
-        return LinearMap(Matrix(self.field, [list(col) for col in zip(*(row[size:] for row in aug))]))
+    repair_multi = RepairableCode.repair_multi
 
-    def repair_multi(self, shards, failed, helpers=None, d=None):
+    def _plan_key(self, shards, failed, helpers=None, d=None):
         failed = tuple(sorted(set(failed)))
         e = len(failed)
         if not failed or set(failed) & set(shards):
             raise ValueError("failed nodes must be erased and nonempty")
-        survivors = [h for h in sorted(shards) if h not in failed]
         if d is None:
             d = self.delta if self.mode == "fixed" else min(self.d_max, self.n - e)
         if self.mode == "fixed" and d != self.delta:
@@ -84,20 +67,21 @@ class MDSStripeCode(RepairableCode):
             raise InvalidHelperCountError("repair degree %d out of range" % d)
         if self.message_length % d:
             raise InvalidHelperCountError("%d does not divide k*delta" % d)
-        if helpers is None:
-            helpers = survivors[:d]
-        helpers = tuple(sorted(helpers))
-        if len(helpers) != d or any(h not in shards for h in helpers):
-            raise InvalidHelperCountError("need shards from exactly d = %d helpers" % d)
-        check_input(self, shards, self.delta, helpers, failed)
-        RepairProblem(failed=failed, helpers=helpers)
-        beta = self.message_length // d
-        key = ("repair", failed, helpers, beta)
-        plan = self._compiled(key, lambda: self._repair_map(failed, helpers, beta))
-        word = plan.apply([x for h in helpers for x in shards[h][:beta]])
-        contents = {f: word[i * self.delta : (i + 1) * self.delta] for i, f in enumerate(failed)}
-        transcript = RepairTranscript(per_helper={h: beta for h in helpers})
-        return contents, transcript
+        helpers = self._degree_helpers(shards, failed, helpers, d)
+        return ("repair", failed, helpers, self.message_length // d)
+
+    def _compile_plan(self, failed, helpers, beta):
+        """Each helper sends its first beta symbols; the decode map is
+        D = G_failed G_pos^-1, from one Gauss-Jordan on [G_pos^T | G_failed^T]."""
+        f, g = self.field, self.generator.data
+        send = self._compiled(("send", beta), lambda: LinearMap(Matrix(f, Matrix.identity(f, self.delta).data[:beta])))
+        pos = [g[(h - 1) * self.delta + t] for h in helpers for t in range(beta)]
+        lost = [g[(node - 1) * self.delta + t] for node in failed for t in range(self.delta)]
+        aug = [list(a) + list(b) for a, b in zip(zip(*pos), zip(*lost))]
+        size = self.message_length
+        _gauss_jordan(f, aug, size)
+        decode = LinearMap(Matrix(f, [list(col) for col in zip(*(row[size:] for row in aug))]))
+        return RepairPlan(failed, helpers, (send,) * len(helpers), decode)
 
     def descriptor(self):
         return {

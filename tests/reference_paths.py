@@ -1,12 +1,15 @@
 """The per-family paths that compiled linear maps replaced, kept as test references.
 
-Before encode, read-back and the MDS and AMBR repairs ran as cached
-gf.LinearMap products, each family encoded by its own formula, read back
-by solving a freshly built system per call, repaired MDS by solving for the
-file and re-encoding the lost shards, and repaired AMBR node by node with
-mat_solve on theta. Those paths live on here, unchanged in arithmetic, as
-the references tests/test_compiled_maps.py holds the maps to. Input checks
-are left to the library calls they are compared with.
+Before encode, read-back and the IA, MDS and AMBR repairs ran as cached
+gf.LinearMap products and repair plans, each family encoded by its own
+formula, read back by solving a freshly built system per call, repaired IA
+symbolically (the helpers' transfers, the coupling solve, then each failed
+node's single-failure decode), repaired MDS by solving for the file and
+re-encoding the lost shards, and repaired AMBR node by node with mat_solve
+on theta. Those paths live on here, unchanged in arithmetic, as the
+references tests/test_compiled_maps.py and tests/test_repair_plans.py hold
+the maps and plans to. Input checks are left to the library calls they are
+compared with.
 """
 
 from regenrepair.framework import RepairTranscript
@@ -101,6 +104,78 @@ def ia_reconstruct(code, shards):
             rows.append(row)
             rhs.append(shards[node][t])
     return mat_solve(Matrix(f, rows), rhs)
+
+
+def _ia_decode_systematic(code, l, transfers):
+    """w_l = (U' - kappa^2/(1+kappa) V e_l e_l^t P') y with
+    y_i = sbar_{i,l} - sum_{j != l} P_{j,i} r_{j,l}."""
+    f = code.field
+    y = []
+    for i in range(1, code.k + 1):
+        acc = transfers[code.k + i]
+        for j in range(1, code.k + 1):
+            if j != l:
+                acc = f.add(acc, f.mul(code.P.data[j - 1][i - 1], transfers[j]))
+        y.append(acc)
+    out = mat_vec(code.Ud, y)
+    scale = f.mul(
+        f.div(f.mul(code.kappa, code.kappa), code.one_plus_k),
+        dot(f, code.Pd.data[l - 1], y),
+    )
+    v_l = code._col(code.V, l)
+    return [f.add(out[t], f.mul(scale, v_l[t])) for t in range(code.alpha)]
+
+
+def _ia_decode_parity(code, m, transfers):
+    """wbar_m = ((1-kappa^2) V + (1+kappa) U' e_m e_m^t P^t) z with
+    z_i = s_{i,m} + kappa^2/(1-kappa^2) sum_{j != m} P'_{i,j} rbar_{j,m}."""
+    f = code.field
+    ratio = f.div(f.mul(code.kappa, code.kappa), code.one_minus_k2)
+    z = []
+    for i in range(1, code.k + 1):
+        acc = transfers[i]
+        for j in range(1, code.k + 1):
+            if j != m:
+                acc = f.add(acc, f.mul(ratio, f.mul(code.Pd.data[i - 1][j - 1], transfers[code.k + j])))
+        z.append(acc)
+    vz = mat_vec(code.V, z)
+    scale = f.mul(code.one_plus_k, dot(f, [code.P.data[j][m - 1] for j in range(code.k)], z))
+    ud_m = code._col(code.Ud, m)
+    return [f.add(f.mul(code.one_minus_k2, vz[t]), f.mul(scale, ud_m[t])) for t in range(code.alpha)]
+
+
+def ia_decode(code, target, transfers):
+    """Single-failure decode of target from {source: transfer toward target}."""
+    if code.is_systematic(target):
+        return _ia_decode_systematic(code, target, transfers)
+    return _ia_decode_parity(code, target - code.k, transfers)
+
+
+def ia_repair(code, shards, failed):
+    """Every survivor sends one transfer toward each failed node; the
+    coupling system is assembled with b from those transfers and solved
+    (SingularCouplingError when A is singular), then each failed node runs
+    its single-failure decode."""
+    failed = tuple(sorted(failed))
+    helpers = [h for h in sorted(shards) if h not in failed]
+    if len(failed) == 1:
+        target = failed[0]
+        transfers = {h: code.repair_transfer(shards[h], target) for h in helpers}
+        solved = {}
+    else:
+        system, transfers = code.assemble_multi(shards, failed)
+        solved = system.solve()
+    contents = {}
+    for node in failed:
+        seen = {}
+        for src in code.node_ids():
+            if src != node:
+                if src in shards:
+                    seen[src] = transfers[src] if len(failed) == 1 else transfers[(src, node)]
+                else:
+                    seen[src] = solved[(src, node)]
+        contents[node] = ia_decode(code, node, seen)
+    return contents, RepairTranscript({h: len(failed) for h in helpers})
 
 
 # --- MDS: a node's generator rows times the file; solve, then re-encode ---

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from regenrepair.cli import main, parse_field, parse_params
+from regenrepair.cli import load_shards, main, parse_field, parse_params
+from regenrepair.framework import InvalidRepairInputError
 
 OK, INFEASIBLE, NOT_FOUND, VERIFY = 0, 2, 3, 4
 
@@ -165,6 +166,43 @@ def test_reconstruct_with_bad_shards_exits_infeasible(capsys, tmp_path):
         path.write_text(json.dumps(bad))
         code, _ = run(capsys, "code", "reconstruct", "--descriptor", str(desc),
                       "--shards", str(path))
+        assert code == INFEASIBLE
+
+
+def test_shards_file_that_is_not_a_node_map_exits_infeasible(capsys, tmp_path):
+    desc = tmp_path / "mds.json"
+    enc = tmp_path / "enc.json"
+    run(capsys, "code", "build", "--family", "mds", "--field", "8:11d",
+        "--n", "7", "--k", "3", "--d-max", "4", "--out", str(desc))
+    run(capsys, "code", "encode", "--descriptor", str(desc), "--seed", "5",
+        "--out", str(enc))
+    shards = json.loads(enc.read_text())["shards"]
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([shards["1"], shards["2"], shards["3"]]))
+    with pytest.raises(InvalidRepairInputError):
+        load_shards(path)
+    for verb in (("reconstruct",), ("repair", "--failed", "4")):
+        code, _ = run(capsys, "code", *verb[:1], "--descriptor", str(desc),
+                      "--shards", str(path), *verb[1:])
+        assert code == INFEASIBLE
+
+
+def test_shards_node_entry_that_is_a_number_exits_infeasible(capsys, tmp_path):
+    desc = tmp_path / "mds.json"
+    enc = tmp_path / "enc.json"
+    run(capsys, "code", "build", "--family", "mds", "--field", "8:11d",
+        "--n", "7", "--k", "3", "--d-max", "4", "--out", str(desc))
+    run(capsys, "code", "encode", "--descriptor", str(desc), "--seed", "5",
+        "--out", str(enc))
+    shards = json.loads(enc.read_text())["shards"]
+    shards["1"] = 5
+    path = tmp_path / "number.json"
+    path.write_text(json.dumps({"shards": shards}))
+    with pytest.raises(InvalidRepairInputError):
+        load_shards(path)
+    for verb in (("reconstruct",), ("repair", "--failed", "4")):
+        code, _ = run(capsys, "code", *verb[:1], "--descriptor", str(desc),
+                      "--shards", str(path), *verb[1:])
         assert code == INFEASIBLE
 
 

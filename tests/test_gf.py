@@ -16,6 +16,7 @@ from regenrepair.gf import (
     ZeroInverseError,
     _reduce,
     _reduce_direct,
+    _reduce_packed,
     all_square_submatrices_invertible,
     cauchy,
     is_irreducible,
@@ -246,6 +247,46 @@ def test_reduce_matches_field_mul_twin(case):
             assert table == direct
 
 
+@st.composite
+def augmented_cases(draw):
+    """[A | B] over GF(2^1..2^8): A is 1..12 rows by 0..12 columns, B 2..40
+    carried columns, and about half of the systems with >= 2 rows lose rank
+    to a row that combines the others, as a singular coupling system does."""
+    field = DET_FIELDS[draw(st.sampled_from(range(1, 9)))]
+    nrows = draw(st.integers(1, 12))
+    ncols = draw(st.integers(0, 12))
+    width = ncols + draw(st.integers(2, 40))
+    elem = st.integers(0, field.size - 1)
+    rows = draw(st.lists(st.lists(elem, min_size=width, max_size=width), min_size=nrows, max_size=nrows))
+    if nrows >= 2 and draw(st.booleans()):
+        t, *others = draw(st.permutations(range(nrows)))
+        row = [0] * width
+        for o in others:
+            c = draw(elem)
+            row = [x ^ field.mul_direct(c, y) for x, y in zip(row, rows[o])]
+        rows[t] = row
+    return field, rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(augmented_cases())
+def test_packed_reduce_matches_field_mul_twin(case):
+    """With carried columns _reduce runs on packed rows; pivots,
+    determinant and every entry, the unwritten pivot columns included,
+    equal the Field.mul loop's."""
+    field, rows, ncols = case
+    width = len(rows[0])
+    for full in (False, True):
+        direct = [list(r) for r in rows]
+        want = _reduce_direct(field, direct, ncols, full)
+        table = [list(r) for r in rows]
+        assert _reduce(field, table, ncols, full) == want
+        assert table == direct
+        packed = [int.from_bytes(bytes(r), "little") for r in rows]
+        assert _reduce_packed(field, packed, width, ncols, full) == want
+        assert [list(r.to_bytes(width, "little")) for r in packed] == direct
+
+
 @settings(max_examples=300, deadline=None)
 @given(det_cases(), st.data())
 def test_elimination_wrappers_agree(case, data):
@@ -351,11 +392,44 @@ def test_linear_map_matches_mat_vec(case):
     assert LinearMap(a).apply(v) == mat_vec(a, v)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(range(1, 9)) + [13]), st.data())
+def test_linear_map_that_picks_symbols_matches_mat_vec(m, data):
+    """Rows that are all unit vectors take the picking path; one more
+    nonzero entry anywhere takes the products again."""
+    field = Field(m)
+    cols = data.draw(st.integers(1, 12))
+    picks = data.draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=12))
+    rows = [[int(c == j) for c in range(cols)] for j in picks]
+    v = data.draw(st.lists(st.integers(0, field.size - 1), min_size=cols, max_size=cols))
+    assert LinearMap(Matrix(field, rows)).apply(v) == [v[j] for j in picks]
+    r, c = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, cols - 1))
+    rows[r][c] ^= data.draw(st.integers(1, field.size - 1))
+    a = Matrix(field, rows)
+    assert LinearMap(a).apply(v) == mat_vec(a, v)
+
+
 @settings(max_examples=100, deadline=None)
 @given(map_cases([13]))
 def test_linear_map_falls_back_to_mat_vec_past_m8(case):
     field, a, v = case
     assert LinearMap(a).apply(v) == mat_vec(a, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_cases(list(range(1, 9)) + [13]), st.data())
+def test_mat_mul_matches_mul_direct_products(case, data):
+    field, a, _ = case
+    cols = data.draw(st.integers(0, 12))
+    elem = st.integers(0, field.size - 1)
+    b = Matrix(field, data.draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=a.cols, max_size=a.cols)))
+    want = [[0] * cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for t in range(a.cols):
+            for j in range(cols):
+                want[i][j] ^= field.mul_direct(a.data[i][t], b.data[t][j])
+    got = mat_mul(a, b)
+    assert (got.rows, got.cols, got.data) == (a.rows, cols, want)
 
 
 def test_linear_map_checks_length_and_returns_fresh_lists():
