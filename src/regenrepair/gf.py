@@ -20,10 +20,13 @@ Fields without tables take `_reduce_direct`, the same loop through
 Field.mul, which the tests also use as the reference of both kernels.
 mat_mul runs on packed rows too.
 
-A LinearMap is a matrix compiled for many products. Over m <= 8 it runs
-each column through bytes.translate with the multiply table of its input
-symbol and XORs the columns as ints: the split-table product of Plank,
-Greenan and Miller (FAST 2013), in the standard library.
+A LinearMap is a matrix compiled for many products. Over m <= 8 it keeps
+the matrix as one bytes object per column, runs each column through
+bytes.translate with the multiply table of its input symbol and XORs the
+columns as ints: the split-table product of Plank, Greenan and Miller
+(FAST 2013), in the standard library. apply_stripes runs L stripes at once
+through the same tables, one translate of an L-byte input row per nonzero
+entry of the matrix.
 """
 
 from __future__ import annotations
@@ -293,39 +296,68 @@ class Matrix:
 class LinearMap:
     """y = A x for a fixed matrix A, compiled once and applied many times.
 
-    For m <= 8 A is kept column-major in one flat bytes object and A x is
-    the XOR of the columns, each translated through the multiply table of
-    its symbol of x and read as one int. Wider fields keep the Matrix and
-    run mat_vec. A whose rows are all unit vectors (a helper that sends
-    some of its symbols as they are) only picks symbols of x. apply takes
+    For m <= 8 A is kept as a tuple of columns, one bytes object each, and
+    A x is the XOR of the columns, each translated through the multiply
+    table of its symbol of x and read as one int. apply_stripes runs many
+    stripes through the same tables at once: each input row holds one
+    symbol per stripe, and output row i is the XOR of the input rows, each
+    translated through the table of A[i][j]. Wider fields keep the Matrix
+    and run mat_vec. A whose rows are all unit vectors (a helper that
+    sends some of its symbols as they are) only picks symbols, or rows;
+    picks says which, and is None for every other A. Both applies take
     symbols already checked to lie in the field.
     """
 
-    __slots__ = ("field", "rows", "cols", "_columns", "_matrix", "_picks")
+    __slots__ = ("field", "rows", "cols", "picks", "_columns", "_matrix")
 
     def __init__(self, matrix: Matrix):
         self.field = matrix.field
         self.rows, self.cols = matrix.rows, matrix.cols
         picks = [row.index(1) for row in matrix.data if row.count(0) == self.cols - 1 and 1 in row]
-        self._picks = picks if len(picks) == self.rows else None
+        self.picks = tuple(picks) if len(picks) == self.rows else None
         wide = self.field.m > 8
         self._matrix = matrix if wide else None
-        self._columns = None if wide else bytes(itertools.chain.from_iterable(zip(*matrix.data)))
+        self._columns = None if wide else tuple(map(bytes, zip(*matrix.data)))
 
     def apply(self, v: list[int]) -> list[int]:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        if self._picks is not None:
-            return [v[j] for j in self._picks]
+        if self.picks is not None:
+            return [v[j] for j in self.picks]
         if self._matrix is not None:
             return mat_vec(self._matrix, v)
-        tables = self.field.mul_tables()
-        columns, r = self._columns, self.rows
+        tables, from_bytes = self.field.mul_tables(), int.from_bytes
         acc = 0
-        for start, x in zip(range(0, r * self.cols, r), v):
+        for column, x in zip(self._columns, v):
             if x:
-                acc ^= int.from_bytes(columns[start : start + r].translate(tables[x]), "little")
-        return list(acc.to_bytes(r, "little"))
+                acc ^= from_bytes(column.translate(tables[x]), "little")
+        return list(acc.to_bytes(self.rows, "little"))
+
+    def apply_stripes(self, rows: list[bytes]) -> list[bytes]:
+        """A applied to every stripe at once: rows[j] holds symbol j of each
+        of L stripes, and output row i holds symbol i of each stripe's
+        product. Rows are sequences of symbols, taken as bytes for m <= 8
+        (a bytes row is not copied) and as lists past it; the output rows
+        are of the same type."""
+        if len(rows) != self.cols:
+            raise ValueError("shape mismatch")
+        rows = list(map(bytes if self._matrix is None else list, rows))
+        if self.picks is not None:
+            return [rows[j] for j in self.picks]
+        if self._matrix is not None:
+            products = [mat_vec(self._matrix, stripe) for stripe in zip(*rows)]
+            return [[product[i] for product in products] for i in range(self.rows)]
+        tables, from_bytes = self.field.mul_tables(), int.from_bytes
+        length = len(rows[0]) if rows else 0
+        out = []
+        for i in range(self.rows):
+            acc = 0
+            for column, row in zip(self._columns, rows):
+                x = column[i]
+                if x:
+                    acc ^= from_bytes(row.translate(tables[x]), "little")
+            out.append(acc.to_bytes(length, "little"))
+        return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -290,7 +290,8 @@ class IACode(RepairableCode):
         f = self.field
         failed = tuple(sorted(failed))
         system, known = self.coupling_system(failed)
-        helpers = [h for h in sorted(shards) if h not in set(failed)]
+        failed_set = set(failed)
+        helpers = [h for h in sorted(shards) if h not in failed_set]
         received = {}
         for h in helpers:
             for j in failed:
@@ -305,13 +306,14 @@ class IACode(RepairableCode):
     repair_multi = RepairableCode.repair_multi
 
     def _plan_key(self, shards, failed, helpers=None):
-        failed = tuple(sorted(set(failed)))
+        failed_set = set(failed)
+        failed = tuple(sorted(failed_set))
         e = len(failed)
         if not 1 <= e <= self.k:
             raise ValueError("can repair 1..k nodes at once")
-        survivors = tuple(h for h in sorted(shards) if h not in set(failed))
+        survivors = tuple(h for h in sorted(shards) if h not in failed_set)
         check_input(self, shards, self.alpha, survivors, failed)
-        if len(survivors) != self.n - e or set(failed) & set(shards.keys()):
+        if len(survivors) != self.n - e or failed_set & set(shards.keys()):
             raise ValueError("need shards from exactly the %d survivors" % (self.n - e))
         if helpers is not None and tuple(sorted(helpers)) != survivors:
             raise ValueError("all survivors must help: d-e+1 = n-e here")

@@ -129,7 +129,8 @@ def verify_exact_repair(code, pattern, helpers=None, rng=None, **repair_args):
     msg = code.random_message(rng)
     shards = code.encode(msg)
     golden = {i: list(shards[i]) for i in pattern}
-    survivors = {i: v for i, v in shards.items() if i not in set(pattern)}
+    lost = set(pattern)
+    survivors = {i: v for i, v in shards.items() if i not in lost}
     try:
         contents, transcript = code.repair_multi(survivors, pattern, helpers, **repair_args)
     except SingularCouplingError:

@@ -6,7 +6,8 @@ formulas and solves they replaced; here both paths must give equal shards,
 messages, repaired contents and transcripts: every reader set of the four
 families, and every pattern of up to three failures at every repair degree
 of MDS and AMBR. The cache must hand out no state a caller can corrupt,
-and the same pattern at two degrees must run two plans.
+the same pattern at two degrees must run two plans, and a full cache must
+drop the entry used least recently.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 
 import reference_paths as ref
 from regenrepair.ambr import AdaptiveMBRCode
+from regenrepair.framework import MAP_CACHE_LIMIT
 from regenrepair.gf import Field
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
@@ -127,3 +129,24 @@ def test_one_pattern_at_two_degrees_runs_two_plans(family):
     # MDS keys carry beta = M / d, AMBR keys the degree itself
     degree_of = (lambda key: code.message_length // key[3]) if family == "mds" else (lambda key: key[2])
     assert {degree_of(key) for key in second} == set(degrees)
+
+
+def test_full_cache_drops_the_least_recently_used_entry():
+    """Fill a code's cache past its limit while encoding in between: the
+    encode map stays, so the generator is built once, and a filler hit
+    again stays while the ones around it go."""
+    code = IACode(F256, 3)
+    built = []
+    generator = code._generator
+    code._generator = lambda: built.append(1) or generator()
+    msg = code.random_message(random.Random(5))
+    shards = code.encode(msg)
+    for i in range(2 * MAP_CACHE_LIMIT):
+        code._compiled(("filler", i), object)
+        if i % 50 == 0:
+            assert code.encode(msg) == shards
+            code._compiled(("filler", 0), None)  # a hit builds nothing
+    assert len(code._maps) == MAP_CACHE_LIMIT
+    assert "encode" in code._maps and ("filler", 0) in code._maps
+    assert ("filler", 1) not in code._maps and ("filler", 2 * MAP_CACHE_LIMIT - 1) in code._maps
+    assert len(built) == 1

@@ -370,26 +370,80 @@ def test_byte_tables_are_built_on_first_use_and_refused_past_m8():
 
 @st.composite
 def map_cases(draw, ms):
-    """(field, matrix, vector), with zero vectors, zero columns and the
-    1 x n and n x 1 shapes drawn on purpose."""
+    """(field, matrix, vector), with zero vectors, zero rows and columns,
+    zero matrices, matrices that only pick symbols, and the 1 x n and
+    n x 1 shapes drawn on purpose."""
     field = Field(draw(st.sampled_from(ms)))
-    shape = draw(st.sampled_from(["any", "row", "column"]))
+    shape = draw(st.sampled_from(["any", "row", "column", "zero", "picks"]))
     rows = 1 if shape == "row" else draw(st.integers(1, 12))
     cols = 1 if shape == "column" else draw(st.integers(1, 12))
     elem = st.integers(0, field.size - 1)
-    data = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    for c in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
-        for row in data:
-            row[c] = 0
+    if shape == "picks":
+        picks = draw(st.lists(st.integers(0, cols - 1), min_size=rows, max_size=rows))
+        data = [[int(c == j) for c in range(cols)] for j in picks]
+    else:
+        data = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        zero_cols = range(cols) if shape == "zero" else draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+        for c in zero_cols:
+            for row in data:
+                row[c] = 0
+        for r in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+            data[r] = [0] * cols
     v = [0] * cols if draw(st.booleans()) else draw(st.lists(elem, min_size=cols, max_size=cols))
     return field, Matrix(field, data), v
+
+
+def direct_product(a, v):
+    """A v with every product through the table-free Field.mul_direct."""
+    out = []
+    for row in a.data:
+        acc = 0
+        for c, x in zip(row, v):
+            acc ^= a.field.mul_direct(c, x)
+        out.append(acc)
+    return out
 
 
 @settings(max_examples=400, deadline=None)
 @given(map_cases(list(range(1, 9))))
 def test_linear_map_matches_mat_vec(case):
     field, a, v = case
-    assert LinearMap(a).apply(v) == mat_vec(a, v)
+    assert LinearMap(a).apply(v) == mat_vec(a, v) == direct_product(a, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_cases(list(range(1, 9)) + [13]), st.integers(1, 9), st.data())
+def test_apply_stripes_matches_apply_on_each_stripe(case, length, data):
+    """Column t of apply_stripes is apply on the t-th symbols of the input
+    rows, over every m <= 8 and past it, for L = 1 and up, and for maps
+    that only pick rows."""
+    field, a, _ = case
+    elem = st.integers(0, field.size - 1)
+    stripes = [
+        [0] * a.cols if data.draw(st.booleans()) else data.draw(st.lists(elem, min_size=a.cols, max_size=a.cols))
+        for _ in range(length)
+    ]
+    wrap = bytes if field.m <= 8 else list
+    lm = LinearMap(a)
+    got = lm.apply_stripes([wrap(row) for row in zip(*stripes)])
+    assert len(got) == a.rows
+    assert all(type(row) is wrap and len(row) == length for row in got)
+    for t, stripe in enumerate(stripes):
+        assert [row[t] for row in got] == lm.apply(stripe)
+    if field.m <= 8:  # any sequence of symbols is taken as bytes
+        assert lm.apply_stripes([tuple(row) for row in zip(*stripes)]) == got
+
+
+@pytest.mark.parametrize("m", [1, 4, 8, 13])
+def test_linear_map_without_rows_or_columns(m):
+    """A 0 x 0 map and a 3 x 0 map; the 3 x 0 map sends zeros."""
+    field = Field(m)
+    empty, flat = Matrix(field, []), Matrix(field, [[], [], []])
+    assert LinearMap(empty).apply([]) == LinearMap(empty).apply_stripes([]) == []
+    assert LinearMap(flat).apply([]) == mat_vec(flat, []) == [0, 0, 0]
+    assert LinearMap(flat).apply_stripes([]) == [bytes() if m <= 8 else []] * 3
+    with pytest.raises(ValueError):
+        LinearMap(flat).apply_stripes([b"\x01"])
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,9 @@ must give the same contents, the same transcript and the same singular
 outcome, with the same dependent transfers, on drawn codes, patterns,
 helpers and messages over GF(2^4)..GF(2^8). Transcripts count the rows of
 the send maps and must meet each family's closed form, and a singular
-pattern must name size - rank(A) dependent transfers.
+pattern must name size - rank(A) dependent transfers. IA's helpers share
+one send map, which a plan runs over all of them at once; sent per helper
+instead, every outcome must be the same.
 """
 
 import functools
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 import reference_paths as ref
 from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.framework import CouplingSystem, RepairPlan, SingularCouplingError, unknown_pairs
-from regenrepair.gf import Field, mat_rank
+from regenrepair.gf import Field, LinearMap, Matrix, mat_rank
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
 from regenrepair.pm import PMCode
@@ -231,3 +233,31 @@ def test_repairs_reuse_one_plan_per_pattern():
     assert code.repair_multi(survivors, pattern) == first
     assert code._maps[("repair", pattern)] is plan
     assert first[0] == {node: shards[node] for node in pattern}
+
+
+@pytest.mark.parametrize("m", sorted(CODES["ia"]))
+def test_shared_sends_batched_match_sends_per_helper(m):
+    """Every IA pattern of e = 1..k: the plan, which sends through its one
+    shared map in one apply_stripes call, against the same plan with a
+    copy of the map per helper, which sends helper by helper."""
+    code = build("ia", m)
+    shards = code.encode(code.random_message(random.Random(m)))
+    singular = 0
+    for e in range(1, code.k + 1):
+        for pattern in combinations(code.node_ids(), e):
+            survivors = {node: shard for node, shard in shards.items() if node not in pattern}
+            batched = outcome(lambda: code.repair_multi(survivors, pattern))
+            plan = code._maps[("repair", pattern)]
+            send = [LinearMap(Matrix(code.field, [code._projection(j) for j in pattern])) for _ in plan.helpers]
+            one_by_one = RepairPlan(plan.failed, plan.helpers, tuple(send), plan.decode, plan.dependent)
+            per_helper = outcome(lambda: (one_by_one.apply(survivors), one_by_one.transcript()))
+            assert batched == per_helper
+            if batched[0] == "singular":
+                singular += 1
+                continue
+            assert batched[0] == {node: shards[node] for node in pattern}
+            # systematic nodes' projections are unit vectors, so a pattern
+            # without a parity node picks, helper by helper, in both plans
+            assert plan.send[0] is plan.send[-1]
+            assert (plan.send[0].picks is None) == any(j > code.k for j in pattern)
+    assert singular == len(singular_ia_patterns(code))

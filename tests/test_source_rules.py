@@ -19,3 +19,28 @@ def test_library_checks_do_not_use_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], "%s has assert statements on lines %s" % (path.name, lines)
+
+
+# the arguments Python 3.10 requires of int's byte conversions; 3.11 made
+# the byteorder (and to_bytes's length) optional
+BYTE_CONVERSIONS = {"from_bytes": ("bytes", "byteorder"), "to_bytes": ("length", "byteorder")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_byte_conversions_pass_a_byteorder(path):
+    """Every from_bytes/to_bytes call, through int or a local bound to it,
+    passes its byteorder, positionally or by keyword, so the library runs
+    on Python 3.10 too."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in BYTE_CONVERSIONS:
+            required = BYTE_CONVERSIONS[name]
+            given = set(required[: len(node.args)]) | {kw.arg for kw in node.keywords}
+            if not set(required) <= given:
+                lines.append(node.lineno)
+    assert lines == [], "%s calls from_bytes/to_bytes without a byteorder on lines %s" % (path.name, sorted(lines))

@@ -108,7 +108,8 @@ def test_emit_curve_csv_shape(tmp_path):
     params = SystemParams(12, 10, 4, 6, 2)
     path = tmp_path / "curve.csv"
     count = emit_curve(params, str(path))
-    rows = list(csv.reader(path.open()))
+    with path.open() as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["gamma_num", "gamma_den", "alpha_num", "alpha_den", "segment"]
     assert len(rows) == count + 1
     # curve rows run gamma-ascending, so the first is the MBMR corner
@@ -121,7 +122,8 @@ def test_emit_comparison_csv_shape(tmp_path):
     params = SystemParams(20, 12, 4, 6, 2)
     path = tmp_path / "cmp.csv"
     report = emit_comparison(params, str(path))
-    rows = list(csv.reader(path.open()))
+    with path.open() as handle:
+        rows = list(csv.reader(handle))
     assert rows[0][:4] == ["alpha_num", "alpha_den", "batched_num", "batched_den"]
     assert len(rows) == len(report.rows) + 1
     assert report.msmr_ratio == Fraction(5, 6)  # (d-e+1)/d
