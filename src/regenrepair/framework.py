@@ -146,8 +146,16 @@ class RepairableCode:
         return helpers
 
     def generator_matrix(self):
-        """Message -> every node's shard, node after node (n*shard_length x M)."""
-        return self._compiled("generator", self._generator)
+        """Message -> every node's shard, node after node (n*shard_length x M).
+
+        Built once per code and kept outside the bounded cache: warm
+        encodes run the encode map and never touch it, so newer plans
+        would push it out before the next read map or AMBR compile.
+        """
+        generator = self.__dict__.get("_generator_matrix")
+        if generator is None:
+            generator = self._generator_matrix = self._generator()
+        return generator
 
     def encode(self, data):
         check_message(self, data)
@@ -259,6 +267,8 @@ class CouplingSystem:
     unknown_pairs order; each pair spans beta consecutive slots. The
     diagonal is pre-filled with -1 (equal to 1 in characteristic 2): row
     (i,j) encodes s_{i,j} = sum of coupled terms, moved to one side.
+    slot[pair] is the position of pair in unknown_pairs order, which is
+    its row and column of A when beta is 1.
     """
 
     def __init__(self, field, failed, beta=1):
@@ -266,7 +276,7 @@ class CouplingSystem:
         self.failed = tuple(sorted(failed))
         self.beta = beta
         self.pairs = unknown_pairs(self.failed)
-        self._slot = {pair: t for t, pair in enumerate(self.pairs)}  # unknown_index, precomputed
+        self.slot = {pair: t for t, pair in enumerate(self.pairs)}  # unknown_index, precomputed
         self.size = len(self.pairs) * beta
         self.A = Matrix.zero(field, self.size, self.size)
         self.b = [0] * self.size
@@ -275,7 +285,7 @@ class CouplingSystem:
             self.A.data[t][t] = minus_one
 
     def index(self, i, j, t=0):
-        return self._slot[(i, j)] * self.beta + t
+        return self.slot[(i, j)] * self.beta + t
 
     def add_entry(self, row_pair, col_pair, value, t=0, u=0):
         r = self.index(row_pair[0], row_pair[1], t)

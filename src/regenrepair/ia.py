@@ -22,7 +22,6 @@ from .framework import (
     RepairableCode,
     RepairPlan,
     check_input,
-    unknown_pairs,
 )
 from .gf import (
     LinearMap,
@@ -272,18 +271,24 @@ class IACode(RepairableCode):
         return terms
 
     def coupling_system(self, failed):
-        """Coupling matrix for a pattern plus the known-term recipe for b."""
-        failed = tuple(sorted(failed))
+        """Coupling matrix for a pattern plus the known-term recipe for b.
+
+        Each row (x, y) of A is filled straight from the cached expansion
+        of x -> y: a term from a failed source lands in its slot of the
+        row, any other term goes to known[(x, y)] as (source, destination,
+        coefficient), to be weighted by the received transfer.
+        """
         system = CouplingSystem(self.field, failed)
+        slot = system.slot
         known = {}
-        failed_set = set(failed)
-        for pair in unknown_pairs(failed):
-            known[pair] = []
-            for src, dst, coeff in self._coupling_terms(*pair):
-                if src in failed_set:
-                    system.add_entry(pair, (src, dst), coeff)
+        for row, pair in zip(system.A.data, system.pairs):
+            rest = known[pair] = []
+            for term in self._coupling_terms(*pair):
+                col = slot.get(term[:2])
+                if col is None:
+                    rest.append(term)
                 else:
-                    known[pair].append((src, dst, coeff))
+                    row[col] ^= term[2]
         return system, known
 
     def assemble_multi(self, shards, failed):
@@ -405,6 +410,12 @@ def field_search(field, k, e_max, trials=200, seed=0):
 
     Trial zero uses the default construction; later trials draw random P
     matrices (filtered by the all-submatrix condition) and random kappa.
+    A pattern is vetted by condition_check where a closed form covers its
+    shape, and by the determinant of its coupling matrix otherwise. A
+    trial stops counting once it has as many singular patterns as the best
+    trial so far, which it then cannot beat. Returns the first clean code,
+    or raises AssignmentNotFoundError with the first code of fewest
+    singular patterns.
     """
     from itertools import combinations
 
@@ -412,6 +423,7 @@ def field_search(field, k, e_max, trials=200, seed=0):
 
     rng = random.Random(seed)
     e_cap = min(e_max, k)
+    kappas = [x for x in field.elements() if x not in (0, 1)]
     best = None
     best_bad = None
     for trial in range(trials):
@@ -423,16 +435,20 @@ def field_search(field, k, e_max, trials=200, seed=0):
                 p = Matrix(field, data)
                 if not all_square_submatrices_invertible(p):
                     continue
-                kappas = [x for x in field.elements() if x not in (0, 1)]
                 code = IACode(field, k, P=p, kappa=kappas[rng.randrange(len(kappas))])
         except ValueError:
             continue
         bad = 0
-        for e in range(2, e_cap + 1):
-            for pattern in combinations(code.node_ids(), e):
-                system, _ = code.coupling_system(pattern)
-                if system.determinant() == 0:
-                    bad += 1
+        patterns = (pattern for e in range(2, e_cap + 1) for pattern in combinations(code.node_ids(), e))
+        for pattern in patterns:
+            try:
+                repairable = code.condition_check(pattern)
+            except UnsupportedPatternError:
+                repairable = code.coupling_system(pattern)[0].determinant() != 0
+            if not repairable:
+                bad += 1
+                if best_bad is not None and bad >= best_bad:
+                    break
         if bad == 0:
             return code
         if best_bad is None or bad < best_bad:

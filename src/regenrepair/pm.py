@@ -27,7 +27,7 @@ from .framework import (
     solve_and_regenerate,
     unknown_pairs,
 )
-from .gf import Matrix, dot, vandermonde
+from .gf import LinearMap, Matrix, dot, vandermonde
 
 
 def _axpy(field, acc, coef, row):
@@ -58,7 +58,8 @@ class _PoolTable:
 
     Q = prod_{m in pool} (x + lam_m) is built once, R_i = Q / (x + lam_i)
     once per failed node, and each row costs one more division and one
-    Horner evaluation.
+    Horner evaluation. Each row's projections on every phi_j, the coupling
+    coefficients of (i, j, l) for all j, take one product with Phi per row.
     """
 
     def __init__(self, code, pool):
@@ -78,6 +79,7 @@ class _PoolTable:
         self.q = q
         self.r = {}
         self.rows = {}
+        self.projections = {}
 
     def row(self, i, l):
         row = self.rows.get((i, l))
@@ -101,6 +103,13 @@ class _PoolTable:
         row = [f.mul(g[h] ^ f.mul(lam_i, g[h + a]), inv) for h in range(a)]
         self.rows[(i, l)] = row
         return row
+
+    def projection(self, i, l):
+        """Phi c_{i,l}: entry j-1 is row (i, l) projected on phi_j."""
+        proj = self.projections.get((i, l))
+        if proj is None:
+            proj = self.projections[(i, l)] = self.code._phi_map().apply(self.row(i, l))
+        return proj
 
 
 class PMCode(RepairableCode):
@@ -133,6 +142,7 @@ class PMCode(RepairableCode):
         self.Psi = vandermonde(field, lambdas, d)
         self.Phi = self.Psi.submatrix(range(n), range(alpha))
         self._table = None  # _PoolTable of the last pool used
+        self._phi = None  # LinearMap of Phi, built on first use
 
     # --- message handling ---
 
@@ -195,6 +205,11 @@ class PMCode(RepairableCode):
             self._table = _PoolTable(self, pool)
         return self._table
 
+    def _phi_map(self):
+        if self._phi is None:
+            self._phi = LinearMap(self.Phi)
+        return self._phi
+
     def coupling_coefficient(self, i, j, l, pool):
         """Weight of transfer s_{l,i} inside the expansion of s_{i,j}.
 
@@ -202,20 +217,23 @@ class PMCode(RepairableCode):
         node i reads one transfer from every node of pool except i itself.
         The weight is node i's decoder row for source l, projected on phi_j.
         """
-        return dot(self.field, self._pool_table(pool).row(i, l), self.Phi.data[j - 1])
+        return self._pool_table(pool).projection(i, l)[j - 1]
 
     def coupling_matrix(self, failed, helpers):
         """The coupling system of a pattern with b left at zero.
 
         A depends on the lambdas alone, so no shard is needed to vet it.
+        Row (i, j) gets the weight of each other failed node l in the slot
+        of the transfer l -> i.
         """
         failed = tuple(sorted(failed))
         pool = frozenset(failed) | frozenset(helpers)
         system = CouplingSystem(self.field, failed)
-        for i, j in unknown_pairs(failed):
+        slot = system.slot
+        for row, (i, j) in zip(system.A.data, system.pairs):
             for l in failed:
                 if l != i:
-                    system.add_entry((i, j), (l, i), self.coupling_coefficient(i, j, l, pool))
+                    row[slot[(l, i)]] ^= self.coupling_coefficient(i, j, l, pool)
         return system
 
     def _assemble(self, shards, failed, helpers):
@@ -288,7 +306,11 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
     Multi-repair of e nodes needs d-e+1 >= k helpers, so e is capped at
     min(e_max, n-k, k-1). Singularity only depends on the lambdas, never
     on the message, so candidates are vetted by the determinant of the
-    coupling matrix alone; no message is encoded.
+    coupling matrix alone; no message is encoded. A trial stops counting
+    once it has as many singular patterns as the best trial so far, which
+    it then cannot beat. Returns the first clean lambdas, or raises
+    AssignmentNotFoundError with the first lambdas of fewest singular
+    patterns.
     """
     from itertools import combinations
 
@@ -296,22 +318,22 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
 
     e_cap = min(e_max, n - k, k - 1)
     rng = random.Random(seed)
+    elements = list(field.elements())
     best = None
     best_bad = None
-    for _ in range(trials):
-        if n > field.size:
-            break
-        lambdas = rng.sample(list(field.elements()), n)
+    for _ in range(trials if n <= field.size else 0):
+        lambdas = rng.sample(elements, n)
         try:
             code = PMCode(field, n, k, lambdas)
         except ValueError:
             continue
         bad = 0
-        for e in range(2, e_cap + 1):
-            for pattern in combinations(code.node_ids(), e):
-                helpers = [i for i in code.node_ids() if i not in pattern][: code.d - e + 1]
-                if code.coupling_matrix(pattern, helpers).determinant() == 0:
-                    bad += 1
+        for pattern in (p for e in range(2, e_cap + 1) for p in combinations(code.node_ids(), e)):
+            helpers = [i for i in code.node_ids() if i not in pattern][: code.d - len(pattern) + 1]
+            if code.coupling_matrix(pattern, helpers).determinant() == 0:
+                bad += 1
+                if best_bad is not None and bad >= best_bad:
+                    break
         if bad == 0:
             return lambdas
         if best_bad is None or bad < best_bad:

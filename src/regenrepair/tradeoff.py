@@ -10,9 +10,12 @@ arithmetic here is exact rational (fractions.Fraction), no floats.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import neg
+from typing import NamedTuple
 
 RationalLike = Fraction | int
 
@@ -200,24 +203,42 @@ def gamma_mbmr(params: SystemParams) -> Fraction:
     return Fraction(d, d * h - e * (h * (h - 1) // 2)) * M
 
 
-def _segments(params: SystemParams) -> list[tuple[Fraction, Fraction, Fraction, int]]:
-    """Linear pieces (gamma_lo, gamma_hi, g_coef, den) with
-    alpha*(gamma) = (M - gamma*g_coef)/den on [gamma_lo, gamma_hi],
-    sorted by gamma ascending. Empty for the single-point regime k <= e."""
-    k, e = params.k, params.e
+class _Segments(NamedTuple):
+    """The linear pieces of alpha*(gamma) and its breakpoints.
+
+    pieces holds (gamma_lo, gamma_hi, g_coef, den) with
+    alpha*(gamma) = (M - gamma*g_coef)/den on [gamma_lo, gamma_hi], gamma
+    ascending; it is empty in the single-point regime k <= e. gammas and
+    alphas are the breakpoints: gamma_lo of the first piece, then gamma_hi
+    of each, with alpha* there (M and M/k alone when there is no piece).
+    gammas rise, alphas fall, and the last alpha is M/k.
+    """
+
+    pieces: list[tuple[Fraction, Fraction, Fraction, int]]
+    gammas: list[Fraction]
+    alphas: list[Fraction]
+
+
+def _segments(params: SystemParams) -> _Segments:
+    """The pieces of alpha*(gamma) with alpha* computed once at every
+    breakpoint, so that a query bisects instead of rescanning the pieces."""
+    M, k, e = params.M, params.k, params.e
     if k <= e:
-        return []
+        return _Segments([], [Fraction(M)], [M / Fraction(k)])
     eta, r = params.eta, params.r
-    segs = []
+    pieces = []
     if r == 0:
         # eta >= 2 here (eta == 1 would mean k == e)
         for i in range(1, eta):
-            segs.append((_f(params, i - 1), _f(params, i), _g(params, i), i * e))
+            pieces.append((_f(params, i - 1), _f(params, i), _g(params, i), i * e))
     else:
-        segs.append((gamma_mbmr(params), _f(params, 0), _g(params, 0), r))
+        pieces.append((gamma_mbmr(params), _f(params, 0), _g(params, 0), r))
         for i in range(1, eta):
-            segs.append((_f(params, i - 1), _f(params, i), _g(params, i), r + i * e))
-    return segs
+            pieces.append((_f(params, i - 1), _f(params, i), _g(params, i), r + i * e))
+    lo0, _, g0, den0 = pieces[0]
+    gammas = [lo0] + [hi for _, hi, _, _ in pieces]
+    alphas = [(M - lo0 * g0) / den0] + [(M - hi * g) / den for _, hi, g, den in pieces]
+    return _Segments(pieces, gammas, alphas)
 
 
 def alpha_star(params: SystemParams, gamma: RationalLike) -> Fraction:
@@ -229,8 +250,7 @@ def alpha_star(params: SystemParams, gamma: RationalLike) -> Fraction:
         raise InfeasibleBandwidthError(
             f"gamma={gamma} below minimum feasible bandwidth {floor}"
         )
-    segs = _segments(params)
-    for lo, hi, g, den in segs:
+    for lo, hi, g, den in _segments(params).pieces:
         if gamma <= hi:
             return (M - gamma * g) / den
     return M / Fraction(k)
@@ -239,18 +259,8 @@ def alpha_star(params: SystemParams, gamma: RationalLike) -> Fraction:
 def tradeoff_curve(params: SystemParams) -> list[CurvePoint]:
     """Breakpoints of alpha*(gamma), gamma ascending; the function is
     linear between consecutive rows and flat at M/k after the last."""
-    return _curve(params, _segments(params))
-
-
-def _curve(params: SystemParams, segs) -> list[CurvePoint]:
-    if not segs:
-        return [CurvePoint(Fraction(params.M), params.M / Fraction(params.k), 0)]
-    pts = []
-    lo0, _, g0, den0 = segs[0]
-    pts.append(CurvePoint(lo0, (params.M - lo0 * g0) / den0, 0))
-    for idx, (lo, hi, g, den) in enumerate(segs):
-        pts.append(CurvePoint(hi, (params.M - hi * g) / den, idx + 1))
-    return pts
+    segs = _segments(params)
+    return [CurvePoint(g, a, t) for t, (g, a) in enumerate(zip(segs.gammas, segs.alphas))]
 
 
 def gamma_min_for_alpha(params: SystemParams, alpha: RationalLike) -> Fraction:
@@ -258,20 +268,19 @@ def gamma_min_for_alpha(params: SystemParams, alpha: RationalLike) -> Fraction:
     return _gamma_min(params, _segments(params), Fraction(alpha))
 
 
-def _gamma_min(params: SystemParams, segs, alpha: Fraction) -> Fraction:
-    M, k = params.M, params.k
-    if alpha < M / Fraction(k):
+def _gamma_min(params: SystemParams, segs: _Segments, alpha: Fraction) -> Fraction:
+    """Least gamma with alpha*(gamma) <= alpha: the first breakpoint at or
+    below alpha is found by bisection over segs.alphas (falling), and
+    gamma is read off the piece that ends there."""
+    alphas = segs.alphas
+    if alpha < alphas[-1]:
+        M, k = params.M, params.k
         raise ValueError(f"alpha={alpha} below M/k={M / Fraction(k)}; no gamma suffices")
-    if not segs:
-        return Fraction(M)
-    lo0, _, g0, den0 = segs[0]
-    if alpha >= (M - lo0 * g0) / den0:
-        return lo0
-    for lo, hi, g, den in segs:
-        a_hi = (M - hi * g) / den  # alpha shrinks as gamma grows
-        if alpha >= a_hi:
-            return (M - den * alpha) / g
-    return segs[-1][1]
+    if alpha >= alphas[0]:
+        return segs.gammas[0]
+    t = bisect_left(alphas, -alpha, 1, key=neg)
+    _, _, g, den = segs.pieces[t - 1]
+    return (params.M - den * alpha) / g
 
 
 # -- named operating points ------------------------------------------
@@ -345,9 +354,9 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
     segs_single = _segments(single)
     segs_fewer = _segments(fewer) if fewer else None
     if alphas is None:
-        cand = {pt.alpha for pt in _curve(params, segs) + _curve(single, segs_single)}
+        cand = set(segs.alphas) | set(segs_single.alphas)
         if fewer:
-            cand |= {pt.alpha for pt in _curve(fewer, segs_fewer)}
+            cand |= set(segs_fewer.alphas)
         grid = sorted(cand)
         mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
         alphas = sorted(set(grid) | set(mids))

@@ -1,4 +1,4 @@
-"""The per-family paths that compiled linear maps replaced, kept as test references.
+"""The paths that faster ones replaced, kept as test references.
 
 Before encode, read-back and the IA, MDS and AMBR repairs ran as cached
 gf.LinearMap products and repair plans, each family encoded by its own
@@ -10,10 +10,23 @@ on theta. Those paths live on here, unchanged in arithmetic, as the
 references tests/test_compiled_maps.py and tests/test_repair_plans.py hold
 the maps and plans to. Input checks are left to the library calls they are
 compared with.
+
+So do the vetting paths of the coefficient searches and the tradeoff
+queries: one elimination per square submatrix for superregularity, IA and
+PM coupling matrices built entry by entry through add_entry (PM's weights
+by one dot per (i, j, l)), both searches vetting every pattern of every
+trial by its determinant, and gamma_min rescanning every linear piece.
 """
 
-from regenrepair.framework import RepairTranscript
-from regenrepair.gf import Matrix, dot, mat_mul, mat_solve, mat_vec
+import random
+from fractions import Fraction
+from itertools import combinations
+
+from regenrepair.framework import CouplingSystem, RepairTranscript, unknown_pairs
+from regenrepair.gf import Matrix, dot, mat_det, mat_mul, mat_solve, mat_vec
+from regenrepair.ia import IACode
+from regenrepair.pm import PMCode
+from regenrepair.tradeoff import SystemParams, _f, _g, gamma_mbmr
 
 
 def vec_mat(v, a):
@@ -305,3 +318,179 @@ def ambr_repair(code, shards, failed, helpers, d):
             per_helper[src] += code.z
         contents[target] = _ambr_regenerate(code, sources, transfers, code.d_min)
     return contents, RepairTranscript(per_helper)
+
+
+# --- coefficient searches: full determinant counts, no early stop ---
+
+
+def all_square_submatrices_invertible(a):
+    """One elimination per square submatrix."""
+    for s in range(1, min(a.rows, a.cols) + 1):
+        for rs in combinations(range(a.rows), s):
+            for cs in combinations(range(a.cols), s):
+                if mat_det(a.submatrix(rs, cs)) == 0:
+                    return False
+    return True
+
+
+def ia_coupling_system(code, failed):
+    """IA's coupling matrix and known terms, entry by entry."""
+    failed = tuple(sorted(failed))
+    system = CouplingSystem(code.field, failed)
+    known = {}
+    for pair in unknown_pairs(failed):
+        known[pair] = []
+        for src, dst, coeff in code._expand_terms(*pair):
+            if src in failed:
+                system.add_entry(pair, (src, dst), coeff)
+            else:
+                known[pair].append((src, dst, coeff))
+    return system, known
+
+
+def ia_field_search(field, k, e_max, trials=200, seed=0):
+    """ia.field_search counting every singular pattern of every trial by
+    its determinant; returns (code, None) or (None, (best, best_failures))."""
+    rng = random.Random(seed)
+    e_cap = min(e_max, k)
+    best = None
+    best_bad = None
+    for trial in range(trials):
+        try:
+            if trial == 0:
+                code = IACode(field, k)
+            else:
+                data = [[rng.randrange(1, field.size) for _ in range(k)] for _ in range(k)]
+                p = Matrix(field, data)
+                if not all_square_submatrices_invertible(p):
+                    continue
+                kappas = [x for x in field.elements() if x not in (0, 1)]
+                code = IACode(field, k, P=p, kappa=kappas[rng.randrange(len(kappas))])
+        except ValueError:
+            continue
+        bad = 0
+        for e in range(2, e_cap + 1):
+            for pattern in combinations(code.node_ids(), e):
+                if ia_coupling_system(code, pattern)[0].determinant() == 0:
+                    bad += 1
+        if bad == 0:
+            return code, None
+        if best_bad is None or bad < best_bad:
+            best, best_bad = code, bad
+    return None, (best, best_bad)
+
+
+def pm_coupling_matrix(code, failed, helpers):
+    """PM's coupling matrix, one dot of a decoder row with phi_j per entry."""
+    failed = tuple(sorted(failed))
+    table = code._pool_table(frozenset(failed) | frozenset(helpers))
+    system = CouplingSystem(code.field, failed)
+    for i, j in unknown_pairs(failed):
+        for l in failed:
+            if l != i:
+                system.add_entry((i, j), (l, i), dot(code.field, table.row(i, l), code.Phi.data[j - 1]))
+    return system
+
+
+def pm_field_search(field, n, k, e_max, trials=200, seed=0):
+    """pm.field_search counting every singular pattern of every trial;
+    returns (lambdas, None) or (None, (best, best_failures))."""
+    e_cap = min(e_max, n - k, k - 1)
+    rng = random.Random(seed)
+    best = None
+    best_bad = None
+    for _ in range(trials):
+        if n > field.size:
+            break
+        lambdas = rng.sample(list(field.elements()), n)
+        try:
+            code = PMCode(field, n, k, lambdas)
+        except ValueError:
+            continue
+        bad = 0
+        for e in range(2, e_cap + 1):
+            for pattern in combinations(code.node_ids(), e):
+                helpers = [i for i in code.node_ids() if i not in pattern][: code.d - e + 1]
+                if mat_det(pm_coupling_matrix(code, pattern, helpers).A) == 0:
+                    bad += 1
+        if bad == 0:
+            return lambdas, None
+        if best_bad is None or bad < best_bad:
+            best, best_bad = lambdas, bad
+    return None, (best, best_bad)
+
+
+# --- tradeoff: every query rescans the linear pieces ---
+
+
+def segments(params):
+    """The pieces (gamma_lo, gamma_hi, g_coef, den) of alpha*(gamma)."""
+    k, e = params.k, params.e
+    if k <= e:
+        return []
+    eta, r = params.eta, params.r
+    segs = []
+    if r == 0:
+        for i in range(1, eta):
+            segs.append((_f(params, i - 1), _f(params, i), _g(params, i), i * e))
+    else:
+        segs.append((gamma_mbmr(params), _f(params, 0), _g(params, 0), r))
+        for i in range(1, eta):
+            segs.append((_f(params, i - 1), _f(params, i), _g(params, i), r + i * e))
+    return segs
+
+
+def curve_alphas(params, segs):
+    """alpha* at every breakpoint of the curve, gamma ascending."""
+    M = params.M
+    if not segs:
+        return [M / Fraction(params.k)]
+    lo0, _, g0, den0 = segs[0]
+    return [(M - lo0 * g0) / den0] + [(M - hi * g) / den for lo, hi, g, den in segs]
+
+
+def gamma_min(params, segs, alpha):
+    M, k = params.M, params.k
+    if alpha < M / Fraction(k):
+        raise ValueError("alpha below M/k")
+    if not segs:
+        return Fraction(M)
+    lo0, _, g0, den0 = segs[0]
+    if alpha >= (M - lo0 * g0) / den0:
+        return lo0
+    for lo, hi, g, den in segs:
+        a_hi = (M - hi * g) / den
+        if alpha >= a_hi:
+            return (M - den * alpha) / g
+    return segs[-1][1]
+
+
+def gamma_min_for_alpha(params, alpha):
+    return gamma_min(params, segments(params), Fraction(alpha))
+
+
+def compare_strategies(params):
+    """compare_strategies' (rows as tuples, msmr_ratio) by linear scans."""
+    M, n, k, d, e = params.M, params.n, params.k, params.d, params.e
+    single = SystemParams(M, n, k, d, 1)
+    fewer = SystemParams(M, max(n, d + 1), k, d - e + 1, e) if d - e + 1 >= k else None
+    grid = sorted(
+        set(curve_alphas(params, segments(params)))
+        | set(curve_alphas(single, segments(single)))
+        | (set(curve_alphas(fewer, segments(fewer))) if fewer else set())
+    )
+    alphas = sorted(set(grid) | {(a + b) / 2 for a, b in zip(grid, grid[1:])})
+    rows = [
+        (
+            alpha,
+            gamma_min_for_alpha(params, alpha),
+            e * gamma_min_for_alpha(single, alpha),
+            gamma_min_for_alpha(fewer, alpha) if fewer else None,
+        )
+        for alpha in alphas
+    ]
+    ratio = None
+    if fewer:
+        a0 = M / Fraction(k)
+        ratio = gamma_min_for_alpha(fewer, a0) / (e * gamma_min_for_alpha(single, a0))
+    return rows, ratio

@@ -150,3 +150,22 @@ def test_full_cache_drops_the_least_recently_used_entry():
     assert "encode" in code._maps and ("filler", 0) in code._maps
     assert ("filler", 1) not in code._maps and ("filler", 2 * MAP_CACHE_LIMIT - 1) in code._maps
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("family", ["ambr", "ia", "pm"])
+def test_generator_outlives_a_full_cache(family):
+    """Warm encodes never read the generator, so newer entries must not
+    push it out: after a full cache turns over, a read map is compiled
+    from the generator built for the first encode. (MDS builds its
+    generator in the constructor.)"""
+    code = CODES[family][0]()
+    built = []
+    generator = code._generator
+    code._generator = lambda: built.append(1) or generator()
+    msg = code.random_message(random.Random(6))
+    shards = code.encode(msg)
+    for i in range(2 * MAP_CACHE_LIMIT):
+        code._compiled(("filler", i), object)
+    assert "encode" not in code._maps
+    assert code.reconstruct(shards) == msg
+    assert len(built) == 1

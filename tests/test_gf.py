@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_paths as ref
 from regenrepair.gf import (
     DEFAULT_MODULI,
     DuplicatePointError,
@@ -346,6 +347,35 @@ def test_all_submatrix_check_catches_zero_entry():
     m = Matrix(f, [[0, 1], [1, 0]])
     assert mat_det(m) != 0
     assert not all_square_submatrices_invertible(m)
+
+
+@st.composite
+def superregular_candidates(draw):
+    """A matrix over GF(2^m), m = 1..8 or 13, of up to 6 x 6: random
+    entries (small fields fail early, large ones often pass), or a Cauchy
+    matrix with scaled rows and columns (every minor nonzero), perhaps
+    with one entry changed, which can zero minors of any size."""
+    m = draw(st.sampled_from(list(range(1, 9)) + [13]))
+    field = Field(m)
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    elem = st.integers(0, field.size - 1)
+    if rows + cols > field.size or draw(st.booleans()):
+        return Matrix(field, draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+    points = draw(st.lists(elem, min_size=rows + cols, max_size=rows + cols, unique=True))
+    nonzero = st.integers(1, field.size - 1)
+    left = draw(st.lists(nonzero, min_size=rows, max_size=rows))
+    right = draw(st.lists(nonzero, min_size=cols, max_size=cols))
+    c = cauchy(field, points[:rows], points[rows:]).data
+    data = [[field.mul(left[r], field.mul(c[r][j], right[j])) for j in range(cols)] for r in range(rows)]
+    if draw(st.booleans()):
+        data[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(elem)
+    return Matrix(field, data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(superregular_candidates())
+def test_superregularity_by_minors_matches_one_elimination_per_submatrix(a):
+    assert all_square_submatrices_invertible(a) == ref.all_square_submatrices_invertible(a)
 
 
 # --- compiled linear maps: byte tables and the split-table executor ---

@@ -9,9 +9,11 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_paths as ref
 from regenrepair.framework import SingularCouplingError
-from regenrepair.gf import Field, Matrix, all_square_submatrices_invertible, mat_mul
+from regenrepair.gf import Field, Matrix, all_square_submatrices_invertible, cauchy, mat_mul
 from regenrepair.ia import IACode, UnsupportedPatternError, default_kappa, field_search
 from regenrepair.workbench import AssignmentNotFoundError, verify_exact_repair
 
@@ -162,6 +164,46 @@ def test_condition_check_matches_determinant_random_p():
             assert code.condition_check(pat) == (system.determinant() != 0)
 
 
+@st.composite
+def random_ia_codes(draw):
+    """IACode(k) over GF(2^m), m = 3..8, k = 2..5, with a random kappa and
+    a random superregular P: random entries where a few draws find one,
+    else a Cauchy matrix on random points with scaled rows and columns."""
+    m = draw(st.integers(3, 8))
+    k = draw(st.integers(2, 5 if m > 3 else 4))
+    field = Field(m)
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(20):
+        p = Matrix(field, [[rng.randrange(1, field.size) for _ in range(k)] for _ in range(k)])
+        if all_square_submatrices_invertible(p):
+            break
+    else:
+        points = rng.sample(range(field.size), 2 * k)
+        c = cauchy(field, points[:k], points[k:]).data
+        left = [rng.randrange(1, field.size) for _ in range(k)]
+        right = [rng.randrange(1, field.size) for _ in range(k)]
+        p = Matrix(field, [[field.mul(left[r], field.mul(c[r][j], right[j])) for j in range(k)] for r in range(k)])
+    return IACode(field, k, P=p, kappa=rng.randrange(2, field.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_ia_codes())
+def test_coupling_system_and_closed_forms_on_random_codes(code):
+    """On every pattern of e = 2..k the coupling system equals the one built
+    entry by entry, and on every shape a closed form covers, condition_check
+    is det(A) != 0: field_search trusts it in place of the determinant."""
+    for e in range(2, code.k + 1):
+        for pat in combinations(code.node_ids(), e):
+            system, known = code.coupling_system(pat)
+            want, want_known = ref.ia_coupling_system(code, pat)
+            assert system.A == want.A and known == want_known
+            try:
+                covered = code.condition_check(pat)
+            except UnsupportedPatternError:
+                continue
+            assert covered == (system.determinant() != 0), pat
+
+
 def test_unsupported_shape_raises():
     code = IACode(F256, 5)
     with pytest.raises(UnsupportedPatternError):
@@ -295,6 +337,29 @@ def test_field_search_found_and_not_found():
     with pytest.raises(AssignmentNotFoundError) as err:
         field_search(F4, 3, e_max=3, trials=40, seed=0)
     assert err.value.best_failures == 9
+
+
+@pytest.mark.parametrize(
+    "m, k, e_max, trials, seed",
+    # found at trial 0 or later; not found, with later trials that beat the
+    # first, tie it, or lose to it; k = 5, whose mixed e = 5 shapes have no
+    # closed form; and k = 6, where some of the e = 5 shapes without one
+    # are singular
+    [(5, 4, 4, 10, 0), (4, 3, 3, 12, 1), (2, 2, 2, 5, 0), (3, 3, 3, 12, 0), (3, 3, 3, 12, 2),
+     (4, 3, 3, 12, 0), (4, 4, 4, 20, 3), (2, 3, 3, 40, 0), (4, 5, 5, 4, 1), (5, 5, 5, 3, 0),
+     (8, 6, 5, 2, 0)],
+)
+def test_field_search_matches_full_determinant_count(m, k, e_max, trials, seed):
+    field = Field(m)
+    want, fallback = ref.ia_field_search(field, k, e_max, trials, seed)
+    try:
+        code = field_search(field, k, e_max, trials, seed)
+    except AssignmentNotFoundError as err:
+        assert want is None
+        best, best_failures = fallback
+        assert (err.best.P, err.best.kappa, err.best_failures) == (best.P, best.kappa, best_failures)
+        return
+    assert want is not None and (code.P, code.kappa) == (want.P, want.kappa)
 
 
 def test_descriptor():

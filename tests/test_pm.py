@@ -6,13 +6,14 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference_paths as ref
 from regenrepair.framework import (
     CouplingSystem,
     InvalidRepairInputError,
     SingularCouplingError,
     unknown_pairs,
 )
-from regenrepair.gf import Field, mat_det, mat_inv, mat_solve
+from regenrepair.gf import Field, dot, mat_det, mat_inv, mat_solve
 from regenrepair.pm import PMCode, field_search
 from regenrepair.workbench import AssignmentNotFoundError, run_sweep, verify_exact_repair
 
@@ -200,6 +201,39 @@ def test_coupling_matrix_is_assemble_multis_matrix_without_shards():
     assert system.b == [0] * system.size
     assembled, _ = code.assemble_multi(shards, failed, helpers)
     assert system.A == assembled.A
+
+
+@pytest.mark.parametrize("field, n, k", [(F16, 9, 5), (F256, 11, 6), (Field(10), 9, 5), (Field(13), 7, 4)])
+def test_coupling_coefficient_is_the_row_projected_on_phi(field, n, k):
+    """Every (i, j, l) of a pool, over fields with byte tables and past them:
+    the coefficient read from the row's product with Phi is the dot product
+    of the row with phi_j."""
+    code = PMCode(field, n, k)
+    pool = tuple(range(2, code.d + 3)) if n > code.d + 1 else tuple(code.node_ids())
+    table = code._pool_table(pool)
+    for i, l in itertools.permutations(pool, 2):
+        for j in code.node_ids():
+            want = dot(field, table.row(i, l), code.Phi.data[j - 1])
+            assert code.coupling_coefficient(i, j, l, pool) == want, (i, j, l)
+
+
+@pytest.mark.parametrize(
+    "field, n, k, e_max, trials, seed",
+    # not found, with later trials better, worse and tied; found after
+    # losing trials, and at trial 0; no candidate at all; pools of d+1 < n
+    # nodes, where the helpers of a pattern are a choice
+    [(Field(5), 11, 6, 3, 6, 0), (Field(5), 11, 6, 3, 6, 1), (Field(5), 11, 6, 3, 4, 2),
+     (F16, 9, 5, 4, 8, 0), (F16, 9, 5, 4, 8, 1), (Field(3), 7, 4, 3, 8, 0), (F16, 7, 4, 3, 8, 0),
+     (Field(5), 11, 5, 3, 4, 1), (Field(5), 12, 4, 2, 6, 0)],
+)
+def test_field_search_matches_full_determinant_count(field, n, k, e_max, trials, seed):
+    want, fallback = ref.pm_field_search(field, n, k, e_max, trials, seed)
+    try:
+        got = field_search(field, n, k, e_max, trials, seed)
+    except AssignmentNotFoundError as err:
+        assert want is None and (err.best, err.best_failures) == fallback
+        return
+    assert got == want
 
 
 def test_coupling_coefficient_rejects_nodes_outside_the_pool():

@@ -27,6 +27,7 @@ from regenrepair.tradeoff import (
     tradeoff_curve,
 )
 
+import reference_paths as ref
 from exhaustive import exhaustive_min_cut
 
 
@@ -313,6 +314,46 @@ def test_compare_strategies_rows_match_gamma_min_for_alpha():
             assert row.gamma_separate == e * gamma_min_for_alpha(single, row.alpha)
             want = gamma_min_for_alpha(fewer, row.alpha) if fewer else None
             assert row.gamma_centralized_fewer == want
+
+
+@st.composite
+def params_and_alphas(draw):
+    """Random params with alphas at every breakpoint of the three curves
+    compare_strategies reads, halfway between them, at M/k, past the top
+    breakpoint, just below M/k, and drawn at random."""
+    k = draw(st.integers(1, 20))
+    e = draw(st.integers(1, 8))
+    d = draw(st.integers(k, k + 8))
+    n = d + e + draw(st.integers(0, 3))
+    M = F(draw(st.integers(1, 10**6)), draw(st.integers(1, 1000)))
+    params = SystemParams(M, n, k, d, e)
+    single = SystemParams(M, n, k, d, 1)
+    curves = [params, single] + ([SystemParams(M, n, k, d - e + 1, e)] if d - e + 1 >= k else [])
+    points = sorted({a for p in curves for a in ref.curve_alphas(p, ref.segments(p))})
+    alphas = points + [(a + b) / 2 for a, b in zip(points, points[1:])]
+    alphas += [points[-1] * 2, M / k - F(1, 10**9)]
+    alphas += [M / k + F(draw(st.integers(0, 10**6)), draw(st.integers(1, 10**4))) for _ in range(4)]
+    return params, single, alphas
+
+
+@settings(max_examples=100, deadline=None)
+@given(params_and_alphas())
+def test_bisected_gamma_min_matches_linear_scan(case):
+    params, single, alphas = case
+    report = compare_strategies(params)
+    rows, ratio = ref.compare_strategies(params)
+    assert [(r.alpha, r.gamma_centralized, r.gamma_separate, r.gamma_centralized_fewer) for r in report.rows] == rows
+    assert report.msmr_ratio == ratio
+    assert [pt.alpha for pt in tradeoff_curve(params)] == ref.curve_alphas(params, ref.segments(params))
+    for p in (params, single):
+        for alpha in alphas:
+            try:
+                want = ref.gamma_min_for_alpha(p, alpha)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    gamma_min_for_alpha(p, alpha)
+                continue
+            assert gamma_min_for_alpha(p, alpha) == want
 
 
 def test_compare_strategies_checks_the_msmr_ratio_without_assert(monkeypatch):
