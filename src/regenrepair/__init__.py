@@ -11,7 +11,6 @@ from .framework import (
     CouplingSystem,
     InvalidHelperCountError,
     InvalidRepairInputError,
-    RepairProblem,
     RepairTranscript,
     SingularCouplingError,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "MDSStripeCode",
     "Matrix",
     "PMCode",
-    "RepairProblem",
     "RepairTranscript",
     "Scenario",
     "SingularCouplingError",

@@ -142,19 +142,14 @@ class AdaptiveMBRCode(RepairableCode):
     repair_multi = RepairableCode.repair_multi
 
     def _plan_key(self, shards, failed, helpers=None, d=None):
-        failed = tuple(sorted(set(failed)))
-        e = len(failed)
-        if not 1 <= e <= self.k:
+        if len(set(failed)) > self.k:
             raise ValueError("can repair 1..k nodes at once")
-        if set(failed) & set(shards):
-            raise ValueError("failed nodes must be erased")
         if d is None:
             d = self.d_min
         if not self.d_min <= d <= self.d_max:
             raise InvalidHelperCountError("repair degree %d out of range" % d)
-        if e + d > self.n:
-            raise InvalidHelperCountError("need e + d <= n")
-        return ("repair", failed, d, self._degree_helpers(shards, failed, helpers, d))
+        failed, helpers = self._repair_nodes(shards, failed, helpers, d)
+        return ("repair", failed, d, helpers)
 
     def _compile_plan(self, failed, d, helpers):
         """The sequential repair folded into one plan.

@@ -398,7 +398,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except SingularCouplingError as exc:
-        print("error: repair system is singular for failed nodes %s" % (exc.failed,), file=sys.stderr)
+        print(
+            "error: repair system is singular for failed nodes %s; dependent transfers %s"
+            % (exc.failed, exc.dependent),
+            file=sys.stderr,
+        )
         return EXIT_VERIFY
     except AssignmentNotFoundError as exc:
         print("error: %s" % exc, file=sys.stderr)

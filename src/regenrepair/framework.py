@@ -14,11 +14,16 @@ Once the code and the failure pattern are fixed, the whole repair, the
 coupling solve included, is one linear map from the helpers' shards to the
 lost shards. A RepairPlan holds it as one send map per helper (its shard ->
 the symbols it sends) and one decode map (the received symbols -> the lost
-shards). RepairableCode.repair_multi validates the request, fetches the
-pattern's plan from the code's cache or has the family compile it, and
-applies it; the transcript counts the rows of each send map. IA, MDS and
-adaptive MBR repair this way. PM repairs symbolically, through
-CouplingSystem.solve and solve_and_regenerate, on every call.
+shards). RepairableCode.repair_multi has the family check its own rules
+and name the pattern's plan, fetches the plan from the code's cache or has
+the family compile it, and applies it; the transcript counts the rows of
+each send map. IA, MDS and adaptive MBR repair this way. PM repairs
+symbolically, assembling and solving its CouplingSystem on every call,
+and its transcript counts the transfers it computed.
+
+Every family takes the same request: e failed nodes, none holding a shard,
+and a helper set whose size the family fixes (PM d-e+1, IA n-e, MDS and
+adaptive MBR d). RepairableCode._repair_nodes checks it once for all four.
 
 Encode and read-back are the same in every family: encode applies the
 generator matrix (message -> all shards), reconstruct the inverse of the
@@ -59,15 +64,18 @@ class InvalidRepairInputError(ValueError):
     """A repair or reconstruct was handed unknown node ids or malformed shards."""
 
 
-def check_input(code, shards, length, readers, others=()):
+def check_input(code, shards, length, readers, ids=()):
     """Refuse unknown node ids and malformed shards before any arithmetic.
 
-    Every id in readers and others must lie in 1..code.n, and the shard of
-    each reader must hold length symbols of code.field.
+    Every id in ids must be an int in 1..code.n (bools, floats and strings
+    are refused before anything compares or sorts them), and the shard of
+    each reader must hold length symbols of code.field. Readers are node
+    ids already checked: keys of shards or ids passed in an earlier call.
     """
-    bad = sorted(m for m in (*readers, *others) if not 1 <= m <= code.n)
+    n = code.n
+    bad = [m for m in ids if type(m) is not int or not 1 <= m <= n]
     if bad:
-        raise InvalidRepairInputError("node ids out of range 1..%d: %s" % (code.n, bad))
+        raise InvalidRepairInputError("node ids not ints in 1..%d: %s" % (n, bad))
     for node in readers:
         if not _is_word(code.field, shards[node], length):
             raise InvalidRepairInputError(
@@ -99,10 +107,13 @@ class RepairableCode:
     A family gives n, k, field, message_length, shard_length and its
     generator, through _generator() or generator_matrix(). A family that
     repairs by plans gives _plan_key and _compile_plan; PM keeps its own
-    repair_multi. Each family binds encode, reconstruct and repair_multi in
-    its own class body, so that they can be wrapped per family; keyword
-    arguments such as an explicit repair degree d pass through to
-    repair_multi.
+    repair_multi. Either way a repair request goes through _repair_nodes,
+    which checks what every family's request shares; the family checks
+    only its own rules (how many nodes it repairs at once, its degrees)
+    and passes its helper count. Each family binds encode, reconstruct and
+    repair_multi in its own class body, so that they can be wrapped per
+    family; keyword arguments such as an explicit repair degree d pass
+    through to repair_multi.
     """
 
     def node_ids(self):
@@ -124,7 +135,7 @@ class RepairableCode:
     def repair_multi(self, shards, failed, helpers=None, **degree):
         """Regenerate the failed nodes from the helpers' shards.
 
-        The family's _plan_key validates the request and names its plan,
+        The family's _plan_key checks the request and names its plan,
         ("repair", ...) with the rest of the key the arguments of the
         family's _compile_plan. The plan is compiled on first use and
         cached with the code.
@@ -133,17 +144,34 @@ class RepairableCode:
         plan = self._compiled(key, lambda: self._compile_plan(*key[1:]))
         return plan.apply(shards), plan.transcript()
 
-    def _degree_helpers(self, shards, failed, helpers, d):
-        """The d helpers of a repair of degree d, the first d survivors by
-        default, checked with their shards."""
+    def _repair_nodes(self, shards, failed, helpers, count):
+        """The failed nodes and the count helpers of a repair, both sorted.
+
+        Failed ids, shard keys and explicit helpers must be node ids; at
+        least one node failed and none of them holds a shard
+        (InvalidRepairInputError). The helpers are count distinct nodes
+        that hold shards, the first count in node order by default
+        (InvalidHelperCountError), and their shards are checked.
+        """
+        check_input(self, shards, self.shard_length, (), chain(failed, shards, helpers or ()))
+        failed = tuple(sorted(set(failed)))
+        if not failed or not shards.keys().isdisjoint(failed):
+            raise InvalidRepairInputError("need at least one failed node, none holding a shard")
         if helpers is None:
-            helpers = [h for h in sorted(shards) if h not in failed][:d]
-        helpers = tuple(sorted(helpers))
-        if len(helpers) != d or any(h not in shards for h in helpers):
-            raise InvalidHelperCountError("need shards from exactly d = %d helpers" % d)
-        check_input(self, shards, self.shard_length, helpers, failed)
-        RepairProblem(failed=failed, helpers=helpers)
-        return helpers
+            helpers = self.default_helpers(shards, failed, count)
+        else:
+            helpers = tuple(sorted(helpers))
+            if len(set(helpers)) != count or len(helpers) != count or any(h not in shards for h in helpers):
+                raise InvalidHelperCountError("need shards from exactly %d distinct helpers" % count)
+        check_input(self, shards, self.shard_length, helpers)
+        return failed, helpers
+
+    def default_helpers(self, shards, failed, count):
+        """The first count nodes in node order that hold a shard and did not fail."""
+        live = [i for i in sorted(shards) if i not in failed]
+        if len(live) < count:
+            raise InvalidHelperCountError("need %d helpers, %d nodes are live" % (count, len(live)))
+        return tuple(live[:count])
 
     def generator_matrix(self):
         """Message -> every node's shard, node after node (n*shard_length x M).
@@ -165,9 +193,10 @@ class RepairableCode:
 
     def reconstruct(self, shards):
         """The message from the first k shards in node order."""
+        check_input(self, shards, self.shard_length, (), shards)
         nodes = tuple(sorted(shards)[: self.k])
         if len(nodes) < self.k:
-            raise ValueError("need at least k shards")
+            raise InvalidRepairInputError("need at least k = %d shards" % self.k)
         check_input(self, shards, self.shard_length, nodes)
         read = self._compiled(("read", nodes), lambda: self._read_map(nodes))
         return read.apply([x for node in nodes for x in shards[node]])
@@ -202,35 +231,6 @@ class RepairableCode:
         from .workbench import run_sweep
 
         return run_sweep(self, e, seed=seed, sample=sample, **degree)
-
-
-@dataclass(frozen=True)
-class RepairProblem:
-    """One centralized repair instance: who failed, who helps, transfer size."""
-
-    failed: tuple
-    helpers: tuple
-    beta: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "failed", tuple(sorted(self.failed)))
-        object.__setattr__(self, "helpers", tuple(sorted(self.helpers)))
-        if not self.failed:
-            raise ValueError("need at least one failed node")
-        if not self.helpers:
-            raise ValueError("need at least one helper")
-        if len(set(self.failed)) != len(self.failed):
-            raise ValueError("duplicate failed nodes")
-        if len(set(self.helpers)) != len(self.helpers):
-            raise ValueError("duplicate helpers")
-        if set(self.failed) & set(self.helpers):
-            raise ValueError("failed nodes cannot also be helpers")
-        if self.beta < 1:
-            raise ValueError("beta must be positive")
-
-    @property
-    def e(self):
-        return len(self.failed)
 
 
 def unknown_pairs(failed):
@@ -384,16 +384,3 @@ class RepairTranscript:
         if not self.total:
             self.total = sum(self.per_helper.values())
 
-
-def solve_and_regenerate(system, decode, problem):
-    """Solve the coupling system, then decode every failed node.
-
-    decode(failed_node, solved) must return the regenerated content given
-    the solved cross-failure transfers; the family closure carries the
-    transfers actually received from helpers. With a single failure the
-    system is empty (0 x 0) and decoding runs directly.
-    """
-    solved = system.solve() if system is not None else {}
-    contents = {f: decode(f, solved) for f in problem.failed}
-    per_helper = {h: problem.e * problem.beta for h in problem.helpers}
-    return contents, RepairTranscript(per_helper)

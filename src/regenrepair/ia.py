@@ -17,12 +17,7 @@ and the constraint kappa^2 != 1 reduces to kappa != 1.
 
 import random
 
-from .framework import (
-    CouplingSystem,
-    RepairableCode,
-    RepairPlan,
-    check_input,
-)
+from .framework import CouplingSystem, RepairableCode, RepairPlan
 from .gf import (
     LinearMap,
     Matrix,
@@ -311,18 +306,11 @@ class IACode(RepairableCode):
     repair_multi = RepairableCode.repair_multi
 
     def _plan_key(self, shards, failed, helpers=None):
-        failed_set = set(failed)
-        failed = tuple(sorted(failed_set))
-        e = len(failed)
-        if not 1 <= e <= self.k:
+        """All n-e survivors help: d-e+1 = n-e here."""
+        e = len(set(failed))
+        if e > self.k:
             raise ValueError("can repair 1..k nodes at once")
-        survivors = tuple(h for h in sorted(shards) if h not in failed_set)
-        check_input(self, shards, self.alpha, survivors, failed)
-        if len(survivors) != self.n - e or failed_set & set(shards.keys()):
-            raise ValueError("need shards from exactly the %d survivors" % (self.n - e))
-        if helpers is not None and tuple(sorted(helpers)) != survivors:
-            raise ValueError("all survivors must help: d-e+1 = n-e here")
-        return ("repair", failed)
+        return ("repair", self._repair_nodes(shards, failed, helpers, self.n - e)[0])
 
     def _compile_plan(self, failed):
         """Every survivor sends one symbol toward each failed node.

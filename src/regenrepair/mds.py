@@ -55,19 +55,15 @@ class MDSStripeCode(RepairableCode):
     repair_multi = RepairableCode.repair_multi
 
     def _plan_key(self, shards, failed, helpers=None, d=None):
-        failed = tuple(sorted(set(failed)))
-        e = len(failed)
-        if not failed or set(failed) & set(shards):
-            raise ValueError("failed nodes must be erased and nonempty")
         if d is None:
-            d = self.delta if self.mode == "fixed" else min(self.d_max, self.n - e)
+            d = self.delta if self.mode == "fixed" else min(self.d_max, self.n - len(set(failed)))
         if self.mode == "fixed" and d != self.delta:
             raise InvalidHelperCountError("fixed mode repairs with d = %d helpers" % self.delta)
-        if not self.k <= d <= self.d_max or d > self.n - e:
+        if not self.k <= d <= self.d_max:
             raise InvalidHelperCountError("repair degree %d out of range" % d)
         if self.message_length % d:
             raise InvalidHelperCountError("%d does not divide k*delta" % d)
-        helpers = self._degree_helpers(shards, failed, helpers, d)
+        failed, helpers = self._repair_nodes(shards, failed, helpers, d)
         return ("repair", failed, helpers, self.message_length // d)
 
     def _compile_plan(self, failed, helpers, beta):

@@ -18,15 +18,7 @@ the helpers' part of node i's decode projected on phi_j.
 
 import random
 
-from .framework import (
-    CouplingSystem,
-    RepairableCode,
-    RepairProblem,
-    check_input,
-    check_message,
-    solve_and_regenerate,
-    unknown_pairs,
-)
+from .framework import CouplingSystem, RepairableCode, RepairTranscript, check_message, unknown_pairs
 from .gf import LinearMap, Matrix, dot, vandermonde
 
 
@@ -192,12 +184,6 @@ class PMCode(RepairableCode):
         """The symbol a live node sends toward failed node target: w^t phi_target."""
         return dot(self.field, shard, self.Phi.data[target - 1])
 
-    def default_helpers(self, shards, failed, count):
-        live = [i for i in sorted(shards) if i not in failed]
-        if len(live) < count:
-            raise ValueError("not enough live nodes: need %d" % count)
-        return tuple(live[:count])
-
     def _pool_table(self, pool):
         """The Lagrange table of pool, kept for one pool at a time."""
         pool = frozenset(pool)
@@ -263,31 +249,24 @@ class PMCode(RepairableCode):
         return system, received
 
     def repair_multi(self, shards, failed, helpers=None):
-        failed = tuple(sorted(set(failed)))
-        e = len(failed)
-        if not 1 <= e <= min(self.n - self.k, self.k - 1):
+        """Solve the coupling system of the pattern, then finish each failed
+        node's decode with the transfers of the other failed nodes. The
+        transcript counts the transfers computed for each helper."""
+        e = len(set(failed))
+        if e > min(self.n - self.k, self.k - 1):
             raise ValueError("can repair 1..min(n-k, k-1) nodes at once")
-        want = self.d - e + 1
-        if helpers is None:
-            helpers = self.default_helpers(shards, failed, want)
-        helpers = tuple(sorted(helpers))
-        if len(helpers) != want:
-            raise ValueError("need exactly d-e+1 = %d helpers" % want)
-        if set(helpers) & set(failed) or any(h not in shards for h in helpers):
-            raise ValueError("helpers must be live non-failed nodes")
-        check_input(self, shards, self.alpha, helpers, failed)
-        problem = RepairProblem(failed=failed, helpers=helpers)
-        system, _, parts = self._assemble(shards, failed, helpers)
+        failed, helpers = self._repair_nodes(shards, failed, helpers, self.d - e + 1)
+        system, received, contents = self._assemble(shards, failed, helpers)
+        solved = system.solve() if e > 1 else {}
         table = self._pool_table(failed + helpers)
-
-        def decode(node, solved):
-            content = list(parts[node])
+        for i in failed:
             for l in failed:
-                if l != node:
-                    _axpy(self.field, content, solved[(l, node)], table.row(node, l))
-            return content
-
-        return solve_and_regenerate(system if e > 1 else None, decode, problem)
+                if l != i:
+                    _axpy(self.field, contents[i], solved[(l, i)], table.row(i, l))
+        per_helper = dict.fromkeys(helpers, 0)
+        for h, _ in received:
+            per_helper[h] += 1
+        return contents, RepairTranscript(per_helper)
 
     def descriptor(self):
         return {

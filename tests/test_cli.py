@@ -231,10 +231,13 @@ def test_repair_exit_codes(capsys, tmp_path):
         "--out", str(desc))
     run(capsys, "code", "encode", "--descriptor", str(desc), "--seed", "1",
         "--out", str(enc))
-    # mixed systematic/parity pair is singular for this field and k
-    code, _ = run(capsys, "code", "repair", "--descriptor", str(desc),
-                  "--shards", str(enc), "--failed", "1,4")
+    # mixed systematic/parity pair is singular for this field and k; the
+    # error names the transfer whose column of the coupling matrix got no pivot
+    code = main(["code", "repair", "--descriptor", str(desc), "--shards", str(enc), "--failed", "1,4"])
     assert code == VERIFY
+    assert capsys.readouterr().err == (
+        "error: repair system is singular for failed nodes (1, 4); dependent transfers ((4, 1),)\n"
+    )
     code, payload = run_json(capsys, "code", "repair", "--descriptor", str(desc),
                              "--shards", str(enc), "--failed", "1,2")
     assert code == OK and payload["verified"] is True

@@ -6,10 +6,8 @@ import pytest
 
 from regenrepair.framework import (
     CouplingSystem,
-    RepairProblem,
     RepairTranscript,
     SingularCouplingError,
-    solve_and_regenerate,
     unknown_index,
     unknown_pairs,
 )
@@ -55,19 +53,6 @@ def test_unknown_order_ignores_input_permutation():
     assert unknown_index((7, 12, 3), 12, 7) == 5
 
 
-def test_repair_problem_validation():
-    p = RepairProblem(failed=(5, 2), helpers=(9, 7, 8))
-    assert p.failed == (2, 5) and p.helpers == (7, 8, 9) and p.e == 2
-    with pytest.raises(ValueError):
-        RepairProblem(failed=(1, 2), helpers=(2, 3))
-    with pytest.raises(ValueError):
-        RepairProblem(failed=(), helpers=(1,))
-    with pytest.raises(ValueError):
-        RepairProblem(failed=(1, 1), helpers=(2,))
-    with pytest.raises(ValueError):
-        RepairProblem(failed=(1,), helpers=(2,), beta=0)
-
-
 def test_coupling_system_layout():
     gf = Field(4)
     sys_ = CouplingSystem(gf, [2, 5, 8])
@@ -110,37 +95,6 @@ def test_coupling_singular_reports_pattern():
     with pytest.raises(SingularCouplingError) as info:
         sys_.solve()
     assert info.value.failed == (3, 9)
-
-
-def test_solve_and_regenerate_single_failure_bypass():
-    gf = Field(4)
-    problem = RepairProblem(failed=(0,), helpers=tuple(range(1, 7)))
-    seen = []
-
-    def decode(node, solved):
-        seen.append((node, dict(solved)))
-        return [node]
-
-    contents, transcript = solve_and_regenerate(None, decode, problem)
-    assert contents == {0: [0]} and seen == [(0, {})]
-    assert transcript.total == 6
-    assert set(transcript.per_helper) == set(range(1, 7))
-
-
-def test_solve_and_regenerate_accounting():
-    gf = Field(5)
-    problem = RepairProblem(failed=(0, 1), helpers=(2, 3, 4, 5, 6))
-    sys_ = CouplingSystem(gf, (0, 1))
-    sys_.b = [5, 9]  # A = I (diag -1 = 1), so s = b
-
-    def decode(node, solved):
-        return [solved[(1 - node, node)]]
-
-    contents, transcript = solve_and_regenerate(sys_, decode, problem)
-    assert contents == {0: [9], 1: [5]}
-    # each of the 5 helpers ships e*beta = 2 symbols
-    assert transcript.per_helper == {h: 2 for h in (2, 3, 4, 5, 6)}
-    assert transcript.total == 10
 
 
 def test_transcript_totals():

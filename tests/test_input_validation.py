@@ -4,8 +4,10 @@ Repair and reconstruct go through framework.check_input, encode through
 framework.check_message, and all raise InvalidRepairInputError (a
 ValueError, so the CLI exits 2). Before the checks, id 0 aliased node n
 through a negative index and a symbol of 300 died inside a log table with
-IndexError, while -1 was read silently through it. PM repair has its own
-cases in test_pm.
+IndexError, while -1 was read silently through it; an id of "1" or 1.0
+died in a comparison with TypeError, and True was taken as node 1. Every
+family's repair request goes through RepairableCode._repair_nodes, so the
+malformed requests at the end are refused alike by all of them.
 """
 
 import random
@@ -13,7 +15,7 @@ import random
 import pytest
 
 from regenrepair.ambr import AdaptiveMBRCode
-from regenrepair.framework import InvalidRepairInputError
+from regenrepair.framework import InvalidHelperCountError, InvalidRepairInputError, RepairableCode
 from regenrepair.gf import Field
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
@@ -42,6 +44,9 @@ OUTSIDE = (256, 300, -1)
 # a float passed the range check and died in a log table, a string in the
 # comparison; the byte tables would take a bool as an index
 NOT_INT = (1.5, 2.0, "7", True)
+# a string id died in a comparison or a sort; 1.0 and True equal node 1 as
+# dict keys and were taken for it
+NOT_INT_IDS = ("1", 1.0, True)
 
 
 def failed_zero(code, shards):
@@ -59,8 +64,51 @@ def helper_symbol_outside_field(code, shards):
         yield lambda: code.repair_multi(survivors, (1,))
 
 
-@pytest.mark.parametrize("case", [failed_zero, failed_past_n, helper_symbol_outside_field], ids=lambda c: c.__name__)
-@pytest.mark.parametrize("family", ["ia", "mds", "ambr"])
+def failed_not_int(code, shards):
+    for bad in NOT_INT_IDS:
+        yield lambda: code.repair_multi({m: v for m, v in shards.items() if m != 1}, (bad,))
+        yield lambda: code.repair_multi({m: v for m, v in shards.items() if m not in (1, 2)}, (bad, 2))
+
+
+def shard_key_not_int(code, shards):
+    for bad in NOT_INT_IDS:
+        survivors = {m: v for m, v in shards.items() if m not in (1, 2)}
+        yield lambda: code.repair_multi({**survivors, bad: shards[2]}, (1, 2))
+
+
+def shard_key_unknown(code, shards):
+    """A shard no helper reads is still id-checked."""
+    survivors = {m: v for m, v in shards.items() if m != 1}
+    yield lambda: code.repair_multi({**survivors, 99: shards[1]}, (1,))
+
+
+def picked_helpers(code, survivors, failed):
+    """The helpers a repair of failed picks by default, from its transcript."""
+    return tuple(code.repair_multi(survivors, failed)[1].per_helper)
+
+
+def helper_not_int(code, shards):
+    survivors = {m: v for m, v in shards.items() if m != 3}
+    helpers = picked_helpers(code, survivors, (3,))
+    assert helpers[0] == 1
+    for bad in NOT_INT_IDS:
+        yield lambda: code.repair_multi(survivors, (3,), (bad,) + helpers[1:])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        failed_zero,
+        failed_past_n,
+        helper_symbol_outside_field,
+        failed_not_int,
+        shard_key_not_int,
+        shard_key_unknown,
+        helper_not_int,
+    ],
+    ids=lambda c: c.__name__,
+)
+@pytest.mark.parametrize("family", sorted(CODES))
 def test_repair_multi_rejects(encoded, family, case):
     code, shards = encoded[family]
     for call in case(code, shards):
@@ -87,7 +135,23 @@ def reader_short_shard(code, shards):
     yield lambda: code.reconstruct(readers)
 
 
-@pytest.mark.parametrize("case", [reader_zero, reader_symbol_outside_field, reader_short_shard], ids=lambda c: c.__name__)
+def reader_not_int(code, shards):
+    for bad in NOT_INT_IDS:
+        readers = {m: shards[m] for m in range(2, code.k + 1)}
+        readers[bad] = shards[1]  # equal to node 1 or sorted against the others
+        yield lambda: code.reconstruct(readers)
+        yield lambda: code.reconstruct({**readers, 1: shards[1], code.k + 1: shards[code.k + 1]})
+
+
+def too_few_readers(code, shards):
+    yield lambda: code.reconstruct({m: shards[m] for m in range(1, code.k)})
+
+
+@pytest.mark.parametrize(
+    "case",
+    [reader_zero, reader_symbol_outside_field, reader_short_shard, reader_not_int, too_few_readers],
+    ids=lambda c: c.__name__,
+)
 @pytest.mark.parametrize("family", sorted(CODES))
 def test_reconstruct_rejects(encoded, family, case):
     code, shards = encoded[family]
@@ -142,3 +206,41 @@ def test_non_int_symbols_are_refused(encoded, family):
         for call in calls:
             with pytest.raises(InvalidRepairInputError):
                 call()
+
+
+def duplicate_helpers(code, survivors, helpers):
+    yield helpers[:-1] + helpers[:1]
+    yield helpers + helpers[:1]
+
+
+def failed_node_helps(code, survivors, helpers):
+    yield helpers[:-1] + (1,)
+    yield helpers + (1,)
+
+
+def helper_count_off_by_one(code, survivors, helpers):
+    yield helpers[:-1]
+    yield helpers + tuple(m for m in code.node_ids() if m not in helpers)[:1]
+
+
+@pytest.mark.parametrize("case", [duplicate_helpers, failed_node_helps, helper_count_off_by_one], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_every_family_refuses_a_malformed_helper_set(encoded, family, case):
+    code, shards = encoded[family]
+    survivors = {m: v for m, v in shards.items() if m != 1}
+    for helpers in case(code, survivors, picked_helpers(code, survivors, (1,))):
+        with pytest.raises((InvalidHelperCountError, InvalidRepairInputError)):
+            code.repair_multi(survivors, (1,), helpers)
+
+
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_every_family_refuses_a_malformed_failed_set(encoded, family):
+    code, shards = encoded[family]
+    with pytest.raises(InvalidRepairInputError):
+        code.repair_multi(dict(shards), (1,))  # a failed node still holds its shard
+    with pytest.raises(InvalidRepairInputError):
+        code.repair_multi({m: v for m, v in shards.items() if m != 1}, ())
+
+
+def test_the_request_contract_covers_every_family():
+    assert {type(build()) for build in CODES.values()} == set(RepairableCode.__subclasses__())

@@ -7,7 +7,8 @@ MDS's solve and re-encode, and AMBR's node-by-node theta solves. Here both
 must give the same contents, the same transcript and the same singular
 outcome, with the same dependent transfers, on drawn codes, patterns,
 helpers and messages over GF(2^4)..GF(2^8). Transcripts count the rows of
-the send maps and must meet each family's closed form, and a singular
+the send maps (PM's, the transfers it computes) and must meet each
+family's closed form, and a singular
 pattern must name size - rank(A) dependent transfers. IA's helpers share
 one send map, which a plan runs over all of them at once; sent per helper
 instead, every outcome must be the same.
@@ -52,7 +53,7 @@ def build(family, m):
 
 def degrees(code, e):
     """The repair degrees the code accepts for e failures."""
-    if isinstance(code, IACode):
+    if isinstance(code, (IACode, PMCode)):
         return [None]
     if isinstance(code, MDSStripeCode):
         low = code.delta if code.mode == "fixed" else code.k
@@ -126,6 +127,8 @@ def test_plan_matches_symbolic_repair(case):
 
 
 def closed_form(code, e):
+    if isinstance(code, PMCode):
+        return e * (code.d - e + 1)
     if isinstance(code, IACode):
         return e * (code.n - e)
     if isinstance(code, MDSStripeCode):
@@ -135,26 +138,44 @@ def closed_form(code, e):
 
 @pytest.mark.parametrize(
     "code",
-    [IACode(Field(8, 0x11D), 6), MDSStripeCode(Field(8, 0x11D), 7, 3, d_max=4), AdaptiveMBRCode(Field(8, 0x11D), 8, 3, 4, 5)],
-    ids=["ia", "mds", "ambr"],
+    [
+        PMCode(Field(8, 0x11D), 11, 6),
+        IACode(Field(8, 0x11D), 6),
+        MDSStripeCode(Field(8, 0x11D), 7, 3, d_max=4),
+        AdaptiveMBRCode(Field(8, 0x11D), 8, 3, 4, 5),
+    ],
+    ids=["pm", "ia", "mds", "ambr"],
 )
 def test_transcripts_meet_the_closed_forms(code):
-    """Every pattern of up to three failures at every degree: e(n-e) for IA,
-    M for MDS, e*alpha - C(e,2)*z for AMBR, and each helper's count is the
-    row count of its send map."""
+    """Every pattern of up to three failures at every degree: e(d-e+1) for
+    PM, e(n-e) for IA, M for MDS, e*alpha - C(e,2)*z for AMBR. Each
+    helper's count is the row count of its send map, and for PM, which has
+    no plan, the number of repair_transfer calls made on its shard."""
     shards = code.encode(code.random_message(random.Random(3)))
-    for e in (1, 2, 3):
-        for pattern in combinations(code.node_ids(), e):
-            survivors = {node: shard for node, shard in shards.items() if node not in pattern}
-            for d in degrees(code, e):
-                degree = {} if d is None else {"d": d}
-                try:
-                    _, transcript = code.repair_multi(survivors, pattern, **degree)
-                except SingularCouplingError:
-                    continue
-                assert transcript.total == sum(transcript.per_helper.values()) == closed_form(code, e)
-                plan = code._maps[code._plan_key(survivors, pattern, **degree)]
-                assert transcript.per_helper == {h: send.rows for h, send in zip(plan.helpers, plan.send)}
+    sent = []
+    if isinstance(code, PMCode):
+        transfer = code.repair_transfer
+        code.repair_transfer = lambda shard, target: sent.append(shard) or transfer(shard, target)
+    try:
+        for e in (1, 2, 3):
+            for pattern in combinations(code.node_ids(), e):
+                survivors = {node: shard for node, shard in shards.items() if node not in pattern}
+                for d in degrees(code, e):
+                    degree = {} if d is None else {"d": d}
+                    sent.clear()
+                    try:
+                        _, transcript = code.repair_multi(survivors, pattern, **degree)
+                    except SingularCouplingError:
+                        continue
+                    assert transcript.total == sum(transcript.per_helper.values()) == closed_form(code, e)
+                    if isinstance(code, PMCode):
+                        counted = {h: sum(shard is survivors[h] for shard in sent) for h in transcript.per_helper}
+                        assert transcript.per_helper == counted and len(sent) == transcript.total
+                        continue
+                    plan = code._maps[code._plan_key(survivors, pattern, **degree)]
+                    assert transcript.per_helper == {h: send.rows for h, send in zip(plan.helpers, plan.send)}
+    finally:
+        vars(code).pop("repair_transfer", None)
 
 
 @pytest.mark.parametrize("m, k", [(2, 3), (4, 4), (5, 3)])
