@@ -13,6 +13,14 @@ each next one with d_min sources that mix the already-regenerated nodes
 for a grand total of e*alpha - C(e,2)*alpha/d_min. The chain is linear in
 the helpers' shards, so it compiles into one repair plan per pattern,
 degree and helper set.
+
+Both the sends and the decode maps read one table of theta blocks, built
+once per code: node l's block has z rows, row r being Omega's row r times
+l's per-block psi rows, and its first alpha/d rows are what l sends toward
+a repair of degree d. A send matrix is the target's block, a degree-d
+theta the blocks of its d sources stacked. The constructor proves every
+d-subset's theta invertible, for every d in d_min+1..d_max, before it
+returns, so no repair meets a singular decode map.
 """
 
 import random
@@ -20,7 +28,7 @@ from itertools import combinations
 from math import prod
 
 from .framework import InvalidHelperCountError, RepairableCode, RepairPlan
-from .gf import LinearMap, Matrix, mat_det, mat_inv, mat_mul, vandermonde
+from .gf import LinearMap, Matrix, _reduce_packed, mat_det, mat_inv, mat_mul, vandermonde
 
 
 class AdaptiveMBRCode(RepairableCode):
@@ -59,11 +67,8 @@ class AdaptiveMBRCode(RepairableCode):
             points = sorted(rng.sample(pool, self.z * n))
             # rows [x, x^2, ..., x^d_min]: the Vandermonde rows without their leading 1
             self.Psi = Matrix(field, [row[1:] for row in vandermonde(field, points, d_min + 1).data])
-            if all(
-                mat_det(self._theta(subset, d)) != 0
-                for d in range(d_min + 1, d_max + 1)
-                for subset in combinations(range(1, n + 1), d)
-            ):
+            self._blocks = [self._block(src) for src in self.node_ids()]
+            if self._decode_maps_invertible():
                 break
         else:
             raise ValueError("no point assignment found with invertible decode maps")
@@ -73,21 +78,34 @@ class AdaptiveMBRCode(RepairableCode):
     def _psi_row(self, node, block):
         return self.Psi.data[(node - 1) * self.z + (block - 1)]
 
+    def _block(self, src):
+        """Row r of src's block is Omega's row r times src's per-block
+        psi rows: entry (i, c) is Omega[r][i] psi_{src,i}[c]. The first
+        alpha/d rows are what src sends toward a repair of degree d."""
+        mul, z = self.field.mul, self.z
+        psis = [self._psi_row(src, i) for i in range(1, z + 1)]
+        return [[mul(w, p) for w, psi in zip(self.Omega.data[r], psis) for p in psi] for r in range(z)]
+
     def _theta(self, sources, d):
-        """Stacked compressed evaluation map: alpha x alpha when |sources| = d."""
-        rows_per = self.alpha // d
-        data = []
-        for src in sources:
-            for r in range(rows_per):
-                row = [0] * (self.z * self.d_min)
-                for i in range(1, self.z + 1):
-                    w = self.Omega.data[r][i - 1]
-                    psi = self._psi_row(src, i)
-                    base = (i - 1) * self.d_min
-                    for c in range(self.d_min):
-                        row[base + c] = self.field.mul(w, psi[c])
-                data.append(row)
-        return Matrix(self.field, data)
+        """Rows of the stacked compressed evaluation map, from the block
+        table: alpha x alpha when |sources| = d."""
+        return [row for src in sources for row in self._blocks[src - 1][: self.alpha // d]]
+
+    def _decode_maps_invertible(self):
+        """Every d-subset of the nodes stacks to an invertible theta, for
+        every d in d_min+1..d_max. Over m <= 8 the blocks are packed once
+        and each subset's theta reduces on packed rows; wider fields take
+        mat_det."""
+        f, alpha, packed = self.field, self.alpha, self.field.m <= 8
+        blocks = self._blocks
+        if packed:
+            blocks = [[int.from_bytes(bytes(row), "little") for row in block] for block in blocks]
+        for d in range(self.d_min + 1, self.d_max + 1):
+            for subset in combinations(blocks, d):
+                theta = [row for block in subset for row in block[: alpha // d]]
+                if not (_reduce_packed(f, theta, alpha, alpha, False)[1] if packed else mat_det(Matrix(f, theta))):
+                    return False
+        return True
 
     def _block_index(self, r, c):
         """Position within the block's free symbols of entry (r, c) of M_i,
@@ -166,7 +184,7 @@ class AdaptiveMBRCode(RepairableCode):
         for idx, target in enumerate(failed):
             degree = self.d_min if idx else d
             fresh = helpers[: degree - idx]
-            rows = self._compiled(("send", target, degree), lambda: self._theta((target,), degree))
+            rows = self._theta((target,), degree)
             steps.append((target, degree, tuple(sorted(failed[:idx] + fresh)), rows))
             for h in fresh:
                 sends[h].append((target, rows))
@@ -175,18 +193,18 @@ class AdaptiveMBRCode(RepairableCode):
         for h in helpers:
             for target, rows in sends[h]:
                 at[(h, target)] = total
-                total += rows.rows
+                total += len(rows)
         decoded = {}  # regenerated node -> its content as a map of the received symbols
         for target, degree, sources, rows in steps:
-            theta = self._compiled(("theta", sources, degree), lambda: mat_inv(self._theta(sources, degree)))
-            per = rows.rows  # theta^-1 takes per symbols from each source, in source order
+            theta = self._compiled(("theta", sources, degree), lambda: mat_inv(Matrix(f, self._theta(sources, degree))))
+            per = len(rows)  # theta^-1 takes per symbols from each source, in source order
             blocks = {src: range(t * per, (t + 1) * per) for t, src in enumerate(sources)}
             local = [src for src in sources if src in decoded]
             content = Matrix.zero(f, alpha, total)
             if local:
                 content = mat_mul(
                     Matrix(f, [[row[c] for src in local for c in blocks[src]] for row in theta.data]),
-                    Matrix(f, [r for src in local for r in mat_mul(rows, decoded[src]).data]),
+                    Matrix(f, [r for src in local for r in mat_mul(Matrix(f, rows), decoded[src]).data]),
                 )
             for src in sources:
                 if src not in decoded:
@@ -196,7 +214,7 @@ class AdaptiveMBRCode(RepairableCode):
                     for out, row in zip(content.data, theta.data):
                         out[first : first + per] = row[block.start : block.stop]
             decoded[target] = content
-        send = tuple(LinearMap(Matrix(f, [r for _, rows in sends[h] for r in rows.data])) for h in helpers)
+        send = tuple(LinearMap(Matrix(f, [r for _, rows in sends[h] for r in rows])) for h in helpers)
         decode = LinearMap(Matrix(f, [r for target in failed for r in decoded[target].data]))
         return RepairPlan(failed, helpers, send, decode)
 

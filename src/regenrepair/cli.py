@@ -245,17 +245,25 @@ def cmd_reconstruct(args):
     return EXIT_OK
 
 
+def degree_option(code, d):
+    """The keyword for an explicit repair degree: {} without --d, and a
+    refusal for PM and IA, which repair at one degree."""
+    if d is None:
+        return {}
+    if not isinstance(code, (MDSStripeCode, AdaptiveMBRCode)):
+        raise ValueError("--d is for mds and ambr codes; %s repairs at one degree" % code.descriptor()["family"])
+    return {"d": d}
+
+
 def cmd_repair(args):
     code = build_code(load_json(args.descriptor))
+    kwargs = degree_option(code, args.d)
     shards = load_shards(args.shards)
     failed = tuple(sorted(parse_ints(args.failed)))
     golden = {node: shards[node] for node in failed if node in shards}
     survivors = {node: vals for node, vals in shards.items() if node not in failed}
-    kwargs = {}
     if args.helpers is not None:
         kwargs["helpers"] = tuple(parse_ints(args.helpers))
-    if args.d is not None:
-        kwargs["d"] = args.d
     contents, transcript = code.repair_multi(survivors, failed, **kwargs)
     verified = None
     if len(golden) == len(failed):
@@ -273,10 +281,7 @@ def cmd_repair(args):
 
 def cmd_sweep(args):
     code = build_code(load_json(args.descriptor))
-    kwargs = {}
-    if args.d is not None:
-        kwargs["d"] = args.d
-    report = run_sweep(code, args.e, seed=args.seed, sample=args.sample, **kwargs)
+    report = run_sweep(code, args.e, seed=args.seed, sample=args.sample, **degree_option(code, args.d))
     write_text(args.out, report.to_json())
     return EXIT_OK if report.all_ok() else EXIT_VERIFY
 

@@ -8,8 +8,12 @@ path is always available (`mul_direct`) so the two can be cross-checked.
 
 Every elimination goes through one row-reduction kernel, `_reduce`,
 which returns the pivot columns and the determinant. mat_solve, mat_inv
-and the compiles of read maps and repair plans run it Gauss-Jordan on an
-augmented matrix; mat_det and mat_rank run it below the pivots only.
+and the compiles of read maps and IA and AMBR repair plans run it
+Gauss-Jordan on an augmented matrix; mat_det and mat_rank run it below
+the pivots only. A map from a polynomial's values at some points to its
+values at others, V_targets V_nodes^-1, needs no elimination:
+lagrange_rows writes it down as a table of Lagrange basis values, and the
+MDS generator and MDS repair decode maps are such tables.
 An elimination that carries more than one column past the reduced ones
 (an inverse, a read map, a plan compile) runs, over m <= 8, on packed rows
 (`_reduce_packed`): a row is one int of bytes and a row operation is one
@@ -32,6 +36,7 @@ entry of the matrix.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 # Primitive polynomials, one per degree. m=5,6,8 are load-bearing defaults
 # (several code constructions pin them); the rest are the usual LFSR picks.
@@ -594,6 +599,44 @@ def vandermonde(field: Field, points: list[int], cols: int) -> Matrix:
             row.append(mul(row[-1], x))
         data.append(row)
     return Matrix(field, data)
+
+
+def lagrange_rows(field: Field, nodes, targets) -> Matrix:
+    """Row t is the Lagrange basis on nodes evaluated at targets[t].
+
+    Entry j of the row of x is L_j(x) = prod_{i != j} (x - n_i)/(n_j - n_i),
+    which is w_j l(x)/(x - n_j) with l(x) = prod_i (x - n_i) and the
+    barycentric weight w_j = 1/prod_{i != j} (n_j - n_i); a target that is
+    a node gets its unit row. The matrix is V_targets V_nodes^-1 for
+    Vandermonde matrices with len(nodes) columns, the map from a
+    polynomial's values on the nodes to its values on the targets, with no
+    elimination. The products run as sums of logs; fields without log
+    tables take Field.mul and Field.inv.
+    """
+    nodes = list(nodes)
+    if len(set(nodes)) != len(nodes):
+        raise DuplicatePointError("repeated interpolation node")
+    if field._exp is None:
+        mul, inv = field.mul, field.inv
+        weights = [inv(reduce(mul, [a ^ b for b in nodes if b != a], 1)) for a in nodes]
+
+        def row(x):
+            lx = reduce(mul, [x ^ b for b in nodes], 1)
+            return [mul(mul(w, lx), inv(x ^ b)) for w, b in zip(weights, nodes)]
+
+    else:
+        exp, log, order = field._exp, field._log, field.order
+        weights = [-sum(log[a ^ b] for b in nodes if b != a) % order for a in nodes]  # logs of the w_j
+
+        def row(x):
+            logs = [log[x ^ b] for b in nodes]
+            lx = sum(logs) % order
+            # lx + w - l lies in (-order, 2*order), and exp, 2*order long and
+            # periodic in order, reads a negative index as the same power
+            return [exp[lx + w - l] for w, l in zip(weights, logs)]
+
+    where = {x: j for j, x in enumerate(nodes)}
+    return Matrix(field, [[int(j == where[x]) for j in range(len(nodes))] if x in where else row(x) for x in targets])
 
 
 def cauchy(field: Field, xs: list[int], ys: list[int]) -> Matrix:

@@ -7,12 +7,18 @@ positions determine the file), rebuilds the file, and re-encodes the lost
 shards, so the total bandwidth is always exactly M = k*delta. Fixed mode
 stores delta = d symbols per node for one repair degree; adaptive mode
 stores delta = lcm(k..d_max) so every degree k <= d <= d_max divides M.
+
+Position x of the codeword is the file's polynomial (degree < M, its
+values at 0..M-1 the file itself) evaluated at x, so the generator and
+every repair decode map are tables of Lagrange basis values
+(gf.lagrange_rows): G on nodes 0..M-1 at every position, a decode map on
+the helpers' sent positions at the lost ones. Neither eliminates.
 """
 
 import math
 
 from .framework import InvalidHelperCountError, RepairableCode, RepairPlan
-from .gf import LinearMap, Matrix, _gauss_jordan, mat_inv, mat_mul, vandermonde
+from .gf import LinearMap, Matrix, lagrange_rows
 
 
 class MDSStripeCode(RepairableCode):
@@ -39,9 +45,7 @@ class MDSStripeCode(RepairableCode):
         if n * self.delta > field.size:
             raise ValueError("field too small: need %d evaluation points" % (n * self.delta))
         self.message_length = k * self.delta  # M
-        v_all = vandermonde(field, list(range(n * self.delta)), self.message_length)
-        v_sys = Matrix(field, v_all.data[: self.message_length])
-        self.generator = mat_mul(v_all, mat_inv(v_sys))
+        self.generator = lagrange_rows(field, range(self.message_length), range(n * self.delta))
 
     def random_message(self, rng):
         return [rng.randrange(self.field.size) for _ in range(self.message_length)]
@@ -68,15 +72,13 @@ class MDSStripeCode(RepairableCode):
 
     def _compile_plan(self, failed, helpers, beta):
         """Each helper sends its first beta symbols; the decode map is
-        D = G_failed G_pos^-1, from one Gauss-Jordan on [G_pos^T | G_failed^T]."""
-        f, g = self.field, self.generator.data
-        send = self._compiled(("send", beta), lambda: LinearMap(Matrix(f, Matrix.identity(f, self.delta).data[:beta])))
-        pos = [g[(h - 1) * self.delta + t] for h in helpers for t in range(beta)]
-        lost = [g[(node - 1) * self.delta + t] for node in failed for t in range(self.delta)]
-        aug = [list(a) + list(b) for a, b in zip(zip(*pos), zip(*lost))]
-        size = self.message_length
-        _gauss_jordan(f, aug, size)
-        decode = LinearMap(Matrix(f, [list(col) for col in zip(*(row[size:] for row in aug))]))
+        D = G_failed G_pos^-1 = V_failed V_pos^-1, the Lagrange basis on the
+        sent positions evaluated at the lost ones."""
+        f, delta = self.field, self.delta
+        send = self._compiled(("send", beta), lambda: LinearMap(Matrix(f, Matrix.identity(f, delta).data[:beta])))
+        sent = [(h - 1) * delta + t for h in helpers for t in range(beta)]
+        lost = [(node - 1) * delta + t for node in failed for t in range(delta)]
+        decode = LinearMap(lagrange_rows(f, sent, lost))
         return RepairPlan(failed, helpers, (send,) * len(helpers), decode)
 
     def descriptor(self):

@@ -11,6 +11,13 @@ references tests/test_compiled_maps.py and tests/test_repair_plans.py hold
 the maps and plans to. Input checks are left to the library calls they are
 compared with.
 
+So do the eliminations that MDS and AMBR construction and plan compiles
+ran before they read Lagrange tables and per-node theta blocks: MDS's
+generator V_all V_sys^-1 by mat_inv and mat_mul and its decode maps by a
+Gauss-Jordan on [G_pos^T | G_failed^T]; AMBR's theta built entry by entry
+through Field.mul for every subset, the constructor's mat_det of every
+subset's theta, and the plan compile that cached each target's send rows.
+
 So do the vetting paths of the coefficient searches and the tradeoff
 queries: one elimination per square submatrix for superregularity, IA and
 PM coupling matrices built entry by entry through add_entry (PM's weights
@@ -21,9 +28,22 @@ trial by its determinant, and gamma_min rescanning every linear piece.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
+from types import SimpleNamespace
 
-from regenrepair.framework import CouplingSystem, RepairTranscript, unknown_pairs
-from regenrepair.gf import Matrix, dot, mat_det, mat_mul, mat_solve, mat_vec
+from regenrepair.framework import CouplingSystem, RepairPlan, RepairTranscript, unknown_pairs
+from regenrepair.gf import (
+    LinearMap,
+    Matrix,
+    _gauss_jordan,
+    dot,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_solve,
+    mat_vec,
+    vandermonde,
+)
 from regenrepair.ia import IACode
 from regenrepair.pm import PMCode
 from regenrepair.tradeoff import SystemParams, _f, _g, gamma_mbmr
@@ -40,6 +60,11 @@ def vec_mat(v, a):
             if row[j]:
                 out[j] ^= mul(x, row[j])
     return out
+
+
+def map_columns(linear_map):
+    """A LinearMap's matrix, column by column, read through apply."""
+    return [linear_map.apply([int(i == j) for i in range(linear_map.cols)]) for j in range(linear_map.cols)]
 
 
 # --- PM: Psi times the message matrix; a generic solve on the readers' rows ---
@@ -225,6 +250,25 @@ def mds_repair(code, shards, failed, helpers, d):
     return {f: mds_shard(code, f, data) for f in failed}, RepairTranscript({h: beta for h in helpers})
 
 
+def mds_generator(code):
+    """G = V_all V_sys^-1: the Vandermonde rows of every position times the
+    inverse of the first M."""
+    f = code.field
+    v_all = vandermonde(f, list(range(code.n * code.delta)), code.message_length)
+    return mat_mul(v_all, mat_inv(Matrix(f, v_all.data[: code.message_length])))
+
+
+def mds_decode_map(code, failed, helpers, beta):
+    """D = G_failed G_pos^-1, from one Gauss-Jordan on [G_pos^T | G_failed^T]."""
+    f, g = code.field, code.generator.data
+    pos = [g[(h - 1) * code.delta + t] for h in helpers for t in range(beta)]
+    lost = [g[(node - 1) * code.delta + t] for node in failed for t in range(code.delta)]
+    aug = [list(a) + list(b) for a, b in zip(zip(*pos), zip(*lost))]
+    size = code.message_length
+    _gauss_jordan(f, aug, size)
+    return Matrix(f, [list(col) for col in zip(*(row[size:] for row in aug))])
+
+
 # --- AMBR: psi_{l,i}^t M_i block by block; block-wise read; sequential theta solves ---
 
 
@@ -290,11 +334,92 @@ def ambr_transfer(code, shard, target, d):
     return [dot(f, code.Omega.data[r], s) for r in range(code.alpha // d)]
 
 
+def ambr_theta(code, sources, d):
+    """Stacked compressed evaluation map: alpha x alpha when |sources| = d.
+    Reads field, alpha, z, d_min, Omega and Psi from code."""
+    rows_per = code.alpha // d
+    data = []
+    for src in sources:
+        for r in range(rows_per):
+            row = [0] * (code.z * code.d_min)
+            for i in range(1, code.z + 1):
+                w = code.Omega.data[r][i - 1]
+                psi = code.Psi.data[(src - 1) * code.z + (i - 1)]
+                base = (i - 1) * code.d_min
+                for c in range(code.d_min):
+                    row[base + c] = code.field.mul(w, psi[c])
+            data.append(row)
+    return Matrix(code.field, data)
+
+
+def ambr_points(field, n, k, d_min, d_max):
+    """The Psi the AMBR constructor picks: up to 25 seeded point draws, each
+    kept once mat_det of every d-subset's theta, d_min < d <= d_max, is
+    nonzero, and the constructor's ValueError when no draw is."""
+    alpha = prod(range(d_min, d_max + 1))
+    z = alpha // d_min
+    omega_points = [field.pow(field.generator, j) for j in range(z)]
+    shape = SimpleNamespace(field=field, alpha=alpha, z=z, d_min=d_min)
+    shape.Omega = vandermonde(field, omega_points, z).transpose()
+    rng = random.Random(66423 + 1009 * n + 101 * d_min + d_max)
+    pool = [x for x in field.elements() if x != 0]
+    for _ in range(25):
+        points = sorted(rng.sample(pool, z * n))
+        shape.Psi = Matrix(field, [row[1:] for row in vandermonde(field, points, d_min + 1).data])
+        if all(
+            mat_det(ambr_theta(shape, subset, d)) != 0
+            for d in range(d_min + 1, d_max + 1)
+            for subset in combinations(range(1, n + 1), d)
+        ):
+            return shape.Psi
+    raise ValueError("no point assignment found with invertible decode maps")
+
+
+def ambr_compile_plan(code, failed, d, helpers):
+    """The AMBR plan compile with each target's send rows and each theta
+    built by ambr_theta, as its cached copies were."""
+    f, alpha = code.field, code.alpha
+    steps, sends = [], {h: [] for h in helpers}
+    for idx, target in enumerate(failed):
+        degree = code.d_min if idx else d
+        fresh = helpers[: degree - idx]
+        rows = ambr_theta(code, (target,), degree)
+        steps.append((target, degree, tuple(sorted(failed[:idx] + fresh)), rows))
+        for h in fresh:
+            sends[h].append((target, rows))
+    at, total = {}, 0
+    for h in helpers:
+        for target, rows in sends[h]:
+            at[(h, target)] = total
+            total += rows.rows
+    decoded = {}
+    for target, degree, sources, rows in steps:
+        theta = mat_inv(ambr_theta(code, sources, degree))
+        per = rows.rows
+        blocks = {src: range(t * per, (t + 1) * per) for t, src in enumerate(sources)}
+        local = [src for src in sources if src in decoded]
+        content = Matrix.zero(f, alpha, total)
+        if local:
+            content = mat_mul(
+                Matrix(f, [[row[c] for src in local for c in blocks[src]] for row in theta.data]),
+                Matrix(f, [r for src in local for r in mat_mul(rows, decoded[src]).data]),
+            )
+        for src in sources:
+            if src not in decoded:
+                first, block = at[(src, target)], blocks[src]
+                for out, row in zip(content.data, theta.data):
+                    out[first : first + per] = row[block.start : block.stop]
+        decoded[target] = content
+    send = tuple(LinearMap(Matrix(f, [r for _, rows in sends[h] for r in rows.data])) for h in helpers)
+    decode = LinearMap(Matrix(f, [r for target in failed for r in decoded[target].data]))
+    return RepairPlan(failed, helpers, send, decode)
+
+
 def _ambr_regenerate(code, sources, transfers, d):
     t = []
     for src in sources:
         t.extend(transfers[src])
-    return mat_solve(code._theta(sources, d), t)
+    return mat_solve(ambr_theta(code, sources, d), t)
 
 
 def ambr_repair(code, shards, failed, helpers, d):

@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+import reference_paths as ref
 from regenrepair.framework import InvalidHelperCountError
 from regenrepair.gf import Field, mat_rank
 from regenrepair.ambr import AdaptiveMBRCode
@@ -182,3 +183,46 @@ def test_sweep_interface():
     report = code.pattern_sweep(2, seed=4, d=5)
     assert len(report.entries) == 21 and report.all_ok()
     assert {entry.bandwidth for entry in report.entries} == {35}
+
+
+@pytest.mark.parametrize(
+    "m, params",
+    [
+        (5, (7, 3, 3, 4)),  # three draws rejected before one passes
+        (4, (5, 2, 2, 3)),  # all 25 draws rejected
+        (8, (8, 3, 4, 5)),
+        (10, (8, 2, 2, 3)),  # past the byte tables, mat_det on stacked blocks: one draw rejected
+        (13, (5, 2, 2, 3)),  # past the log tables
+    ],
+)
+def test_construction_picks_the_points_of_the_determinant_loop(m, params):
+    """The block-table check accepts and rejects exactly the draws that
+    mat_det of every subset's freshly built theta did."""
+    field = Field(m)
+    try:
+        expected = ref.ambr_points(field, *params)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            AdaptiveMBRCode(field, *params)
+    else:
+        assert AdaptiveMBRCode(field, *params).Psi == expected
+
+
+def test_plans_match_the_compile_on_rebuilt_theta():
+    """Every e <= 3 pattern at both degrees, with the default helpers and
+    with the last d survivors: the same send and decode maps as a compile
+    that builds each send matrix and theta entry by entry."""
+    code = AdaptiveMBRCode(Field(8, 0x11D), 8, 3, 4, 5)
+    plans = 0
+    for e in (1, 2, 3):
+        for failed in combinations(code.node_ids(), e):
+            survivors = [i for i in code.node_ids() if i not in failed]
+            for d in (4, 5):
+                for helpers in {tuple(survivors[:d]), tuple(survivors[-d:])}:
+                    plan = code._compile_plan(failed, d, helpers)
+                    reference = ref.ambr_compile_plan(code, failed, d, helpers)
+                    assert [ref.map_columns(s) for s in plan.send] == [ref.map_columns(s) for s in reference.send]
+                    assert ref.map_columns(plan.decode) == ref.map_columns(reference.decode)
+                    plans += 1
+    # two helper sets at each degree, but one at d = 5 when five survive
+    assert plans == 4 * 8 + 4 * 28 + 3 * 56

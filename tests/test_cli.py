@@ -281,6 +281,29 @@ def test_sweep_with_degree_flag(capsys, tmp_path):
     assert {x["bandwidth"] for x in payload["entries"]} == {35}
 
 
+@pytest.mark.parametrize(
+    "family, build",
+    [("pm", ("--field", "8:11d", "--n", "11", "--k", "6")), ("ia", ("--field", "4", "--k", "3"))],
+)
+def test_degree_flag_is_refused_for_single_degree_families(capsys, tmp_path, family, build):
+    """PM and IA repair at one degree: --d on repair or sweep is an input
+    error (exit 2, one error line), never a traceback."""
+    desc = tmp_path / (family + ".json")
+    enc = tmp_path / "enc.json"
+    assert run(capsys, "code", "build", "--family", family, *build, "--out", str(desc))[0] == OK
+    assert run(capsys, "code", "encode", "--descriptor", str(desc), "--seed", "3", "--out", str(enc))[0] == OK
+    verbs = [
+        ("repair", "--shards", str(enc), "--failed", "1,2"),
+        ("sweep", "--e", "1"),
+    ]
+    for verb, *rest in verbs:
+        code = main(["code", verb, "--descriptor", str(desc), *rest, "--d", "10"])
+        captured = capsys.readouterr()
+        assert code == INFEASIBLE and captured.out == ""
+        assert captured.err == "error: --d is for mds and ambr codes; %s repairs at one degree\n" % family
+        assert run(capsys, "code", verb, "--descriptor", str(desc), *rest)[0] == OK
+
+
 def test_search_exit_codes(capsys):
     code, payload = run_json(capsys, "code", "search", "--family", "pm",
                              "--field", "6:43", "--n", "7", "--k", "3",

@@ -21,6 +21,7 @@ from regenrepair.gf import (
     all_square_submatrices_invertible,
     cauchy,
     is_irreducible,
+    lagrange_rows,
     mat_det,
     mat_inv,
     mat_mul,
@@ -396,6 +397,41 @@ def test_byte_tables_are_built_on_first_use_and_refused_past_m8():
     assert f.mul_tables() is f.mul_tables()
     with pytest.raises(ValueError):
         Field(9).mul_tables()
+
+
+@st.composite
+def lagrange_cases(draw):
+    """(field, nodes, targets) over GF(2^1..2^8), GF(2^10) and GF(2^13),
+    which has no log tables: distinct nodes, a single one drawn on purpose,
+    and targets drawn both from the nodes and from the whole field."""
+    field = Field(draw(st.sampled_from(list(range(1, 9)) + [10, 13])))
+    elem = st.integers(0, field.size - 1)
+    count = draw(st.one_of(st.just(1), st.integers(1, min(field.size, 10))))
+    nodes = draw(st.lists(elem, min_size=count, max_size=count, unique=True))
+    targets = draw(st.lists(st.one_of(st.sampled_from(nodes), elem), max_size=10))
+    return field, nodes, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(lagrange_cases())
+def test_lagrange_rows_match_vandermonde_elimination(case):
+    """Row x of lagrange_rows is V_x V_nodes^-1: the Vandermonde row of x,
+    as many columns as nodes, times the inverse of the nodes' Vandermonde
+    matrix. A target that is a node gets its unit row."""
+    field, nodes, targets = case
+    inverse = mat_inv(vandermonde(field, nodes, len(nodes))).transpose()
+    table = lagrange_rows(field, nodes, targets)
+    assert table.rows == len(targets) and table.data == [
+        mat_vec(inverse, [field.pow(x, c) for c in range(len(nodes))]) for x in targets
+    ]
+    for x, row in zip(targets, table.data):
+        if x in nodes:
+            assert row == [int(x == node) for node in nodes]
+
+
+def test_lagrange_rows_refuse_repeated_nodes():
+    with pytest.raises(DuplicatePointError):
+        lagrange_rows(Field(4), [3, 5, 3], [1])
 
 
 @st.composite

@@ -5,8 +5,9 @@ from itertools import combinations
 
 import pytest
 
+import reference_paths as ref
 from regenrepair.framework import InvalidHelperCountError
-from regenrepair.gf import Field
+from regenrepair.gf import Field, LinearMap
 from regenrepair.mds import MDSStripeCode
 
 F32 = Field(5)
@@ -137,3 +138,29 @@ def test_descriptor_and_sweep():
     assert {entry.bandwidth for entry in report.entries} == {6}
     again = code.pattern_sweep(3, seed=9)
     assert report.to_json() == again.to_json()
+
+
+@pytest.mark.parametrize(
+    "code",
+    [MDSStripeCode(Field(8, 0x11D), 7, 3, d_max=4), MDSStripeCode(F32, 6, 2, d=3)],
+    ids=["adaptive", "fixed"],
+)
+def test_lagrange_tables_match_the_eliminations(code):
+    """The generator is V_all V_sys^-1 and every decode map, for every
+    e <= 3 pattern, degree and helper set, is the Gauss-Jordan one."""
+    assert code.generator == ref.mds_generator(code)
+    low = code.delta if code.mode == "fixed" else code.k
+    plans = 0
+    for e in (1, 2, 3):
+        for failed in combinations(code.node_ids(), e):
+            survivors = [i for i in code.node_ids() if i not in failed]
+            for d in range(low, min(code.d_max, code.n - e) + 1):
+                if code.message_length % d:
+                    continue
+                beta = code.message_length // d
+                for helpers in combinations(survivors, d):
+                    plan = code._compile_plan(failed, helpers, beta)
+                    reference = LinearMap(ref.mds_decode_map(code, failed, helpers, beta))
+                    assert ref.map_columns(plan.decode) == ref.map_columns(reference)
+                    plans += 1
+    assert plans == {"adaptive": 735, "fixed": 140}[code.mode]
