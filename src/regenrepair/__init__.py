@@ -28,7 +28,6 @@ from .tradeoff import (
     alpha_star,
     compare_strategies,
     cut_value,
-    enumerate_scenarios,
     gamma_mbmr,
     gamma_min_for_alpha,
     mbcr_check,
@@ -78,7 +77,6 @@ __all__ = [
     "cut_value",
     "emit_comparison",
     "emit_curve",
-    "enumerate_scenarios",
     "gamma_mbmr",
     "gamma_min_for_alpha",
     "mbcr_check",

@@ -50,7 +50,15 @@ def parse_params(text):
     parts = text.split(",")
     if len(parts) != 5:
         raise ValueError("--params wants five comma separated values: M,n,k,d,e")
-    return SystemParams(Fraction(parts[0]), *(int(p) for p in parts[1:]))
+    return SystemParams(parse_fraction(parts[0]), *(int(p) for p in parts[1:]))
+
+
+def parse_fraction(text):
+    """An integer or num/den; a zero denominator is malformed input too."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("%r has a zero denominator" % text) from None
 
 
 def parse_field(text):
@@ -132,10 +140,10 @@ def cmd_curve(args):
 def cmd_point(args):
     params = parse_params(args.params)
     if args.gamma is not None:
-        gamma = Fraction(args.gamma)
+        gamma = parse_fraction(args.gamma)
         alpha = alpha_star(params, gamma)
     else:
-        alpha = Fraction(args.alpha)
+        alpha = parse_fraction(args.alpha)
         gamma = gamma_min_for_alpha(params, alpha)
     beta = gamma / params.d
     scenario = optimal_scenario(params, alpha, beta)

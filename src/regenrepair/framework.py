@@ -3,12 +3,14 @@
 The repair center runs the single-failure decoder of every lost node. Each
 decoder wants one transfer from every other node it would normally hear
 from, including the nodes that failed alongside it. Every such missing
-transfer can be expressed as a linear combination of the other transfers,
-which yields a square linear system A s = b in the e(e-1)*beta unknown
-cross-failure values. When A is invertible the unknowns are recovered and
-the ordinary decoders finish the job; a singular A means the pattern is
-not repairable with the chosen code coefficients, which is a reportable
-outcome rather than a bug.
+transfer x -> y is the projection toward y of x's own single-failure
+decode, so it is a linear combination of the transfers toward x: the
+transfer from l weighs projection_y . decoder_x[:, l]. Moving the terms
+from failed sources to one side yields a square linear system A s = b in
+the e(e-1) unknown cross-failure transfers. When A is invertible the
+unknowns are recovered and the ordinary decoders finish the job; a
+singular A means the pattern is not repairable with the chosen code
+coefficients, which is a reportable outcome rather than a bug.
 
 Once the code and the failure pattern are fixed, the whole repair, the
 coupling solve included, is one linear map from the helpers' shards to the
@@ -248,53 +250,28 @@ def unknown_pairs(failed):
     return pairs
 
 
-def unknown_index(failed, i, j):
-    """Position of the transfer i -> j inside the unknown vector."""
-    nodes = sorted(failed)
-    if i == j:
-        raise ValueError("no self transfer")
-    p = nodes.index(min(i, j))
-    q = nodes.index(max(i, j))
-    e = len(nodes)
-    block = p * (e - 1) - p * (p - 1) // 2 + (q - p - 1)
-    return 2 * block + (0 if i < j else 1)
-
-
 class CouplingSystem:
     """The linear system A s = b in the unavailable cross-failure transfers.
 
     Rows and columns are indexed by ordered failed-node pairs in the
-    unknown_pairs order; each pair spans beta consecutive slots. The
+    unknown_pairs order, slot[pair] being the position of pair. The
     diagonal is pre-filled with -1 (equal to 1 in characteristic 2): row
-    (i,j) encodes s_{i,j} = sum of coupled terms, moved to one side.
-    slot[pair] is the position of pair in unknown_pairs order, which is
-    its row and column of A when beta is 1.
+    (i,j) encodes s_{i,j} = sum of coupled terms, moved to one side. A
+    family writes the other entries of A and the right-hand side b
+    through slot.
     """
 
-    def __init__(self, field, failed, beta=1):
+    def __init__(self, field, failed):
         self.field = field
         self.failed = tuple(sorted(failed))
-        self.beta = beta
         self.pairs = unknown_pairs(self.failed)
-        self.slot = {pair: t for t, pair in enumerate(self.pairs)}  # unknown_index, precomputed
-        self.size = len(self.pairs) * beta
+        self.slot = {pair: t for t, pair in enumerate(self.pairs)}
+        self.size = len(self.pairs)
         self.A = Matrix.zero(field, self.size, self.size)
         self.b = [0] * self.size
         minus_one = field.neg(1)
         for t in range(self.size):
             self.A.data[t][t] = minus_one
-
-    def index(self, i, j, t=0):
-        return self.slot[(i, j)] * self.beta + t
-
-    def add_entry(self, row_pair, col_pair, value, t=0, u=0):
-        r = self.index(row_pair[0], row_pair[1], t)
-        c = self.index(col_pair[0], col_pair[1], u)
-        self.A.data[r][c] = self.field.add(self.A.data[r][c], value)
-
-    def add_rhs(self, row_pair, value, t=0):
-        r = self.index(row_pair[0], row_pair[1], t)
-        self.b[r] = self.field.add(self.b[r], value)
 
     def determinant(self):
         return mat_det(self.A)
@@ -303,16 +280,11 @@ class CouplingSystem:
         """The pairs, in unknown_pairs order, with a column of A that got no
         pivot in a reduction that found the given pivot columns."""
         pivots = set(pivots)
-        return [
-            pair
-            for t, pair in enumerate(self.pairs)
-            if any(c not in pivots for c in range(t * self.beta, (t + 1) * self.beta))
-        ]
+        return [pair for t, pair in enumerate(self.pairs) if t not in pivots]
 
     def solve(self):
         """Solve for the unknown transfers, keyed by (source, destination).
 
-        Values are scalars when beta is 1, lists of beta symbols otherwise.
         A singular A raises SingularCouplingError with its dependent pairs.
         """
         if self.size == 0:
@@ -321,12 +293,7 @@ class CouplingSystem:
         pivots, _ = _reduce(self.field, aug, self.size, True)
         if len(pivots) < self.size:
             raise SingularCouplingError(self.failed, self.dependent(pivots))
-        x = [row[-1] for row in aug]
-        out = {}
-        for idx, pair in enumerate(self.pairs):
-            vals = x[idx * self.beta : (idx + 1) * self.beta]
-            out[pair] = vals[0] if self.beta == 1 else vals
-        return out
+        return {pair: row[-1] for pair, row in zip(self.pairs, aug)}
 
 
 class RepairPlan:

@@ -5,10 +5,11 @@ stores w-bar_i with w-bar_i^t = sum_j w_j^t (u_i v_j^t + P_{j,i} I). Repair
 of a failed node downloads one inner product from each of the other 2k-1
 nodes and cancels the interference through the dual bases U', V'. With e
 failures the 2k-e survivors all act as helpers and the cross-failure
-transfers are recovered from the coupling system, whose rows come in four
-flavors depending on which side of the code each endpoint lives on. The
-whole repair of a pattern compiles into one repair plan: the coupling
-solve over the received transfers, folded into each failed node's decoder.
+transfers are recovered from the coupling system. Its rows are derived
+from the single-failure repair: the missing transfer x -> y is the
+projection toward y of x's decode from its transfers. The whole repair
+of a pattern compiles into one repair plan: the coupling solve over the
+received transfers, folded into each failed node's decoder.
 
 All arithmetic is over GF(2^m), where addition and subtraction coincide;
 the formulas keep the textbook shape and simply evaluate minus as plus,
@@ -17,7 +18,7 @@ and the constraint kappa^2 != 1 reduces to kappa != 1.
 
 import random
 
-from .framework import CouplingSystem, RepairableCode, RepairPlan
+from .framework import CouplingSystem, RepairableCode, RepairPlan, _is_word
 from .gf import (
     LinearMap,
     Matrix,
@@ -64,6 +65,9 @@ class IACode(RepairableCode):
         self.n = 2 * k
         self.d = 2 * k - 1
         self.alpha = self.shard_length = k
+        for name, given in (("P", P), ("V", V)):
+            if given is not None and not (given.rows == k and all(_is_word(field, r, k) for r in given.data)):
+                raise ValueError("%s must be k x k ints in 0..%d" % (name, field.order))
         if V is None:
             V = Matrix.identity(field, k)
         if P is None:
@@ -72,8 +76,8 @@ class IACode(RepairableCode):
             raise ValueError("every square submatrix of P must be invertible")
         if kappa is None:
             kappa = default_kappa(field)
-        if kappa == 0 or field.mul(kappa, kappa) == 1:
-            raise ValueError("kappa must satisfy kappa != 0 and kappa^2 != 1")
+        if not _is_word(field, [kappa], 1) or kappa == 0 or field.mul(kappa, kappa) == 1:
+            raise ValueError("kappa must be an int in 0..%d with kappa != 0 and kappa^2 != 1" % field.order)
         self.V = V
         self.P = P
         self.kappa = kappa
@@ -88,7 +92,7 @@ class IACode(RepairableCode):
         self.Ud = Matrix(field, [[field.mul(kappa, x) for x in row] for row in mat_mul(V, self.Pd).data])
         self.one_minus_k2 = field.add(1, field.mul(kappa, kappa))  # 1 - kappa^2
         self.one_plus_k = field.add(1, kappa)  # 1 + kappa = 1 - kappa
-        self._terms = {}  # (x, y) -> _coupling_terms(x, y), filled on first use
+        self._terms = {}  # x -> _coupling_terms(x), filled on first use
         self._decoders = {}  # target -> _decoder(target), filled on first use
 
     # --- structure helpers ---
@@ -205,85 +209,42 @@ class IACode(RepairableCode):
 
     # --- multi-node repair ---
 
-    def _coupling_terms(self, x, y):
-        """Expansion of the unknown transfer x -> y over transfers toward x.
+    def _coupling_terms(self, x):
+        """The unknown transfers out of failed node x, over transfers toward x.
 
-        Returns [(source, destination, coefficient)]; destination is always
-        x. Sources that also failed become matrix entries, the rest feed b.
-        The expansion depends on the code alone, so each of the n(n-1)
-        ordered pairs is expanded once, on first use.
+        x sends s_{x->y} = projection_y . content_x, and x's content is its
+        single-failure decode, so the weight of the transfer from source l
+        is projection_y . decoder_x[:, l]. Entry y-1 lists the nonzero
+        (source, weight) terms of s_{x->y}; sources that also failed become
+        matrix entries, the rest feed b. The terms depend on the code alone,
+        so they are derived once per node, on first use.
         """
-        terms = self._terms.get((x, y))
-        if terms is None:
-            terms = self._terms[(x, y)] = tuple(self._expand_terms(x, y))
-        return terms
-
-    def _expand_terms(self, x, y):
-        f = self.field
-        k = self.k
-        kap = self.kappa
-        terms = []
-        if self.is_systematic(x) and not self.is_systematic(y):
-            l, m = x, y - k
-            # s_{l,m}: couples the transfers that repair systematic l
-            ratio = f.div(kap, self.one_plus_k)
-            plm = self.P.data[l - 1][m - 1]
-            for j in range(1, k + 1):
-                c = f.mul(ratio, f.mul(plm, self.Pd.data[l - 1][j - 1]))
-                if j == m:
-                    c = f.add(1, c)  # (1 - kappa/(1+kappa) P_lm P'_lm)
-                terms.append((k + j, l, c))
-            for j in range(1, k + 1):
-                if j != l:
-                    terms.append((j, l, self.P.data[j - 1][m - 1]))  # -P_{j,m} r_{j,l}
-        elif self.is_systematic(x) and self.is_systematic(y):
-            l1, l2 = x, y
-            # r_{l1,l2} = sum_j kappa P'_{l2,j} sbar_{j,l1} - kappa r_{l2,l1}
-            for j in range(1, k + 1):
-                terms.append((k + j, l1, f.mul(kap, self.Pd.data[l2 - 1][j - 1])))
-            terms.append((l2, l1, kap))
-        elif not self.is_systematic(x) and self.is_systematic(y):
-            m, l = x - k, y
-            # sbar_{m,l}: couples the transfers that repair parity m
-            pdlm = self.Pd.data[l - 1][m - 1]
-            kk1 = f.mul(kap, self.one_plus_k)
-            for j in range(1, k + 1):
-                c = f.mul(kk1, f.mul(pdlm, self.P.data[j - 1][m - 1]))
-                if j == l:
-                    c = f.add(self.one_minus_k2, c)
-                terms.append((j, x, c))
-            k2 = f.mul(kap, kap)
-            for j in range(1, k + 1):
-                if j != m:
-                    terms.append((k + j, x, f.mul(k2, self.Pd.data[l - 1][j - 1])))
-        else:
-            m1, m2 = x - k, y - k
-            # rbar_{m1,m2} = sum_j (1-kappa^2)/kappa P_{j,m2} s_{j,m1} + kappa rbar_{m2,m1}
-            ratio = f.div(self.one_minus_k2, kap)
-            for j in range(1, k + 1):
-                terms.append((j, x, f.mul(ratio, self.P.data[j - 1][m2 - 1])))
-            terms.append((y, x, kap))
-        return terms
+        rows = self._terms.get(x)
+        if rows is None:
+            projections = Matrix(self.field, [self._projection(y) for y in self.node_ids()])
+            weights = mat_mul(projections, self._decoder(x)).data
+            rows = self._terms[x] = [[(l, w) for l, w in enumerate(row, 1) if w] for row in weights]
+        return rows
 
     def coupling_system(self, failed):
         """Coupling matrix for a pattern plus the known-term recipe for b.
 
-        Each row (x, y) of A is filled straight from the cached expansion
-        of x -> y: a term from a failed source lands in its slot of the
-        row, any other term goes to known[(x, y)] as (source, destination,
-        coefficient), to be weighted by the received transfer.
+        Row (x, y) of A is filled straight from the derived terms of
+        x -> y, all of them transfers toward x: a term from a failed source
+        lands in its slot of the row, any other term goes to known[(x, y)]
+        as (source, weight), to be weighted by the received transfer.
         """
         system = CouplingSystem(self.field, failed)
         slot = system.slot
         known = {}
-        for row, pair in zip(system.A.data, system.pairs):
-            rest = known[pair] = []
-            for term in self._coupling_terms(*pair):
-                col = slot.get(term[:2])
+        for row, (x, y) in zip(system.A.data, system.pairs):
+            rest = known[(x, y)] = []
+            for src, weight in self._coupling_terms(x)[y - 1]:
+                col = slot.get((src, x))
                 if col is None:
-                    rest.append(term)
+                    rest.append((src, weight))
                 else:
-                    row[col] ^= term[2]
+                    row[col] ^= weight
         return system, known
 
     def assemble_multi(self, shards, failed):
@@ -296,11 +257,11 @@ class IACode(RepairableCode):
         for h in helpers:
             for j in failed:
                 received[(h, j)] = self.repair_transfer(shards[h], j)
-        for pair, terms in known.items():
+        for (x, y), terms in known.items():
             acc = 0
-            for src, dst, coeff in terms:
-                acc = f.add(acc, f.mul(coeff, received[(src, dst)]))
-            system.add_rhs(pair, acc)
+            for src, weight in terms:
+                acc = f.add(acc, f.mul(weight, received[(src, x)]))
+            system.b[system.slot[(x, y)]] = acc
         return system, received
 
     repair_multi = RepairableCode.repair_multi
@@ -329,9 +290,9 @@ class IACode(RepairableCode):
         system, known = self.coupling_system(failed)
         size = system.size
         aug = [row + [0] * width for row in system.A.data]
-        for row, pair in zip(aug, system.pairs):
-            for src, dst, coeff in known[pair]:
-                row[size + at[(src, dst)]] ^= coeff
+        for row, (x, y) in zip(aug, system.pairs):
+            for src, weight in known[(x, y)]:
+                row[size + at[(src, x)]] ^= weight
         pivots, _ = _reduce(f, aug, size, True)
         if len(pivots) < size:
             return RepairPlan(failed, (), (), None, system.dependent(pivots))

@@ -18,7 +18,7 @@ the helpers' part of node i's decode projected on phi_j.
 
 import random
 
-from .framework import CouplingSystem, RepairableCode, RepairTranscript, check_message, unknown_pairs
+from .framework import CouplingSystem, RepairableCode, RepairTranscript, _is_word, check_message
 from .gf import LinearMap, Matrix, dot, vandermonde
 
 
@@ -116,8 +116,8 @@ class PMCode(RepairableCode):
                 raise ValueError("field too small for %d default points" % n)
             g = field.generator
             lambdas = [field.pow(g, t) for t in range(n)]
-        if len(lambdas) != n:
-            raise ValueError("need one lambda per node")
+        if not _is_word(field, lambdas, n):
+            raise ValueError("need one lambda per node, each an int in 0..%d" % field.order)
         if len(set(lambdas)) != n:
             raise ValueError("lambdas must be distinct")
         alpha = k - 1
@@ -239,8 +239,8 @@ class PMCode(RepairableCode):
                 _axpy(f, acc, received[(h, i)], table.row(i, h))
             parts[i] = acc
         system = self.coupling_matrix(failed, helpers)
-        for i, j in unknown_pairs(failed):
-            system.add_rhs((i, j), dot(f, parts[i], self.Phi.data[j - 1]))
+        for (i, j), t in system.slot.items():
+            system.b[t] = dot(f, parts[i], self.Phi.data[j - 1])
         return system, received, parts
 
     def assemble_multi(self, shards, failed, helpers):

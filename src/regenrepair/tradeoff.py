@@ -86,27 +86,6 @@ class CurvePoint:
     segment: int
 
 
-def enumerate_scenarios(k: int, e: int) -> list[Scenario]:
-    """Every scenario for k nodes in groups of at most e, lexicographic.
-
-    The list is built afresh on each call and nothing is cached; it grows
-    like ~1.9^k at e = 4. min_cut_oracle does not enumerate.
-    """
-    if k < 1 or e < 1:
-        raise InvalidScenarioError("k and e must be positive")
-    out = []
-
-    def rec(remaining, acc):
-        if remaining == 0:
-            out.append(Scenario(acc))
-            return
-        for part in range(1, min(e, remaining) + 1):
-            rec(remaining - part, acc + (part,))
-
-    rec(k, ())
-    return out
-
-
 def cut_value(u, alpha: RationalLike, beta: RationalLike, d: int) -> Fraction:
     """Min-cut bound sum(min(u_i*alpha, (d - used)*beta)) for scenario u."""
     u = u.u if isinstance(u, Scenario) else tuple(u)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .framework import SingularCouplingError
-from .tradeoff import SystemParams, compare_strategies, tradeoff_curve
+from .tradeoff import compare_strategies, tradeoff_curve
 
 
 class AssignmentNotFoundError(LookupError):
@@ -239,14 +239,40 @@ def emit_comparison(params, path):
     return report
 
 
+# The integer fields of a descriptor, by how deep lists nest around their
+# ints; MDS's d_or_range is d or [k, d_max], and a null modulus picks the
+# default. The constructors check the values.
+_DESCRIPTOR_INTS = {"m": 0, "modulus": 0, "n": 0, "k": 0, "kappa": 0, "d_min": 0, "d_max": 0, "lambdas": 1, "P": 2, "V": 2}
+
+
+def _holds_ints(value, depth):
+    """value is an int at depth 0, else a list of values of depth - 1."""
+    if depth == 0:
+        return type(value) is int
+    return type(value) is list and all(_holds_ints(x, depth - 1) for x in value)
+
+
 def build_code(descriptor):
     """Rebuild a code object from its descriptor dict.
 
     Inverse of each family's descriptor() method, so JSON descriptors can be
-    stored and later turned back into working encoders.
+    stored and later turned back into working encoders. A descriptor that
+    is not a dict, or an integer field holding anything but ints, raises
+    ValueError.
     """
     from .gf import Field, Matrix
 
+    if not isinstance(descriptor, dict):
+        raise ValueError("a code descriptor is a JSON object, not %s" % type(descriptor).__name__)
+    nesting = dict(_DESCRIPTOR_INTS, d_or_range=int(descriptor.get("mode") != "fixed"))
+    bad = [
+        key
+        for key, depth in nesting.items()
+        if key in descriptor
+        and not (_holds_ints(descriptor[key], depth) or key == "modulus" and descriptor[key] is None)
+    ]
+    if bad:
+        raise ValueError("descriptor fields %s must hold integers" % bad)
     family = descriptor["family"]
     field = Field(descriptor["m"], descriptor["modulus"])
     if family == "pm":
@@ -268,7 +294,8 @@ def build_code(descriptor):
 
         if descriptor["mode"] == "fixed":
             return MDSStripeCode(field, descriptor["n"], descriptor["k"], d=descriptor["d_or_range"])
-        return MDSStripeCode(field, descriptor["n"], descriptor["k"], d_max=descriptor["d_or_range"][1])
+        _, d_max = descriptor["d_or_range"]  # ValueError unless [k, d_max]
+        return MDSStripeCode(field, descriptor["n"], descriptor["k"], d_max=d_max)
     if family == "ambr":
         from .ambr import AdaptiveMBRCode
 

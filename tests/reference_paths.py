@@ -18,11 +18,15 @@ Gauss-Jordan on [G_pos^T | G_failed^T]; AMBR's theta built entry by entry
 through Field.mul for every subset, the constructor's mat_det of every
 subset's theta, and the plan compile that cached each target's send rows.
 
+So does IA's hand expansion of each coupling row, in four flavors by the
+sides of the code the two failed nodes live on, which the rows derived
+from the decoders replaced.
+
 So do the vetting paths of the coefficient searches and the tradeoff
 queries: one elimination per square submatrix for superregularity, IA and
-PM coupling matrices built entry by entry through add_entry (PM's weights
-by one dot per (i, j, l)), both searches vetting every pattern of every
-trial by its determinant, and gamma_min rescanning every linear piece.
+PM coupling matrices built entry by entry (PM's weights by one dot per
+(i, j, l)), both searches vetting every pattern of every trial by its
+determinant, and gamma_min rescanning every linear piece.
 """
 
 import random
@@ -31,7 +35,7 @@ from itertools import combinations
 from math import prod
 from types import SimpleNamespace
 
-from regenrepair.framework import CouplingSystem, RepairPlan, RepairTranscript, unknown_pairs
+from regenrepair.framework import CouplingSystem, RepairPlan, RepairTranscript
 from regenrepair.gf import (
     LinearMap,
     Matrix,
@@ -458,18 +462,72 @@ def all_square_submatrices_invertible(a):
     return True
 
 
+def ia_expand_terms(code, x, y):
+    """IA's hand expansion of the unknown transfer x -> y over transfers
+    toward x, as [(source, destination, coefficient)] with destination x,
+    in four flavors by the sides of the code x and y live on."""
+    f = code.field
+    k = code.k
+    kap = code.kappa
+    terms = []
+    if code.is_systematic(x) and not code.is_systematic(y):
+        l, m = x, y - k
+        # s_{l,m}: couples the transfers that repair systematic l
+        ratio = f.div(kap, code.one_plus_k)
+        plm = code.P.data[l - 1][m - 1]
+        for j in range(1, k + 1):
+            c = f.mul(ratio, f.mul(plm, code.Pd.data[l - 1][j - 1]))
+            if j == m:
+                c = f.add(1, c)  # (1 - kappa/(1+kappa) P_lm P'_lm)
+            terms.append((k + j, l, c))
+        for j in range(1, k + 1):
+            if j != l:
+                terms.append((j, l, code.P.data[j - 1][m - 1]))  # -P_{j,m} r_{j,l}
+    elif code.is_systematic(x) and code.is_systematic(y):
+        l1, l2 = x, y
+        # r_{l1,l2} = sum_j kappa P'_{l2,j} sbar_{j,l1} - kappa r_{l2,l1}
+        for j in range(1, k + 1):
+            terms.append((k + j, l1, f.mul(kap, code.Pd.data[l2 - 1][j - 1])))
+        terms.append((l2, l1, kap))
+    elif not code.is_systematic(x) and code.is_systematic(y):
+        m, l = x - k, y
+        # sbar_{m,l}: couples the transfers that repair parity m
+        pdlm = code.Pd.data[l - 1][m - 1]
+        kk1 = f.mul(kap, code.one_plus_k)
+        for j in range(1, k + 1):
+            c = f.mul(kk1, f.mul(pdlm, code.P.data[j - 1][m - 1]))
+            if j == l:
+                c = f.add(code.one_minus_k2, c)
+            terms.append((j, x, c))
+        k2 = f.mul(kap, kap)
+        for j in range(1, k + 1):
+            if j != m:
+                terms.append((k + j, x, f.mul(k2, code.Pd.data[l - 1][j - 1])))
+    else:
+        m1, m2 = x - k, y - k
+        # rbar_{m1,m2} = sum_j (1-kappa^2)/kappa P_{j,m2} s_{j,m1} + kappa rbar_{m2,m1}
+        ratio = f.div(code.one_minus_k2, kap)
+        for j in range(1, k + 1):
+            terms.append((j, x, f.mul(ratio, code.P.data[j - 1][m2 - 1])))
+        terms.append((y, x, kap))
+    return terms
+
+
 def ia_coupling_system(code, failed):
-    """IA's coupling matrix and known terms, entry by entry."""
+    """IA's coupling matrix and known terms from the hand expansion, entry
+    by entry; known[pair] maps each helper source to its summed weight,
+    zeros dropped."""
     failed = tuple(sorted(failed))
     system = CouplingSystem(code.field, failed)
     known = {}
-    for pair in unknown_pairs(failed):
-        known[pair] = []
-        for src, dst, coeff in code._expand_terms(*pair):
+    for pair, row in zip(system.pairs, system.A.data):
+        weights = {}
+        for src, dst, coeff in ia_expand_terms(code, *pair):
             if src in failed:
-                system.add_entry(pair, (src, dst), coeff)
+                row[system.slot[(src, dst)]] ^= coeff
             else:
-                known[pair].append((src, dst, coeff))
+                weights[src] = weights.get(src, 0) ^ coeff
+        known[pair] = {src: w for src, w in weights.items() if w}
     return system, known
 
 
@@ -510,10 +568,10 @@ def pm_coupling_matrix(code, failed, helpers):
     failed = tuple(sorted(failed))
     table = code._pool_table(frozenset(failed) | frozenset(helpers))
     system = CouplingSystem(code.field, failed)
-    for i, j in unknown_pairs(failed):
+    for (i, j), t in system.slot.items():
         for l in failed:
             if l != i:
-                system.add_entry((i, j), (l, i), dot(code.field, table.row(i, l), code.Phi.data[j - 1]))
+                system.A.data[t][system.slot[(l, i)]] ^= dot(code.field, table.row(i, l), code.Phi.data[j - 1])
     return system
 
 

@@ -69,6 +69,23 @@ def test_point_below_storage_floor_is_infeasible(capsys):
     assert code == INFEASIBLE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--params", "1/0,10,5,6,2", "--alpha", "1"),
+        ("--params", "12,10,4,6,2", "--alpha", "1/0"),
+        ("--params", "12,10,4,6,2", "--gamma", "0/0"),
+    ],
+)
+def test_fraction_with_zero_denominator_is_an_input_error(capsys, argv):
+    """It died with a ZeroDivisionError traceback, exit 1."""
+    code = main(["tradeoff", "point", *argv])
+    captured = capsys.readouterr()
+    assert code == INFEASIBLE and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "zero denominator" in captured.err
+
+
 def test_mbcr_reports_curve_membership(capsys):
     code, on = run_json(capsys, "tradeoff", "mbcr", "--params", "30,12,5,6,2")
     assert code == OK and on["on_curve"] is True  # k = 1 mod e

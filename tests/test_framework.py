@@ -8,7 +8,6 @@ from regenrepair.framework import (
     CouplingSystem,
     RepairTranscript,
     SingularCouplingError,
-    unknown_index,
     unknown_pairs,
 )
 from regenrepair.gf import Field, mat_vec
@@ -18,53 +17,38 @@ def test_unknown_order_frozen():
     assert unknown_pairs([4, 9]) == [(4, 9), (9, 4)]
     f = [3, 7, 12]
     assert unknown_pairs(f) == [(3, 7), (7, 3), (3, 12), (12, 3), (7, 12), (12, 7)]
-    assert unknown_index(f, 3, 7) == 0
-    assert unknown_index(f, 7, 3) == 1
-    assert unknown_index(f, 3, 12) == 2
-    assert unknown_index(f, 12, 7) == 5
+    slot = CouplingSystem(Field(4), f).slot
+    assert slot[(3, 7)] == 0
+    assert slot[(7, 3)] == 1
+    assert slot[(3, 12)] == 2
+    assert slot[(12, 7)] == 5
 
 
-def test_unknown_index_is_bijection_and_matches_pair_list():
-    for e in range(2, 6):
-        failed = [10 * t + 1 for t in range(e)]
-        pairs = unknown_pairs(failed)
-        assert len(pairs) == e * (e - 1)
-        assert len(set(pairs)) == len(pairs)
-        for pos, (i, j) in enumerate(pairs):
-            assert unknown_index(failed, i, j) == pos
-    with pytest.raises(ValueError):
-        unknown_index([1, 2], 1, 1)
-
-
-def test_coupling_system_index_matches_unknown_index():
+def test_slot_is_bijection_and_matches_pair_list():
     gf = Field(4)
     rng = random.Random(11)
     for e in range(1, 6):
         failed = rng.sample(range(1, 30), e)
-        for beta in (1, 3):
-            sys_ = CouplingSystem(gf, failed, beta)
-            for i, j in unknown_pairs(failed):
-                for t in range(beta):
-                    assert sys_.index(i, j, t) == unknown_index(failed, i, j) * beta + t
+        pairs = unknown_pairs(failed)
+        assert len(pairs) == e * (e - 1)
+        assert len(set(pairs)) == len(pairs)
+        slot = CouplingSystem(gf, failed).slot
+        assert slot == {pair: pos for pos, pair in enumerate(pairs)}
+        assert all((i, i) not in slot for i in failed)  # no self transfer
 
 
 def test_unknown_order_ignores_input_permutation():
     assert unknown_pairs([12, 3, 7]) == unknown_pairs([3, 7, 12])
-    assert unknown_index((7, 12, 3), 12, 7) == 5
+    assert CouplingSystem(Field(4), (7, 12, 3)).slot[(12, 7)] == 5
 
 
 def test_coupling_system_layout():
     gf = Field(4)
     sys_ = CouplingSystem(gf, [2, 5, 8])
     assert sys_.size == 6
+    assert len(sys_.b) == 6 and not any(sys_.b)
     # diagonal pre-filled with -1 = 1 in characteristic 2
-    assert all(sys_.A.data[t][t] == 1 for t in range(6))
-    sys_.add_entry((2, 5), (5, 2), 7)
-    assert sys_.A.data[0][1] == 7
-    sys_.add_entry((2, 5), (5, 2), 7)
-    assert sys_.A.data[0][1] == 0
-    sys_.add_rhs((8, 5), 3)
-    assert sys_.b[5] == 3
+    assert all(sys_.A.data[r][c] == int(r == c) for r in range(6) for c in range(6))
 
 
 def test_coupling_solve_round_trip():
@@ -89,8 +73,8 @@ def test_coupling_solve_round_trip():
 def test_coupling_singular_reports_pattern():
     gf = Field(4)
     sys_ = CouplingSystem(gf, [3, 9])
-    sys_.add_entry((3, 9), (9, 3), 1)
-    sys_.add_entry((9, 3), (3, 9), 1)  # [[1,1],[1,1]] singular
+    sys_.A.data[sys_.slot[(3, 9)]][sys_.slot[(9, 3)]] = 1
+    sys_.A.data[sys_.slot[(9, 3)]][sys_.slot[(3, 9)]] = 1  # [[1,1],[1,1]] singular
     assert sys_.determinant() == 0
     with pytest.raises(SingularCouplingError) as info:
         sys_.solve()

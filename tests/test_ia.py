@@ -196,12 +196,28 @@ def test_coupling_system_and_closed_forms_on_random_codes(code):
         for pat in combinations(code.node_ids(), e):
             system, known = code.coupling_system(pat)
             want, want_known = ref.ia_coupling_system(code, pat)
-            assert system.A == want.A and known == want_known
+            assert system.A == want.A
+            assert {pair: dict(terms) for pair, terms in known.items()} == want_known
             try:
                 covered = code.condition_check(pat)
             except UnsupportedPatternError:
                 continue
             assert covered == (system.determinant() != 0), pat
+
+
+@pytest.mark.parametrize("m, k", [(8, 6), (4, 3), (5, 3), (6, 4)])
+def test_derived_rows_equal_the_hand_expansion(m, k):
+    """Every ordered pair's row, projection_y . decoder_x, carries the
+    nonzero weights of the hand expansion of x -> y, summed per source."""
+    code = IACode(F256 if m == 8 else Field(m), k)
+    for x, y in permutations(code.node_ids(), 2):
+        want = {}
+        for src, dst, coeff in ref.ia_expand_terms(code, x, y):
+            assert dst == x
+            want[src] = want.get(src, 0) ^ coeff
+        row = code._coupling_terms(x)[y - 1]
+        assert len({src for src, _ in row}) == len(row)
+        assert dict(row) == {src: w for src, w in want.items() if w}, (x, y)
 
 
 def test_unsupported_shape_raises():

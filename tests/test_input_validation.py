@@ -10,16 +10,19 @@ family's repair request goes through RepairableCode._repair_nodes, so the
 malformed requests at the end are refused alike by all of them.
 """
 
+import json
 import random
 
 import pytest
 
 from regenrepair.ambr import AdaptiveMBRCode
+from regenrepair.cli import main
 from regenrepair.framework import InvalidHelperCountError, InvalidRepairInputError, RepairableCode
-from regenrepair.gf import Field
+from regenrepair.gf import Field, Matrix
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
 from regenrepair.pm import PMCode
+from regenrepair.workbench import build_code
 
 F256 = Field(8, 0x11D)
 CODES = {
@@ -244,3 +247,75 @@ def test_every_family_refuses_a_malformed_failed_set(encoded, family):
 
 def test_the_request_contract_covers_every_family():
     assert {type(build()) for build in CODES.values()} == set(RepairableCode.__subclasses__())
+
+
+# Coefficients outside the field, or not ints, wrapped through the log
+# tables (-1 acted as 255), died in them with IndexError (300), or in a
+# comparison with TypeError (2.0); a bool would pass for 0 or 1.
+BAD_COEFFICIENTS = (-1, 256, 300, 1000, 2.0, True, "7")
+
+
+def pm_with_lambda(bad):
+    return PMCode(F256, 7, 3, [bad] + [F256.pow(F256.generator, t) for t in range(2, 8)])
+
+
+def ia_with_kappa(bad):
+    return IACode(F256, 2, kappa=bad)
+
+
+def ia_with_p_entry(bad):
+    p = IACode(F256, 2).P.data
+    return IACode(F256, 2, P=Matrix(F256, [[bad, p[0][1]], p[1]]))
+
+
+def ia_with_v_entry(bad):
+    return IACode(F256, 2, V=Matrix(F256, [[1, bad], [0, 1]]))
+
+
+@pytest.mark.parametrize("build", [pm_with_lambda, ia_with_kappa, ia_with_p_entry, ia_with_v_entry],
+                         ids=lambda b: b.__name__)
+def test_constructors_refuse_coefficients_outside_the_field(build):
+    for bad in BAD_COEFFICIENTS:
+        with pytest.raises(ValueError):
+            build(bad)
+    build(2)  # and the same code builds on a field element
+
+
+def descriptors():
+    """One valid descriptor per family."""
+    return {family: build().descriptor() for family, build in CODES.items()}
+
+
+def test_build_code_refuses_malformed_descriptors():
+    for bad in ([1], "pm", 7, None):
+        with pytest.raises(ValueError):
+            build_code(bad)
+    for family, desc in descriptors().items():
+        for key, value in desc.items():
+            if key in ("family", "mode"):
+                continue
+            for bad in ("7", 7.0, True, None if key != "modulus" else "285", [value], {"x": value}):
+                with pytest.raises(ValueError):
+                    build_code({**desc, key: bad})
+        assert build_code(desc).descriptor() == desc
+    with pytest.raises(ValueError):
+        build_code({**descriptors()["mds"], "d_or_range": [4]})  # was IndexError
+
+
+# one field per family spoilt: a lambda of 300 died in a log table, kappa
+# -3 acted as 253, and n "7" and k 2.0 died in comparisons
+SPOILT = {"pm": ("lambdas", lambda v: [300] + v[1:]), "ia": ("kappa", lambda v: -3), "mds": ("n", str), "ambr": ("k", float)}
+
+
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_cli_refuses_a_malformed_descriptor_in_one_line(capsys, tmp_path, family):
+    """Exit 2 and a single error line, where these descriptors built a
+    code or exited 1 with a traceback."""
+    desc = descriptors()[family]
+    key, spoil = SPOILT[family]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**desc, key: spoil(desc[key])}))
+    code = main(["code", "encode", "--descriptor", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_paths as ref
-from regenrepair.framework import (
-    CouplingSystem,
-    InvalidRepairInputError,
-    SingularCouplingError,
-    unknown_pairs,
-)
+from regenrepair.framework import CouplingSystem, InvalidRepairInputError, SingularCouplingError
 from regenrepair.gf import Field, dot, mat_det, mat_inv, mat_solve
 from regenrepair.pm import PMCode, field_search
 from regenrepair.workbench import AssignmentNotFoundError, run_sweep, verify_exact_repair
@@ -96,10 +91,10 @@ def reference_decode(code, target, transfers):
 def reference_coupling_matrix(code, failed, helpers):
     pool = set(failed) | set(helpers)
     system = CouplingSystem(code.field, failed)
-    for i, j in unknown_pairs(failed):
+    for (i, j), t in system.slot.items():
         for l in failed:
             if l != i:
-                system.add_entry((i, j), (l, i), reference_coefficient(code, i, j, l, pool))
+                system.A.data[t][system.slot[(l, i)]] ^= reference_coefficient(code, i, j, l, pool)
     return system.A
 
 

@@ -44,3 +44,21 @@ def test_byte_conversions_pass_a_byteorder(path):
             if not set(required) <= given:
                 lines.append(node.lineno)
     assert lines == [], "%s calls from_bytes/to_bytes without a byteorder on lines %s" % (path.name, sorted(lines))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_library_modules_use_every_import(path):
+    """Every name a module imports is read somewhere in it, so a deletion
+    leaves no import behind; __init__.py imports to re-export and is exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in read)
+    assert unused == [], "%s imports names it never reads (line, name): %s" % (path.name, unused)

@@ -16,7 +16,6 @@ from regenrepair.tradeoff import (
     alpha_star,
     compare_strategies,
     cut_value,
-    enumerate_scenarios,
     gamma_mbmr,
     gamma_min_for_alpha,
     mbcr_check,
@@ -28,7 +27,7 @@ from regenrepair.tradeoff import (
 )
 
 import reference_paths as ref
-from exhaustive import exhaustive_min_cut
+from exhaustive import compositions, exhaustive_min_cut
 
 
 # --- independent oracle: pure-Fraction recursion, no shared code path ---
@@ -79,9 +78,9 @@ def test_cut_value_validation():
 
 
 def test_enumerate_scenarios_lexicographic():
-    assert [s.u for s in enumerate_scenarios(3, 2)] == [(1, 1, 1), (1, 2), (2, 1)]
-    assert len(enumerate_scenarios(8, 3)) == 81
-    us = [s.u for s in enumerate_scenarios(6, 4)]
+    assert [u for u, _ in compositions(3, 2)] == [(1, 1, 1), (1, 2), (2, 1)]
+    assert len(compositions(8, 3)) == 81
+    us = [u for u, _ in compositions(6, 4)]
     assert us == sorted(us)
     # parts never exceed e and always sum to k
     assert all(sum(u) == 6 and max(u) <= 4 for u in us)
