@@ -2,7 +2,10 @@
 
 The repair center runs the single-failure decoder of every lost node. Each
 decoder wants one transfer from every other node it would normally hear
-from, including the nodes that failed alongside it. Every such missing
+from, including the nodes that failed alongside it. PM and IA give only
+what a live node sends toward node y, their _projection(y); the decoder
+of node x over its sources is derived from the generator and those
+projections (RepairableCode._single_decoder). Every such missing
 transfer x -> y is the projection toward y of x's own single-failure
 decode, so it is a linear combination of the transfers toward x: the
 transfer from l weighs projection_y . decoder_x[:, l]. Moving the terms
@@ -36,7 +39,7 @@ a gf.LinearMap kept in the same cache as the plans.
 from dataclasses import dataclass
 from itertools import chain
 
-from .gf import LinearMap, Matrix, SingularMatrixError, _reduce, mat_det
+from .gf import LinearMap, Matrix, SingularMatrixError, _reduce, mat_det, mat_mul
 
 # Compiled maps and plans kept per code; the least recently used goes
 # first. An IA(6) plan holds ~1.8 KB, and on draws over all 2,509 of its
@@ -107,15 +110,16 @@ class RepairableCode:
     """What every code family shares.
 
     A family gives n, k, field, message_length, shard_length and its
-    generator, through _generator() or generator_matrix(). A family that
-    repairs by plans gives _plan_key and _compile_plan; PM keeps its own
-    repair_multi. Either way a repair request goes through _repair_nodes,
-    which checks what every family's request shares; the family checks
-    only its own rules (how many nodes it repairs at once, its degrees)
-    and passes its helper count. Each family binds encode, reconstruct and
-    repair_multi in its own class body, so that they can be wrapped per
-    family; keyword arguments such as an explicit repair degree d pass
-    through to repair_multi.
+    generator, through _generator() or generator_matrix(); PM and IA give
+    _projection(y) too, and derive their decoders by _single_decoder. A
+    family that repairs by plans gives _plan_key and _compile_plan; PM
+    keeps its own repair_multi. Either way a repair request goes through
+    _repair_nodes, which checks what every family's request shares; the
+    family checks only its own rules (how many nodes it repairs at once,
+    its degrees) and passes its helper count. Each family binds encode,
+    reconstruct and repair_multi in its own class body, so that they can
+    be wrapped per family; keyword arguments such as an explicit repair
+    degree d pass through to repair_multi.
     """
 
     def node_ids(self):
@@ -224,6 +228,26 @@ class RepairableCode:
             for out, x in zip(read, row[width:]):
                 out[p] = x
         return LinearMap(Matrix(field, read))
+
+    def _single_decoder(self, node, sources):
+        """Node's single-failure decoder over sources: the D with D T = G_node,
+        mapping the transfers, in sources order, to node's shard.
+
+        Row t of T is what sources[t] sends toward node as a function of the
+        message: _projection(node) times the source's generator block. One
+        Gauss-Jordan on [T^t | G_node^t] leaves D^t on the right of its first
+        rows; dependent transfers, or ones that do not determine node, raise
+        SingularMatrixError."""
+        field, size, width = self.field, self.shard_length, len(sources)
+        generator = self.generator_matrix()
+        projection = self._projection(node)
+        spread = [[0] * ((s - 1) * size) + projection + [0] * (generator.rows - s * size) for s in sources]
+        lost = generator.data[(node - 1) * size : node * size]
+        aug = [list(col) for col in zip(*mat_mul(Matrix(field, spread), generator).data, *lost)]
+        picks, _ = _reduce(field, aug, width, True)
+        if len(picks) < width or any(any(row[width:]) for row in aug[width:]):
+            raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
+        return Matrix(field, [list(col) for col in zip(*(row[width:] for row in aug[:width]))])
 
     def repair_single(self, shards, failed, helpers=None, **degree):
         contents, transcript = self.repair_multi(shards, (failed,), helpers, **degree)

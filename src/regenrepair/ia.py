@@ -3,17 +3,18 @@
 Systematic nodes 1..k store the raw data vectors w_1..w_k; parity node k+i
 stores w-bar_i with w-bar_i^t = sum_j w_j^t (u_i v_j^t + P_{j,i} I). Repair
 of a failed node downloads one inner product from each of the other 2k-1
-nodes and cancels the interference through the dual bases U', V'. With e
-failures the 2k-e survivors all act as helpers and the cross-failure
-transfers are recovered from the coupling system. Its rows are derived
-from the single-failure repair: the missing transfer x -> y is the
-projection toward y of x's decode from its transfers. The whole repair
-of a pattern compiles into one repair plan: the coupling solve over the
-received transfers, folded into each failed node's decoder.
+nodes, its content projected on v'_l toward systematic l or on u_m toward
+parity k+m; the decoder is derived from these projections and the
+generator. With e failures the 2k-e survivors all act as helpers and the
+cross-failure transfers are recovered from the coupling system. Its rows
+are derived from the single-failure repair: the missing transfer x -> y
+is the projection toward y of x's decode from its transfers. The whole
+repair of a pattern compiles into one repair plan: the coupling solve
+over the received transfers, folded into each failed node's decoder.
 
 All arithmetic is over GF(2^m), where addition and subtraction coincide;
-the formulas keep the textbook shape and simply evaluate minus as plus,
-and the constraint kappa^2 != 1 reduces to kappa != 1.
+the closed-form conditions evaluate minus as plus, and the constraint
+kappa^2 != 1 reduces to kappa != 1.
 """
 
 import random
@@ -83,15 +84,12 @@ class IACode(RepairableCode):
         self.kappa = kappa
         self.Vd = mat_inv(V).transpose()  # V'
         self.Pd = mat_inv(P).transpose()  # P'
-        # U = kappa^{-1} V' P and its inverse transpose U' = kappa V P'
+        # U = kappa^{-1} V' P
         inv_kappa = field.inv(kappa)
         self.U = Matrix(
             field,
             [[field.mul(inv_kappa, x) for x in row] for row in mat_mul(self.Vd, P).data],
         )
-        self.Ud = Matrix(field, [[field.mul(kappa, x) for x in row] for row in mat_mul(V, self.Pd).data])
-        self.one_minus_k2 = field.add(1, field.mul(kappa, kappa))  # 1 - kappa^2
-        self.one_plus_k = field.add(1, kappa)  # 1 + kappa = 1 - kappa
         self._terms = {}  # x -> _coupling_terms(x), filled on first use
         self._decoders = {}  # target -> _decoder(target), filled on first use
 
@@ -162,49 +160,15 @@ class IACode(RepairableCode):
         return dot(self.field, shard, self._projection(target))
 
     def _decoder(self, target):
-        """Target's single-failure decode as an alpha x n matrix: its content
-        is the matrix times the transfers t, t[node-1] from each other node.
-
-        Systematic l: w_l = (U' + kappa^2/(1+kappa) v_l P'_l^t) y with
-        y_i = sbar_{i,l} + sum_{j != l} P_{j,i} r_{j,l}.
-        Parity k+m: wbar_m = ((1-kappa^2) V + (1+kappa) u'_m P_m^t) z with
-        z_i = s_{i,m} + kappa^2/(1-kappa^2) sum_{j != m} P'_{i,j} rbar_{j,m}.
-        Built once per target, on first use.
+        """Target's single-failure decoder as an alpha x n matrix: its content
+        is the matrix times the transfers t, t[node-1] from each other node
+        (column target-1 is zero). Derived once per target, on first use.
         """
         dec = self._decoders.get(target)
-        if dec is not None:
-            return dec
-        f, k, kap2 = self.field, self.k, self.field.mul(self.kappa, self.kappa)
-        mix = [[0] * self.n for _ in range(k)]  # y (or z) from the transfers
-        if self.is_systematic(target):
-            l = target - 1
-            c = f.div(kap2, self.one_plus_k)
-            core = [
-                [self.Ud.data[r][i] ^ f.mul(c, f.mul(self.V.data[r][l], self.Pd.data[l][i])) for i in range(k)]
-                for r in range(k)
-            ]
-            for i in range(k):
-                mix[i][k + i] = 1
-                for j in range(k):
-                    if j != l:
-                        mix[i][j] = self.P.data[j][i]
-        else:
-            m = target - k - 1
-            ratio = f.div(kap2, self.one_minus_k2)
-            core = [
-                [
-                    f.mul(self.one_minus_k2, self.V.data[r][i])
-                    ^ f.mul(self.one_plus_k, f.mul(self.Ud.data[r][m], self.P.data[i][m]))
-                    for i in range(k)
-                ]
-                for r in range(k)
-            ]
-            for i in range(k):
-                mix[i][i] = 1
-                for j in range(k):
-                    if j != m:
-                        mix[i][k + j] = f.mul(ratio, self.Pd.data[i][j])
-        dec = self._decoders[target] = mat_mul(Matrix(f, core), Matrix(f, mix))
+        if dec is None:
+            sources = [s for s in self.node_ids() if s != target]
+            rows = self._single_decoder(target, sources).data
+            dec = self._decoders[target] = Matrix(self.field, [r[: target - 1] + [0] + r[target - 1 :] for r in rows])
         return dec
 
     # --- multi-node repair ---

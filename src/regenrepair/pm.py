@@ -6,20 +6,20 @@ Single repair sends one inner product per helper; repairing e nodes at
 once routes the missing cross-failure transfers through the coupling
 system of the framework module.
 
-Every linear map of a repair comes from one Lagrange table per pattern.
-With pool P = failed + helpers (d+1 nodes), Q(x) = prod_{m in P} (x+lam_m)
-is built once; G_{i,l} = Q / ((x+lam_i)(x+lam_l)) by two synthetic
-divisions interpolates node i's decoder at source l, and its row
-c_{i,l}[h] = (G[h] + lam_i^alpha G[h+alpha]) / G(lam_l), h < alpha, gives
-node i's content as sum_l t_{l->i} c_{i,l}. The coupling coefficient of
-(i, j, l) is c_{i,l} . phi_j, and the right-hand side of row (i, j) is
-the helpers' part of node i's decode projected on phi_j.
+A live node sends w^t phi_j toward node j, phi_j being row j of Phi (the
+first alpha columns of Psi); that is the family's projection. Node i's
+decoder over the rest of a pool of d+1 nodes (failed + helpers) is derived
+from the generator by the framework, once per node while the pool stays
+the same: its column c_{i,l} weighs the transfer from l, so node i's
+content is sum_l t_{l->i} c_{i,l}. The coupling coefficient of (i, j, l)
+is c_{i,l} . phi_j, and the right-hand side of row (i, j) is the helpers'
+part of node i's decode projected on phi_j.
 """
 
 import random
 
 from .framework import CouplingSystem, RepairableCode, RepairTranscript, _is_word, check_message
-from .gf import LinearMap, Matrix, dot, vandermonde
+from .gf import Matrix, dot, mat_mul, vandermonde
 
 
 def _axpy(field, acc, coef, row):
@@ -29,79 +29,6 @@ def _axpy(field, acc, coef, row):
         for c, x in enumerate(row):
             if x:
                 acc[c] ^= mul(coef, x)
-
-
-def _divide_root(field, poly, lam):
-    """poly / (x + lam) for a poly with root lam; ascending coefficients.
-
-    Synthetic division from the top: q[t-1] = poly[t] + lam q[t]; plus
-    equals minus in characteristic 2 so no sign bookkeeping is needed.
-    """
-    mul = field.mul
-    q = [0] * (len(poly) - 1)
-    q[-1] = poly[-1]
-    for t in range(len(q) - 1, 0, -1):
-        q[t - 1] = poly[t] ^ mul(lam, q[t])
-    return q
-
-
-class _PoolTable:
-    """Decoder rows c_{i,l} over one pool of d+1 nodes, built on demand.
-
-    Q = prod_{m in pool} (x + lam_m) is built once, R_i = Q / (x + lam_i)
-    once per failed node, and each row costs one more division and one
-    Horner evaluation. Each row's projections on every phi_j, the coupling
-    coefficients of (i, j, l) for all j, take one product with Phi per row.
-    """
-
-    def __init__(self, code, pool):
-        if len(pool) != code.d + 1:
-            raise ValueError("pool must hold d+1 = %d nodes" % (code.d + 1))
-        f = code.field
-        q = [1]
-        for m in sorted(pool):
-            lam = code.lambdas[m - 1]
-            nxt = [0] * (len(q) + 1)
-            for t, c in enumerate(q):
-                nxt[t + 1] ^= c
-                nxt[t] ^= f.mul(c, lam)
-            q = nxt
-        self.code = code
-        self.pool = pool
-        self.q = q
-        self.r = {}
-        self.rows = {}
-        self.projections = {}
-
-    def row(self, i, l):
-        row = self.rows.get((i, l))
-        if row is not None:
-            return row
-        if i == l or i not in self.pool or l not in self.pool:
-            raise ValueError("need distinct nodes %d and %d from the pool" % (i, l))
-        code = self.code
-        f = code.field
-        r = self.r.get(i)
-        if r is None:
-            r = self.r[i] = _divide_root(f, self.q, code.lambdas[i - 1])
-        lam_l = code.lambdas[l - 1]
-        g = _divide_root(f, r, lam_l)  # degree d-1: Lagrange numerator at l
-        den = 0
-        for c in reversed(g):
-            den = f.mul(den, lam_l) ^ c
-        inv = f.inv(den)
-        lam_i = code.lam_alpha[i - 1]
-        a = code.alpha
-        row = [f.mul(g[h] ^ f.mul(lam_i, g[h + a]), inv) for h in range(a)]
-        self.rows[(i, l)] = row
-        return row
-
-    def projection(self, i, l):
-        """Phi c_{i,l}: entry j-1 is row (i, l) projected on phi_j."""
-        proj = self.projections.get((i, l))
-        if proj is None:
-            proj = self.projections[(i, l)] = self.code._phi_map().apply(self.row(i, l))
-        return proj
 
 
 class PMCode(RepairableCode):
@@ -121,8 +48,7 @@ class PMCode(RepairableCode):
         if len(set(lambdas)) != n:
             raise ValueError("lambdas must be distinct")
         alpha = k - 1
-        powers = [field.pow(x, alpha) for x in lambdas]
-        if len(set(powers)) != n:
+        if len({field.pow(x, alpha) for x in lambdas}) != n:
             raise ValueError("alpha-th powers of lambdas must be distinct")
         self.field = field
         self.n = n
@@ -130,11 +56,10 @@ class PMCode(RepairableCode):
         self.d = d
         self.alpha = self.shard_length = alpha
         self.lambdas = list(lambdas)
-        self.lam_alpha = powers
         self.Psi = vandermonde(field, lambdas, d)
         self.Phi = self.Psi.submatrix(range(n), range(alpha))
-        self._table = None  # _PoolTable of the last pool used
-        self._phi = None  # LinearMap of Phi, built on first use
+        self._pool = None  # the pool of the decoders kept
+        self._decoders = {}  # node -> _pool_decoder(node, self._pool)
 
     # --- message handling ---
 
@@ -180,30 +105,45 @@ class PMCode(RepairableCode):
 
     # --- repair ---
 
+    def _projection(self, target):
+        """phi_target: what a live node projects its content on toward target."""
+        return self.Phi.data[target - 1]
+
     def repair_transfer(self, shard, target):
         """The symbol a live node sends toward failed node target: w^t phi_target."""
-        return dot(self.field, shard, self.Phi.data[target - 1])
+        return dot(self.field, shard, self._projection(target))
 
-    def _pool_table(self, pool):
-        """The Lagrange table of pool, kept for one pool at a time."""
+    def _pool_decoder(self, i, pool):
+        """Node i's decoder over the other d nodes of pool, as {source l:
+        (c_{i,l}, Phi c_{i,l})}: i's content is sum_l t_{l->i} c_{i,l}, and
+        entry j-1 of Phi c_{i,l} is c_{i,l} . phi_j. Derived on first use
+        and kept for one pool at a time."""
         pool = frozenset(pool)
-        if self._table is None or self._table.pool != pool:
-            self._table = _PoolTable(self, pool)
-        return self._table
-
-    def _phi_map(self):
-        if self._phi is None:
-            self._phi = LinearMap(self.Phi)
-        return self._phi
+        if pool != self._pool:
+            if len(pool) != self.d + 1:
+                raise ValueError("pool must hold d+1 = %d nodes" % (self.d + 1))
+            self._pool, self._decoders = pool, {}
+        columns = self._decoders.get(i)
+        if columns is None:
+            sources = sorted(pool - {i})
+            decoder = self._single_decoder(i, sources)
+            products = mat_mul(self.Phi, decoder).data
+            columns = self._decoders[i] = {
+                l: ([r[t] for r in decoder.data], [r[t] for r in products]) for t, l in enumerate(sources)
+            }
+        return columns
 
     def coupling_coefficient(self, i, j, l, pool):
         """Weight of transfer s_{l,i} inside the expansion of s_{i,j}.
 
         pool is the full participant set (failed + helpers); the repair of
         node i reads one transfer from every node of pool except i itself.
-        The weight is node i's decoder row for source l, projected on phi_j.
+        The weight is node i's decoder column for source l, projected on phi_j.
         """
-        return self._pool_table(pool).projection(i, l)[j - 1]
+        column = self._pool_decoder(i, pool).get(l)
+        if column is None:
+            raise ValueError("need distinct nodes %d and %d from the pool" % (i, l))
+        return column[1][j - 1]
 
     def coupling_matrix(self, failed, helpers):
         """The coupling system of a pattern with b left at zero.
@@ -227,7 +167,7 @@ class PMCode(RepairableCode):
         decode p_i = sum_h r_{h->i} c_{i,h} from the helpers alone."""
         f = self.field
         failed = tuple(sorted(failed))
-        table = self._pool_table(failed + tuple(helpers))
+        decoders = {i: self._pool_decoder(i, failed + tuple(helpers)) for i in failed}
         received = {}
         for h in helpers:
             for j in failed:
@@ -236,7 +176,7 @@ class PMCode(RepairableCode):
         for i in failed:
             acc = [0] * self.alpha
             for h in helpers:
-                _axpy(f, acc, received[(h, i)], table.row(i, h))
+                _axpy(f, acc, received[(h, i)], decoders[i][h][0])
             parts[i] = acc
         system = self.coupling_matrix(failed, helpers)
         for (i, j), t in system.slot.items():
@@ -258,11 +198,11 @@ class PMCode(RepairableCode):
         failed, helpers = self._repair_nodes(shards, failed, helpers, self.d - e + 1)
         system, received, contents = self._assemble(shards, failed, helpers)
         solved = system.solve() if e > 1 else {}
-        table = self._pool_table(failed + helpers)
         for i in failed:
+            columns = self._pool_decoder(i, failed + helpers)
             for l in failed:
                 if l != i:
-                    _axpy(self.field, contents[i], solved[(l, i)], table.row(i, l))
+                    _axpy(self.field, contents[i], solved[(l, i)], columns[l][0])
         per_helper = dict.fromkeys(helpers, 0)
         for h, _ in received:
             per_helper[h] += 1
@@ -289,18 +229,21 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
     once it has as many singular patterns as the best trial so far, which
     it then cannot beat. Returns the first clean lambdas, or raises
     AssignmentNotFoundError with the first lambdas of fewest singular
-    patterns.
+    patterns; a field with fewer than n elements raises ValueError before
+    any trial.
     """
     from itertools import combinations
 
     from .workbench import AssignmentNotFoundError
 
+    if n > field.size:
+        raise ValueError("GF(2^%d) has %d elements, too few for %d distinct lambdas" % (field.m, field.size, n))
     e_cap = min(e_max, n - k, k - 1)
     rng = random.Random(seed)
     elements = list(field.elements())
     best = None
     best_bad = None
-    for _ in range(trials if n <= field.size else 0):
+    for _ in range(trials):
         lambdas = rng.sample(elements, n)
         try:
             code = PMCode(field, n, k, lambdas)

@@ -140,7 +140,12 @@ def verify_exact_repair(code, pattern, helpers=None, rng=None, **repair_args):
 
 
 def run_sweep(code, e, seed=0, sample=None, helpers=None, **repair_args):
-    """Try every e-failure pattern (or a seeded sample) and verify repair."""
+    """Try every e-failure pattern (or a seeded sample) and verify repair;
+    e outside 1..n or a sample of no patterns is a ValueError."""
+    if not 1 <= e <= code.n:
+        raise ValueError("need 1 <= e <= n = %d failed nodes, got %d" % (code.n, e))
+    if sample is not None and sample < 1:
+        raise ValueError("need a sample of at least 1 pattern, got %d" % sample)
     base = SplitRandom(seed)
     patterns = list(itertools.combinations(code.node_ids(), e))
     if sample is not None and sample < len(patterns):
@@ -157,7 +162,8 @@ def run_sweep(code, e, seed=0, sample=None, helpers=None, **repair_args):
 
 
 def search_assignment(family, params, budget=200, seed=0):
-    """Randomized search for code coefficients whose sweeps are all clean."""
+    """Randomized search for code coefficients whose sweeps are all clean.
+    params holds m, k, and n for PM; an IA search refuses any n but 2k."""
     from . import ia as ia_mod
     from . import pm as pm_mod
     from .gf import Field
@@ -174,6 +180,8 @@ def search_assignment(family, params, budget=200, seed=0):
         )
         return pm_mod.PMCode(field, params["n"], params["k"], lambdas).descriptor()
     if family == "ia":
+        if params.get("n", 2 * params["k"]) != 2 * params["k"]:
+            raise ValueError("IA codes have n = 2k = %d, got n = %d" % (2 * params["k"], params["n"]))
         code = ia_mod.field_search(
             field,
             params["k"],

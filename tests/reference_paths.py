@@ -20,7 +20,10 @@ subset's theta, and the plan compile that cached each target's send rows.
 
 So does IA's hand expansion of each coupling row, in four flavors by the
 sides of the code the two failed nodes live on, which the rows derived
-from the decoders replaced.
+from the decoders replaced. So do the single-failure decoders written out
+by hand before they were derived from the generator: IA's two-case formula
+through U' = kappa V P', 1 - kappa^2 and 1 + kappa, and PM's Lagrange row
+c_{i,l} of each pool.
 
 So do the vetting paths of the coefficient searches and the tradeoff
 queries: one elimination per square submatrix for superregularity, IA and
@@ -148,6 +151,55 @@ def ia_reconstruct(code, shards):
     return mat_solve(Matrix(f, rows), rhs)
 
 
+def ia_constants(code):
+    """(U', 1 - kappa^2, 1 + kappa) of an IA code: U' = kappa V P' is the
+    inverse transpose of U, and minus is plus in characteristic 2."""
+    f, kappa = code.field, code.kappa
+    ud = Matrix(f, [[f.mul(kappa, x) for x in row] for row in mat_mul(code.V, code.Pd).data])
+    return ud, f.add(1, f.mul(kappa, kappa)), f.add(1, kappa)
+
+
+def ia_decoder(code, target):
+    """Target's single-failure decoder as an alpha x n matrix, by formula.
+
+    Systematic l: w_l = (U' + kappa^2/(1+kappa) v_l P'_l^t) y with
+    y_i = sbar_{i,l} + sum_{j != l} P_{j,i} r_{j,l}.
+    Parity k+m: wbar_m = ((1-kappa^2) V + (1+kappa) u'_m P_m^t) z with
+    z_i = s_{i,m} + kappa^2/(1-kappa^2) sum_{j != m} P'_{i,j} rbar_{j,m}.
+    """
+    f, k, kap2 = code.field, code.k, code.field.mul(code.kappa, code.kappa)
+    ud, one_minus_k2, one_plus_k = ia_constants(code)
+    mix = [[0] * code.n for _ in range(k)]  # y (or z) from the transfers
+    if code.is_systematic(target):
+        l = target - 1
+        c = f.div(kap2, one_plus_k)
+        core = [
+            [ud.data[r][i] ^ f.mul(c, f.mul(code.V.data[r][l], code.Pd.data[l][i])) for i in range(k)]
+            for r in range(k)
+        ]
+        for i in range(k):
+            mix[i][k + i] = 1
+            for j in range(k):
+                if j != l:
+                    mix[i][j] = code.P.data[j][i]
+    else:
+        m = target - k - 1
+        ratio = f.div(kap2, one_minus_k2)
+        core = [
+            [
+                f.mul(one_minus_k2, code.V.data[r][i]) ^ f.mul(one_plus_k, f.mul(ud.data[r][m], code.P.data[i][m]))
+                for i in range(k)
+            ]
+            for r in range(k)
+        ]
+        for i in range(k):
+            mix[i][i] = 1
+            for j in range(k):
+                if j != m:
+                    mix[i][k + j] = f.mul(ratio, code.Pd.data[i][j])
+    return mat_mul(Matrix(f, core), Matrix(f, mix))
+
+
 def _ia_decode_systematic(code, l, transfers):
     """w_l = (U' - kappa^2/(1+kappa) V e_l e_l^t P') y with
     y_i = sbar_{i,l} - sum_{j != l} P_{j,i} r_{j,l}."""
@@ -159,9 +211,10 @@ def _ia_decode_systematic(code, l, transfers):
             if j != l:
                 acc = f.add(acc, f.mul(code.P.data[j - 1][i - 1], transfers[j]))
         y.append(acc)
-    out = mat_vec(code.Ud, y)
+    ud, _, one_plus_k = ia_constants(code)
+    out = mat_vec(ud, y)
     scale = f.mul(
-        f.div(f.mul(code.kappa, code.kappa), code.one_plus_k),
+        f.div(f.mul(code.kappa, code.kappa), one_plus_k),
         dot(f, code.Pd.data[l - 1], y),
     )
     v_l = code._col(code.V, l)
@@ -172,7 +225,8 @@ def _ia_decode_parity(code, m, transfers):
     """wbar_m = ((1-kappa^2) V + (1+kappa) U' e_m e_m^t P^t) z with
     z_i = s_{i,m} + kappa^2/(1-kappa^2) sum_{j != m} P'_{i,j} rbar_{j,m}."""
     f = code.field
-    ratio = f.div(f.mul(code.kappa, code.kappa), code.one_minus_k2)
+    ud, one_minus_k2, one_plus_k = ia_constants(code)
+    ratio = f.div(f.mul(code.kappa, code.kappa), one_minus_k2)
     z = []
     for i in range(1, code.k + 1):
         acc = transfers[i]
@@ -181,9 +235,9 @@ def _ia_decode_parity(code, m, transfers):
                 acc = f.add(acc, f.mul(ratio, f.mul(code.Pd.data[i - 1][j - 1], transfers[code.k + j])))
         z.append(acc)
     vz = mat_vec(code.V, z)
-    scale = f.mul(code.one_plus_k, dot(f, [code.P.data[j][m - 1] for j in range(code.k)], z))
-    ud_m = code._col(code.Ud, m)
-    return [f.add(f.mul(code.one_minus_k2, vz[t]), f.mul(scale, ud_m[t])) for t in range(code.alpha)]
+    scale = f.mul(one_plus_k, dot(f, [code.P.data[j][m - 1] for j in range(code.k)], z))
+    ud_m = code._col(ud, m)
+    return [f.add(f.mul(one_minus_k2, vz[t]), f.mul(scale, ud_m[t])) for t in range(code.alpha)]
 
 
 def ia_decode(code, target, transfers):
@@ -469,11 +523,12 @@ def ia_expand_terms(code, x, y):
     f = code.field
     k = code.k
     kap = code.kappa
+    _, one_minus_k2, one_plus_k = ia_constants(code)
     terms = []
     if code.is_systematic(x) and not code.is_systematic(y):
         l, m = x, y - k
         # s_{l,m}: couples the transfers that repair systematic l
-        ratio = f.div(kap, code.one_plus_k)
+        ratio = f.div(kap, one_plus_k)
         plm = code.P.data[l - 1][m - 1]
         for j in range(1, k + 1):
             c = f.mul(ratio, f.mul(plm, code.Pd.data[l - 1][j - 1]))
@@ -493,11 +548,11 @@ def ia_expand_terms(code, x, y):
         m, l = x - k, y
         # sbar_{m,l}: couples the transfers that repair parity m
         pdlm = code.Pd.data[l - 1][m - 1]
-        kk1 = f.mul(kap, code.one_plus_k)
+        kk1 = f.mul(kap, one_plus_k)
         for j in range(1, k + 1):
             c = f.mul(kk1, f.mul(pdlm, code.P.data[j - 1][m - 1]))
             if j == l:
-                c = f.add(code.one_minus_k2, c)
+                c = f.add(one_minus_k2, c)
             terms.append((j, x, c))
         k2 = f.mul(kap, kap)
         for j in range(1, k + 1):
@@ -506,7 +561,7 @@ def ia_expand_terms(code, x, y):
     else:
         m1, m2 = x - k, y - k
         # rbar_{m1,m2} = sum_j (1-kappa^2)/kappa P_{j,m2} s_{j,m1} + kappa rbar_{m2,m1}
-        ratio = f.div(code.one_minus_k2, kap)
+        ratio = f.div(one_minus_k2, kap)
         for j in range(1, k + 1):
             terms.append((j, x, f.mul(ratio, code.P.data[j - 1][m2 - 1])))
         terms.append((y, x, kap))
@@ -563,15 +618,45 @@ def ia_field_search(field, k, e_max, trials=200, seed=0):
     return None, (best, best_bad)
 
 
+def _pm_gammas(code, others):
+    """prod_{m in others} (x + lam_m), rebuilt from scratch, ascending powers."""
+    f = code.field
+    poly = [1]
+    for m in others:
+        lam = code.lambdas[m - 1]
+        nxt = [0] * (len(poly) + 1)
+        for t, c in enumerate(poly):
+            nxt[t + 1] = f.add(nxt[t + 1], c)
+            nxt[t] = f.add(nxt[t], f.mul(c, lam))
+        poly = nxt
+    return poly
+
+
+def pm_decoder_row(code, i, l, pool):
+    """PM's decoder row c_{i,l} over pool by Lagrange interpolation:
+    G = prod_{m in pool, m != i, l} (x + lam_m) and c_{i,l}[h] =
+    (G[h] + lam_i^alpha G[h+alpha]) / G(lam_l), from a product rebuilt for
+    this (i, l) alone."""
+    f = code.field
+    gam = _pm_gammas(code, sorted(m for m in pool if m not in (i, l)))
+    den, pw = 0, 1
+    for h in range(code.d):
+        den = f.add(den, f.mul(gam[h], pw))
+        pw = f.mul(pw, code.lambdas[l - 1])
+    lam_i = f.pow(code.lambdas[i - 1], code.alpha)
+    return [f.div(f.add(gam[h], f.mul(lam_i, gam[h + code.alpha])), den) for h in range(code.alpha)]
+
+
 def pm_coupling_matrix(code, failed, helpers):
     """PM's coupling matrix, one dot of a decoder row with phi_j per entry."""
     failed = tuple(sorted(failed))
-    table = code._pool_table(frozenset(failed) | frozenset(helpers))
+    pool = set(failed) | set(helpers)
+    rows = {(i, l): pm_decoder_row(code, i, l, pool) for i in failed for l in failed if l != i}
     system = CouplingSystem(code.field, failed)
     for (i, j), t in system.slot.items():
         for l in failed:
             if l != i:
-                system.A.data[t][system.slot[(l, i)]] ^= dot(code.field, table.row(i, l), code.Phi.data[j - 1])
+                system.A.data[t][system.slot[(l, i)]] ^= dot(code.field, rows[(i, l)], code.Phi.data[j - 1])
     return system
 
 

@@ -331,6 +331,30 @@ def test_search_exit_codes(capsys):
     assert code == NOT_FOUND
 
 
+def test_search_refuses_sizes_the_family_cannot_have(capsys):
+    """An IA search with n != 2k, and a PM search with more nodes than the
+    field has elements, are input errors (exit 2) before any trial."""
+    for family, field, n in (("ia", "5", "7"), ("pm", "4", "99")):
+        code = main(["code", "search", "--family", family, "--field", field, "--n", n, "--k", "3"])
+        captured = capsys.readouterr()
+        assert code == INFEASIBLE and captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_sweep_refuses_an_e_outside_the_nodes_and_empty_samples(capsys, tmp_path):
+    """e = 0 or e > n, and a sample of no patterns, would verify nothing
+    and report success: they are input errors (exit 2)."""
+    desc = tmp_path / "mds.json"
+    assert run(capsys, "code", "build", "--family", "mds", "--field", "8:11d", "--n", "7", "--k", "3",
+               "--d-max", "4", "--out", str(desc))[0] == OK
+    for extra in (("--e", "9"), ("--e", "8"), ("--e", "0"), ("--e", "2", "--sample", "0"),
+                  ("--e", "2", "--sample", "-1")):
+        code = main(["code", "sweep", "--descriptor", str(desc), *extra])
+        captured = capsys.readouterr()
+        assert code == INFEASIBLE and captured.out == "" and captured.err.startswith("error: "), extra
+    code, payload = run_json(capsys, "code", "sweep", "--descriptor", str(desc), "--e", "2", "--sample", "1")
+    assert code == OK and len(payload["entries"]) == 1
+
+
 def test_bad_inputs_exit_infeasible(capsys, tmp_path):
     code, _ = run(capsys, "code", "build", "--family", "mds", "--field", "5",
                   "--n", "6", "--k", "2")  # neither --d nor --d-max

@@ -10,7 +10,9 @@ from regenrepair.framework import (
     SingularCouplingError,
     unknown_pairs,
 )
-from regenrepair.gf import Field, mat_vec
+from regenrepair.gf import Field, SingularMatrixError, mat_vec
+from regenrepair.ia import IACode
+from regenrepair.pm import PMCode
 
 
 def test_unknown_order_frozen():
@@ -84,3 +86,20 @@ def test_coupling_singular_reports_pattern():
 def test_transcript_totals():
     t = RepairTranscript(per_helper={1: 3, 2: 3})
     assert t.total == 6
+
+
+def test_single_decoder_refuses_transfers_that_do_not_determine_the_node():
+    """d transfers decode a PM node; d-1 leave it undetermined and d+1 are
+    dependent, and 2k-2 leave an IA node undetermined: no decoder is made
+    up for any of them."""
+    pm = PMCode(Field(8, 0x11D), 13, 6)
+    others = [s for s in pm.node_ids() if s != 1]
+    decoder = pm._single_decoder(1, others[: pm.d])
+    assert (decoder.rows, decoder.cols) == (pm.alpha, pm.d)
+    for sources in (others[: pm.d - 1], others[: pm.d + 1]):
+        with pytest.raises(SingularMatrixError, match="do not determine node 1"):
+            pm._single_decoder(1, sources)
+    ia = IACode(Field(5), 3)
+    assert ia._single_decoder(4, [1, 2, 3, 5, 6]).cols == 5
+    with pytest.raises(SingularMatrixError):
+        ia._single_decoder(4, [1, 2, 3, 5])

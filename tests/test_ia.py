@@ -42,7 +42,7 @@ def test_duality_identities():
         inv_kappa = f.inv(code.kappa)
         utv = mat_mul(code.U.transpose(), code.V).data
         assert utv == [[f.mul(inv_kappa, code.P.data[c][r]) for c in range(k)] for r in range(k)]
-        vdtud = mat_mul(code.Vd.transpose(), code.Ud).data
+        vdtud = mat_mul(code.Vd.transpose(), ref.ia_constants(code)[0]).data
         assert vdtud == [[f.mul(code.kappa, code.Pd.data[r][c]) for c in range(k)] for r in range(k)]
         assert mat_mul(code.Pd, code.P.transpose()).data == Matrix.identity(f, k).data
 
@@ -165,12 +165,13 @@ def test_condition_check_matches_determinant_random_p():
 
 
 @st.composite
-def random_ia_codes(draw):
-    """IACode(k) over GF(2^m), m = 3..8, k = 2..5, with a random kappa and
-    a random superregular P: random entries where a few draws find one,
-    else a Cauchy matrix on random points with scaled rows and columns."""
-    m = draw(st.integers(3, 8))
-    k = draw(st.integers(2, 5 if m > 3 else 4))
+def random_ia_codes(draw, ms=range(3, 9), k_min=2):
+    """IACode(k) over GF(2^m), m in ms (3..8 by default), k = k_min..5,
+    with a random kappa and a random superregular P: random entries where
+    a few draws find one, else a Cauchy matrix on random points with
+    scaled rows and columns."""
+    m = draw(st.sampled_from(ms))
+    k = draw(st.integers(k_min, 5 if m > 3 else 4))
     field = Field(m)
     rng = draw(st.randoms(use_true_random=False))
     for _ in range(20):
@@ -203,6 +204,21 @@ def test_coupling_system_and_closed_forms_on_random_codes(code):
             except UnsupportedPatternError:
                 continue
             assert covered == (system.determinant() != 0), pat
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        random_ia_codes(ms=(3, 4, 8, 10, 13), k_min=1),
+        st.sampled_from([1, 6]).map(lambda k: IACode(F256, k)),
+    )
+)
+def test_derived_decoders_equal_the_hand_formulas(code):
+    """Every node's decoder derived from the generator is the two-case
+    formula, on random P and kappa, over fields with byte tables, wider
+    tables (m = 10) and none (m = 13), for k = 1 up to 6."""
+    for target in code.node_ids():
+        assert code._decoder(target) == ref.ia_decoder(code, target), target
 
 
 @pytest.mark.parametrize("m, k", [(8, 6), (4, 3), (5, 3), (6, 4)])
@@ -256,7 +272,7 @@ def conjecture_eval(code, failed):
                         # signs are powers of -1 = 1 in characteristic 2
                         bracket = f.add(bracket, term)
     rhs = f.pow(code.kappa, 2 * s * p)
-    rhs = f.mul(rhs, f.pow(code.one_minus_k2, s * (s - 1) // 2 + p * (p - 1) // 2))
+    rhs = f.mul(rhs, f.pow(ref.ia_constants(code)[1], s * (s - 1) // 2 + p * (p - 1) // 2))
     rhs = f.mul(rhs, f.pow(bracket, e))
     return lhs, rhs, lhs == rhs
 
@@ -273,14 +289,15 @@ def test_systematic_decode_matrix_is_closed_form_inverse():
     # (U' + kappa^2/(1+kappa) V e_l e_l^t P') inverts rows u_i^t + P_{l,i} v'_l^t
     code = example_code()
     f, k = code.field, code.k
+    ud, _, one_plus_k = ref.ia_constants(code)
     for l in range(1, k + 1):
         fwd = [[code.U.data[c][i] for c in range(k)] for i in range(k)]
         vdl = [code.Vd.data[r][l - 1] for r in range(k)]
         for i in range(k):
             for c in range(k):
                 fwd[i][c] = f.add(fwd[i][c], f.mul(code.P.data[l - 1][i], vdl[c]))
-        inv = [row[:] for row in code.Ud.data]
-        coef = f.div(f.mul(code.kappa, code.kappa), code.one_plus_k)
+        inv = [row[:] for row in ud.data]
+        coef = f.div(f.mul(code.kappa, code.kappa), one_plus_k)
         for r in range(k):
             for c in range(k):
                 inv[r][c] = f.add(inv[r][c], f.mul(coef, f.mul(code.V.data[r][l - 1], code.Pd.data[l - 1][c])))

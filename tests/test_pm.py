@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_paths as ref
-from regenrepair.framework import CouplingSystem, InvalidRepairInputError, SingularCouplingError
+from regenrepair.framework import InvalidRepairInputError, SingularCouplingError
 from regenrepair.gf import Field, dot, mat_det, mat_inv, mat_solve
 from regenrepair.pm import PMCode, field_search
 from regenrepair.workbench import AssignmentNotFoundError, run_sweep, verify_exact_repair
@@ -32,7 +32,7 @@ def generic_coefficient(code, i, j, l, pool):
     inv = mat_inv(psi)
     v = [inv.data[r][col] for r in range(code.d)]
     lam_j = code.lambdas[j - 1]
-    lam_ia = code.lam_alpha[i - 1]
+    lam_ia = f.pow(code.lambdas[i - 1], code.alpha)
     acc, pw = 0, 1
     for h in range(code.alpha):
         acc = f.add(acc, f.mul(pw, f.add(v[h], f.mul(lam_ia, v[h + code.alpha]))))
@@ -40,38 +40,14 @@ def generic_coefficient(code, i, j, l, pool):
     return acc
 
 
-# --- reference formulas the per-pattern Lagrange table replaces ---
-
-def reference_gammas(code, others):
-    """prod_{m in others} (x + lam_m), rebuilt from scratch, ascending powers."""
-    f = code.field
-    poly = [1]
-    for m in others:
-        lam = code.lambdas[m - 1]
-        nxt = [0] * (len(poly) + 1)
-        for t, c in enumerate(poly):
-            nxt[t + 1] = f.add(nxt[t + 1], c)
-            nxt[t] = f.add(nxt[t], f.mul(c, lam))
-        poly = nxt
-    return poly
-
-
-def reference_row(code, i, l, pool):
-    """Decoder row c_{i,l} from a product rebuilt for this (i, l) alone."""
-    f = code.field
-    gam = reference_gammas(code, sorted(m for m in pool if m not in (i, l)))
-    den, pw = 0, 1
-    for h in range(code.d):
-        den = f.add(den, f.mul(gam[h], pw))
-        pw = f.mul(pw, code.lambdas[l - 1])
-    lam_i = code.lam_alpha[i - 1]
-    return [f.div(f.add(gam[h], f.mul(lam_i, gam[h + code.alpha])), den) for h in range(code.alpha)]
+# --- references built on the Lagrange row of reference_paths ---
 
 
 def reference_coefficient(code, i, j, l, pool):
+    """c_{i,l} . phi_j, phi_j evaluated by powers of lam_j."""
     f = code.field
     acc, pw = 0, 1
-    for c in reference_row(code, i, l, pool):
+    for c in ref.pm_decoder_row(code, i, l, pool):
         acc = f.add(acc, f.mul(c, pw))
         pw = f.mul(pw, code.lambdas[j - 1])
     return acc
@@ -84,29 +60,24 @@ def reference_decode(code, target, transfers):
     ordered = sorted(transfers)
     psi_h = code.Psi.submatrix([h - 1 for h in ordered], range(code.d))
     x = mat_solve(psi_h, [transfers[h] for h in ordered])
-    lam = code.lam_alpha[target - 1]
+    lam = f.pow(code.lambdas[target - 1], code.alpha)
     return [f.add(x[c], f.mul(lam, x[code.alpha + c])) for c in range(code.alpha)]
-
-
-def reference_coupling_matrix(code, failed, helpers):
-    pool = set(failed) | set(helpers)
-    system = CouplingSystem(code.field, failed)
-    for (i, j), t in system.slot.items():
-        for l in failed:
-            if l != i:
-                system.A.data[t][system.slot[(l, i)]] ^= reference_coefficient(code, i, j, l, pool)
-    return system.A
 
 
 # (field, n, k): alpha = 1, 2, 4 over GF(2^4), 3 and 5 over GF(2^6) and GF(2^8)
 TABLE_CONFIGS = [(F16, 4, 2), (F16, 5, 3), (F16, 9, 5), (F64, 7, 4), (F64, 11, 6), (F256, 8, 4), (F256, 11, 6)]
 
 
+# n > d+1, so the pool is a choice, over fields with byte tables, wider
+# tables (m = 10) and none (m = 13)
+WIDE_CONFIGS = [(F16, 7, 3), (F64, 12, 5), (F256, 13, 6), (Field(10), 9, 4), (Field(13), 11, 5), (Field(13), 5, 2)]
+
+
 @st.composite
-def pool_cases(draw):
+def pool_cases(draw, configs=TABLE_CONFIGS):
     """A code on drawn evaluation points, a pool of d+1 of its nodes, and
     a node i of the pool with a source l != i and a destination j."""
-    field, n, k = draw(st.sampled_from(TABLE_CONFIGS))
+    field, n, k = draw(st.sampled_from(configs))
     lambdas = draw(st.lists(st.integers(0, field.size - 1), min_size=n, max_size=n, unique=True))
     assume(len({field.pow(x, k - 1) for x in lambdas}) == n)
     code = PMCode(field, n, k, lambdas)
@@ -121,10 +92,26 @@ def pool_cases(draw):
 @given(pool_cases())
 def test_table_rows_and_coefficients_match_references(case):
     code, pool, i, l, j = case
-    assert code._pool_table(pool).row(i, l) == reference_row(code, i, l, pool)
+    assert code._pool_decoder(i, pool)[l][0] == ref.pm_decoder_row(code, i, l, pool)
     got = code.coupling_coefficient(i, j, l, pool)
     assert got == reference_coefficient(code, i, j, l, pool)
     assert got == generic_coefficient(code, i, j, l, pool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(pool_cases(), pool_cases(WIDE_CONFIGS)))
+def test_derived_decoders_equal_the_lagrange_rows(case):
+    """Every node of a drawn pool: the decoder derived from the generator
+    has the Lagrange row c_{i,l} as its column for each source l, and that
+    column's product with Phi holds its dot with every phi_j."""
+    code, pool, _, _, _ = case
+    for i in pool:
+        columns = code._pool_decoder(i, pool)
+        assert sorted(columns) == sorted(set(pool) - {i})
+        for l, (column, projected) in columns.items():
+            row = ref.pm_decoder_row(code, i, l, pool)
+            assert column == row, (i, l)
+            assert projected == [dot(code.field, row, phi) for phi in code.Phi.data], (i, l)
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,10 +121,10 @@ def test_table_decode_matches_vandermonde_solve(case, rng):
     f = code.field
     shards = code.encode(code.random_message(rng))
     transfers = {l: code.repair_transfer(shards[l], i) for l in pool if l != i}
-    table = code._pool_table(pool)
+    columns = code._pool_decoder(i, pool)
     decoded = [0] * code.alpha
     for l, t in transfers.items():
-        for c, x in enumerate(table.row(i, l)):
+        for c, x in enumerate(columns[l][0]):
             decoded[c] = f.add(decoded[c], f.mul(t, x))
     assert decoded == reference_decode(code, i, transfers) == shards[i]
     helpers = [l for l in pool if l != i]
@@ -154,7 +141,7 @@ def test_multi_repair_on_drawn_pools_matches_reference_system(case, rng, data):
     e = data.draw(st.integers(2, e_cap))
     failed = tuple(sorted(data.draw(st.permutations(pool))[:e]))
     helpers = tuple(sorted(set(pool) - set(failed)))
-    assert code.coupling_matrix(failed, helpers).A == reference_coupling_matrix(code, failed, helpers)
+    assert code.coupling_matrix(failed, helpers).A == ref.pm_coupling_matrix(code, failed, helpers).A
     shards = code.encode(code.random_message(rng))
     survivors = {m: v for m, v in shards.items() if m not in failed}
     system, _ = code.assemble_multi(survivors, failed, helpers)
@@ -176,7 +163,7 @@ def test_singular_sets_match_reference_determinants_on_f32():
         for failed in itertools.combinations(code.node_ids(), e):
             survivors = {m: v for m, v in shards.items() if m not in failed}
             helpers = code.default_helpers(survivors, failed, code.d - e + 1)
-            expected = mat_det(reference_coupling_matrix(code, failed, helpers)) == 0
+            expected = mat_det(ref.pm_coupling_matrix(code, failed, helpers).A) == 0
             try:
                 contents, _ = code.repair_multi(survivors, failed)
             except SingularCouplingError:
@@ -201,14 +188,14 @@ def test_coupling_matrix_is_assemble_multis_matrix_without_shards():
 @pytest.mark.parametrize("field, n, k", [(F16, 9, 5), (F256, 11, 6), (Field(10), 9, 5), (Field(13), 7, 4)])
 def test_coupling_coefficient_is_the_row_projected_on_phi(field, n, k):
     """Every (i, j, l) of a pool, over fields with byte tables and past them:
-    the coefficient read from the row's product with Phi is the dot product
-    of the row with phi_j."""
+    the coefficient read from the derived column's product with Phi is the
+    dot product of the Lagrange row with phi_j."""
     code = PMCode(field, n, k)
     pool = tuple(range(2, code.d + 3)) if n > code.d + 1 else tuple(code.node_ids())
-    table = code._pool_table(pool)
     for i, l in itertools.permutations(pool, 2):
+        row = ref.pm_decoder_row(code, i, l, pool)
         for j in code.node_ids():
-            want = dot(field, table.row(i, l), code.Phi.data[j - 1])
+            want = dot(field, row, code.Phi.data[j - 1])
             assert code.coupling_coefficient(i, j, l, pool) == want, (i, j, l)
 
 
@@ -453,7 +440,8 @@ def test_field_search_small_case_and_refusals():
     lam = field_search(F16, 4, 2, 2, trials=10, seed=5)
     code = PMCode(F16, 4, 2, lam)  # invariants hold for the found assignment
     assert sorted(set(lam)) == sorted(lam)
-    with pytest.raises(AssignmentNotFoundError):
+    # GF(2) has too few elements for 4 distinct lambdas: no trial can run
+    with pytest.raises(ValueError, match="too few"):
         field_search(Field(1), 4, 2, 2, trials=5, seed=0)
 
 

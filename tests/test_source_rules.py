@@ -1,11 +1,14 @@
-"""Rules the library source keeps, checked on its syntax tree."""
+"""Rules the library source keeps, checked on its syntax tree, and the
+library names the benchmark's tracer looks up."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "regenrepair").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "regenrepair").glob("*.py"))
 
 
 def test_sources_found():
@@ -62,3 +65,16 @@ def test_library_modules_use_every_import(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in read)
     assert unused == [], "%s imports names it never reads (line, name): %s" % (path.name, unused)
+
+
+def test_every_name_the_benchmark_traces_exists():
+    """perfbench/tracing.py wraps library functions and methods by name;
+    each (owner, attribute) of its TRACED list must still be defined on
+    its owner, so renaming or dropping one fails here, not only in the
+    benchmark's own smoke test."""
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_traced_names", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(name, attr) for name, owner, attr in tracing.TRACED if attr not in vars(owner)]
+    assert len(tracing.TRACED) > 20 and missing == []

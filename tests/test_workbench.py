@@ -150,6 +150,12 @@ def test_search_assignment_pm_and_ia():
     assert err.value.best_failures > 0
 
 
+def test_search_assignment_refuses_an_ia_n_but_2k_and_takes_none():
+    with pytest.raises(ValueError, match="n = 2k = 6"):
+        search_assignment("ia", {"m": 5, "n": 7, "k": 3}, budget=5, seed=0)
+    assert build_code(search_assignment("ia", {"m": 5, "k": 4, "e_max": 2}, budget=20, seed=0)).n == 8
+
+
 def test_build_code_round_trips_every_family():
     from regenrepair.ambr import AdaptiveMBRCode
 
