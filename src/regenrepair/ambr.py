@@ -132,8 +132,7 @@ class AdaptiveMBRCode(RepairableCode):
 
     # --- encode / reconstruct ---
 
-    def random_message(self, rng):
-        return [rng.randrange(self.field.size) for _ in range(self.message_length)]
+    random_message = RepairableCode.random_message
 
     def _generator(self):
         """Block i of node l is psi_{l,i}^t M_i: row (l, i, c) adds psi[r] at

@@ -3,12 +3,15 @@
 The repair center runs the single-failure decoder of every lost node. Each
 decoder wants one transfer from every other node it would normally hear
 from, including the nodes that failed alongside it. PM and IA give only
-what a live node sends toward node y, their _projection(y); the decoder
-of node x over its sources is derived from the generator and those
-projections (RepairableCode._single_decoder). Every such missing
-transfer x -> y is the projection toward y of x's own single-failure
-decode, so it is a linear combination of the transfers toward x: the
-transfer from l weighs projection_y . decoder_x[:, l]. Moving the terms
+what a live node sends toward node y, their _projection(y). Every such
+missing transfer x -> y is the projection toward y of x's own
+single-failure decode, so it is a linear combination of the transfers
+toward x: the transfer from l weighs projection_y . decoder_x[:, l].
+RepairableCode._pool_decoder is the one table of these decoders: for a
+pool of d+1 nodes (failed + helpers; IA's pool is every node) it holds
+each node's decoder column for every source with its product with every
+projection, derived from the generator by _single_decoder. PM's coupling
+coefficients and IA's coupling rows and plans read it. Moving the terms
 from failed sources to one side yields a square linear system A s = b in
 the e(e-1) unknown cross-failure transfers. When A is invertible the
 unknowns are recovered and the ordinary decoders finish the job; a
@@ -39,7 +42,7 @@ a gf.LinearMap kept in the same cache as the plans.
 from dataclasses import dataclass
 from itertools import chain
 
-from .gf import LinearMap, Matrix, SingularMatrixError, _reduce, mat_det, mat_mul
+from .gf import LinearMap, Matrix, SingularMatrixError, _reduce, dot, mat_det, mat_mul
 
 # Compiled maps and plans kept per code; the least recently used goes
 # first. An IA(6) plan holds ~1.8 KB, and on draws over all 2,509 of its
@@ -111,14 +114,15 @@ class RepairableCode:
 
     A family gives n, k, field, message_length, shard_length and its
     generator, through _generator() or generator_matrix(); PM and IA give
-    _projection(y) too, and derive their decoders by _single_decoder. A
+    _projection(y) too, and read their decoders from _pool_decoder. A
     family that repairs by plans gives _plan_key and _compile_plan; PM
     keeps its own repair_multi. Either way a repair request goes through
     _repair_nodes, which checks what every family's request shares; the
     family checks only its own rules (how many nodes it repairs at once,
     its degrees) and passes its helper count. Each family binds encode,
-    reconstruct and repair_multi in its own class body, so that they can
-    be wrapped per family; keyword arguments such as an explicit repair
+    reconstruct, repair_multi and random_message in its own class body, as
+    PM does coupling_coefficient and repair_transfer, so that they can be
+    wrapped per family; keyword arguments such as an explicit repair
     degree d pass through to repair_multi.
     """
 
@@ -248,6 +252,55 @@ class RepairableCode:
         if len(picks) < width or any(any(row[width:]) for row in aug[width:]):
             raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
         return Matrix(field, [list(col) for col in zip(*(row[width:] for row in aug[:width]))])
+
+    def _pool_decoder(self, i, pool):
+        """Node i's decoder over the other nodes of pool, as {source l:
+        (c_{i,l}, weights)}: i's content is sum_l t_{l->i} c_{i,l}, and
+        weights[y-1] = projection_y . c_{i,l} for every node y.
+
+        Derived by _single_decoder on first use and kept for one pool of
+        d+1 nodes at a time (IA's pool is every node), outside the bounded
+        cache, so compiled plans never push a decoder out.
+        """
+        pool = frozenset(pool)
+        table = self.__dict__.get("_decoder_table")
+        if table is None or table[0] != pool:
+            if len(pool) != self.d + 1:
+                raise ValueError("pool must hold d+1 = %d nodes" % (self.d + 1))
+            table = self._decoder_table = (pool, {})
+        columns = table[1].get(i)
+        if columns is None:
+            if i not in pool:
+                raise ValueError("node %r is not in the pool" % (i,))
+            sources = sorted(pool - {i})
+            decoder = self._single_decoder(i, sources)
+            projections = Matrix(self.field, [self._projection(y) for y in self.node_ids()])
+            weights = mat_mul(projections, decoder).data
+            columns = table[1][i] = {
+                l: ([r[t] for r in decoder.data], [r[t] for r in weights]) for t, l in enumerate(sources)
+            }
+        return columns
+
+    def coupling_coefficient(self, i, j, l, pool):
+        """Weight of transfer s_{l,i} inside the expansion of s_{i,j}.
+
+        pool is the full participant set (failed + helpers); the repair of
+        node i reads one transfer from every node of pool except i itself.
+        The weight is node i's decoder column for source l, projected on
+        projection_j.
+        """
+        column = self._pool_decoder(i, pool).get(l)
+        if column is None or not 1 <= j <= self.n:
+            raise ValueError("need distinct nodes %r and %r from the pool and j in 1..%d" % (i, l, self.n))
+        return column[1][j - 1]
+
+    def repair_transfer(self, shard, target):
+        """The symbol a live node sends toward failed node target: its shard
+        projected on _projection(target)."""
+        return dot(self.field, shard, self._projection(target))
+
+    def random_message(self, rng):
+        return [rng.randrange(self.field.size) for _ in range(self.message_length)]
 
     def repair_single(self, shards, failed, helpers=None, **degree):
         contents, transcript = self.repair_multi(shards, (failed,), helpers, **degree)

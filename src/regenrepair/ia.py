@@ -4,8 +4,9 @@ Systematic nodes 1..k store the raw data vectors w_1..w_k; parity node k+i
 stores w-bar_i with w-bar_i^t = sum_j w_j^t (u_i v_j^t + P_{j,i} I). Repair
 of a failed node downloads one inner product from each of the other 2k-1
 nodes, its content projected on v'_l toward systematic l or on u_m toward
-parity k+m; the decoder is derived from these projections and the
-generator. With e failures the 2k-e survivors all act as helpers and the
+parity k+m; every node's decoder over all the others comes from the
+framework's table, derived from these projections and the generator.
+With e failures the 2k-e survivors all act as helpers and the
 cross-failure transfers are recovered from the coupling system. Its rows
 are derived from the single-failure repair: the missing transfer x -> y
 is the projection toward y of x's decode from its transfers. The whole
@@ -19,14 +20,13 @@ kappa^2 != 1 reduces to kappa != 1.
 
 import random
 
-from .framework import CouplingSystem, RepairableCode, RepairPlan, _is_word
+from .framework import CouplingSystem, RepairableCode, RepairPlan, _is_word, check_input
 from .gf import (
     LinearMap,
     Matrix,
     _reduce,
     all_square_submatrices_invertible,
     cauchy,
-    dot,
     mat_inv,
     mat_mul,
 )
@@ -90,8 +90,6 @@ class IACode(RepairableCode):
             field,
             [[field.mul(inv_kappa, x) for x in row] for row in mat_mul(self.Vd, P).data],
         )
-        self._terms = {}  # x -> _coupling_terms(x), filled on first use
-        self._decoders = {}  # target -> _decoder(target), filled on first use
 
     # --- structure helpers ---
 
@@ -118,8 +116,7 @@ class IACode(RepairableCode):
     def message_length(self):
         return self.k * self.alpha
 
-    def random_message(self, rng):
-        return [rng.randrange(self.field.size) for _ in range(self.message_length)]
+    random_message = RepairableCode.random_message
 
     def _generator(self):
         """Systematic node j stores w_j; parity node k+i stores, at t,
@@ -155,60 +152,33 @@ class IACode(RepairableCode):
             return self._col(self.Vd, target)
         return self._col(self.U, target - self.k)
 
-    def repair_transfer(self, shard, target):
-        """Symbol a live node sends toward failed node target."""
-        return dot(self.field, shard, self._projection(target))
-
-    def _decoder(self, target):
-        """Target's single-failure decoder as an alpha x n matrix: its content
-        is the matrix times the transfers t, t[node-1] from each other node
-        (column target-1 is zero). Derived once per target, on first use.
-        """
-        dec = self._decoders.get(target)
-        if dec is None:
-            sources = [s for s in self.node_ids() if s != target]
-            rows = self._single_decoder(target, sources).data
-            dec = self._decoders[target] = Matrix(self.field, [r[: target - 1] + [0] + r[target - 1 :] for r in rows])
-        return dec
-
     # --- multi-node repair ---
-
-    def _coupling_terms(self, x):
-        """The unknown transfers out of failed node x, over transfers toward x.
-
-        x sends s_{x->y} = projection_y . content_x, and x's content is its
-        single-failure decode, so the weight of the transfer from source l
-        is projection_y . decoder_x[:, l]. Entry y-1 lists the nonzero
-        (source, weight) terms of s_{x->y}; sources that also failed become
-        matrix entries, the rest feed b. The terms depend on the code alone,
-        so they are derived once per node, on first use.
-        """
-        rows = self._terms.get(x)
-        if rows is None:
-            projections = Matrix(self.field, [self._projection(y) for y in self.node_ids()])
-            weights = mat_mul(projections, self._decoder(x)).data
-            rows = self._terms[x] = [[(l, w) for l, w in enumerate(row, 1) if w] for row in weights]
-        return rows
 
     def coupling_system(self, failed):
         """Coupling matrix for a pattern plus the known-term recipe for b.
 
-        Row (x, y) of A is filled straight from the derived terms of
-        x -> y, all of them transfers toward x: a term from a failed source
-        lands in its slot of the row, any other term goes to known[(x, y)]
-        as (source, weight), to be weighted by the received transfer.
+        x sends s_{x->y} = projection_y . content_x, and x's content is its
+        single-failure decode, so row (x, y) weighs the transfer from each
+        source l toward x by entry y-1 of its weights in x's decoder table
+        over every node. The weight from a failed source lands in its slot
+        of the row; a nonzero one from a helper goes to known[(x, y)] as
+        (source, weight), to be weighted by the received transfer.
         """
+        check_input(self, (), 0, (), failed)
         system = CouplingSystem(self.field, failed)
-        slot = system.slot
+        failed, pool = system.failed, frozenset(self.node_ids())  # _pool_decoder keeps a frozenset as is
+        split = {}
+        for x in failed:
+            columns = self._pool_decoder(x, pool)
+            coupled = [(system.slot[(l, x)], columns[l][1]) for l in failed if l != x]
+            split[x] = coupled, [(l, weights) for l, (_, weights) in columns.items() if l not in failed]
         known = {}
         for row, (x, y) in zip(system.A.data, system.pairs):
-            rest = known[(x, y)] = []
-            for src, weight in self._coupling_terms(x)[y - 1]:
-                col = slot.get((src, x))
-                if col is None:
-                    rest.append((src, weight))
-                else:
-                    row[col] ^= weight
+            coupled, helpers = split[x]
+            t = y - 1
+            for col, weights in coupled:
+                row[col] ^= weights[t]
+            known[(x, y)] = [(l, w) for l, weights in helpers if (w := weights[t])]
         return system, known
 
     def assemble_multi(self, shards, failed):
@@ -247,7 +217,8 @@ class IACode(RepairableCode):
         naming the dependent transfers.
         """
         f, e = self.field, len(failed)
-        helpers = tuple(h for h in self.node_ids() if h not in failed)
+        pool = self.node_ids()
+        helpers = tuple(h for h in pool if h not in failed)
         # received symbol a*e + b is helper a's transfer toward failed[b]
         at = {(h, j): a * e + b for a, h in enumerate(helpers) for b, j in enumerate(failed)}
         width = len(at)
@@ -264,17 +235,17 @@ class IACode(RepairableCode):
         for b, i in enumerate(failed):
             # node i's decode reads the transfers of the other failed nodes
             # through A^-1 K and each helper's transfer as received
-            dec = self._decoder(i).data
+            columns = self._pool_decoder(i, pool)
             others = [r for r, (src, dst) in enumerate(system.pairs) if dst == i]
             part = Matrix.zero(f, self.alpha, width)
             if others:
                 part = mat_mul(
-                    Matrix(f, [[row[system.pairs[r][0] - 1] for r in others] for row in dec]),
+                    Matrix(f, [list(row) for row in zip(*(columns[system.pairs[r][0]][0] for r in others))]),
                     Matrix(f, [aug[r][size:] for r in others]),
                 )
-            for out, row in zip(part.data, dec):
-                for a, h in enumerate(helpers):
-                    out[a * e + b] ^= row[h - 1]
+            for a, h in enumerate(helpers):
+                for out, x in zip(part.data, columns[h][0]):
+                    out[a * e + b] ^= x
             decode += part.data
         send = LinearMap(Matrix(f, [self._projection(j) for j in failed]))
         return RepairPlan(failed, helpers, (send,) * len(helpers), LinearMap(Matrix(f, decode)))
@@ -287,7 +258,9 @@ class IACode(RepairableCode):
 
     def condition_check(self, failed):
         """Closed-form repairability for the covered shapes; cross-checked
-        against the coupling determinant."""
+        against the coupling determinant. Ids that are not nodes raise
+        InvalidRepairInputError."""
+        check_input(self, (), 0, (), failed)
         f = self.field
         failed = tuple(sorted(set(failed)))
         sys_nodes = [x for x in failed if self.is_systematic(x)]
@@ -328,12 +301,15 @@ def field_search(field, k, e_max, trials=200, seed=0):
     trial stops counting once it has as many singular patterns as the best
     trial so far, which it then cannot beat. Returns the first clean code,
     or raises AssignmentNotFoundError with the first code of fewest
-    singular patterns.
+    singular patterns; no trials or e_max < 1 raise ValueError before any
+    trial.
     """
     from itertools import combinations
 
     from .workbench import AssignmentNotFoundError
 
+    if trials < 1 or e_max < 1:
+        raise ValueError("need at least one trial and e_max >= 1")
     rng = random.Random(seed)
     e_cap = min(e_max, k)
     kappas = [x for x in field.elements() if x not in (0, 1)]

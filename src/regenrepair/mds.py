@@ -47,8 +47,7 @@ class MDSStripeCode(RepairableCode):
         self.message_length = k * self.delta  # M
         self.generator = lagrange_rows(field, range(self.message_length), range(n * self.delta))
 
-    def random_message(self, rng):
-        return [rng.randrange(self.field.size) for _ in range(self.message_length)]
+    random_message = RepairableCode.random_message
 
     def generator_matrix(self):
         return self.generator

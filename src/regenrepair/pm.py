@@ -8,18 +8,18 @@ system of the framework module.
 
 A live node sends w^t phi_j toward node j, phi_j being row j of Phi (the
 first alpha columns of Psi); that is the family's projection. Node i's
-decoder over the rest of a pool of d+1 nodes (failed + helpers) is derived
-from the generator by the framework, once per node while the pool stays
-the same: its column c_{i,l} weighs the transfer from l, so node i's
-content is sum_l t_{l->i} c_{i,l}. The coupling coefficient of (i, j, l)
-is c_{i,l} . phi_j, and the right-hand side of row (i, j) is the helpers'
-part of node i's decode projected on phi_j.
+decoder over the rest of a pool of d+1 nodes (failed + helpers) comes from
+the framework's table (RepairableCode._pool_decoder): its column c_{i,l}
+weighs the transfer from l, so node i's content is sum_l t_{l->i} c_{i,l}.
+The coupling coefficient of (i, j, l) is c_{i,l} . phi_j, and the
+right-hand side of row (i, j) is the helpers' part of node i's decode
+projected on phi_j.
 """
 
 import random
 
-from .framework import CouplingSystem, RepairableCode, RepairTranscript, _is_word, check_message
-from .gf import Matrix, dot, mat_mul, vandermonde
+from .framework import CouplingSystem, RepairableCode, RepairTranscript, _is_word, check_input, check_message
+from .gf import Matrix, dot, vandermonde
 
 
 def _axpy(field, acc, coef, row):
@@ -58,8 +58,6 @@ class PMCode(RepairableCode):
         self.lambdas = list(lambdas)
         self.Psi = vandermonde(field, lambdas, d)
         self.Phi = self.Psi.submatrix(range(n), range(alpha))
-        self._pool = None  # the pool of the decoders kept
-        self._decoders = {}  # node -> _pool_decoder(node, self._pool)
 
     # --- message handling ---
 
@@ -67,8 +65,7 @@ class PMCode(RepairableCode):
     def message_length(self):
         return self.k * (self.k - 1)
 
-    def random_message(self, rng):
-        return [rng.randrange(self.field.size) for _ in range(self.message_length)]
+    random_message = RepairableCode.random_message
 
     def _positions(self):
         """d x alpha table of the message position that fills each entry of
@@ -109,49 +106,18 @@ class PMCode(RepairableCode):
         """phi_target: what a live node projects its content on toward target."""
         return self.Phi.data[target - 1]
 
-    def repair_transfer(self, shard, target):
-        """The symbol a live node sends toward failed node target: w^t phi_target."""
-        return dot(self.field, shard, self._projection(target))
-
-    def _pool_decoder(self, i, pool):
-        """Node i's decoder over the other d nodes of pool, as {source l:
-        (c_{i,l}, Phi c_{i,l})}: i's content is sum_l t_{l->i} c_{i,l}, and
-        entry j-1 of Phi c_{i,l} is c_{i,l} . phi_j. Derived on first use
-        and kept for one pool at a time."""
-        pool = frozenset(pool)
-        if pool != self._pool:
-            if len(pool) != self.d + 1:
-                raise ValueError("pool must hold d+1 = %d nodes" % (self.d + 1))
-            self._pool, self._decoders = pool, {}
-        columns = self._decoders.get(i)
-        if columns is None:
-            sources = sorted(pool - {i})
-            decoder = self._single_decoder(i, sources)
-            products = mat_mul(self.Phi, decoder).data
-            columns = self._decoders[i] = {
-                l: ([r[t] for r in decoder.data], [r[t] for r in products]) for t, l in enumerate(sources)
-            }
-        return columns
-
-    def coupling_coefficient(self, i, j, l, pool):
-        """Weight of transfer s_{l,i} inside the expansion of s_{i,j}.
-
-        pool is the full participant set (failed + helpers); the repair of
-        node i reads one transfer from every node of pool except i itself.
-        The weight is node i's decoder column for source l, projected on phi_j.
-        """
-        column = self._pool_decoder(i, pool).get(l)
-        if column is None:
-            raise ValueError("need distinct nodes %d and %d from the pool" % (i, l))
-        return column[1][j - 1]
+    repair_transfer = RepairableCode.repair_transfer
+    coupling_coefficient = RepairableCode.coupling_coefficient
 
     def coupling_matrix(self, failed, helpers):
         """The coupling system of a pattern with b left at zero.
 
         A depends on the lambdas alone, so no shard is needed to vet it.
         Row (i, j) gets the weight of each other failed node l in the slot
-        of the transfer l -> i.
+        of the transfer l -> i. Ids that are not nodes raise
+        InvalidRepairInputError.
         """
+        check_input(self, (), 0, (), [*failed, *helpers])
         failed = tuple(sorted(failed))
         pool = frozenset(failed) | frozenset(helpers)
         system = CouplingSystem(self.field, failed)
@@ -229,8 +195,8 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
     once it has as many singular patterns as the best trial so far, which
     it then cannot beat. Returns the first clean lambdas, or raises
     AssignmentNotFoundError with the first lambdas of fewest singular
-    patterns; a field with fewer than n elements raises ValueError before
-    any trial.
+    patterns. A field with fewer than n elements, no trials or e_max < 1
+    raise ValueError before any trial.
     """
     from itertools import combinations
 
@@ -238,6 +204,8 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
 
     if n > field.size:
         raise ValueError("GF(2^%d) has %d elements, too few for %d distinct lambdas" % (field.m, field.size, n))
+    if trials < 1 or e_max < 1:
+        raise ValueError("need at least one trial and e_max >= 1")
     e_cap = min(e_max, n - k, k - 1)
     rng = random.Random(seed)
     elements = list(field.elements())

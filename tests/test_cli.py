@@ -340,6 +340,18 @@ def test_search_refuses_sizes_the_family_cannot_have(capsys):
         assert code == INFEASIBLE and captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_search_refuses_an_empty_budget_and_e_max_below_one(capsys):
+    """A budget of no trials exhausted with no candidate (exit 3), and
+    e_max < 1 reported the first candidate clean (exit 0): both are input
+    errors (exit 2) before any trial, in both families."""
+    sizes = {"pm": ("--n", "11", "--k", "6"), "ia": ("--n", "6", "--k", "3")}
+    for family, size in sizes.items():
+        for extra in (("--budget", "0"), ("--budget", "-1"), ("--e-max", "0"), ("--e-max", "-1")):
+            code = main(["code", "search", "--family", family, "--field", "5", *size, *extra])
+            captured = capsys.readouterr()
+            assert code == INFEASIBLE and captured.out == "" and captured.err.startswith("error: "), (family, extra)
+
+
 def test_sweep_refuses_an_e_outside_the_nodes_and_empty_samples(capsys, tmp_path):
     """e = 0 or e > n, and a sample of no patterns, would verify nothing
     and report success: they are input errors (exit 2)."""

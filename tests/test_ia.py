@@ -214,26 +214,32 @@ def test_coupling_system_and_closed_forms_on_random_codes(code):
     )
 )
 def test_derived_decoders_equal_the_hand_formulas(code):
-    """Every node's decoder derived from the generator is the two-case
-    formula, on random P and kappa, over fields with byte tables, wider
-    tables (m = 10) and none (m = 13), for k = 1 up to 6."""
-    for target in code.node_ids():
-        assert code._decoder(target) == ref.ia_decoder(code, target), target
+    """Every node's decoder in the shared table, derived from the
+    generator over all the other nodes, is the two-case formula, whose
+    column of the node itself is zero; on random P and kappa, over fields
+    with byte tables, wider tables (m = 10) and none (m = 13), for k = 1
+    up to 6."""
+    nodes = code.node_ids()
+    for target in nodes:
+        columns = code._pool_decoder(target, nodes)
+        got = [[columns[l][0][r] if l != target else 0 for l in nodes] for r in range(code.alpha)]
+        assert got == ref.ia_decoder(code, target).data, target
 
 
 @pytest.mark.parametrize("m, k", [(8, 6), (4, 3), (5, 3), (6, 4)])
 def test_derived_rows_equal_the_hand_expansion(m, k):
-    """Every ordered pair's row, projection_y . decoder_x, carries the
-    nonzero weights of the hand expansion of x -> y, summed per source."""
+    """Every ordered pair's row, the nonzero projection_y . decoder_x
+    weights of x's table entry, carries the nonzero weights of the hand
+    expansion of x -> y, summed per source."""
     code = IACode(F256 if m == 8 else Field(m), k)
     for x, y in permutations(code.node_ids(), 2):
         want = {}
         for src, dst, coeff in ref.ia_expand_terms(code, x, y):
             assert dst == x
             want[src] = want.get(src, 0) ^ coeff
-        row = code._coupling_terms(x)[y - 1]
-        assert len({src for src, _ in row}) == len(row)
-        assert dict(row) == {src: w for src, w in want.items() if w}, (x, y)
+        columns = code._pool_decoder(x, code.node_ids())
+        row = {src: weights[y - 1] for src, (_, weights) in columns.items() if weights[y - 1]}
+        assert row == {src: w for src, w in want.items() if w}, (x, y)
 
 
 def test_unsupported_shape_raises():

@@ -245,6 +245,27 @@ def test_every_family_refuses_a_malformed_failed_set(encoded, family):
         code.repair_multi({m: v for m, v in shards.items() if m != 1}, ())
 
 
+# The searches hand failed (and helper) ids straight to these calls. Before
+# the id check, IA took 0 for a parity node (condition_check returned True)
+# and died on 13 with IndexError; PM died on 0 with "shape mismatch" and on
+# 12 with "ragged rows".
+COUPLING_CALLS = {
+    "ia_condition_zero": lambda: IACode(F256, 6).condition_check((0, 7)),
+    "ia_condition_past_n": lambda: IACode(F256, 6).condition_check((1, 13)),
+    "ia_system_past_n": lambda: IACode(F256, 6).coupling_system((1, 13)),
+    "ia_system_not_int": lambda: IACode(F256, 6).coupling_system((1, 2.0)),
+    "pm_matrix_zero": lambda: PMCode(F256, 11, 6).coupling_matrix((0, 7), (1, 2, 3, 4, 5, 6, 8, 9, 10)),
+    "pm_matrix_past_n": lambda: PMCode(F256, 11, 6).coupling_matrix((1, 12), range(2, 11)),
+    "pm_helper_past_n": lambda: PMCode(F256, 11, 6).coupling_matrix((1, 2), (*range(3, 11), 12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUPLING_CALLS))
+def test_coupling_calls_refuse_ids_that_are_not_nodes(case):
+    with pytest.raises(InvalidRepairInputError):
+        COUPLING_CALLS[case]()
+
+
 def test_the_request_contract_covers_every_family():
     assert {type(build()) for build in CODES.values()} == set(RepairableCode.__subclasses__())
 

@@ -227,6 +227,11 @@ def test_coupling_coefficient_rejects_nodes_outside_the_pool():
         code.coupling_coefficient(1, 2, 12, pool)  # l not in pool
     with pytest.raises(ValueError):
         code.coupling_coefficient(1, 2, 3, pool[:-1])  # pool of d nodes
+    # j = 0 read the j = 11 weight through a negative index, and j or i = 12
+    # died with IndexError
+    for i, j in ((1, 0), (1, 12), (12, 2)):
+        with pytest.raises(ValueError):
+            code.coupling_coefficient(i, j, 2, pool)
 
 
 def test_construction_validation():
