@@ -12,15 +12,16 @@ each next one with d_min sources that mix the already-regenerated nodes
 (free, they sit at the central node) with fresh helpers at z symbols each,
 for a grand total of e*alpha - C(e,2)*alpha/d_min. The chain is linear in
 the helpers' shards, so it compiles into one repair plan per pattern,
-degree and helper set.
+degree and helper set: the helpers' send maps, and a decode map the
+framework solves from those sends and the generator.
 
-Both the sends and the decode maps read one table of theta blocks, built
-once per code: node l's block has z rows, row r being Omega's row r times
-l's per-block psi rows, and its first alpha/d rows are what l sends toward
-a repair of degree d. A send matrix is the target's block, a degree-d
-theta the blocks of its d sources stacked. The constructor proves every
-d-subset's theta invertible, for every d in d_min+1..d_max, before it
-returns, so no repair meets a singular decode map.
+The sends read one table of theta blocks, built once per code: node l's
+block has z rows, row r being Omega's row r times l's per-block psi rows,
+and its first alpha/d rows are what a helper sends toward l in a repair of
+degree d. A degree-d theta is the blocks of d sources stacked. The
+constructor proves every d-subset's theta invertible, for every d in
+d_min+1..d_max, before it returns, so d helpers' sends always determine a
+lost node and no repair meets a singular decode map.
 """
 
 import random
@@ -28,7 +29,7 @@ from itertools import combinations
 from math import prod
 
 from .framework import InvalidHelperCountError, RepairableCode, RepairPlan
-from .gf import LinearMap, Matrix, _reduce_packed, mat_det, mat_inv, mat_mul, vandermonde
+from .gf import LinearMap, Matrix, _reduce_packed, mat_det, vandermonde
 
 
 class AdaptiveMBRCode(RepairableCode):
@@ -81,15 +82,11 @@ class AdaptiveMBRCode(RepairableCode):
     def _block(self, src):
         """Row r of src's block is Omega's row r times src's per-block
         psi rows: entry (i, c) is Omega[r][i] psi_{src,i}[c]. The first
-        alpha/d rows are what src sends toward a repair of degree d."""
+        alpha/d rows, applied to a helper's shard, are what it sends
+        toward src in a repair of degree d."""
         mul, z = self.field.mul, self.z
         psis = [self._psi_row(src, i) for i in range(1, z + 1)]
         return [[mul(w, p) for w, psi in zip(self.Omega.data[r], psis) for p in psi] for r in range(z)]
-
-    def _theta(self, sources, d):
-        """Rows of the stacked compressed evaluation map, from the block
-        table: alpha x alpha when |sources| = d."""
-        return [row for src in sources for row in self._blocks[src - 1][: self.alpha // d]]
 
     def _decode_maps_invertible(self):
         """Every d-subset of the nodes stacks to an invertible theta, for
@@ -172,50 +169,19 @@ class AdaptiveMBRCode(RepairableCode):
         """The sequential repair folded into one plan.
 
         The first failed node hears d helpers; each next one d_min sources,
-        the nodes already regenerated plus fresh helpers. A source sends
-        Omega's first alpha/degree rows times its per-block products with
-        psi_{target,i}: target's rows of theta, the send matrix S. Each
-        regenerated node is a map of the received symbols, so a node that
-        sources a later one enters that one's decode as S times its own map.
+        the nodes already regenerated plus fresh helpers. A fresh helper
+        sends the first alpha/degree rows of the target's theta block times
+        its shard; the decode map is solved from those sends.
         """
-        f, alpha = self.field, self.alpha
-        steps, sends = [], {h: [] for h in helpers}
+        sends = {h: [] for h in helpers}
         for idx, target in enumerate(failed):
             degree = self.d_min if idx else d
-            fresh = helpers[: degree - idx]
-            rows = self._theta((target,), degree)
-            steps.append((target, degree, tuple(sorted(failed[:idx] + fresh)), rows))
-            for h in fresh:
-                sends[h].append((target, rows))
-        # the received symbols, helper after helper, each one's sends in step order
-        at, total = {}, 0
-        for h in helpers:
-            for target, rows in sends[h]:
-                at[(h, target)] = total
-                total += len(rows)
-        decoded = {}  # regenerated node -> its content as a map of the received symbols
-        for target, degree, sources, rows in steps:
-            theta = self._compiled(("theta", sources, degree), lambda: mat_inv(Matrix(f, self._theta(sources, degree))))
-            per = len(rows)  # theta^-1 takes per symbols from each source, in source order
-            blocks = {src: range(t * per, (t + 1) * per) for t, src in enumerate(sources)}
-            local = [src for src in sources if src in decoded]
-            content = Matrix.zero(f, alpha, total)
-            if local:
-                content = mat_mul(
-                    Matrix(f, [[row[c] for src in local for c in blocks[src]] for row in theta.data]),
-                    Matrix(f, [r for src in local for r in mat_mul(Matrix(f, rows), decoded[src]).data]),
-                )
-            for src in sources:
-                if src not in decoded:
-                    # the local part reads only sends toward earlier targets,
-                    # so it is zero where the fresh helper's symbols land
-                    first, block = at[(src, target)], blocks[src]
-                    for out, row in zip(content.data, theta.data):
-                        out[first : first + per] = row[block.start : block.stop]
-            decoded[target] = content
-        send = tuple(LinearMap(Matrix(f, [r for _, rows in sends[h] for r in rows])) for h in helpers)
-        decode = LinearMap(Matrix(f, [r for target in failed for r in decoded[target].data]))
-        return RepairPlan(failed, helpers, send, decode)
+            for h in helpers[: degree - idx]:
+                sends[h] += self._blocks[target - 1][: self.alpha // degree]
+        received = self._received([(h, row) for h in helpers for row in sends[h]])
+        decode = self._derive(received, self.coefficient_matrix(failed).data)[0]
+        send = tuple(LinearMap(Matrix(self.field, sends[h])) for h in helpers)
+        return RepairPlan(failed, helpers, send, LinearMap(decode))
 
     def mbr_bandwidth_bound(self, e):
         if not 1 <= e <= self.k:

@@ -10,7 +10,7 @@ toward x: the transfer from l weighs projection_y . decoder_x[:, l].
 RepairableCode._pool_decoder is the one table of these decoders: for a
 pool of d+1 nodes (failed + helpers; IA's pool is every node) it holds
 each node's decoder column for every source with its product with every
-projection, derived from the generator by _single_decoder. PM's coupling
+projection, solved from the generator by _single_decoder. PM's coupling
 coefficients and IA's coupling rows and plans read it. Moving the terms
 from failed sources to one side yields a square linear system A s = b in
 the e(e-1) unknown cross-failure transfers. When A is invertible the
@@ -37,6 +37,13 @@ Encode and read-back are the same in every family: encode applies the
 generator matrix (message -> all shards), reconstruct the inverse of the
 readers' generator rows, each compiled once per code (and reader set) into
 a gf.LinearMap kept in the same cache as the plans.
+
+Every symbol a node stores or sends is a fixed linear function of the
+message, a row of generator space (RepairableCode._received), so every
+decode map the generator fixes is the D with D (received rows) = (wanted
+rows). RepairableCode._derive solves it by one Gauss-Jordan for the read
+maps, the single-failure decoders and adaptive MBR's plans. MDS writes its
+decode maps as Lagrange tables, with no elimination.
 """
 
 from dataclasses import dataclass
@@ -212,46 +219,58 @@ class RepairableCode:
         return read.apply([x for node in nodes for x in shards[node]])
 
     def _read_map(self, nodes):
-        """Left inverse of the readers' generator rows R (kL x M, kL >= M).
-
-        One Gauss-Jordan on [R^t | I] picks the first M independent rows
-        of R as its pivot columns and leaves E = (R_picked^t)^-1 on the
-        right; column p_t of the map is row t of E, and the rows not picked
-        get zero columns.
-        """
-        field, size, total = self.field, self.shard_length, self.message_length
-        g = self.generator_matrix().data
+        """Left inverse of the readers' generator rows R (kL x M, kL >= M):
+        the D with D R = I, so the message is D times the symbols read."""
+        size, g = self.shard_length, self.generator_matrix().data
         rows = [g[(node - 1) * size + t] for node in nodes for t in range(size)]
-        width = len(rows)
-        aug = [list(col) + [int(r == t) for r in range(total)] for t, col in enumerate(zip(*rows))]
-        picks, _ = _reduce(field, aug, width, True)
-        if len(picks) < total:
-            raise SingularMatrixError("reader rows have rank %d < %d" % (len(picks), total))
-        read = [[0] * width for _ in range(total)]
-        for p, row in zip(picks, aug):
-            for out, x in zip(read, row[width:]):
-                out[p] = x
-        return LinearMap(Matrix(field, read))
+        return LinearMap(self._derive(rows, Matrix.identity(self.field, self.message_length).data)[0])
 
     def _single_decoder(self, node, sources):
         """Node's single-failure decoder over sources: the D with D T = G_node,
         mapping the transfers, in sources order, to node's shard.
 
-        Row t of T is what sources[t] sends toward node as a function of the
-        message: _projection(node) times the source's generator block. One
-        Gauss-Jordan on [T^t | G_node^t] leaves D^t on the right of its first
-        rows; dependent transfers, or ones that do not determine node, raise
-        SingularMatrixError."""
-        field, size, width = self.field, self.shard_length, len(sources)
-        generator = self.generator_matrix()
+        Row t of T is what sources[t] sends toward node: _projection(node)
+        applied to the source's shard. Dependent transfers, or ones that do
+        not determine node, raise SingularMatrixError."""
+        size = self.shard_length
         projection = self._projection(node)
-        spread = [[0] * ((s - 1) * size) + projection + [0] * (generator.rows - s * size) for s in sources]
-        lost = generator.data[(node - 1) * size : node * size]
-        aug = [list(col) for col in zip(*mat_mul(Matrix(field, spread), generator).data, *lost)]
-        picks, _ = _reduce(field, aug, width, True)
-        if len(picks) < width or any(any(row[width:]) for row in aug[width:]):
+        transfers = self._received([(s, projection) for s in sources])
+        try:
+            decoder, picks = self._derive(transfers, self.generator_matrix().data[(node - 1) * size : node * size])
+        except SingularMatrixError:
+            picks = ()
+        if len(picks) < len(sources):
             raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
-        return Matrix(field, [list(col) for col in zip(*(row[width:] for row in aug[:width]))])
+        return decoder
+
+    def _received(self, sends):
+        """What each (node, row) of sends carries, as a function of the
+        message: row applied to node's shard is row times node's generator
+        block. One product of the rows, spread to their nodes' columns,
+        with the generator."""
+        size, generator = self.shard_length, self.generator_matrix()
+        total = generator.rows
+        spread = [[0] * ((s - 1) * size) + row + [0] * (total - s * size) for s, row in sends]
+        return mat_mul(Matrix(self.field, spread), generator).data
+
+    def _derive(self, rows, target):
+        """(D, picks) with D rows = target, for rows of generator space:
+        what is received and what is wanted.
+
+        One Gauss-Jordan on [rows^t | target^t] picks the first independent
+        rows as its pivot columns, picks; column picks[s] of D is the right
+        part of reduced row s, and the rows not picked get zero columns. A
+        target outside the span of rows leaves a nonzero right part below
+        the pivots and raises SingularMatrixError.
+        """
+        width = len(rows)
+        aug = [list(col) for col in zip(*rows, *target)]
+        picks, _ = _reduce(self.field, aug, width, True)
+        if any(any(row[width:]) for row in aug[len(picks) :]):
+            raise SingularMatrixError("target outside the span of %d rows of rank %d" % (width, len(picks)))
+        columns = dict(zip(picks, (row[width:] for row in aug)))
+        zero = [0] * len(target)
+        return Matrix(self.field, list(zip(*(columns.get(c, zero) for c in range(width))))), picks
 
     def _pool_decoder(self, i, pool):
         """Node i's decoder over the other nodes of pool, as {source l:
@@ -260,11 +279,13 @@ class RepairableCode:
 
         Derived by _single_decoder on first use and kept for one pool of
         d+1 nodes at a time (IA's pool is every node), outside the bounded
-        cache, so compiled plans never push a decoder out.
+        cache, so compiled plans never push a decoder out. A new pool's ids
+        are checked when its table is started (InvalidRepairInputError).
         """
         pool = frozenset(pool)
         table = self.__dict__.get("_decoder_table")
         if table is None or table[0] != pool:
+            check_input(self, (), 0, (), pool)
             if len(pool) != self.d + 1:
                 raise ValueError("pool must hold d+1 = %d nodes" % (self.d + 1))
             table = self._decoder_table = (pool, {})
@@ -335,12 +356,12 @@ class CouplingSystem:
     diagonal is pre-filled with -1 (equal to 1 in characteristic 2): row
     (i,j) encodes s_{i,j} = sum of coupled terms, moved to one side. A
     family writes the other entries of A and the right-hand side b
-    through slot.
+    through slot. A failed id given twice is one node.
     """
 
     def __init__(self, field, failed):
         self.field = field
-        self.failed = tuple(sorted(failed))
+        self.failed = tuple(sorted(set(failed)))
         self.pairs = unknown_pairs(self.failed)
         self.slot = {pair: t for t, pair in enumerate(self.pairs)}
         self.size = len(self.pairs)

@@ -118,12 +118,11 @@ class PMCode(RepairableCode):
         InvalidRepairInputError.
         """
         check_input(self, (), 0, (), [*failed, *helpers])
-        failed = tuple(sorted(failed))
-        pool = frozenset(failed) | frozenset(helpers)
         system = CouplingSystem(self.field, failed)
+        pool = frozenset(system.failed) | frozenset(helpers)
         slot = system.slot
         for row, (i, j) in zip(system.A.data, system.pairs):
-            for l in failed:
+            for l in system.failed:
                 if l != i:
                     row[slot[(l, i)]] ^= self.coupling_coefficient(i, j, l, pool)
         return system

@@ -15,8 +15,10 @@ So do the eliminations that MDS and AMBR construction and plan compiles
 ran before they read Lagrange tables and per-node theta blocks: MDS's
 generator V_all V_sys^-1 by mat_inv and mat_mul and its decode maps by a
 Gauss-Jordan on [G_pos^T | G_failed^T]; AMBR's theta built entry by entry
-through Field.mul for every subset, the constructor's mat_det of every
-subset's theta, and the plan compile that cached each target's send rows.
+through Field.mul for every subset and the constructor's mat_det of every
+subset's theta. So does the AMBR plan compile that chained theta^-1 step
+by step through the regenerated nodes, before AMBR's decode maps were
+solved from the sends and the generator.
 
 So does IA's hand expansion of each coupling row, in four flavors by the
 sides of the code the two failed nodes live on, which the rows derived
@@ -434,8 +436,9 @@ def ambr_points(field, n, k, d_min, d_max):
 
 
 def ambr_compile_plan(code, failed, d, helpers):
-    """The AMBR plan compile with each target's send rows and each theta
-    built by ambr_theta, as its cached copies were."""
+    """The AMBR plan compile as a chain: each step's theta, built by
+    ambr_theta, inverted, and the nodes regenerated before it entering
+    later steps as their send rows times their own maps."""
     f, alpha = code.field, code.alpha
     steps, sends = [], {h: [] for h in helpers}
     for idx, target in enumerate(failed):

@@ -208,21 +208,33 @@ def test_construction_picks_the_points_of_the_determinant_loop(m, params):
         assert AdaptiveMBRCode(field, *params).Psi == expected
 
 
-def test_plans_match_the_compile_on_rebuilt_theta():
-    """Every e <= 3 pattern at both degrees, with the default helpers and
-    with the last d survivors: the same send and decode maps as a compile
-    that builds each send matrix and theta entry by entry."""
-    code = AdaptiveMBRCode(Field(8, 0x11D), 8, 3, 4, 5)
+@pytest.mark.parametrize(
+    "m, params, count",
+    [
+        # two helper sets at each degree, but one at d = 5 when five survive
+        (8, (8, 3, 4, 5), 4 * 8 + 4 * 28 + 3 * 56),
+        (7, (8, 3, 4, 5), 4 * 8 + 4 * 28 + 3 * 56),
+        (10, (7, 2, 3, 4), 4 * 7 + 4 * 21),
+        # past the log tables, and one set at d = 3 when three survive
+        (13, (5, 2, 2, 3), 4 * 5 + 3 * 10),
+    ],
+    ids=["m8", "m7", "m10", "m13"],
+)
+def test_plans_match_the_compile_on_rebuilt_theta(m, params, count):
+    """Every e <= k pattern at every degree, with the default helpers and
+    with the last d survivors: the same send and decode maps as the compile
+    that inverted each step's theta, built entry by entry, and chained the
+    regenerated nodes through it."""
+    code = AdaptiveMBRCode(Field(m), *params)
     plans = 0
-    for e in (1, 2, 3):
+    for e in range(1, code.k + 1):
         for failed in combinations(code.node_ids(), e):
             survivors = [i for i in code.node_ids() if i not in failed]
-            for d in (4, 5):
+            for d in range(code.d_min, code.d_max + 1):
                 for helpers in {tuple(survivors[:d]), tuple(survivors[-d:])}:
                     plan = code._compile_plan(failed, d, helpers)
                     reference = ref.ambr_compile_plan(code, failed, d, helpers)
                     assert [ref.map_columns(s) for s in plan.send] == [ref.map_columns(s) for s in reference.send]
                     assert ref.map_columns(plan.decode) == ref.map_columns(reference.decode)
                     plans += 1
-    # two helper sets at each degree, but one at d = 5 when five survive
-    assert plans == 4 * 8 + 4 * 28 + 3 * 56
+    assert plans == count

@@ -122,7 +122,7 @@ def test_one_pattern_at_two_degrees_runs_two_plans(family):
     for d in degrees + degrees:
         contents, transcript = code.repair_multi(survivors, pattern, d=d)
         assert contents == {i: shards[i] for i in pattern}
-        plans.append({key for key in code._maps if key[0] in ("repair", "theta")})
+        plans.append({key for key in code._maps if key[0] == "repair"})
     first, second, third, fourth = plans
     assert first < second  # the second degree compiled plans of its own
     assert second == third == fourth  # and both degrees reuse theirs

@@ -1,16 +1,18 @@
-"""Coupling-system plumbing: unknown ordering, solve, transcripts."""
+"""Coupling-system plumbing: unknown ordering, solve, transcripts; the one decode-map solve."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regenrepair.framework import (
     CouplingSystem,
+    RepairableCode,
     RepairTranscript,
     SingularCouplingError,
     unknown_pairs,
 )
-from regenrepair.gf import Field, SingularMatrixError, mat_vec
+from regenrepair.gf import Field, Matrix, SingularMatrixError, mat_mul, mat_rank, mat_vec
 from regenrepair.ia import IACode
 from regenrepair.pm import PMCode
 
@@ -103,3 +105,56 @@ def test_single_decoder_refuses_transfers_that_do_not_determine_the_node():
     assert ia._single_decoder(4, [1, 2, 3, 5, 6]).cols == 5
     with pytest.raises(SingularMatrixError):
         ia._single_decoder(4, [1, 2, 3, 5])
+
+
+def test_a_repeated_failed_id_is_one_node():
+    """(1, 1, 2) builds the coupling system of (1, 2) in both families,
+    not one with a self-transfer (1, 1) that no node sends."""
+    f = Field(8, 0x11D)
+    ia, pm = IACode(f, 6), PMCode(f, 11, 6)
+    for build in (lambda failed: ia.coupling_system(failed)[0], lambda failed: pm.coupling_matrix(failed, range(3, 12))):
+        once, twice = build((1, 2)), build((1, 1, 2))
+        assert (twice.pairs, twice.A, twice.b) == (once.pairs, once.A, once.b)
+
+
+# GF(2^4) and GF(2^8) reduce on packed rows when two or more target rows
+# ride along, on table lists with one; GF(2^10) on table lists, GF(2^13)
+# through Field.mul
+DERIVE_FIELDS = {m: Field(m) for m in (4, 8, 10, 13)}
+
+
+@st.composite
+def derive_cases(draw):
+    """1..8 rows of 1..8 columns, each drawn at random or made a
+    combination of the rows before it, and 1..4 target rows, each a
+    combination of the rows or drawn at random."""
+    field = DERIVE_FIELDS[draw(st.sampled_from(sorted(DERIVE_FIELDS)))]
+    symbols = lambda size: st.lists(st.integers(0, field.size - 1), min_size=size, max_size=size)
+    cols = draw(st.integers(1, 8))
+
+    def row(basis):
+        if basis and draw(st.booleans()):
+            return mat_mul(Matrix(field, [draw(symbols(len(basis)))]), Matrix(field, basis)).data[0]
+        return draw(symbols(cols))
+
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows.append(row(rows))
+    return field, rows, [row(rows) for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(derive_cases())
+def test_derive_solves_for_a_target_in_the_span_and_refuses_one_outside(case):
+    field, rows, target = case
+    code = RepairableCode()
+    code.field = field
+    rank = mat_rank(Matrix(field, rows))
+    if mat_rank(Matrix(field, rows + target)) > rank:
+        with pytest.raises(SingularMatrixError):
+            code._derive(rows, target)
+        return
+    derived, picks = code._derive(rows, target)
+    assert mat_mul(derived, Matrix(field, rows)).data == target
+    assert len(picks) == rank
+    assert all(out[c] == 0 for out in derived.data for c in range(len(rows)) if c not in picks)

@@ -12,6 +12,7 @@ malformed requests at the end are refused alike by all of them.
 
 import json
 import random
+import re
 
 import pytest
 
@@ -264,6 +265,23 @@ COUPLING_CALLS = {
 def test_coupling_calls_refuse_ids_that_are_not_nodes(case):
     with pytest.raises(InvalidRepairInputError):
         COUPLING_CALLS[case]()
+
+
+# A pool of d+1 ids with one past n died in the decoder derivation with
+# "ragged rows", and one with a string in it with TypeError.
+POOL_CALLS = {
+    "decoder_past_n": (lambda code, pool: code._pool_decoder(1, pool), 12),
+    "decoder_not_int": (lambda code, pool: code._pool_decoder(1, pool), "a"),
+    "coefficient_past_n": (lambda code, pool: code.coupling_coefficient(1, 2, 3, pool), 12),
+    "coefficient_not_int": (lambda code, pool: code.coupling_coefficient(1, 2, 3, pool), "a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CALLS))
+def test_pool_calls_name_the_ids_that_are_not_nodes(case):
+    call, bad = POOL_CALLS[case]
+    with pytest.raises(InvalidRepairInputError, match=re.escape(repr([bad]))):
+        call(PMCode(F256, 11, 6), [*range(1, 11), bad])
 
 
 def test_the_request_contract_covers_every_family():

@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "regenrepair").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_sources_found():
@@ -65,6 +66,13 @@ def test_library_modules_use_every_import(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in read)
     assert unused == [], "%s imports names it never reads (line, name): %s" % (path.name, unused)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_modules_parse_as_python_3_10(path):
+    """CI runs the library and its tests on Python 3.10 too, so no module
+    uses syntax that came later, such as except*."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_every_name_the_benchmark_traces_exists():
