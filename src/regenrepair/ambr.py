@@ -28,7 +28,7 @@ import random
 from itertools import combinations
 from math import prod
 
-from .framework import InvalidHelperCountError, RepairableCode, RepairPlan
+from .framework import InvalidHelperCountError, RepairableCode, RepairPlan, check_input
 from .gf import LinearMap, Matrix, _reduce_packed, mat_det, vandermonde
 
 
@@ -160,8 +160,8 @@ class AdaptiveMBRCode(RepairableCode):
             raise ValueError("can repair 1..k nodes at once")
         if d is None:
             d = self.d_min
-        if not self.d_min <= d <= self.d_max:
-            raise InvalidHelperCountError("repair degree %d out of range" % d)
+        if type(d) is not int or not self.d_min <= d <= self.d_max:
+            raise InvalidHelperCountError("repair degree %r is not an int in %d..%d" % (d, self.d_min, self.d_max))
         failed, helpers = self._repair_nodes(shards, failed, helpers, d)
         return ("repair", failed, d, helpers)
 
@@ -190,5 +190,6 @@ class AdaptiveMBRCode(RepairableCode):
 
     def coefficient_matrix(self, nodes):
         """Linear map message -> stacked contents of the given nodes."""
+        check_input(self, (), 0, (), nodes)
         g, a = self.generator_matrix().data, self.alpha
         return Matrix(self.field, [g[(node - 1) * a + t] for node in nodes for t in range(a)])

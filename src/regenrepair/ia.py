@@ -13,9 +13,13 @@ is the projection toward y of x's decode from its transfers. The whole
 repair of a pattern compiles into one repair plan: the coupling solve
 over the received transfers, folded into each failed node's decoder.
 
-All arithmetic is over GF(2^m), where addition and subtraction coincide;
-the closed-form conditions evaluate minus as plus, and the constraint
-kappa^2 != 1 reduces to kappa != 1.
+condition_check decides repairability. With S the failed systematic
+nodes and J the failed parity indices, a pattern is repairable when
+det(I + P[S,J] P'[S,J]^t) != 0 on the (|S|, |J|) shapes (1, 1), (2, 1),
+(1, 2), (3, 1), (1, 3) and (2, 2); until that closed form is proven, the
+coupling determinant decides the other shapes with failures on both sides.
+All arithmetic is over GF(2^m), where addition and subtraction coincide,
+so minus is evaluated as plus and kappa^2 != 1 reduces to kappa != 1.
 """
 
 import random
@@ -33,7 +37,7 @@ from .gf import (
 
 
 class UnsupportedPatternError(ValueError):
-    """Pattern shape has no closed-form repair condition."""
+    """Not raised: condition_check answers every pattern. Kept for callers that catch it."""
 
 
 def default_p_matrix(field, k):
@@ -250,45 +254,38 @@ class IACode(RepairableCode):
         send = LinearMap(Matrix(f, [self._projection(j) for j in failed]))
         return RepairPlan(failed, helpers, (send,) * len(helpers), LinearMap(Matrix(f, decode)))
 
-    # --- closed-form repairability conditions ---
-
-    def _pi(self, l, m):
-        """P_{l,m} (P^{-1})_{m,l} for systematic l, parity index m."""
-        return self.field.mul(self.P.data[l - 1][m - 1], self.Pd.data[l - 1][m - 1])
+    # --- repairability ---
 
     def condition_check(self, failed):
-        """Closed-form repairability for the covered shapes; cross-checked
-        against the coupling determinant. Ids that are not nodes raise
-        InvalidRepairInputError."""
+        """Whether the coupling system of a failure pattern is solvable.
+
+        Always when every failure is on one side. With failed systematic
+        nodes S and parity indices J on both: det(I + G) != 0 for
+        G = P[S,J] P'[S,J]^t, formed on the smaller side by Sylvester's
+        identity, on the (|S|, |J|) shapes (1, 1), (2, 1), (1, 2), (3, 1),
+        (1, 3) and (2, 2); the coupling determinant on the other shapes.
+        Ids that are not nodes raise InvalidRepairInputError.
+        """
         check_input(self, (), 0, (), failed)
-        f = self.field
-        failed = tuple(sorted(set(failed)))
-        sys_nodes = [x for x in failed if self.is_systematic(x)]
-        par_nodes = [x - self.k for x in failed if not self.is_systematic(x)]
-        s, p = len(sys_nodes), len(par_nodes)
-        if s == 0 or p == 0:
+        k, failed = self.k, tuple(sorted(set(failed)))
+        rows = [x - 1 for x in failed if x <= k]
+        cols = [x - k - 1 for x in failed if x > k]
+        if not rows or not cols:
             return True
-        if (s, p) in [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3)]:
-            acc = 1
-            for l in sys_nodes:
-                for m in par_nodes:
-                    acc = f.add(acc, self._pi(l, m))  # 1 - sum pi, minus = plus
-            return acc != 0
-        if (s, p) == (2, 2):
-            l1, l2 = sys_nodes
-            m1, m2 = par_nodes
-            q = lambda a, b: self.P.data[a - 1][b - 1]
-            w = lambda a, b: self.Pd.data[a - 1][b - 1]
-            acc = 1
-            for l in (l1, l2):
-                for m in (m1, m2):
-                    acc = f.add(acc, self._pi(l, m))
-            acc = f.add(acc, f.mul(f.mul(q(l1, m1), w(l1, m1)), f.mul(q(l2, m2), w(l2, m2))))
-            acc = f.add(acc, f.mul(f.mul(q(l1, m2), w(l1, m2)), f.mul(q(l2, m1), w(l2, m1))))
-            acc = f.add(acc, f.mul(f.mul(q(l1, m1), w(l2, m1)), f.mul(q(l2, m2), w(l1, m2))))
-            acc = f.add(acc, f.mul(f.mul(q(l1, m2), w(l2, m2)), f.mul(q(l2, m1), w(l1, m1))))
-            return acc != 0
-        raise UnsupportedPatternError("no closed form for %d systematic + %d parity" % (s, p))
+        if (len(rows), len(cols)) not in {(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)}:
+            return self.coupling_system(failed)[0].determinant() != 0
+        P, Pd, mul = self.P.data, self.Pd.data, self.field.mul
+        if len(rows) > len(cols):
+            P, Pd, rows, cols = list(zip(*P)), list(zip(*Pd)), cols, rows
+        g = []  # I + G, row by row
+        for a in rows:
+            g.append([])
+            for b in rows:
+                acc = int(a == b)
+                for c in cols:
+                    acc ^= mul(P[a][c], Pd[b][c])
+                g[-1].append(acc)
+        return _reduce(self.field, g, len(g), False)[1] != 0
 
 
 def field_search(field, k, e_max, trials=200, seed=0):
@@ -296,23 +293,24 @@ def field_search(field, k, e_max, trials=200, seed=0):
 
     Trial zero uses the default construction; later trials draw random P
     matrices (filtered by the all-submatrix condition) and random kappa.
-    A pattern is vetted by condition_check where a closed form covers its
-    shape, and by the determinant of its coupling matrix otherwise. A
-    trial stops counting once it has as many singular patterns as the best
-    trial so far, which it then cannot beat. Returns the first clean code,
-    or raises AssignmentNotFoundError with the first code of fewest
-    singular patterns; no trials or e_max < 1 raise ValueError before any
-    trial.
+    Every pattern is vetted by condition_check. A trial stops counting
+    once it has as many singular patterns as the best trial so far, which
+    it then cannot beat. Returns the first clean code, or raises
+    AssignmentNotFoundError with the first code of fewest singular
+    patterns. k < 1, a field with no kappa (GF(2)), no trials or e_max < 1
+    raise ValueError before any trial.
     """
     from itertools import combinations
 
     from .workbench import AssignmentNotFoundError
 
+    kappas = [x for x in field.elements() if x not in (0, 1)]
+    if k < 1 or not kappas:
+        raise ValueError("no IA code has k = %d over GF(2^%d): need k >= 1 and a kappa != 0, 1" % (k, field.m))
     if trials < 1 or e_max < 1:
         raise ValueError("need at least one trial and e_max >= 1")
     rng = random.Random(seed)
     e_cap = min(e_max, k)
-    kappas = [x for x in field.elements() if x not in (0, 1)]
     best = None
     best_bad = None
     for trial in range(trials):
@@ -330,11 +328,7 @@ def field_search(field, k, e_max, trials=200, seed=0):
         bad = 0
         patterns = (pattern for e in range(2, e_cap + 1) for pattern in combinations(code.node_ids(), e))
         for pattern in patterns:
-            try:
-                repairable = code.condition_check(pattern)
-            except UnsupportedPatternError:
-                repairable = code.coupling_system(pattern)[0].determinant() != 0
-            if not repairable:
+            if not code.condition_check(pattern):
                 bad += 1
                 if best_bad is not None and bad >= best_bad:
                     break

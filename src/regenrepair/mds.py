@@ -62,8 +62,8 @@ class MDSStripeCode(RepairableCode):
             d = self.delta if self.mode == "fixed" else min(self.d_max, self.n - len(set(failed)))
         if self.mode == "fixed" and d != self.delta:
             raise InvalidHelperCountError("fixed mode repairs with d = %d helpers" % self.delta)
-        if not self.k <= d <= self.d_max:
-            raise InvalidHelperCountError("repair degree %d out of range" % d)
+        if type(d) is not int or not self.k <= d <= self.d_max:
+            raise InvalidHelperCountError("repair degree %r is not an int in %d..%d" % (d, self.k, self.d_max))
         if self.message_length % d:
             raise InvalidHelperCountError("%d does not divide k*delta" % d)
         failed, helpers = self._repair_nodes(shards, failed, helpers, d)

@@ -194,13 +194,15 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
     once it has as many singular patterns as the best trial so far, which
     it then cannot beat. Returns the first clean lambdas, or raises
     AssignmentNotFoundError with the first lambdas of fewest singular
-    patterns. A field with fewer than n elements, no trials or e_max < 1
-    raise ValueError before any trial.
+    patterns. k < 2, n < 2k-1, a field with fewer than n elements, no
+    trials or e_max < 1 raise ValueError before any trial.
     """
     from itertools import combinations
 
     from .workbench import AssignmentNotFoundError
 
+    if k < 2 or n < 2 * k - 1:
+        raise ValueError("no PM code has n = %d, k = %d: need k >= 2 and n >= 2k-1" % (n, k))
     if n > field.size:
         raise ValueError("GF(2^%d) has %d elements, too few for %d distinct lambdas" % (field.m, field.size, n))
     if trials < 1 or e_max < 1:

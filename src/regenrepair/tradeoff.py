@@ -37,6 +37,8 @@ class SystemParams:
     e: int
 
     def __post_init__(self):
+        if any(type(x) is not int for x in (self.n, self.k, self.d, self.e)):
+            raise ValueError(f"n, k, d and e must be ints, got {self.n!r}, {self.k!r}, {self.d!r}, {self.e!r}")
         object.__setattr__(self, "M", Fraction(self.M))
         if self.M <= 0:
             raise ValueError("file size M must be positive")

@@ -27,6 +27,11 @@ by hand before they were derived from the generator: IA's two-case formula
 through U' = kappa V P', 1 - kappa^2 and 1 + kappa, and PM's Lagrange row
 c_{i,l} of each pool.
 
+So do IA's repairability conditions as they were written out before
+condition_check took det(I + P[S,J] P'[S,J]^t) on every covered shape:
+1 + sum of P_{l,m} P'_{l,m} for one node on a side, and the sixteen-term
+expansion for two on each.
+
 So do the vetting paths of the coefficient searches and the tradeoff
 queries: one elimination per square submatrix for superregularity, IA and
 PM coupling matrices built entry by entry (PM's weights by one dot per
@@ -53,7 +58,7 @@ from regenrepair.gf import (
     mat_vec,
     vandermonde,
 )
-from regenrepair.ia import IACode
+from regenrepair.ia import IACode, UnsupportedPatternError
 from regenrepair.pm import PMCode
 from regenrepair.tradeoff import SystemParams, _f, _g, gamma_mbmr
 
@@ -587,6 +592,44 @@ def ia_coupling_system(code, failed):
                 weights[src] = weights.get(src, 0) ^ coeff
         known[pair] = {src: w for src, w in weights.items() if w}
     return system, known
+
+
+def ia_pi(code, l, m):
+    """P_{l,m} (P^{-1})_{m,l} for systematic l, parity index m."""
+    return code.field.mul(code.P.data[l - 1][m - 1], code.Pd.data[l - 1][m - 1])
+
+
+def ia_condition_table(code, failed):
+    """IA's closed-form repairability, one hand formula per covered shape;
+    other mixed shapes raise UnsupportedPatternError."""
+    f = code.field
+    failed = tuple(sorted(set(failed)))
+    sys_nodes = [x for x in failed if code.is_systematic(x)]
+    par_nodes = [x - code.k for x in failed if not code.is_systematic(x)]
+    s, p = len(sys_nodes), len(par_nodes)
+    if s == 0 or p == 0:
+        return True
+    if (s, p) in [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3)]:
+        acc = 1
+        for l in sys_nodes:
+            for m in par_nodes:
+                acc = f.add(acc, ia_pi(code, l, m))  # 1 - sum pi, minus = plus
+        return acc != 0
+    if (s, p) == (2, 2):
+        l1, l2 = sys_nodes
+        m1, m2 = par_nodes
+        q = lambda a, b: code.P.data[a - 1][b - 1]
+        w = lambda a, b: code.Pd.data[a - 1][b - 1]
+        acc = 1
+        for l in (l1, l2):
+            for m in (m1, m2):
+                acc = f.add(acc, ia_pi(code, l, m))
+        acc = f.add(acc, f.mul(f.mul(q(l1, m1), w(l1, m1)), f.mul(q(l2, m2), w(l2, m2))))
+        acc = f.add(acc, f.mul(f.mul(q(l1, m2), w(l1, m2)), f.mul(q(l2, m1), w(l2, m1))))
+        acc = f.add(acc, f.mul(f.mul(q(l1, m1), w(l2, m1)), f.mul(q(l2, m2), w(l1, m2))))
+        acc = f.add(acc, f.mul(f.mul(q(l1, m2), w(l2, m2)), f.mul(q(l2, m1), w(l1, m1))))
+        return acc != 0
+    raise UnsupportedPatternError("no closed form for %d systematic + %d parity" % (s, p))
 
 
 def ia_field_search(field, k, e_max, trials=200, seed=0):

@@ -332,12 +332,18 @@ def test_search_exit_codes(capsys):
 
 
 def test_search_refuses_sizes_the_family_cannot_have(capsys):
-    """An IA search with n != 2k, and a PM search with more nodes than the
-    field has elements, are input errors (exit 2) before any trial."""
-    for family, field, n in (("ia", "5", "7"), ("pm", "4", "99")):
-        code = main(["code", "search", "--family", family, "--field", field, "--n", n, "--k", "3"])
+    """An IA search with n != 2k or over GF(2), which has no kappa, and a PM
+    search with more nodes than the field has elements, k < 2 or n < 2k-1
+    are input errors (exit 2) before any trial. The GF(2) IA search and the
+    PM ones with k < 2 or n < 2k-1 ran their whole budget and exited 3; n < k
+    was blamed on the e_max the user never gave."""
+    cases = [("ia", "5", "7", "3"), ("pm", "4", "99", "3"), ("ia", "1", "6", "3"), ("pm", "5", "11", "1"),
+             ("pm", "5", "5", "4"), ("pm", "5", "2", "3")]
+    for family, field, n, k in cases:
+        code = main(["code", "search", "--family", family, "--field", field, "--n", n, "--k", k])
         captured = capsys.readouterr()
-        assert code == INFEASIBLE and captured.out == "" and captured.err.startswith("error: ")
+        assert code == INFEASIBLE and captured.out == "" and captured.err.startswith("error: "), (family, n, k)
+        assert "e_max" not in captured.err, (family, n, k)
 
 
 def test_search_refuses_an_empty_budget_and_e_max_below_one(capsys):

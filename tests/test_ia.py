@@ -9,7 +9,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_paths as ref
 from regenrepair.framework import SingularCouplingError
@@ -164,16 +164,10 @@ def test_condition_check_matches_determinant_random_p():
             assert code.condition_check(pat) == (system.determinant() != 0)
 
 
-@st.composite
-def random_ia_codes(draw, ms=range(3, 9), k_min=2):
-    """IACode(k) over GF(2^m), m in ms (3..8 by default), k = k_min..5,
-    with a random kappa and a random superregular P: random entries where
-    a few draws find one, else a Cauchy matrix on random points with
-    scaled rows and columns."""
-    m = draw(st.sampled_from(ms))
-    k = draw(st.integers(k_min, 5 if m > 3 else 4))
-    field = Field(m)
-    rng = draw(st.randoms(use_true_random=False))
+def random_ia_code(field, k, rng):
+    """IACode(k) with a random kappa and a random superregular P: random
+    entries where a few draws find one, else a Cauchy matrix on random
+    points with scaled rows and columns."""
     for _ in range(20):
         p = Matrix(field, [[rng.randrange(1, field.size) for _ in range(k)] for _ in range(k)])
         if all_square_submatrices_invertible(p):
@@ -187,23 +181,36 @@ def random_ia_codes(draw, ms=range(3, 9), k_min=2):
     return IACode(field, k, P=p, kappa=rng.randrange(2, field.size))
 
 
+@st.composite
+def random_ia_codes(draw, ms=range(3, 9), k_min=2):
+    """random_ia_code over GF(2^m), m in ms (3..8 by default), k = k_min..5."""
+    m = draw(st.sampled_from(ms))
+    k = draw(st.integers(k_min, 5 if m > 3 else 4))
+    return random_ia_code(Field(m), k, draw(st.randoms(use_true_random=False)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_ia_codes())
+@example(IACode(F256, 6))
+@example(random_ia_code(F256, 6, random.Random(6)))
 def test_coupling_system_and_closed_forms_on_random_codes(code):
     """On every pattern of e = 2..k the coupling system equals the one built
-    entry by entry, and on every shape a closed form covers, condition_check
-    is det(A) != 0: field_search trusts it in place of the determinant."""
+    entry by entry and condition_check is det(A) != 0, so field_search can
+    vet by it alone; on the shapes where condition_check trusts its closed
+    form, it agrees with the hand formulas it replaced. The two fixed
+    k = 6 codes carry the check past the strategy's k <= 5."""
     for e in range(2, code.k + 1):
         for pat in combinations(code.node_ids(), e):
             system, known = code.coupling_system(pat)
             want, want_known = ref.ia_coupling_system(code, pat)
             assert system.A == want.A
             assert {pair: dict(terms) for pair, terms in known.items()} == want_known
+            repairable = code.condition_check(pat)
+            assert repairable == (system.determinant() != 0), pat
             try:
-                covered = code.condition_check(pat)
+                assert repairable == ref.ia_condition_table(code, pat), pat
             except UnsupportedPatternError:
-                continue
-            assert covered == (system.determinant() != 0), pat
+                pass
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,13 +249,15 @@ def test_derived_rows_equal_the_hand_expansion(m, k):
         assert row == {src: w for src, w in want.items() if w}, (x, y)
 
 
-def test_unsupported_shape_raises():
+def test_uncovered_shape_is_answered_by_the_determinant():
+    """3 systematic + 2 parity has no trusted closed form: condition_check
+    answers it with the coupling determinant's verdict instead of raising."""
     code = IACode(F256, 5)
     with pytest.raises(UnsupportedPatternError):
-        code.condition_check((1, 2, 3, 6, 7))  # 3 systematic + 2 parity
-    # the coupling solve itself still handles the shape
+        ref.ia_condition_table(code, (1, 2, 3, 6, 7))
     system, _ = code.coupling_system((1, 2, 3, 6, 7))
     assert system.determinant() != 0
+    assert code.condition_check((1, 2, 3, 6, 7)) is True
 
 
 def conjecture_eval(code, failed):
@@ -340,7 +349,7 @@ def test_gf4_k3_mixed_pairs_all_singular():
     assert singular == [(l, m) for l in (1, 2, 3) for m in (4, 5, 6)]
     for l in (1, 2, 3):
         for m in (1, 2, 3):
-            assert code._pi(l, m) == 1  # Pi = 1 is exactly the failure condition
+            assert ref.ia_pi(code, l, m) == 1  # Pi = 1 is exactly the failure condition
     for pat in combinations(code.node_ids(), 3):
         system, _ = code.coupling_system(pat)
         assert system.determinant() != 0
@@ -378,12 +387,20 @@ def test_field_search_found_and_not_found():
     assert err.value.best_failures == 9
 
 
+def test_field_search_refuses_sizes_no_code_has():
+    """k < 1, and GF(2), which has no kappa, made every trial's constructor
+    raise, and the search ended in AssignmentNotFoundError with no code."""
+    for field, k in ((F32, 0), (Field(1), 3)):
+        with pytest.raises(ValueError, match=r"k = %d over GF\(2\^%d\)" % (k, field.m)):
+            field_search(field, k, e_max=2, trials=5, seed=0)
+
+
 @pytest.mark.parametrize(
     "m, k, e_max, trials, seed",
     # found at trial 0 or later; not found, with later trials that beat the
     # first, tie it, or lose to it; k = 5, whose mixed e = 5 shapes have no
-    # closed form; and k = 6, where some of the e = 5 shapes without one
-    # are singular
+    # trusted closed form; and k = 6, where some of the e = 5 shapes without
+    # one are singular
     [(5, 4, 4, 10, 0), (4, 3, 3, 12, 1), (2, 2, 2, 5, 0), (3, 3, 3, 12, 0), (3, 3, 3, 12, 2),
      (4, 3, 3, 12, 0), (4, 4, 4, 20, 3), (2, 3, 3, 40, 0), (4, 5, 5, 4, 1), (5, 5, 5, 3, 0),
      (8, 6, 5, 2, 0)],

@@ -284,6 +284,26 @@ def test_pool_calls_name_the_ids_that_are_not_nodes(case):
         call(PMCode(F256, 11, 6), [*range(1, 11), bad])
 
 
+# A repair degree of 4.0 died slicing with TypeError, and "4" in the range
+# comparison with TypeError; a bool would pass for 0 or 1.
+@pytest.mark.parametrize("family", ["mds", "ambr"])
+def test_degree_flexible_families_refuse_a_degree_that_is_not_an_int(encoded, family):
+    code, shards = encoded[family]
+    survivors = {m: v for m, v in shards.items() if m != 1}
+    for bad in (float(code.d_max), str(code.d_max), True):
+        with pytest.raises(InvalidHelperCountError):
+            code.repair_multi(survivors, (1,), d=bad)
+    assert code.repair_multi(survivors, (1,), d=code.d_max)[0][1] == shards[1]
+
+
+# AMBR's coefficient_matrix read node 0 as node n through a negative index
+# and died on n + 1 with IndexError.
+@pytest.mark.parametrize("bad", [0, 9])
+def test_ambr_coefficient_matrix_refuses_ids_that_are_not_nodes(bad):
+    with pytest.raises(InvalidRepairInputError):
+        AdaptiveMBRCode(F256, 8, 3, 4, 5).coefficient_matrix([bad])
+
+
 def test_the_request_contract_covers_every_family():
     assert {type(build()) for build in CODES.values()} == set(RepairableCode.__subclasses__())
 

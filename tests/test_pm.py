@@ -448,6 +448,11 @@ def test_field_search_small_case_and_refusals():
     # GF(2) has too few elements for 4 distinct lambdas: no trial can run
     with pytest.raises(ValueError, match="too few"):
         field_search(Field(1), 4, 2, 2, trials=5, seed=0)
+    # no PM code has k < 2 or n < 2k-1: every trial's constructor raised,
+    # and the search ended in AssignmentNotFoundError with no candidate
+    for n, k in ((11, 1), (5, 4), (2, 3)):
+        with pytest.raises(ValueError, match="n = %d, k = %d" % (n, k)):
+            field_search(Field(5), n, k, 2, trials=5, seed=0)
 
 
 def test_field_search_finds_clean_assignment_over_f256():

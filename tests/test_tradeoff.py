@@ -410,6 +410,15 @@ def test_params_validation():
         SystemParams(1, 10, 4, 9, 2)  # d > n-e
     with pytest.raises(ValueError):
         SystemParams(1, 10, 4, 6, 7)  # e > n-k
+    # sizes that are not ints constructed and then died in the curve, the
+    # MSMR point and the oracle with TypeError; a bool would pass for 0 or 1
+    SystemParams(10, 8, 3, 4, 1)
+    for bad in (3.5, 4.0, "4", True, F(4)):
+        for at in range(4):
+            sizes = [8, 3, 4, 1]
+            sizes[at] = bad
+            with pytest.raises(ValueError, match="must be ints"):
+                SystemParams(10, *sizes)
     with pytest.raises(InvalidScenarioError):
         Scenario((2, 0, 1))
 
