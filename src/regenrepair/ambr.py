@@ -34,8 +34,8 @@ from .gf import LinearMap, Matrix, _reduce_packed, mat_det, vandermonde
 
 class AdaptiveMBRCode(RepairableCode):
     def __init__(self, field, n, k, d_min, d_max):
-        if not 1 <= k <= d_min <= d_max <= n - 1:
-            raise ValueError("need 1 <= k <= d_min <= d_max <= n-1")
+        if {type(n), type(k), type(d_min), type(d_max)} != {int} or not 1 <= k <= d_min <= d_max <= n - 1:
+            raise ValueError("need ints with 1 <= k <= d_min <= d_max <= n-1")
         if d_max > 6 or d_max - d_min > 2:
             raise ValueError("desk-scale caps: d_max <= 6 and d_max - d_min <= 2")
         self.field = field

@@ -393,7 +393,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = codesub.add_parser("search", help="search coefficients with clean sweeps")
-    p.add_argument("--family", choices=("pm", "ia"), required=True)
+    p.add_argument("--family", choices=("pm", "ia"), required=True, help="pm vets each pattern's default helpers only")
     p.add_argument("--field", required=True, help="m or m:modulus-hex")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

@@ -13,13 +13,13 @@ is the projection toward y of x's decode from its transfers. The whole
 repair of a pattern compiles into one repair plan: the coupling solve
 over the received transfers, folded into each failed node's decoder.
 
-condition_check decides repairability. With S the failed systematic
-nodes and J the failed parity indices, a pattern is repairable when
-det(I + P[S,J] P'[S,J]^t) != 0 on the (|S|, |J|) shapes (1, 1), (2, 1),
-(1, 2), (3, 1), (1, 3) and (2, 2); until that closed form is proven, the
-coupling determinant decides the other shapes with failures on both sides.
-All arithmetic is over GF(2^m), where addition and subtraction coincide,
-so minus is evaluated as plus and kappa^2 != 1 reduces to kappa != 1.
+condition_check decides repairability. With s failed systematic nodes S
+and p failed parity indices J, the coupling determinant is
+kappa^(2sp) (1 + kappa^2)^(C(s,2) + C(p,2)) det(I + G)^(s+p) for
+G = P[S,J] P'[S,J]^t, so det(I + G) != 0 decides every pattern; the proof
+is in docs/ia-repairability.md. All arithmetic is over GF(2^m), where
+addition and subtraction coincide, so minus is evaluated as plus and
+kappa^2 != 1 reduces to kappa != 1.
 """
 
 import random
@@ -63,8 +63,8 @@ def default_kappa(field):
 
 class IACode(RepairableCode):
     def __init__(self, field, k, P=None, V=None, kappa=None):
-        if k < 1:
-            raise ValueError("need k >= 1")
+        if type(k) is not int or k < 1:
+            raise ValueError("need an int k >= 1")
         self.field = field
         self.k = k
         self.n = 2 * k
@@ -262,9 +262,9 @@ class IACode(RepairableCode):
         Always when every failure is on one side. With failed systematic
         nodes S and parity indices J on both: det(I + G) != 0 for
         G = P[S,J] P'[S,J]^t, formed on the smaller side by Sylvester's
-        identity, on the (|S|, |J|) shapes (1, 1), (2, 1), (1, 2), (3, 1),
-        (1, 3) and (2, 2); the coupling determinant on the other shapes.
-        Ids that are not nodes raise InvalidRepairInputError.
+        identity, on every shape: the coupling determinant is a nonzero
+        multiple of det(I + G)^e (docs/ia-repairability.md), so A is never
+        built. Ids that are not nodes raise InvalidRepairInputError.
         """
         check_input(self, (), 0, (), failed)
         k, failed = self.k, tuple(sorted(set(failed)))
@@ -272,8 +272,6 @@ class IACode(RepairableCode):
         cols = [x - k - 1 for x in failed if x > k]
         if not rows or not cols:
             return True
-        if (len(rows), len(cols)) not in {(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)}:
-            return self.coupling_system(failed)[0].determinant() != 0
         P, Pd, mul = self.P.data, self.Pd.data, self.field.mul
         if len(rows) > len(cols):
             P, Pd, rows, cols = list(zip(*P)), list(zip(*Pd)), cols, rows
@@ -293,9 +291,10 @@ def field_search(field, k, e_max, trials=200, seed=0):
 
     Trial zero uses the default construction; later trials draw random P
     matrices (filtered by the all-submatrix condition) and random kappa.
-    Every pattern is vetted by condition_check. A trial stops counting
-    once it has as many singular patterns as the best trial so far, which
-    it then cannot beat. Returns the first clean code, or raises
+    Every pattern is vetted by condition_check, exact by the determinant
+    identity of docs/ia-repairability.md. A trial stops counting once it
+    has as many singular patterns as the best trial so far, which it then
+    cannot beat. Returns the first clean code, or raises
     AssignmentNotFoundError with the first code of fewest singular
     patterns. k < 1, a field with no kappa (GF(2)), no trials or e_max < 1
     raise ValueError before any trial.

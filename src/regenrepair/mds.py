@@ -23,22 +23,13 @@ from .gf import LinearMap, Matrix, lagrange_rows
 
 class MDSStripeCode(RepairableCode):
     def __init__(self, field, n, k, d=None, d_max=None):
-        if k < 1 or n < k:
-            raise ValueError("need n >= k >= 1")
         if (d is None) == (d_max is None):
             raise ValueError("give exactly one of d (fixed) or d_max (adaptive)")
-        if d is not None:
-            if not k <= d <= n - 1:
-                raise ValueError("fixed repair degree needs k <= d <= n-1")
-            self.mode = "fixed"
-            self.delta = self.shard_length = d
-            self.d_max = d
-        else:
-            if not k <= d_max <= n - 1:
-                raise ValueError("adaptive range needs k <= d_max <= n-1")
-            self.mode = "adaptive"
-            self.delta = self.shard_length = math.lcm(*range(k, d_max + 1))
-            self.d_max = d_max
+        self.mode = "adaptive" if d is None else "fixed"
+        self.d_max = d_max = d_max if d is None else d
+        if {type(n), type(k), type(d_max)} != {int} or not 1 <= k <= d_max <= n - 1:
+            raise ValueError("need ints n, k and d (or d_max) with 1 <= k <= d <= n-1")
+        self.delta = self.shard_length = d_max if d is not None else math.lcm(*range(k, d_max + 1))
         self.field = field
         self.n = n
         self.k = k

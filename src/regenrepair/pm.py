@@ -33,8 +33,8 @@ def _axpy(field, acc, coef, row):
 
 class PMCode(RepairableCode):
     def __init__(self, field, n, k, lambdas=None):
-        if k < 2:
-            raise ValueError("need k >= 2 so that alpha = k-1 >= 1")
+        if type(n) is not int or type(k) is not int or k < 2:
+            raise ValueError("need ints n and k >= 2 so that alpha = k-1 >= 1")
         d = 2 * k - 2
         if n < d + 1:
             raise ValueError("need n >= d+1 = %d to run repairs" % (d + 1))
@@ -188,14 +188,15 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
     """Randomized search for a lambda assignment with no singular patterns.
 
     Multi-repair of e nodes needs d-e+1 >= k helpers, so e is capped at
-    min(e_max, n-k, k-1). Singularity only depends on the lambdas, never
-    on the message, so candidates are vetted by the determinant of the
-    coupling matrix alone; no message is encoded. A trial stops counting
-    once it has as many singular patterns as the best trial so far, which
-    it then cannot beat. Returns the first clean lambdas, or raises
-    AssignmentNotFoundError with the first lambdas of fewest singular
-    patterns. k < 2, n < 2k-1, a field with fewer than n elements, no
-    trials or e_max < 1 raise ValueError before any trial.
+    min(e_max, n-k, k-1). Singularity does not depend on the message, so
+    candidates are vetted by the determinant of the coupling matrix alone.
+    It depends on the helper set once n > d+1, and only each pattern's
+    default helpers, the first d-e+1 live nodes, are vetted. A trial stops
+    counting once it has as many singular patterns as the best trial so
+    far, which it then cannot beat. Returns the first clean lambdas, or
+    raises AssignmentNotFoundError with the first lambdas of fewest
+    singular patterns. k < 2, n < 2k-1, a field with fewer than n
+    elements, no trials or e_max < 1 raise ValueError before any trial.
     """
     from itertools import combinations
 

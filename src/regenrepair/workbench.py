@@ -140,8 +140,11 @@ def verify_exact_repair(code, pattern, helpers=None, rng=None, **repair_args):
 
 
 def run_sweep(code, e, seed=0, sample=None, helpers=None, **repair_args):
-    """Try every e-failure pattern (or a seeded sample) and verify repair;
-    e outside 1..n or a sample of no patterns is a ValueError."""
+    """Try every e-failure pattern (or a seeded sample) and verify repair
+    from helpers, or from the default helpers when None: for PM at n > d+1
+    a clean sweep vouches for those helpers only, as a pattern can repair
+    from one helper set and not another. e outside 1..n or a sample of no
+    patterns is a ValueError."""
     if not 1 <= e <= code.n:
         raise ValueError("need 1 <= e <= n = %d failed nodes, got %d" % (code.n, e))
     if sample is not None and sample < 1:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_paths as ref
 from regenrepair.framework import SingularCouplingError
-from regenrepair.gf import Field, Matrix, all_square_submatrices_invertible, cauchy, mat_mul
+from regenrepair.gf import Field, Matrix, all_square_submatrices_invertible, cauchy, mat_det, mat_mul
 from regenrepair.ia import IACode, UnsupportedPatternError, default_kappa, field_search
 from regenrepair.workbench import AssignmentNotFoundError, verify_exact_repair
 
@@ -164,10 +164,11 @@ def test_condition_check_matches_determinant_random_p():
             assert code.condition_check(pat) == (system.determinant() != 0)
 
 
-def random_ia_code(field, k, rng):
+def random_ia_code(field, k, rng, random_v=False):
     """IACode(k) with a random kappa and a random superregular P: random
     entries where a few draws find one, else a Cauchy matrix on random
-    points with scaled rows and columns."""
+    points with scaled rows and columns. With random_v, V is a random
+    invertible matrix too; else V = I."""
     for _ in range(20):
         p = Matrix(field, [[rng.randrange(1, field.size) for _ in range(k)] for _ in range(k)])
         if all_square_submatrices_invertible(p):
@@ -178,26 +179,35 @@ def random_ia_code(field, k, rng):
         left = [rng.randrange(1, field.size) for _ in range(k)]
         right = [rng.randrange(1, field.size) for _ in range(k)]
         p = Matrix(field, [[field.mul(left[r], field.mul(c[r][j], right[j])) for j in range(k)] for r in range(k)])
-    return IACode(field, k, P=p, kappa=rng.randrange(2, field.size))
+    kappa = rng.randrange(2, field.size)
+    return IACode(field, k, P=p, V=random_invertible(field, k, rng) if random_v else None, kappa=kappa)
+
+
+def random_invertible(field, k, rng):
+    while True:
+        v = Matrix(field, [[rng.randrange(field.size) for _ in range(k)] for _ in range(k)])
+        if mat_det(v):
+            return v
 
 
 @st.composite
-def random_ia_codes(draw, ms=range(3, 9), k_min=2):
-    """random_ia_code over GF(2^m), m in ms (3..8 by default), k = k_min..5."""
+def random_ia_codes(draw, ms=range(3, 9), k_min=2, k_max=5, random_v=False):
+    """random_ia_code over GF(2^m), m in ms (3..8 by default), k = k_min..k_max
+    (at most 4 over GF(8)); with random_v, half of them with a random V."""
     m = draw(st.sampled_from(ms))
-    k = draw(st.integers(k_min, 5 if m > 3 else 4))
-    return random_ia_code(Field(m), k, draw(st.randoms(use_true_random=False)))
+    k = draw(st.integers(k_min, k_max if m > 3 else 4))
+    return random_ia_code(Field(m), k, draw(st.randoms(use_true_random=False)), random_v and draw(st.booleans()))
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_ia_codes())
+@given(random_ia_codes(random_v=True))
 @example(IACode(F256, 6))
 @example(random_ia_code(F256, 6, random.Random(6)))
 def test_coupling_system_and_closed_forms_on_random_codes(code):
     """On every pattern of e = 2..k the coupling system equals the one built
-    entry by entry and condition_check is det(A) != 0, so field_search can
-    vet by it alone; on the shapes where condition_check trusts its closed
-    form, it agrees with the hand formulas it replaced. The two fixed
+    entry by entry and condition_check is det(A) != 0, the slow reference
+    it replaces, so field_search can vet by it alone; on the six shapes the
+    retired hand formulas covered, it agrees with them. The two fixed
     k = 6 codes carry the check past the strategy's k <= 5."""
     for e in range(2, code.k + 1):
         for pat in combinations(code.node_ids(), e):
@@ -249,28 +259,86 @@ def test_derived_rows_equal_the_hand_expansion(m, k):
         assert row == {src: w for src, w in want.items() if w}, (x, y)
 
 
-def test_uncovered_shape_is_answered_by_the_determinant():
-    """3 systematic + 2 parity has no trusted closed form: condition_check
-    answers it with the coupling determinant's verdict instead of raising."""
-    code = IACode(F256, 5)
+@pytest.mark.parametrize(
+    "k, failed, repairable",
+    [(5, (1, 2, 3, 6, 7), True), (6, (1, 5, 6, 7, 8), False)],
+    ids=["ia5-repairable", "ia6-singular"],
+)
+def test_shapes_past_the_retired_hand_formulas_take_the_closed_form(monkeypatch, k, failed, repairable):
+    """3 systematic + 2 parity has no hand formula, and condition_check
+    once answered it with the coupling determinant. With the determinant
+    identity proven it takes det(I + G) and never builds A, and its answer
+    is still det A != 0, on a repairable pattern and a singular one."""
+    code = IACode(F256, k)
     with pytest.raises(UnsupportedPatternError):
-        ref.ia_condition_table(code, (1, 2, 3, 6, 7))
-    system, _ = code.coupling_system((1, 2, 3, 6, 7))
-    assert system.determinant() != 0
-    assert code.condition_check((1, 2, 3, 6, 7)) is True
+        ref.ia_condition_table(code, failed)
+    system, _ = code.coupling_system(failed)
+    assert (system.determinant() != 0) is repairable
+    monkeypatch.setattr(code, "coupling_system", None)
+    assert code.condition_check(failed) is repairable
 
 
-def conjecture_eval(code, failed):
-    """Compare det(A) with the conjectured product formula (report only)."""
+def proof_rows(code, failed):
+    """Rows (1)-(4) of docs/ia-repairability.md for V = I, as {(x, y): {(l, x):
+    weight}}, every node by its id: a_{lx}, c_{lm}, d_{ml} and f_{mm'} with
+    the right side moved left."""
+    f, k, kappa = code.field, code.k, code.kappa
+    P, Pd, mul = code.P.data, code.Pd.data, f.mul
+    one_k2 = 1 ^ mul(kappa, kappa)
+    S = [x for x in failed if x <= k]
+    J = [x - k for x in failed if x > k]
+    rows = {}
+
+    def row(x, y, terms):
+        weights = {(x, y): 1}
+        for src, weight in terms:
+            weights[(src, x)] = weights.get((src, x), 0) ^ weight
+        rows[(x, y)] = {pair: w for pair, w in weights.items() if w}
+
+    for l in S:
+        for x in S:
+            if x != l:  # (1)
+                row(l, x, [(x, kappa)] + [(k + i, mul(kappa, Pd[x - 1][i - 1])) for i in J])
+        c = f.div(kappa, 1 ^ kappa)
+        for m in J:  # (2)
+            row(l, k + m, [(k + m, 1)] + [(j, P[j - 1][m - 1]) for j in S if j != l]
+                + [(k + i, mul(mul(c, P[l - 1][m - 1]), Pd[l - 1][i - 1])) for i in J])
+    for m in J:
+        c = kappa ^ mul(kappa, kappa)
+        for x in S:  # (3)
+            row(k + m, x, [(k + i, mul(mul(kappa, kappa), Pd[x - 1][i - 1])) for i in J if i != m]
+                + [(x, one_k2)] + [(j, mul(mul(c, Pd[x - 1][m - 1]), P[j - 1][m - 1])) for j in S])
+        for m2 in J:
+            if m2 != m:  # (4)
+                row(k + m, k + m2, [(k + m2, kappa)]
+                    + [(j, mul(f.div(one_k2, kappa), P[j - 1][m2 - 1])) for j in S])
+    return rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_ia_codes())
+@example(IACode(F256, 6))
+def test_coupling_rows_match_the_proof(code):
+    """Step 4 of the proof, row by row, on every pattern of e = 2..k."""
+    for e in range(2, code.k + 1):
+        for pat in combinations(code.node_ids(), e):
+            system, _ = code.coupling_system(pat)
+            pairs = system.pairs
+            got = {pair: {pairs[c]: w for c, w in enumerate(row) if w} for pair, row in zip(pairs, system.A.data)}
+            assert got == proof_rows(code, pat), pat
+
+
+def product_formula(code, failed):
+    """The right side of the determinant identity of docs/ia-repairability.md,
+    kappa^{2sp} (1 + kappa^2)^{C(s,2)+C(p,2)} det(I + G)^e, with det(I + G)
+    expanded by Cauchy-Binet as 1 plus a sum over matchings, apart from
+    condition_check's elimination."""
     f = code.field
     failed = tuple(sorted(set(failed)))
     sys_nodes = [x for x in failed if code.is_systematic(x)]
     par_nodes = [x - code.k for x in failed if not code.is_systematic(x)]
     s, p = len(sys_nodes), len(par_nodes)
     e = s + p
-    system, _ = code.coupling_system(failed)
-    lhs = system.determinant()
-    # kappa^{2sp} (1-kappa^2)^{C(s,2)+C(p,2)} (1 - sum over matchings)^e
     bracket = 1
     for size in range(1, min(s, p) + 1):
         for lset in combinations(sys_nodes, size):
@@ -288,16 +356,32 @@ def conjecture_eval(code, failed):
                         bracket = f.add(bracket, term)
     rhs = f.pow(code.kappa, 2 * s * p)
     rhs = f.mul(rhs, f.pow(ref.ia_constants(code)[1], s * (s - 1) // 2 + p * (p - 1) // 2))
-    rhs = f.mul(rhs, f.pow(bracket, e))
-    return lhs, rhs, lhs == rhs
+    return f.mul(rhs, f.pow(bracket, e))
 
 
-def test_product_formula_matches_determinant():
-    code = example_code()
-    for e in (2, 3, 4):
+@settings(max_examples=30, deadline=None)
+@given(random_ia_codes(k_max=6, random_v=True))
+@example(example_code())
+@example(IACode(F256, 6))
+def test_product_formula_matches_determinant(code):
+    """The identity holds exactly on every pattern of e = 2..k, at k = 2..6,
+    on random P, kappa and V."""
+    for e in range(2, code.k + 1):
         for pat in combinations(code.node_ids(), e):
-            lhs, rhs, equal = conjecture_eval(code, pat)
-            assert equal and lhs == rhs
+            assert code.coupling_system(pat)[0].determinant() == product_formula(code, pat), pat
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_ia_codes(), st.integers(0, 2**32))
+def test_coupling_matrix_does_not_depend_on_v(code, seed):
+    """Step 2 of the proof: the coupling rows and their known terms are
+    the same for V = I and a random invertible V."""
+    v = random_invertible(code.field, code.k, random.Random(seed))
+    other = IACode(code.field, code.k, P=code.P, V=v, kappa=code.kappa)
+    for e in range(2, code.k + 1):
+        for pat in combinations(code.node_ids(), e):
+            (a, known_a), (b, known_b) = code.coupling_system(pat), other.coupling_system(pat)
+            assert a.A == b.A and known_a == known_b, pat
 
 
 def test_systematic_decode_matrix_is_closed_form_inverse():
@@ -399,8 +483,8 @@ def test_field_search_refuses_sizes_no_code_has():
     "m, k, e_max, trials, seed",
     # found at trial 0 or later; not found, with later trials that beat the
     # first, tie it, or lose to it; k = 5, whose mixed e = 5 shapes have no
-    # trusted closed form; and k = 6, where some of the e = 5 shapes without
-    # one are singular
+    # hand formula; and k = 6, where some of the e = 5 shapes without one
+    # are singular
     [(5, 4, 4, 10, 0), (4, 3, 3, 12, 1), (2, 2, 2, 5, 0), (3, 3, 3, 12, 0), (3, 3, 3, 12, 2),
      (4, 3, 3, 12, 0), (4, 4, 4, 20, 3), (2, 3, 3, 40, 0), (4, 5, 5, 4, 1), (5, 5, 5, 3, 0),
      (8, 6, 5, 2, 0)],

@@ -340,6 +340,27 @@ def test_constructors_refuse_coefficients_outside_the_field(build):
     build(2)  # and the same code builds on a field element
 
 
+# Sizes that are not ints: IACode(F256, True) built a code with k = True,
+# and a float size died with TypeError in range() or on &.
+SIZES = {
+    "pm": (lambda n, k: PMCode(F256, n, k), (7, 3)),
+    "ia": (lambda k: IACode(F256, k), (2,)),
+    "mds-fixed": (lambda n, k, d: MDSStripeCode(F256, n, k, d=d), (7, 3, 4)),
+    "mds-adaptive": (lambda n, k, d_max: MDSStripeCode(F256, n, k, d_max=d_max), (7, 3, 4)),
+    "ambr": (lambda n, k, d_min, d_max: AdaptiveMBRCode(F256, n, k, d_min, d_max), (8, 3, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SIZES))
+def test_constructors_refuse_sizes_that_are_not_ints(family):
+    build, sizes = SIZES[family]
+    for at, size in enumerate(sizes):
+        for bad in (float(size), str(size), True):
+            with pytest.raises(ValueError, match=r"\bints?\b"):
+                build(*sizes[:at], bad, *sizes[at + 1 :])
+    build(*sizes)
+
+
 def descriptors():
     """One valid descriptor per family."""
     return {family: build().descriptor() for family, build in CODES.items()}

@@ -463,6 +463,27 @@ def test_field_search_finds_clean_assignment_over_f256():
     assert rep.all_ok()
 
 
+def test_field_search_vets_the_default_helpers_only():
+    """Once n > d+1, whether a pattern repairs depends on its helper set,
+    and field_search vets each pattern with its default helpers only, as
+    its docstring and run_sweep's say. The lambdas it finds for PM(13, 6)
+    over GF(2^6) repair failed (1, 2) from the default helpers 3..11 but
+    not from 3..10 and 12."""
+    lam = field_search(F64, 13, 6, 2, seed=0)
+    code = PMCode(F64, 13, 6, lam)
+    default, other = tuple(range(3, 12)), tuple(range(3, 11)) + (12,)
+    assert code.coupling_matrix((1, 2), default).determinant() == 58
+    assert code.coupling_matrix((1, 2), other).determinant() == 0
+    shards = code.encode(code.random_message(random.Random(3)))
+    live = {i: s for i, s in shards.items() if i not in (1, 2)}
+    assert code.repair_multi(live, (1, 2))[0] == {1: shards[1], 2: shards[2]}
+    with pytest.raises(SingularCouplingError) as err:
+        code.repair_multi(live, (1, 2), helpers=other)
+    assert err.value.dependent == ((2, 1),)
+    for doc in (field_search.__doc__, run_sweep.__doc__):
+        assert "default helpers" in " ".join(doc.split())
+
+
 def test_descriptor_round_trip():
     code = example_code()
     desc = code.descriptor()
