@@ -2,9 +2,10 @@
 
 Field elements are plain ints in [0, 2^m); the modulus is an irreducible
 binary polynomial given as a bitmask (bit i = coefficient of x^i).
-Multiplication uses log/antilog tables up to TABLE_LIMIT bits and falls
-back to carry-less shift-and-reduce beyond that. The shift-and-reduce
-path is always available (`mul_direct`) so the two can be cross-checked.
+Every field, m = 1..16, multiplies through log/antilog tables built when
+it is made; they hold 0.7 MB at m = 13 and 5.5 MB at m = 16. Carry-less
+shift-and-reduce (`mul_direct`) builds them and stays as the reference
+the tests check them against.
 
 Every elimination goes through one row-reduction kernel, `_reduce`,
 which returns the pivot columns and the determinant. mat_solve, mat_inv
@@ -20,9 +21,8 @@ An elimination that carries more than one column past the reduced ones
 bytes.translate through the multiply table plus one XOR. Square det and
 rank, and solves with one right-hand side, keep the list loop on the
 log/antilog tables, which is faster on small sparse coupling systems.
-Fields without tables take `_reduce_direct`, the same loop through
-Field.mul, which the tests also use as the reference of both kernels.
-mat_mul runs on packed rows too.
+`_reduce_direct`, the same loop through Field.mul, is the reference the
+tests hold both kernels to. mat_mul runs on packed rows too.
 
 A LinearMap is a matrix compiled for many products. Over m <= 8 it keeps
 the matrix as one bytes object per column, runs each column through
@@ -36,7 +36,6 @@ entry of the matrix.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 
 # Primitive polynomials, one per degree. m=5,6,8 are load-bearing defaults
 # (several code constructions pin them); the rest are the usual LFSR picks.
@@ -107,18 +106,19 @@ def is_irreducible(modulus: int, m: int) -> bool:
 class Field:
     """GF(2^m) with a fixed irreducible modulus.
 
-    The generator is the smallest element of multiplicative order 2^m - 1;
-    it is found by exhaustive order checks against the prime factors of
-    the group order, so it does not depend on the modulus being primitive.
+    The generator is the smallest element of multiplicative order 2^m - 1:
+    the powers of g = 1, 2, ... are walked with mul_direct until one walk
+    covers every nonzero element, so it does not depend on the modulus
+    being primitive. That walk is the antilog table.
     """
 
-    TABLE_LIMIT = 12
-
     def __init__(self, m: int, modulus: int | None = None):
-        if not 1 <= m <= 16:
-            raise ValueError(f"field degree m={m} out of supported range 1..16")
+        if type(m) is not int or not 1 <= m <= 16:
+            raise ValueError(f"field degree m={m!r} must be an int in 1..16")
         if modulus is None:
             modulus = DEFAULT_MODULI[m]
+        if type(modulus) is not int:
+            raise ValueError(f"modulus {modulus!r} is not an int")
         if modulus.bit_length() - 1 != m:
             raise ValueError(f"modulus {modulus:#x} does not have degree exactly {m}")
         if not is_irreducible(modulus, m):
@@ -127,12 +127,19 @@ class Field:
         self.modulus = modulus
         self.size = 1 << m
         self.order = self.size - 1  # multiplicative group order
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
         self._mul_tables: list[bytes] | None = None  # built by mul_tables()
-        self.generator = self._find_generator()
-        if m <= self.TABLE_LIMIT:
-            self._build_tables()
+        for g in range(1, self.size):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self.mul_direct(x, g)
+            if len(exp) == self.order:
+                break
+        self.generator = g
+        self._log = [0] * self.size
+        for i, x in enumerate(exp):
+            self._log[x] = i
+        self._exp = exp + exp  # a sum of two logs indexes it unreduced
 
     # -- scalar ops ---------------------------------------------------
 
@@ -145,12 +152,11 @@ class Field:
         return a
 
     def mul_direct(self, a: int, b: int) -> int:
-        """Shift-and-reduce product; reference path, table-free."""
+        """Shift-and-reduce product: it builds the log/antilog tables, and
+        the tests check the table products against it."""
         return polymod_gf2(polymul_gf2(a, b), self.modulus)
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is None:
-            return self.mul_direct(a, b)
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
@@ -158,9 +164,7 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return self._exp[self.order - self._log[a]]
-        return self.pow(a, self.order - 1)
+        return self._exp[self.order - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -211,28 +215,6 @@ class Field:
             self._mul_tables = tables
         return self._mul_tables
 
-    # -- internals ----------------------------------------------------
-
-    def _find_generator(self) -> int:
-        # g is a generator iff g^(order/p) != 1 for every prime p | order
-        ps = _prime_factors(self.order)
-        for g in range(1, self.size):
-            if all(self.pow(g, self.order // p) != 1 for p in ps):
-                return g
-        raise AssertionError("no generator found; field construction is broken")
-
-    def _build_tables(self) -> None:
-        exp = [0] * (2 * self.order)
-        log = [0] * self.size
-        x = 1
-        for i in range(self.order):
-            exp[i] = x
-            log[x] = i
-            x = self.mul_direct(x, self.generator)
-        for i in range(self.order, 2 * self.order):
-            exp[i] = exp[i - self.order]
-        self._exp, self._log = exp, log
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and (self.m, self.modulus) == (other.m, other.modulus)
 
@@ -241,20 +223,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus:#x})"
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class Matrix:
@@ -436,11 +404,8 @@ def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
 
     Returns (pivot_cols, det): det is the product of the pivots when every
     one of the ncols columns has one, else 0; row swaps leave it alone in
-    characteristic 2. Products run on the log/antilog tables; fields
-    without them take _reduce_direct, the same loop through Field.mul.
+    characteristic 2. Products run on the log/antilog tables.
     """
-    if field._exp is None:
-        return _reduce_direct(field, rows, ncols, full)
     nrows = len(rows)
     width = len(rows[0]) if rows else 0
     if width > ncols + 1 and field.m <= 8:
@@ -517,8 +482,8 @@ def _reduce_packed(field, rows, width, ncols, full):
 
 
 def _reduce_direct(field: Field, rows: list[list[int]], ncols: int, full: bool):
-    """_reduce with every product through Field.mul: the path of fields
-    past TABLE_LIMIT, and the reference the tests hold _reduce to."""
+    """_reduce with every product and inverse through Field.mul and
+    Field.inv, one at a time: the reference the tests hold _reduce to."""
     mul, inv = field.mul, field.inv
     nrows = len(rows)
     width = len(rows[0]) if rows else 0
@@ -610,30 +575,20 @@ def lagrange_rows(field: Field, nodes, targets) -> Matrix:
     a node gets its unit row. The matrix is V_targets V_nodes^-1 for
     Vandermonde matrices with len(nodes) columns, the map from a
     polynomial's values on the nodes to its values on the targets, with no
-    elimination. The products run as sums of logs; fields without log
-    tables take Field.mul and Field.inv.
+    elimination. The products run as sums of logs.
     """
     nodes = list(nodes)
     if len(set(nodes)) != len(nodes):
         raise DuplicatePointError("repeated interpolation node")
-    if field._exp is None:
-        mul, inv = field.mul, field.inv
-        weights = [inv(reduce(mul, [a ^ b for b in nodes if b != a], 1)) for a in nodes]
+    exp, log, order = field._exp, field._log, field.order
+    weights = [-sum(log[a ^ b] for b in nodes if b != a) % order for a in nodes]  # logs of the w_j
 
-        def row(x):
-            lx = reduce(mul, [x ^ b for b in nodes], 1)
-            return [mul(mul(w, lx), inv(x ^ b)) for w, b in zip(weights, nodes)]
-
-    else:
-        exp, log, order = field._exp, field._log, field.order
-        weights = [-sum(log[a ^ b] for b in nodes if b != a) % order for a in nodes]  # logs of the w_j
-
-        def row(x):
-            logs = [log[x ^ b] for b in nodes]
-            lx = sum(logs) % order
-            # lx + w - l lies in (-order, 2*order), and exp, 2*order long and
-            # periodic in order, reads a negative index as the same power
-            return [exp[lx + w - l] for w, l in zip(weights, logs)]
+    def row(x):
+        logs = [log[x ^ b] for b in nodes]
+        lx = sum(logs) % order
+        # lx + w - l lies in (-order, 2*order), and exp, 2*order long and
+        # periodic in order, reads a negative index as the same power
+        return [exp[lx + w - l] for w, l in zip(weights, logs)]
 
     where = {x: j for j, x in enumerate(nodes)}
     return Matrix(field, [[int(j == where[x]) for j in range(len(nodes))] if x in where else row(x) for x in targets])

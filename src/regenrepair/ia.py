@@ -296,13 +296,15 @@ def field_search(field, k, e_max, trials=200, seed=0):
     has as many singular patterns as the best trial so far, which it then
     cannot beat. Returns the first clean code, or raises
     AssignmentNotFoundError with the first code of fewest singular
-    patterns. k < 1, a field with no kappa (GF(2)), no trials or e_max < 1
-    raise ValueError before any trial.
+    patterns. Sizes that are not ints, k < 1, a field with no kappa
+    (GF(2)), no trials or e_max < 1 raise ValueError before any trial.
     """
     from itertools import combinations
 
     from .workbench import AssignmentNotFoundError
 
+    if any(type(x) is not int for x in (k, e_max, trials)):
+        raise ValueError("k, e_max and trials must be ints, not %r" % ((k, e_max, trials),))
     kappas = [x for x in field.elements() if x not in (0, 1)]
     if k < 1 or not kappas:
         raise ValueError("no IA code has k = %d over GF(2^%d): need k >= 1 and a kappa != 0, 1" % (k, field.m))

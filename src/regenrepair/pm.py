@@ -195,13 +195,16 @@ def field_search(field, n, k, e_max, trials=200, seed=0):
     counting once it has as many singular patterns as the best trial so
     far, which it then cannot beat. Returns the first clean lambdas, or
     raises AssignmentNotFoundError with the first lambdas of fewest
-    singular patterns. k < 2, n < 2k-1, a field with fewer than n
-    elements, no trials or e_max < 1 raise ValueError before any trial.
+    singular patterns. Sizes that are not ints, k < 2, n < 2k-1, a field
+    with fewer than n elements, no trials or e_max < 1 raise ValueError
+    before any trial.
     """
     from itertools import combinations
 
     from .workbench import AssignmentNotFoundError
 
+    if any(type(x) is not int for x in (n, k, e_max, trials)):
+        raise ValueError("n, k, e_max and trials must be ints, not %r" % ((n, k, e_max, trials),))
     if k < 2 or n < 2 * k - 1:
         raise ValueError("no PM code has n = %d, k = %d: need k >= 2 and n >= 2k-1" % (n, k))
     if n > field.size:

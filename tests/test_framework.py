@@ -118,8 +118,8 @@ def test_a_repeated_failed_id_is_one_node():
 
 
 # GF(2^4) and GF(2^8) reduce on packed rows when two or more target rows
-# ride along, on table lists with one; GF(2^10) on table lists, GF(2^13)
-# through Field.mul
+# ride along, on table lists with one; GF(2^10) and GF(2^13), past the
+# byte multiply tables, on table lists
 DERIVE_FIELDS = {m: Field(m) for m in (4, 8, 10, 13)}
 
 

@@ -106,13 +106,24 @@ def test_field_axioms_random_triples(m):
             assert f.mul(a, f.inv(a)) == 1
 
 
+# each field's generator, pinned: PM's and AMBR's default points are its powers
+GENERATORS = {**{(m, mod): 2 for m, mod in DEFAULT_MODULI.items()}, (1, 0b11): 1, (8, 0x11B): 3}
+
+
 def test_generator_is_smallest_with_full_order():
-    for m in (3, 4, 5, 6, 8):
-        f = Field(m)
+    """Every default field and AES's GF(2^8): the generator is the smallest
+    element of full order, and the tables are its mul_direct power walk."""
+    for (m, modulus), want in GENERATORS.items():
+        f = Field(m, modulus)
         g = f.generator
+        assert g == want
         assert f.element_order(g) == f.order
-        for cand in range(1, g):
-            assert f.element_order(cand) != f.order if cand else True
+        assert all(f.element_order(cand) != f.order for cand in range(1, g))
+        walk = [1]
+        for _ in range(f.order - 1):
+            walk.append(f.mul_direct(walk[-1], g))
+        assert f._exp == walk + walk
+        assert [f._log[x] for x in walk] == list(range(f.order))
 
 
 def test_pow_and_div():
@@ -130,12 +141,25 @@ def test_pow_and_div():
         f.div(3, 0)
 
 
-def test_direct_path_field_beyond_table_limit():
-    f = Field(13)
-    assert f._exp is None
-    a = f.generator
-    assert f.mul(a, f.inv(a)) == 1
-    assert f.pow(a, f.order) == 1
+def test_wide_fields_agree_with_mul_direct():
+    """GF(2^13..2^16) multiply, invert and raise through their tables like
+    every other field; each result is checked by shift-and-reduce."""
+    for m in (13, 14, 15, 16):
+        f = Field(m)
+        rng = random.Random(1300 + m)
+        for _ in range(200):
+            a, b = rng.randrange(f.size), rng.randrange(1, f.size)
+            assert f.mul(a, b) == f.mul_direct(a, b)
+            assert f.mul_direct(b, f.inv(b)) == 1
+            e = rng.randrange(-30, 30)
+            power = 1
+            for _ in range(abs(e)):
+                power = f.mul_direct(power, b)
+            if e < 0:
+                assert f.mul_direct(f.pow(b, e), power) == 1
+            else:
+                assert f.pow(b, e) == power
+        assert f.pow(f.generator, f.order) == 1
 
 
 def test_matrix_inverse_round_trip_random():
@@ -204,7 +228,7 @@ def det_cases(draw):
     """A matrix of 0..6 rows over GF(2^m), square about half the time and
     0..6 columns otherwise; about half of those with >= 2 rows are made
     rank-deficient by replacing a row with a combination of the others.
-    GF(2^13) has no tables and takes the direct path."""
+    GF(2^13) is past the byte multiply tables and reduces on table lists."""
     field = DET_FIELDS[draw(st.sampled_from(sorted(DET_FIELDS)))]
     n = draw(st.integers(0, 6))
     cols = n if draw(st.booleans()) else draw(st.integers(0, 6))

@@ -473,10 +473,17 @@ def test_field_search_found_and_not_found():
 
 def test_field_search_refuses_sizes_no_code_has():
     """k < 1, and GF(2), which has no kappa, made every trial's constructor
-    raise, and the search ended in AssignmentNotFoundError with no code."""
+    raise, and the search ended in AssignmentNotFoundError with no code.
+    So did k = True; a float or string size died with TypeError, and
+    trials=True ran one trial."""
     for field, k in ((F32, 0), (Field(1), 3)):
         with pytest.raises(ValueError, match=r"k = %d over GF\(2\^%d\)" % (k, field.m)):
             field_search(field, k, e_max=2, trials=5, seed=0)
+    sizes = (3, 2, 5)
+    for at, size in enumerate(sizes):
+        for bad in (float(size), str(size), True):
+            with pytest.raises(ValueError, match=r"\bints\b"):
+                field_search(F32, *sizes[:at], bad, *sizes[at + 1 :], seed=0)
 
 
 @pytest.mark.parametrize(

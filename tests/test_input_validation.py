@@ -361,6 +361,14 @@ def test_constructors_refuse_sizes_that_are_not_ints(family):
     build(*sizes)
 
 
+# Field(True) built a field with m = True; a float or string degree died
+# with TypeError, and a float or string modulus with AttributeError.
+@pytest.mark.parametrize("m, modulus", [(True, None), (8.0, None), ("8", None), (8, 285.0), (8, "0x11d")])
+def test_field_refuses_a_degree_or_modulus_that_is_not_an_int(m, modulus):
+    with pytest.raises(ValueError, match=r"\bint\b"):
+        Field(m, modulus)
+
+
 def descriptors():
     """One valid descriptor per family."""
     return {family: build().descriptor() for family, build in CODES.items()}

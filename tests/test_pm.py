@@ -453,6 +453,13 @@ def test_field_search_small_case_and_refusals():
     for n, k in ((11, 1), (5, 4), (2, 3)):
         with pytest.raises(ValueError, match="n = %d, k = %d" % (n, k)):
             field_search(Field(5), n, k, 2, trials=5, seed=0)
+    # a float or string size died in a comparison with TypeError, and
+    # trials=True ran one trial
+    sizes = (7, 3, 2, 5)
+    for at, size in enumerate(sizes):
+        for bad in (float(size), str(size), True):
+            with pytest.raises(ValueError, match=r"\bints\b"):
+                field_search(F64, *sizes[:at], bad, *sizes[at + 1 :], seed=0)
 
 
 def test_field_search_finds_clean_assignment_over_f256():
