@@ -66,8 +66,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(self.u))
-        if not self.u or any(x < 1 for x in self.u):
-            raise InvalidScenarioError(f"group sizes must be >= 1: {self.u}")
+        if not self.u or any(type(x) is not int or x < 1 for x in self.u):
+            raise InvalidScenarioError(f"group sizes must be ints >= 1: {self.u}")
 
     @property
     def groups(self) -> int:
@@ -325,33 +325,50 @@ class ComparisonReport:
 def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
     """Exact bandwidth of batched repair vs e independent single repairs,
     tabulated per alpha. The fewer-helper column uses d-e+1 helpers so
-    both strategies contact d+1-e survivors; it needs d-e+1 >= k."""
+    both strategies contact d+1-e survivors; it needs d-e+1 >= k.
+
+    By default the rows are every breakpoint alpha of the three curves and
+    the midpoint of each gap between them, alpha ascending; explicit alphas
+    keep the caller's order, and one below M/k raises ValueError. Either
+    way the alphas are put over one common denominator and visited in
+    rising order, so each curve is walked once from M/k toward its MBMR
+    end, and each entry is an integer numerator over its piece's
+    denominator; nothing bisects."""
     M, n, k, d, e = params.M, params.n, params.k, params.d, params.e
+    floor = M / Fraction(k)
     single = SystemParams(M, n, k, d, 1)
+    curves = [(_segments(params), 1), (_segments(single), e)]
     fewer = None
     if d - e + 1 >= k:
         fewer = SystemParams(M, max(n, d - e + 1 + e), k, d - e + 1, e)
-    segs = _segments(params)
-    segs_single = _segments(single)
-    segs_fewer = _segments(fewer) if fewer else None
+        curves.append((_segments(fewer), 1))
+    points = sorted({a for segs, _ in curves for a in segs.alphas})
     if alphas is None:
-        cand = set(segs.alphas) | set(segs_single.alphas)
-        if fewer:
-            cand |= set(segs_fewer.alphas)
-        grid = sorted(cand)
-        mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
-        alphas = sorted(set(grid) | set(mids))
-    rows = []
-    for alpha in alphas:
-        alpha = Fraction(alpha)
-        g_cent = _gamma_min(params, segs, alpha)
-        g_sep = e * _gamma_min(single, segs_single, alpha)
-        g_few = _gamma_min(fewer, segs_fewer, alpha) if fewer else None
-        rows.append(ComparisonRow(alpha, g_cent, g_sep, g_few))
+        # twice the lcm, so that every midpoint is an integer too
+        den = 2 * lcm(*(a.denominator for a in points))
+        ends = [a.numerator * (den // a.denominator) for a in points]
+        nums = [x for a, b in zip(ends, ends[1:]) for x in (a, (a + b) // 2)] + ends[-1:]
+        values = [Fraction(x, den) for x in nums]
+        order = range(len(nums))
+    else:
+        values = []
+        for alpha in alphas:
+            alpha = Fraction(alpha)
+            if alpha < floor:
+                raise ValueError(f"alpha={alpha} below M/k={floor}; no gamma suffices")
+            values.append(alpha)
+        order = sorted(range(len(values)), key=values.__getitem__)
+        den = lcm(*(a.denominator for a in points), *(a.denominator for a in values))
+        nums = [values[i].numerator * (den // values[i].denominator) for i in order]
+    columns = [_walk(segs, M, scale, den, nums) for segs, scale in curves]
+    if not fewer:
+        columns.append([None] * len(nums))
+    rows = [None] * len(nums)
+    for i, g_cent, g_sep, g_few in zip(order, *columns):
+        rows[i] = ComparisonRow(values[i], g_cent, g_sep, g_few)
     ratio = None
     if fewer:
-        a0 = M / Fraction(k)
-        ratio = _gamma_min(fewer, segs_fewer, a0) / (e * _gamma_min(single, segs_single, a0))
+        ratio = _gamma_min(fewer, curves[2][0], floor) / (e * _gamma_min(single, curves[1][0], floor))
         # at alpha = M/k a batch of e >= k failures downloads the whole file M
         if e <= k:
             expected, form = Fraction(d - e + 1, d), "(d-e+1)/d"
@@ -360,3 +377,25 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
         if ratio != expected:
             raise ArithmeticError("MSMR ratio %s differs from %s = %s" % (ratio, form, expected))
     return ComparisonReport(params, rows, ratio)
+
+
+def _walk(segs: _Segments, M: Fraction, scale: int, den: int, nums: list[int]) -> list[Fraction]:
+    """scale * _gamma_min at each alpha = x/den for x in nums, which rise
+    and are none below M/k. Entry s is the flat top (s = 0) or the piece
+    ending at breakpoint s, as (p, q, r) with gamma = (p - q*x)/r, so one
+    pointer moves down the breakpoints as alpha rises."""
+    ends = [a.numerator * (den // a.denominator) for a in segs.alphas]
+    top = scale * segs.gammas[0]
+    entries = [(top.numerator, 0, top.denominator)]
+    for _, _, g, d in segs.pieces:
+        # (M - d*x/den)/g with M = Mn/Md and g = gn/gd
+        c = scale * g.denominator
+        entries.append((c * M.numerator * den, c * d * M.denominator, M.denominator * den * g.numerator))
+    s = len(ends) - 1
+    out = []
+    for x in nums:
+        while s and ends[s - 1] <= x:
+            s -= 1
+        p, q, r = entries[s]
+        out.append(Fraction(p - q * x, r))
+    return out

@@ -77,6 +77,16 @@ def test_cut_value_validation():
         cut_value([2], -1, 1, 5)
 
 
+@pytest.mark.parametrize("u", [(1.5, 2), (2.0, 1), (True, 2), (2, False), ("2",), (F(2),)])
+def test_scenario_refuses_group_sizes_that_are_not_ints(u):
+    # (1.5, 2) and (2.0, 1) gave float cuts 3.5 and 3.0, bools passed for
+    # 1 and ("2",) died comparing a str with 1
+    with pytest.raises(InvalidScenarioError, match="must be ints"):
+        Scenario(u)
+    with pytest.raises(InvalidScenarioError, match="must be ints"):
+        cut_value(u, 1, 1, 10)
+
+
 def test_enumerate_scenarios_lexicographic():
     assert [u for u, _ in compositions(3, 2)] == [(1, 1, 1), (1, 2), (2, 1)]
     assert len(compositions(8, 3)) == 81
@@ -332,18 +342,32 @@ def params_and_alphas(draw):
     alphas = points + [(a + b) / 2 for a, b in zip(points, points[1:])]
     alphas += [points[-1] * 2, M / k - F(1, 10**9)]
     alphas += [M / k + F(draw(st.integers(0, 10**6)), draw(st.integers(1, 10**4))) for _ in range(4)]
-    return params, single, alphas
+    return params, single, curves, alphas
 
 
 @settings(max_examples=100, deadline=None)
 @given(params_and_alphas())
 def test_bisected_gamma_min_matches_linear_scan(case):
-    params, single, alphas = case
+    params, single, curves, alphas = case
     report = compare_strategies(params)
     rows, ratio = ref.compare_strategies(params)
     assert [(r.alpha, r.gamma_centralized, r.gamma_separate, r.gamma_centralized_fewer) for r in report.rows] == rows
     assert report.msmr_ratio == ratio
     assert [pt.alpha for pt in tradeoff_curve(params)] == ref.curve_alphas(params, ref.segments(params))
+    fewer = curves[2] if len(curves) == 3 else None
+    explicit = [a for a in alphas if a >= params.M / params.k]
+    want = [
+        (
+            alpha,
+            ref.gamma_min_for_alpha(params, alpha),
+            params.e * ref.gamma_min_for_alpha(single, alpha),
+            ref.gamma_min_for_alpha(fewer, alpha) if fewer else None,
+        )
+        for alpha in explicit
+    ]
+    report = compare_strategies(params, explicit)
+    assert [(r.alpha, r.gamma_centralized, r.gamma_separate, r.gamma_centralized_fewer) for r in report.rows] == want
+    assert report.msmr_ratio == ratio
     for p in (params, single):
         for alpha in alphas:
             try:
@@ -367,6 +391,48 @@ def test_compare_strategies_checks_the_msmr_ratio_without_assert(monkeypatch):
     monkeypatch.setattr(tradeoff, "_gamma_min", skewed)
     with pytest.raises(ArithmeticError):
         compare_strategies(SystemParams(1, 12, 7, 9, 3))
+
+
+def test_compare_strategies_walks_instead_of_bisecting(monkeypatch):
+    # the rows come from one walk per curve; only the MSMR ratio's two
+    # gamma_min reads may go through the bisecting query
+    from regenrepair import tradeoff
+
+    calls = []
+    real = tradeoff._gamma_min
+
+    def counted(params, segs, alpha):
+        calls.append(alpha)
+        return real(params, segs, alpha)
+
+    monkeypatch.setattr(tradeoff, "_gamma_min", counted)
+    report = compare_strategies(SystemParams(300, 23, 18, 20, 2))
+    assert len(report.rows) > 2
+    assert len(calls) <= 2
+
+
+def test_compare_strategies_explicit_alphas_keep_the_callers_order():
+    params = SystemParams(F(600), 14, 7, 10, 3)
+    single = SystemParams(params.M, params.n, 7, 10, 1)
+    fewer = SystemParams(params.M, params.n, 7, 8, 3)
+    floor = params.M / 7
+    top = tradeoff_curve(params)[0].alpha
+    alphas = [top * 3, floor, F(1717, 17), floor, 100.5, 2 * floor, top, floor + F(1, 7), top * 3]
+    for given_alphas in (alphas, (a for a in alphas)):
+        report = compare_strategies(params, given_alphas)
+        assert [row.alpha for row in report.rows] == [F(a) for a in alphas]
+        for alpha, row in zip(alphas, report.rows):
+            alpha = F(alpha)
+            assert row.gamma_centralized == ref.gamma_min_for_alpha(params, alpha)
+            assert row.gamma_separate == 3 * ref.gamma_min_for_alpha(single, alpha)
+            assert row.gamma_centralized_fewer == ref.gamma_min_for_alpha(fewer, alpha)
+        assert report.msmr_ratio == compare_strategies(params).msmr_ratio
+    assert compare_strategies(params, []).rows == []
+    # the error names the first alpha below M/k in the caller's order
+    low = [floor + 1, floor - F(1, 3), floor - 1]
+    with pytest.raises(ValueError) as info:
+        compare_strategies(params, low)
+    assert str(info.value) == "alpha=%s below M/k=%s; no gamma suffices" % (floor - F(1, 3), floor)
 
 
 @pytest.mark.parametrize("k, e, d", [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 5)])
