@@ -29,7 +29,7 @@ from itertools import combinations
 from math import prod
 
 from .framework import InvalidHelperCountError, RepairableCode, RepairPlan, check_input
-from .gf import LinearMap, Matrix, _reduce_packed, mat_det, vandermonde
+from .gf import LinearMap, Matrix, _pack, _reduce_packed, vandermonde
 
 
 class AdaptiveMBRCode(RepairableCode):
@@ -90,17 +90,14 @@ class AdaptiveMBRCode(RepairableCode):
 
     def _decode_maps_invertible(self):
         """Every d-subset of the nodes stacks to an invertible theta, for
-        every d in d_min+1..d_max. Over m <= 8 the blocks are packed once
-        and each subset's theta reduces on packed rows; wider fields take
-        mat_det."""
-        f, alpha, packed = self.field, self.alpha, self.field.m <= 8
-        blocks = self._blocks
-        if packed:
-            blocks = [[int.from_bytes(bytes(row), "little") for row in block] for block in blocks]
+        every d in d_min+1..d_max. The blocks are packed once and each
+        subset's theta reduces on packed rows."""
+        f, alpha = self.field, self.alpha
+        blocks = [[_pack(f, row) for row in block] for block in self._blocks]
         for d in range(self.d_min + 1, self.d_max + 1):
             for subset in combinations(blocks, d):
                 theta = [row for block in subset for row in block[: alpha // d]]
-                if not (_reduce_packed(f, theta, alpha, alpha, False)[1] if packed else mat_det(Matrix(f, theta))):
+                if not _reduce_packed(f, theta, alpha, alpha, False)[1]:
                     return False
         return True
 

@@ -25,9 +25,14 @@ the symbols it sends) and one decode map (the received symbols -> the lost
 shards). RepairableCode.repair_multi has the family check its own rules
 and name the pattern's plan, fetches the plan from the code's cache or has
 the family compile it, and applies it; the transcript counts the rows of
-each send map. IA, MDS and adaptive MBR repair this way. PM repairs
-symbolically, assembling and solving its CouplingSystem on every call,
-and its transcript counts the transfers it computed.
+each send map. IA, MDS and adaptive MBR repair this way. IA compiles a
+plan on packed rows (gf._pack) from its coupling rows to the decode map:
+one Gauss-Jordan solves the coupling system for every received symbol at
+once, and the solved rows, scaled by each failed node's decoder columns,
+are its decode. It builds a CouplingSystem only for a singular pattern,
+to name the dependent transfers. PM repairs symbolically, assembling and
+solving its CouplingSystem on every call, and its transcript counts the
+transfers it computed.
 
 Every family takes the same request: e failed nodes, none holding a shard,
 and a helper set whose size the family fixes (PM d-e+1, IA n-e, MDS and
@@ -83,8 +88,8 @@ def check_input(code, shards, length, readers, ids=()):
     """Refuse unknown node ids and malformed shards before any arithmetic.
 
     Every id in ids must be an int in 1..code.n (bools, floats and strings
-    are refused before anything compares or sorts them), and the shard of
-    each reader must hold length symbols of code.field. Readers are node
+    are refused before anything compares or sorts them), and each reader
+    must hold a shard of length symbols of code.field. Readers are node
     ids already checked: keys of shards or ids passed in an earlier call.
     """
     n = code.n
@@ -92,6 +97,8 @@ def check_input(code, shards, length, readers, ids=()):
     if bad:
         raise InvalidRepairInputError("node ids not ints in 1..%d: %s" % (n, bad))
     for node in readers:
+        if node not in shards:
+            raise InvalidRepairInputError("node %d holds no shard" % node)
         if not _is_word(code.field, shards[node], length):
             raise InvalidRepairInputError(
                 "shard of node %d is not %d symbols of GF(2^%d)" % (node, length, code.field.m)

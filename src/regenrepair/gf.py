@@ -9,20 +9,27 @@ the tests check them against.
 
 Every elimination goes through one row-reduction kernel, `_reduce`,
 which returns the pivot columns and the determinant. mat_solve, mat_inv
-and the compiles of read maps and IA and AMBR repair plans run it
-Gauss-Jordan on an augmented matrix; mat_det and mat_rank run it below
-the pivots only. A map from a polynomial's values at some points to its
-values at others, V_targets V_nodes^-1, needs no elimination:
-lagrange_rows writes it down as a table of Lagrange basis values, and the
-MDS generator and MDS repair decode maps are such tables.
-An elimination that carries more than one column past the reduced ones
-(an inverse, a read map, a plan compile) runs, over m <= 8, on packed rows
-(`_reduce_packed`): a row is one int of bytes and a row operation is one
-bytes.translate through the multiply table plus one XOR. Square det and
-rank, and solves with one right-hand side, keep the list loop on the
-log/antilog tables, which is faster on small sparse coupling systems.
-`_reduce_direct`, the same loop through Field.mul, is the reference the
-tests hold both kernels to. mat_mul runs on packed rows too.
+and the compiles of read maps and AMBR repair plans run it Gauss-Jordan
+on an augmented matrix; mat_det and mat_rank run it below the pivots
+only. A map from a polynomial's values at some points to its values at
+others, V_targets V_nodes^-1, needs no elimination: lagrange_rows writes
+it down as a table of Lagrange basis values, and the MDS generator and
+MDS repair decode maps are such tables.
+
+A packed row (`_pack`) is one int holding a row of symbols, one lane per
+entry, so that adding rows is one XOR. Over m <= 8 a lane is a byte and
+scaling a row is one bytes.translate through the multiply table:
+`_reduce_packed` eliminates and `_mul_packed` multiplies on such rows,
+and LinearMap.from_packed cuts a map's columns from them. Past m = 8 a
+lane is two bytes, and the same calls unpack the rows for the list loops
+on the log/antilog tables; callers such as the IA plan compile and AMBR's
+construction check never look at the lanes. An elimination through
+`_reduce` that carries more than one column past the reduced ones (an
+inverse, a read map) packs its rows over m <= 8. Square det and rank, and
+solves with one right-hand side, keep the list loop, which is faster on
+small sparse coupling systems. `_reduce_direct`, the same loop through
+Field.mul, is the reference the tests hold both kernels to. mat_mul runs
+on packed rows over m <= 8 too.
 
 A LinearMap is a matrix compiled for many products. Over m <= 8 it keeps
 the matrix as one bytes object per column, runs each column through
@@ -36,6 +43,7 @@ entry of the matrix.
 from __future__ import annotations
 
 import itertools
+import struct
 
 # Primitive polynomials, one per degree. m=5,6,8 are load-bearing defaults
 # (several code constructions pin them); the rest are the usual LFSR picks.
@@ -286,11 +294,24 @@ class LinearMap:
     def __init__(self, matrix: Matrix):
         self.field = matrix.field
         self.rows, self.cols = matrix.rows, matrix.cols
-        picks = [row.index(1) for row in matrix.data if row.count(0) == self.cols - 1 and 1 in row]
-        self.picks = tuple(picks) if len(picks) == self.rows else None
+        self.picks = _picks(matrix.data, self.cols)
         wide = self.field.m > 8
         self._matrix = matrix if wide else None
         self._columns = None if wide else tuple(map(bytes, zip(*matrix.data)))
+
+    @classmethod
+    def from_packed(cls, field: Field, rows: list[int], width: int, order) -> "LinearMap":
+        """The map whose column t is column order[t] of the packed rows
+        (see _pack), width entries each. Over m <= 8 its columns are
+        strided slices of the rows' bytes, with no Matrix in between."""
+        if field.m > 8:
+            return cls(Matrix(field, [[row[j] for j in order] for row in (_unpack(field, r, width) for r in rows)]))
+        data = b"".join([row.to_bytes(width, "little") for row in rows])
+        new = cls.__new__(cls)
+        new.field, new.rows, new.cols, new._matrix = field, len(rows), len(order), None
+        new._columns = tuple([data[j::width] for j in order])  # column j, one byte per row
+        new.picks = _picks(zip(*new._columns), new.cols)
+        return new
 
     def apply(self, v: list[int]) -> list[int]:
         if len(v) != self.cols:
@@ -333,36 +354,77 @@ class LinearMap:
         return out
 
 
+def _picks(rows, cols: int):
+    """Where the 1 of each row is when every row is a unit vector of length
+    cols, else None; it stops at the first row that is not."""
+    picks = []
+    for row in rows:
+        if row.count(0) != cols - 1 or 1 not in row:
+            return None
+        picks.append(row.index(1))
+    return tuple(picks)
+
+
+def _pack(field: Field, row, offset: int = 0) -> int:
+    """A row of symbols as one int, entry j in lane offset + j: a lane is a
+    byte over m <= 8 and two bytes past it. The sum of packed rows is the
+    XOR of the ints. _reduce_packed, _mul_packed and LinearMap.from_packed
+    take rows so."""
+    if field.m <= 8:
+        return int.from_bytes(bytes(row), "little") << 8 * offset
+    return int.from_bytes(struct.pack("<%dH" % len(row), *row), "little") << 16 * offset
+
+
+def _unpack(field: Field, row: int, width: int) -> list[int]:
+    """The width symbols of a packed row, as a list."""
+    if field.m <= 8:
+        return list(row.to_bytes(width, "little"))
+    return list(struct.unpack("<%dH" % width, row.to_bytes(2 * width, "little")))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     f = a.field
-    if f.m <= 8:
-        # row i of the product is the XOR of b's rows, each translated
-        # through the multiply table of its coefficient in a's row i
-        tables, width = f.mul_tables(), b.cols
-        packed = [bytes(row) for row in b.data]
-        out = []
-        for ai in a.data:
-            acc = 0
-            for x, row in zip(ai, packed):
-                if x:
-                    acc ^= int.from_bytes(row.translate(tables[x]), "little")
-            out.append(list(acc.to_bytes(width, "little")))
-        return Matrix(f, out)
-    mul = f.mul
-    out = [[0] * b.cols for _ in range(a.rows)]
-    for i in range(a.rows):
-        ai, oi = a.data[i], out[i]
-        for t in range(a.cols):
-            ait = ai[t]
-            if ait == 0:
-                continue
-            bt = b.data[t]
-            for j in range(b.cols):
-                if bt[j]:
-                    oi[j] ^= mul(ait, bt[j])
-    return Matrix(f, out)
+    if f.m > 8:
+        return Matrix(f, _mul_lists(f, a.data, b.data, b.cols))
+    out = _mul_packed(f, a.data, [_pack(f, row) for row in b.data], b.cols)
+    return Matrix(f, [_unpack(f, row, b.cols) for row in out])
+
+
+def _mul_packed(field: Field, coefs: list[list[int]], rows: list[int], width: int) -> list[int]:
+    """The product of coefs and the packed rows (width entries each),
+    packed: row i is the XOR of the rows, each translated through the
+    multiply table of its coefficient in coefs[i]. Past m = 8 the rows are
+    unpacked for the list loop."""
+    if field.m > 8:
+        out = _mul_lists(field, coefs, [_unpack(field, row, width) for row in rows], width)
+        return [_pack(field, row) for row in out]
+    tables, from_bytes = field.mul_tables(), int.from_bytes
+    data = [row.to_bytes(width, "little") for row in rows]
+    out = []
+    for ci in coefs:
+        acc = 0
+        for x, row in zip(ci, data):
+            if x:
+                acc ^= from_bytes(row.translate(tables[x]), "little")
+        out.append(acc)
+    return out
+
+
+def _mul_lists(field: Field, a: list[list[int]], b: list[list[int]], width: int) -> list[list[int]]:
+    """a times b on lists, products through the log/antilog tables."""
+    mul = field.mul
+    out = []
+    for ai in a:
+        oi = [0] * width
+        for ait, bt in zip(ai, b):
+            if ait:
+                for j in range(width):
+                    if bt[j]:
+                        oi[j] ^= mul(ait, bt[j])
+        out.append(oi)
+    return out
 
 
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
@@ -406,13 +468,19 @@ def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
     one of the ncols columns has one, else 0; row swaps leave it alone in
     characteristic 2. Products run on the log/antilog tables.
     """
-    nrows = len(rows)
     width = len(rows[0]) if rows else 0
     if width > ncols + 1 and field.m <= 8:
-        packed = [int.from_bytes(bytes(row), "little") for row in rows]
+        packed = [_pack(field, row) for row in rows]
         result = _reduce_packed(field, packed, width, ncols, full)
-        rows[:] = [list(row.to_bytes(width, "little")) for row in packed]
+        rows[:] = [_unpack(field, row, width) for row in packed]
         return result
+    return _reduce_lists(field, rows, ncols, full)
+
+
+def _reduce_lists(field: Field, rows: list[list[int]], ncols: int, full: bool):
+    """_reduce's loop on list rows, products on the log/antilog tables."""
+    nrows = len(rows)
+    width = len(rows[0]) if rows else 0
     exp, log, order = field._exp, field._log, field.order
     pivots = []
     det_log = 0
@@ -445,15 +513,21 @@ def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
 
 
 def _reduce_packed(field, rows, width, ncols, full):
-    """_reduce on packed rows, m <= 8: byte j of the int rows[r] is entry
-    (r, j), and rows is reduced in place.
+    """_reduce on packed rows (see _pack): rows[r] holds the width entries
+    of row r, and rows is reduced in place.
 
     The pivot row's tail, the columns right of the pivot, is scaled by one
     translate through the multiply table of the pivot's inverse, and
     clearing a row XORs in that tail translated through the table of the
     row's entry, all tail columns at once. The pivot column and the ones
-    left of it are left alone, as the list loop leaves them.
+    left of it are left alone, as the list loop leaves them. Past m = 8 the
+    rows are unpacked for the list loop.
     """
+    if field.m > 8:
+        lists = [_unpack(field, row, width) for row in rows]
+        result = _reduce_lists(field, lists, ncols, full)
+        rows[:] = [_pack(field, row) for row in lists]
+        return result
     tables, exp, log, order = field.mul_tables(), field._exp, field._log, field.order
     nrows = len(rows)
     pivots = []

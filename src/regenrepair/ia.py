@@ -7,10 +7,11 @@ nodes, its content projected on v'_l toward systematic l or on u_m toward
 parity k+m; every node's decoder over all the others comes from the
 framework's table, derived from these projections and the generator.
 With e failures the 2k-e survivors all act as helpers and the
-cross-failure transfers are recovered from the coupling system. Its rows
-are derived from the single-failure repair: the missing transfer x -> y
-is the projection toward y of x's decode from its transfers. The whole
-repair of a pattern compiles into one repair plan: the coupling solve
+cross-failure transfers are recovered from the coupling system, whose
+rows are derived from the single-failure repair: the missing transfer
+x -> y is the projection toward y of x's decode from its transfers. The
+whole repair of a pattern compiles into one repair plan, on packed rows
+(gf._pack) from the coupling rows to the decode map: the coupling solve
 over the received transfers, folded into each failed node's decoder.
 
 condition_check decides repairability. With s failed systematic nodes S
@@ -25,15 +26,8 @@ kappa^2 != 1 reduces to kappa != 1.
 import random
 
 from .framework import CouplingSystem, RepairableCode, RepairPlan, _is_word, check_input
-from .gf import (
-    LinearMap,
-    Matrix,
-    _reduce,
-    all_square_submatrices_invertible,
-    cauchy,
-    mat_inv,
-    mat_mul,
-)
+from .gf import LinearMap, Matrix, _mul_packed, _pack, _reduce, _reduce_packed, dot, mat_inv, mat_mul
+from .gf import all_square_submatrices_invertible, cauchy
 
 
 class UnsupportedPatternError(ValueError):
@@ -158,48 +152,57 @@ class IACode(RepairableCode):
 
     # --- multi-node repair ---
 
-    def coupling_system(self, failed):
-        """Coupling matrix for a pattern plus the known-term recipe for b.
-
-        x sends s_{x->y} = projection_y . content_x, and x's content is its
-        single-failure decode, so row (x, y) weighs the transfer from each
-        source l toward x by entry y-1 of its weights in x's decoder table
-        over every node. The weight from a failed source lands in its slot
-        of the row; a nonzero one from a helper goes to known[(x, y)] as
-        (source, weight), to be weighted by the received transfer.
-        """
-        check_input(self, (), 0, (), failed)
-        system = CouplingSystem(self.field, failed)
-        failed, pool = system.failed, frozenset(self.node_ids())  # _pool_decoder keeps a frozenset as is
-        split = {}
+    def _coupling_rows(self, failed, pairs, slot):
+        """Row (x, y) of the coupling system of the sorted failed nodes, its
+        columns at slot, and the helpers' weights in node order, for each
+        pair of pairs. x sends s_{x->y} = projection_y . content_x, and x's
+        content is its single-failure decode, so row (x, y) weighs the
+        transfer from each source l toward x by entry y-1 of its weights in
+        x's decoder table: a failed l's lands in the slot of (l, x)."""
+        pool, size, split = frozenset(self.node_ids()), len(slot), {}  # _pool_decoder keeps a frozenset as is
         for x in failed:
             columns = self._pool_decoder(x, pool)
-            coupled = [(system.slot[(l, x)], columns[l][1]) for l in failed if l != x]
-            split[x] = coupled, [(l, weights) for l, (_, weights) in columns.items() if l not in failed]
+            others = [l for l in failed if l != x]
+            split[x] = (
+                [slot[(l, x)] for l in others],
+                list(zip(*(columns[l][1] for l in others))),
+                list(zip(*(weights for l, (_, weights) in columns.items() if l not in failed))),
+            )
+        for x, y in pairs:
+            slots, coupled, helpers = split[x]
+            row = [0] * size
+            row[slot[(x, y)]] = 1
+            for col, w in zip(slots, coupled[y - 1]):
+                row[col] = w
+            yield row, helpers[y - 1]
+
+    def coupling_system(self, failed):
+        """Coupling matrix for a pattern plus the known-term recipe for b:
+        known[(x, y)] lists (helper, weight) for each nonzero weight, to be
+        weighted by the transfer received from the helper toward x."""
+        check_input(self, (), 0, (), failed)
+        system = CouplingSystem(self.field, failed)
+        helpers = [h for h in self.node_ids() if h not in system.failed]
         known = {}
-        for row, (x, y) in zip(system.A.data, system.pairs):
-            coupled, helpers = split[x]
-            t = y - 1
-            for col, weights in coupled:
-                row[col] ^= weights[t]
-            known[(x, y)] = [(l, w) for l, weights in helpers if (w := weights[t])]
+        for t, (row, weights) in enumerate(self._coupling_rows(system.failed, system.pairs, system.slot)):
+            system.A.data[t] = row
+            known[system.pairs[t]] = [(h, w) for h, w in zip(helpers, weights) if w]
         return system, known
 
     def assemble_multi(self, shards, failed):
-        f = self.field
+        """The coupling system with b from the helpers' transfers, and the
+        transfers. Every node that did not fail helps; ids that are not
+        nodes, and a helper without a shard of k symbols of the field,
+        raise InvalidRepairInputError. Failed nodes' shards are not read."""
+        check_input(self, shards, self.alpha, (), [*failed, *shards])
         failed = tuple(sorted(failed))
+        helpers = [h for h in self.node_ids() if h not in failed]
+        check_input(self, shards, self.alpha, helpers)
         system, known = self.coupling_system(failed)
-        failed_set = set(failed)
-        helpers = [h for h in sorted(shards) if h not in failed_set]
-        received = {}
-        for h in helpers:
-            for j in failed:
-                received[(h, j)] = self.repair_transfer(shards[h], j)
+        received = {(h, j): self.repair_transfer(shards[h], j) for h in helpers for j in failed}
         for (x, y), terms in known.items():
-            acc = 0
-            for src, weight in terms:
-                acc = f.add(acc, f.mul(weight, received[(src, x)]))
-            system.b[system.slot[(x, y)]] = acc
+            transfers = [received[(h, x)] for h, _ in terms]
+            system.b[system.slot[(x, y)]] = dot(self.field, [w for _, w in terms], transfers)
         return system, received
 
     repair_multi = RepairableCode.repair_multi
@@ -214,45 +217,41 @@ class IACode(RepairableCode):
     def _compile_plan(self, failed):
         """Every survivor sends one symbol toward each failed node.
 
-        The unknown transfers solve A s = K r, with r the received symbols
-        and K the known-term coefficients of b, so one Gauss-Jordan on
-        [A | K] gives s = A^-1 K r; folding that into each target's decoder
-        gives the decode map. A singular A compiles to a singular plan
-        naming the dependent transfers.
+        The unknown transfers solve A s = K r, with r the received symbols.
+        Each row of [A | K] is packed once, r failed-major so the helpers'
+        weights are one slice, unknowns source-major and rows by
+        destination (a third less fill-in at e = 6 than unknown_pairs
+        order). One Gauss-Jordan gives s = A^-1 K r; node i's decode is the
+        solved rows of the transfers toward i times i's decoder columns,
+        plus its helper columns, read helper-major as received. A singular
+        A compiles to a singular plan naming coupling_system's dependent
+        transfers.
         """
         f, e = self.field, len(failed)
-        pool = self.node_ids()
-        helpers = tuple(h for h in pool if h not in failed)
-        # received symbol a*e + b is helper a's transfer toward failed[b]
-        at = {(h, j): a * e + b for a, h in enumerate(helpers) for b, j in enumerate(failed)}
-        width = len(at)
-        system, known = self.coupling_system(failed)
-        size = system.size
-        aug = [row + [0] * width for row in system.A.data]
-        for row, (x, y) in zip(aug, system.pairs):
-            for src, weight in known[(x, y)]:
-                row[size + at[(src, x)]] ^= weight
-        pivots, _ = _reduce(f, aug, size, True)
-        if len(pivots) < size:
-            return RepairPlan(failed, (), (), None, system.dependent(pivots))
+        helpers = tuple(h for h in self.node_ids() if h not in failed)
+        pool = frozenset(self.node_ids())  # _pool_decoder keeps a frozenset as is
+        span = len(helpers)
+        unknowns = [(x, y) for x in failed for y in failed if x != y]
+        order = [(x, y) for y in failed for x in reversed(failed) if x != y]
+        size = len(unknowns)
+        width = size + e * span
+        start = {x: size + b * span for b, x in enumerate(failed)}  # K's columns for the transfers toward x
+        coupling = self._coupling_rows(failed, order, {pair: t for t, pair in enumerate(unknowns)})
+        rows = [_pack(f, row) ^ _pack(f, weights, start[x]) for (x, _), (row, weights) in zip(order, coupling)]
+        if len(_reduce_packed(f, rows, width, size, True)[0]) < size:
+            system, _ = self.coupling_system(failed)
+            return RepairPlan(failed, (), (), None, system.dependent(_reduce(f, system.A.data, size, False)[0]))
+        solved = dict(zip(unknowns, rows))
         decode = []
-        for b, i in enumerate(failed):
-            # node i's decode reads the transfers of the other failed nodes
-            # through A^-1 K and each helper's transfer as received
+        for i in failed:
             columns = self._pool_decoder(i, pool)
-            others = [r for r, (src, dst) in enumerate(system.pairs) if dst == i]
-            part = Matrix.zero(f, self.alpha, width)
-            if others:
-                part = mat_mul(
-                    Matrix(f, [list(row) for row in zip(*(columns[system.pairs[r][0]][0] for r in others))]),
-                    Matrix(f, [aug[r][size:] for r in others]),
-                )
-            for a, h in enumerate(helpers):
-                for out, x in zip(part.data, columns[h][0]):
-                    out[a * e + b] ^= x
-            decode += part.data
+            others = [l for l in failed if l != i]
+            coefs = list(zip(*(columns[l][0] for l in others))) or [()] * self.alpha
+            part = _mul_packed(f, coefs, [solved[(l, i)] for l in others], width)
+            decode += [row ^ _pack(f, own, start[i]) for row, own in zip(part, zip(*(columns[h][0] for h in helpers)))]
+        received = [start[x] + a for a in range(span) for x in failed]
         send = LinearMap(Matrix(f, [self._projection(j) for j in failed]))
-        return RepairPlan(failed, helpers, (send,) * len(helpers), LinearMap(Matrix(f, decode)))
+        return RepairPlan(failed, helpers, (send,) * span, LinearMap.from_packed(f, decode, width, received))
 
     # --- repairability ---
 

@@ -149,7 +149,13 @@ class PMCode(RepairableCode):
         return system, received, parts
 
     def assemble_multi(self, shards, failed, helpers):
-        """Build the coupling system plus the transfers received from helpers."""
+        """Build the coupling system plus the transfers received from helpers.
+
+        Ids that are not nodes, and a helper without a shard of alpha
+        symbols of the field, raise InvalidRepairInputError; failed nodes'
+        shards are not read.
+        """
+        check_input(self, shards, self.alpha, helpers, [*failed, *helpers, *shards])
         system, received, _ = self._assemble(shards, failed, helpers)
         return system, received
 

@@ -208,14 +208,15 @@ def _segments(params: SystemParams) -> _Segments:
         return _Segments([], [Fraction(M)], [M / Fraction(k)])
     eta, r = params.eta, params.r
     pieces = []
-    if r == 0:
-        # eta >= 2 here (eta == 1 would mean k == e)
-        for i in range(1, eta):
-            pieces.append((_f(params, i - 1), _f(params, i), _g(params, i), i * e))
-    else:
-        pieces.append((gamma_mbmr(params), _f(params, 0), _g(params, 0), r))
-        for i in range(1, eta):
-            pieces.append((_f(params, i - 1), _f(params, i), _g(params, i), r + i * e))
+    # each piece starts where the one before ends, so _f runs once per
+    # breakpoint, eta times in all
+    lo = _f(params, 0)
+    if r:
+        pieces.append((gamma_mbmr(params), lo, _g(params, 0), r))
+    for i in range(1, eta):  # eta >= 2 when r == 0 (eta == 1 would mean k == e)
+        hi = _f(params, i)
+        pieces.append((lo, hi, _g(params, i), r + i * e))
+        lo = hi
     lo0, _, g0, den0 = pieces[0]
     gammas = [lo0] + [hi for _, hi, _, _ in pieces]
     alphas = [(M - lo0 * g0) / den0] + [(M - hi * g) / den for _, hi, g, den in pieces]

@@ -27,6 +27,12 @@ by hand before they were derived from the generator: IA's two-case formula
 through U' = kappa V P', 1 - kappa^2 and 1 + kappa, and PM's Lagrange row
 c_{i,l} of each pool.
 
+So does IA's plan compile as it ran on list rows: [A | K] with the
+received symbols helper-major, reduced by _reduce, which packs and unpacks
+the rows around the packed kernel, and each failed node's decoder folded
+with A^-1 K by a Matrix and a mat_mul per node, before the rows stayed
+packed from the first build to the decode map.
+
 So do IA's repairability conditions as they were written out before
 condition_check took det(I + P[S,J] P'[S,J]^t) on every covered shape:
 1 + sum of P_{l,m} P'_{l,m} for one node on a side, and the sixteen-term
@@ -50,6 +56,7 @@ from regenrepair.gf import (
     LinearMap,
     Matrix,
     _gauss_jordan,
+    _reduce,
     dot,
     mat_det,
     mat_inv,
@@ -592,6 +599,45 @@ def ia_coupling_system(code, failed):
                 weights[src] = weights.get(src, 0) ^ coeff
         known[pair] = {src: w for src, w in weights.items() if w}
     return system, known
+
+
+def ia_compile_plan(code, failed):
+    """The IA plan compile on list rows: [A | K] with the received symbols
+    helper-major, one Gauss-Jordan through _reduce, and each failed node's
+    decoder folded with A^-1 K by one Matrix and mat_mul per node."""
+    f, e = code.field, len(failed)
+    pool = code.node_ids()
+    helpers = tuple(h for h in pool if h not in failed)
+    # received symbol a*e + b is helper a's transfer toward failed[b]
+    at = {(h, j): a * e + b for a, h in enumerate(helpers) for b, j in enumerate(failed)}
+    width = len(at)
+    system, known = code.coupling_system(failed)
+    size = system.size
+    aug = [row + [0] * width for row in system.A.data]
+    for row, (x, y) in zip(aug, system.pairs):
+        for src, weight in known[(x, y)]:
+            row[size + at[(src, x)]] ^= weight
+    pivots, _ = _reduce(f, aug, size, True)
+    if len(pivots) < size:
+        return RepairPlan(failed, (), (), None, system.dependent(pivots))
+    decode = []
+    for b, i in enumerate(failed):
+        # node i's decode reads the transfers of the other failed nodes
+        # through A^-1 K and each helper's transfer as received
+        columns = code._pool_decoder(i, pool)
+        others = [r for r, (src, dst) in enumerate(system.pairs) if dst == i]
+        part = Matrix.zero(f, code.alpha, width)
+        if others:
+            part = mat_mul(
+                Matrix(f, [list(row) for row in zip(*(columns[system.pairs[r][0]][0] for r in others))]),
+                Matrix(f, [aug[r][size:] for r in others]),
+            )
+        for a, h in enumerate(helpers):
+            for out, x in zip(part.data, columns[h][0]):
+                out[a * e + b] ^= x
+        decode += part.data
+    send = LinearMap(Matrix(f, [code._projection(j) for j in failed]))
+    return RepairPlan(failed, helpers, (send,) * len(helpers), LinearMap(Matrix(f, decode)))
 
 
 def ia_pi(code, l, m):

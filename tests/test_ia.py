@@ -371,6 +371,38 @@ def test_product_formula_matches_determinant(code):
             assert code.coupling_system(pat)[0].determinant() == product_formula(code, pat), pat
 
 
+def plan_state(plan):
+    """What a compiled plan holds, each map as its shape, picks and table."""
+
+    def state(linear_map):
+        if linear_map is None:
+            return None
+        return linear_map.rows, linear_map.cols, linear_map.picks, linear_map._columns, linear_map._matrix
+
+    return plan.failed, plan.helpers, [state(send) for send in plan.send], state(plan.decode), plan.dependent
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_ia_codes(ms=(4, 5, 6, 7, 8, 10), k_max=6, random_v=True), st.randoms(use_true_random=False))
+@example(IACode(F256, 6), random.Random(0))
+@example(IACode(F4, 3), random.Random(0))
+@example(IACode(Field(4), 4), random.Random(0))
+@example(IACode(Field(10), 3), random.Random(0))
+def test_packed_compile_matches_the_list_compile(code, rng):
+    """The plan compiled on packed rows, with its own row and column order,
+    holds the same send maps, decode map and dependent transfers as the
+    compile on list rows in unknown_pairs order, on every e: every pattern
+    up to k = 4, and past it 25 drawn ones per e plus every singular one.
+    The examples carry singular patterns, the last past m = 8."""
+    for e in range(1, code.k + 1):
+        patterns = list(combinations(code.node_ids(), e))
+        if code.k > 4:
+            singular = [pat for pat in patterns if not code.condition_check(pat)]
+            patterns = rng.sample(patterns, min(25, len(patterns))) + singular
+        for pat in patterns:
+            assert plan_state(code._compile_plan(pat)) == plan_state(ref.ia_compile_plan(code, pat)), pat
+
+
 @settings(max_examples=20, deadline=None)
 @given(random_ia_codes(), st.integers(0, 2**32))
 def test_coupling_matrix_does_not_depend_on_v(code, seed):

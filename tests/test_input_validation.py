@@ -267,6 +267,42 @@ def test_coupling_calls_refuse_ids_that_are_not_nodes(case):
         COUPLING_CALLS[case]()
 
 
+# assemble_multi builds a coupling system from raw shards, outside
+# repair_multi's checks. On IA(GF(2^8), 3) with failed (1, 4), a missing
+# helper died with KeyError (2, 1) and a symbol of 300 with IndexError in a
+# log table; PM(11, 6) built a system on a 2-symbol helper shard, and died
+# with IndexError on 300 and with KeyError 2 on a missing helper.
+def assemble_cases(code, shards):
+    failed = (1, 4) if isinstance(code, IACode) else (1, 3)
+    extra = () if isinstance(code, IACode) else ([h for h in code.node_ids() if h not in failed][: code.d - 1],)
+    survivors = {m: list(v) for m, v in shards.items() if m not in failed}
+
+    def call(shards):
+        return lambda: code.assemble_multi(shards, failed, *extra)
+
+    yield "missing helper", call({m: v for m, v in survivors.items() if m != 2})
+    for bad in OUTSIDE + NOT_INT:
+        yield "symbol %r" % (bad,), call({**survivors, 2: [bad] + survivors[2][1:]})
+    yield "short shard", call({**survivors, 2: survivors[2][:2]})
+    yield "long shard", call({**survivors, 2: survivors[2] + [0]})
+    for bad in NOT_INT_IDS + (0, code.n + 1):
+        yield "shard key %r" % (bad,), call({**survivors, bad: survivors[2]})
+
+
+@pytest.mark.parametrize("family", ["ia", "pm"])
+def test_assemble_multi_checks_ids_and_helper_shards(encoded, family):
+    code, shards = encoded[family]
+    for what, call in assemble_cases(code, shards):
+        with pytest.raises(InvalidRepairInputError):
+            call()
+            pytest.fail(what)
+    # failed nodes' shards are not read: the full encode is taken as is
+    failed = (1, 4) if family == "ia" else (1, 3)
+    helpers = () if family == "ia" else ([h for h in code.node_ids() if h not in failed][: code.d - 1],)
+    system, _ = code.assemble_multi(dict(shards), failed, *helpers)
+    assert system.solve()
+
+
 # A pool of d+1 ids with one past n died in the decoder derivation with
 # "ragged rows", and one with a string in it with TypeError.
 POOL_CALLS = {

@@ -6,7 +6,7 @@ plans replaced: IA's transfers, coupling solve and single-failure decodes,
 MDS's solve and re-encode, and AMBR's node-by-node theta solves. Here both
 must give the same contents, the same transcript and the same singular
 outcome, with the same dependent transfers, on drawn codes, patterns,
-helpers and messages over GF(2^4)..GF(2^8). Transcripts count the rows of
+helpers and messages over GF(2^4)..GF(2^8), and GF(2^10) for IA. Transcripts count the rows of
 the send maps (PM's, the transfers it computes) and must meet each
 family's closed form, and a singular
 pattern must name size - rank(A) dependent transfers. IA's helpers share
@@ -31,9 +31,11 @@ from regenrepair.pm import PMCode
 
 # family -> {m: constructor arguments after the field}; every family at the
 # smallest fields it fits in, IA also with its singular patterns
-# (k = 3 fails on (2, 5) at every m here, IA(GF(16), 4) on four pairs)
+# (k = 3 fails on (2, 5) at every m here, IA(GF(16), 4) on four pairs) and
+# past m = 8, where IA(GF(2^10), 3) compiles on two-byte lanes and has one
+# singular pattern among its 41
 CODES = {
-    "ia": {4: (4,), 5: (3,), 6: (4,), 7: (3,), 8: (4,)},
+    "ia": {4: (4,), 5: (3,), 6: (4,), 7: (3,), 8: (4,), 10: (3,)},
     "mds": {4: (5, 2, 3, None), 5: (5, 2, 3, None), 6: (6, 2, None, 3), 7: (6, 2, None, 3), 8: (7, 3, None, 4)},
     "ambr": {5: (5, 2, 2, 3), 6: (6, 2, 3, 4), 7: (6, 2, 3, 4), 8: (8, 3, 4, 5)},
 }

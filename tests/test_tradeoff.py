@@ -411,6 +411,36 @@ def test_compare_strategies_walks_instead_of_bisecting(monkeypatch):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        SystemParams(300, 23, 18, 20, 2),  # eta = 9, r = 0
+        SystemParams(F(600), 14, 7, 10, 3),  # eta = 2, r = 1
+        SystemParams(1, 12, 6, 9, 3),  # eta = 2, r = 0: one piece
+        SystemParams(7, 11, 5, 6, 4),  # eta = 1, r = 1: one piece
+        SystemParams(5, 8, 3, 5, 3),  # k <= e: no piece
+    ],
+)
+def test_segments_evaluate_each_breakpoint_once(monkeypatch, params):
+    """Each piece starts where the one before ends, so _f runs eta times
+    per build, not twice at every interior breakpoint, and the pieces are
+    the reference's."""
+    from regenrepair import tradeoff
+
+    calls = []
+    real = tradeoff._f
+
+    def counted(p, i):
+        calls.append(i)
+        return real(p, i)
+
+    monkeypatch.setattr(tradeoff, "_f", counted)
+    segs = tradeoff._segments(params)
+    assert segs.pieces == ref.segments(params)
+    assert segs.alphas == ref.curve_alphas(params, ref.segments(params))
+    assert sorted(calls) == (list(range(params.eta)) if params.k > params.e else [])
+
+
 def test_compare_strategies_explicit_alphas_keep_the_callers_order():
     params = SystemParams(F(600), 14, 7, 10, 3)
     single = SystemParams(params.M, params.n, 7, 10, 1)
