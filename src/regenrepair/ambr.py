@@ -28,7 +28,7 @@ import random
 from itertools import combinations
 from math import prod
 
-from .framework import InvalidHelperCountError, RepairableCode, RepairPlan, check_input
+from .framework import InvalidHelperCountError, RepairableCode, RepairPlan, check_input, failure_count
 from .gf import LinearMap, Matrix, _pack, _reduce_packed, vandermonde
 
 
@@ -153,7 +153,7 @@ class AdaptiveMBRCode(RepairableCode):
     repair_multi = RepairableCode.repair_multi
 
     def _plan_key(self, shards, failed, helpers=None, d=None):
-        if len(set(failed)) > self.k:
+        if failure_count(failed) > self.k:
             raise ValueError("can repair 1..k nodes at once")
         if d is None:
             d = self.d_min

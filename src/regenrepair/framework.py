@@ -91,9 +91,13 @@ def check_input(code, shards, length, readers, ids=()):
     are refused before anything compares or sorts them), and each reader
     must hold a shard of length symbols of code.field. Readers are node
     ids already checked: keys of shards or ids passed in an earlier call.
+    ids that cannot be iterated are refused too.
     """
     n = code.n
-    bad = [m for m in ids if type(m) is not int or not 1 <= m <= n]
+    try:
+        bad = [m for m in ids if type(m) is not int or not 1 <= m <= n]
+    except TypeError:
+        raise InvalidRepairInputError("node ids and shards must come in collections") from None
     if bad:
         raise InvalidRepairInputError("node ids not ints in 1..%d: %s" % (n, bad))
     for node in readers:
@@ -113,14 +117,26 @@ def check_message(code, data):
         )
 
 
+def failure_count(failed):
+    """How many distinct nodes failed; InvalidRepairInputError unless a collection."""
+    try:
+        return len(set(failed))
+    except TypeError:
+        raise InvalidRepairInputError("failed nodes must be a collection of node ids, not %r" % (failed,)) from None
+
+
 def _is_word(field, symbols, length):
-    """length ints in 0..2^m-1; floats, strings and bools are refused too."""
-    return (
-        len(symbols) == length
-        and set(map(type, symbols)) <= {int}
-        and 0 <= min(symbols)
-        and max(symbols) < field.size
-    )
+    """length ints in 0..2^m-1; floats, strings, bools and values with no
+    length are refused too."""
+    try:
+        return (
+            len(symbols) == length
+            and set(map(type, symbols)) <= {int}
+            and 0 <= min(symbols)
+            and max(symbols) < field.size
+        )
+    except TypeError:
+        return False
 
 
 class RepairableCode:
@@ -333,11 +349,6 @@ class RepairableCode:
     def repair_single(self, shards, failed, helpers=None, **degree):
         contents, transcript = self.repair_multi(shards, (failed,), helpers, **degree)
         return contents[failed], transcript
-
-    def pattern_sweep(self, e, seed=0, sample=None, **degree):
-        from .workbench import run_sweep
-
-        return run_sweep(self, e, seed=seed, sample=sample, **degree)
 
 
 def unknown_pairs(failed):

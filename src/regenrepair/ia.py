@@ -20,12 +20,11 @@ kappa^(2sp) (1 + kappa^2)^(C(s,2) + C(p,2)) det(I + G)^(s+p) for
 G = P[S,J] P'[S,J]^t, so det(I + G) != 0 decides every pattern; the proof
 is in docs/ia-repairability.md. All arithmetic is over GF(2^m), where
 addition and subtraction coincide, so minus is evaluated as plus and
-kappa^2 != 1 reduces to kappa != 1.
+kappa^2 != 1 reduces to kappa != 1. workbench.search_assignment vets IA
+coefficients through condition_check alone.
 """
 
-import random
-
-from .framework import CouplingSystem, RepairableCode, RepairPlan, _is_word, check_input
+from .framework import CouplingSystem, RepairableCode, RepairPlan, _is_word, check_input, failure_count
 from .gf import LinearMap, Matrix, _mul_packed, _pack, _reduce, _reduce_packed, dot, mat_inv, mat_mul
 from .gf import all_square_submatrices_invertible, cauchy
 
@@ -209,7 +208,7 @@ class IACode(RepairableCode):
 
     def _plan_key(self, shards, failed, helpers=None):
         """All n-e survivors help: d-e+1 = n-e here."""
-        e = len(set(failed))
+        e = failure_count(failed)
         if e > self.k:
             raise ValueError("can repair 1..k nodes at once")
         return ("repair", self._repair_nodes(shards, failed, helpers, self.n - e)[0])
@@ -283,57 +282,3 @@ class IACode(RepairableCode):
                     acc ^= mul(P[a][c], Pd[b][c])
                 g[-1].append(acc)
         return _reduce(self.field, g, len(g), False)[1] != 0
-
-
-def field_search(field, k, e_max, trials=200, seed=0):
-    """Search for IA coefficients whose sweeps are clean for all e <= e_max.
-
-    Trial zero uses the default construction; later trials draw random P
-    matrices (filtered by the all-submatrix condition) and random kappa.
-    Every pattern is vetted by condition_check, exact by the determinant
-    identity of docs/ia-repairability.md. A trial stops counting once it
-    has as many singular patterns as the best trial so far, which it then
-    cannot beat. Returns the first clean code, or raises
-    AssignmentNotFoundError with the first code of fewest singular
-    patterns. Sizes that are not ints, k < 1, a field with no kappa
-    (GF(2)), no trials or e_max < 1 raise ValueError before any trial.
-    """
-    from itertools import combinations
-
-    from .workbench import AssignmentNotFoundError
-
-    if any(type(x) is not int for x in (k, e_max, trials)):
-        raise ValueError("k, e_max and trials must be ints, not %r" % ((k, e_max, trials),))
-    kappas = [x for x in field.elements() if x not in (0, 1)]
-    if k < 1 or not kappas:
-        raise ValueError("no IA code has k = %d over GF(2^%d): need k >= 1 and a kappa != 0, 1" % (k, field.m))
-    if trials < 1 or e_max < 1:
-        raise ValueError("need at least one trial and e_max >= 1")
-    rng = random.Random(seed)
-    e_cap = min(e_max, k)
-    best = None
-    best_bad = None
-    for trial in range(trials):
-        try:
-            if trial == 0:
-                code = IACode(field, k)
-            else:
-                data = [[rng.randrange(1, field.size) for _ in range(k)] for _ in range(k)]
-                p = Matrix(field, data)
-                if not all_square_submatrices_invertible(p):
-                    continue
-                code = IACode(field, k, P=p, kappa=kappas[rng.randrange(len(kappas))])
-        except ValueError:
-            continue
-        bad = 0
-        patterns = (pattern for e in range(2, e_cap + 1) for pattern in combinations(code.node_ids(), e))
-        for pattern in patterns:
-            if not code.condition_check(pattern):
-                bad += 1
-                if best_bad is not None and bad >= best_bad:
-                    break
-        if bad == 0:
-            return code
-        if best_bad is None or bad < best_bad:
-            best, best_bad = code, bad
-    raise AssignmentNotFoundError("ia", best=best, best_failures=best_bad)

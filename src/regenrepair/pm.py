@@ -14,11 +14,12 @@ weighs the transfer from l, so node i's content is sum_l t_{l->i} c_{i,l}.
 The coupling coefficient of (i, j, l) is c_{i,l} . phi_j, and the
 right-hand side of row (i, j) is the helpers' part of node i's decode
 projected on phi_j.
+condition_check decides from the coupling matrix, which needs no shard,
+whether a pattern repairs from its default helpers.
 """
 
-import random
-
 from .framework import CouplingSystem, RepairableCode, RepairTranscript, _is_word, check_input, check_message
+from .framework import failure_count
 from .gf import Matrix, dot, vandermonde
 
 
@@ -127,6 +128,16 @@ class PMCode(RepairableCode):
                     row[slot[(l, i)]] ^= self.coupling_coefficient(i, j, l, pool)
         return system
 
+    def condition_check(self, failed):
+        """Whether the coupling system of a failure pattern is solvable from
+        its default helpers, the first d-e+1 nodes that did not fail: its
+        coupling matrix over them has a nonzero determinant. Once n > d+1
+        another helper set can answer otherwise. A repeated id counts
+        once; ids that are not nodes raise InvalidRepairInputError."""
+        live = [i for i in self.node_ids() if i not in failed]
+        helpers = live[: self.d - (self.n - len(live)) + 1]
+        return self.coupling_matrix(failed, helpers).determinant() != 0
+
     def _assemble(self, shards, failed, helpers):
         """Coupling system, helper transfers, and each failed node's partial
         decode p_i = sum_h r_{h->i} c_{i,h} from the helpers alone."""
@@ -163,7 +174,7 @@ class PMCode(RepairableCode):
         """Solve the coupling system of the pattern, then finish each failed
         node's decode with the transfers of the other failed nodes. The
         transcript counts the transfers computed for each helper."""
-        e = len(set(failed))
+        e = failure_count(failed)
         if e > min(self.n - self.k, self.k - 1):
             raise ValueError("can repair 1..min(n-k, k-1) nodes at once")
         failed, helpers = self._repair_nodes(shards, failed, helpers, self.d - e + 1)
@@ -188,55 +199,3 @@ class PMCode(RepairableCode):
             "modulus": self.field.modulus,
             "lambdas": list(self.lambdas),
         }
-
-
-def field_search(field, n, k, e_max, trials=200, seed=0):
-    """Randomized search for a lambda assignment with no singular patterns.
-
-    Multi-repair of e nodes needs d-e+1 >= k helpers, so e is capped at
-    min(e_max, n-k, k-1). Singularity does not depend on the message, so
-    candidates are vetted by the determinant of the coupling matrix alone.
-    It depends on the helper set once n > d+1, and only each pattern's
-    default helpers, the first d-e+1 live nodes, are vetted. A trial stops
-    counting once it has as many singular patterns as the best trial so
-    far, which it then cannot beat. Returns the first clean lambdas, or
-    raises AssignmentNotFoundError with the first lambdas of fewest
-    singular patterns. Sizes that are not ints, k < 2, n < 2k-1, a field
-    with fewer than n elements, no trials or e_max < 1 raise ValueError
-    before any trial.
-    """
-    from itertools import combinations
-
-    from .workbench import AssignmentNotFoundError
-
-    if any(type(x) is not int for x in (n, k, e_max, trials)):
-        raise ValueError("n, k, e_max and trials must be ints, not %r" % ((n, k, e_max, trials),))
-    if k < 2 or n < 2 * k - 1:
-        raise ValueError("no PM code has n = %d, k = %d: need k >= 2 and n >= 2k-1" % (n, k))
-    if n > field.size:
-        raise ValueError("GF(2^%d) has %d elements, too few for %d distinct lambdas" % (field.m, field.size, n))
-    if trials < 1 or e_max < 1:
-        raise ValueError("need at least one trial and e_max >= 1")
-    e_cap = min(e_max, n - k, k - 1)
-    rng = random.Random(seed)
-    elements = list(field.elements())
-    best = None
-    best_bad = None
-    for _ in range(trials):
-        lambdas = rng.sample(elements, n)
-        try:
-            code = PMCode(field, n, k, lambdas)
-        except ValueError:
-            continue
-        bad = 0
-        for pattern in (p for e in range(2, e_cap + 1) for p in combinations(code.node_ids(), e)):
-            helpers = [i for i in code.node_ids() if i not in pattern][: code.d - len(pattern) + 1]
-            if code.coupling_matrix(pattern, helpers).determinant() == 0:
-                bad += 1
-                if best_bad is not None and bad >= best_bad:
-                    break
-        if bad == 0:
-            return lambdas
-        if best_bad is None or bad < best_bad:
-            best, best_bad = lambdas, bad
-    raise AssignmentNotFoundError("pm", best=best, best_failures=best_bad)

@@ -4,6 +4,9 @@ randomness, assignment search, and CSV/JSON exports for the tradeoff curves.
 Code families plug in through a small duck-typed surface: node_ids(),
 random_message(rng), encode(msg) -> {node: symbols}, repair_multi(shards,
 failed, helpers=None, ...) -> ({node: symbols}, transcript), descriptor().
+
+search_assignment is the one coefficient search: PM and IA only draw
+candidate codes, and one loop vets each through its condition_check.
 """
 
 import contextlib
@@ -16,7 +19,12 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
+from .ambr import AdaptiveMBRCode
 from .framework import SingularCouplingError
+from .gf import Field, Matrix, all_square_submatrices_invertible
+from .ia import IACode
+from .mds import MDSStripeCode
+from .pm import PMCode
 from .tradeoff import compare_strategies, tradeoff_curve
 
 
@@ -44,14 +52,17 @@ class SplitRandom:
         self.seed = int(seed)
         self.path = tuple(str(p) for p in path)
         self.counter = 0
+        # draw t hashes "seed|path|t"; the prefix is hashed once per stream
+        self._prefix = hashlib.sha256(("%d|%s|" % (self.seed, "/".join(self.path))).encode())
 
     def split(self, label):
         return SplitRandom(self.seed, self.path + (str(label),))
 
     def _next64(self):
-        key = "%d|%s|%d" % (self.seed, "/".join(self.path), self.counter)
+        key = self._prefix.copy()
+        key.update(b"%d" % self.counter)
         self.counter += 1
-        return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+        return int.from_bytes(key.digest()[:8], "big")
 
     def randrange(self, bound):
         if bound <= 0:
@@ -165,35 +176,66 @@ def run_sweep(code, e, seed=0, sample=None, helpers=None, **repair_args):
 
 
 def search_assignment(family, params, budget=200, seed=0):
-    """Randomized search for code coefficients whose sweeps are all clean.
-    params holds m, k, and n for PM; an IA search refuses any n but 2k."""
-    from . import ia as ia_mod
-    from . import pm as pm_mod
-    from .gf import Field
+    """Randomized search for PM or IA coefficients with no singular pattern.
 
-    field = Field(params["m"], params.get("modulus"))
-    if family == "pm":
-        lambdas = pm_mod.field_search(
-            field,
-            params["n"],
-            params["k"],
-            params.get("e_max", params["n"] - params["k"]),
-            trials=budget,
-            seed=seed,
-        )
-        return pm_mod.PMCode(field, params["n"], params["k"], lambdas).descriptor()
-    if family == "ia":
-        if params.get("n", 2 * params["k"]) != 2 * params["k"]:
-            raise ValueError("IA codes have n = 2k = %d, got n = %d" % (2 * params["k"], params["n"]))
-        code = ia_mod.field_search(
-            field,
-            params["k"],
-            params.get("e_max", params["k"]),
-            trials=budget,
-            seed=seed,
-        )
-        return code.descriptor()
-    raise ValueError("search supports the pm and ia families")
+    params holds m, an optional modulus, n and k (IA's n is 2k and may be
+    left out) and e_max, n-k by default. Each of budget trials draws a
+    candidate from random.Random(seed): PM n distinct lambdas; IA the
+    default code at trial zero, then a random P, kept only if every square
+    submatrix is invertible, and a random kappa. The code's condition_check
+    vets its patterns of 2..e_cap failures, e_max capped by what one repair
+    takes; a PM pattern with its default helpers only, the first d-e+1
+    live nodes. A trial stops counting once it has as many singular
+    patterns as the best trial so far. Returns the first clean code's
+    descriptor, or raises AssignmentNotFoundError with the first candidate
+    of fewest singular patterns (PM's lambdas, IA's code). Params no code
+    has raise ValueError before any trial.
+    """
+    if family not in ("pm", "ia"):
+        raise ValueError("search supports the pm and ia families")
+    field = Field(params.get("m"), params.get("modulus"))
+    k = params.get("k")
+    n = params.get("n", 2 * k if family == "ia" and type(k) is int else None)
+    e_max = params.get("e_max", n - k if type(n) is int and type(k) is int else None)
+    if any(type(x) is not int for x in (n, k, e_max, budget)):
+        raise ValueError("n, k, e_max and budget must be ints, not %r" % ((n, k, e_max, budget),))
+    if family == "pm" and (k < 2 or n < 2 * k - 1):
+        raise ValueError("no PM code has n = %d, k = %d: need k >= 2 and n >= 2k-1" % (n, k))
+    if family == "pm" and n > field.size:
+        raise ValueError("GF(2^%d) has %d elements, too few for %d distinct lambdas" % (field.m, field.size, n))
+    if family == "ia" and n != 2 * k:
+        raise ValueError("IA codes have n = 2k = %d, got n = %d" % (2 * k, n))
+    if family == "ia" and (k < 1 or field.size < 3):
+        raise ValueError("no IA code has k = %d over GF(2^%d): need k >= 1 and a kappa != 0, 1" % (k, field.m))
+    if budget < 1 or e_max < 1:
+        raise ValueError("need at least one trial and e_max >= 1")
+    rng = random.Random(seed)
+    e_cap = min(e_max, n - k, k - 1 if family == "pm" else k)
+    best = best_bad = None
+    for trial in range(budget):
+        try:
+            if family == "pm":
+                code = PMCode(field, n, k, rng.sample(field.elements(), n))
+            elif trial == 0:
+                code = IACode(field, k)
+            else:
+                p = Matrix(field, [[rng.randrange(1, field.size) for _ in range(k)] for _ in range(k)])
+                if not all_square_submatrices_invertible(p):
+                    continue
+                code = IACode(field, k, P=p, kappa=rng.randrange(2, field.size))
+        except ValueError:  # no code on these coefficients
+            continue
+        bad = 0
+        for pattern in (f for e in range(2, e_cap + 1) for f in itertools.combinations(code.node_ids(), e)):
+            if not code.condition_check(pattern):
+                bad += 1
+                if best_bad is not None and bad >= best_bad:
+                    break
+        if bad == 0:
+            return code.descriptor()
+        if best_bad is None or bad < best_bad:
+            best, best_bad = (code.lambdas if family == "pm" else code), bad
+    raise AssignmentNotFoundError(family, best=best, best_failures=best_bad)
 
 
 def _frac(q):
@@ -271,8 +313,6 @@ def build_code(descriptor):
     is not a dict, or an integer field holding anything but ints, raises
     ValueError.
     """
-    from .gf import Field, Matrix
-
     if not isinstance(descriptor, dict):
         raise ValueError("a code descriptor is a JSON object, not %s" % type(descriptor).__name__)
     nesting = dict(_DESCRIPTOR_INTS, d_or_range=int(descriptor.get("mode") != "fixed"))
@@ -287,12 +327,8 @@ def build_code(descriptor):
     family = descriptor["family"]
     field = Field(descriptor["m"], descriptor["modulus"])
     if family == "pm":
-        from .pm import PMCode
-
         return PMCode(field, descriptor["n"], descriptor["k"], lambdas=list(descriptor["lambdas"]))
     if family == "ia":
-        from .ia import IACode
-
         return IACode(
             field,
             descriptor["k"],
@@ -301,15 +337,11 @@ def build_code(descriptor):
             kappa=descriptor["kappa"],
         )
     if family == "mds":
-        from .mds import MDSStripeCode
-
         if descriptor["mode"] == "fixed":
             return MDSStripeCode(field, descriptor["n"], descriptor["k"], d=descriptor["d_or_range"])
         _, d_max = descriptor["d_or_range"]  # ValueError unless [k, d_max]
         return MDSStripeCode(field, descriptor["n"], descriptor["k"], d_max=d_max)
     if family == "ambr":
-        from .ambr import AdaptiveMBRCode
-
         return AdaptiveMBRCode(
             field, descriptor["n"], descriptor["k"], descriptor["d_min"], descriptor["d_max"]
         )

@@ -43,8 +43,12 @@ queries: one elimination per square submatrix for superregularity, IA and
 PM coupling matrices built entry by entry (PM's weights by one dot per
 (i, j, l)), both searches vetting every pattern of every trial by its
 determinant, and gamma_min rescanning every linear piece.
+
+So does SplitRandom's draw as it ran before each stream hashed its
+"seed|path|" prefix once: the whole key formatted and hashed per draw.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -679,8 +683,9 @@ def ia_condition_table(code, failed):
 
 
 def ia_field_search(field, k, e_max, trials=200, seed=0):
-    """ia.field_search counting every singular pattern of every trial by
-    its determinant; returns (code, None) or (None, (best, best_failures))."""
+    """search_assignment's IA search counting every singular pattern of
+    every trial by its determinant; returns (code, None) or (None, (best,
+    best_failures))."""
     rng = random.Random(seed)
     e_cap = min(e_max, k)
     best = None
@@ -753,8 +758,8 @@ def pm_coupling_matrix(code, failed, helpers):
 
 
 def pm_field_search(field, n, k, e_max, trials=200, seed=0):
-    """pm.field_search counting every singular pattern of every trial;
-    returns (lambdas, None) or (None, (best, best_failures))."""
+    """search_assignment's PM search counting every singular pattern of
+    every trial; returns (lambdas, None) or (None, (best, best_failures))."""
     e_cap = min(e_max, n - k, k - 1)
     rng = random.Random(seed)
     best = None
@@ -854,3 +859,15 @@ def compare_strategies(params):
         a0 = M / Fraction(k)
         ratio = gamma_min_for_alpha(fewer, a0) / (e * gamma_min_for_alpha(single, a0))
     return rows, ratio
+
+
+# --- workbench: SplitRandom formats and hashes the whole key per draw ---
+
+
+def split_random_draws(seed, path, count):
+    """The first count 64-bit draws of SplitRandom(seed, path)."""
+    draws = []
+    for counter in range(count):
+        key = "%d|%s|%d" % (int(seed), "/".join(str(p) for p in path), counter)
+        draws.append(int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big"))
+    return draws

@@ -14,6 +14,7 @@ import reference_paths as ref
 from regenrepair.framework import InvalidHelperCountError
 from regenrepair.gf import Field, mat_rank
 from regenrepair.ambr import AdaptiveMBRCode
+from regenrepair.workbench import run_sweep
 
 F64 = Field(6)
 
@@ -180,7 +181,7 @@ def test_descriptor_and_determinism():
 
 def test_sweep_interface():
     code = example_code()
-    report = code.pattern_sweep(2, seed=4, d=5)
+    report = run_sweep(code, 2, seed=4, d=5)
     assert len(report.entries) == 21 and report.all_ok()
     assert {entry.bandwidth for entry in report.entries} == {35}
 

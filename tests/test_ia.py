@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 import reference_paths as ref
 from regenrepair.framework import SingularCouplingError
 from regenrepair.gf import Field, Matrix, all_square_submatrices_invertible, cauchy, mat_det, mat_mul
-from regenrepair.ia import IACode, UnsupportedPatternError, default_kappa, field_search
-from regenrepair.workbench import AssignmentNotFoundError, verify_exact_repair
+from regenrepair.ia import IACode, UnsupportedPatternError, default_kappa
+from regenrepair.workbench import AssignmentNotFoundError, build_code, run_sweep, search_assignment, verify_exact_repair
 
 F32 = Field(5)
 F256 = Field(8, 0x11D)
@@ -24,6 +24,12 @@ F4 = Field(2)
 
 def example_code():
     return IACode(F32, 4)
+
+
+def ia_search(field, k, e_max, trials, seed=0):
+    """The code search_assignment's IA search finds over field."""
+    params = {"m": field.m, "modulus": field.modulus, "k": k, "e_max": e_max}
+    return build_code(search_assignment("ia", params, budget=trials, seed=seed))
 
 
 def test_default_construction_is_power_table():
@@ -96,7 +102,7 @@ def test_single_repair_every_node():
 def test_multi_repair_all_patterns_exact():
     code = example_code()
     for e in (2, 3, 4):
-        report = code.pattern_sweep(e, seed=5)
+        report = run_sweep(code, e, seed=5)
         assert len(report.entries) == [28, 56, 70][e - 2]
         assert report.all_ok()
         assert {entry.bandwidth for entry in report.entries} == {e * (8 - e)}
@@ -206,7 +212,7 @@ def random_ia_codes(draw, ms=range(3, 9), k_min=2, k_max=5, random_v=False):
 def test_coupling_system_and_closed_forms_on_random_codes(code):
     """On every pattern of e = 2..k the coupling system equals the one built
     entry by entry and condition_check is det(A) != 0, the slow reference
-    it replaces, so field_search can vet by it alone; on the six shapes the
+    it replaces, so the search can vet by it alone; on the six shapes the
     retired hand formulas covered, it agrees with them. The two fixed
     k = 6 codes carry the check past the strategy's k <= 5."""
     for e in range(2, code.k + 1):
@@ -496,10 +502,10 @@ def test_k1_degenerate():
 
 
 def test_field_search_found_and_not_found():
-    code = field_search(F32, 4, e_max=4, trials=5, seed=1)
+    code = ia_search(F32, 4, e_max=4, trials=5, seed=1)
     assert code.P.data == example_code().P.data  # default assignment wins
     with pytest.raises(AssignmentNotFoundError) as err:
-        field_search(F4, 3, e_max=3, trials=40, seed=0)
+        ia_search(F4, 3, e_max=3, trials=40, seed=0)
     assert err.value.best_failures == 9
 
 
@@ -510,12 +516,12 @@ def test_field_search_refuses_sizes_no_code_has():
     trials=True ran one trial."""
     for field, k in ((F32, 0), (Field(1), 3)):
         with pytest.raises(ValueError, match=r"k = %d over GF\(2\^%d\)" % (k, field.m)):
-            field_search(field, k, e_max=2, trials=5, seed=0)
+            ia_search(field, k, e_max=2, trials=5, seed=0)
     sizes = (3, 2, 5)
     for at, size in enumerate(sizes):
         for bad in (float(size), str(size), True):
             with pytest.raises(ValueError, match=r"\bints\b"):
-                field_search(F32, *sizes[:at], bad, *sizes[at + 1 :], seed=0)
+                ia_search(F32, *sizes[:at], bad, *sizes[at + 1 :], seed=0)
 
 
 @pytest.mark.parametrize(
@@ -532,7 +538,7 @@ def test_field_search_matches_full_determinant_count(m, k, e_max, trials, seed):
     field = Field(m)
     want, fallback = ref.ia_field_search(field, k, e_max, trials, seed)
     try:
-        code = field_search(field, k, e_max, trials, seed)
+        code = ia_search(field, k, e_max, trials, seed)
     except AssignmentNotFoundError as err:
         assert want is None
         best, best_failures = fallback

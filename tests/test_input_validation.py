@@ -86,6 +86,17 @@ def shard_key_unknown(code, shards):
     yield lambda: code.repair_multi({**survivors, 99: shards[1]}, (1,))
 
 
+def not_a_collection_or_map(code, shards):
+    """A failed or helpers that is not a collection, shards that are not a
+    map, and a shard with no length died with TypeError."""
+    survivors = {m: v for m, v in shards.items() if m != 1}
+    for failed in (1, None):
+        yield lambda: code.repair_multi(survivors, failed)
+    yield lambda: code.repair_multi(survivors, (1,), 3)
+    yield lambda: code.repair_multi(None, (1,))
+    yield lambda: code.repair_multi({**survivors, 2: None}, (1,))
+
+
 def picked_helpers(code, survivors, failed):
     """The helpers a repair of failed picks by default, from its transcript."""
     return tuple(code.repair_multi(survivors, failed)[1].per_helper)
@@ -109,6 +120,7 @@ def helper_not_int(code, shards):
         shard_key_not_int,
         shard_key_unknown,
         helper_not_int,
+        not_a_collection_or_map,
     ],
     ids=lambda c: c.__name__,
 )
@@ -151,9 +163,14 @@ def too_few_readers(code, shards):
     yield lambda: code.reconstruct({m: shards[m] for m in range(1, code.k)})
 
 
+def readers_not_a_map(code, shards):
+    """None died with TypeError."""
+    yield lambda: code.reconstruct(None)
+
+
 @pytest.mark.parametrize(
     "case",
-    [reader_zero, reader_symbol_outside_field, reader_short_shard, reader_not_int, too_few_readers],
+    [reader_zero, reader_symbol_outside_field, reader_short_shard, reader_not_int, too_few_readers, readers_not_a_map],
     ids=lambda c: c.__name__,
 )
 @pytest.mark.parametrize("family", sorted(CODES))
@@ -176,7 +193,15 @@ def message_wrong_length(code, shards):
         yield lambda: code.encode([1] * length)
 
 
-@pytest.mark.parametrize("case", [message_symbol_outside_field, message_wrong_length], ids=lambda c: c.__name__)
+def message_without_length(code, shards):
+    """None and 5 died with TypeError."""
+    for msg in (None, 5):
+        yield lambda: code.encode(msg)
+
+
+@pytest.mark.parametrize(
+    "case", [message_symbol_outside_field, message_wrong_length, message_without_length], ids=lambda c: c.__name__
+)
 @pytest.mark.parametrize("family", sorted(CODES))
 def test_encode_rejects(encoded, family, case):
     code, shards = encoded[family]

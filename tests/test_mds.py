@@ -9,6 +9,7 @@ import reference_paths as ref
 from regenrepair.framework import InvalidHelperCountError
 from regenrepair.gf import Field, LinearMap
 from regenrepair.mds import MDSStripeCode
+from regenrepair.workbench import run_sweep
 
 F32 = Field(5)
 F128 = Field(7)
@@ -133,10 +134,10 @@ def test_descriptor_and_sweep():
     }
     ad = MDSStripeCode(F128, 7, 2, d_max=4)
     assert ad.descriptor()["d_or_range"] == [2, 4]
-    report = code.pattern_sweep(3, seed=9)
+    report = run_sweep(code, 3, seed=9)
     assert len(report.entries) == 20 and report.all_ok()
     assert {entry.bandwidth for entry in report.entries} == {6}
-    again = code.pattern_sweep(3, seed=9)
+    again = run_sweep(code, 3, seed=9)
     assert report.to_json() == again.to_json()
 
 

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_paths as ref
 from regenrepair.framework import InvalidRepairInputError, SingularCouplingError
 from regenrepair.gf import Field, dot, mat_det, mat_inv, mat_solve
-from regenrepair.pm import PMCode, field_search
-from regenrepair.workbench import AssignmentNotFoundError, run_sweep, verify_exact_repair
+from regenrepair.pm import PMCode
+from regenrepair.workbench import AssignmentNotFoundError, run_sweep, search_assignment, verify_exact_repair
 
 
 F16 = Field(4)
@@ -20,6 +20,12 @@ F64 = Field(6, 0x43)
 
 def example_code():
     return PMCode(F256, 11, 6)
+
+
+def pm_search(field, n, k, e_max, trials, seed=0):
+    """The lambdas search_assignment's PM search finds over field."""
+    params = {"m": field.m, "modulus": field.modulus, "n": n, "k": k, "e_max": e_max}
+    return search_assignment("pm", params, budget=trials, seed=seed)["lambdas"]
 
 
 # --- independent oracle: coefficient via generic Vandermonde inversion ---
@@ -211,7 +217,7 @@ def test_coupling_coefficient_is_the_row_projected_on_phi(field, n, k):
 def test_field_search_matches_full_determinant_count(field, n, k, e_max, trials, seed):
     want, fallback = ref.pm_field_search(field, n, k, e_max, trials, seed)
     try:
-        got = field_search(field, n, k, e_max, trials, seed)
+        got = pm_search(field, n, k, e_max, trials, seed)
     except AssignmentNotFoundError as err:
         assert want is None and (err.best, err.best_failures) == fallback
         return
@@ -442,29 +448,29 @@ def test_verify_exact_repair_outcomes():
 
 
 def test_field_search_small_case_and_refusals():
-    lam = field_search(F16, 4, 2, 2, trials=10, seed=5)
+    lam = pm_search(F16, 4, 2, 2, trials=10, seed=5)
     code = PMCode(F16, 4, 2, lam)  # invariants hold for the found assignment
     assert sorted(set(lam)) == sorted(lam)
     # GF(2) has too few elements for 4 distinct lambdas: no trial can run
     with pytest.raises(ValueError, match="too few"):
-        field_search(Field(1), 4, 2, 2, trials=5, seed=0)
+        pm_search(Field(1), 4, 2, 2, trials=5, seed=0)
     # no PM code has k < 2 or n < 2k-1: every trial's constructor raised,
     # and the search ended in AssignmentNotFoundError with no candidate
     for n, k in ((11, 1), (5, 4), (2, 3)):
         with pytest.raises(ValueError, match="n = %d, k = %d" % (n, k)):
-            field_search(Field(5), n, k, 2, trials=5, seed=0)
+            pm_search(Field(5), n, k, 2, trials=5, seed=0)
     # a float or string size died in a comparison with TypeError, and
     # trials=True ran one trial
     sizes = (7, 3, 2, 5)
     for at, size in enumerate(sizes):
         for bad in (float(size), str(size), True):
             with pytest.raises(ValueError, match=r"\bints\b"):
-                field_search(F64, *sizes[:at], bad, *sizes[at + 1 :], seed=0)
+                pm_search(F64, *sizes[:at], bad, *sizes[at + 1 :], seed=0)
 
 
 def test_field_search_finds_clean_assignment_over_f256():
     # n=7, k=4: e capped at min(3, 3, 3) = 3; search verifies determinants
-    lam = field_search(F256, 7, 4, 2, trials=30, seed=9)
+    lam = pm_search(F256, 7, 4, 2, trials=30, seed=9)
     code = PMCode(F256, 7, 4, lam)
     rep = run_sweep(code, 2, seed=9)
     assert rep.all_ok()
@@ -472,12 +478,15 @@ def test_field_search_finds_clean_assignment_over_f256():
 
 def test_field_search_vets_the_default_helpers_only():
     """Once n > d+1, whether a pattern repairs depends on its helper set,
-    and field_search vets each pattern with its default helpers only, as
-    its docstring and run_sweep's say. The lambdas it finds for PM(13, 6)
+    and the search vets each pattern with its default helpers only,
+    through condition_check, as the docstrings of search_assignment,
+    condition_check and run_sweep say. The lambdas it finds for PM(13, 6)
     over GF(2^6) repair failed (1, 2) from the default helpers 3..11 but
-    not from 3..10 and 12."""
-    lam = field_search(F64, 13, 6, 2, seed=0)
-    code = PMCode(F64, 13, 6, lam)
+    not from 3..10 and 12, and condition_check answers for the first."""
+    desc = search_assignment("pm", {"m": 6, "n": 13, "k": 6, "e_max": 2}, seed=0)
+    code = PMCode(F64, 13, 6, desc["lambdas"])
+    assert Field(6).modulus == F64.modulus
+    assert code.condition_check((1, 2)) and code.condition_check([2, 1, 2])
     default, other = tuple(range(3, 12)), tuple(range(3, 11)) + (12,)
     assert code.coupling_matrix((1, 2), default).determinant() == 58
     assert code.coupling_matrix((1, 2), other).determinant() == 0
@@ -487,8 +496,39 @@ def test_field_search_vets_the_default_helpers_only():
     with pytest.raises(SingularCouplingError) as err:
         code.repair_multi(live, (1, 2), helpers=other)
     assert err.value.dependent == ((2, 1),)
-    for doc in (field_search.__doc__, run_sweep.__doc__):
+    for doc in (search_assignment.__doc__, PMCode.condition_check.__doc__, run_sweep.__doc__):
         assert "default helpers" in " ".join(doc.split())
+
+
+# lambdas of PM(11, 6) over GF(2^8) with singular patterns at e = 2, 3, 4
+SINGULAR_LAMBDAS = [41, 248, 133, 18, 0, 74, 240, 191, 163, 11, 139]
+
+
+@pytest.mark.parametrize("lambdas", [None, SINGULAR_LAMBDAS], ids=["default", "singular"])
+def test_condition_check_agrees_with_repair_from_the_default_helpers(lambdas):
+    """condition_check is True exactly when repair_multi from the default
+    helpers does not raise SingularCouplingError, on every pattern of
+    e = 2..5; a repeated id counts once, and ids that are not nodes are
+    refused."""
+    code = PMCode(F256, 11, 6, lambdas)
+    shards = code.encode(code.random_message(random.Random(11)))
+    verdicts = []
+    for e in range(2, 6):
+        for failed in itertools.combinations(code.node_ids(), e):
+            live = {i: s for i, s in shards.items() if i not in failed}
+            try:
+                contents, _ = code.repair_multi(live, failed)
+                repaired = True
+                assert contents == {i: shards[i] for i in failed}
+            except SingularCouplingError:
+                repaired = False
+            assert code.condition_check(failed) == repaired, failed
+            assert code.condition_check(failed[::-1] + failed[:1]) == repaired, failed
+            verdicts.append(repaired)
+    assert verdicts.count(False) == (0 if lambdas is None else 6)
+    for bad in ((0, 1), (1, 12), (1, 2.0), ("1", 2)):
+        with pytest.raises(InvalidRepairInputError):
+            code.condition_check(bad)
 
 
 def test_descriptor_round_trip():

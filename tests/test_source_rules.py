@@ -68,6 +68,21 @@ def test_library_modules_use_every_import(path):
     assert unused == [], "%s imports names it never reads (line, name): %s" % (path.name, unused)
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_modules_import_at_module_level(path):
+    """No import sits inside a function: a module's dependencies are read
+    at its top, and none is put off to hide an import cycle."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        inner.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert lines == [], "%s imports inside functions on lines %s" % (path.name, sorted(set(lines)))
+
+
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_modules_parse_as_python_3_10(path):
     """CI runs the library and its tests on Python 3.10 too, so no module

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_paths as ref
 from regenrepair.gf import Field
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
@@ -42,6 +43,17 @@ def test_split_random_streams_are_independent():
     base2.split("a").randrange(10)
     assert [s2.randrange(1000) for _ in range(8)] == seq_b
     assert SplitRandom(43).split("a").randrange(10**9) != SplitRandom(42).split("a").randrange(10**9)
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**40])
+@pytest.mark.parametrize("path", [(), ("a",), ("msg-1,2,3",), ("patterns", 5, "x/y")])
+def test_split_random_draws_equal_the_whole_key_hash(seed, path):
+    """A stream hashes its "seed|path|" prefix once and copies it per
+    draw; every draw, past counter 10 too, equals hashing the whole key."""
+    rng = SplitRandom(seed, path)
+    assert [rng._next64() for _ in range(23)] == ref.split_random_draws(seed, path, 23)
+    child = SplitRandom(seed, path).split("child")
+    assert [child._next64() for _ in range(12)] == ref.split_random_draws(seed, (*path, "child"), 12)
 
 
 def test_split_random_sample_is_sorted_unique():
@@ -148,6 +160,24 @@ def test_search_assignment_pm_and_ia():
     with pytest.raises(AssignmentNotFoundError) as err:
         search_assignment("ia", {"m": 2, "n": 6, "k": 3}, budget=5, seed=0)
     assert err.value.best_failures > 0
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        # the default e_max = n - k died with TypeError on a string n
+        ("pm", {"m": 5, "n": "7", "k": 3}),
+        # 6.0 == 2k let a float n through
+        ("ia", {"m": 5, "k": 3, "n": 6.0}),
+        # a PM search with no n died with KeyError, and one with no m or k too
+        ("pm", {"m": 5, "k": 3}),
+        ("pm", {"n": 7, "k": 3}),
+        ("ia", {"m": 5}),
+    ],
+)
+def test_search_assignment_refuses_malformed_params_before_any_trial(family, params):
+    with pytest.raises(ValueError):
+        search_assignment(family, params, budget=5, seed=0)
 
 
 def test_search_assignment_refuses_an_ia_n_but_2k_and_takes_none():
