@@ -175,10 +175,11 @@ class AdaptiveMBRCode(RepairableCode):
             degree = self.d_min if idx else d
             for h in helpers[: degree - idx]:
                 sends[h] += self._blocks[target - 1][: self.alpha // degree]
-        received = self._received([(h, row) for h in helpers for row in sends[h]])
-        decode = self._derive(received, self.coefficient_matrix(failed).data)[0]
-        send = tuple(LinearMap(Matrix(self.field, sends[h])) for h in helpers)
-        return RepairPlan(failed, helpers, send, LinearMap(decode))
+        f, a, g = self.field, self.alpha, self._generator_rows()
+        lost = [g[(node - 1) * a + t] for node in failed for t in range(a)]
+        decode = self._derive(self._received([(h, sends[h]) for h in helpers]), lost)[0]
+        send = tuple(LinearMap(Matrix(f, sends[h])) for h in helpers)
+        return RepairPlan(failed, helpers, send, LinearMap.from_columns(f, decode, len(lost)))
 
     def mbr_bandwidth_bound(self, e):
         if not 1 <= e <= self.k:

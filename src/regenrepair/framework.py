@@ -47,14 +47,21 @@ Every symbol a node stores or sends is a fixed linear function of the
 message, a row of generator space (RepairableCode._received), so every
 decode map the generator fixes is the D with D (received rows) = (wanted
 rows). RepairableCode._derive solves it by one Gauss-Jordan for the read
-maps, the single-failure decoders and adaptive MBR's plans. MDS writes its
-decode maps as Lagrange tables, with no elimination.
+maps, the single-failure decoders and adaptive MBR's plans. The
+derivation runs on packed rows (gf._pack) from start to finish: the
+generator is packed once per code and kept with it, each send row is
+multiplied by its own node's block of it, the rows and the target are
+reduced as packed columns, and D's columns are read off the right-hand
+lanes. MDS writes its decode maps as Lagrange tables, with no
+elimination.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 
-from .gf import LinearMap, Matrix, SingularMatrixError, _reduce, dot, mat_det, mat_mul
+from .gf import LinearMap, Matrix, SingularMatrixError, _mul_packed, _pack, _reduce, _reduce_packed
+from .gf import _lane_bits, _transpose_packed, _unpack, dot, mat_det
 
 # Compiled maps and plans kept per code; the least recently used goes
 # first. An IA(6) plan holds ~1.8 KB, and on draws over all 2,509 of its
@@ -191,8 +198,11 @@ class RepairableCode:
         least one node failed and none of them holds a shard
         (InvalidRepairInputError). The helpers are count distinct nodes
         that hold shards, the first count in node order by default
-        (InvalidHelperCountError), and their shards are checked.
+        (InvalidHelperCountError), and their shards are checked. Shards
+        that are not a map from node ids raise InvalidRepairInputError.
         """
+        if not isinstance(shards, Mapping):
+            raise InvalidRepairInputError("shards must map node ids to shards, not a %s" % type(shards).__name__)
         check_input(self, shards, self.shard_length, (), chain(failed, shards, helpers or ()))
         failed = tuple(sorted(set(failed)))
         if not failed or not shards.keys().isdisjoint(failed):
@@ -225,6 +235,15 @@ class RepairableCode:
             generator = self._generator_matrix = self._generator()
         return generator
 
+    def _generator_rows(self):
+        """generator_matrix() as packed rows (gf._pack), packed once per
+        code and kept with it."""
+        rows = self.__dict__.get("_packed_generator")
+        if rows is None:
+            f = self.field
+            rows = self._packed_generator = [_pack(f, row) for row in self.generator_matrix().data]
+        return rows
+
     def encode(self, data):
         check_message(self, data)
         word = self._compiled("encode", lambda: LinearMap(self.generator_matrix())).apply(data)
@@ -244,56 +263,62 @@ class RepairableCode:
     def _read_map(self, nodes):
         """Left inverse of the readers' generator rows R (kL x M, kL >= M):
         the D with D R = I, so the message is D times the symbols read."""
-        size, g = self.shard_length, self.generator_matrix().data
+        f, size, g = self.field, self.shard_length, self._generator_rows()
         rows = [g[(node - 1) * size + t] for node in nodes for t in range(size)]
-        return LinearMap(self._derive(rows, Matrix.identity(self.field, self.message_length).data)[0])
+        identity = [1 << _lane_bits(f) * c for c in range(self.message_length)]
+        return LinearMap.from_columns(f, self._derive(rows, identity)[0], self.message_length)
 
     def _single_decoder(self, node, sources):
         """Node's single-failure decoder over sources: the D with D T = G_node,
-        mapping the transfers, in sources order, to node's shard.
+        mapping the transfers, in sources order, to node's shard, as its
+        columns: column t weighs the transfer from sources[t].
 
         Row t of T is what sources[t] sends toward node: _projection(node)
         applied to the source's shard. Dependent transfers, or ones that do
         not determine node, raise SingularMatrixError."""
-        size = self.shard_length
-        projection = self._projection(node)
+        size, projection = self.shard_length, [self._projection(node)]
         transfers = self._received([(s, projection) for s in sources])
         try:
-            decoder, picks = self._derive(transfers, self.generator_matrix().data[(node - 1) * size : node * size])
+            columns, picks = self._derive(transfers, self._generator_rows()[(node - 1) * size : node * size])
         except SingularMatrixError:
             picks = ()
         if len(picks) < len(sources):
             raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
-        return decoder
+        return [_unpack(self.field, column, size) for column in columns]
 
     def _received(self, sends):
-        """What each (node, row) of sends carries, as a function of the
-        message: row applied to node's shard is row times node's generator
-        block. One product of the rows, spread to their nodes' columns,
-        with the generator."""
-        size, generator = self.shard_length, self.generator_matrix()
-        total = generator.rows
-        spread = [[0] * ((s - 1) * size) + row + [0] * (total - s * size) for s, row in sends]
-        return mat_mul(Matrix(self.field, spread), generator).data
+        """What each row of sends carries, as a packed row of generator
+        space: sends holds (node, rows) pairs, and a row applied to node's
+        shard is the row times node's generator block. One product per
+        node, over its own block."""
+        f, size, width, g = self.field, self.shard_length, self.message_length, self._generator_rows()
+        received = []
+        for node, rows in sends:
+            received += _mul_packed(f, rows, g[(node - 1) * size : node * size], width)
+        return received
 
     def _derive(self, rows, target):
-        """(D, picks) with D rows = target, for rows of generator space:
-        what is received and what is wanted.
+        """(D, picks) with D rows = target, for packed rows of generator
+        space (message_length entries each): what is received and what is
+        wanted. D comes as its columns, each packed, one per row of rows.
 
-        One Gauss-Jordan on [rows^t | target^t] picks the first independent
-        rows as its pivot columns, picks; column picks[s] of D is the right
-        part of reduced row s, and the rows not picked get zero columns. A
-        target outside the span of rows leaves a nonzero right part below
-        the pivots and raises SingularMatrixError.
+        One Gauss-Jordan on the packed rows of [rows^t | target^t] picks the
+        first independent rows as its pivot columns, picks; column picks[s]
+        of D is the right part of reduced row s, read off its lanes, and the
+        rows not picked get zero columns. A target outside the span of rows
+        leaves a nonzero right part below the pivots and raises
+        SingularMatrixError.
         """
-        width = len(rows)
-        aug = [list(col) for col in zip(*rows, *target)]
-        picks, _ = _reduce(self.field, aug, width, True)
-        if any(any(row[width:]) for row in aug[len(picks) :]):
+        f, width = self.field, len(rows)
+        aug = _transpose_packed(f, rows + target, self.message_length)
+        picks, _ = _reduce_packed(f, aug, width + len(target), width, True)
+        shift = _lane_bits(f) * width
+        if any(row >> shift for row in aug[len(picks) :]):
             raise SingularMatrixError("target outside the span of %d rows of rank %d" % (width, len(picks)))
-        columns = dict(zip(picks, (row[width:] for row in aug)))
-        zero = [0] * len(target)
-        return Matrix(self.field, list(zip(*(columns.get(c, zero) for c in range(width))))), picks
+        columns = [0] * width
+        for c, row in zip(picks, aug):
+            columns[c] = row >> shift
+        return columns, picks
 
     def _pool_decoder(self, i, pool):
         """Node i's decoder over the other nodes of pool, as {source l:
@@ -302,27 +327,32 @@ class RepairableCode:
 
         Derived by _single_decoder on first use and kept for one pool of
         d+1 nodes at a time (IA's pool is every node), outside the bounded
-        cache, so compiled plans never push a decoder out. A new pool's ids
-        are checked when its table is started (InvalidRepairInputError).
+        cache, so compiled plans never push a decoder out. The table keeps
+        the last pool object it was given: that object hits with no set
+        comparison, and an equal fresh one takes its place. A new pool's
+        ids are checked when its table is started (InvalidRepairInputError).
         """
-        pool = frozenset(pool)
         table = self.__dict__.get("_decoder_table")
-        if table is None or table[0] != pool:
-            check_input(self, (), 0, (), pool)
-            if len(pool) != self.d + 1:
-                raise ValueError("pool must hold d+1 = %d nodes" % (self.d + 1))
-            table = self._decoder_table = (pool, {})
+        if table is None or table[0] is not pool:
+            pool = frozenset(pool)
+            if table is not None and table[0] == pool:
+                table = (pool, *table[1:])
+            else:
+                check_input(self, (), 0, (), pool)
+                if len(pool) != self.d + 1:
+                    raise ValueError("pool must hold d+1 = %d nodes" % (self.d + 1))
+                # row a holds entry a of every node's projection, for the weights
+                projections = zip(*(self._projection(y) for y in self.node_ids()))
+                table = (pool, {}, [_pack(self.field, row) for row in projections])
+            self._decoder_table = table
         columns = table[1].get(i)
         if columns is None:
-            if i not in pool:
+            if i not in table[0]:
                 raise ValueError("node %r is not in the pool" % (i,))
-            sources = sorted(pool - {i})
+            f, sources = self.field, sorted(table[0] - {i})
             decoder = self._single_decoder(i, sources)
-            projections = Matrix(self.field, [self._projection(y) for y in self.node_ids()])
-            weights = mat_mul(projections, decoder).data
-            columns = table[1][i] = {
-                l: ([r[t] for r in decoder.data], [r[t] for r in weights]) for t, l in enumerate(sources)
-            }
+            weights = _mul_packed(f, decoder, table[2], self.n)
+            columns = table[1][i] = {l: (c, _unpack(f, w, self.n)) for l, c, w in zip(sources, decoder, weights)}
         return columns
 
     def coupling_coefficient(self, i, j, l, pool):

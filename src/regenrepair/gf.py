@@ -8,9 +8,10 @@ shift-and-reduce (`mul_direct`) builds them and stays as the reference
 the tests check them against.
 
 Every elimination goes through one row-reduction kernel, `_reduce`,
-which returns the pivot columns and the determinant. mat_solve, mat_inv
-and the compiles of read maps and AMBR repair plans run it Gauss-Jordan
-on an augmented matrix; mat_det and mat_rank run it below the pivots
+which returns the pivot columns and the determinant. mat_solve and
+mat_inv run it Gauss-Jordan on an augmented matrix, and the framework's
+derivations of read maps, decoders and AMBR repair plans run its packed
+form, `_reduce_packed`; mat_det and mat_rank run it below the pivots
 only. A map from a polynomial's values at some points to its values at
 others, V_targets V_nodes^-1, needs no elimination: lagrange_rows writes
 it down as a table of Lagrange basis values, and the MDS generator and
@@ -20,12 +21,15 @@ A packed row (`_pack`) is one int holding a row of symbols, one lane per
 entry, so that adding rows is one XOR. Over m <= 8 a lane is a byte and
 scaling a row is one bytes.translate through the multiply table:
 `_reduce_packed` eliminates and `_mul_packed` multiplies on such rows,
-and LinearMap.from_packed cuts a map's columns from them. Past m = 8 a
-lane is two bytes, and the same calls unpack the rows for the list loops
-on the log/antilog tables; callers such as the IA plan compile and AMBR's
-construction check never look at the lanes. An elimination through
-`_reduce` that carries more than one column past the reduced ones (an
-inverse, a read map) packs its rows over m <= 8. Square det and rank, and
+`_transpose_packed` turns rows into columns by strided slices of their
+bytes, and LinearMap.from_packed cuts a map's columns from rows, as
+LinearMap.from_columns takes them ready-made. Past m = 8 a lane is two
+bytes, and the same calls unpack the rows for the list loops on the
+log/antilog tables; callers such as the IA plan compile and AMBR's
+construction check never look at the lanes, and the framework reads a
+row's right part by shifting out `_lane_bits` per lane. An elimination
+through `_reduce` that carries more than one column past the reduced
+ones (an inverse) packs its rows over m <= 8. Square det and rank, and
 solves with one right-hand side, keep the list loop, which is faster on
 small sparse coupling systems. `_reduce_direct`, the same loop through
 Field.mul, is the reference the tests hold both kernels to. mat_mul runs
@@ -307,9 +311,21 @@ class LinearMap:
         if field.m > 8:
             return cls(Matrix(field, [[row[j] for j in order] for row in (_unpack(field, r, width) for r in rows)]))
         data = b"".join([row.to_bytes(width, "little") for row in rows])
+        return cls._of_columns(field, len(rows), [data[j::width] for j in order])  # column j, one byte per row
+
+    @classmethod
+    def from_columns(cls, field: Field, columns: list[int], rows: int) -> "LinearMap":
+        """The map whose column j is the packed row columns[j] (see _pack),
+        rows entries each. Over m <= 8 a column's bytes are the column."""
+        if field.m > 8:
+            return cls(Matrix(field, [list(row) for row in zip(*(_unpack(field, c, rows) for c in columns))]))
+        return cls._of_columns(field, rows, [c.to_bytes(rows, "little") for c in columns])
+
+    @classmethod
+    def _of_columns(cls, field: Field, rows: int, columns: list[bytes]) -> "LinearMap":
         new = cls.__new__(cls)
-        new.field, new.rows, new.cols, new._matrix = field, len(rows), len(order), None
-        new._columns = tuple([data[j::width] for j in order])  # column j, one byte per row
+        new.field, new.rows, new.cols, new._matrix = field, rows, len(columns), None
+        new._columns = tuple(columns)
         new.picks = _picks(zip(*new._columns), new.cols)
         return new
 
@@ -365,6 +381,11 @@ def _picks(rows, cols: int):
     return tuple(picks)
 
 
+def _lane_bits(field: Field) -> int:
+    """The bits of one lane of a packed row (see _pack)."""
+    return 8 if field.m <= 8 else 16
+
+
 def _pack(field: Field, row, offset: int = 0) -> int:
     """A row of symbols as one int, entry j in lane offset + j: a lane is a
     byte over m <= 8 and two bytes past it. The sum of packed rows is the
@@ -380,6 +401,23 @@ def _unpack(field: Field, row: int, width: int) -> list[int]:
     if field.m <= 8:
         return list(row.to_bytes(width, "little"))
     return list(struct.unpack("<%dH" % width, row.to_bytes(2 * width, "little")))
+
+
+def _transpose_packed(field: Field, rows: list[int], width: int) -> list[int]:
+    """The width columns of packed rows, each packed as a row of len(rows)
+    entries: entry r of column j is entry j of rows[r]. A column is a
+    strided slice of the rows' bytes, one per byte of its lanes."""
+    lane = _lane_bits(field) // 8
+    step = lane * width
+    data = b"".join([row.to_bytes(step, "little") for row in rows])
+    if lane == 1:
+        return [int.from_bytes(data[j::step], "little") for j in range(width)]
+    columns = []
+    column = bytearray(2 * len(rows))
+    for j in range(0, step, 2):
+        column[0::2], column[1::2] = data[j::step], data[j + 1 :: step]
+        columns.append(int.from_bytes(column, "little"))
+    return columns
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -414,15 +452,16 @@ def _mul_packed(field: Field, coefs: list[list[int]], rows: list[int], width: in
 
 def _mul_lists(field: Field, a: list[list[int]], b: list[list[int]], width: int) -> list[list[int]]:
     """a times b on lists, products through the log/antilog tables."""
-    mul = field.mul
+    exp, log = field._exp, field._log
     out = []
     for ai in a:
         oi = [0] * width
         for ait, bt in zip(ai, b):
             if ait:
-                for j in range(width):
-                    if bt[j]:
-                        oi[j] ^= mul(ait, bt[j])
+                la = log[ait]
+                for j, x in enumerate(bt):
+                    if x:
+                        oi[j] ^= exp[la + log[x]]
         out.append(oi)
     return out
 
@@ -453,16 +492,16 @@ def dot(field: Field, u: list[int], v: list[int]) -> int:
 def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
     """Row-reduce rows in place on their first ncols columns.
 
-    The one elimination behind mat_solve, mat_inv, mat_det, mat_rank and
-    the compiles of read maps and repair plans. Column by column, the
-    pivot is the first nonzero entry at or below the current rank; its row
-    moves up to that rank and is scaled by the pivot's inverse, and the
-    column is cleared below the pivot, and above it too when full is set
-    (Gauss-Jordan). A column with no pivot is skipped. The pivot column is
-    never read again, so it is not written. Columns past ncols (a
-    right-hand side, an identity) are carried along; with two or more of
-    them and m <= 8 the rows are packed and reduced by _reduce_packed,
-    which gives the same rows.
+    The one elimination behind mat_solve, mat_inv, mat_det, mat_rank and,
+    as _reduce_packed, the derivations and repair-plan compiles. Column by
+    column, the pivot is the first nonzero entry at or below the current
+    rank; its row moves up to that rank and is scaled by the pivot's
+    inverse, and the column is cleared below the pivot, and above it too
+    when full is set (Gauss-Jordan). A column with no pivot is skipped. The
+    pivot column is never read again, so it is not written. Columns past
+    ncols (a right-hand side, an identity) are carried along; with two or
+    more of them and m <= 8 the rows are packed and reduced by
+    _reduce_packed, which gives the same rows.
 
     Returns (pivot_cols, det): det is the product of the pivots when every
     one of the ncols columns has one, else 0; row swaps leave it alone in
@@ -529,6 +568,7 @@ def _reduce_packed(field, rows, width, ncols, full):
         rows[:] = [_pack(field, row) for row in lists]
         return result
     tables, exp, log, order = field.mul_tables(), field._exp, field._log, field.order
+    from_bytes = int.from_bytes
     nrows = len(rows)
     pivots = []
     det_log = 0
@@ -546,12 +586,13 @@ def _reduce_packed(field, rows, width, ncols, full):
         tail = row[col + 1 :].translate(tables[exp[order - lp]])
         pivot = bytes(col + 1) + tail
         rows[r] = rows[rank]
-        rows[rank] = int.from_bytes(row[: col + 1] + tail, "little")
+        rows[rank] = from_bytes(row[: col + 1] + tail, "little")
         pivots.append(col)
         for r in range(0 if full else rank + 1, nrows):
-            fct = rows[r] >> shift & 255
+            x = rows[r]
+            fct = x >> shift & 255
             if fct and r != rank:
-                rows[r] ^= int.from_bytes(pivot.translate(tables[fct]), "little")
+                rows[r] = x ^ from_bytes(pivot.translate(tables[fct]), "little")
     return pivots, exp[det_log % order] if len(pivots) == ncols else 0
 
 

@@ -133,17 +133,19 @@ class PMCode(RepairableCode):
         its default helpers, the first d-e+1 nodes that did not fail: its
         coupling matrix over them has a nonzero determinant. Once n > d+1
         another helper set can answer otherwise. A repeated id counts
-        once; ids that are not nodes raise InvalidRepairInputError."""
+        once; ids that are not nodes, or failed that is not a collection,
+        raise InvalidRepairInputError."""
+        e = failure_count(failed)
         live = [i for i in self.node_ids() if i not in failed]
-        helpers = live[: self.d - (self.n - len(live)) + 1]
-        return self.coupling_matrix(failed, helpers).determinant() != 0
+        return self.coupling_matrix(failed, live[: self.d - e + 1]).determinant() != 0
 
     def _assemble(self, shards, failed, helpers):
         """Coupling system, helper transfers, and each failed node's partial
         decode p_i = sum_h r_{h->i} c_{i,h} from the helpers alone."""
         f = self.field
         failed = tuple(sorted(failed))
-        decoders = {i: self._pool_decoder(i, failed + tuple(helpers)) for i in failed}
+        pool = frozenset(failed + tuple(helpers))
+        decoders = {i: self._pool_decoder(i, pool) for i in failed}
         received = {}
         for h in helpers:
             for j in failed:
@@ -180,8 +182,9 @@ class PMCode(RepairableCode):
         failed, helpers = self._repair_nodes(shards, failed, helpers, self.d - e + 1)
         system, received, contents = self._assemble(shards, failed, helpers)
         solved = system.solve() if e > 1 else {}
+        pool = frozenset(failed + helpers)
         for i in failed:
-            columns = self._pool_decoder(i, failed + helpers)
+            columns = self._pool_decoder(i, pool)
             for l in failed:
                 if l != i:
                     _axpy(self.field, contents[i], solved[(l, i)], columns[l][0])

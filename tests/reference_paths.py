@@ -46,6 +46,13 @@ determinant, and gamma_min rescanning every linear piece.
 
 So does SplitRandom's draw as it ran before each stream hashed its
 "seed|path|" prefix once: the whole key formatted and hashed per draw.
+
+So does the generator-space derivation on list rows, before the generator
+was packed once per code: what a send carries as one product of the send
+rows, spread over every node's generator columns, with the generator; D
+from a Gauss-Jordan on the list columns of [rows | target], through
+_reduce; and the single-failure decoders, read maps and AMBR plan compiles
+built on them, each decoder's weights by a mat_mul with the projections.
 """
 
 import hashlib
@@ -59,6 +66,7 @@ from regenrepair.framework import CouplingSystem, RepairPlan, RepairTranscript
 from regenrepair.gf import (
     LinearMap,
     Matrix,
+    SingularMatrixError,
     _gauss_jordan,
     _reduce,
     dot,
@@ -871,3 +879,79 @@ def split_random_draws(seed, path, count):
         key = "%d|%s|%d" % (int(seed), "/".join(str(p) for p in path), counter)
         draws.append(int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big"))
     return draws
+
+
+# --- generator space: spread products and Gauss-Jordan on list rows ---
+
+
+def received(code, sends):
+    """What each (node, row) of sends carries, as a list row of generator
+    space: one product of the rows, spread to their nodes' columns, with
+    the generator."""
+    size, generator = code.shard_length, code.generator_matrix()
+    total = generator.rows
+    spread = [[0] * ((s - 1) * size) + list(row) + [0] * (total - s * size) for s, row in sends]
+    return mat_mul(Matrix(code.field, spread), generator).data
+
+
+def derive(code, rows, target):
+    """(D, picks) with D rows = target, on list rows: one Gauss-Jordan on
+    [rows^t | target^t] through _reduce; column picks[s] of D is the right
+    part of reduced row s, and SingularMatrixError for a target outside the
+    span of rows."""
+    width = len(rows)
+    aug = [list(col) for col in zip(*rows, *target)]
+    picks, _ = _reduce(code.field, aug, width, True)
+    if any(any(row[width:]) for row in aug[len(picks) :]):
+        raise SingularMatrixError("target outside the span of %d rows of rank %d" % (width, len(picks)))
+    columns = dict(zip(picks, (row[width:] for row in aug)))
+    zero = [0] * len(target)
+    return Matrix(code.field, [list(row) for row in zip(*(columns.get(c, zero) for c in range(width)))]), picks
+
+
+def single_decoder(code, node, sources):
+    """Node's single-failure decoder over sources, as a Matrix: the D with
+    D T = G_node, T the transfers toward node; SingularMatrixError unless
+    the transfers are independent and determine node."""
+    size = code.shard_length
+    projection = code._projection(node)
+    transfers = received(code, [(s, projection) for s in sources])
+    try:
+        decoder, picks = derive(code, transfers, code.generator_matrix().data[(node - 1) * size : node * size])
+    except SingularMatrixError:
+        picks = ()
+    if len(picks) < len(sources):
+        raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
+    return decoder
+
+
+def pool_decoder(code, i, pool):
+    """Node i's decoder table entry over the rest of pool, {l: (c_{i,l},
+    weights)}, with the weights from one mat_mul of every node's projection
+    with the decoder."""
+    sources = sorted(set(pool) - {i})
+    decoder = single_decoder(code, i, sources)
+    projections = Matrix(code.field, [code._projection(y) for y in code.node_ids()])
+    weights = mat_mul(projections, decoder).data
+    return {l: ([r[t] for r in decoder.data], [r[t] for r in weights]) for t, l in enumerate(sources)}
+
+
+def read_map(code, nodes):
+    """The left inverse of the readers' generator rows, derived on list rows."""
+    size, g = code.shard_length, code.generator_matrix().data
+    rows = [g[(node - 1) * size + t] for node in nodes for t in range(size)]
+    return LinearMap(derive(code, rows, Matrix.identity(code.field, code.message_length).data)[0])
+
+
+def ambr_derived_plan(code, failed, d, helpers):
+    """AMBR's plan with its decode map derived on list rows from the sends
+    and the lost nodes' generator rows."""
+    sends = {h: [] for h in helpers}
+    for idx, target in enumerate(failed):
+        degree = code.d_min if idx else d
+        for h in helpers[: degree - idx]:
+            sends[h] += code._blocks[target - 1][: code.alpha // degree]
+    rows = received(code, [(h, row) for h in helpers for row in sends[h]])
+    decode = derive(code, rows, code.coefficient_matrix(failed).data)[0]
+    send = tuple(LinearMap(Matrix(code.field, sends[h])) for h in helpers)
+    return RepairPlan(failed, helpers, send, LinearMap(decode))

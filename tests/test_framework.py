@@ -1,19 +1,24 @@
 """Coupling-system plumbing: unknown ordering, solve, transcripts; the one decode-map solve."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_paths as ref
+from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.framework import (
     CouplingSystem,
+    InvalidRepairInputError,
     RepairableCode,
     RepairTranscript,
     SingularCouplingError,
     unknown_pairs,
 )
-from regenrepair.gf import Field, Matrix, SingularMatrixError, mat_mul, mat_rank, mat_vec
+from regenrepair.gf import Field, Matrix, SingularMatrixError, _pack, _unpack, mat_mul, mat_rank, mat_vec
 from regenrepair.ia import IACode
+from regenrepair.mds import MDSStripeCode
 from regenrepair.pm import PMCode
 
 
@@ -97,12 +102,12 @@ def test_single_decoder_refuses_transfers_that_do_not_determine_the_node():
     pm = PMCode(Field(8, 0x11D), 13, 6)
     others = [s for s in pm.node_ids() if s != 1]
     decoder = pm._single_decoder(1, others[: pm.d])
-    assert (decoder.rows, decoder.cols) == (pm.alpha, pm.d)
+    assert [len(column) for column in decoder] == [pm.alpha] * pm.d
     for sources in (others[: pm.d - 1], others[: pm.d + 1]):
         with pytest.raises(SingularMatrixError, match="do not determine node 1"):
             pm._single_decoder(1, sources)
     ia = IACode(Field(5), 3)
-    assert ia._single_decoder(4, [1, 2, 3, 5, 6]).cols == 5
+    assert len(ia._single_decoder(4, [1, 2, 3, 5, 6])) == 5
     with pytest.raises(SingularMatrixError):
         ia._single_decoder(4, [1, 2, 3, 5])
 
@@ -117,18 +122,19 @@ def test_a_repeated_failed_id_is_one_node():
         assert (twice.pairs, twice.A, twice.b) == (once.pairs, once.A, once.b)
 
 
-# GF(2^4) and GF(2^8) reduce on packed rows when two or more target rows
-# ride along, on table lists with one; GF(2^10) and GF(2^13), past the
-# byte multiply tables, on table lists
+# GF(2^4), GF(2^5) and GF(2^8) reduce on byte lanes; GF(2^10), GF(2^13) and
+# GF(2^16), past the byte multiply tables, on two-byte lanes that the
+# kernel unpacks for the table lists
 DERIVE_FIELDS = {m: Field(m) for m in (4, 8, 10, 13)}
+PACKED_FIELDS = {m: Field(m) for m in (4, 5, 8, 10, 16)}
 
 
 @st.composite
-def derive_cases(draw):
+def derive_cases(draw, fields=DERIVE_FIELDS):
     """1..8 rows of 1..8 columns, each drawn at random or made a
     combination of the rows before it, and 1..4 target rows, each a
     combination of the rows or drawn at random."""
-    field = DERIVE_FIELDS[draw(st.sampled_from(sorted(DERIVE_FIELDS)))]
+    field = fields[draw(st.sampled_from(sorted(fields)))]
     symbols = lambda size: st.lists(st.integers(0, field.size - 1), min_size=size, max_size=size)
     cols = draw(st.integers(1, 8))
 
@@ -148,13 +154,168 @@ def derive_cases(draw):
 def test_derive_solves_for_a_target_in_the_span_and_refuses_one_outside(case):
     field, rows, target = case
     code = RepairableCode()
-    code.field = field
+    code.field, code.message_length = field, len(rows[0])
+    packed = lambda block: [_pack(field, row) for row in block]
     rank = mat_rank(Matrix(field, rows))
     if mat_rank(Matrix(field, rows + target)) > rank:
         with pytest.raises(SingularMatrixError):
-            code._derive(rows, target)
+            code._derive(packed(rows), packed(target))
         return
-    derived, picks = code._derive(rows, target)
+    columns, picks = code._derive(packed(rows), packed(target))
+    derived = Matrix(field, [list(row) for row in zip(*(_unpack(field, c, len(target)) for c in columns))])
     assert mat_mul(derived, Matrix(field, rows)).data == target
     assert len(picks) == rank
-    assert all(out[c] == 0 for out in derived.data for c in range(len(rows)) if c not in picks)
+    assert all(columns[c] == 0 for c in range(len(rows)) if c not in picks)
+
+
+def packed(field, rows):
+    return [_pack(field, row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(derive_cases(PACKED_FIELDS))
+def test_packed_derive_matches_the_list_derive(case):
+    """The same D, column by column, and the same picks as the Gauss-Jordan
+    on list rows, and SingularMatrixError in the same cases: dependent
+    rows, and targets in and out of their span."""
+    field, rows, target = case
+    code = RepairableCode()
+    code.field, code.message_length = field, len(rows[0])
+    try:
+        want, want_picks = ref.derive(code, rows, target)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            code._derive(packed(field, rows), packed(field, target))
+        return
+    columns, picks = code._derive(packed(field, rows), packed(field, target))
+    assert picks == want_picks
+    assert [_unpack(field, c, len(target)) for c in columns] == [list(c) for c in zip(*want.data)]
+
+
+# family -> {m: constructor arguments after the field}: the codes whose
+# decoders, read maps and plans are derived from the generator, on byte
+# lanes (m <= 8) and on two-byte lanes (m = 10, 16)
+DERIVED_CODES = {
+    "pm": {4: (9, 5), 5: (11, 6), 8: (13, 6), 10: (7, 3), 16: (7, 4)},
+    "ia": {4: (3,), 5: (5,), 8: (4,), 10: (3,), 16: (3,)},
+    "mds": {5: (5, 2, 3, None), 8: (7, 3, None, 4), 10: (6, 2, None, 3)},
+    "ambr": {5: (5, 2, 2, 3), 8: (8, 3, 4, 5), 10: (7, 2, 3, 4)},
+}
+FAMILIES = {"pm": PMCode, "ia": IACode, "mds": MDSStripeCode, "ambr": AdaptiveMBRCode}
+
+
+@functools.lru_cache(maxsize=None)
+def derived_code(family, m):
+    return FAMILIES[family](Field(m), *DERIVED_CODES[family][m])
+
+
+def draw_code(draw, families):
+    family = draw(st.sampled_from(families))
+    return derived_code(family, draw(st.sampled_from(sorted(DERIVED_CODES[family]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_received_rows_match_the_spread_product(data):
+    """Each node's send rows times its own generator block give the rows
+    of the product of the spread send rows with the whole generator."""
+    code = draw_code(data.draw, sorted(DERIVED_CODES))
+    symbols = st.lists(st.integers(0, code.field.size - 1), min_size=code.shard_length, max_size=code.shard_length)
+    send = st.tuples(st.sampled_from(code.node_ids()), st.lists(symbols, min_size=1, max_size=3))
+    sends = data.draw(st.lists(send, min_size=1, max_size=5))
+    got = [_unpack(code.field, row, code.message_length) for row in code._received(sends)]
+    assert got == ref.received(code, [(node, row) for node, rows in sends for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_single_decoders_match_the_list_derivation(data):
+    """A node's decoder over too few, enough or too many sources is the
+    reference's, column by column, or refused alike; a pool's table entry
+    holds the reference's decoder columns and weights."""
+    code = draw_code(data.draw, ["ia", "pm"])
+    node = data.draw(st.sampled_from(code.node_ids()))
+    others = [s for s in code.node_ids() if s != node]
+    count = data.draw(st.sampled_from([c for c in (code.d - 1, code.d, code.d + 1) if c <= len(others)]))
+    sources = sorted(data.draw(st.permutations(others))[:count])
+    try:
+        want = ref.single_decoder(code, node, sources)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            code._single_decoder(node, sources)
+    else:
+        assert code._single_decoder(node, sources) == [list(c) for c in zip(*want.data)]
+    pool = sorted([node] + data.draw(st.permutations(others))[: code.d])
+    assert code._pool_decoder(node, pool) == ref.pool_decoder(code, node, pool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_read_maps_match_the_list_derivation(data):
+    code = draw_code(data.draw, sorted(DERIVED_CODES))
+    nodes = tuple(sorted(data.draw(st.permutations(code.node_ids()))[: code.k]))
+    assert ref.map_columns(code._read_map(nodes)) == ref.map_columns(ref.read_map(code, nodes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ambr_plans_match_the_list_derivation(data):
+    code = draw_code(data.draw, ["ambr"])
+    order = data.draw(st.permutations(code.node_ids()))
+    failed = tuple(sorted(order[: data.draw(st.integers(1, code.k))]))
+    d = data.draw(st.integers(code.d_min, min(code.d_max, code.n - len(failed))))
+    helpers = tuple(sorted(order[len(failed) : len(failed) + d]))
+    plan, want = code._compile_plan(failed, d, helpers), ref.ambr_derived_plan(code, failed, d, helpers)
+    assert [ref.map_columns(s) for s in plan.send] == [ref.map_columns(s) for s in want.send]
+    assert ref.map_columns(plan.decode) == ref.map_columns(want.decode)
+
+
+def counting_decoders(code):
+    """code with its _single_decoder counted in calls[0]."""
+    calls, derive = [0], code._single_decoder
+
+    def counted(*args):
+        calls[0] += 1
+        return derive(*args)
+
+    code._single_decoder = counted
+    return calls
+
+
+def test_an_equal_pool_reuses_the_decoder_table():
+    """The pool's table is reused when an equal pool comes as a fresh
+    frozenset, a tuple or a list, with no decoder derived again."""
+    code = PMCode(Field(5), 11, 6)
+    calls = counting_decoders(code)
+    columns = code._pool_decoder(3, frozenset(code.node_ids()))
+    for pool in (frozenset(code.node_ids()), tuple(code.node_ids()), list(reversed(code.node_ids()))):
+        assert code._pool_decoder(3, pool) is columns
+        assert code.coupling_coefficient(3, 5, 7, pool) == columns[7][1][4]
+    assert calls == [1]
+
+
+def test_a_different_pool_starts_a_new_table_and_its_ids_are_checked():
+    code = PMCode(Field(8, 0x11D), 13, 6)
+    calls = counting_decoders(code)
+    first, second = frozenset(range(1, 12)), frozenset(range(2, 13))
+    columns = code._pool_decoder(3, first)
+    again = code._pool_decoder(3, second)
+    assert again is not columns and sorted(again) == sorted(second - {3}) and calls == [2]
+    for bad in ([*range(1, 11), 14], [*range(1, 11), "a"], [*range(1, 11), 0]):
+        with pytest.raises(InvalidRepairInputError):
+            code._pool_decoder(3, bad)
+    with pytest.raises(ValueError, match="d\\+1"):
+        code._pool_decoder(3, range(1, 11))
+    assert code._pool_decoder(3, tuple(second)) is again and calls == [2]
+
+
+def test_pm_repairs_still_read_coupling_coefficients(monkeypatch):
+    """PM's repair of two failures weighs its cross-failure transfers
+    through coupling_coefficient, which the benchmark counts."""
+    calls = []
+    weigh = PMCode.coupling_coefficient
+    monkeypatch.setattr(PMCode, "coupling_coefficient", lambda self, *args: calls.append(args) or weigh(self, *args))
+    code = PMCode(Field(8, 0x11D), 11, 6)
+    shards = code.encode(code.random_message(random.Random(3)))
+    contents, _ = code.repair_multi({i: v for i, v in shards.items() if i not in (2, 5)}, (2, 5))
+    assert contents == {2: shards[2], 5: shards[5]} and calls

@@ -97,6 +97,13 @@ def not_a_collection_or_map(code, shards):
     yield lambda: code.repair_multi({**survivors, 2: None}, (1,))
 
 
+def shards_not_a_map(code, shards):
+    """Shards given as a list or tuple of node ids died with AttributeError
+    on its keys."""
+    yield lambda: code.repair_multi([2, 3, 4], (1,))
+    yield lambda: code.repair_multi(tuple(m for m in shards if m != 1), (1,))
+
+
 def picked_helpers(code, survivors, failed):
     """The helpers a repair of failed picks by default, from its transcript."""
     return tuple(code.repair_multi(survivors, failed)[1].per_helper)
@@ -121,6 +128,7 @@ def helper_not_int(code, shards):
         shard_key_unknown,
         helper_not_int,
         not_a_collection_or_map,
+        shards_not_a_map,
     ],
     ids=lambda c: c.__name__,
 )
@@ -274,12 +282,15 @@ def test_every_family_refuses_a_malformed_failed_set(encoded, family):
 # The searches hand failed (and helper) ids straight to these calls. Before
 # the id check, IA took 0 for a parity node (condition_check returned True)
 # and died on 13 with IndexError; PM died on 0 with "shape mismatch" and on
-# 12 with "ragged rows".
+# 12 with "ragged rows". PM's condition_check died on a failed set that is
+# not a collection with TypeError.
 COUPLING_CALLS = {
     "ia_condition_zero": lambda: IACode(F256, 6).condition_check((0, 7)),
     "ia_condition_past_n": lambda: IACode(F256, 6).condition_check((1, 13)),
     "ia_system_past_n": lambda: IACode(F256, 6).coupling_system((1, 13)),
     "ia_system_not_int": lambda: IACode(F256, 6).coupling_system((1, 2.0)),
+    "ia_condition_not_a_collection": lambda: IACode(F256, 6).condition_check(5),
+    "pm_condition_not_a_collection": lambda: PMCode(F256, 11, 6).condition_check(5),
     "pm_matrix_zero": lambda: PMCode(F256, 11, 6).coupling_matrix((0, 7), (1, 2, 3, 4, 5, 6, 8, 9, 10)),
     "pm_matrix_past_n": lambda: PMCode(F256, 11, 6).coupling_matrix((1, 12), range(2, 11)),
     "pm_helper_past_n": lambda: PMCode(F256, 11, 6).coupling_matrix((1, 2), (*range(3, 11), 12)),

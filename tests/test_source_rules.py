@@ -1,8 +1,9 @@
-"""Rules the library source keeps, checked on its syntax tree, and the
-library names the benchmark's tracer looks up."""
+"""Rules the library source keeps, checked on its syntax tree, the
+library names the benchmark's tracer looks up, and the tests the docs cite."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "regenrepair").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 
 
 def test_sources_found():
@@ -101,3 +103,21 @@ def test_every_name_the_benchmark_traces_exists():
     spec.loader.exec_module(tracing)
     missing = [(name, attr) for name, owner, attr in tracing.TRACED if attr not in vars(owner)]
     assert len(tracing.TRACED) > 20 and missing == []
+
+
+def test_every_test_the_docs_cite_exists():
+    """README.md and docs/*.md point at tests as the proofs of their claims,
+    as tests/<file>.py::<name>; each name must still be defined at the top
+    of its file, so a renamed or deleted test leaves no stale pointer."""
+    cited = {
+        (doc.name, file, name)
+        for doc in DOCS
+        for file, name in re.findall(r"tests/(\w+\.py)::(\w+)", doc.read_text())
+    }
+    missing = []
+    for doc, file, name in sorted(cited):
+        path = ROOT / "tests" / file
+        tree = ast.parse(path.read_text(), filename=str(path)) if path.exists() else ast.Module(body=[])
+        if name not in {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}:
+            missing.append((doc, "tests/%s::%s" % (file, name)))
+    assert cited and missing == [], "cited tests that do not exist (doc, test): %s" % missing
