@@ -10,8 +10,9 @@ toward x: the transfer from l weighs projection_y . decoder_x[:, l].
 RepairableCode._pool_decoder is the one table of these decoders: for a
 pool of d+1 nodes (failed + helpers; IA's pool is every node) it holds
 each node's decoder column for every source with its product with every
-projection, solved from the generator by _single_decoder. PM's coupling
-coefficients and IA's coupling rows and plans read it. Moving the terms
+projection, solved from the generator by _single_decoder, packed too
+(_pool_rows). PM's repairs and IA's coupling rows and plans read it.
+Moving the terms
 from failed sources to one side yields a square linear system A s = b in
 the e(e-1) unknown cross-failure transfers. When A is invertible the
 unknowns are recovered and the ordinary decoders finish the job; a
@@ -30,9 +31,9 @@ plan on packed rows (gf._pack) from its coupling rows to the decode map:
 one Gauss-Jordan solves the coupling system for every received symbol at
 once, and the solved rows, scaled by each failed node's decoder columns,
 are its decode. It builds a CouplingSystem only for a singular pattern,
-to name the dependent transfers. PM repairs symbolically, assembling and
-solving its CouplingSystem on every call, and its transcript counts the
-transfers it computed.
+to name the dependent transfers. PM solves its coupling system on every
+call, on packed rows too: [A | b] by one Gauss-Jordan, then one product
+per lost shard; its transcript counts the transfers it computed.
 
 Every family takes the same request: e failed nodes, none holding a shard,
 and a helper set whose size the family fixes (PM d-e+1, IA n-e, MDS and
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .gf import LinearMap, Matrix, SingularMatrixError, _mul_packed, _pack, _reduce, _reduce_packed
-from .gf import _lane_bits, _transpose_packed, _unpack, dot, mat_det
+from .gf import _lane_bits, _transpose_packed, _unpack_rows, dot, mat_det
 
 # Compiled maps and plans kept per code; the least recently used goes
 # first. An IA(6) plan holds ~1.8 KB, and on draws over all 2,509 of its
@@ -284,7 +285,7 @@ class RepairableCode:
             picks = ()
         if len(picks) < len(sources):
             raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
-        return [_unpack(self.field, column, size) for column in columns]
+        return _unpack_rows(self.field, columns, size)
 
     def _received(self, sends):
         """What each row of sends carries, as a packed row of generator
@@ -343,7 +344,7 @@ class RepairableCode:
                     raise ValueError("pool must hold d+1 = %d nodes" % (self.d + 1))
                 # row a holds entry a of every node's projection, for the weights
                 projections = zip(*(self._projection(y) for y in self.node_ids()))
-                table = (pool, {}, [_pack(self.field, row) for row in projections])
+                table = (pool, {}, [_pack(self.field, row) for row in projections], {})
             self._decoder_table = table
         columns = table[1].get(i)
         if columns is None:
@@ -352,8 +353,15 @@ class RepairableCode:
             f, sources = self.field, sorted(table[0] - {i})
             decoder = self._single_decoder(i, sources)
             weights = _mul_packed(f, decoder, table[2], self.n)
-            columns = table[1][i] = {l: (c, _unpack(f, w, self.n)) for l, c, w in zip(sources, decoder, weights)}
+            columns = table[1][i] = dict(zip(sources, zip(decoder, _unpack_rows(f, weights, self.n))))
+            table[3][i] = (sources, [_pack(f, c) for c in decoder], weights)
         return columns
+
+    def _pool_rows(self, i, pool):
+        """Node i's _pool_decoder entry packed (gf._pack): (sources, columns,
+        weights), columns[t] and weights[t] those of sources[t]."""
+        self._pool_decoder(i, pool)
+        return self._decoder_table[3][i]
 
     def coupling_coefficient(self, i, j, l, pool):
         """Weight of transfer s_{l,i} inside the expansion of s_{i,j}.

@@ -10,8 +10,9 @@ the tests check them against.
 Every elimination goes through one row-reduction kernel, `_reduce`,
 which returns the pivot columns and the determinant. mat_solve and
 mat_inv run it Gauss-Jordan on an augmented matrix, and the framework's
-derivations of read maps, decoders and AMBR repair plans run its packed
-form, `_reduce_packed`; mat_det and mat_rank run it below the pivots
+derivations of read maps, decoders and AMBR repair plans, the IA plan
+compile and PM's coupling solve run its packed form, `_reduce_packed`;
+mat_det, mat_rank and PM's condition_check run it below the pivots
 only. A map from a polynomial's values at some points to its values at
 others, V_targets V_nodes^-1, needs no elimination: lagrange_rows writes
 it down as a table of Lagrange basis values, and the MDS generator and
@@ -25,15 +26,14 @@ scaling a row is one bytes.translate through the multiply table:
 bytes, and LinearMap.from_packed cuts a map's columns from rows, as
 LinearMap.from_columns takes them ready-made. Past m = 8 a lane is two
 bytes, and the same calls unpack the rows for the list loops on the
-log/antilog tables; callers such as the IA plan compile and AMBR's
-construction check never look at the lanes, and the framework reads a
-row's right part by shifting out `_lane_bits` per lane. An elimination
-through `_reduce` that carries more than one column past the reduced
-ones (an inverse) packs its rows over m <= 8. Square det and rank, and
-solves with one right-hand side, keep the list loop, which is faster on
-small sparse coupling systems. `_reduce_direct`, the same loop through
-Field.mul, is the reference the tests hold both kernels to. mat_mul runs
-on packed rows over m <= 8 too.
+log/antilog tables, all of a call's rows by one struct call
+(`_unpack_rows`); callers such as the IA plan compile never look at the
+lanes, and the framework and PM read a row's right part by shifting out
+`_lane_bits` per lane. `_reduce` packs its rows over m <= 8 when it
+carries more than one column past the reduced ones (an inverse); square
+det and rank, and mat_solve's one right-hand side, keep the list loop.
+The tests hold both kernels to the same loop through Field.mul
+(tests/reference_paths.py). mat_mul runs on packed rows over m <= 8 too.
 
 A LinearMap is a matrix compiled for many products. Over m <= 8 it keeps
 the matrix as one bytes object per column, runs each column through
@@ -309,7 +309,7 @@ class LinearMap:
         (see _pack), width entries each. Over m <= 8 its columns are
         strided slices of the rows' bytes, with no Matrix in between."""
         if field.m > 8:
-            return cls(Matrix(field, [[row[j] for j in order] for row in (_unpack(field, r, width) for r in rows)]))
+            return cls(Matrix(field, [[row[j] for j in order] for row in _unpack_rows(field, rows, width)]))
         data = b"".join([row.to_bytes(width, "little") for row in rows])
         return cls._of_columns(field, len(rows), [data[j::width] for j in order])  # column j, one byte per row
 
@@ -318,7 +318,7 @@ class LinearMap:
         """The map whose column j is the packed row columns[j] (see _pack),
         rows entries each. Over m <= 8 a column's bytes are the column."""
         if field.m > 8:
-            return cls(Matrix(field, [list(row) for row in zip(*(_unpack(field, c, rows) for c in columns))]))
+            return cls(Matrix(field, [list(row) for row in zip(*_unpack_rows(field, columns, rows))]))
         return cls._of_columns(field, rows, [c.to_bytes(rows, "little") for c in columns])
 
     @classmethod
@@ -403,6 +403,15 @@ def _unpack(field: Field, row: int, width: int) -> list[int]:
     return list(struct.unpack("<%dH" % width, row.to_bytes(2 * width, "little")))
 
 
+def _unpack_rows(field: Field, rows: list[int], width: int) -> list[list[int]]:
+    """_unpack of every row: past m = 8 one struct call reads them all."""
+    if field.m <= 8:
+        return [_unpack(field, row, width) for row in rows]
+    data = b"".join([row.to_bytes(2 * width, "little") for row in rows])
+    flat = struct.unpack("<%dH" % (width * len(rows)), data)
+    return [list(flat[r * width : (r + 1) * width]) for r in range(len(rows))]
+
+
 def _transpose_packed(field: Field, rows: list[int], width: int) -> list[int]:
     """The width columns of packed rows, each packed as a row of len(rows)
     entries: entry r of column j is entry j of rows[r]. A column is a
@@ -427,7 +436,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if f.m > 8:
         return Matrix(f, _mul_lists(f, a.data, b.data, b.cols))
     out = _mul_packed(f, a.data, [_pack(f, row) for row in b.data], b.cols)
-    return Matrix(f, [_unpack(f, row, b.cols) for row in out])
+    return Matrix(f, _unpack_rows(f, out, b.cols))
 
 
 def _mul_packed(field: Field, coefs: list[list[int]], rows: list[int], width: int) -> list[int]:
@@ -436,8 +445,7 @@ def _mul_packed(field: Field, coefs: list[list[int]], rows: list[int], width: in
     multiply table of its coefficient in coefs[i]. Past m = 8 the rows are
     unpacked for the list loop."""
     if field.m > 8:
-        out = _mul_lists(field, coefs, [_unpack(field, row, width) for row in rows], width)
-        return [_pack(field, row) for row in out]
+        return [_pack(field, row) for row in _mul_lists(field, coefs, _unpack_rows(field, rows, width), width)]
     tables, from_bytes = field.mul_tables(), int.from_bytes
     data = [row.to_bytes(width, "little") for row in rows]
     out = []
@@ -501,7 +509,8 @@ def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
     pivot column is never read again, so it is not written. Columns past
     ncols (a right-hand side, an identity) are carried along; with two or
     more of them and m <= 8 the rows are packed and reduced by
-    _reduce_packed, which gives the same rows.
+    _reduce_packed, which gives the same rows; PM's coupling solve, one
+    right-hand side packed with its rows, calls _reduce_packed itself.
 
     Returns (pivot_cols, det): det is the product of the pivots when every
     one of the ncols columns has one, else 0; row swaps leave it alone in
@@ -511,7 +520,7 @@ def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
     if width > ncols + 1 and field.m <= 8:
         packed = [_pack(field, row) for row in rows]
         result = _reduce_packed(field, packed, width, ncols, full)
-        rows[:] = [_unpack(field, row, width) for row in packed]
+        rows[:] = _unpack_rows(field, packed, width)
         return result
     return _reduce_lists(field, rows, ncols, full)
 
@@ -563,7 +572,7 @@ def _reduce_packed(field, rows, width, ncols, full):
     rows are unpacked for the list loop.
     """
     if field.m > 8:
-        lists = [_unpack(field, row, width) for row in rows]
+        lists = _unpack_rows(field, rows, width)
         result = _reduce_lists(field, lists, ncols, full)
         rows[:] = [_pack(field, row) for row in lists]
         return result
@@ -594,41 +603,6 @@ def _reduce_packed(field, rows, width, ncols, full):
             if fct and r != rank:
                 rows[r] = x ^ from_bytes(pivot.translate(tables[fct]), "little")
     return pivots, exp[det_log % order] if len(pivots) == ncols else 0
-
-
-def _reduce_direct(field: Field, rows: list[list[int]], ncols: int, full: bool):
-    """_reduce with every product and inverse through Field.mul and
-    Field.inv, one at a time: the reference the tests hold _reduce to."""
-    mul, inv = field.mul, field.inv
-    nrows = len(rows)
-    width = len(rows[0]) if rows else 0
-    pivots = []
-    det = 1
-    for col in range(ncols):
-        rank = len(pivots)
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                break
-        else:
-            continue
-        rows[rank], rows[r] = rows[r], rows[rank]
-        row = rows[rank]
-        pv = row[col]
-        det = mul(det, pv)
-        pinv = inv(pv)
-        tail = []  # (column, scaled entry) of the pivot row
-        for j in range(col + 1, width):
-            if row[j]:
-                row[j] = mul(row[j], pinv)
-                tail.append((j, row[j]))
-        pivots.append(col)
-        for r in range(0 if full else rank + 1, nrows):
-            fct = rows[r][col]
-            if fct and r != rank:
-                rr = rows[r]
-                for j, x in tail:
-                    rr[j] ^= mul(fct, x)
-    return pivots, det if len(pivots) == ncols else 0
 
 
 def _gauss_jordan(field: Field, aug: list[list[int]], n: int) -> None:

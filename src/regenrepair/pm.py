@@ -13,23 +13,13 @@ the framework's table (RepairableCode._pool_decoder): its column c_{i,l}
 weighs the transfer from l, so node i's content is sum_l t_{l->i} c_{i,l}.
 The coupling coefficient of (i, j, l) is c_{i,l} . phi_j, and the
 right-hand side of row (i, j) is the helpers' part of node i's decode
-projected on phi_j.
-condition_check decides from the coupling matrix, which needs no shard,
-whether a pattern repairs from its default helpers.
+projected on phi_j. _coupling_rows writes these rows packed (gf._pack)
+for repairs, condition_check, coupling_matrix and assemble_multi alike.
 """
 
-from .framework import CouplingSystem, RepairableCode, RepairTranscript, _is_word, check_input, check_message
-from .framework import failure_count
-from .gf import Matrix, dot, vandermonde
-
-
-def _axpy(field, acc, coef, row):
-    """acc += coef * row, in place."""
-    if coef:
-        mul = field.mul
-        for c, x in enumerate(row):
-            if x:
-                acc[c] ^= mul(coef, x)
+from .framework import CouplingSystem, RepairableCode, RepairTranscript, SingularCouplingError, _is_word
+from .framework import check_input, check_message, failure_count, unknown_pairs
+from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _unpack, _unpack_rows, vandermonde
 
 
 class PMCode(RepairableCode):
@@ -110,6 +100,41 @@ class PMCode(RepairableCode):
     repair_transfer = RepairableCode.repair_transfer
     coupling_coefficient = RepairableCode.coupling_coefficient
 
+    def _coupling_rows(self, failed, pairs, pool, toward=None):
+        """[A | b] of the sorted failed nodes as packed rows, one per pair
+        of pairs, their unknown_pairs: row (i, j) holds 1 on the diagonal
+        and coupling_coefficient(i, j, l, pool) in the slot of (l, i) for
+        each other failed l. b(i, j) = sum_h r_{h->i} weights_{i,h}[j-1],
+        with r_{h->i} = toward[i][h], is lane j-1 of one packed product per
+        failed node with its sources' weight rows (_pool_rows); with no
+        transfers b is zero."""
+        f, lane = self.field, _lane_bits(self.field)
+        slot = {pair: lane * t for t, pair in enumerate(pairs)}  # where each unknown's lane starts
+        right = lane * len(pairs)
+        rhs = dict.fromkeys(failed, [0] * self.n)
+        if toward:
+            for i in failed:
+                sources, _, weights = self._pool_rows(i, pool)
+                part = _mul_packed(f, [[toward[i].get(l, 0) for l in sources]], weights, self.n)
+                rhs[i] = _unpack(f, part[0], self.n)
+        rows = []
+        for i, j in pairs:
+            row = 1 << slot[(i, j)] | rhs[i][j - 1] << right
+            for l in failed:
+                if l != i:
+                    row |= self.coupling_coefficient(i, j, l, pool) << slot[(l, i)]
+            rows.append(row)
+        return rows
+
+    def _system(self, failed, helpers, toward=None):
+        """_coupling_rows unpacked into a CouplingSystem."""
+        system = CouplingSystem(self.field, failed)
+        pool = frozenset(system.failed + tuple(helpers))
+        rows = self._coupling_rows(system.failed, system.pairs, pool, toward)
+        rows = _unpack_rows(self.field, rows, system.size + 1)
+        system.A, system.b = Matrix(self.field, [row[:-1] for row in rows]), [row[-1] for row in rows]
+        return system
+
     def coupling_matrix(self, failed, helpers):
         """The coupling system of a pattern with b left at zero.
 
@@ -119,47 +144,21 @@ class PMCode(RepairableCode):
         InvalidRepairInputError.
         """
         check_input(self, (), 0, (), [*failed, *helpers])
-        system = CouplingSystem(self.field, failed)
-        pool = frozenset(system.failed) | frozenset(helpers)
-        slot = system.slot
-        for row, (i, j) in zip(system.A.data, system.pairs):
-            for l in system.failed:
-                if l != i:
-                    row[slot[(l, i)]] ^= self.coupling_coefficient(i, j, l, pool)
-        return system
+        return self._system(failed, helpers)
 
     def condition_check(self, failed):
         """Whether the coupling system of a failure pattern is solvable from
         its default helpers, the first d-e+1 nodes that did not fail: its
-        coupling matrix over them has a nonzero determinant. Once n > d+1
-        another helper set can answer otherwise. A repeated id counts
-        once; ids that are not nodes, or failed that is not a collection,
-        raise InvalidRepairInputError."""
+        coupling matrix over them has full rank, a nonzero determinant.
+        Once n > d+1 another helper set can answer otherwise. A repeated id
+        counts once; ids that are not nodes, or failed that is not a
+        collection, raise InvalidRepairInputError."""
         e = failure_count(failed)
-        live = [i for i in self.node_ids() if i not in failed]
-        return self.coupling_matrix(failed, live[: self.d - e + 1]).determinant() != 0
-
-    def _assemble(self, shards, failed, helpers):
-        """Coupling system, helper transfers, and each failed node's partial
-        decode p_i = sum_h r_{h->i} c_{i,h} from the helpers alone."""
-        f = self.field
-        failed = tuple(sorted(failed))
-        pool = frozenset(failed + tuple(helpers))
-        decoders = {i: self._pool_decoder(i, pool) for i in failed}
-        received = {}
-        for h in helpers:
-            for j in failed:
-                received[(h, j)] = self.repair_transfer(shards[h], j)
-        parts = {}
-        for i in failed:
-            acc = [0] * self.alpha
-            for h in helpers:
-                _axpy(f, acc, received[(h, i)], decoders[i][h][0])
-            parts[i] = acc
-        system = self.coupling_matrix(failed, helpers)
-        for (i, j), t in system.slot.items():
-            system.b[t] = dot(f, parts[i], self.Phi.data[j - 1])
-        return system, received, parts
+        check_input(self, (), 0, (), failed)
+        failed = tuple(sorted(set(failed)))
+        helpers = [i for i in self.node_ids() if i not in failed][: self.d - e + 1]
+        rows = self._coupling_rows(failed, unknown_pairs(failed), frozenset([*failed, *helpers]))
+        return len(_reduce_packed(self.field, rows, len(rows) + 1, len(rows), False)[0]) == len(rows)
 
     def assemble_multi(self, shards, failed, helpers):
         """Build the coupling system plus the transfers received from helpers.
@@ -169,29 +168,35 @@ class PMCode(RepairableCode):
         shards are not read.
         """
         check_input(self, shards, self.alpha, helpers, [*failed, *helpers, *shards])
-        system, received, _ = self._assemble(shards, failed, helpers)
-        return system, received
+        toward = {j: {h: self.repair_transfer(shards[h], j) for h in helpers} for j in sorted(set(failed))}
+        return self._system(failed, helpers, toward), {(h, j): toward[j][h] for h in helpers for j in toward}
 
     def repair_multi(self, shards, failed, helpers=None):
-        """Solve the coupling system of the pattern, then finish each failed
-        node's decode with the transfers of the other failed nodes. The
-        transcript counts the transfers computed for each helper."""
+        """Solve the coupling system of the pattern, [A | b] on packed rows
+        by one Gauss-Jordan, then finish each failed node's decode as one
+        packed product of its d transfers, received and solved, with its
+        decoder columns. The transcript counts the transfers computed for
+        each helper."""
         e = failure_count(failed)
         if e > min(self.n - self.k, self.k - 1):
             raise ValueError("can repair 1..min(n-k, k-1) nodes at once")
         failed, helpers = self._repair_nodes(shards, failed, helpers, self.d - e + 1)
-        system, received, contents = self._assemble(shards, failed, helpers)
-        solved = system.solve() if e > 1 else {}
-        pool = frozenset(failed + helpers)
+        f, pool, pairs = self.field, frozenset(failed + helpers), unknown_pairs(failed)
+        toward = {j: {h: self.repair_transfer(shards[h], j) for h in helpers} for j in failed}
+        if e > 1:
+            rows = self._coupling_rows(failed, pairs, pool, toward)
+            pivots, _ = _reduce_packed(f, rows, len(rows) + 1, len(rows), True)
+            if len(pivots) < len(rows):
+                raise SingularCouplingError(failed, [pair for t, pair in enumerate(pairs) if t not in pivots])
+            shift = _lane_bits(f) * len(rows)
+            for (l, i), row in zip(pairs, rows):
+                toward[i][l] = row >> shift
+        contents = {}
         for i in failed:
-            columns = self._pool_decoder(i, pool)
-            for l in failed:
-                if l != i:
-                    _axpy(self.field, contents[i], solved[(l, i)], columns[l][0])
-        per_helper = dict.fromkeys(helpers, 0)
-        for h, _ in received:
-            per_helper[h] += 1
-        return contents, RepairTranscript(per_helper)
+            sources, columns, _ = self._pool_rows(i, pool)
+            part = _mul_packed(f, [[toward[i][l] for l in sources]], columns, self.alpha)
+            contents[i] = _unpack(f, part[0], self.alpha)
+        return contents, RepairTranscript(dict.fromkeys(helpers, e))
 
     def descriptor(self):
         return {

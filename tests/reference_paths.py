@@ -44,6 +44,15 @@ PM coupling matrices built entry by entry (PM's weights by one dot per
 (i, j, l)), both searches vetting every pattern of every trial by its
 determinant, and gamma_min rescanning every linear piece.
 
+So does PM's repair as it ran on lists before it solved [A | b] on packed
+rows: the helpers' part of each failed node's decode by one axpy per
+helper, the coupling system built entry by entry and solved by
+CouplingSystem.solve, and each decode finished by one axpy per solved
+transfer.
+
+So does the row reduction with every product through Field.mul, which
+gf kept as the reference for its table kernels.
+
 So does SplitRandom's draw as it ran before each stream hashed its
 "seed|path|" prefix once: the whole key formatted and hashed per draw.
 
@@ -80,6 +89,45 @@ from regenrepair.gf import (
 from regenrepair.ia import IACode, UnsupportedPatternError
 from regenrepair.pm import PMCode
 from regenrepair.tradeoff import SystemParams, _f, _g, gamma_mbmr
+
+
+# --- gf: the row reduction one Field.mul at a time ---
+
+
+def reduce_direct(field, rows, ncols, full):
+    """gf._reduce with every product and inverse through Field.mul and
+    Field.inv, one at a time: the reference the tests hold the list and
+    packed kernels to."""
+    mul, inv = field.mul, field.inv
+    nrows = len(rows)
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    det = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        for r in range(rank, nrows):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        row = rows[rank]
+        pv = row[col]
+        det = mul(det, pv)
+        pinv = inv(pv)
+        tail = []  # (column, scaled entry) of the pivot row
+        for j in range(col + 1, width):
+            if row[j]:
+                row[j] = mul(row[j], pinv)
+                tail.append((j, row[j]))
+        pivots.append(col)
+        for r in range(0 if full else rank + 1, nrows):
+            fct = rows[r][col]
+            if fct and r != rank:
+                rr = rows[r]
+                for j, x in tail:
+                    rr[j] ^= mul(fct, x)
+    return pivots, det if len(pivots) == ncols else 0
 
 
 def vec_mat(v, a):
@@ -763,6 +811,52 @@ def pm_coupling_matrix(code, failed, helpers):
             if l != i:
                 system.A.data[t][system.slot[(l, i)]] ^= dot(code.field, rows[(i, l)], code.Phi.data[j - 1])
     return system
+
+
+def _axpy(field, acc, coef, row):
+    """acc += coef * row, in place."""
+    if coef:
+        mul = field.mul
+        for c, x in enumerate(row):
+            if x:
+                acc[c] ^= mul(coef, x)
+
+
+def pm_symbolic_repair(code, shards, failed, helpers=None):
+    """PM's repair on lists: each helper's transfer toward each failed node,
+    each failed node's partial decode p_i = sum_h r_{h->i} c_{i,h}, the
+    coupling system with A entry by entry through coupling_coefficient and
+    b[(i, j)] = p_i . phi_j, CouplingSystem.solve (SingularCouplingError
+    with its dependent pairs), then each p_i finished with the solved
+    transfers toward i. The helpers default to the first d-e+1 live nodes."""
+    f = code.field
+    failed = tuple(sorted(set(failed)))
+    if helpers is None:
+        helpers = code.default_helpers(shards, failed, code.d - len(failed) + 1)
+    helpers = tuple(sorted(helpers))
+    pool = frozenset(failed + helpers)
+    decoders = {i: code._pool_decoder(i, pool) for i in failed}
+    received = {(h, j): code.repair_transfer(shards[h], j) for h in helpers for j in failed}
+    contents = {}
+    for i in failed:
+        contents[i] = [0] * code.alpha
+        for h in helpers:
+            _axpy(f, contents[i], received[(h, i)], decoders[i][h][0])
+    system = CouplingSystem(f, failed)
+    for row, (i, j) in zip(system.A.data, system.pairs):
+        for l in failed:
+            if l != i:
+                row[system.slot[(l, i)]] ^= code.coupling_coefficient(i, j, l, pool)
+        system.b[system.slot[(i, j)]] = dot(f, contents[i], code.Phi.data[j - 1])
+    solved = system.solve()
+    for i in failed:
+        for l in failed:
+            if l != i:
+                _axpy(f, contents[i], solved[(l, i)], decoders[i][l][0])
+    per_helper = dict.fromkeys(helpers, 0)
+    for h, _ in received:
+        per_helper[h] += 1
+    return contents, RepairTranscript(per_helper)
 
 
 def pm_field_search(field, n, k, e_max, trials=200, seed=0):

@@ -311,11 +311,17 @@ def test_a_different_pool_starts_a_new_table_and_its_ids_are_checked():
 
 def test_pm_repairs_still_read_coupling_coefficients(monkeypatch):
     """PM's repair of two failures weighs its cross-failure transfers
-    through coupling_coefficient, which the benchmark counts."""
-    calls = []
-    weigh = PMCode.coupling_coefficient
+    through coupling_coefficient, and its helpers' transfers multiply
+    through Field.mul, cold and when the same pattern is repaired again
+    with every decoder warm: the benchmark's traced pass replays cycles it
+    has already run and counts both."""
+    calls, products = [], []
+    weigh, mul = PMCode.coupling_coefficient, Field.mul
     monkeypatch.setattr(PMCode, "coupling_coefficient", lambda self, *args: calls.append(args) or weigh(self, *args))
+    monkeypatch.setattr(Field, "mul", lambda self, a, b: products.append(a) or mul(self, a, b))
     code = PMCode(Field(8, 0x11D), 11, 6)
     shards = code.encode(code.random_message(random.Random(3)))
-    contents, _ = code.repair_multi({i: v for i, v in shards.items() if i not in (2, 5)}, (2, 5))
-    assert contents == {2: shards[2], 5: shards[5]} and calls
+    for _ in range(2):
+        del calls[:], products[:]
+        contents, _ = code.repair_multi({i: v for i, v in shards.items() if i not in (2, 5)}, (2, 5))
+        assert contents == {2: shards[2], 5: shards[5]} and calls and products

@@ -1,5 +1,6 @@
 """Product-matrix code: round trips, coupling coefficients, sweeps."""
 
+import functools
 import itertools
 import random
 
@@ -158,6 +159,78 @@ def test_multi_repair_on_drawn_pools_matches_reference_system(case, rng, data):
         return
     assert mat_det(system.A) != 0
     assert all(contents[m] == shards[m] for m in failed)
+
+
+# (m, n, k) of the packed repair's checks: n = d+1 and n > d+1, over
+# fields with byte lanes (m = 4, 5, 8) and two-byte lanes (m = 10, 16)
+SYMBOLIC_CODES = [
+    (4, 9, 5), (4, 8, 3), (5, 11, 6), (5, 12, 5), (8, 11, 6), (8, 13, 6), (10, 9, 5), (10, 13, 6), (16, 7, 4), (16, 9, 4)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def field_of(m):
+    return Field(m)
+
+
+def assert_repairs_as_symbolic(code, shards, failed, helpers=None):
+    """The packed repair gives the symbolic reference's contents (the lost
+    shards) and per-helper counts, in the same order, or raises
+    SingularCouplingError with the same failed nodes and dependent
+    transfers; returns the dependent transfers, or None."""
+    live = {i: s for i, s in shards.items() if i not in failed}
+    try:
+        want, counts = ref.pm_symbolic_repair(code, live, failed, helpers)
+    except SingularCouplingError as err:
+        with pytest.raises(SingularCouplingError) as got:
+            code.repair_multi(live, failed, helpers)
+        assert (got.value.failed, got.value.dependent) == (err.failed, err.dependent) and err.dependent
+        return err.dependent
+    contents, transcript = code.repair_multi(live, failed, helpers)
+    assert list(contents.items()) == list(want.items()) == [(i, shards[i]) for i in sorted(set(failed))]
+    assert list(transcript.per_helper.items()) == list(counts.per_helper.items())
+    assert set(transcript.per_helper.values()) == {len(set(failed))}
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_repair_matches_the_symbolic_repair(data):
+    """On drawn evaluation points, every e up to min(n-k, k-1), default
+    helpers and drawn helper sets (a choice once n > d+1), the packed solve
+    and finish repair as the list path did, singular patterns included."""
+    m, n, k = data.draw(st.sampled_from(SYMBOLIC_CODES))
+    field = field_of(m)
+    lambdas = data.draw(st.lists(st.integers(0, field.size - 1), min_size=n, max_size=n, unique=True))
+    assume(len({field.pow(x, k - 1) for x in lambdas}) == n)
+    code = PMCode(field, n, k, lambdas)
+    e = data.draw(st.integers(1, min(n - k, k - 1)))
+    order = data.draw(st.permutations(code.node_ids()))
+    failed = order[:e]
+    helpers = data.draw(st.sampled_from([None, tuple(order[e : code.d + 1])]))
+    shards = code.encode(code.random_message(random.Random(data.draw(st.integers(0, 2**32)))))
+    assert_repairs_as_symbolic(code, shards, failed, helpers)
+
+
+def test_packed_repair_matches_the_symbolic_repair_on_singular_patterns():
+    """Every pattern of e = 1..5 of the code with singular patterns at
+    e = 2, 3 and 4, from its default helpers."""
+    code = PMCode(F256, 11, 6, SINGULAR_LAMBDAS)
+    shards = code.encode(code.random_message(random.Random(5)))
+    dependent = {}
+    for e in range(1, 6):
+        for failed in itertools.combinations(code.node_ids(), e):
+            pairs = assert_repairs_as_symbolic(code, shards, failed)
+            if pairs:
+                dependent[failed] = pairs
+    assert dependent == {
+        (7, 11): ((11, 7),),
+        (1, 3, 5): ((5, 3),),
+        (1, 8, 10, 11): ((11, 10),),
+        (3, 5, 8, 11): ((11, 8),),
+        (3, 7, 8, 9): ((9, 8),),
+        (4, 6, 7, 11): ((11, 7),),
+    }
 
 
 def test_singular_sets_match_reference_determinants_on_f32():
@@ -496,6 +569,7 @@ def test_field_search_vets_the_default_helpers_only():
     with pytest.raises(SingularCouplingError) as err:
         code.repair_multi(live, (1, 2), helpers=other)
     assert err.value.dependent == ((2, 1),)
+    assert assert_repairs_as_symbolic(code, shards, (1, 2), other) == ((2, 1),)
     for doc in (search_assignment.__doc__, PMCode.condition_check.__doc__, run_sweep.__doc__):
         assert "default helpers" in " ".join(doc.split())
 
