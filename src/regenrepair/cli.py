@@ -32,6 +32,8 @@ from .workbench import (
     build_code,
     emit_comparison,
     emit_curve,
+    fraction_parts,
+    open_out,
     run_sweep,
     search_assignment,
 )
@@ -73,14 +75,9 @@ def parse_ints(text):
     return tuple(int(p) for p in text.split(",") if p.strip() != "")
 
 
-def frac_json(q):
-    q = Fraction(q)
-    return [q.numerator, q.denominator]
-
-
 def params_json(params):
     return {
-        "M": frac_json(params.M),
+        "M": fraction_parts(params.M),
         "n": params.n,
         "k": params.k,
         "d": params.d,
@@ -88,18 +85,9 @@ def params_json(params):
     }
 
 
-def write_text(path, text):
-    if not text.endswith("\n"):
-        text += "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def dump_json(path, payload):
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True))
+    with open_out(path) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_json(path):
@@ -130,7 +118,7 @@ def cmd_curve(args):
         emit_curve(params, args.out)
         return EXIT_OK
     points = [
-        {"gamma": frac_json(p.gamma), "alpha": frac_json(p.alpha), "segment": p.segment}
+        {"gamma": fraction_parts(p.gamma), "alpha": fraction_parts(p.alpha), "segment": p.segment}
         for p in tradeoff_curve(params)
     ]
     dump_json(args.out, {"params": params_json(params), "points": points})
@@ -149,9 +137,9 @@ def cmd_point(args):
     scenario = optimal_scenario(params, alpha, beta)
     payload = {
         "params": params_json(params),
-        "alpha": frac_json(alpha),
-        "beta": frac_json(beta),
-        "gamma": frac_json(gamma),
+        "alpha": fraction_parts(alpha),
+        "beta": fraction_parts(beta),
+        "gamma": fraction_parts(gamma),
         "scenario": list(scenario.u),
     }
     dump_json(args.out, payload)
@@ -163,9 +151,9 @@ def cmd_mbcr(args):
     point, on_curve = mbcr_check(params)
     payload = {
         "params": params_json(params),
-        "alpha": frac_json(point.alpha),
-        "beta": frac_json(point.beta),
-        "gamma": frac_json(point.gamma),
+        "alpha": fraction_parts(point.alpha),
+        "beta": fraction_parts(point.beta),
+        "gamma": fraction_parts(point.gamma),
         "on_curve": on_curve,
     }
     dump_json(args.out, payload)
@@ -183,17 +171,17 @@ def cmd_compare(args):
         fewer = row.gamma_centralized_fewer
         rows.append(
             {
-                "alpha": frac_json(row.alpha),
-                "batched": frac_json(row.gamma_centralized),
-                "separate": frac_json(row.gamma_separate),
-                "batched_fewer": frac_json(fewer) if fewer is not None else None,
+                "alpha": fraction_parts(row.alpha),
+                "batched": fraction_parts(row.gamma_centralized),
+                "separate": fraction_parts(row.gamma_separate),
+                "batched_fewer": fraction_parts(fewer) if fewer is not None else None,
             }
         )
     ratio = report.msmr_ratio
     payload = {
         "params": params_json(params),
         "rows": rows,
-        "msmr_ratio": frac_json(ratio) if ratio is not None else None,
+        "msmr_ratio": fraction_parts(ratio) if ratio is not None else None,
     }
     dump_json(args.out, payload)
     return EXIT_OK
@@ -290,7 +278,8 @@ def cmd_repair(args):
 def cmd_sweep(args):
     code = build_code(load_json(args.descriptor))
     report = run_sweep(code, args.e, seed=args.seed, sample=args.sample, **degree_option(code, args.d))
-    write_text(args.out, report.to_json())
+    with open_out(args.out) as out:
+        out.write(report.to_json() + "\n")
     return EXIT_OK if report.all_ok() else EXIT_VERIFY
 
 

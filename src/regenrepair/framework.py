@@ -11,13 +11,17 @@ RepairableCode._pool_decoder is the one table of these decoders: for a
 pool of d+1 nodes (failed + helpers; IA's pool is every node) it holds
 each node's decoder column for every source with its product with every
 projection, solved from the generator by _single_decoder, packed too
-(_pool_rows). PM's repairs and IA's coupling rows and plans read it.
-Moving the terms
-from failed sources to one side yields a square linear system A s = b in
-the e(e-1) unknown cross-failure transfers. When A is invertible the
-unknowns are recovered and the ordinary decoders finish the job; a
-singular A means the pattern is not repairable with the chosen code
-coefficients, which is a reportable outcome rather than a bug.
+(_pool_rows). Moving the terms from failed sources to one side yields a
+square linear system A s = b in the e(e-1) unknown cross-failure
+transfers. When A is invertible the unknowns are recovered and the
+ordinary decoders finish the job; a singular A means the pattern is not
+repairable with the chosen code coefficients, which is a reportable
+outcome rather than a bug.
+
+The system is built once, here, for PM and IA alike: _coupling_rows
+writes [A | b] as packed rows (gf._pack) in the caller's order of the
+unknowns, _coupling_system fills a CouplingSystem from them, and
+dependent_pairs names the dependent transfers of a singular pattern.
 
 Once the code and the failure pattern are fixed, the whole repair, the
 coupling solve included, is one linear map from the helpers' shards to the
@@ -27,13 +31,12 @@ shards). RepairableCode.repair_multi has the family check its own rules
 and name the pattern's plan, fetches the plan from the code's cache or has
 the family compile it, and applies it; the transcript counts the rows of
 each send map. IA, MDS and adaptive MBR repair this way. IA compiles a
-plan on packed rows (gf._pack) from its coupling rows to the decode map:
-one Gauss-Jordan solves the coupling system for every received symbol at
+plan on packed rows from the coupling rows to the decode map: one
+Gauss-Jordan solves the coupling system for every received symbol at
 once, and the solved rows, scaled by each failed node's decoder columns,
-are its decode. It builds a CouplingSystem only for a singular pattern,
-to name the dependent transfers. PM solves its coupling system on every
-call, on packed rows too: [A | b] by one Gauss-Jordan, then one product
-per lost shard; its transcript counts the transfers it computed.
+are its decode. PM solves its coupling rows on every call: [A | b] by one
+Gauss-Jordan, then one product per lost shard; its transcript counts the
+transfers it computed.
 
 Every family takes the same request: e failed nodes, none holding a shard,
 and a helper set whose size the family fixes (PM d-e+1, IA n-e, MDS and
@@ -62,12 +65,14 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .gf import LinearMap, Matrix, SingularMatrixError, _mul_packed, _pack, _reduce, _reduce_packed
-from .gf import _lane_bits, _transpose_packed, _unpack_rows, dot, mat_det
+from .gf import _lane_bits, _transpose_packed, _unpack, _unpack_rows, dot, mat_det
 
 # Compiled maps and plans kept per code; the least recently used goes
 # first. An IA(6) plan holds ~1.8 KB, and on draws over all 2,509 of its
 # patterns 512 entries miss on 70% of repairs against 65% with 1,024.
 MAP_CACHE_LIMIT = 512
+
+NO_FAILED_NODE = "need at least one failed node, none holding a shard"
 
 
 class SingularCouplingError(ValueError):
@@ -152,7 +157,8 @@ class RepairableCode:
 
     A family gives n, k, field, message_length, shard_length and its
     generator, through _generator() or generator_matrix(); PM and IA give
-    _projection(y) too, and read their decoders from _pool_decoder. A
+    _projection(y) and _failures(failed) too, and read their decoders from
+    _pool_decoder and their coupling rows from _coupling_rows. A
     family that repairs by plans gives _plan_key and _compile_plan; PM
     keeps its own repair_multi. Either way a repair request goes through
     _repair_nodes, which checks what every family's request shares; the
@@ -207,7 +213,7 @@ class RepairableCode:
         check_input(self, shards, self.shard_length, (), chain(failed, shards, helpers or ()))
         failed = tuple(sorted(set(failed)))
         if not failed or not shards.keys().isdisjoint(failed):
-            raise InvalidRepairInputError("need at least one failed node, none holding a shard")
+            raise InvalidRepairInputError(NO_FAILED_NODE)
         if helpers is None:
             helpers = self.default_helpers(shards, failed, count)
         else:
@@ -369,12 +375,63 @@ class RepairableCode:
         pool is the full participant set (failed + helpers); the repair of
         node i reads one transfer from every node of pool except i itself.
         The weight is node i's decoder column for source l, projected on
-        projection_j.
+        projection_j. A hit on the table's pool object takes no call.
         """
-        column = self._pool_decoder(i, pool).get(l)
+        table = self.__dict__.get("_decoder_table")
+        columns = table[1].get(i) if table is not None and table[0] is pool else None
+        column = (columns or self._pool_decoder(i, pool)).get(l)
         if column is None or not 1 <= j <= self.n:
             raise ValueError("need distinct nodes %r and %r from the pool and j in 1..%d" % (i, l, self.n))
         return column[1][j - 1]
+
+    def _coupling_rows(self, failed, pairs, columns, pool, toward=None):
+        """[A | b] of the sorted failed nodes as packed rows (gf._pack), a
+        row per pair of pairs and A's columns in the order of columns, both
+        orders of unknown_pairs(failed); b's lane follows A's. Row (i, j)
+        holds 1 in the slot of (i, j) and coupling_coefficient(i, j, l,
+        pool) in the slot of (l, i) for each other failed l. b(i, j) =
+        sum_h r_{h->i} weights_{i,h}[j-1], r_{h->i} = toward[i][h], is lane
+        j-1 of one product per failed node with its packed weight rows
+        (_pool_rows); with no transfers b is zero."""
+        f, lane = self.field, _lane_bits(self.field)
+        slot = {pair: lane * t for t, pair in enumerate(columns)}  # where each unknown's lane starts
+        right, coefficient = lane * len(columns), self.coupling_coefficient
+        rhs = dict.fromkeys(failed, [0] * self.n)
+        if toward:
+            for i in failed:
+                sources, _, weights = self._pool_rows(i, pool)
+                part = _mul_packed(f, [[toward[i].get(l, 0) for l in sources]], weights, self.n)
+                rhs[i] = _unpack(f, part[0], self.n)
+        rows = []
+        for i, j in pairs:
+            row = 1 << slot[(i, j)] | rhs[i][j - 1] << right
+            for l in failed:
+                if l != i:
+                    row |= coefficient(i, j, l, pool) << slot[(l, i)]
+            rows.append(row)
+        return rows
+
+    def _coupling_system(self, failed, helpers, shards=None):
+        """_coupling_rows over failed + helpers unpacked into a CouplingSystem,
+        and the transfers received from the helpers' shards, {(helper,
+        failed node): symbol}; with no shards b is zero and none are."""
+        system, toward = CouplingSystem(self.field, failed), None
+        if shards is not None:
+            toward = {j: {h: self.repair_transfer(shards[h], j) for h in helpers} for j in system.failed}
+        pool = frozenset(system.failed + tuple(helpers))
+        rows = self._coupling_rows(system.failed, system.pairs, system.pairs, pool, toward)
+        rows = _unpack_rows(self.field, rows, system.size + 1)
+        system.A, system.b = Matrix(self.field, [row[:-1] for row in rows]), [row[-1] for row in rows]
+        return system, {(h, j): toward[j][h] for h in helpers for j in system.failed} if toward else {}
+
+    def _failure_pattern(self, failed):
+        """failed sorted, each node once, refused with the error its repair
+        gets: past _failures' limit, ids that are not nodes, or empty."""
+        e = self._failures(failed)
+        check_input(self, (), 0, (), failed)
+        if not e:
+            raise InvalidRepairInputError(NO_FAILED_NODE)
+        return tuple(sorted(set(failed)))
 
     def repair_transfer(self, shard, target):
         """The symbol a live node sends toward failed node target: its shard
@@ -404,6 +461,13 @@ def unknown_pairs(failed):
     return pairs
 
 
+def dependent_pairs(pairs, pivots):
+    """The pairs whose column of a coupling matrix, laid out in their order,
+    is not among a reduction's pivot columns."""
+    pivots = set(pivots)
+    return [pair for t, pair in enumerate(pairs) if t not in pivots]
+
+
 class CouplingSystem:
     """The linear system A s = b in the unavailable cross-failure transfers.
 
@@ -430,12 +494,6 @@ class CouplingSystem:
     def determinant(self):
         return mat_det(self.A)
 
-    def dependent(self, pivots):
-        """The pairs, in unknown_pairs order, with a column of A that got no
-        pivot in a reduction that found the given pivot columns."""
-        pivots = set(pivots)
-        return [pair for t, pair in enumerate(self.pairs) if t not in pivots]
-
     def solve(self):
         """Solve for the unknown transfers, keyed by (source, destination).
 
@@ -446,7 +504,7 @@ class CouplingSystem:
         aug = [row + [bv] for row, bv in zip(self.A.data, self.b)]
         pivots, _ = _reduce(self.field, aug, self.size, True)
         if len(pivots) < self.size:
-            raise SingularCouplingError(self.failed, self.dependent(pivots))
+            raise SingularCouplingError(self.failed, dependent_pairs(self.pairs, pivots))
         return {pair: row[-1] for pair, row in zip(self.pairs, aug)}
 
 

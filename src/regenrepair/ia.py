@@ -9,7 +9,8 @@ framework's table, derived from these projections and the generator.
 With e failures the 2k-e survivors all act as helpers and the
 cross-failure transfers are recovered from the coupling system, whose
 rows are derived from the single-failure repair: the missing transfer
-x -> y is the projection toward y of x's decode from its transfers. The
+x -> y is the projection toward y of x's decode from its transfers, and
+the framework builds those rows for IA as for PM (_coupling_rows). The
 whole repair of a pattern compiles into one repair plan, on packed rows
 (gf._pack) from the coupling rows to the decode map: the coupling solve
 over the received transfers, folded into each failed node's decoder.
@@ -24,8 +25,8 @@ kappa^2 != 1 reduces to kappa != 1. workbench.search_assignment vets IA
 coefficients through condition_check alone.
 """
 
-from .framework import CouplingSystem, RepairableCode, RepairPlan, _is_word, check_input, failure_count
-from .gf import LinearMap, Matrix, _mul_packed, _pack, _reduce, _reduce_packed, dot, mat_inv, mat_mul
+from .framework import RepairableCode, RepairPlan, _is_word, check_input, dependent_pairs, failure_count, unknown_pairs
+from .gf import LinearMap, Matrix, _mul_packed, _pack, _reduce, _reduce_packed, mat_inv, mat_mul
 from .gf import all_square_submatrices_invertible, cauchy
 
 
@@ -151,41 +152,18 @@ class IACode(RepairableCode):
 
     # --- multi-node repair ---
 
-    def _coupling_rows(self, failed, pairs, slot):
-        """Row (x, y) of the coupling system of the sorted failed nodes, its
-        columns at slot, and the helpers' weights in node order, for each
-        pair of pairs. x sends s_{x->y} = projection_y . content_x, and x's
-        content is its single-failure decode, so row (x, y) weighs the
-        transfer from each source l toward x by entry y-1 of its weights in
-        x's decoder table: a failed l's lands in the slot of (l, x)."""
-        pool, size, split = frozenset(self.node_ids()), len(slot), {}  # _pool_decoder keeps a frozenset as is
-        for x in failed:
-            columns = self._pool_decoder(x, pool)
-            others = [l for l in failed if l != x]
-            split[x] = (
-                [slot[(l, x)] for l in others],
-                list(zip(*(columns[l][1] for l in others))),
-                list(zip(*(weights for l, (_, weights) in columns.items() if l not in failed))),
-            )
-        for x, y in pairs:
-            slots, coupled, helpers = split[x]
-            row = [0] * size
-            row[slot[(x, y)]] = 1
-            for col, w in zip(slots, coupled[y - 1]):
-                row[col] = w
-            yield row, helpers[y - 1]
-
     def coupling_system(self, failed):
         """Coupling matrix for a pattern plus the known-term recipe for b:
         known[(x, y)] lists (helper, weight) for each nonzero weight, to be
         weighted by the transfer received from the helper toward x."""
         check_input(self, (), 0, (), failed)
-        system = CouplingSystem(self.field, failed)
-        helpers = [h for h in self.node_ids() if h not in system.failed]
-        known = {}
-        for t, (row, weights) in enumerate(self._coupling_rows(system.failed, system.pairs, system.slot)):
-            system.A.data[t] = row
-            known[system.pairs[t]] = [(h, w) for h, w in zip(helpers, weights) if w]
+        helpers = [h for h in self.node_ids() if h not in failed]
+        system, _ = self._coupling_system(failed, helpers)
+        pool, known = frozenset(self.node_ids()), {}
+        for x, y in system.pairs:
+            columns = self._pool_decoder(x, pool)
+            terms = ((h, columns[h][1][y - 1]) for h in helpers)
+            known[(x, y)] = [(h, w) for h, w in terms if w]
         return system, known
 
     def assemble_multi(self, shards, failed):
@@ -194,37 +172,36 @@ class IACode(RepairableCode):
         nodes, and a helper without a shard of k symbols of the field,
         raise InvalidRepairInputError. Failed nodes' shards are not read."""
         check_input(self, shards, self.alpha, (), [*failed, *shards])
-        failed = tuple(sorted(failed))
         helpers = [h for h in self.node_ids() if h not in failed]
         check_input(self, shards, self.alpha, helpers)
-        system, known = self.coupling_system(failed)
-        received = {(h, j): self.repair_transfer(shards[h], j) for h in helpers for j in failed}
-        for (x, y), terms in known.items():
-            transfers = [received[(h, x)] for h, _ in terms]
-            system.b[system.slot[(x, y)]] = dot(self.field, [w for _, w in terms], transfers)
-        return system, received
+        return self._coupling_system(failed, helpers, shards)
 
     repair_multi = RepairableCode.repair_multi
 
-    def _plan_key(self, shards, failed, helpers=None):
-        """All n-e survivors help: d-e+1 = n-e here."""
+    def _failures(self, failed):
+        """How many distinct nodes failed; past k a ValueError."""
         e = failure_count(failed)
         if e > self.k:
             raise ValueError("can repair 1..k nodes at once")
+        return e
+
+    def _plan_key(self, shards, failed, helpers=None):
+        """All n-e survivors help: d-e+1 = n-e here."""
+        e = self._failures(failed)
         return ("repair", self._repair_nodes(shards, failed, helpers, self.n - e)[0])
 
     def _compile_plan(self, failed):
         """Every survivor sends one symbol toward each failed node.
 
         The unknown transfers solve A s = K r, with r the received symbols.
-        Each row of [A | K] is packed once, r failed-major so the helpers'
-        weights are one slice, unknowns source-major and rows by
-        destination (a third less fill-in at e = 6 than unknown_pairs
-        order). One Gauss-Jordan gives s = A^-1 K r; node i's decode is the
-        solved rows of the transfers toward i times i's decoder columns,
-        plus its helper columns, read helper-major as received. A singular
-        A compiles to a singular plan naming coupling_system's dependent
-        transfers.
+        A's packed rows come from _coupling_rows, unknowns source-major and
+        rows by destination (a third less fill-in at e = 6 than
+        unknown_pairs order), and K's lanes are ORed in, r failed-major so
+        the helpers' weights toward x are one slice. One Gauss-Jordan gives
+        s = A^-1 K r; node i's decode is the solved rows of the transfers
+        toward i times i's decoder columns, plus its helper columns, read
+        helper-major as received. A singular A compiles to a singular plan
+        naming its dependent transfers, reduced in unknown_pairs layout.
         """
         f, e = self.field, len(failed)
         helpers = tuple(h for h in self.node_ids() if h not in failed)
@@ -235,11 +212,15 @@ class IACode(RepairableCode):
         size = len(unknowns)
         width = size + e * span
         start = {x: size + b * span for b, x in enumerate(failed)}  # K's columns for the transfers toward x
-        coupling = self._coupling_rows(failed, order, {pair: t for t, pair in enumerate(unknowns)})
-        rows = [_pack(f, row) ^ _pack(f, weights, start[x]) for (x, _), (row, weights) in zip(order, coupling)]
+        # the helpers' weights in x's decoder table, in node order
+        weights = {x: [w for h, (_, w) in self._pool_decoder(x, pool).items() if h not in failed] for x in failed}
+        rows = self._coupling_rows(failed, order, unknowns, pool)
+        for t, (x, y) in enumerate(order):
+            rows[t] |= _pack(f, [w[y - 1] for w in weights[x]], start[x])
         if len(_reduce_packed(f, rows, width, size, True)[0]) < size:
-            system, _ = self.coupling_system(failed)
-            return RepairPlan(failed, (), (), None, system.dependent(_reduce(f, system.A.data, size, False)[0]))
+            pairs = unknown_pairs(failed)
+            pivots, _ = _reduce_packed(f, self._coupling_rows(failed, pairs, pairs, pool), size + 1, size, False)
+            return RepairPlan(failed, (), (), None, dependent_pairs(pairs, pivots))
         solved = dict(zip(unknowns, rows))
         decode = []
         for i in failed:
@@ -262,10 +243,10 @@ class IACode(RepairableCode):
         G = P[S,J] P'[S,J]^t, formed on the smaller side by Sylvester's
         identity, on every shape: the coupling determinant is a nonzero
         multiple of det(I + G)^e (docs/ia-repairability.md), so A is never
-        built. Ids that are not nodes raise InvalidRepairInputError.
+        built. A pattern repair_multi refuses for its ids or its size is
+        refused with the same error.
         """
-        check_input(self, (), 0, (), failed)
-        k, failed = self.k, tuple(sorted(set(failed)))
+        k, failed = self.k, self._failure_pattern(failed)
         rows = [x - 1 for x in failed if x <= k]
         cols = [x - k - 1 for x in failed if x > k]
         if not rows or not cols:

@@ -13,13 +13,14 @@ the framework's table (RepairableCode._pool_decoder): its column c_{i,l}
 weighs the transfer from l, so node i's content is sum_l t_{l->i} c_{i,l}.
 The coupling coefficient of (i, j, l) is c_{i,l} . phi_j, and the
 right-hand side of row (i, j) is the helpers' part of node i's decode
-projected on phi_j. _coupling_rows writes these rows packed (gf._pack)
-for repairs, condition_check, coupling_matrix and assemble_multi alike.
+projected on phi_j. The framework writes these rows, packed (gf._pack),
+for repairs and condition_check (_coupling_rows) and for coupling_matrix
+and assemble_multi (_coupling_system).
 """
 
-from .framework import CouplingSystem, RepairableCode, RepairTranscript, SingularCouplingError, _is_word
-from .framework import check_input, check_message, failure_count, unknown_pairs
-from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _unpack, _unpack_rows, vandermonde
+from .framework import RepairableCode, RepairTranscript, SingularCouplingError, _is_word, check_input, check_message
+from .framework import dependent_pairs, failure_count, unknown_pairs
+from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _unpack, vandermonde
 
 
 class PMCode(RepairableCode):
@@ -100,41 +101,6 @@ class PMCode(RepairableCode):
     repair_transfer = RepairableCode.repair_transfer
     coupling_coefficient = RepairableCode.coupling_coefficient
 
-    def _coupling_rows(self, failed, pairs, pool, toward=None):
-        """[A | b] of the sorted failed nodes as packed rows, one per pair
-        of pairs, their unknown_pairs: row (i, j) holds 1 on the diagonal
-        and coupling_coefficient(i, j, l, pool) in the slot of (l, i) for
-        each other failed l. b(i, j) = sum_h r_{h->i} weights_{i,h}[j-1],
-        with r_{h->i} = toward[i][h], is lane j-1 of one packed product per
-        failed node with its sources' weight rows (_pool_rows); with no
-        transfers b is zero."""
-        f, lane = self.field, _lane_bits(self.field)
-        slot = {pair: lane * t for t, pair in enumerate(pairs)}  # where each unknown's lane starts
-        right = lane * len(pairs)
-        rhs = dict.fromkeys(failed, [0] * self.n)
-        if toward:
-            for i in failed:
-                sources, _, weights = self._pool_rows(i, pool)
-                part = _mul_packed(f, [[toward[i].get(l, 0) for l in sources]], weights, self.n)
-                rhs[i] = _unpack(f, part[0], self.n)
-        rows = []
-        for i, j in pairs:
-            row = 1 << slot[(i, j)] | rhs[i][j - 1] << right
-            for l in failed:
-                if l != i:
-                    row |= self.coupling_coefficient(i, j, l, pool) << slot[(l, i)]
-            rows.append(row)
-        return rows
-
-    def _system(self, failed, helpers, toward=None):
-        """_coupling_rows unpacked into a CouplingSystem."""
-        system = CouplingSystem(self.field, failed)
-        pool = frozenset(system.failed + tuple(helpers))
-        rows = self._coupling_rows(system.failed, system.pairs, pool, toward)
-        rows = _unpack_rows(self.field, rows, system.size + 1)
-        system.A, system.b = Matrix(self.field, [row[:-1] for row in rows]), [row[-1] for row in rows]
-        return system
-
     def coupling_matrix(self, failed, helpers):
         """The coupling system of a pattern with b left at zero.
 
@@ -144,20 +110,26 @@ class PMCode(RepairableCode):
         InvalidRepairInputError.
         """
         check_input(self, (), 0, (), [*failed, *helpers])
-        return self._system(failed, helpers)
+        return self._coupling_system(failed, helpers)[0]
+
+    def _failures(self, failed):
+        """How many distinct nodes failed; past min(n-k, k-1) a ValueError."""
+        e = failure_count(failed)
+        if e > min(self.n - self.k, self.k - 1):
+            raise ValueError("can repair 1..min(n-k, k-1) nodes at once")
+        return e
 
     def condition_check(self, failed):
         """Whether the coupling system of a failure pattern is solvable from
         its default helpers, the first d-e+1 nodes that did not fail: its
         coupling matrix over them has full rank, a nonzero determinant.
         Once n > d+1 another helper set can answer otherwise. A repeated id
-        counts once; ids that are not nodes, or failed that is not a
-        collection, raise InvalidRepairInputError."""
-        e = failure_count(failed)
-        check_input(self, (), 0, (), failed)
-        failed = tuple(sorted(set(failed)))
-        helpers = [i for i in self.node_ids() if i not in failed][: self.d - e + 1]
-        rows = self._coupling_rows(failed, unknown_pairs(failed), frozenset([*failed, *helpers]))
+        counts once; a pattern repair_multi refuses for its ids or its size
+        is refused with the same error."""
+        failed = self._failure_pattern(failed)
+        helpers = [i for i in self.node_ids() if i not in failed][: self.d - len(failed) + 1]
+        pairs = unknown_pairs(failed)
+        rows = self._coupling_rows(failed, pairs, pairs, frozenset([*failed, *helpers]))
         return len(_reduce_packed(self.field, rows, len(rows) + 1, len(rows), False)[0]) == len(rows)
 
     def assemble_multi(self, shards, failed, helpers):
@@ -168,8 +140,7 @@ class PMCode(RepairableCode):
         shards are not read.
         """
         check_input(self, shards, self.alpha, helpers, [*failed, *helpers, *shards])
-        toward = {j: {h: self.repair_transfer(shards[h], j) for h in helpers} for j in sorted(set(failed))}
-        return self._system(failed, helpers, toward), {(h, j): toward[j][h] for h in helpers for j in toward}
+        return self._coupling_system(failed, helpers, shards)
 
     def repair_multi(self, shards, failed, helpers=None):
         """Solve the coupling system of the pattern, [A | b] on packed rows
@@ -177,17 +148,15 @@ class PMCode(RepairableCode):
         packed product of its d transfers, received and solved, with its
         decoder columns. The transcript counts the transfers computed for
         each helper."""
-        e = failure_count(failed)
-        if e > min(self.n - self.k, self.k - 1):
-            raise ValueError("can repair 1..min(n-k, k-1) nodes at once")
+        e = self._failures(failed)
         failed, helpers = self._repair_nodes(shards, failed, helpers, self.d - e + 1)
         f, pool, pairs = self.field, frozenset(failed + helpers), unknown_pairs(failed)
         toward = {j: {h: self.repair_transfer(shards[h], j) for h in helpers} for j in failed}
         if e > 1:
-            rows = self._coupling_rows(failed, pairs, pool, toward)
+            rows = self._coupling_rows(failed, pairs, pairs, pool, toward)
             pivots, _ = _reduce_packed(f, rows, len(rows) + 1, len(rows), True)
             if len(pivots) < len(rows):
-                raise SingularCouplingError(failed, [pair for t, pair in enumerate(pairs) if t not in pivots])
+                raise SingularCouplingError(failed, dependent_pairs(pairs, pivots))
             shift = _lane_bits(f) * len(rows)
             for (l, i), row in zip(pairs, rows):
                 toward[i][l] = row >> shift

@@ -238,13 +238,14 @@ def search_assignment(family, params, budget=200, seed=0):
     raise AssignmentNotFoundError(family, best=best, best_failures=best_bad)
 
 
-def _frac(q):
+def fraction_parts(q):
+    """(numerator, denominator) of q as a Fraction."""
     q = Fraction(q)
     return q.numerator, q.denominator
 
 
-def _open_out(path):
-    # "-" selects stdout so CLI callers can stream instead of writing a file
+def open_out(path):
+    """A text file open for writing, or stdout, left open on exit, for "-"."""
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", newline="")
@@ -253,18 +254,18 @@ def _open_out(path):
 def emit_curve(params, path):
     """Write the storage-bandwidth tradeoff breakpoints as exact rationals."""
     rows = tradeoff_curve(params)
-    with _open_out(path) as out:
+    with open_out(path) as out:
         w = csv.writer(out)
         w.writerow(["gamma_num", "gamma_den", "alpha_num", "alpha_den", "segment"])
         for p in rows:
-            w.writerow([*_frac(p.gamma), *_frac(p.alpha), p.segment])
+            w.writerow([*fraction_parts(p.gamma), *fraction_parts(p.alpha), p.segment])
     return len(rows)
 
 
 def emit_comparison(params, path):
     """Write batched-vs-separate repair bandwidths over a shared alpha grid."""
     report = compare_strategies(params)
-    with _open_out(path) as out:
+    with open_out(path) as out:
         w = csv.writer(out)
         w.writerow(
             [
@@ -280,12 +281,12 @@ def emit_comparison(params, path):
         )
         for row in report.rows:
             fewer = row.gamma_centralized_fewer
-            fewer_cols = _frac(fewer) if fewer is not None else ("", "")
+            fewer_cols = fraction_parts(fewer) if fewer is not None else ("", "")
             w.writerow(
                 [
-                    *_frac(row.alpha),
-                    *_frac(row.gamma_centralized),
-                    *_frac(row.gamma_separate),
+                    *fraction_parts(row.alpha),
+                    *fraction_parts(row.gamma_centralized),
+                    *fraction_parts(row.gamma_separate),
                     *fewer_cols,
                 ]
             )

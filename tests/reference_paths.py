@@ -71,7 +71,7 @@ from itertools import combinations
 from math import prod
 from types import SimpleNamespace
 
-from regenrepair.framework import CouplingSystem, RepairPlan, RepairTranscript
+from regenrepair.framework import CouplingSystem, RepairPlan, RepairTranscript, dependent_pairs
 from regenrepair.gf import (
     LinearMap,
     Matrix,
@@ -679,7 +679,7 @@ def ia_compile_plan(code, failed):
             row[size + at[(src, x)]] ^= weight
     pivots, _ = _reduce(f, aug, size, True)
     if len(pivots) < size:
-        return RepairPlan(failed, (), (), None, system.dependent(pivots))
+        return RepairPlan(failed, (), (), None, dependent_pairs(system.pairs, pivots))
     decode = []
     for b, i in enumerate(failed):
         # node i's decode reads the transfers of the other failed nodes

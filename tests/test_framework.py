@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_paths as ref
 from regenrepair.ambr import AdaptiveMBRCode
@@ -16,7 +16,7 @@ from regenrepair.framework import (
     SingularCouplingError,
     unknown_pairs,
 )
-from regenrepair.gf import Field, Matrix, SingularMatrixError, _pack, _unpack, mat_mul, mat_rank, mat_vec
+from regenrepair.gf import Field, Matrix, SingularMatrixError, _pack, _unpack, _unpack_rows, dot, mat_mul, mat_rank, mat_vec
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
 from regenrepair.pm import PMCode
@@ -325,3 +325,90 @@ def test_pm_repairs_still_read_coupling_coefficients(monkeypatch):
         del calls[:], products[:]
         contents, _ = code.repair_multi({i: v for i, v in shards.items() if i not in (2, 5)}, (2, 5))
         assert contents == {2: shards[2], 5: shards[5]} and calls and products
+
+
+# PM codes with n = d+1 and n > d+1, and IA codes, over every lane width
+COUPLING_SHAPES = {
+    "pm": {4: [(5, 3), (7, 3), (9, 5)], 5: [(11, 6), (9, 4)], 8: [(11, 6), (13, 6)], 10: [(7, 4), (9, 4)], 16: [(9, 5), (11, 5)]},
+    "ia": {4: [2, 3, 4], 5: [2, 3, 4], 8: [3, 4], 10: [2, 3], 16: [2, 3]},
+}
+# tests/test_pm.py's PM(11, 6) over GF(2^8) with singular patterns
+SINGULAR_LAMBDAS = [41, 248, 133, 18, 0, 74, 240, 191, 163, 11, 139]
+
+
+@st.composite
+def coupling_cases(draw):
+    """(code, failed, helpers, seed): a PM code on default or drawn
+    lambdas with default or drawn helpers, or an IA code with a drawn
+    kappa and every survivor helping, and e from 2, where there are
+    unknowns, up to what a repair takes."""
+    family = draw(st.sampled_from(sorted(COUPLING_SHAPES)))
+    m = draw(st.sampled_from(sorted(COUPLING_SHAPES[family])))
+    field, shape = PACKED_FIELDS[m], draw(st.sampled_from(COUPLING_SHAPES[family][m]))
+    if family == "pm":
+        n, k = shape
+        lambdas = draw(st.one_of(st.none(), st.lists(st.integers(0, field.order), min_size=n, max_size=n, unique=True)))
+        assume(lambdas is None or len({field.pow(x, k - 1) for x in lambdas}) == n)
+        code, most = PMCode(field, n, k, lambdas), min(n - k, k - 1)
+    else:
+        code, most = IACode(field, shape, kappa=draw(st.integers(2, field.order))), shape
+    order = draw(st.permutations(code.node_ids()))
+    e = draw(st.integers(min(2, most), most))
+    failed = tuple(sorted(order[:e]))
+    live = [h for h in code.node_ids() if h not in failed]
+    helpers = tuple(live) if family == "ia" else draw(st.sampled_from([live[: code.d - e + 1], sorted(order[e : code.d + 1])]))
+    return code, failed, tuple(helpers), draw(st.integers(0, 2**32))
+
+
+def reference_system(code, failed, helpers):
+    """The reference coupling matrix (a CouplingSystem) and, for each
+    unknown, its helpers' weights: what b weighs the transfers toward its
+    source with."""
+    if isinstance(code, IACode):
+        return ref.ia_coupling_system(code, failed)
+    system, pool = ref.pm_coupling_matrix(code, failed, helpers), set(failed + helpers)
+    rows = {(i, h): ref.pm_decoder_row(code, i, h, pool) for i in failed for h in helpers}
+    return system, {(i, j): {h: dot(code.field, rows[(i, h)], code.Phi.data[j - 1]) for h in helpers} for i, j in system.pairs}
+
+
+@settings(max_examples=80, deadline=None)
+@given(coupling_cases())
+@example((PMCode(PACKED_FIELDS[8], 11, 6, SINGULAR_LAMBDAS), (7, 11), (1, 2, 3, 4, 5, 6, 8, 9, 10), 0))
+@example((PMCode(PACKED_FIELDS[8], 11, 6, SINGULAR_LAMBDAS), (3, 5, 8, 11), (1, 2, 4, 6, 7, 9, 10), 1))
+@example((IACode(PACKED_FIELDS[8], 6), (6, 7, 8), (1, 2, 3, 4, 5, 9, 10, 11, 12), 2))
+@example((IACode(PACKED_FIELDS[10], 3), (2, 5), (1, 3, 4, 6), 3))
+@example((IACode(PACKED_FIELDS[4], 4), (1, 7), (2, 3, 4, 5, 6, 8), 4))
+def test_coupling_rows_match_the_reference_systems(case):
+    """The framework's one builder of coupling rows gives the reference A
+    in unknown_pairs layout, in IA's compile layout (rows by destination,
+    columns source-major) and in a drawn one; b, from the helpers'
+    transfers, is the reference weights dotted with them; and a singular
+    pattern names the reference's dependent transfers, in PM's repair and
+    in IA's plan compile alike."""
+    code, failed, helpers, seed = case
+    f, pool, rng = code.field, frozenset(failed + helpers), random.Random(seed)
+    want, known = reference_system(code, failed, helpers)
+    pairs, size, at = want.pairs, want.size, want.slot
+    layouts = [
+        (pairs, pairs),
+        ([(x, y) for y in failed for x in reversed(failed) if x != y], [(x, y) for x in failed for y in failed if x != y]),
+        (rng.sample(pairs, size), rng.sample(pairs, size)),
+    ]
+    for rows, columns in layouts:
+        got = _unpack_rows(f, code._coupling_rows(failed, rows, columns, pool), size + 1)
+        assert got == [[want.A.data[at[p]][at[c]] for c in columns] + [0] for p in rows]
+    shards = code.encode(code.random_message(rng))
+    toward = {j: {h: code.repair_transfer(shards[h], j) for h in helpers} for j in failed}
+    got = _unpack_rows(f, code._coupling_rows(failed, pairs, pairs, pool, toward), size + 1)
+    weights = [known[(x, y)] for x, y in pairs]
+    assert [row[-1] for row in got] == [dot(f, list(w.values()), [toward[x][h] for h in w]) for (x, _), w in zip(pairs, weights)]
+    pivots, _ = ref.reduce_direct(f, [list(row) for row in want.A.data], size, False)
+    dependent = tuple(pair for t, pair in enumerate(pairs) if t not in pivots)
+    if isinstance(code, IACode):
+        assert code._compile_plan(failed).dependent == dependent
+        return
+    try:
+        code.repair_multi({h: shards[h] for h in helpers}, failed, helpers)
+        assert dependent == ()
+    except SingularCouplingError as err:
+        assert err.dependent == dependent != ()

@@ -294,6 +294,9 @@ COUPLING_CALLS = {
     "pm_matrix_zero": lambda: PMCode(F256, 11, 6).coupling_matrix((0, 7), (1, 2, 3, 4, 5, 6, 8, 9, 10)),
     "pm_matrix_past_n": lambda: PMCode(F256, 11, 6).coupling_matrix((1, 12), range(2, 11)),
     "pm_helper_past_n": lambda: PMCode(F256, 11, 6).coupling_matrix((1, 2), (*range(3, 11), 12)),
+    # no failed node at all: PM's condition_check answered True
+    "pm_condition_empty": lambda: PMCode(F256, 11, 6).condition_check(()),
+    "ia_condition_empty": lambda: IACode(F256, 3).condition_check(()),
 }
 
 
@@ -301,6 +304,38 @@ COUPLING_CALLS = {
 def test_coupling_calls_refuse_ids_that_are_not_nodes(case):
     with pytest.raises(InvalidRepairInputError):
         COUPLING_CALLS[case]()
+
+
+# condition_check answers only for patterns repair_multi takes. PM(GF(64),
+# 13, 6) died on 12 failed nodes with "pool must hold d+1 = 11 nodes" and
+# answered False for 6..11 of them and True for none; IA(GF(256), 3)
+# answered False for 4 failed nodes.
+F64 = Field(6)
+REFUSED_PATTERNS = {
+    "pm13_twelve": (lambda: PMCode(F64, 13, 6), tuple(range(1, 13))),
+    "pm13_six": (lambda: PMCode(F64, 13, 6), (1, 3, 5, 7, 9, 11)),
+    "pm13_eleven": (lambda: PMCode(F64, 13, 6), tuple(range(2, 13))),
+    "pm11_six": (lambda: PMCode(F256, 11, 6), (1, 2, 3, 4, 5, 6)),
+    "pm13_none": (lambda: PMCode(F64, 13, 6), ()),
+    "ia3_four": (lambda: IACode(F256, 3), (1, 2, 3, 4)),
+    "ia3_six": (lambda: IACode(F256, 3), (1, 2, 3, 4, 5, 6)),
+    "ia3_none": (lambda: IACode(F256, 3), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_PATTERNS))
+def test_condition_check_refuses_what_repair_refuses(case):
+    """The same error, type and message, as a repair of the pattern."""
+    build, failed = REFUSED_PATTERNS[case]
+    code = build()
+    survivors = {m: [0] * code.shard_length for m in code.node_ids() if m not in failed}
+    with pytest.raises(ValueError) as repair:
+        code.repair_multi(survivors, failed)
+    with pytest.raises(ValueError) as check:
+        code.condition_check(failed)
+    assert (type(check.value), str(check.value)) == (type(repair.value), str(repair.value))
+    want = InvalidRepairInputError if not failed else ValueError
+    assert type(check.value) is want and ("can repair 1.." in str(check.value)) == bool(failed)
 
 
 # assemble_multi builds a coupling system from raw shards, outside

@@ -105,6 +105,29 @@ def test_every_name_the_benchmark_traces_exists():
     assert len(tracing.TRACED) > 20 and missing == []
 
 
+def test_every_library_name_the_benchmark_reads_exists():
+    """perfbench/workloads.py reads names off the library modules it
+    imports (ia.UnsupportedPatternError, workbench.verify_exact_repair, ...);
+    each must still be an attribute of its module. A name read only in an
+    except clause or a rarely taken branch would otherwise fail only when
+    the benchmark gets there."""
+    path = ROOT / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {
+        alias.asname or alias.name: importlib.import_module("%s.%s" % (node.module, alias.name))
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "regenrepair"
+        for alias in node.names
+    }
+    read = {
+        (node.value.id, node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    missing = sorted((line, "%s.%s" % (name, attr)) for name, attr, line in read if not hasattr(modules[name], attr))
+    assert len(modules) >= 5 and len(read) > 20 and missing == [], "names the benchmark reads that do not exist: %s" % missing
+
+
 def test_every_test_the_docs_cite_exists():
     """README.md and docs/*.md point at tests as the proofs of their claims,
     as tests/<file>.py::<name>; each name must still be defined at the top
