@@ -11,9 +11,11 @@ RepairableCode._pool_decoder is the one table of these decoders: for a
 pool of d+1 nodes (failed + helpers; IA's pool is every node) it holds
 each node's decoder column for every source with its product with every
 projection, solved from the generator by _single_decoder, packed too
-(_pool_rows). Moving the terms from failed sources to one side yields a
-square linear system A s = b in the e(e-1) unknown cross-failure
-transfers. When A is invertible the unknowns are recovered and the
+(_pool_rows). _single_decoder reads its transfers from the code's one
+sent-row table (_sent_rows): what every node sends toward every node, as
+rows of generator space, built once per code. Moving the terms from
+failed sources to one side yields a square linear system A s = b in the
+e(e-1) unknown cross-failure transfers. When A is invertible the unknowns are recovered and the
 ordinary decoders finish the job; a singular A means the pattern is not
 repairable with the chosen code coefficients, which is a reportable
 outcome rather than a bug.
@@ -22,6 +24,10 @@ The system is built once, here, for PM and IA alike: _coupling_rows
 writes [A | b] as packed rows (gf._pack) in the caller's order of the
 unknowns, _coupling_system fills a CouplingSystem from them, and
 dependent_pairs names the dependent transfers of a singular pattern.
+Whether a pattern's system is solvable is each family's condition_check:
+the shared boundary check (_failure_pattern), then the family's unchecked
+core, _repairable, which the coefficient search calls directly on the
+patterns it generates.
 
 Once the code and the failure pattern are fixed, the whole repair, the
 coupling solve included, is one linear map from the helpers' shards to the
@@ -54,7 +60,8 @@ rows). RepairableCode._derive solves it by one Gauss-Jordan for the read
 maps, the single-failure decoders and adaptive MBR's plans. The
 derivation runs on packed rows (gf._pack) from start to finish: the
 generator is packed once per code and kept with it, each send row is
-multiplied by its own node's block of it, the rows and the target are
+multiplied by its own node's block of it (for the decoders once per code,
+in the sent-row table), the rows and the target are
 reduced as packed columns, and D's columns are read off the right-hand
 lanes. MDS writes its decode maps as Lagrange tables, with no
 elimination.
@@ -157,8 +164,10 @@ class RepairableCode:
 
     A family gives n, k, field, message_length, shard_length and its
     generator, through _generator() or generator_matrix(); PM and IA give
-    _projection(y) and _failures(failed) too, and read their decoders from
-    _pool_decoder and their coupling rows from _coupling_rows. A
+    _projection(y), _failures(failed) and _repairable(failed) too, read
+    their decoders from _pool_decoder and their coupling rows from
+    _coupling_rows, and answer condition_check as _failure_pattern then
+    _repairable. A
     family that repairs by plans gives _plan_key and _compile_plan; PM
     keeps its own repair_multi. Either way a repair request goes through
     _repair_nodes, which checks what every family's request shares; the
@@ -280,11 +289,11 @@ class RepairableCode:
         mapping the transfers, in sources order, to node's shard, as its
         columns: column t weighs the transfer from sources[t].
 
-        Row t of T is what sources[t] sends toward node: _projection(node)
-        applied to the source's shard. Dependent transfers, or ones that do
-        not determine node, raise SingularMatrixError."""
-        size, projection = self.shard_length, [self._projection(node)]
-        transfers = self._received([(s, projection) for s in sources])
+        Row t of T is what sources[t] sends toward node, read from the
+        code's sent-row table (_sent_rows). Dependent transfers, or ones
+        that do not determine node, raise SingularMatrixError."""
+        size, sent = self.shard_length, self._sent_rows()
+        transfers = [sent[s - 1][node - 1] for s in sources]
         try:
             columns, picks = self._derive(transfers, self._generator_rows()[(node - 1) * size : node * size])
         except SingularMatrixError:
@@ -292,6 +301,18 @@ class RepairableCode:
         if len(picks) < len(sources):
             raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
         return _unpack_rows(self.field, columns, size)
+
+    def _sent_rows(self):
+        """What every node sends toward every node, as packed rows of
+        generator space: entry s-1 holds, at y-1, _projection(y) applied to
+        node s's shard. One product per source over all projections, built
+        once per code and kept with it, outside the bounded cache as the
+        packed generator is, so every decoder table a code starts reads it."""
+        sent = self.__dict__.get("_sent_table")
+        if sent is None:
+            projections = [self._projection(y) for y in self.node_ids()]
+            sent = self._sent_table = [self._received([(s, projections)]) for s in self.node_ids()]
+        return sent
 
     def _received(self, sends):
         """What each row of sends carries, as a packed row of generator
@@ -426,7 +447,9 @@ class RepairableCode:
 
     def _failure_pattern(self, failed):
         """failed sorted, each node once, refused with the error its repair
-        gets: past _failures' limit, ids that are not nodes, or empty."""
+        gets: past _failures' limit, ids that are not nodes, or empty. The
+        boundary check of condition_check, ahead of the family's unchecked
+        _repairable."""
         e = self._failures(failed)
         check_input(self, (), 0, (), failed)
         if not e:

@@ -21,8 +21,10 @@ kappa^(2sp) (1 + kappa^2)^(C(s,2) + C(p,2)) det(I + G)^(s+p) for
 G = P[S,J] P'[S,J]^t, so det(I + G) != 0 decides every pattern; the proof
 is in docs/ia-repairability.md. All arithmetic is over GF(2^m), where
 addition and subtraction coincide, so minus is evaluated as plus and
-kappa^2 != 1 reduces to kappa != 1. workbench.search_assignment vets IA
-coefficients through condition_check alone.
+kappa^2 != 1 reduces to kappa != 1. condition_check is the framework's
+boundary check (_failure_pattern) followed by this test, _repairable, and
+workbench.search_assignment vets IA coefficients through _repairable
+alone, on the patterns it generates.
 """
 
 from .framework import RepairableCode, RepairPlan, _is_word, check_input, dependent_pairs, failure_count, unknown_pairs
@@ -244,9 +246,16 @@ class IACode(RepairableCode):
         identity, on every shape: the coupling determinant is a nonzero
         multiple of det(I + G)^e (docs/ia-repairability.md), so A is never
         built. A pattern repair_multi refuses for its ids or its size is
-        refused with the same error.
+        refused with the same error: the boundary check (_failure_pattern)
+        comes first, then the unchecked _repairable.
         """
-        k, failed = self.k, self._failure_pattern(failed)
+        return self._repairable(self._failure_pattern(failed))
+
+    def _repairable(self, failed):
+        """condition_check's verdict on failed, a sorted tuple of distinct
+        node ids within _failures' limit, unchecked: the search vets its
+        patterns here."""
+        k = self.k
         rows = [x - 1 for x in failed if x <= k]
         cols = [x - k - 1 for x in failed if x > k]
         if not rows or not cols:

@@ -16,6 +16,15 @@ right-hand side of row (i, j) is the helpers' part of node i's decode
 projected on phi_j. The framework writes these rows, packed (gf._pack),
 for repairs and condition_check (_coupling_rows) and for coupling_matrix
 and assemble_multi (_coupling_system).
+
+condition_check is the framework's boundary check (_failure_pattern)
+followed by _repairable, the unchecked core that workbench.search_assignment
+calls directly. A pattern {a, b} needs no rows: its coupling matrix is
+[[1, c(a,b,b)], [c(b,a,a), 1]], singular exactly when c(a,b,b) c(b,a,a) = 1
+over GF(2^m), so two coefficient reads and one product decide it. Larger
+patterns reduce their rows. At n = d+1 every pattern's pool is every node,
+kept as one frozenset per code, so every coefficient read hits the decoder
+table by identity.
 """
 
 from .framework import RepairableCode, RepairTranscript, SingularCouplingError, _is_word, check_input, check_message
@@ -50,6 +59,9 @@ class PMCode(RepairableCode):
         self.lambdas = list(lambdas)
         self.Psi = vandermonde(field, lambdas, d)
         self.Phi = self.Psi.submatrix(range(n), range(alpha))
+        # at n = d+1 every pattern's pool is every node: one object, so that
+        # _repairable's reads hit the decoder table by identity
+        self._whole_pool = frozenset(self.node_ids()) if n == d + 1 else None
 
     # --- message handling ---
 
@@ -125,11 +137,27 @@ class PMCode(RepairableCode):
         coupling matrix over them has full rank, a nonzero determinant.
         Once n > d+1 another helper set can answer otherwise. A repeated id
         counts once; a pattern repair_multi refuses for its ids or its size
-        is refused with the same error."""
-        failed = self._failure_pattern(failed)
-        helpers = [i for i in self.node_ids() if i not in failed][: self.d - len(failed) + 1]
+        is refused with the same error. The boundary check
+        (_failure_pattern) comes first, then the unchecked _repairable."""
+        return self._repairable(self._failure_pattern(failed))
+
+    def _repairable(self, failed):
+        """condition_check's verdict on failed, a sorted tuple of distinct
+        node ids within _failures' limit, unchecked: the search vets its
+        patterns here. A pattern {a, b} is decided in closed form, by
+        c(a,b,b) c(b,a,a) != 1 in coupling_coefficient's terms, with no
+        rows built; larger ones reduce their rows (_coupling_rows). The
+        pool is the pattern with its default helpers."""
+        e, pool = len(failed), self._whole_pool
+        if pool is None:
+            helpers = [i for i in self.node_ids() if i not in failed][: self.d - e + 1]
+            pool = frozenset([*failed, *helpers])
+        if e == 2:
+            a, b = failed
+            weigh = self.coupling_coefficient
+            return self.field.mul(weigh(a, b, b, pool), weigh(b, a, a, pool)) != 1
         pairs = unknown_pairs(failed)
-        rows = self._coupling_rows(failed, pairs, pairs, frozenset([*failed, *helpers]))
+        rows = self._coupling_rows(failed, pairs, pairs, pool)
         return len(_reduce_packed(self.field, rows, len(rows) + 1, len(rows), False)[0]) == len(rows)
 
     def assemble_multi(self, shards, failed, helpers):

@@ -6,7 +6,9 @@ random_message(rng), encode(msg) -> {node: symbols}, repair_multi(shards,
 failed, helpers=None, ...) -> ({node: symbols}, transcript), descriptor().
 
 search_assignment is the one coefficient search: PM and IA only draw
-candidate codes, and one loop vets each through its condition_check.
+candidate codes, and one loop vets each through the family's _repairable,
+condition_check's unchecked core: the loop's patterns are valid by
+construction, so they skip condition_check's boundary check.
 """
 
 import contextlib
@@ -70,7 +72,11 @@ class SplitRandom:
         return self._next64() % bound
 
     def sample(self, seq, count):
+        """count distinct items of seq in a seeded order; a count that is
+        not an int in 0..len(seq), bools included, is a ValueError."""
         pool = list(seq)
+        if type(count) is not int or count < 0:
+            raise ValueError("need a sample count that is an int >= 0, got %r" % (count,))
         if count > len(pool):
             raise ValueError("sample larger than population")
         for t in range(count):
@@ -154,12 +160,12 @@ def run_sweep(code, e, seed=0, sample=None, helpers=None, **repair_args):
     """Try every e-failure pattern (or a seeded sample) and verify repair
     from helpers, or from the default helpers when None: for PM at n > d+1
     a clean sweep vouches for those helpers only, as a pattern can repair
-    from one helper set and not another. e outside 1..n or a sample of no
-    patterns is a ValueError."""
-    if not 1 <= e <= code.n:
-        raise ValueError("need 1 <= e <= n = %d failed nodes, got %d" % (code.n, e))
-    if sample is not None and sample < 1:
-        raise ValueError("need a sample of at least 1 pattern, got %d" % sample)
+    from one helper set and not another. An e that is not an int in 1..n,
+    or a sample that is not an int >= 1, bools included, is a ValueError."""
+    if type(e) is not int or not 1 <= e <= code.n:
+        raise ValueError("need 1 <= e <= n = %d failed nodes, got %r" % (code.n, e))
+    if sample is not None and (type(sample) is not int or sample < 1):
+        raise ValueError("need a sample of at least 1 pattern, got %r" % (sample,))
     base = SplitRandom(seed)
     patterns = list(itertools.combinations(code.node_ids(), e))
     if sample is not None and sample < len(patterns):
@@ -182,10 +188,12 @@ def search_assignment(family, params, budget=200, seed=0):
     left out) and e_max, n-k by default. Each of budget trials draws a
     candidate from random.Random(seed): PM n distinct lambdas; IA the
     default code at trial zero, then a random P, kept only if every square
-    submatrix is invertible, and a random kappa. The code's condition_check
-    vets its patterns of 2..e_cap failures, e_max capped by what one repair
-    takes; a PM pattern with its default helpers only, the first d-e+1
-    live nodes. A trial stops counting once it has as many singular
+    submatrix is invertible, and a random kappa. The code vets its
+    patterns of 2..e_cap failures, e_max capped by what one repair takes,
+    through _repairable, condition_check's verdict without its boundary
+    check: the patterns are sorted combinations of node ids within the
+    family's limit by construction. A PM pattern is vetted with its
+    default helpers only, the first d-e+1 live nodes. A trial stops counting once it has as many singular
     patterns as the best trial so far. Returns the first clean code's
     descriptor, or raises AssignmentNotFoundError with the first candidate
     of fewest singular patterns (PM's lambdas, IA's code). Params no code
@@ -227,7 +235,7 @@ def search_assignment(family, params, budget=200, seed=0):
             continue
         bad = 0
         for pattern in (f for e in range(2, e_cap + 1) for f in itertools.combinations(code.node_ids(), e)):
-            if not code.condition_check(pattern):
+            if not code._repairable(pattern):
                 bad += 1
                 if best_bad is not None and bad >= best_bad:
                     break

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_paths as ref
+from regenrepair import framework
 from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.framework import (
     CouplingSystem,
@@ -307,6 +308,25 @@ def test_a_different_pool_starts_a_new_table_and_its_ids_are_checked():
     with pytest.raises(ValueError, match="d\\+1"):
         code._pool_decoder(3, range(1, 11))
     assert code._pool_decoder(3, tuple(second)) is again and calls == [2]
+
+
+def test_the_sent_rows_are_built_once_per_code(monkeypatch):
+    """PM(13, 6) has n > d+1, so its pools differ. The first decoder table
+    it starts builds the sent-row table, one product per source with its
+    generator block; a second pool's table reads it and makes no
+    generator-block product, and its decoders are the reference's."""
+    code = PMCode(Field(8, 0x11D), 13, 6)
+    size, generator = code.shard_length, code._generator_rows()
+    blocks = [generator[(s - 1) * size : s * size] for s in code.node_ids()]
+    products, mul = [], framework._mul_packed
+    monkeypatch.setattr(framework, "_mul_packed", lambda f, coefs, rows, width: products.append(rows) or mul(f, coefs, rows, width))
+    block_products = lambda: sum(rows in blocks for rows in products)
+    code._pool_decoder(3, frozenset(range(1, 12)))
+    assert block_products() == code.n
+    second = frozenset(range(2, 13))
+    for i in (3, 12):
+        assert code._pool_decoder(i, second) == ref.pool_decoder(code, i, second)
+    assert block_products() == code.n
 
 
 def test_pm_repairs_still_read_coupling_coefficients(monkeypatch):

@@ -254,6 +254,56 @@ def test_singular_sets_match_reference_determinants_on_f32():
     assert singular == [(3, 4), (6, 7), (3, 4, 5), (5, 6, 7)]
 
 
+def drawn_lambdas(field, n, k, seed):
+    """n distinct lambdas with distinct (k-1)-th powers, from random.Random(seed)."""
+    rng = random.Random(seed)
+    while True:
+        lambdas = rng.sample(range(field.size), n)
+        if len({field.pow(x, k - 1) for x in lambdas}) == n:
+            return lambdas
+
+
+# (field, n, k, lambda seed or None for the default lambdas, the singular
+# pairs or None): n = d+1 and n > d+1 over m = 4, 5, 6, 8, 10, 16, and the
+# codes with known singular pairs; at k = 2 every pair is singular
+E2_CODES = {
+    "f16-n5": (F16, 5, 3, None, []),
+    "f16-n7-drawn": (F16, 7, 3, 1, None),
+    "f16-k2": (F16, 4, 2, None, list(itertools.combinations(range(1, 5), 2))),
+    "f16-k2-n3-drawn": (F16, 3, 2, 2, [(1, 2), (1, 3), (2, 3)]),
+    "f32-n9": (Field(5), 9, 5, None, [(3, 4), (6, 7)]),
+    "f32-n11-drawn": (Field(5), 11, 6, 3, None),
+    "f64-n11": (F64, 11, 6, None, [(1, 2), (10, 11)]),
+    "f256-n13": (F256, 13, 6, None, None),
+    "f256-n11-drawn": (F256, 11, 6, 4, None),
+    "f1024-n7-drawn": (Field(10), 7, 4, 5, None),
+    "f1024-n9": (Field(10), 9, 4, None, None),
+    "f65536-n9-drawn": (Field(16), 9, 5, 6, None),
+    "f65536-n11-drawn": (Field(16), 11, 5, 7, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(E2_CODES))
+def test_e2_verdicts_equal_the_reference_determinant(case):
+    """Every pattern {a, b} is repairable by _repairable's closed form,
+    c(a,b,b) c(b,a,a) != 1, exactly when the reference coupling matrix
+    over the default helpers has a nonzero determinant; condition_check
+    answers the same where e = 2 is within PM's limit (not at k = 2)."""
+    field, n, k, seed, singular = E2_CODES[case]
+    code = PMCode(field, n, k, None if seed is None else drawn_lambdas(field, n, k, seed))
+    found = []
+    for pair in itertools.combinations(code.node_ids(), 2):
+        helpers = [i for i in code.node_ids() if i not in pair][: code.d - 1]
+        clean = mat_det(ref.pm_coupling_matrix(code, pair, helpers).A) != 0
+        assert code._repairable(pair) == clean, pair
+        if k > 2:
+            assert code.condition_check(pair) == clean, pair
+        if not clean:
+            found.append(pair)
+    if singular is not None:
+        assert found == singular
+
+
 def test_coupling_matrix_is_assemble_multis_matrix_without_shards():
     code = example_code()
     shards = code.encode(code.random_message(random.Random(43)))
@@ -552,7 +602,7 @@ def test_field_search_finds_clean_assignment_over_f256():
 def test_field_search_vets_the_default_helpers_only():
     """Once n > d+1, whether a pattern repairs depends on its helper set,
     and the search vets each pattern with its default helpers only,
-    through condition_check, as the docstrings of search_assignment,
+    through condition_check's core, as the docstrings of search_assignment,
     condition_check and run_sweep say. The lambdas it finds for PM(13, 6)
     over GF(2^6) repair failed (1, 2) from the default helpers 3..11 but
     not from 3..10 and 12, and condition_check answers for the first."""

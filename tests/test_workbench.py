@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import reference_paths as ref
+from regenrepair.framework import RepairableCode
 from regenrepair.gf import Field
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
@@ -66,6 +67,15 @@ def test_split_random_sample_is_sorted_unique():
         SplitRandom(7).sample(range(3), 5)
 
 
+@pytest.mark.parametrize("count", [-1, True, 1.5, "2"])
+def test_split_random_sample_refuses_a_count_that_is_not_an_int_from_zero(count):
+    """sample([1, 2, 3], -1) returned [1, 2] and a count of True one item;
+    1.5 and "2" died with a raw TypeError."""
+    with pytest.raises(ValueError, match="sample count"):
+        SplitRandom(7).sample([1, 2, 3], count)
+    assert SplitRandom(7).sample([1, 2, 3], 0) == []
+
+
 def test_verify_exact_repair_reports_success_and_bandwidth():
     code = PMCode(F32, 6, 3)
     ok, bandwidth, singular = verify_exact_repair(code, (2, 5))
@@ -103,6 +113,25 @@ def test_run_sweep_sample_mode_subsets_patterns():
     by_pattern = {tuple(x.pattern): x.to_dict() for x in full.entries}
     for x in report.entries:
         assert x.to_dict() == by_pattern[tuple(x.pattern)]
+
+
+@pytest.mark.parametrize(
+    "e, sample",
+    [
+        # e = True ran an e = 1 sweep whose report said e=True
+        (True, None),
+        # sample=True sampled one pattern
+        (2, True),
+        # these died with a raw TypeError
+        (2.0, None),
+        ("2", None),
+        (2, 2.5),
+        (2, "3"),
+    ],
+)
+def test_run_sweep_refuses_an_e_or_sample_that_is_not_an_int(e, sample):
+    with pytest.raises(ValueError, match="need"):
+        run_sweep(PMCode(F32, 6, 3), e, sample=sample)
 
 
 def test_run_sweep_records_singular_patterns():
@@ -203,3 +232,82 @@ def test_build_code_round_trips_every_family():
         assert twin.encode(msg) == code.encode(msg)
     with pytest.raises(ValueError):
         build_code({"family": "nope", "m": 5, "modulus": None})
+
+
+def ia_descriptor(field, kappa, P):
+    """The descriptor of IACode(field, 5) with the given kappa and P."""
+    identity = [[int(r == c) for c in range(5)] for r in range(5)]
+    return {"family": "ia", "k": 5, "m": field.m, "modulus": field.modulus, "kappa": kappa, "P": P, "V": identity}
+
+
+# What design's two searches (perfbench/workloads.py, Design.searches) and
+# the README's two `code search` commands return at seeds 0..5: (family,
+# params, budget, one result per seed), a found descriptor or the
+# (best_failures, best) of an exhausted search, with PM's best its lambdas
+# and IA's best the descriptor of its code.
+F256 = Field(8)
+PINNED_SEARCHES = {
+    "design-pm": (
+        "pm",
+        {"m": 5, "n": 11, "k": 6, "e_max": 3},
+        2,
+        [
+            (11, [22, 18, 28, 6, 16, 4, 9, 26, 3, 19, 8]),
+            (6, [8, 18, 27, 25, 24, 2, 31, 3, 15, 14, 23]),
+            (2, [3, 2, 30, 11, 26, 5, 23, 21, 9, 8, 19]),
+            (8, [15, 18, 17, 4, 11, 19, 31, 20, 30, 2, 26]),
+            (3, [18, 25, 24, 1, 7, 16, 17, 11, 8, 5, 3]),
+            (4, [16, 23, 11, 25, 22, 26, 30, 20, 31, 0, 14]),
+        ],
+    ),
+    # no random P over GF(32) at k = 5 is kept, so the default code is the best
+    "design-ia": ("ia", {"m": 5, "k": 5}, 10, [(7, IACode(F32, 5).descriptor())] * 6),
+    "readme-pm": (
+        "pm",
+        {"m": 6, "modulus": 0x43, "n": 7, "k": 3},
+        200,
+        [
+            {"family": "pm", "n": 7, "k": 3, "m": 6, "modulus": 0x43, "lambdas": lambdas}
+            for lambdas in (
+                [49, 48, 56, 26, 2, 16, 32],
+                [17, 36, 54, 51, 48, 4, 16],
+                [7, 5, 62, 23, 53, 10, 47],
+                [30, 37, 34, 8, 23, 58, 38],
+                [30, 19, 6, 46, 25, 63, 9],
+                [32, 47, 22, 50, 44, 53, 62],
+            )
+        ],
+    ),
+    "readme-ia": (
+        "ia",
+        {"m": 8, "modulus": F256.modulus, "n": 10, "k": 5},
+        200,
+        [
+            ia_descriptor(F256, 148, [[10, 201, 101, 114, 96], [194, 49, 117, 92, 203], [162, 20, 245, 12, 231], [240, 11, 125, 66, 231], [7, 242, 134, 171, 146]]),
+            ia_descriptor(F256, 118, [[26, 54, 167, 82, 11], [7, 3, 202, 252, 237], [76, 186, 153, 82, 116], [101, 81, 103, 17, 17], [234, 82, 249, 154, 249]]),
+            ia_descriptor(F256, 228, [[101, 206, 186, 221, 255], [131, 244, 96, 140, 240], [114, 129, 69, 231, 10], [223, 8, 94, 120, 239], [82, 233, 98, 109, 229]]),
+            ia_descriptor(F256, 159, [[69, 73, 32, 17, 124], [219, 164, 254, 124, 23], [89, 205, 18, 106, 230], [39, 6, 76, 110, 197], [107, 224, 31, 12, 155]]),
+            ia_descriptor(F256, 213, [[61, 78, 27, 185, 102], [123, 40, 24, 18, 6], [103, 141, 235, 75, 205], [254, 196, 16, 57, 134], [138, 93, 71, 200, 45]]),
+            ia_descriptor(F256, 39, [[91, 229, 135, 65, 199], [119, 28, 151, 192, 200], [205, 95, 221, 76, 10], [111, 243, 251, 24, 54], [88, 132, 157, 93, 236]]),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("case", sorted(PINNED_SEARCHES))
+def test_search_results_are_pinned_and_vetted_without_the_boundary_check(case, seed, monkeypatch):
+    """The search returns what it did before its vetting loop called the
+    families' unchecked _repairable: its patterns are combinations of
+    node ids within the family's limit, so no pattern is checked again
+    (RepairableCode._failure_pattern is never called)."""
+    family, params, budget, results = PINNED_SEARCHES[case]
+    checked, check = [], RepairableCode._failure_pattern
+    monkeypatch.setattr(RepairableCode, "_failure_pattern", lambda self, failed: checked.append(failed) or check(self, failed))
+    try:
+        got = search_assignment(family, params, budget=budget, seed=seed)
+    except AssignmentNotFoundError as err:
+        got = (err.best_failures, err.best if family == "pm" else err.best.descriptor())
+    assert got == results[seed]
+    assert checked == []
+
