@@ -21,9 +21,9 @@ repairable with the chosen code coefficients, which is a reportable
 outcome rather than a bug.
 
 The system is built once, here, for PM and IA alike: _coupling_rows
-writes [A | b] as packed rows (gf._pack) in the caller's order of the
-unknowns, _coupling_system fills a CouplingSystem from them, and
-dependent_pairs names the dependent transfers of a singular pattern.
+writes [A | b] as packed rows (gf._pack), rows and columns in
+unknown_pairs order, _coupling_system fills a CouplingSystem from them,
+and dependent_pairs names the dependent transfers of a singular pattern.
 Whether a pattern's system is solvable is each family's condition_check:
 the shared boundary check (_failure_pattern), then the family's unchecked
 core, _repairable, which the coefficient search calls directly on the
@@ -40,9 +40,12 @@ each send map. IA, MDS and adaptive MBR repair this way. IA compiles a
 plan on packed rows from the coupling rows to the decode map: one
 Gauss-Jordan solves the coupling system for every received symbol at
 once, and the solved rows, scaled by each failed node's decoder columns,
-are its decode. PM solves its coupling rows on every call: [A | b] by one
+are its decode; its pivotless columns name a singular pattern's dependent
+transfers. PM solves its coupling rows on every call: [A | b] by one
 Gauss-Jordan, then one product per lost shard; its transcript counts the
-transfers it computed.
+transfers it computed. PM's repair and _coupling_system project shards
+they have already checked by dot; repair_transfer, the public form, checks
+its target and shard first.
 
 Every family takes the same request: e failed nodes, none holding a shard,
 and a helper set whose size the family fixes (PM d-e+1, IA n-e, MDS and
@@ -405,18 +408,17 @@ class RepairableCode:
             raise ValueError("need distinct nodes %r and %r from the pool and j in 1..%d" % (i, l, self.n))
         return column[1][j - 1]
 
-    def _coupling_rows(self, failed, pairs, columns, pool, toward=None):
-        """[A | b] of the sorted failed nodes as packed rows (gf._pack), a
-        row per pair of pairs and A's columns in the order of columns, both
-        orders of unknown_pairs(failed); b's lane follows A's. Row (i, j)
-        holds 1 in the slot of (i, j) and coupling_coefficient(i, j, l,
-        pool) in the slot of (l, i) for each other failed l. b(i, j) =
+    def _coupling_rows(self, failed, pool, toward=None):
+        """[A | b] of the sorted failed nodes as packed rows (gf._pack), rows
+        and A's columns in unknown_pairs(failed) order, b's lane after A's.
+        Row (i, j) holds 1 in the slot of (i, j) and coupling_coefficient(i,
+        j, l, pool) in the slot of (l, i) for each other failed l. b(i, j) =
         sum_h r_{h->i} weights_{i,h}[j-1], r_{h->i} = toward[i][h], is lane
         j-1 of one product per failed node with its packed weight rows
         (_pool_rows); with no transfers b is zero."""
-        f, lane = self.field, _lane_bits(self.field)
-        slot = {pair: lane * t for t, pair in enumerate(columns)}  # where each unknown's lane starts
-        right, coefficient = lane * len(columns), self.coupling_coefficient
+        f, lane, pairs = self.field, _lane_bits(self.field), unknown_pairs(failed)
+        slot = {pair: lane * t for t, pair in enumerate(pairs)}  # where each unknown's lane starts
+        right, coefficient = lane * len(pairs), self.coupling_coefficient
         rhs = dict.fromkeys(failed, [0] * self.n)
         if toward:
             for i in failed:
@@ -438,9 +440,9 @@ class RepairableCode:
         failed node): symbol}; with no shards b is zero and none are."""
         system, toward = CouplingSystem(self.field, failed), None
         if shards is not None:
-            toward = {j: {h: self.repair_transfer(shards[h], j) for h in helpers} for j in system.failed}
+            toward = {j: {h: dot(self.field, shards[h], self._projection(j)) for h in helpers} for j in system.failed}
         pool = frozenset(system.failed + tuple(helpers))
-        rows = self._coupling_rows(system.failed, system.pairs, system.pairs, pool, toward)
+        rows = self._coupling_rows(system.failed, pool, toward)
         rows = _unpack_rows(self.field, rows, system.size + 1)
         system.A, system.b = Matrix(self.field, [row[:-1] for row in rows]), [row[-1] for row in rows]
         return system, {(h, j): toward[j][h] for h in helpers for j in system.failed} if toward else {}
@@ -458,7 +460,12 @@ class RepairableCode:
 
     def repair_transfer(self, shard, target):
         """The symbol a live node sends toward failed node target: its shard
-        projected on _projection(target)."""
+        projected on _projection(target). A target that is not an int node
+        id, bools included, or a shard that is not shard_length symbols of
+        the field raises InvalidRepairInputError."""
+        check_input(self, (), 0, (), (target,))
+        if not _is_word(self.field, shard, self.shard_length):
+            raise InvalidRepairInputError("shard is not %d symbols of GF(2^%d)" % (self.shard_length, self.field.m))
         return dot(self.field, shard, self._projection(target))
 
     def random_message(self, rng):

@@ -13,7 +13,8 @@ x -> y is the projection toward y of x's decode from its transfers, and
 the framework builds those rows for IA as for PM (_coupling_rows). The
 whole repair of a pattern compiles into one repair plan, on packed rows
 (gf._pack) from the coupling rows to the decode map: the coupling solve
-over the received transfers, folded into each failed node's decoder.
+over the received transfers, folded into each failed node's decoder. A
+singular pattern's dependent transfers come from that same reduction.
 
 condition_check decides repairability. With s failed systematic nodes S
 and p failed parity indices J, the coupling determinant is
@@ -196,34 +197,30 @@ class IACode(RepairableCode):
         """Every survivor sends one symbol toward each failed node.
 
         The unknown transfers solve A s = K r, with r the received symbols.
-        A's packed rows come from _coupling_rows, unknowns source-major and
-        rows by destination (a third less fill-in at e = 6 than
-        unknown_pairs order), and K's lanes are ORed in, r failed-major so
-        the helpers' weights toward x are one slice. One Gauss-Jordan gives
-        s = A^-1 K r; node i's decode is the solved rows of the transfers
-        toward i times i's decoder columns, plus its helper columns, read
-        helper-major as received. A singular A compiles to a singular plan
-        naming its dependent transfers, reduced in unknown_pairs layout.
+        A's packed rows come from _coupling_rows in unknown_pairs order, and
+        K's lanes are ORed in, r failed-major so the helpers' weights toward
+        x are one slice. One Gauss-Jordan gives s = A^-1 K r; node i's
+        decode is the solved rows of the transfers toward i times i's
+        decoder columns, plus its helper columns, read helper-major as
+        received. A singular A compiles to a singular plan naming its
+        dependent transfers, the pivotless columns of that same reduction.
         """
         f, e = self.field, len(failed)
         helpers = tuple(h for h in self.node_ids() if h not in failed)
         pool = frozenset(self.node_ids())  # _pool_decoder keeps a frozenset as is
-        span = len(helpers)
-        unknowns = [(x, y) for x in failed for y in failed if x != y]
-        order = [(x, y) for y in failed for x in reversed(failed) if x != y]
-        size = len(unknowns)
+        span, pairs = len(helpers), unknown_pairs(failed)
+        size = len(pairs)
         width = size + e * span
         start = {x: size + b * span for b, x in enumerate(failed)}  # K's columns for the transfers toward x
         # the helpers' weights in x's decoder table, in node order
         weights = {x: [w for h, (_, w) in self._pool_decoder(x, pool).items() if h not in failed] for x in failed}
-        rows = self._coupling_rows(failed, order, unknowns, pool)
-        for t, (x, y) in enumerate(order):
+        rows = self._coupling_rows(failed, pool)
+        for t, (x, y) in enumerate(pairs):
             rows[t] |= _pack(f, [w[y - 1] for w in weights[x]], start[x])
-        if len(_reduce_packed(f, rows, width, size, True)[0]) < size:
-            pairs = unknown_pairs(failed)
-            pivots, _ = _reduce_packed(f, self._coupling_rows(failed, pairs, pairs, pool), size + 1, size, False)
+        pivots, _ = _reduce_packed(f, rows, width, size, True)
+        if len(pivots) < size:
             return RepairPlan(failed, (), (), None, dependent_pairs(pairs, pivots))
-        solved = dict(zip(unknowns, rows))
+        solved = dict(zip(pairs, rows))
         decode = []
         for i in failed:
             columns = self._pool_decoder(i, pool)

@@ -29,7 +29,7 @@ table by identity.
 
 from .framework import RepairableCode, RepairTranscript, SingularCouplingError, _is_word, check_input, check_message
 from .framework import dependent_pairs, failure_count, unknown_pairs
-from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _unpack, vandermonde
+from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _unpack, dot, vandermonde
 
 
 class PMCode(RepairableCode):
@@ -156,8 +156,7 @@ class PMCode(RepairableCode):
             a, b = failed
             weigh = self.coupling_coefficient
             return self.field.mul(weigh(a, b, b, pool), weigh(b, a, a, pool)) != 1
-        pairs = unknown_pairs(failed)
-        rows = self._coupling_rows(failed, pairs, pairs, pool)
+        rows = self._coupling_rows(failed, pool)
         return len(_reduce_packed(self.field, rows, len(rows) + 1, len(rows), False)[0]) == len(rows)
 
     def assemble_multi(self, shards, failed, helpers):
@@ -174,14 +173,16 @@ class PMCode(RepairableCode):
         """Solve the coupling system of the pattern, [A | b] on packed rows
         by one Gauss-Jordan, then finish each failed node's decode as one
         packed product of its d transfers, received and solved, with its
-        decoder columns. The transcript counts the transfers computed for
-        each helper."""
+        decoder columns. The received transfers are the checked helpers'
+        shards projected by dot, with no repair_transfer check per
+        transfer. The transcript counts the transfers computed for each
+        helper."""
         e = self._failures(failed)
         failed, helpers = self._repair_nodes(shards, failed, helpers, self.d - e + 1)
         f, pool, pairs = self.field, frozenset(failed + helpers), unknown_pairs(failed)
-        toward = {j: {h: self.repair_transfer(shards[h], j) for h in helpers} for j in failed}
+        toward = {j: {h: dot(f, shards[h], self._projection(j)) for h in helpers} for j in failed}
         if e > 1:
-            rows = self._coupling_rows(failed, pairs, pairs, pool, toward)
+            rows = self._coupling_rows(failed, pool, toward)
             pivots, _ = _reduce_packed(f, rows, len(rows) + 1, len(rows), True)
             if len(pivots) < len(rows):
                 raise SingularCouplingError(failed, dependent_pairs(pairs, pivots))

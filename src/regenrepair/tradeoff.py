@@ -143,9 +143,12 @@ def min_cut_oracle(params: SystemParams, alpha: RationalLike, beta: RationalLike
 
 def optimal_scenario(params: SystemParams, alpha: RationalLike, beta: RationalLike) -> Scenario:
     """Closed-form minimizing scenario. The residual group r goes first
-    when alpha <= (d + eta*r - eta*e)*beta/r (ties keep the r-first form)."""
+    when alpha <= (d + eta*r - eta*e)*beta/r (ties keep the r-first form).
+    A negative alpha or beta raises InvalidScenarioError."""
     k, e, d = params.k, params.e, params.d
     alpha, beta = Fraction(alpha), Fraction(beta)
+    if alpha < 0 or beta < 0:
+        raise InvalidScenarioError("alpha and beta must be nonnegative")
     if k <= e:
         return Scenario((k,))
     eta, r = params.eta, params.r

@@ -67,8 +67,10 @@ class SplitRandom:
         return int.from_bytes(key.digest()[:8], "big")
 
     def randrange(self, bound):
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """A draw in 0..bound-1; a bound that is not an int >= 1, bools
+        included, is a ValueError."""
+        if type(bound) is not int or bound <= 0:
+            raise ValueError("need a bound that is an int >= 1, got %r" % (bound,))
         return self._next64() % bound
 
     def sample(self, seq, count):

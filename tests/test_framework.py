@@ -399,27 +399,20 @@ def reference_system(code, failed, helpers):
 @example((IACode(PACKED_FIELDS[10], 3), (2, 5), (1, 3, 4, 6), 3))
 @example((IACode(PACKED_FIELDS[4], 4), (1, 7), (2, 3, 4, 5, 6, 8), 4))
 def test_coupling_rows_match_the_reference_systems(case):
-    """The framework's one builder of coupling rows gives the reference A
-    in unknown_pairs layout, in IA's compile layout (rows by destination,
-    columns source-major) and in a drawn one; b, from the helpers'
+    """The framework's one builder of coupling rows gives the reference A,
+    rows and columns in unknown_pairs order; b, from the helpers'
     transfers, is the reference weights dotted with them; and a singular
     pattern names the reference's dependent transfers, in PM's repair and
     in IA's plan compile alike."""
     code, failed, helpers, seed = case
     f, pool, rng = code.field, frozenset(failed + helpers), random.Random(seed)
     want, known = reference_system(code, failed, helpers)
-    pairs, size, at = want.pairs, want.size, want.slot
-    layouts = [
-        (pairs, pairs),
-        ([(x, y) for y in failed for x in reversed(failed) if x != y], [(x, y) for x in failed for y in failed if x != y]),
-        (rng.sample(pairs, size), rng.sample(pairs, size)),
-    ]
-    for rows, columns in layouts:
-        got = _unpack_rows(f, code._coupling_rows(failed, rows, columns, pool), size + 1)
-        assert got == [[want.A.data[at[p]][at[c]] for c in columns] + [0] for p in rows]
+    pairs, size = want.pairs, want.size
+    got = _unpack_rows(f, code._coupling_rows(failed, pool), size + 1)
+    assert got == [row + [0] for row in want.A.data]
     shards = code.encode(code.random_message(rng))
     toward = {j: {h: code.repair_transfer(shards[h], j) for h in helpers} for j in failed}
-    got = _unpack_rows(f, code._coupling_rows(failed, pairs, pairs, pool, toward), size + 1)
+    got = _unpack_rows(f, code._coupling_rows(failed, pool, toward), size + 1)
     weights = [known[(x, y)] for x, y in pairs]
     assert [row[-1] for row in got] == [dot(f, list(w.values()), [toward[x][h] for h in w]) for (x, _), w in zip(pairs, weights)]
     pivots, _ = ref.reduce_direct(f, [list(row) for row in want.A.data], size, False)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_paths as ref
+from regenrepair import ia
 from regenrepair.framework import SingularCouplingError
 from regenrepair.gf import Field, Matrix, all_square_submatrices_invertible, cauchy, mat_det, mat_mul
 from regenrepair.ia import IACode, UnsupportedPatternError, default_kappa
@@ -395,9 +396,9 @@ def plan_state(plan):
 @example(IACode(Field(4), 4), random.Random(0))
 @example(IACode(Field(10), 3), random.Random(0))
 def test_packed_compile_matches_the_list_compile(code, rng):
-    """The plan compiled on packed rows, with its own row and column order,
-    holds the same send maps, decode map and dependent transfers as the
-    compile on list rows in unknown_pairs order, on every e: every pattern
+    """The plan compiled on packed rows holds the same send maps, decode
+    map and dependent transfers as the compile on list rows, both in
+    unknown_pairs order, on every e: every pattern
     up to k = 4, and past it 25 drawn ones per e plus every singular one.
     The examples carry singular patterns, the last past m = 8."""
     for e in range(1, code.k + 1):
@@ -407,6 +408,25 @@ def test_packed_compile_matches_the_list_compile(code, rng):
             patterns = rng.sample(patterns, min(25, len(patterns))) + singular
         for pat in patterns:
             assert plan_state(code._compile_plan(pat)) == plan_state(ref.ia_compile_plan(code, pat)), pat
+
+
+def test_a_singular_compile_names_its_dependent_transfers_from_its_own_reduction(monkeypatch):
+    """Each singular pattern of IA(6)/GF(2^8) at e = 3 builds its coupling
+    rows once and reduces them once, and names the dependent transfers
+    CouplingSystem.solve names on coupling_system."""
+    code = IACode(F256, 6)
+    singular = [pat for pat in combinations(code.node_ids(), 3) if not code.condition_check(pat)]
+    assert len(singular) == 4
+    calls, build, reduce = [], IACode._coupling_rows, ia._reduce_packed
+    monkeypatch.setattr(IACode, "_coupling_rows", lambda *args: calls.append("rows") or build(*args))
+    monkeypatch.setattr(ia, "_reduce_packed", lambda *args: calls.append("reduce") or reduce(*args))
+    for pat in singular:
+        calls.clear()
+        plan = code._compile_plan(pat)
+        assert calls == ["rows", "reduce"], pat
+        with pytest.raises(SingularCouplingError) as err:
+            code.coupling_system(pat)[0].solve()
+        assert plan.dependent == err.value.dependent != (), pat
 
 
 @settings(max_examples=20, deadline=None)

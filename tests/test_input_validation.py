@@ -19,7 +19,7 @@ import pytest
 from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.cli import main
 from regenrepair.framework import InvalidHelperCountError, InvalidRepairInputError, RepairableCode
-from regenrepair.gf import Field, Matrix
+from regenrepair.gf import Field, Matrix, dot
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
 from regenrepair.pm import PMCode
@@ -372,6 +372,24 @@ def test_assemble_multi_checks_ids_and_helper_shards(encoded, family):
     helpers = () if family == "ia" else ([h for h in code.node_ids() if h not in failed][: code.d - 1],)
     system, _ = code.assemble_multi(dict(shards), failed, *helpers)
     assert system.solve()
+
+
+# repair_transfer is public. On PM(11, 6) target 0 returned node 11's
+# transfer through Phi.data[-1], True read as node 1, 12 died with
+# IndexError (as IA's 0 did), and a 2-symbol shard returned a value.
+@pytest.mark.parametrize("family", ["ia", "pm"])
+def test_repair_transfer_refuses_targets_that_are_not_nodes_and_malformed_shards(encoded, family):
+    code, shards = encoded[family]
+    shard = shards[2]
+    for target in (0, code.n + 1, *NOT_INT_IDS, 2.5):
+        with pytest.raises(InvalidRepairInputError):
+            code.repair_transfer(shard, target)
+    malformed = [shard[:2], shard + [0], 5, None]
+    malformed += [[bad] + shard[1:] for bad in OUTSIDE + NOT_INT]
+    for bad in malformed:
+        with pytest.raises(InvalidRepairInputError):
+            code.repair_transfer(bad, 1)
+    assert code.repair_transfer(shard, code.n) == dot(code.field, shard, code._projection(code.n))
 
 
 # A pool of d+1 ids with one past n died in the decoder derivation with

@@ -107,6 +107,16 @@ def test_optimal_scenario_frozen():
     assert optimal_scenario(SystemParams(1, 10, 3, 5, 4), 2, 1).u == (3,)
 
 
+@pytest.mark.parametrize("alpha, beta", [(-1, 1), (1, -1), (F(-1, 3), 0)])
+@pytest.mark.parametrize("params", [SystemParams(12, 10, 4, 6, 2), SystemParams(12, 10, 2, 6, 3)])
+def test_optimal_scenario_refuses_a_negative_alpha_or_beta(params, alpha, beta):
+    """optimal_scenario(SystemParams(12, 10, 4, 6, 2), -1, 1) returned
+    Scenario((2, 2)); cut_value and min_cut_oracle refused it already."""
+    for call in (optimal_scenario, min_cut_oracle):
+        with pytest.raises(InvalidScenarioError):
+            call(params, alpha, beta)
+
+
 def test_min_cut_oracle_matches_independent_brute_force():
     rng = random.Random(2024)
     for params in grid_params(kmax=5, dmax=8):

@@ -76,6 +76,14 @@ def test_split_random_sample_refuses_a_count_that_is_not_an_int_from_zero(count)
     assert SplitRandom(7).sample([1, 2, 3], 0) == []
 
 
+@pytest.mark.parametrize("bound", [2.5, 3.0, True, "3", 0, -1])
+def test_split_random_randrange_refuses_a_bound_that_is_not_an_int_from_one(bound):
+    """randrange(2.5) returned 1.0 and randrange(True) 0; "3" died with a
+    raw TypeError."""
+    with pytest.raises(ValueError, match="bound"):
+        SplitRandom(7).randrange(bound)
+
+
 def test_verify_exact_repair_reports_success_and_bandwidth():
     code = PMCode(F32, 6, 3)
     ok, bandwidth, singular = verify_exact_repair(code, (2, 5))
