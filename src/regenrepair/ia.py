@@ -251,7 +251,9 @@ class IACode(RepairableCode):
     def _repairable(self, failed):
         """condition_check's verdict on failed, a sorted tuple of distinct
         node ids within _failures' limit, unchecked: the search vets its
-        patterns here."""
+        patterns here. I + G of one or two rows is decided by its
+        determinant written out, g00 or g00 g11 + g01 g10; larger ones are
+        reduced."""
         k = self.k
         rows = [x - 1 for x in failed if x <= k]
         cols = [x - k - 1 for x in failed if x > k]
@@ -268,4 +270,8 @@ class IACode(RepairableCode):
                 for c in cols:
                     acc ^= mul(P[a][c], Pd[b][c])
                 g[-1].append(acc)
+        if len(g) == 1:
+            return g[0][0] != 0
+        if len(g) == 2:
+            return mul(g[0][0], g[1][1]) != mul(g[0][1], g[1][0])
         return _reduce(self.field, g, len(g), False)[1] != 0

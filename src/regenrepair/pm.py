@@ -19,12 +19,27 @@ and assemble_multi (_coupling_system).
 
 condition_check is the framework's boundary check (_failure_pattern)
 followed by _repairable, the unchecked core that workbench.search_assignment
-calls directly. A pattern {a, b} needs no rows: its coupling matrix is
-[[1, c(a,b,b)], [c(b,a,a), 1]], singular exactly when c(a,b,b) c(b,a,a) = 1
-over GF(2^m), so two coefficient reads and one product decide it. Larger
-patterns reduce their rows. At n = d+1 every pattern's pool is every node,
-kept as one frozenset per code, so every coefficient read hits the decoder
-table by identity.
+calls directly. Patterns of two and three failures need no rows: their
+coupling determinants are written out in the coefficients c(i,j,l) =
+coupling_coefficient(i, j, l, pool), the weight of the transfer l -> i in
+row (i, j). A pattern {a, b} has the matrix [[1, c(a,b,b)], [c(b,a,a), 1]],
+singular exactly when c(a,b,b) c(b,a,a) = 1 over GF(2^m). A pattern
+{a, b, c} has a 6 x 6 matrix with three nonzeros per row, whose
+determinant over GF(2^m) has 20 terms. With
+  p_ab = c(a,b,b) c(b,a,a), p_ac = c(a,c,c) c(c,a,a), p_bc = c(b,c,c) c(c,b,b),
+  x_a = c(a,b,c) c(a,c,b), x_b = c(b,a,c) c(b,c,a), x_c = c(c,a,b) c(c,b,a),
+it is
+  (1+p_ab)(1+p_ac)(1+p_bc)
+  + c(a,c,c) c(b,c,c) x_c (1+p_ab) + c(a,b,b) c(c,b,b) x_b (1+p_ac)
+  + c(b,a,a) c(c,a,a) x_a (1+p_bc)
+  + c(a,b,b) c(a,c,c) x_b x_c + c(b,a,a) c(b,c,c) x_a x_c
+  + c(c,a,a) c(c,b,b) x_a x_b + x_a x_b x_c
+  + c(a,b,c) c(b,c,a) c(c,a,b) + c(a,c,b) c(b,a,c) c(c,b,a),
+the Leibniz expansion of the sparse matrix (at e = 2 the same expansion is
+1 + p_ab), so twelve coefficient reads and a few dozen products decide
+it. Larger patterns reduce their rows. At n = d+1 every pattern's pool is
+every node, kept as one frozenset per code, so every coefficient read hits
+the decoder table by identity.
 """
 
 from .framework import RepairableCode, RepairTranscript, SingularCouplingError, _is_word, check_input, check_message
@@ -144,18 +159,45 @@ class PMCode(RepairableCode):
     def _repairable(self, failed):
         """condition_check's verdict on failed, a sorted tuple of distinct
         node ids within _failures' limit, unchecked: the search vets its
-        patterns here. A pattern {a, b} is decided in closed form, by
-        c(a,b,b) c(b,a,a) != 1 in coupling_coefficient's terms, with no
-        rows built; larger ones reduce their rows (_coupling_rows). The
-        pool is the pattern with its default helpers."""
+        patterns here. Patterns of two and three failures are decided in
+        closed form, with no rows built: {a, b} by c(a,b,b) c(b,a,a) != 1
+        in coupling_coefficient's terms, {a, b, c} by the module
+        docstring's 20-term determinant, grouped by the pair products p
+        and the cross products x, being nonzero. Larger ones reduce their
+        rows (_coupling_rows). The pool is the pattern with its default
+        helpers."""
         e, pool = len(failed), self._whole_pool
         if pool is None:
             helpers = [i for i in self.node_ids() if i not in failed][: self.d - e + 1]
             pool = frozenset([*failed, *helpers])
+        weigh, mul = self.coupling_coefficient, self.field.mul
         if e == 2:
             a, b = failed
-            weigh = self.coupling_coefficient
-            return self.field.mul(weigh(a, b, b, pool), weigh(b, a, a, pool)) != 1
+            return mul(weigh(a, b, b, pool), weigh(b, a, a, pool)) != 1
+        if e == 3:
+            a, b, c = failed
+            # ab = c(a,b,b), the weight of b -> a in row (a, b), abc = c(a,b,c)
+            # and qab = 1 + p_ab, in the module docstring's names
+            ab, ba, ac = weigh(a, b, b, pool), weigh(b, a, a, pool), weigh(a, c, c, pool)
+            ca, bc, cb = weigh(c, a, a, pool), weigh(b, c, c, pool), weigh(c, b, b, pool)
+            abc, acb, bac = weigh(a, b, c, pool), weigh(a, c, b, pool), weigh(b, a, c, pool)
+            bca, cab, cba = weigh(b, c, a, pool), weigh(c, a, b, pool), weigh(c, b, a, pool)
+            qab, qac, qbc = 1 ^ mul(ab, ba), 1 ^ mul(ac, ca), 1 ^ mul(bc, cb)
+            xa, xb, xc = mul(abc, acb), mul(bac, bca), mul(cab, cba)
+            xab = mul(xa, xb)
+            det = (
+                mul(mul(qab, qac), qbc)
+                ^ mul(mul(ac, bc), mul(xc, qab))
+                ^ mul(mul(ab, cb), mul(xb, qac))
+                ^ mul(mul(ba, ca), mul(xa, qbc))
+                ^ mul(mul(ab, ac), mul(xb, xc))
+                ^ mul(mul(ba, bc), mul(xa, xc))
+                ^ mul(mul(ca, cb), xab)
+                ^ mul(xab, xc)
+                ^ mul(mul(abc, bca), cab)
+                ^ mul(mul(acb, bac), cba)
+            )
+            return det != 0
         rows = self._coupling_rows(failed, pool)
         return len(_reduce_packed(self.field, rows, len(rows) + 1, len(rows), False)[0]) == len(rows)
 

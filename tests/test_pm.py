@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_paths as ref
+from regenrepair import pm
 from regenrepair.framework import InvalidRepairInputError, SingularCouplingError
 from regenrepair.gf import Field, dot, mat_det, mat_inv, mat_solve
 from regenrepair.pm import PMCode
@@ -263,6 +264,10 @@ def drawn_lambdas(field, n, k, seed):
             return lambdas
 
 
+# lambdas of PM(11, 6) over GF(2^8) with singular patterns at e = 2, 3, 4
+SINGULAR_LAMBDAS = [41, 248, 133, 18, 0, 74, 240, 191, 163, 11, 139]
+
+
 # (field, n, k, lambda seed or None for the default lambdas, the singular
 # pairs or None): n = d+1 and n > d+1 over m = 4, 5, 6, 8, 10, 16, and the
 # codes with known singular pairs; at k = 2 every pair is singular
@@ -283,6 +288,23 @@ E2_CODES = {
 }
 
 
+def singular_patterns(code, e):
+    """The patterns of e failures whose reference coupling matrix over the
+    default helpers is singular, after checking that _repairable answers
+    each pattern as that determinant does, and condition_check too where
+    e is within PM's limit."""
+    found = []
+    for failed in itertools.combinations(code.node_ids(), e):
+        helpers = [i for i in code.node_ids() if i not in failed][: code.d - e + 1]
+        clean = mat_det(ref.pm_coupling_matrix(code, failed, helpers).A) != 0
+        assert code._repairable(failed) == clean, failed
+        if e <= min(code.n - code.k, code.k - 1):
+            assert code.condition_check(failed) == clean, failed
+        if not clean:
+            found.append(failed)
+    return found
+
+
 @pytest.mark.parametrize("case", sorted(E2_CODES))
 def test_e2_verdicts_equal_the_reference_determinant(case):
     """Every pattern {a, b} is repairable by _repairable's closed form,
@@ -290,18 +312,68 @@ def test_e2_verdicts_equal_the_reference_determinant(case):
     over the default helpers has a nonzero determinant; condition_check
     answers the same where e = 2 is within PM's limit (not at k = 2)."""
     field, n, k, seed, singular = E2_CODES[case]
-    code = PMCode(field, n, k, None if seed is None else drawn_lambdas(field, n, k, seed))
-    found = []
-    for pair in itertools.combinations(code.node_ids(), 2):
-        helpers = [i for i in code.node_ids() if i not in pair][: code.d - 1]
-        clean = mat_det(ref.pm_coupling_matrix(code, pair, helpers).A) != 0
-        assert code._repairable(pair) == clean, pair
-        if k > 2:
-            assert code.condition_check(pair) == clean, pair
-        if not clean:
-            found.append(pair)
+    found = singular_patterns(PMCode(field, n, k, None if seed is None else drawn_lambdas(field, n, k, seed)), 2)
     if singular is not None:
         assert found == singular
+
+
+# (field, n, k, lambdas: a seed, None for the defaults or the list, the
+# singular triples or None): n = d+1 and n > d+1 over m = 3, 4, 5, 6, 8,
+# 10, 16, with k >= 4 so that e = 3 is within PM's limit
+E3_CODES = {
+    "f8-n7": (Field(3), 7, 4, None, []),
+    "f8-n8-drawn": (Field(3), 8, 4, 1, None),
+    "f16-n9": (F16, 9, 5, None, [(1, 5, 7), (3, 5, 9)]),
+    "f16-n11-drawn": (F16, 11, 5, 2, None),
+    "f32-n9": (Field(5), 9, 5, None, [(3, 4, 5), (5, 6, 7)]),
+    "f32-n11-drawn": (Field(5), 11, 5, 3, None),
+    "f64-n11": (F64, 11, 6, None, [(1, 4, 5), (1, 8, 10), (2, 4, 11), (7, 8, 11)]),
+    "f64-n12-drawn": (F64, 12, 5, 4, None),
+    "f256-n11-singular": (F256, 11, 6, SINGULAR_LAMBDAS, [(1, 3, 5)]),
+    "f256-n13": (F256, 13, 6, None, []),
+    "f1024-n7-drawn": (Field(10), 7, 4, 5, None),
+    "f1024-n9": (Field(10), 9, 4, None, []),
+    "f65536-n9-drawn": (Field(16), 9, 5, 6, None),
+    "f65536-n11-drawn": (Field(16), 11, 5, 7, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(E3_CODES))
+def test_e3_verdicts_equal_the_reference_determinant(case):
+    """Every pattern {a, b, c} is repairable by _repairable's expanded
+    determinant exactly when the reference coupling matrix over the
+    default helpers has a nonzero determinant, and condition_check
+    answers the same."""
+    field, n, k, lambdas, singular = E3_CODES[case]
+    if type(lambdas) is int:
+        lambdas = drawn_lambdas(field, n, k, lambdas)
+    found = singular_patterns(PMCode(field, n, k, lambdas), 3)
+    if singular is not None:
+        assert found == singular
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_e3_verdicts_on_drawn_lambdas(data):
+    """The same on codes with drawn evaluation points."""
+    configs = [(Field(3), 8, 4), (F16, 9, 5), (Field(5), 11, 6), (F64, 12, 5), (F256, 11, 6), (Field(10), 9, 4)]
+    field, n, k = data.draw(st.sampled_from(configs))
+    lambdas = data.draw(st.lists(st.integers(0, field.size - 1), min_size=n, max_size=n, unique=True))
+    assume(len({field.pow(x, k - 1) for x in lambdas}) == n)
+    singular_patterns(PMCode(field, n, k, lambdas), 3)
+
+
+def test_e3_verdicts_build_no_rows(monkeypatch):
+    """_repairable decides e = 3 with no coupling rows and no reduction,
+    and e = 4 still reduces its rows."""
+    calls, build, reduce = [], PMCode._coupling_rows, pm._reduce_packed
+    monkeypatch.setattr(PMCode, "_coupling_rows", lambda *args: calls.append("rows") or build(*args))
+    monkeypatch.setattr(pm, "_reduce_packed", lambda *args: calls.append("reduce") or reduce(*args))
+    code = PMCode(F256, 11, 6, SINGULAR_LAMBDAS)
+    assert [code._repairable(f) for f in ((1, 2, 3), (1, 3, 5))] == [True, False]
+    assert calls == []
+    code._repairable((1, 2, 3, 4))
+    assert calls == ["rows", "reduce"]
 
 
 def test_coupling_matrix_is_assemble_multis_matrix_without_shards():
@@ -622,10 +694,6 @@ def test_field_search_vets_the_default_helpers_only():
     assert assert_repairs_as_symbolic(code, shards, (1, 2), other) == ((2, 1),)
     for doc in (search_assignment.__doc__, PMCode.condition_check.__doc__, run_sweep.__doc__):
         assert "default helpers" in " ".join(doc.split())
-
-
-# lambdas of PM(11, 6) over GF(2^8) with singular patterns at e = 2, 3, 4
-SINGULAR_LAMBDAS = [41, 248, 133, 18, 0, 74, 240, 191, 163, 11, 139]
 
 
 @pytest.mark.parametrize("lambdas", [None, SINGULAR_LAMBDAS], ids=["default", "singular"])

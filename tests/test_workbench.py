@@ -249,7 +249,7 @@ def ia_descriptor(field, kappa, P):
 
 
 # What design's two searches (perfbench/workloads.py, Design.searches) and
-# the README's two `code search` commands return at seeds 0..5: (family,
+# the README's `code search` commands return at seeds 0..5: (family,
 # params, budget, one result per seed), a found descriptor or the
 # (best_failures, best) of an exhausted search, with PM's best its lambdas
 # and IA's best the descriptor of its code.
@@ -283,6 +283,40 @@ PINNED_SEARCHES = {
                 [30, 37, 34, 8, 23, 58, 38],
                 [30, 19, 6, 46, 25, 63, 9],
                 [32, 47, 22, 50, 44, 53, 62],
+            )
+        ],
+    ),
+    # n = d+1 over GF(2^8) and n > d+1 over GF(2^16), each vetting patterns
+    # of 2 and 3 failures
+    "readme-pm-e3": (
+        "pm",
+        {"m": 8, "n": 7, "k": 4},
+        200,
+        [
+            {"family": "pm", "n": 7, "k": 4, "m": 8, "modulus": 285, "lambdas": lambdas}
+            for lambdas in (
+                [197, 215, 20, 132, 248, 207, 155],
+                [68, 32, 130, 60, 253, 230, 241],
+                [28, 46, 43, 184, 86, 157, 128],
+                [132, 119, 98, 240, 243, 203, 77],
+                [120, 155, 52, 202, 245, 79, 46],
+                [130, 183, 14, 238, 127, 26, 80],
+            )
+        ],
+    ),
+    "readme-pm-e3-wide": (
+        "pm",
+        {"m": 16, "n": 9, "k": 4},
+        20,
+        [
+            {"family": "pm", "n": 9, "k": 4, "m": 16, "modulus": 65581, "lambdas": lambdas}
+            for lambdas in (
+                [50494, 55125, 5306, 33936, 63691, 53075, 39755, 62468, 46930],
+                [17611, 8271, 33432, 15455, 64937, 58915, 61898, 49756, 27519],
+                [7412, 12004, 11124, 47324, 22162, 40388, 32975, 27815, 4683],
+                [31190, 17094, 48490, 62135, 8588, 1725, 61503, 33994, 30714],
+                [30939, 39753, 13522, 51912, 62767, 20312, 11809, 8718, 2597],
+                [33481, 46993, 3801, 61030, 32643, 6796, 20558, 14838, 48731],
             )
         ],
     ),
