@@ -11,14 +11,12 @@ import sys
 from fractions import Fraction
 
 from .ambr import AdaptiveMBRCode
-from .framework import InvalidHelperCountError, InvalidRepairInputError, SingularCouplingError
+from .framework import InvalidRepairInputError, SingularCouplingError
 from .gf import Field
 from .ia import IACode
 from .mds import MDSStripeCode
 from .pm import PMCode
 from .tradeoff import (
-    InfeasibleBandwidthError,
-    InvalidScenarioError,
     SystemParams,
     alpha_star,
     compare_strategies,
@@ -409,14 +407,7 @@ def main(argv=None):
     except AssignmentNotFoundError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NOT_FOUND
-    except (
-        InfeasibleBandwidthError,
-        InvalidScenarioError,
-        InvalidHelperCountError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
 

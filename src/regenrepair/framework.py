@@ -24,10 +24,11 @@ The system is built once, here, for PM and IA alike: _coupling_rows
 writes [A | b] as packed rows (gf._pack), rows and columns in
 unknown_pairs order, _coupling_system fills a CouplingSystem from them,
 and dependent_pairs names the dependent transfers of a singular pattern.
-Whether a pattern's system is solvable is each family's condition_check:
-the shared boundary check (_failure_pattern), then the family's unchecked
-core, _repairable, which the coefficient search calls directly on the
-patterns it generates.
+Whether a pattern's system is solvable is condition_check, said once here
+for both: the boundary check a repair makes (the failure limit,
+_failures, and the ids), then the family's unchecked core, _repairable,
+which the coefficient search calls directly on the patterns it
+generates.
 
 Once the code and the failure pattern are fixed, the whole repair, the
 coupling solve included, is one linear map from the helpers' shards to the
@@ -140,6 +141,16 @@ def check_message(code, data):
         )
 
 
+def _read_ids(*groups):
+    """Each group of node ids as a tuple, read once, so that a one-shot
+    iterator is checked and then used with the same contents; None stays
+    None. A group that cannot be iterated raises InvalidRepairInputError."""
+    try:
+        return [None if ids is None else tuple(ids) for ids in groups]
+    except TypeError:
+        raise InvalidRepairInputError("node ids must come in collections") from None
+
+
 def failure_count(failed):
     """How many distinct nodes failed; InvalidRepairInputError unless a collection."""
     try:
@@ -167,12 +178,11 @@ class RepairableCode:
 
     A family gives n, k, field, message_length, shard_length and its
     generator, through _generator() or generator_matrix(); PM and IA give
-    _projection(y), _failures(failed) and _repairable(failed) too, read
-    their decoders from _pool_decoder and their coupling rows from
-    _coupling_rows, and answer condition_check as _failure_pattern then
-    _repairable. A
-    family that repairs by plans gives _plan_key and _compile_plan; PM
-    keeps its own repair_multi. Either way a repair request goes through
+    d, _projection(y) and _repairable(failed) too, and read their decoders
+    from _pool_decoder and their coupling rows from _coupling_rows. They
+    supply no failure limit and no condition_check: _failures and
+    condition_check here serve both. A family that repairs by plans gives
+    _plan_key and _compile_plan; PM keeps its own repair_multi. Either way a repair request goes through
     _repair_nodes, which checks what every family's request shares; the
     family checks only its own rules (how many nodes it repairs at once,
     its degrees) and passes its helper count. Each family binds encode,
@@ -201,12 +211,12 @@ class RepairableCode:
     def repair_multi(self, shards, failed, helpers=None, **degree):
         """Regenerate the failed nodes from the helpers' shards.
 
-        The family's _plan_key checks the request and names its plan,
-        ("repair", ...) with the rest of the key the arguments of the
-        family's _compile_plan. The plan is compiled on first use and
-        cached with the code.
+        The family's _plan_key checks the request, failed and helpers read
+        once (_read_ids), and names its plan, ("repair", ...) with the rest
+        of the key the arguments of the family's _compile_plan. The plan is
+        compiled on first use and cached with the code.
         """
-        key = self._plan_key(shards, failed, helpers, **degree)
+        key = self._plan_key(shards, *_read_ids(failed, helpers), **degree)
         plan = self._compiled(key, lambda: self._compile_plan(*key[1:]))
         return plan.apply(shards), plan.transcript()
 
@@ -447,16 +457,31 @@ class RepairableCode:
         system.A, system.b = Matrix(self.field, [row[:-1] for row in rows]), [row[-1] for row in rows]
         return system, {(h, j): toward[j][h] for h in helpers for j in system.failed} if toward else {}
 
-    def _failure_pattern(self, failed):
-        """failed sorted, each node once, refused with the error its repair
-        gets: past _failures' limit, ids that are not nodes, or empty. The
-        boundary check of condition_check, ahead of the family's unchecked
-        _repairable."""
+    def _max_failures(self):
+        """min(n-k, d-k+1), the most failures PM or IA repairs at once: the
+        d-e+1 helpers and the n-e survivors must each number at least k."""
+        return min(self.n - self.k, self.d - self.k + 1)
+
+    def _failures(self, failed):
+        """How many distinct nodes failed; past _max_failures a ValueError."""
+        e, limit = failure_count(failed), self._max_failures()
+        if e > limit:
+            raise ValueError("can repair 1..%d nodes at once" % limit)
+        return e
+
+    def condition_check(self, failed):
+        """Whether the coupling system of a failure pattern is solvable from
+        its default helpers, the first d-e+1 nodes that did not fail: its
+        coupling matrix over them has full rank. Once n > d+1 another
+        helper set can answer otherwise. failed is read once and a repeated
+        id counts once; a pattern repair_multi refuses for its ids or its
+        size gets the same error. Then the family's _repairable answers."""
+        [failed] = _read_ids(failed)
         e = self._failures(failed)
         check_input(self, (), 0, (), failed)
         if not e:
             raise InvalidRepairInputError(NO_FAILED_NODE)
-        return tuple(sorted(set(failed)))
+        return self._repairable(tuple(sorted(set(failed))))
 
     def repair_transfer(self, shard, target):
         """The symbol a live node sends toward failed node target: its shard

@@ -22,13 +22,13 @@ kappa^(2sp) (1 + kappa^2)^(C(s,2) + C(p,2)) det(I + G)^(s+p) for
 G = P[S,J] P'[S,J]^t, so det(I + G) != 0 decides every pattern; the proof
 is in docs/ia-repairability.md. All arithmetic is over GF(2^m), where
 addition and subtraction coincide, so minus is evaluated as plus and
-kappa^2 != 1 reduces to kappa != 1. condition_check is the framework's
-boundary check (_failure_pattern) followed by this test, _repairable, and
-workbench.search_assignment vets IA coefficients through _repairable
-alone, on the patterns it generates.
+kappa^2 != 1 reduces to kappa != 1. condition_check and the failure
+limit, k, are the framework's; IA gives this test as _repairable, which
+workbench.search_assignment calls alone to vet IA coefficients on the
+patterns it generates.
 """
 
-from .framework import RepairableCode, RepairPlan, _is_word, check_input, dependent_pairs, failure_count, unknown_pairs
+from .framework import RepairableCode, RepairPlan, _is_word, _read_ids, check_input, dependent_pairs, unknown_pairs
 from .gf import LinearMap, Matrix, _mul_packed, _pack, _reduce, _reduce_packed, mat_inv, mat_mul
 from .gf import all_square_submatrices_invertible, cauchy
 
@@ -159,6 +159,7 @@ class IACode(RepairableCode):
         """Coupling matrix for a pattern plus the known-term recipe for b:
         known[(x, y)] lists (helper, weight) for each nonzero weight, to be
         weighted by the transfer received from the helper toward x."""
+        [failed] = _read_ids(failed)
         check_input(self, (), 0, (), failed)
         helpers = [h for h in self.node_ids() if h not in failed]
         system, _ = self._coupling_system(failed, helpers)
@@ -174,19 +175,13 @@ class IACode(RepairableCode):
         transfers. Every node that did not fail helps; ids that are not
         nodes, and a helper without a shard of k symbols of the field,
         raise InvalidRepairInputError. Failed nodes' shards are not read."""
+        [failed] = _read_ids(failed)
         check_input(self, shards, self.alpha, (), [*failed, *shards])
         helpers = [h for h in self.node_ids() if h not in failed]
         check_input(self, shards, self.alpha, helpers)
         return self._coupling_system(failed, helpers, shards)
 
     repair_multi = RepairableCode.repair_multi
-
-    def _failures(self, failed):
-        """How many distinct nodes failed; past k a ValueError."""
-        e = failure_count(failed)
-        if e > self.k:
-            raise ValueError("can repair 1..k nodes at once")
-        return e
 
     def _plan_key(self, shards, failed, helpers=None):
         """All n-e survivors help: d-e+1 = n-e here."""
@@ -234,26 +229,18 @@ class IACode(RepairableCode):
 
     # --- repairability ---
 
-    def condition_check(self, failed):
-        """Whether the coupling system of a failure pattern is solvable.
+    def _repairable(self, failed):
+        """condition_check's verdict on failed, a sorted tuple of distinct
+        node ids within _failures' limit, unchecked: the search vets its
+        patterns here.
 
         Always when every failure is on one side. With failed systematic
         nodes S and parity indices J on both: det(I + G) != 0 for
         G = P[S,J] P'[S,J]^t, formed on the smaller side by Sylvester's
-        identity, on every shape: the coupling determinant is a nonzero
-        multiple of det(I + G)^e (docs/ia-repairability.md), so A is never
-        built. A pattern repair_multi refuses for its ids or its size is
-        refused with the same error: the boundary check (_failure_pattern)
-        comes first, then the unchecked _repairable.
-        """
-        return self._repairable(self._failure_pattern(failed))
-
-    def _repairable(self, failed):
-        """condition_check's verdict on failed, a sorted tuple of distinct
-        node ids within _failures' limit, unchecked: the search vets its
-        patterns here. I + G of one or two rows is decided by its
-        determinant written out, g00 or g00 g11 + g01 g10; larger ones are
-        reduced."""
+        identity: the coupling determinant is a nonzero multiple of
+        det(I + G)^e (docs/ia-repairability.md), so A is never built. I + G
+        of one or two rows is decided by its determinant written out, g00
+        or g00 g11 + g01 g10; larger ones are reduced."""
         k = self.k
         rows = [x - 1 for x in failed if x <= k]
         cols = [x - k - 1 for x in failed if x > k]

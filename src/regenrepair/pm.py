@@ -17,13 +17,14 @@ projected on phi_j. The framework writes these rows, packed (gf._pack),
 for repairs and condition_check (_coupling_rows) and for coupling_matrix
 and assemble_multi (_coupling_system).
 
-condition_check is the framework's boundary check (_failure_pattern)
-followed by _repairable, the unchecked core that workbench.search_assignment
-calls directly. Patterns of two and three failures need no rows: their
-coupling determinants are written out in the coefficients c(i,j,l) =
-coupling_coefficient(i, j, l, pool), the weight of the transfer l -> i in
-row (i, j). A pattern {a, b} has the matrix [[1, c(a,b,b)], [c(b,a,a), 1]],
-singular exactly when c(a,b,b) c(b,a,a) = 1 over GF(2^m). A pattern
+condition_check and the failure limit, min(n-k, k-1), are the framework's;
+PM gives _repairable, the unchecked core of condition_check that
+workbench.search_assignment calls directly. Patterns of two and three
+failures need no rows: their coupling determinants are written out in the
+coefficients c(i,j,l) = coupling_coefficient(i, j, l, pool), the weight of
+the transfer l -> i in row (i, j). A pattern {a, b} has the matrix
+[[1, c(a,b,b)], [c(b,a,a), 1]], singular exactly when c(a,b,b) c(b,a,a) = 1
+over GF(2^m). A pattern
 {a, b, c} has a 6 x 6 matrix with three nonzeros per row, whose
 determinant over GF(2^m) has 20 terms. With
   p_ab = c(a,b,b) c(b,a,a), p_ac = c(a,c,c) c(c,a,a), p_bc = c(b,c,c) c(c,b,b),
@@ -42,8 +43,8 @@ every node, kept as one frozenset per code, so every coefficient read hits
 the decoder table by identity.
 """
 
-from .framework import RepairableCode, RepairTranscript, SingularCouplingError, _is_word, check_input, check_message
-from .framework import dependent_pairs, failure_count, unknown_pairs
+from .framework import RepairableCode, RepairTranscript, SingularCouplingError, _is_word, _read_ids, check_input
+from .framework import check_message, dependent_pairs, unknown_pairs
 from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _unpack, dot, vandermonde
 
 
@@ -136,25 +137,9 @@ class PMCode(RepairableCode):
         of the transfer l -> i. Ids that are not nodes raise
         InvalidRepairInputError.
         """
-        check_input(self, (), 0, (), [*failed, *helpers])
+        failed, helpers = _read_ids(failed, helpers)
+        check_input(self, (), 0, (), failed + helpers)
         return self._coupling_system(failed, helpers)[0]
-
-    def _failures(self, failed):
-        """How many distinct nodes failed; past min(n-k, k-1) a ValueError."""
-        e = failure_count(failed)
-        if e > min(self.n - self.k, self.k - 1):
-            raise ValueError("can repair 1..min(n-k, k-1) nodes at once")
-        return e
-
-    def condition_check(self, failed):
-        """Whether the coupling system of a failure pattern is solvable from
-        its default helpers, the first d-e+1 nodes that did not fail: its
-        coupling matrix over them has full rank, a nonzero determinant.
-        Once n > d+1 another helper set can answer otherwise. A repeated id
-        counts once; a pattern repair_multi refuses for its ids or its size
-        is refused with the same error. The boundary check
-        (_failure_pattern) comes first, then the unchecked _repairable."""
-        return self._repairable(self._failure_pattern(failed))
 
     def _repairable(self, failed):
         """condition_check's verdict on failed, a sorted tuple of distinct
@@ -164,12 +149,11 @@ class PMCode(RepairableCode):
         in coupling_coefficient's terms, {a, b, c} by the module
         docstring's 20-term determinant, grouped by the pair products p
         and the cross products x, being nonzero. Larger ones reduce their
-        rows (_coupling_rows). The pool is the pattern with its default
-        helpers."""
+        rows (_coupling_rows). The pool is the pattern with its
+        default_helpers."""
         e, pool = len(failed), self._whole_pool
         if pool is None:
-            helpers = [i for i in self.node_ids() if i not in failed][: self.d - e + 1]
-            pool = frozenset([*failed, *helpers])
+            pool = frozenset(failed + self.default_helpers(self.node_ids(), failed, self.d - e + 1))
         weigh, mul = self.coupling_coefficient, self.field.mul
         if e == 2:
             a, b = failed
@@ -208,6 +192,7 @@ class PMCode(RepairableCode):
         symbols of the field, raise InvalidRepairInputError; failed nodes'
         shards are not read.
         """
+        failed, helpers = _read_ids(failed, helpers)
         check_input(self, shards, self.alpha, helpers, [*failed, *helpers, *shards])
         return self._coupling_system(failed, helpers, shards)
 
@@ -218,7 +203,8 @@ class PMCode(RepairableCode):
         decoder columns. The received transfers are the checked helpers'
         shards projected by dot, with no repair_transfer check per
         transfer. The transcript counts the transfers computed for each
-        helper."""
+        helper. failed and helpers are read once."""
+        failed, helpers = _read_ids(failed, helpers)
         e = self._failures(failed)
         failed, helpers = self._repair_nodes(shards, failed, helpers, self.d - e + 1)
         f, pool, pairs = self.field, frozenset(failed + helpers), unknown_pairs(failed)

@@ -7,8 +7,9 @@ failed, helpers=None, ...) -> ({node: symbols}, transcript), descriptor().
 
 search_assignment is the one coefficient search: PM and IA only draw
 candidate codes, and one loop vets each through the family's _repairable,
-condition_check's unchecked core: the loop's patterns are valid by
-construction, so they skip condition_check's boundary check.
+condition_check's unchecked core, up to the failure limit the candidate
+reads from the framework: the loop's patterns are valid by construction,
+so they skip condition_check's boundary check.
 """
 
 import contextlib
@@ -190,16 +191,17 @@ def search_assignment(family, params, budget=200, seed=0):
     left out) and e_max, n-k by default. Each of budget trials draws a
     candidate from random.Random(seed): PM n distinct lambdas; IA the
     default code at trial zero, then a random P, kept only if every square
-    submatrix is invertible, and a random kappa. The code vets its
-    patterns of 2..e_cap failures, e_max capped by what one repair takes,
-    through _repairable, condition_check's verdict without its boundary
-    check: the patterns are sorted combinations of node ids within the
-    family's limit by construction. A PM pattern is vetted with its
-    default helpers only, the first d-e+1 live nodes. A trial stops counting once it has as many singular
-    patterns as the best trial so far. Returns the first clean code's
-    descriptor, or raises AssignmentNotFoundError with the first candidate
-    of fewest singular patterns (PM's lambdas, IA's code). Params no code
-    has raise ValueError before any trial.
+    submatrix is invertible, and a random kappa. The code vets its patterns
+    of 2..e_max failures, capped by the code's own failure limit
+    (_max_failures), through _repairable, condition_check's verdict without
+    its boundary check: the patterns are sorted combinations of node ids
+    within that limit by construction. A PM pattern is vetted with its
+    default helpers only, the first d-e+1 live nodes. A trial stops
+    counting once it has as many singular patterns as the best trial so
+    far. Returns the first clean code's descriptor, or raises
+    AssignmentNotFoundError with the first candidate of fewest singular
+    patterns (PM's lambdas, IA's code). Params no code has raise ValueError
+    before any trial.
     """
     if family not in ("pm", "ia"):
         raise ValueError("search supports the pm and ia families")
@@ -220,7 +222,6 @@ def search_assignment(family, params, budget=200, seed=0):
     if budget < 1 or e_max < 1:
         raise ValueError("need at least one trial and e_max >= 1")
     rng = random.Random(seed)
-    e_cap = min(e_max, n - k, k - 1 if family == "pm" else k)
     best = best_bad = None
     for trial in range(budget):
         try:
@@ -236,6 +237,7 @@ def search_assignment(family, params, budget=200, seed=0):
         except ValueError:  # no code on these coefficients
             continue
         bad = 0
+        e_cap = min(e_max, code._max_failures())
         for pattern in (f for e in range(2, e_cap + 1) for f in itertools.combinations(code.node_ids(), e)):
             if not code._repairable(pattern):
                 bad += 1

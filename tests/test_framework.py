@@ -425,3 +425,33 @@ def test_coupling_rows_match_the_reference_systems(case):
         assert dependent == ()
     except SingularCouplingError as err:
         assert err.dependent == dependent != ()
+
+
+# The coupling families repair up to e = min(n-k, d-k+1) nodes at once:
+# the d-e+1 helpers must number at least k, and so must the survivors.
+# That is k-1 for PM (d = 2k-2, n >= d+1) and k for IA (d = 2k-1, n = 2k).
+F256 = Field(8)
+LIMIT_CODES = {
+    **{"pm_n%d_k%d" % (n, k): (lambda n=n, k=k: PMCode(F256, n, k), k - 1) for k in range(2, 7) for n in (2 * k - 1, 2 * k + 1)},
+    **{"ia_k%d" % k: (lambda k=k: IACode(F256, k), k) for k in range(1, 7)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIMIT_CODES))
+def test_condition_check_and_repair_take_the_failure_limit_and_refuse_one_more(case):
+    build, limit = LIMIT_CODES[case]
+    code = build()
+    assert limit == min(code.n - code.k, code.d - code.k + 1)
+    shards = code.encode(code.random_message(random.Random(3)))
+    at, past = tuple(range(1, limit + 1)), tuple(range(1, limit + 2))
+    survivors = {m: v for m, v in shards.items() if m not in at}
+    try:
+        contents, _ = code.repair_multi(survivors, at)
+        assert code.condition_check(at) is True and contents == {m: shards[m] for m in at}
+    except SingularCouplingError:
+        assert code.condition_check(at) is False
+    survivors = {m: v for m, v in shards.items() if m not in past}
+    for call in (lambda: code.condition_check(past), lambda: code.repair_multi(survivors, past)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert type(refused.value) is ValueError and str(refused.value) == "can repair 1..%d nodes at once" % limit

@@ -18,7 +18,8 @@ import pytest
 
 from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.cli import main
-from regenrepair.framework import InvalidHelperCountError, InvalidRepairInputError, RepairableCode
+from regenrepair.framework import CouplingSystem, InvalidHelperCountError, InvalidRepairInputError, RepairableCode
+from regenrepair.framework import SingularCouplingError
 from regenrepair.gf import Field, Matrix, dot
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
@@ -532,3 +533,80 @@ def test_cli_refuses_a_malformed_descriptor_in_one_line(capsys, tmp_path, family
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Every public entry that takes failed or helpers reads each once, so a
+# one-shot iterator gets exactly what the tuple gets. Before, the first read
+# used it up: IA's condition_check answered True for the singular (5, 6, 7)
+# and for (0, 99), PM's coupling_matrix and IA's coupling_system built an
+# empty system with determinant 1, and repairs failed with "need at least
+# one failed node" (or, on iterator helpers, a helper count error).
+ONE_SHOT_CODES = {
+    "pm": lambda: PMCode(F256, 11, 6),
+    "ia6": lambda: IACode(F256, 6),
+    "mds": lambda: MDSStripeCode(F256, 7, 3, d_max=4),
+    "ambr": lambda: AdaptiveMBRCode(F256, 7, 3, 4, 5),
+}
+# family -> (failed, helpers) cases; PM's helpers are d-e+1 = 9 nodes
+ONE_SHOT_CASES = {
+    "pm": [((1, 3), (2, *range(4, 12))), ((0, 99), tuple(range(1, 10)))],
+    "ia6": [((5, 6, 7), None), ((0, 99), None)],
+    "mds": [((1, 2), (3, 4, 5, 7)), ((0, 99), None)],
+    "ambr": [((1, 2), (3, 4, 6, 7)), ((0, 99), None)],
+}
+# entry -> (the families that have it, the call)
+ONE_SHOT_ENTRIES = {
+    "repair_multi": (("pm", "ia6", "mds", "ambr"), lambda code, shards, failed, helpers: code.repair_multi(shards, failed, helpers)),
+    "condition_check": (("pm", "ia6"), lambda code, shards, failed, helpers: code.condition_check(failed)),
+    "coupling_matrix": (("pm",), lambda code, shards, failed, helpers: code.coupling_matrix(failed, helpers)),
+    "pm_assemble_multi": (("pm",), lambda code, shards, failed, helpers: code.assemble_multi(shards, failed, helpers)),
+    "coupling_system": (("ia6",), lambda code, shards, failed, helpers: code.coupling_system(failed)),
+    "ia_assemble_multi": (("ia6",), lambda code, shards, failed, helpers: code.assemble_multi(shards, failed)),
+}
+
+
+def settled(value):
+    """A call's result in comparable form: a CouplingSystem as its
+    failed nodes, pairs, A and b."""
+    if isinstance(value, CouplingSystem):
+        return ("system", value.failed, value.pairs, value.A.data, value.b)
+    if isinstance(value, tuple):
+        return tuple(settled(v) for v in value)
+    return value
+
+
+def outcome(call):
+    """What call returns, or its error's type, message and dependent pairs."""
+    try:
+        return settled(call())
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "dependent", None)
+
+
+@pytest.fixture(scope="module")
+def one_shot_encoded():
+    out = {}
+    for family, build in ONE_SHOT_CODES.items():
+        code = build()
+        out[family] = code, code.encode(code.random_message(random.Random(5)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "entry, family, case",
+    [(entry, family, t) for entry, (families, _) in ONE_SHOT_ENTRIES.items() for family in families for t in range(2)],
+)
+def test_a_one_shot_iterator_gets_what_the_tuple_gets(one_shot_encoded, entry, family, case):
+    code, shards = one_shot_encoded[family]
+    failed, helpers = ONE_SHOT_CASES[family][case]
+    survivors = {m: v for m, v in shards.items() if m not in failed}
+    call = ONE_SHOT_ENTRIES[entry][1]
+    want = outcome(lambda: call(code, survivors, failed, helpers))
+    got = outcome(lambda: call(code, survivors, iter(failed), helpers if helpers is None else iter(helpers)))
+    assert got == want
+    if failed == (0, 99):
+        assert want[0] is InvalidRepairInputError
+    elif family == "ia6" and entry == "condition_check":
+        assert want is False
+    elif family == "ia6" and entry == "repair_multi":
+        assert want[0] is SingularCouplingError and want[2]

@@ -85,6 +85,46 @@ def test_library_modules_import_at_module_level(path):
     assert lines == [], "%s imports inside functions on lines %s" % (path.name, sorted(set(lines)))
 
 
+def _body_without_docstring(function):
+    body = function.body[1:] if ast.get_docstring(function, clean=False) is not None else function.body
+    return "\n".join(ast.dump(statement) for statement in body)
+
+
+def test_no_method_body_is_written_in_two_classes():
+    """A method that two classes define with the same name and the same
+    body, docstrings aside, belongs once in a shared base: the copies
+    otherwise drift apart."""
+    bodies = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                for function in node.body:
+                    if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        key = (function.name, _body_without_docstring(function))
+                        bodies.setdefault(key, []).append("%s:%s" % (path.name, node.name))
+    copies = sorted((name, owners) for (name, _), owners in bodies.items() if len(owners) > 1)
+    assert copies == [], "methods with one body in several classes (name, classes): %s" % copies
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_except_tuple_names_a_class_another_entry_covers(path):
+    """An except tuple that names a class beside one of its bases reads as
+    if the subclass needed its own entry; the base already catches it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    tuples = [node.type for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple)]
+    module = importlib.import_module("regenrepair.%s" % path.stem) if tuples else None
+    covered = []
+    for entries in tuples:
+        classes = [(ast.unparse(entry), eval(ast.unparse(entry), vars(module))) for entry in entries.elts]
+        covered += [
+            (entries.lineno, name, base)
+            for name, cls in classes
+            for base, other in classes
+            if other is not cls and issubclass(cls, other)
+        ]
+    assert covered == [], "%s except tuples name classes another entry covers (line, class, covered by): %s" % (path.name, covered)
+
+
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_modules_parse_as_python_3_10(path):
     """CI runs the library and its tests on Python 3.10 too, so no module

@@ -342,10 +342,10 @@ def test_search_results_are_pinned_and_vetted_without_the_boundary_check(case, s
     """The search returns what it did before its vetting loop called the
     families' unchecked _repairable: its patterns are combinations of
     node ids within the family's limit, so no pattern is checked again
-    (RepairableCode._failure_pattern is never called)."""
+    (RepairableCode.condition_check is never called)."""
     family, params, budget, results = PINNED_SEARCHES[case]
-    checked, check = [], RepairableCode._failure_pattern
-    monkeypatch.setattr(RepairableCode, "_failure_pattern", lambda self, failed: checked.append(failed) or check(self, failed))
+    checked, check = [], RepairableCode.condition_check
+    monkeypatch.setattr(RepairableCode, "condition_check", lambda self, failed: checked.append(failed) or check(self, failed))
     try:
         got = search_assignment(family, params, budget=budget, seed=seed)
     except AssignmentNotFoundError as err:
