@@ -153,8 +153,8 @@ class AdaptiveMBRCode(RepairableCode):
     repair_multi = RepairableCode.repair_multi
 
     def _plan_key(self, shards, failed, helpers=None, d=None):
-        if failure_count(failed) > self.k:
-            raise ValueError("can repair 1..k nodes at once")
+        if failure_count(self, failed) > self.k:
+            raise ValueError("can repair 1..%d nodes at once" % self.k)
         if d is None:
             d = self.d_min
         if type(d) is not int or not self.d_min <= d <= self.d_max:

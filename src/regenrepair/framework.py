@@ -7,7 +7,7 @@ what a live node sends toward node y, their _projection(y). Every such
 missing transfer x -> y is the projection toward y of x's own
 single-failure decode, so it is a linear combination of the transfers
 toward x: the transfer from l weighs projection_y . decoder_x[:, l].
-RepairableCode._pool_decoder is the one table of these decoders: for a
+CouplingCode._pool_decoder is the one table of these decoders: for a
 pool of d+1 nodes (failed + helpers; IA's pool is every node) it holds
 each node's decoder column for every source with its product with every
 projection, solved from the generator by _single_decoder, packed too
@@ -20,10 +20,11 @@ ordinary decoders finish the job; a singular A means the pattern is not
 repairable with the chosen code coefficients, which is a reportable
 outcome rather than a bug.
 
-The system is built once, here, for PM and IA alike: _coupling_rows
-writes [A | b] as packed rows (gf._pack), rows and columns in
-unknown_pairs order, _coupling_system fills a CouplingSystem from them,
-and dependent_pairs names the dependent transfers of a singular pattern.
+The system is built once, here, in CouplingCode, for PM and IA alone:
+_coupling_rows writes [A | b] as packed rows (gf._pack), rows and
+columns in unknown_pairs order, which it hands back too,
+_coupling_system fills a CouplingSystem from them, and dependent_pairs
+names the dependent transfers of a singular pattern.
 Whether a pattern's system is solvable is condition_check, said once here
 for both: the boundary check a repair makes (the failure limit,
 _failures, and the ids), then the family's unchecked core, _repairable,
@@ -151,12 +152,13 @@ def _read_ids(*groups):
         raise InvalidRepairInputError("node ids must come in collections") from None
 
 
-def failure_count(failed):
-    """How many distinct nodes failed; InvalidRepairInputError unless a collection."""
+def failure_count(code, failed):
+    """How many distinct nodes failed; check_input names an id no set takes."""
     try:
         return len(set(failed))
     except TypeError:
-        raise InvalidRepairInputError("failed nodes must be a collection of node ids, not %r" % (failed,)) from None
+        check_input(code, (), 0, (), failed)
+        raise
 
 
 def _is_word(field, symbols, length):
@@ -174,22 +176,19 @@ def _is_word(field, symbols, length):
 
 
 class RepairableCode:
-    """What every code family shares.
+    """What every code family runs.
 
     A family gives n, k, field, message_length, shard_length and its
-    generator, through _generator() or generator_matrix(); PM and IA give
-    d, _projection(y) and _repairable(failed) too, and read their decoders
-    from _pool_decoder and their coupling rows from _coupling_rows. They
-    supply no failure limit and no condition_check: _failures and
-    condition_check here serve both. A family that repairs by plans gives
-    _plan_key and _compile_plan; PM keeps its own repair_multi. Either way a repair request goes through
+    generator, through _generator() or generator_matrix(). A family that
+    repairs by plans gives _plan_key and _compile_plan; PM keeps its own
+    repair_multi. Either way a repair request goes through
     _repair_nodes, which checks what every family's request shares; the
     family checks only its own rules (how many nodes it repairs at once,
     its degrees) and passes its helper count. Each family binds encode,
     reconstruct, repair_multi and random_message in its own class body, as
-    PM does coupling_coefficient and repair_transfer, so that they can be
-    wrapped per family; keyword arguments such as an explicit repair
-    degree d pass through to repair_multi.
+    PM does CouplingCode's coupling_coefficient and repair_transfer, so
+    that they can be wrapped per family; keyword arguments such as an
+    explicit repair degree d pass through to repair_multi.
     """
 
     def node_ids(self):
@@ -297,36 +296,6 @@ class RepairableCode:
         identity = [1 << _lane_bits(f) * c for c in range(self.message_length)]
         return LinearMap.from_columns(f, self._derive(rows, identity)[0], self.message_length)
 
-    def _single_decoder(self, node, sources):
-        """Node's single-failure decoder over sources: the D with D T = G_node,
-        mapping the transfers, in sources order, to node's shard, as its
-        columns: column t weighs the transfer from sources[t].
-
-        Row t of T is what sources[t] sends toward node, read from the
-        code's sent-row table (_sent_rows). Dependent transfers, or ones
-        that do not determine node, raise SingularMatrixError."""
-        size, sent = self.shard_length, self._sent_rows()
-        transfers = [sent[s - 1][node - 1] for s in sources]
-        try:
-            columns, picks = self._derive(transfers, self._generator_rows()[(node - 1) * size : node * size])
-        except SingularMatrixError:
-            picks = ()
-        if len(picks) < len(sources):
-            raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
-        return _unpack_rows(self.field, columns, size)
-
-    def _sent_rows(self):
-        """What every node sends toward every node, as packed rows of
-        generator space: entry s-1 holds, at y-1, _projection(y) applied to
-        node s's shard. One product per source over all projections, built
-        once per code and kept with it, outside the bounded cache as the
-        packed generator is, so every decoder table a code starts reads it."""
-        sent = self.__dict__.get("_sent_table")
-        if sent is None:
-            projections = [self._projection(y) for y in self.node_ids()]
-            sent = self._sent_table = [self._received([(s, projections)]) for s in self.node_ids()]
-        return sent
-
     def _received(self, sends):
         """What each row of sends carries, as a packed row of generator
         space: sends holds (node, rows) pairs, and a row applied to node's
@@ -360,6 +329,52 @@ class RepairableCode:
         for c, row in zip(picks, aug):
             columns[c] = row >> shift
         return columns, picks
+
+    def random_message(self, rng):
+        return [rng.randrange(self.field.size) for _ in range(self.message_length)]
+
+    def repair_single(self, shards, failed, helpers=None, **degree):
+        contents, transcript = self.repair_multi(shards, (failed,), helpers, **degree)
+        return contents[failed], transcript
+
+
+class CouplingCode(RepairableCode):
+    """PM's and IA's base, which turns a single-failure repair into a repair
+    of several nodes at once. A coupling family gives d, _projection(y) and
+    _repairable(failed) too, and reads its decoders from _pool_decoder and
+    its coupling rows from _coupling_rows. It supplies no failure limit and
+    no condition_check: _failures and condition_check here serve both.
+    """
+
+    def _single_decoder(self, node, sources):
+        """Node's single-failure decoder over sources: the D with D T = G_node,
+        mapping the transfers, in sources order, to node's shard, as its
+        columns: column t weighs the transfer from sources[t].
+
+        Row t of T is what sources[t] sends toward node, read from the
+        code's sent-row table (_sent_rows). Dependent transfers, or ones
+        that do not determine node, raise SingularMatrixError."""
+        size, sent = self.shard_length, self._sent_rows()
+        transfers = [sent[s - 1][node - 1] for s in sources]
+        try:
+            columns, picks = self._derive(transfers, self._generator_rows()[(node - 1) * size : node * size])
+        except SingularMatrixError:
+            picks = ()
+        if len(picks) < len(sources):
+            raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
+        return _unpack_rows(self.field, columns, size)
+
+    def _sent_rows(self):
+        """What every node sends toward every node, as packed rows of
+        generator space: entry s-1 holds, at y-1, _projection(y) applied to
+        node s's shard. One product per source over all projections, built
+        once per code and kept with it, outside the bounded cache as the
+        packed generator is, so every decoder table a code starts reads it."""
+        sent = self.__dict__.get("_sent_table")
+        if sent is None:
+            projections = [self._projection(y) for y in self.node_ids()]
+            sent = self._sent_table = [self._received([(s, projections)]) for s in self.node_ids()]
+        return sent
 
     def _pool_decoder(self, i, pool):
         """Node i's decoder over the other nodes of pool, as {source l:
@@ -419,8 +434,9 @@ class RepairableCode:
         return column[1][j - 1]
 
     def _coupling_rows(self, failed, pool, toward=None):
-        """[A | b] of the sorted failed nodes as packed rows (gf._pack), rows
-        and A's columns in unknown_pairs(failed) order, b's lane after A's.
+        """(pairs, rows): unknown_pairs(failed), built once here for the
+        caller too, and [A | b] of the sorted failed nodes as packed rows
+        (gf._pack), rows and A's columns in pairs order, b's lane after A's.
         Row (i, j) holds 1 in the slot of (i, j) and coupling_coefficient(i,
         j, l, pool) in the slot of (l, i) for each other failed l. b(i, j) =
         sum_h r_{h->i} weights_{i,h}[j-1], r_{h->i} = toward[i][h], is lane
@@ -442,7 +458,7 @@ class RepairableCode:
                 if l != i:
                     row |= coefficient(i, j, l, pool) << slot[(l, i)]
             rows.append(row)
-        return rows
+        return pairs, rows
 
     def _coupling_system(self, failed, helpers, shards=None):
         """_coupling_rows over failed + helpers unpacked into a CouplingSystem,
@@ -452,7 +468,7 @@ class RepairableCode:
         if shards is not None:
             toward = {j: {h: dot(self.field, shards[h], self._projection(j)) for h in helpers} for j in system.failed}
         pool = frozenset(system.failed + tuple(helpers))
-        rows = self._coupling_rows(system.failed, pool, toward)
+        rows = self._coupling_rows(system.failed, pool, toward)[1]
         rows = _unpack_rows(self.field, rows, system.size + 1)
         system.A, system.b = Matrix(self.field, [row[:-1] for row in rows]), [row[-1] for row in rows]
         return system, {(h, j): toward[j][h] for h in helpers for j in system.failed} if toward else {}
@@ -464,7 +480,7 @@ class RepairableCode:
 
     def _failures(self, failed):
         """How many distinct nodes failed; past _max_failures a ValueError."""
-        e, limit = failure_count(failed), self._max_failures()
+        e, limit = failure_count(self, failed), self._max_failures()
         if e > limit:
             raise ValueError("can repair 1..%d nodes at once" % limit)
         return e
@@ -492,13 +508,6 @@ class RepairableCode:
         if not _is_word(self.field, shard, self.shard_length):
             raise InvalidRepairInputError("shard is not %d symbols of GF(2^%d)" % (self.shard_length, self.field.m))
         return dot(self.field, shard, self._projection(target))
-
-    def random_message(self, rng):
-        return [rng.randrange(self.field.size) for _ in range(self.message_length)]
-
-    def repair_single(self, shards, failed, helpers=None, **degree):
-        contents, transcript = self.repair_multi(shards, (failed,), helpers, **degree)
-        return contents[failed], transcript
 
 
 def unknown_pairs(failed):
@@ -612,9 +621,8 @@ class RepairTranscript:
     """Bandwidth accounting for one repair: symbols sent per helper."""
 
     per_helper: dict
-    total: int = 0
 
-    def __post_init__(self):
-        if not self.total:
-            self.total = sum(self.per_helper.values())
+    @property
+    def total(self):
+        return sum(self.per_helper.values())
 

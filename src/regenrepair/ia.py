@@ -23,12 +23,12 @@ G = P[S,J] P'[S,J]^t, so det(I + G) != 0 decides every pattern; the proof
 is in docs/ia-repairability.md. All arithmetic is over GF(2^m), where
 addition and subtraction coincide, so minus is evaluated as plus and
 kappa^2 != 1 reduces to kappa != 1. condition_check and the failure
-limit, k, are the framework's; IA gives this test as _repairable, which
-workbench.search_assignment calls alone to vet IA coefficients on the
-patterns it generates.
+limit, k, are CouplingCode's, the framework base IA shares with PM; IA
+gives this test as _repairable, which workbench.search_assignment calls
+alone to vet IA coefficients on the patterns it generates.
 """
 
-from .framework import RepairableCode, RepairPlan, _is_word, _read_ids, check_input, dependent_pairs, unknown_pairs
+from .framework import CouplingCode, RepairableCode, RepairPlan, _is_word, _read_ids, check_input, dependent_pairs
 from .gf import LinearMap, Matrix, _mul_packed, _pack, _reduce, _reduce_packed, mat_inv, mat_mul
 from .gf import all_square_submatrices_invertible, cauchy
 
@@ -58,7 +58,7 @@ def default_kappa(field):
     raise ValueError("field has no kappa with kappa^2 != 1")
 
 
-class IACode(RepairableCode):
+class IACode(CouplingCode):
     def __init__(self, field, k, P=None, V=None, kappa=None):
         if type(k) is not int or k < 1:
             raise ValueError("need an int k >= 1")
@@ -203,13 +203,12 @@ class IACode(RepairableCode):
         f, e = self.field, len(failed)
         helpers = tuple(h for h in self.node_ids() if h not in failed)
         pool = frozenset(self.node_ids())  # _pool_decoder keeps a frozenset as is
-        span, pairs = len(helpers), unknown_pairs(failed)
-        size = len(pairs)
+        pairs, rows = self._coupling_rows(failed, pool)
+        span, size = len(helpers), len(pairs)
         width = size + e * span
         start = {x: size + b * span for b, x in enumerate(failed)}  # K's columns for the transfers toward x
         # the helpers' weights in x's decoder table, in node order
         weights = {x: [w for h, (_, w) in self._pool_decoder(x, pool).items() if h not in failed] for x in failed}
-        rows = self._coupling_rows(failed, pool)
         for t, (x, y) in enumerate(pairs):
             rows[t] |= _pack(f, [w[y - 1] for w in weights[x]], start[x])
         pivots, _ = _reduce_packed(f, rows, width, size, True)

@@ -50,7 +50,7 @@ class MDSStripeCode(RepairableCode):
 
     def _plan_key(self, shards, failed, helpers=None, d=None):
         if d is None:
-            d = self.delta if self.mode == "fixed" else min(self.d_max, self.n - failure_count(failed))
+            d = self.delta if self.mode == "fixed" else min(self.d_max, self.n - failure_count(self, failed))
         if self.mode == "fixed" and d != self.delta:
             raise InvalidHelperCountError("fixed mode repairs with d = %d helpers" % self.delta)
         if type(d) is not int or not self.k <= d <= self.d_max:

@@ -9,7 +9,7 @@ system of the framework module.
 A live node sends w^t phi_j toward node j, phi_j being row j of Phi (the
 first alpha columns of Psi); that is the family's projection. Node i's
 decoder over the rest of a pool of d+1 nodes (failed + helpers) comes from
-the framework's table (RepairableCode._pool_decoder): its column c_{i,l}
+the framework's table (CouplingCode._pool_decoder): its column c_{i,l}
 weighs the transfer from l, so node i's content is sum_l t_{l->i} c_{i,l}.
 The coupling coefficient of (i, j, l) is c_{i,l} . phi_j, and the
 right-hand side of row (i, j) is the helpers' part of node i's decode
@@ -17,7 +17,7 @@ projected on phi_j. The framework writes these rows, packed (gf._pack),
 for repairs and condition_check (_coupling_rows) and for coupling_matrix
 and assemble_multi (_coupling_system).
 
-condition_check and the failure limit, min(n-k, k-1), are the framework's;
+condition_check and the failure limit, min(n-k, k-1), are CouplingCode's;
 PM gives _repairable, the unchecked core of condition_check that
 workbench.search_assignment calls directly. Patterns of two and three
 failures need no rows: their coupling determinants are written out in the
@@ -43,12 +43,12 @@ every node, kept as one frozenset per code, so every coefficient read hits
 the decoder table by identity.
 """
 
-from .framework import RepairableCode, RepairTranscript, SingularCouplingError, _is_word, _read_ids, check_input
-from .framework import check_message, dependent_pairs, unknown_pairs
+from .framework import CouplingCode, RepairableCode, RepairTranscript, SingularCouplingError, _is_word, _read_ids
+from .framework import check_input, check_message, dependent_pairs
 from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _unpack, dot, vandermonde
 
 
-class PMCode(RepairableCode):
+class PMCode(CouplingCode):
     def __init__(self, field, n, k, lambdas=None):
         if type(n) is not int or type(k) is not int or k < 2:
             raise ValueError("need ints n and k >= 2 so that alpha = k-1 >= 1")
@@ -126,8 +126,8 @@ class PMCode(RepairableCode):
         """phi_target: what a live node projects its content on toward target."""
         return self.Phi.data[target - 1]
 
-    repair_transfer = RepairableCode.repair_transfer
-    coupling_coefficient = RepairableCode.coupling_coefficient
+    repair_transfer = CouplingCode.repair_transfer
+    coupling_coefficient = CouplingCode.coupling_coefficient
 
     def coupling_matrix(self, failed, helpers):
         """The coupling system of a pattern with b left at zero.
@@ -182,7 +182,7 @@ class PMCode(RepairableCode):
                 ^ mul(mul(acb, bac), cba)
             )
             return det != 0
-        rows = self._coupling_rows(failed, pool)
+        rows = self._coupling_rows(failed, pool)[1]
         return len(_reduce_packed(self.field, rows, len(rows) + 1, len(rows), False)[0]) == len(rows)
 
     def assemble_multi(self, shards, failed, helpers):
@@ -207,10 +207,10 @@ class PMCode(RepairableCode):
         failed, helpers = _read_ids(failed, helpers)
         e = self._failures(failed)
         failed, helpers = self._repair_nodes(shards, failed, helpers, self.d - e + 1)
-        f, pool, pairs = self.field, frozenset(failed + helpers), unknown_pairs(failed)
+        f, pool = self.field, frozenset(failed + helpers)
         toward = {j: {h: dot(f, shards[h], self._projection(j)) for h in helpers} for j in failed}
         if e > 1:
-            rows = self._coupling_rows(failed, pool, toward)
+            pairs, rows = self._coupling_rows(failed, pool, toward)
             pivots, _ = _reduce_packed(f, rows, len(rows) + 1, len(rows), True)
             if len(pivots) < len(rows):
                 raise SingularCouplingError(failed, dependent_pairs(pairs, pivots))

@@ -156,6 +156,14 @@ def test_helper_validation():
         code.repair_multi({i: shards[i] for i in (5, 6, 7)}, (1, 2, 3, 4))  # e > k
 
 
+def test_too_many_failures_are_refused_with_the_limit_written_out():
+    """e <= k, and the refusal names k, as PM's and IA's name their limits;
+    it read "can repair 1..k nodes at once"."""
+    with pytest.raises(ValueError) as refused:
+        AdaptiveMBRCode(Field(8), 7, 3, 4, 5).repair_multi({}, (1, 2, 3, 4))
+    assert type(refused.value) is ValueError and str(refused.value) == "can repair 1..3 nodes at once"
+
+
 def test_explicit_helper_choice():
     code = example_code()
     msg = code.random_message(random.Random(9))

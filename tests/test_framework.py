@@ -2,6 +2,7 @@
 
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,6 +11,7 @@ import reference_paths as ref
 from regenrepair import framework
 from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.framework import (
+    CouplingCode,
     CouplingSystem,
     InvalidRepairInputError,
     RepairableCode,
@@ -94,6 +96,17 @@ def test_coupling_singular_reports_pattern():
 def test_transcript_totals():
     t = RepairTranscript(per_helper={1: 3, 2: 3})
     assert t.total == 6
+
+
+def test_a_transcript_total_is_read_from_its_helpers_and_cannot_be_given():
+    """total was a field a caller could set against per_helper:
+    RepairTranscript({1: 3}, total=5) said both 3 and 5."""
+    with pytest.raises(TypeError):
+        RepairTranscript({1: 3}, total=5)
+    t = RepairTranscript({1: 3})
+    with pytest.raises(AttributeError):
+        t.total = 5
+    assert t.total == 3
 
 
 def test_single_decoder_refuses_transfers_that_do_not_determine_the_node():
@@ -408,11 +421,11 @@ def test_coupling_rows_match_the_reference_systems(case):
     f, pool, rng = code.field, frozenset(failed + helpers), random.Random(seed)
     want, known = reference_system(code, failed, helpers)
     pairs, size = want.pairs, want.size
-    got = _unpack_rows(f, code._coupling_rows(failed, pool), size + 1)
-    assert got == [row + [0] for row in want.A.data]
+    got_pairs, got = code._coupling_rows(failed, pool)
+    assert got_pairs == pairs and _unpack_rows(f, got, size + 1) == [row + [0] for row in want.A.data]
     shards = code.encode(code.random_message(rng))
     toward = {j: {h: code.repair_transfer(shards[h], j) for h in helpers} for j in failed}
-    got = _unpack_rows(f, code._coupling_rows(failed, pool, toward), size + 1)
+    got = _unpack_rows(f, code._coupling_rows(failed, pool, toward)[1], size + 1)
     weights = [known[(x, y)] for x, y in pairs]
     assert [row[-1] for row in got] == [dot(f, list(w.values()), [toward[x][h] for h in w]) for (x, _), w in zip(pairs, weights)]
     pivots, _ = ref.reduce_direct(f, [list(row) for row in want.A.data], size, False)
@@ -455,3 +468,59 @@ def test_condition_check_and_repair_take_the_failure_limit_and_refuse_one_more(c
         with pytest.raises(ValueError) as refused:
             call()
         assert type(refused.value) is ValueError and str(refused.value) == "can repair 1..%d nodes at once" % limit
+
+
+# The MSR-to-MSMR conversion is CouplingCode's, the base of PM and IA alone.
+# In RepairableCode, MDS and adaptive MBR inherited it and every call died
+# with AttributeError on d or _projection.
+COUPLING_METHODS = (
+    "_single_decoder",
+    "_sent_rows",
+    "_pool_decoder",
+    "_pool_rows",
+    "coupling_coefficient",
+    "_coupling_rows",
+    "_coupling_system",
+    "_max_failures",
+    "_failures",
+    "condition_check",
+    "repair_transfer",
+)
+
+
+def test_only_the_coupling_families_carry_the_coupling_methods():
+    codes = [
+        (PMCode(F256, 11, 6), True),
+        (IACode(F256, 6), True),
+        (MDSStripeCode(F256, 7, 3, d_max=4), False),
+        (AdaptiveMBRCode(F256, 8, 3, 4, 5), False),
+    ]
+    for code, coupling in codes:
+        assert [hasattr(code, name) for name in COUPLING_METHODS] == [coupling] * len(COUPLING_METHODS)
+    assert set(COUPLING_METHODS) <= set(vars(CouplingCode)) and not set(COUPLING_METHODS) & set(vars(RepairableCode))
+
+
+@pytest.mark.parametrize("family", ["pm", "ia"])
+def test_a_coupling_solve_builds_the_unknown_order_once(family, monkeypatch):
+    """PM's repair of e >= 2 nodes and IA's plan compile read their solved
+    rows in the unknown_pairs order _coupling_rows hands back with the rows;
+    each built it a second time for itself."""
+    calls = []
+
+    def counted(failed):
+        calls.append(failed)
+        return unknown_pairs(failed)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("regenrepair.") and hasattr(module, "unknown_pairs"):
+            monkeypatch.setattr(module, "unknown_pairs", counted)
+    code = PMCode(F256, 11, 6) if family == "pm" else IACode(F256, 6)
+    shards = code.encode(code.random_message(random.Random(8)))
+    for e in range(2, code._max_failures() + 1):
+        for failed in (tuple(range(1, e + 1)), tuple(range(code.n - e + 1, code.n + 1))):
+            calls.clear()
+            try:
+                code.repair_multi({m: v for m, v in shards.items() if m not in failed}, failed)
+            except SingularCouplingError:
+                pass
+            assert len(calls) == 1, (failed, calls)

@@ -280,6 +280,23 @@ def test_every_family_refuses_a_malformed_failed_set(encoded, family):
         code.repair_multi({m: v for m, v in shards.items() if m != 1}, ())
 
 
+# A failed set holding an id that cannot go in a set, such as [1] or {1},
+# was refused as "failed nodes must be a collection of node ids, not
+# ([1],)": the collection was fine, the id was not.
+@pytest.mark.parametrize("bad", [[1], {1}], ids=repr)
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_an_unhashable_failed_id_is_named_as_check_input_names_it(encoded, family, bad):
+    code, shards = encoded[family]
+    survivors = {m: v for m, v in shards.items() if m != 1}
+    calls = [lambda: code.repair_multi(survivors, [bad])]
+    if family in ("pm", "ia"):
+        calls.append(lambda: code.condition_check([bad]))
+    for call in calls:
+        with pytest.raises(InvalidRepairInputError) as refused:
+            call()
+        assert str(refused.value) == "node ids not ints in 1..%d: %r" % (code.n, [bad])
+
+
 # The searches hand failed (and helper) ids straight to these calls. Before
 # the id check, IA took 0 for a parity node (condition_check returned True)
 # and died on 13 with IndexError; PM died on 0 with "shape mismatch" and on
@@ -430,8 +447,15 @@ def test_ambr_coefficient_matrix_refuses_ids_that_are_not_nodes(bad):
         AdaptiveMBRCode(F256, 8, 3, 4, 5).coefficient_matrix([bad])
 
 
+def leaf_families(base):
+    """The classes below base that no class derives from: the families."""
+    below = base.__subclasses__()
+    return set().union(*map(leaf_families, below)) if below else {base}
+
+
 def test_the_request_contract_covers_every_family():
-    assert {type(build()) for build in CODES.values()} == set(RepairableCode.__subclasses__())
+    assert {type(build()) for build in CODES.values()} == leaf_families(RepairableCode)
+    assert leaf_families(RepairableCode) == {PMCode, IACode, MDSStripeCode, AdaptiveMBRCode}
 
 
 # Coefficients outside the field, or not ints, wrapped through the log

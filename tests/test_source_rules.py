@@ -3,10 +3,19 @@ library names the benchmark's tracer looks up, and the tests the docs cite."""
 
 import ast
 import importlib.util
+import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from regenrepair import framework
+from regenrepair.ambr import AdaptiveMBRCode
+from regenrepair.gf import Field
+from regenrepair.ia import IACode
+from regenrepair.mds import MDSStripeCode
+from regenrepair.pm import PMCode
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "regenrepair").glob("*.py"))
@@ -104,6 +113,47 @@ def test_no_method_body_is_written_in_two_classes():
                         bodies.setdefault(key, []).append("%s:%s" % (path.name, node.name))
     copies = sorted((name, owners) for (name, _), owners in bodies.items() if len(owners) > 1)
     assert copies == [], "methods with one body in several classes (name, classes): %s" % copies
+
+
+def _self_attributes(function, ctx):
+    """The names function reads (ctx ast.Load) or assigns (ast.Store) as self.<name>."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self" and isinstance(node.ctx, ctx)
+    }
+
+
+F256 = Field(8)
+FAMILY_CODES = {
+    "pm": lambda: PMCode(F256, 11, 6),
+    "ia": lambda: IACode(F256, 6),
+    "mds": lambda: MDSStripeCode(F256, 7, 3, d_max=4),
+    "ambr": lambda: AdaptiveMBRCode(F256, 7, 3, 4, 5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CODES))
+def test_inherited_framework_methods_read_only_what_the_family_has(family):
+    """Every method a family takes unchanged from a framework.py base reads
+    from self only what a built instance has, or what some method of its
+    classes assigns as self.x = ...; anything else would die with
+    AttributeError on the first call, as the coupling methods did on MDS
+    and adaptive MBR while RepairableCode held them."""
+    code = FAMILY_CODES[family]()
+    classes = type(code).__mro__[:-1]
+    functions = [f for cls in classes for f in vars(cls).values() if inspect.isfunction(f)]
+    assigned = set().union(*(_self_attributes(f, ast.Store) for f in functions))
+    missing = sorted(
+        (name, attr)
+        for name in dir(code)
+        for method in [inspect.getattr_static(code, name)]
+        if inspect.isfunction(method) and method.__module__ == framework.__name__
+        for attr in _self_attributes(method, ast.Load)
+        if attr not in assigned and not hasattr(code, attr)
+    )
+    assert missing == [], "framework methods reading what %s lacks (method, attribute): %s" % (family, missing)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import reference_paths as ref
-from regenrepair.framework import RepairableCode
+from regenrepair.framework import CouplingCode
 from regenrepair.gf import Field
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
@@ -342,10 +342,10 @@ def test_search_results_are_pinned_and_vetted_without_the_boundary_check(case, s
     """The search returns what it did before its vetting loop called the
     families' unchecked _repairable: its patterns are combinations of
     node ids within the family's limit, so no pattern is checked again
-    (RepairableCode.condition_check is never called)."""
+    (CouplingCode.condition_check is never called)."""
     family, params, budget, results = PINNED_SEARCHES[case]
-    checked, check = [], RepairableCode.condition_check
-    monkeypatch.setattr(RepairableCode, "condition_check", lambda self, failed: checked.append(failed) or check(self, failed))
+    checked, check = [], CouplingCode.condition_check
+    monkeypatch.setattr(CouplingCode, "condition_check", lambda self, failed: checked.append(failed) or check(self, failed))
     try:
         got = search_assignment(family, params, budget=budget, seed=seed)
     except AssignmentNotFoundError as err:
