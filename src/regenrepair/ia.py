@@ -25,7 +25,10 @@ addition and subtraction coincide, so minus is evaluated as plus and
 kappa^2 != 1 reduces to kappa != 1. condition_check and the failure
 limit, k, are CouplingCode's, the framework base IA shares with PM; IA
 gives this test as _repairable, which workbench.search_assignment calls
-alone to vet IA coefficients on the patterns it generates.
+alone to vet IA coefficients on the patterns it generates. Each entry of
+G is a sum of products P[a][c] P'[b][c]; a code tabulates them once, on
+its first pattern with failures on both sides, so a pattern costs XORs
+and a determinant of the smaller side.
 """
 
 from .framework import CouplingCode, RepairableCode, RepairPlan, _is_word, _read_ids, check_input, dependent_pairs
@@ -237,27 +240,44 @@ class IACode(CouplingCode):
         nodes S and parity indices J on both: det(I + G) != 0 for
         G = P[S,J] P'[S,J]^t, formed on the smaller side by Sylvester's
         identity: the coupling determinant is a nonzero multiple of
-        det(I + G)^e (docs/ia-repairability.md), so A is never built. I + G
-        of one or two rows is decided by its determinant written out, g00
-        or g00 g11 + g01 g10; larger ones are reduced."""
+        det(I + G)^e (docs/ia-repairability.md), so A is never built. Each
+        entry of G is a sum of products read from _products, so forming
+        I + G takes XORs alone. I + G of one or two rows is decided by its
+        determinant written out, g00 or g00 g11 + g01 g10; larger ones are
+        reduced."""
         k = self.k
         rows = [x - 1 for x in failed if x <= k]
         cols = [x - k - 1 for x in failed if x > k]
         if not rows or not cols:
             return True
-        P, Pd, mul = self.P.data, self.Pd.data, self.field.mul
+        products, twin = self._products()
         if len(rows) > len(cols):
-            P, Pd, rows, cols = list(zip(*P)), list(zip(*Pd)), cols, rows
+            products, rows, cols = twin, cols, rows
         g = []  # I + G, row by row
         for a in rows:
             g.append([])
             for b in rows:
-                acc = int(a == b)
+                terms, acc = products[a][b], int(a == b)
                 for c in cols:
-                    acc ^= mul(P[a][c], Pd[b][c])
+                    acc ^= terms[c]
                 g[-1].append(acc)
         if len(g) == 1:
             return g[0][0] != 0
+        mul = self.field.mul
         if len(g) == 2:
             return mul(g[0][0], g[1][1]) != mul(g[0][1], g[1][0])
         return _reduce(self.field, g, len(g), False)[1] != 0
+
+    def _products(self):
+        """(products, twin) with products[a][b][c] = P[a][c] P'[b][c], the
+        terms of G's entries on the systematic side, and twin[a][b][c] =
+        P[c][a] P'[c][b], those of its transpose on the parity side. Built
+        on the first pattern with failures on both sides and kept with the
+        code, as the sent-row table is, so construction never pays for it."""
+        table = self.__dict__.get("_product_table")
+        if table is None:
+            P, Pd, mul, span = self.P.data, self.Pd.data, self.field.mul, range(self.k)
+            products = [[[mul(P[a][c], Pd[b][c]) for c in span] for b in span] for a in span]
+            twin = [[[mul(P[c][a], Pd[c][b]) for c in span] for b in span] for a in span]
+            table = self._product_table = (products, twin)
+        return table

@@ -22,7 +22,8 @@ PM gives _repairable, the unchecked core of condition_check that
 workbench.search_assignment calls directly. Patterns of two and three
 failures need no rows: their coupling determinants are written out in the
 coefficients c(i,j,l) = coupling_coefficient(i, j, l, pool), the weight of
-the transfer l -> i in row (i, j). A pattern {a, b} has the matrix
+the transfer l -> i in row (i, j), which _repairable reads straight from
+node i's decoder columns. A pattern {a, b} has the matrix
 [[1, c(a,b,b)], [c(b,a,a), 1]], singular exactly when c(a,b,b) c(b,a,a) = 1
 over GF(2^m). A pattern
 {a, b, c} has a 6 x 6 matrix with three nonzeros per row, whose
@@ -37,10 +38,10 @@ it is
   + c(c,a,a) c(c,b,b) x_a x_b + x_a x_b x_c
   + c(a,b,c) c(b,c,a) c(c,a,b) + c(a,c,b) c(b,a,c) c(c,b,a),
 the Leibniz expansion of the sparse matrix (at e = 2 the same expansion is
-1 + p_ab), so twelve coefficient reads and a few dozen products decide
-it. Larger patterns reduce their rows. At n = d+1 every pattern's pool is
-every node, kept as one frozenset per code, so every coefficient read hits
-the decoder table by identity.
+1 + p_ab), so table reads and a few dozen products decide it. Larger
+patterns reduce their rows. At n = d+1 every pattern's pool is every node,
+kept as one frozenset per code, so every decoder fetch hits the table by
+identity.
 """
 
 from .framework import CouplingCode, RepairableCode, RepairTranscript, SingularCouplingError, _is_word, _read_ids
@@ -145,27 +146,32 @@ class PMCode(CouplingCode):
         """condition_check's verdict on failed, a sorted tuple of distinct
         node ids within _failures' limit, unchecked: the search vets its
         patterns here. Patterns of two and three failures are decided in
-        closed form, with no rows built: {a, b} by c(a,b,b) c(b,a,a) != 1
-        in coupling_coefficient's terms, {a, b, c} by the module
-        docstring's 20-term determinant, grouped by the pair products p
-        and the cross products x, being nonzero. Larger ones reduce their
-        rows (_coupling_rows). The pool is the pattern with its
+        closed form, with no rows built: {a, b} by c(a,b,b) c(b,a,a) != 1,
+        {a, b, c} by the module docstring's 20-term determinant, grouped by
+        the pair products p and the cross products x, being nonzero. Their
+        coefficients are read from each failed node's decoder columns,
+        fetched once per node: c(i,j,l) = _pool_decoder(i, pool)[l][1][j-1],
+        the number coupling_coefficient returns. Larger patterns reduce
+        their rows (_coupling_rows). The pool is the pattern with its
         default_helpers."""
         e, pool = len(failed), self._whole_pool
         if pool is None:
             pool = frozenset(failed + self.default_helpers(self.node_ids(), failed, self.d - e + 1))
-        weigh, mul = self.coupling_coefficient, self.field.mul
+        mul = self.field.mul
         if e == 2:
             a, b = failed
-            return mul(weigh(a, b, b, pool), weigh(b, a, a, pool)) != 1
+            return mul(self._pool_decoder(a, pool)[b][1][b - 1], self._pool_decoder(b, pool)[a][1][a - 1]) != 1
         if e == 3:
             a, b, c = failed
+            A, B, C = (self._pool_decoder(x, pool) for x in failed)
+            # wab holds source b's weights in a's decoder, c(a,j,b) = wab[j-1];
             # ab = c(a,b,b), the weight of b -> a in row (a, b), abc = c(a,b,c)
             # and qab = 1 + p_ab, in the module docstring's names
-            ab, ba, ac = weigh(a, b, b, pool), weigh(b, a, a, pool), weigh(a, c, c, pool)
-            ca, bc, cb = weigh(c, a, a, pool), weigh(b, c, c, pool), weigh(c, b, b, pool)
-            abc, acb, bac = weigh(a, b, c, pool), weigh(a, c, b, pool), weigh(b, a, c, pool)
-            bca, cab, cba = weigh(b, c, a, pool), weigh(c, a, b, pool), weigh(c, b, a, pool)
+            wab, wac, wba, wbc, wca, wcb = A[b][1], A[c][1], B[a][1], B[c][1], C[a][1], C[b][1]
+            ab, ba, ac = wab[b - 1], wba[a - 1], wac[c - 1]
+            ca, bc, cb = wca[a - 1], wbc[c - 1], wcb[b - 1]
+            abc, acb, bac = wac[b - 1], wab[c - 1], wbc[a - 1]
+            bca, cab, cba = wba[c - 1], wcb[a - 1], wca[b - 1]
             qab, qac, qbc = 1 ^ mul(ab, ba), 1 ^ mul(ac, ca), 1 ^ mul(bc, cb)
             xa, xb, xc = mul(abc, acb), mul(bac, bca), mul(cab, cba)
             xab = mul(xa, xb)

@@ -5,19 +5,29 @@ storing alpha symbols, after any sequence of repairs in which a central node
 rebuilds batches of e failed nodes by downloading beta symbols from each of
 d helpers (gamma = d*beta per batch). Feasibility is governed by the minimum
 cut over repair scenarios u = composition of k into parts of size <= e; all
-arithmetic here is exact rational (fractions.Fraction), no floats.
+arithmetic here is exact rational (fractions.Fraction), no floats: every
+rational argument (M, alpha, beta, gamma) passes one conversion at the
+boundary, which takes an int, a Fraction or a string Fraction parses and
+refuses floats and bools with ValueError.
+
+The curve alpha*(gamma) is a table of linear pieces (_segments), built on
+first use and kept with its SystemParams object, so the curve, alpha*,
+the MBCR check, the inverse gamma_min_for_alpha and the comparison's rows
+on one params object share one build.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import neg
 from typing import NamedTuple
 
-RationalLike = Fraction | int
+# an int (not a bool), a Fraction, or a string Fraction parses, e.g. "25/2"
+RationalLike = Fraction | int | str
 
 
 class InfeasibleBandwidthError(ValueError):
@@ -26,6 +36,22 @@ class InfeasibleBandwidthError(ValueError):
 
 class InvalidScenarioError(ValueError):
     """Scenario vector violates its constraints."""
+
+
+def _rational(value, name: str) -> Fraction:
+    """value as a Fraction, for the RationalLike argument called name.
+    The type is tested before anything is converted, so a Fraction passes
+    through as it is; a float, a bool or any other type raises ValueError,
+    as does a string Fraction cannot parse."""
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int or kind is str or isinstance(value, Fraction):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name} must be an int, a Fraction or a fraction string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +65,7 @@ class SystemParams:
     def __post_init__(self):
         if any(type(x) is not int for x in (self.n, self.k, self.d, self.e)):
             raise ValueError(f"n, k, d and e must be ints, got {self.n!r}, {self.k!r}, {self.d!r}, {self.e!r}")
-        object.__setattr__(self, "M", Fraction(self.M))
+        object.__setattr__(self, "M", _rational(self.M, "file size M"))
         if self.M <= 0:
             raise ValueError("file size M must be positive")
         if not 1 <= self.k <= self.n:
@@ -92,7 +118,9 @@ def cut_value(u, alpha: RationalLike, beta: RationalLike, d: int) -> Fraction:
     """Min-cut bound sum(min(u_i*alpha, (d - used)*beta)) for scenario u."""
     u = u.u if isinstance(u, Scenario) else tuple(u)
     Scenario(u)  # validates group sizes
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = _rational(alpha, "alpha"), _rational(beta, "beta")
+    if type(d) is not int:
+        raise ValueError(f"d must be an int, got {d!r}")
     if alpha < 0 or beta < 0:
         raise InvalidScenarioError("alpha and beta must be nonnegative")
     if sum(u) > d:
@@ -115,7 +143,7 @@ def min_cut_oracle(params: SystemParams, alpha: RationalLike, beta: RationalLike
     the lexicographically smallest minimiser. O(k*e) integer steps:
     denominators are cleared up front and restored on the way out.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = _rational(alpha, "alpha"), _rational(beta, "beta")
     if alpha < 0 or beta < 0:
         raise InvalidScenarioError("alpha and beta must be nonnegative")
     den = lcm(alpha.denominator, beta.denominator)
@@ -146,7 +174,7 @@ def optimal_scenario(params: SystemParams, alpha: RationalLike, beta: RationalLi
     when alpha <= (d + eta*r - eta*e)*beta/r (ties keep the r-first form).
     A negative alpha or beta raises InvalidScenarioError."""
     k, e, d = params.k, params.e, params.d
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = _rational(alpha, "alpha"), _rational(beta, "beta")
     if alpha < 0 or beta < 0:
         raise InvalidScenarioError("alpha and beta must be nonnegative")
     if k <= e:
@@ -205,30 +233,41 @@ class _Segments(NamedTuple):
 
 def _segments(params: SystemParams) -> _Segments:
     """The pieces of alpha*(gamma) with alpha* computed once at every
-    breakpoint, so that a query bisects instead of rescanning the pieces."""
+    breakpoint, so that a query bisects instead of rescanning the pieces.
+
+    Built on first use and kept with params, written past the frozen
+    dataclass as __post_init__ writes M: every later query on the same
+    object reads it. It is no field, so eq, hash and repr ignore it, and
+    an equal params object builds its own."""
+    segs = params.__dict__.get("_segments")
+    if segs is not None:
+        return segs
     M, k, e = params.M, params.k, params.e
     if k <= e:
-        return _Segments([], [Fraction(M)], [M / Fraction(k)])
-    eta, r = params.eta, params.r
-    pieces = []
-    # each piece starts where the one before ends, so _f runs once per
-    # breakpoint, eta times in all
-    lo = _f(params, 0)
-    if r:
-        pieces.append((gamma_mbmr(params), lo, _g(params, 0), r))
-    for i in range(1, eta):  # eta >= 2 when r == 0 (eta == 1 would mean k == e)
-        hi = _f(params, i)
-        pieces.append((lo, hi, _g(params, i), r + i * e))
-        lo = hi
-    lo0, _, g0, den0 = pieces[0]
-    gammas = [lo0] + [hi for _, hi, _, _ in pieces]
-    alphas = [(M - lo0 * g0) / den0] + [(M - hi * g) / den for _, hi, g, den in pieces]
-    return _Segments(pieces, gammas, alphas)
+        segs = _Segments([], [Fraction(M)], [M / Fraction(k)])
+    else:
+        eta, r = params.eta, params.r
+        pieces = []
+        # each piece starts where the one before ends, so _f runs once per
+        # breakpoint, eta times in all
+        lo = _f(params, 0)
+        if r:
+            pieces.append((gamma_mbmr(params), lo, _g(params, 0), r))
+        for i in range(1, eta):  # eta >= 2 when r == 0 (eta == 1 would mean k == e)
+            hi = _f(params, i)
+            pieces.append((lo, hi, _g(params, i), r + i * e))
+            lo = hi
+        lo0, _, g0, den0 = pieces[0]
+        gammas = [lo0] + [hi for _, hi, _, _ in pieces]
+        alphas = [(M - lo0 * g0) / den0] + [(M - hi * g) / den for _, hi, g, den in pieces]
+        segs = _Segments(pieces, gammas, alphas)
+    object.__setattr__(params, "_segments", segs)
+    return segs
 
 
 def alpha_star(params: SystemParams, gamma: RationalLike) -> Fraction:
     """Minimum per-node storage supporting file size M at bandwidth gamma."""
-    gamma = Fraction(gamma)
+    gamma = _rational(gamma, "gamma")
     M, k = params.M, params.k
     floor = gamma_mbmr(params)
     if gamma < floor:
@@ -250,7 +289,7 @@ def tradeoff_curve(params: SystemParams) -> list[CurvePoint]:
 
 def gamma_min_for_alpha(params: SystemParams, alpha: RationalLike) -> Fraction:
     """Least feasible gamma at per-node storage alpha (inverse threshold)."""
-    return _gamma_min(params, _segments(params), Fraction(alpha))
+    return _gamma_min(params, _segments(params), _rational(alpha, "alpha"))
 
 
 def _gamma_min(params: SystemParams, segs: _Segments, alpha: Fraction) -> Fraction:
@@ -332,8 +371,9 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
     both strategies contact d+1-e survivors; it needs d-e+1 >= k.
 
     By default the rows are every breakpoint alpha of the three curves and
-    the midpoint of each gap between them, alpha ascending; explicit alphas
-    keep the caller's order, and one below M/k raises ValueError. Either
+    the midpoint of each gap between them, alpha ascending; explicit alphas,
+    an iterable of RationalLike, keep the caller's order, and one below M/k,
+    or alphas given as a string or a non-iterable, raise ValueError. Either
     way the alphas are put over one common denominator and visited in
     rising order, so each curve is walked once from M/k toward its MBMR
     end, and each entry is an integer numerator over its piece's
@@ -355,9 +395,11 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
         values = [Fraction(x, den) for x in nums]
         order = range(len(nums))
     else:
+        if isinstance(alphas, (str, bytes)) or not isinstance(alphas, Iterable):
+            raise ValueError(f"alphas must be an iterable of alphas, got {alphas!r}")
         values = []
         for alpha in alphas:
-            alpha = Fraction(alpha)
+            alpha = _rational(alpha, "alpha")
             if alpha < floor:
                 raise ValueError(f"alpha={alpha} below M/k={floor}; no gamma suffices")
             values.append(alpha)

@@ -378,6 +378,43 @@ def test_product_formula_matches_determinant(code):
             assert code.coupling_system(pat)[0].determinant() == product_formula(code, pat), pat
 
 
+IA6 = IACode(F256, 6)
+IA6_SINGULAR = [
+    (5, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8), (5, 6, 7, 8), (1, 4, 5, 6, 9), (1, 4, 7, 8, 12), (1, 5, 6, 7, 8),
+    (2, 3, 5, 6, 10), (2, 3, 7, 8, 11), (2, 5, 6, 7, 8), (3, 5, 6, 7, 8), (4, 5, 6, 7, 8), (5, 6, 7, 8, 9),
+    (5, 6, 7, 8, 10), (5, 6, 7, 8, 11), (5, 6, 7, 8, 12),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_ia_codes(ms=(3, 4, 5, 6, 7, 8, 10, 16), k_max=6, random_v=True), st.randoms(use_true_random=False))
+@example(IA6, random.Random(0))
+def test_repairable_from_the_product_table_matches_the_determinant(code, rng):
+    """One vetting pass over every pattern within the limit, in the search's
+    order, builds the product table once, at the first pattern with
+    failures on both sides; construction builds none. Each verdict is
+    det != 0 of the reference coupling system, built entry by entry: on
+    every pattern up to k = 4, and past it on drawn patterns and on every
+    singular one. IA(6)/GF(2^8)'s singular patterns are pinned."""
+    assert "_product_table" not in code.__dict__
+    patterns = [p for e in range(2, code.k + 1) for p in combinations(code.node_ids(), e)]
+    verdicts, tables = {}, []
+    for pattern in patterns:
+        verdicts[pattern] = code._repairable(pattern)
+        table = code.__dict__.get("_product_table")
+        mixed = any(x <= code.k for x in pattern) and any(x > code.k for x in pattern)
+        assert (table is None) == (not tables and not mixed), pattern
+        if table is not None and (not tables or tables[-1] is not table):
+            tables.append(table)
+    assert len(tables) == 1
+    singular = [p for p in patterns if not verdicts[p]]
+    checked = patterns if code.k <= 4 else set(rng.sample(patterns, 30) + singular)
+    for pattern in checked:
+        assert verdicts[pattern] == (ref.ia_coupling_system(code, pattern)[0].determinant() != 0), pattern
+    if code is IA6:
+        assert singular == IA6_SINGULAR
+
+
 def plan_state(plan):
     """What a compiled plan holds, each map as its shape, picks and table."""
 

@@ -376,6 +376,33 @@ def test_e3_verdicts_build_no_rows(monkeypatch):
     assert calls == ["rows", "reduce"]
 
 
+@pytest.mark.parametrize("field, n", [(Field(5), 11), (F64, 13)], ids=["gf32-n11", "gf64-n13"])
+def test_vetting_up_to_three_failures_reads_the_decoder_table_directly(monkeypatch, field, n):
+    """Vetting every pattern of two and three failures reads its coupling
+    coefficients from the failed nodes' decoder columns, with no
+    coupling_coefficient call, and derives each failed node's decoder once
+    per pool: at n = d+1 the pool is every node; past it, it is the pattern
+    with its default helpers, and a new pool starts a new table."""
+    code = PMCode(field, n, 6)
+    reads, derived = [], []
+    read, derive = PMCode.coupling_coefficient, PMCode._single_decoder
+    monkeypatch.setattr(PMCode, "coupling_coefficient", lambda *args: reads.append(args) or read(*args))
+    monkeypatch.setattr(
+        PMCode, "_single_decoder", lambda self, i, sources: derived.append((i, {i, *sources})) or derive(self, i, sources)
+    )
+    want, pool, held = [], None, set()
+    for e in (2, 3):
+        for failed in itertools.combinations(code.node_ids(), e):
+            code._repairable(failed)
+            now = {*failed, *code.default_helpers(code.node_ids(), failed, code.d - e + 1)}
+            if now != pool:
+                pool, held = now, set()
+            want += [(x, pool) for x in failed if x not in held]
+            held.update(failed)
+    assert reads == []
+    assert derived == want
+
+
 def test_coupling_matrix_is_assemble_multis_matrix_without_shards():
     code = example_code()
     shards = code.encode(code.random_message(random.Random(43)))

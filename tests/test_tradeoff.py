@@ -451,13 +451,87 @@ def test_segments_evaluate_each_breakpoint_once(monkeypatch, params):
     assert sorted(calls) == (list(range(params.eta)) if params.k > params.e else [])
 
 
+def test_rational_inputs_are_checked_at_the_boundary():
+    """Every rational argument takes an int, a Fraction or a string Fraction
+    parses, and refuses floats, bools and anything else with ValueError,
+    where a float once slipped in as its binary value and a bool as 0 or 1."""
+    assert SystemParams("25/2", 12, 4, 6, 2) == SystemParams(F(25, 2), 12, 4, 6, 2)
+    for bad in (0.1, 12.0, True, None, "twelve", "1/0", [12]):
+        with pytest.raises(ValueError, match="file size M must be"):
+            SystemParams(bad, 10, 4, 6, 2)
+    p = SystemParams(12, 10, 4, 6, 2)
+    for bad in (float("inf"), 8.0, True, None, "eight"):
+        with pytest.raises(ValueError):
+            alpha_star(p, bad)
+        with pytest.raises(ValueError):
+            gamma_min_for_alpha(p, bad)
+        for call in (min_cut_oracle, optimal_scenario):
+            with pytest.raises(ValueError):
+                call(p, bad, 1)
+            with pytest.raises(ValueError):
+                call(p, 1, bad)
+        with pytest.raises(ValueError):
+            cut_value((2, 2), bad, 1, 6)
+        with pytest.raises(ValueError):
+            cut_value((2, 2), 1, bad, 6)
+        with pytest.raises(ValueError):
+            compare_strategies(p, [4, bad])
+    for bad in (6.0, True, "6", F(6)):
+        with pytest.raises(ValueError, match="d must be an int"):
+            cut_value((2, 2), 1, 1, bad)
+    for bad in ("34", b"34", 5, F(5)):
+        with pytest.raises(ValueError, match="alphas must be an iterable"):
+            compare_strategies(p, bad)
+    # strings convert to the same values as the Fractions they name
+    assert alpha_star(p, "15/2") == alpha_star(p, F(15, 2))
+    assert gamma_min_for_alpha(p, "7/2") == gamma_min_for_alpha(p, F(7, 2))
+    assert min_cut_oracle(p, "3/2", " 1 ") == min_cut_oracle(p, F(3, 2), 1)
+    assert optimal_scenario(p, "3/2", 1) == optimal_scenario(p, F(3, 2), 1)
+    assert cut_value((2, 2), "1/2", 1, 6) == cut_value((2, 2), F(1, 2), 1, 6)
+    assert compare_strategies(p, ["7/2", 4]).rows == compare_strategies(p, [F(7, 2), 4]).rows
+
+
+def test_an_analysis_builds_each_piece_table_once(monkeypatch):
+    """The design analysis on one params object builds three piece tables:
+    its own, and the single-failure and fewer-helper ones of the comparison.
+    The kept table changes no output and no eq, hash or repr."""
+    from regenrepair import tradeoff
+
+    calls = []
+    real = tradeoff._f
+
+    def counted(params, i):
+        calls.append(params)
+        return real(params, i)
+
+    def analysis(params):
+        return (
+            tradeoff_curve(params),
+            msmr_point(params),
+            mbmr_point(params),
+            mbcr_check(params),
+            gamma_min_for_alpha(params, msmr_point(params).alpha),
+            compare_strategies(params),
+        )
+
+    monkeypatch.setattr(tradeoff, "_f", counted)
+    args = (F(601, 3), 18, 12, 14, 3)
+    params, untouched = SystemParams(*args), SystemParams(*args)
+    single, fewer = SystemParams(args[0], 18, 12, 14, 1), SystemParams(args[0], 18, 12, 12, 3)
+    got = analysis(params)
+    assert len(calls) == params.eta + single.eta + fewer.eta == 20
+    assert [p for p in calls if p is params] == [params] * params.eta
+    assert got == analysis(SystemParams(*args))
+    assert params == untouched and hash(params) == hash(untouched) and repr(params) == repr(untouched)
+
+
 def test_compare_strategies_explicit_alphas_keep_the_callers_order():
     params = SystemParams(F(600), 14, 7, 10, 3)
     single = SystemParams(params.M, params.n, 7, 10, 1)
     fewer = SystemParams(params.M, params.n, 7, 8, 3)
     floor = params.M / 7
     top = tradeoff_curve(params)[0].alpha
-    alphas = [top * 3, floor, F(1717, 17), floor, 100.5, 2 * floor, top, floor + F(1, 7), top * 3]
+    alphas = [top * 3, floor, F(1717, 17), floor, "201/2", 2 * floor, top, floor + F(1, 7), top * 3]
     for given_alphas in (alphas, (a for a in alphas)):
         report = compare_strategies(params, given_alphas)
         assert [row.alpha for row in report.rows] == [F(a) for a in alphas]
