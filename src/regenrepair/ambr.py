@@ -182,8 +182,8 @@ class AdaptiveMBRCode(RepairableCode):
         return RepairPlan(failed, helpers, send, LinearMap.from_columns(f, decode, len(lost)))
 
     def mbr_bandwidth_bound(self, e):
-        if not 1 <= e <= self.k:
-            raise ValueError("need 1 <= e <= k")
+        if type(e) is not int or not 1 <= e <= self.k:
+            raise ValueError("need an int e in 1..k = %d, got %r" % (self.k, e))
         return e * self.alpha - e * (e - 1) // 2 * self.z
 
     def coefficient_matrix(self, nodes):

@@ -22,9 +22,10 @@ outcome rather than a bug.
 
 The system is built once, here, in CouplingCode, for PM and IA alone:
 _coupling_rows writes [A | b] as packed rows (gf._pack), rows and
-columns in unknown_pairs order, which it hands back too,
-_coupling_system fills a CouplingSystem from them, and dependent_pairs
-names the dependent transfers of a singular pattern.
+columns in unknown_pairs order, which it hands back too, its one pair
+of views, coupling_system and assemble_multi, fills a CouplingSystem from
+them, and dependent_pairs names the dependent transfers of a singular
+pattern.
 Whether a pattern's system is solvable is condition_check, said once here
 for both: the boundary check a repair makes (the failure limit,
 _failures, and the ids), then the family's unchecked core, _repairable,
@@ -45,7 +46,7 @@ once, and the solved rows, scaled by each failed node's decoder columns,
 are its decode; its pivotless columns name a singular pattern's dependent
 transfers. PM solves its coupling rows on every call: [A | b] by one
 Gauss-Jordan, then one product per lost shard; its transcript counts the
-transfers it computed. PM's repair and _coupling_system project shards
+transfers it computed. PM's repair and assemble_multi project shards
 they have already checked by dot; repair_transfer, the public form, checks
 its target and shard first.
 
@@ -186,8 +187,8 @@ class RepairableCode:
     family checks only its own rules (how many nodes it repairs at once,
     its degrees) and passes its helper count. Each family binds encode,
     reconstruct, repair_multi and random_message in its own class body, as
-    PM does CouplingCode's coupling_coefficient and repair_transfer, so
-    that they can be wrapped per family; keyword arguments such as an
+    PM and IA do the CouplingCode methods and views they expose, so that
+    they can be wrapped per family; keyword arguments such as an
     explicit repair degree d pass through to repair_multi.
     """
 
@@ -342,8 +343,9 @@ class CouplingCode(RepairableCode):
     """PM's and IA's base, which turns a single-failure repair into a repair
     of several nodes at once. A coupling family gives d, _projection(y) and
     _repairable(failed) too, and reads its decoders from _pool_decoder and
-    its coupling rows from _coupling_rows. It supplies no failure limit and
-    no condition_check: _failures and condition_check here serve both.
+    its coupling rows from _coupling_rows. It supplies no failure limit, no
+    condition_check and no view of the system: _failures, condition_check,
+    coupling_system and assemble_multi here serve both.
     """
 
     def _single_decoder(self, node, sources):
@@ -460,18 +462,42 @@ class CouplingCode(RepairableCode):
             rows.append(row)
         return pairs, rows
 
-    def _coupling_system(self, failed, helpers, shards=None):
-        """_coupling_rows over failed + helpers unpacked into a CouplingSystem,
-        and the transfers received from the helpers' shards, {(helper,
-        failed node): symbol}; with no shards b is zero and none are."""
-        system, toward = CouplingSystem(self.field, failed), None
-        if shards is not None:
-            toward = {j: {h: dot(self.field, shards[h], self._projection(j)) for h in helpers} for j in system.failed}
-        pool = frozenset(system.failed + tuple(helpers))
-        rows = self._coupling_rows(system.failed, pool, toward)[1]
-        rows = _unpack_rows(self.field, rows, system.size + 1)
-        system.A, system.b = Matrix(self.field, [row[:-1] for row in rows]), [row[-1] for row in rows]
-        return system, {(h, j): toward[j][h] for h in helpers for j in system.failed} if toward else {}
+    def coupling_system(self, failed, helpers=None):
+        """(system, known): the coupling system of a pattern with b at zero,
+        and the recipe for b, known[(x, y)] listing (helper, weight) for each
+        nonzero weight of the transfer from the helper toward x. helpers
+        default to the first d-e+1 nodes that did not fail, the set
+        condition_check vets (IA's every survivor). Ids that are not nodes
+        raise InvalidRepairInputError."""
+        failed, helpers = _read_ids(failed, helpers)
+        check_input(self, (), 0, (), failed + (helpers or ()))
+        system, known = CouplingSystem(self.field, failed), {}
+        if helpers is None:
+            helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - len(system.failed))
+        pool = frozenset(system.failed + helpers)
+        rows = self._coupling_rows(system.failed, pool)[1]
+        system.A = Matrix(self.field, _unpack_rows(self.field, rows, system.size))
+        for x, y in system.pairs:
+            columns = self._pool_decoder(x, pool).items()
+            known[(x, y)] = [(h, c[1][y - 1]) for h, c in columns if c[1][y - 1] and h not in system.failed]
+        return system, known
+
+    def assemble_multi(self, shards, failed, helpers=None):
+        """coupling_system with b, its recipe applied to the transfers the
+        helpers' shards send, and those transfers, {(helper, failed node):
+        symbol}; helpers default as there. Ids that are not nodes and missing
+        or malformed helper shards raise InvalidRepairInputError; failed
+        nodes' shards are not read."""
+        failed, helpers = _read_ids(failed, helpers)
+        if helpers is None:
+            helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - failure_count(self, failed))
+        check_input(self, shards, self.shard_length, helpers, [*failed, *helpers, *shards])
+        system, known = self.coupling_system(failed, helpers)
+        transfers = {(h, j): dot(self.field, shards[h], self._projection(j)) for h in helpers for j in system.failed}
+        for t, (x, y) in enumerate(system.pairs):
+            for h, w in known[(x, y)]:
+                system.b[t] ^= self.field.mul(w, transfers[(h, x)])
+        return system, transfers
 
     def _max_failures(self):
         """min(n-k, d-k+1), the most failures PM or IA repairs at once: the

@@ -10,7 +10,8 @@ With e failures the 2k-e survivors all act as helpers and the
 cross-failure transfers are recovered from the coupling system, whose
 rows are derived from the single-failure repair: the missing transfer
 x -> y is the projection toward y of x's decode from its transfers, and
-the framework builds those rows for IA as for PM (_coupling_rows). The
+the framework builds those rows and their views, coupling_system and
+assemble_multi, for IA as for PM (_coupling_rows). The
 whole repair of a pattern compiles into one repair plan, on packed rows
 (gf._pack) from the coupling rows to the decode map: the coupling solve
 over the received transfers, folded into each failed node's decoder. A
@@ -31,7 +32,7 @@ its first pattern with failures on both sides, so a pattern costs XORs
 and a determinant of the smaller side.
 """
 
-from .framework import CouplingCode, RepairableCode, RepairPlan, _is_word, _read_ids, check_input, dependent_pairs
+from .framework import CouplingCode, RepairableCode, RepairPlan, _is_word, dependent_pairs
 from .gf import LinearMap, Matrix, _mul_packed, _pack, _reduce, _reduce_packed, mat_inv, mat_mul
 from .gf import all_square_submatrices_invertible, cauchy
 
@@ -158,32 +159,8 @@ class IACode(CouplingCode):
 
     # --- multi-node repair ---
 
-    def coupling_system(self, failed):
-        """Coupling matrix for a pattern plus the known-term recipe for b:
-        known[(x, y)] lists (helper, weight) for each nonzero weight, to be
-        weighted by the transfer received from the helper toward x."""
-        [failed] = _read_ids(failed)
-        check_input(self, (), 0, (), failed)
-        helpers = [h for h in self.node_ids() if h not in failed]
-        system, _ = self._coupling_system(failed, helpers)
-        pool, known = frozenset(self.node_ids()), {}
-        for x, y in system.pairs:
-            columns = self._pool_decoder(x, pool)
-            terms = ((h, columns[h][1][y - 1]) for h in helpers)
-            known[(x, y)] = [(h, w) for h, w in terms if w]
-        return system, known
-
-    def assemble_multi(self, shards, failed):
-        """The coupling system with b from the helpers' transfers, and the
-        transfers. Every node that did not fail helps; ids that are not
-        nodes, and a helper without a shard of k symbols of the field,
-        raise InvalidRepairInputError. Failed nodes' shards are not read."""
-        [failed] = _read_ids(failed)
-        check_input(self, shards, self.alpha, (), [*failed, *shards])
-        helpers = [h for h in self.node_ids() if h not in failed]
-        check_input(self, shards, self.alpha, helpers)
-        return self._coupling_system(failed, helpers, shards)
-
+    coupling_system = CouplingCode.coupling_system
+    assemble_multi = CouplingCode.assemble_multi
     repair_multi = RepairableCode.repair_multi
 
     def _plan_key(self, shards, failed, helpers=None):

@@ -51,6 +51,8 @@ class MDSStripeCode(RepairableCode):
     def _plan_key(self, shards, failed, helpers=None, d=None):
         if d is None:
             d = self.delta if self.mode == "fixed" else min(self.d_max, self.n - failure_count(self, failed))
+            if d < self.k:  # fewer than k survivors, so more than n-k failed
+                raise InvalidHelperCountError("can repair 1..%d nodes at once" % (self.n - self.k))
         if self.mode == "fixed" and d != self.delta:
             raise InvalidHelperCountError("fixed mode repairs with d = %d helpers" % self.delta)
         if type(d) is not int or not self.k <= d <= self.d_max:

@@ -14,8 +14,8 @@ weighs the transfer from l, so node i's content is sum_l t_{l->i} c_{i,l}.
 The coupling coefficient of (i, j, l) is c_{i,l} . phi_j, and the
 right-hand side of row (i, j) is the helpers' part of node i's decode
 projected on phi_j. The framework writes these rows, packed (gf._pack),
-for repairs and condition_check (_coupling_rows) and for coupling_matrix
-and assemble_multi (_coupling_system).
+for repairs, condition_check and its views coupling_system and
+assemble_multi (_coupling_rows); PM binds assemble_multi.
 
 condition_check and the failure limit, min(n-k, k-1), are CouplingCode's;
 PM gives _repairable, the unchecked core of condition_check that
@@ -45,7 +45,7 @@ identity.
 """
 
 from .framework import CouplingCode, RepairableCode, RepairTranscript, SingularCouplingError, _is_word, _read_ids
-from .framework import check_input, check_message, dependent_pairs
+from .framework import check_message, dependent_pairs
 from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _unpack, dot, vandermonde
 
 
@@ -129,18 +129,7 @@ class PMCode(CouplingCode):
 
     repair_transfer = CouplingCode.repair_transfer
     coupling_coefficient = CouplingCode.coupling_coefficient
-
-    def coupling_matrix(self, failed, helpers):
-        """The coupling system of a pattern with b left at zero.
-
-        A depends on the lambdas alone, so no shard is needed to vet it.
-        Row (i, j) gets the weight of each other failed node l in the slot
-        of the transfer l -> i. Ids that are not nodes raise
-        InvalidRepairInputError.
-        """
-        failed, helpers = _read_ids(failed, helpers)
-        check_input(self, (), 0, (), failed + helpers)
-        return self._coupling_system(failed, helpers)[0]
+    assemble_multi = CouplingCode.assemble_multi
 
     def _repairable(self, failed):
         """condition_check's verdict on failed, a sorted tuple of distinct
@@ -190,17 +179,6 @@ class PMCode(CouplingCode):
             return det != 0
         rows = self._coupling_rows(failed, pool)[1]
         return len(_reduce_packed(self.field, rows, len(rows) + 1, len(rows), False)[0]) == len(rows)
-
-    def assemble_multi(self, shards, failed, helpers):
-        """Build the coupling system plus the transfers received from helpers.
-
-        Ids that are not nodes, and a helper without a shard of alpha
-        symbols of the field, raise InvalidRepairInputError; failed nodes'
-        shards are not read.
-        """
-        failed, helpers = _read_ids(failed, helpers)
-        check_input(self, shards, self.alpha, helpers, [*failed, *helpers, *shards])
-        return self._coupling_system(failed, helpers, shards)
 
     def repair_multi(self, shards, failed, helpers=None):
         """Solve the coupling system of the pattern, [A | b] on packed rows

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .ambr import AdaptiveMBRCode
-from .framework import SingularCouplingError
+from .framework import SingularCouplingError, _read_ids, check_input
 from .gf import Field, Matrix, all_square_submatrices_invertible
 from .ia import IACode
 from .mds import MDSStripeCode
@@ -141,8 +141,11 @@ def verify_exact_repair(code, pattern, helpers=None, rng=None, **repair_args):
 
     Returns (success, bandwidth, singular); a singular coupling system is a
     reported outcome, a content mismatch after a solve would be a code bug
-    and also comes back as success=False.
+    and also comes back as success=False. A pattern a repair would refuse
+    for its ids raises InvalidRepairInputError before anything is encoded.
     """
+    [pattern] = _read_ids(pattern)
+    check_input(code, (), 0, (), pattern)
     pattern = tuple(sorted(pattern))
     if rng is None:
         rng = random.Random(0)
@@ -323,39 +326,38 @@ def build_code(descriptor):
 
     Inverse of each family's descriptor() method, so JSON descriptors can be
     stored and later turned back into working encoders. A descriptor that
-    is not a dict, or an integer field holding anything but ints, raises
-    ValueError.
+    is not a dict, or that lacks a field its family reads, holds anything
+    but ints in an integer field or names an MDS mode but "fixed" and
+    "adaptive", raises ValueError naming the field or the mode. Each field
+    is checked as it is read, before the family's constructor runs.
     """
     if not isinstance(descriptor, dict):
         raise ValueError("a code descriptor is a JSON object, not %s" % type(descriptor).__name__)
     nesting = dict(_DESCRIPTOR_INTS, d_or_range=int(descriptor.get("mode") != "fixed"))
-    bad = [
-        key
-        for key, depth in nesting.items()
-        if key in descriptor
-        and not (_holds_ints(descriptor[key], depth) or key == "modulus" and descriptor[key] is None)
-    ]
-    if bad:
-        raise ValueError("descriptor fields %s must hold integers" % bad)
-    family = descriptor["family"]
-    field = Field(descriptor["m"], descriptor["modulus"])
+
+    def get(key):
+        if key not in descriptor:
+            raise ValueError("descriptor has no %r field" % key)
+        value = descriptor[key]
+        if key in nesting and not (_holds_ints(value, nesting[key]) or key == "modulus" and value is None):
+            raise ValueError("descriptor field %r must hold integers" % key)
+        return value
+
+    family = get("family")
+    field = Field(get("m"), get("modulus"))
     if family == "pm":
-        return PMCode(field, descriptor["n"], descriptor["k"], lambdas=list(descriptor["lambdas"]))
+        return PMCode(field, get("n"), get("k"), lambdas=list(get("lambdas")))
     if family == "ia":
-        return IACode(
-            field,
-            descriptor["k"],
-            P=Matrix(field, [list(r) for r in descriptor["P"]]),
-            V=Matrix(field, [list(r) for r in descriptor["V"]]),
-            kappa=descriptor["kappa"],
-        )
+        P, V = (Matrix(field, [list(r) for r in get(key)]) for key in "PV")
+        return IACode(field, get("k"), P=P, V=V, kappa=get("kappa"))
     if family == "mds":
-        if descriptor["mode"] == "fixed":
-            return MDSStripeCode(field, descriptor["n"], descriptor["k"], d=descriptor["d_or_range"])
-        _, d_max = descriptor["d_or_range"]  # ValueError unless [k, d_max]
-        return MDSStripeCode(field, descriptor["n"], descriptor["k"], d_max=d_max)
+        mode = get("mode")
+        if mode not in ("fixed", "adaptive"):
+            raise ValueError("unknown MDS mode %r" % (mode,))
+        if mode == "fixed":
+            return MDSStripeCode(field, get("n"), get("k"), d=get("d_or_range"))
+        _, d_max = get("d_or_range")  # ValueError unless [k, d_max]
+        return MDSStripeCode(field, get("n"), get("k"), d_max=d_max)
     if family == "ambr":
-        return AdaptiveMBRCode(
-            field, descriptor["n"], descriptor["k"], descriptor["d_min"], descriptor["d_max"]
-        )
+        return AdaptiveMBRCode(field, get("n"), get("k"), get("d_min"), get("d_max"))
     raise ValueError("unknown code family %r" % (family,))

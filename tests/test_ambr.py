@@ -119,6 +119,13 @@ def test_bandwidth_bound_values():
         code.mbr_bandwidth_bound(4)
 
 
+@pytest.mark.parametrize("e", [True, 1.0, "1", None])
+def test_bandwidth_bound_refuses_an_e_that_is_not_an_int(e):
+    """True and 1.0 read as e = 1 (20 and 20.0), and "1" died with TypeError."""
+    with pytest.raises(ValueError):
+        AdaptiveMBRCode(Field(8), 8, 3, 4, 5).mbr_bandwidth_bound(e)
+
+
 def test_rank_law_for_stacked_contents():
     code = example_code()
     for e in (1, 2, 3):

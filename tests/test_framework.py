@@ -1,6 +1,7 @@
 """Coupling-system plumbing: unknown ordering, solve, transcripts; the one decode-map solve."""
 
 import functools
+import itertools
 import random
 import sys
 
@@ -131,7 +132,7 @@ def test_a_repeated_failed_id_is_one_node():
     not one with a self-transfer (1, 1) that no node sends."""
     f = Field(8, 0x11D)
     ia, pm = IACode(f, 6), PMCode(f, 11, 6)
-    for build in (lambda failed: ia.coupling_system(failed)[0], lambda failed: pm.coupling_matrix(failed, range(3, 12))):
+    for build in (lambda failed: ia.coupling_system(failed)[0], lambda failed: pm.coupling_system(failed, range(3, 12))[0]):
         once, twice = build((1, 2)), build((1, 1, 2))
         assert (twice.pairs, twice.A, twice.b) == (once.pairs, once.A, once.b)
 
@@ -480,7 +481,8 @@ COUPLING_METHODS = (
     "_pool_rows",
     "coupling_coefficient",
     "_coupling_rows",
-    "_coupling_system",
+    "coupling_system",
+    "assemble_multi",
     "_max_failures",
     "_failures",
     "condition_check",
@@ -498,6 +500,46 @@ def test_only_the_coupling_families_carry_the_coupling_methods():
     for code, coupling in codes:
         assert [hasattr(code, name) for name in COUPLING_METHODS] == [coupling] * len(COUPLING_METHODS)
     assert set(COUPLING_METHODS) <= set(vars(CouplingCode)) and not set(COUPLING_METHODS) & set(vars(RepairableCode))
+
+
+def test_the_coupling_views_agree_with_condition_check_and_each_other():
+    """coupling_system and assemble_multi are one pair of views for PM and
+    IA, with one signature. Over the default helpers, A is singular exactly
+    where condition_check says so; over any helpers, assemble_multi's A is
+    coupling_system's, and each entry of b is its known-term recipe applied
+    to the transfers assemble_multi returns; a solvable system gives back
+    the transfers the failed nodes would have sent. Every singular pattern
+    of each code is drawn (IA(6) has 17, PM(13, 6) over GF(2^6) 13), with
+    a seeded sample of the rest; PM(13, 6) also swaps its last default
+    helper for the highest live node."""
+    rng = random.Random(30)
+    for code in (PMCode(F256, 11, 6), PMCode(Field(6), 13, 6), IACode(F256, 6)):
+        f, shards = code.field, code.encode(code.random_message(rng))
+        patterns = [p for e in range(2, code._max_failures() + 1) for p in itertools.combinations(code.node_ids(), e)]
+        singular = [p for p in patterns if not code.condition_check(p)]
+        assert len(singular) == {11: 0, 13: 13, 12: 17}[code.n]
+        for failed in singular + rng.sample(patterns, 40):
+            system, _ = code.coupling_system(failed)
+            assert code.condition_check(failed) == (system.determinant() != 0), failed
+            default = code.default_helpers(code.node_ids(), failed, code.d - len(failed) + 1)
+            sets = [None, default]
+            if code.n > code.d + 1:
+                last = max(set(code.node_ids()) - set(failed))
+                sets.append(default[:-1] + (last,))
+            survivors = {m: v for m, v in shards.items() if m not in failed}
+            for helpers in sets:
+                system, known = code.coupling_system(failed, helpers)
+                assembled, transfers = code.assemble_multi(survivors, failed, helpers)
+                assert assembled.A == system.A and system.b == [0] * system.size
+                assert set(transfers) == {(h, j) for h in helpers or default for j in failed}
+                for t, (x, y) in enumerate(system.pairs):
+                    recipe = 0
+                    for h, w in known[(x, y)]:
+                        recipe ^= f.mul(w, transfers[(h, x)])
+                    assert assembled.b[t] == recipe, (failed, helpers, (x, y))
+                if assembled.determinant() != 0:
+                    sent = {(l, i): code.repair_transfer(shards[l], i) for l, i in system.pairs}
+                    assert assembled.solve() == sent, (failed, helpers)
 
 
 @pytest.mark.parametrize("family", ["pm", "ia"])

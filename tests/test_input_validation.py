@@ -24,7 +24,7 @@ from regenrepair.gf import Field, Matrix, dot
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
 from regenrepair.pm import PMCode
-from regenrepair.workbench import build_code
+from regenrepair.workbench import build_code, verify_exact_repair
 
 F256 = Field(8, 0x11D)
 CODES = {
@@ -309,9 +309,9 @@ COUPLING_CALLS = {
     "ia_system_not_int": lambda: IACode(F256, 6).coupling_system((1, 2.0)),
     "ia_condition_not_a_collection": lambda: IACode(F256, 6).condition_check(5),
     "pm_condition_not_a_collection": lambda: PMCode(F256, 11, 6).condition_check(5),
-    "pm_matrix_zero": lambda: PMCode(F256, 11, 6).coupling_matrix((0, 7), (1, 2, 3, 4, 5, 6, 8, 9, 10)),
-    "pm_matrix_past_n": lambda: PMCode(F256, 11, 6).coupling_matrix((1, 12), range(2, 11)),
-    "pm_helper_past_n": lambda: PMCode(F256, 11, 6).coupling_matrix((1, 2), (*range(3, 11), 12)),
+    "pm_matrix_zero": lambda: PMCode(F256, 11, 6).coupling_system((0, 7), (1, 2, 3, 4, 5, 6, 8, 9, 10)),
+    "pm_matrix_past_n": lambda: PMCode(F256, 11, 6).coupling_system((1, 12), range(2, 11)),
+    "pm_helper_past_n": lambda: PMCode(F256, 11, 6).coupling_system((1, 2), (*range(3, 11), 12)),
     # no failed node at all: PM's condition_check answered True
     "pm_condition_empty": lambda: PMCode(F256, 11, 6).condition_check(()),
     "ia_condition_empty": lambda: IACode(F256, 3).condition_check(()),
@@ -390,6 +390,18 @@ def test_assemble_multi_checks_ids_and_helper_shards(encoded, family):
     helpers = () if family == "ia" else ([h for h in code.node_ids() if h not in failed][: code.d - 1],)
     system, _ = code.assemble_multi(dict(shards), failed, *helpers)
     assert system.solve()
+
+
+# verify_exact_repair sorted the pattern and read the golden shards before
+# any check: PM(11, 6) died on (0,) and (12,) with KeyError, on (1, "a")
+# with TypeError from sorted, and on 5 with "'int' object is not iterable".
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_verify_exact_repair_refuses_a_pattern_that_is_not_node_ids(encoded, family):
+    code, _ = encoded[family]
+    for bad in ((0,), (code.n + 1,), (1, "a"), (1, True), 5, None):
+        with pytest.raises(InvalidRepairInputError):
+            verify_exact_repair(code, bad)
+    assert verify_exact_repair(code, iter((2, 1)))[0]
 
 
 # repair_transfer is public. On PM(11, 6) target 0 returned node 11's
@@ -540,6 +552,22 @@ def test_build_code_refuses_malformed_descriptors():
         build_code({**descriptors()["mds"], "d_or_range": [4]})  # was IndexError
 
 
+# An MDS mode but "fixed" built an adaptive code, and a missing field died
+# with KeyError, which the CLI printed as "error: 'family'".
+def test_build_code_refuses_a_missing_field_and_an_unknown_mode_by_name(capsys, tmp_path):
+    for family, desc in descriptors().items():
+        for key in desc:
+            with pytest.raises(ValueError) as refused:
+                build_code({k: v for k, v in desc.items() if k != key})
+            assert type(refused.value) is ValueError and repr(key) in str(refused.value)
+    with pytest.raises(ValueError, match="unknown MDS mode 'x'"):
+        build_code({**descriptors()["mds"], "mode": "x"})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**descriptors()["mds"], "mode": "x"}))
+    assert main(["code", "encode", "--descriptor", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown MDS mode 'x'\n"
+
+
 # one field per family spoilt: a lambda of 300 died in a log table, kappa
 # -3 acted as 253, and n "7" and k 2.0 died in comparisons
 SPOILT = {"pm": ("lambdas", lambda v: [300] + v[1:]), "ia": ("kappa", lambda v: -3), "mds": ("n", str), "ambr": ("k", float)}
@@ -582,7 +610,7 @@ ONE_SHOT_CASES = {
 ONE_SHOT_ENTRIES = {
     "repair_multi": (("pm", "ia6", "mds", "ambr"), lambda code, shards, failed, helpers: code.repair_multi(shards, failed, helpers)),
     "condition_check": (("pm", "ia6"), lambda code, shards, failed, helpers: code.condition_check(failed)),
-    "coupling_matrix": (("pm",), lambda code, shards, failed, helpers: code.coupling_matrix(failed, helpers)),
+    "pm_coupling_system": (("pm",), lambda code, shards, failed, helpers: code.coupling_system(failed, helpers)),
     "pm_assemble_multi": (("pm",), lambda code, shards, failed, helpers: code.assemble_multi(shards, failed, helpers)),
     "coupling_system": (("ia6",), lambda code, shards, failed, helpers: code.coupling_system(failed)),
     "ia_assemble_multi": (("ia6",), lambda code, shards, failed, helpers: code.assemble_multi(shards, failed)),

@@ -165,3 +165,18 @@ def test_lagrange_tables_match_the_eliminations(code):
                     assert ref.map_columns(plan.decode) == ref.map_columns(reference)
                     plans += 1
     assert plans == {"adaptive": 735, "fixed": 140}[code.mode]
+
+
+def test_too_many_failures_without_a_degree_name_the_limit():
+    """With no degree given and fewer than k survivors, an adaptive code
+    names its limit, n-k, as PM, IA and adaptive MBR name theirs; it said
+    "repair degree 2 is not an int in 3..4", a degree the caller never gave."""
+    code = MDSStripeCode(Field(8), 7, 3, d_max=4)
+    shards = code.encode(code.random_message(random.Random(2)))
+    survivors = {i: shards[i] for i in (6, 7)}
+    with pytest.raises(InvalidHelperCountError) as refused:
+        code.repair_multi(survivors, (1, 2, 3, 4, 5))
+    assert str(refused.value) == "can repair 1..4 nodes at once"
+    survivors = {i: shards[i] for i in (5, 6, 7)}
+    contents, _ = code.repair_multi(survivors, (1, 2, 3, 4))
+    assert contents == {i: shards[i] for i in (1, 2, 3, 4)}

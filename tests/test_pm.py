@@ -149,7 +149,7 @@ def test_multi_repair_on_drawn_pools_matches_reference_system(case, rng, data):
     e = data.draw(st.integers(2, e_cap))
     failed = tuple(sorted(data.draw(st.permutations(pool))[:e]))
     helpers = tuple(sorted(set(pool) - set(failed)))
-    assert code.coupling_matrix(failed, helpers).A == ref.pm_coupling_matrix(code, failed, helpers).A
+    assert code.coupling_system(failed, helpers)[0].A == ref.pm_coupling_matrix(code, failed, helpers).A
     shards = code.encode(code.random_message(rng))
     survivors = {m: v for m, v in shards.items() if m not in failed}
     system, _ = code.assemble_multi(survivors, failed, helpers)
@@ -407,7 +407,7 @@ def test_coupling_matrix_is_assemble_multis_matrix_without_shards():
     code = example_code()
     shards = code.encode(code.random_message(random.Random(43)))
     failed, helpers = (2, 5, 9), (1, 3, 4, 6, 7, 8, 10, 11)
-    system = code.coupling_matrix(failed, helpers)
+    system, _ = code.coupling_system(failed, helpers)
     assert system.b == [0] * system.size
     assembled, _ = code.assemble_multi(shards, failed, helpers)
     assert system.A == assembled.A
@@ -710,8 +710,8 @@ def test_field_search_vets_the_default_helpers_only():
     assert Field(6).modulus == F64.modulus
     assert code.condition_check((1, 2)) and code.condition_check([2, 1, 2])
     default, other = tuple(range(3, 12)), tuple(range(3, 11)) + (12,)
-    assert code.coupling_matrix((1, 2), default).determinant() == 58
-    assert code.coupling_matrix((1, 2), other).determinant() == 0
+    assert code.coupling_system((1, 2), default)[0].determinant() == 58
+    assert code.coupling_system((1, 2), other)[0].determinant() == 0
     shards = code.encode(code.random_message(random.Random(3)))
     live = {i: s for i, s in shards.items() if i not in (1, 2)}
     assert code.repair_multi(live, (1, 2))[0] == {1: shards[1], 2: shards[2]}

@@ -1,5 +1,6 @@
 """Rules the library source keeps, checked on its syntax tree, the
-library names the benchmark's tracer looks up, and the tests the docs cite."""
+library names the benchmark's tracer looks up, the tests the docs cite, and
+the README's library quick start, run as written."""
 
 import ast
 import importlib.util
@@ -234,3 +235,13 @@ def test_every_test_the_docs_cite_exists():
         if name not in {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}:
             missing.append((doc, "tests/%s::%s" % (file, name)))
     assert cited and missing == [], "cited tests that do not exist (doc, test): %s" % missing
+
+
+def test_the_readme_library_quick_start_runs(capsys):
+    """The README's "Library quick start" block, cut from the README and
+    run as written, so a renamed or removed API it shows fails here before
+    it reaches a reader. Its three prints come out."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md quick start", "exec"), {"__name__": "quick_start"})
+    assert len(capsys.readouterr().out.splitlines()) >= 3
