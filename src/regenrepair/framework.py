@@ -10,15 +10,20 @@ toward x: the transfer from l weighs projection_y . decoder_x[:, l].
 CouplingCode._pool_decoder is the one table of these decoders: for a
 pool of d+1 nodes (failed + helpers; IA's pool is every node) it holds
 each node's decoder column for every source with its product with every
-projection, solved from the generator by _single_decoder, packed too
-(_pool_rows). _single_decoder reads its transfers from the code's one
-sent-row table (_sent_rows): what every node sends toward every node, as
-rows of generator space, built once per code. Moving the terms from
-failed sources to one side yields a square linear system A s = b in the
-e(e-1) unknown cross-failure transfers. When A is invertible the unknowns are recovered and the
-ordinary decoders finish the job; a singular A means the pattern is not
-repairable with the chosen code coefficients, which is a reportable
-outcome rather than a bug.
+projection, packed too (_pool_rows). The columns come from the family's
+_single_decoder. PM writes its own in closed form, one Vandermonde
+inverse (gf.lagrange_columns) folded by [I | lam^alpha I]. IA's is
+CouplingCode's, which solves the decoder from the generator, reading its
+transfers from the code's one sent-row table (_sent_rows): what every
+node sends toward every node, as rows of generator space, built once per
+code. The tests hold PM's closed form to that derivation.
+
+Moving the terms from failed sources to one side yields a square linear
+system A s = b in the e(e-1) unknown cross-failure transfers. When A is
+invertible the unknowns are recovered and the ordinary decoders finish
+the job; a singular A means the pattern is not repairable with the
+chosen code coefficients, which is a reportable outcome rather than a
+bug.
 
 The system is built once, here, in CouplingCode, for PM and IA alone:
 _coupling_rows writes [A | b] as packed rows (gf._pack), rows and
@@ -63,10 +68,10 @@ Every symbol a node stores or sends is a fixed linear function of the
 message, a row of generator space (RepairableCode._received), so every
 decode map the generator fixes is the D with D (received rows) = (wanted
 rows). RepairableCode._derive solves it by one Gauss-Jordan for the read
-maps, the single-failure decoders and adaptive MBR's plans. The
+maps, IA's single-failure decoders and adaptive MBR's plans. The
 derivation runs on packed rows (gf._pack) from start to finish: the
 generator is packed once per code and kept with it, each send row is
-multiplied by its own node's block of it (for the decoders once per code,
+multiplied by its own node's block of it (for IA's decoders once per code,
 in the sent-row table), the rows and the target are
 reduced as packed columns, and D's columns are read off the right-hand
 lanes. MDS writes its decode maps as Lagrange tables, with no
@@ -246,7 +251,11 @@ class RepairableCode:
         return failed, helpers
 
     def default_helpers(self, shards, failed, count):
-        """The first count nodes in node order that hold a shard and did not fail."""
+        """The first count nodes in node order that hold a shard and did not
+        fail. A count that is not an int >= 0, bools included, raises
+        InvalidHelperCountError."""
+        if type(count) is not int or count < 0:
+            raise InvalidHelperCountError("a helper count is an int >= 0, not %r" % (count,))
         live = [i for i in sorted(shards) if i not in failed]
         if len(live) < count:
             raise InvalidHelperCountError("need %d helpers, %d nodes are live" % (count, len(live)))
@@ -355,7 +364,9 @@ class CouplingCode(RepairableCode):
 
         Row t of T is what sources[t] sends toward node, read from the
         code's sent-row table (_sent_rows). Dependent transfers, or ones
-        that do not determine node, raise SingularMatrixError."""
+        that do not determine node, raise SingularMatrixError. IA decodes
+        so; PM writes the same D in closed form, and its tests call this
+        derivation as its reference."""
         size, sent = self.shard_length, self._sent_rows()
         transfers = [sent[s - 1][node - 1] for s in sources]
         try:
@@ -371,7 +382,9 @@ class CouplingCode(RepairableCode):
         generator space: entry s-1 holds, at y-1, _projection(y) applied to
         node s's shard. One product per source over all projections, built
         once per code and kept with it, outside the bounded cache as the
-        packed generator is, so every decoder table a code starts reads it."""
+        packed generator is, so every decoder table a code starts reads it.
+        Only CouplingCode._single_decoder reads it: IA's decoders, and PM's
+        only where its tests call that derivation."""
         sent = self.__dict__.get("_sent_table")
         if sent is None:
             projections = [self._projection(y) for y in self.node_ids()]
@@ -383,7 +396,8 @@ class CouplingCode(RepairableCode):
         (c_{i,l}, weights)}: i's content is sum_l t_{l->i} c_{i,l}, and
         weights[y-1] = projection_y . c_{i,l} for every node y.
 
-        Derived by _single_decoder on first use and kept for one pool of
+        Written by the family's _single_decoder on first use, its weights
+        by one packed product with the projections, and kept for one pool of
         d+1 nodes at a time (IA's pool is every node), outside the bounded
         cache, so compiled plans never push a decoder out. The table keeps
         the last pool object it was given: that object hits with no set
@@ -470,7 +484,7 @@ class CouplingCode(RepairableCode):
         condition_check vets (IA's every survivor). Ids that are not nodes
         raise InvalidRepairInputError."""
         failed, helpers = _read_ids(failed, helpers)
-        check_input(self, (), 0, (), failed + (helpers or ()))
+        check_input(self, (), 0, (), chain(failed, helpers or ()))
         system, known = CouplingSystem(self.field, failed), {}
         if helpers is None:
             helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - len(system.failed))
@@ -491,7 +505,7 @@ class CouplingCode(RepairableCode):
         failed, helpers = _read_ids(failed, helpers)
         if helpers is None:
             helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - failure_count(self, failed))
-        check_input(self, shards, self.shard_length, helpers, [*failed, *helpers, *shards])
+        check_input(self, shards, self.shard_length, helpers, chain(failed, helpers, shards))
         system, known = self.coupling_system(failed, helpers)
         transfers = {(h, j): dot(self.field, shards[h], self._projection(j)) for h in helpers for j in system.failed}
         for t, (x, y) in enumerate(system.pairs):

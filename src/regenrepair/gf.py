@@ -10,13 +10,16 @@ the tests check them against.
 Every elimination goes through one row-reduction kernel, `_reduce`,
 which returns the pivot columns and the determinant. mat_solve and
 mat_inv run it Gauss-Jordan on an augmented matrix, and the framework's
-derivations of read maps, decoders and AMBR repair plans, the IA plan
+derivations of read maps, IA's decoders and AMBR repair plans, the IA plan
 compile and PM's coupling solve run its packed form, `_reduce_packed`;
 mat_det, mat_rank and PM's condition_check run it below the pivots
 only. A map from a polynomial's values at some points to its values at
 others, V_targets V_nodes^-1, needs no elimination: lagrange_rows writes
 it down as a table of Lagrange basis values, and the MDS generator and
-MDS repair decode maps are such tables.
+MDS repair decode maps are such tables. V_nodes^-1 itself, the
+coefficients of the Lagrange basis polynomials, needs none either:
+lagrange_columns writes its columns, which PM's single-failure decoders
+fold.
 
 A packed row (`_pack`) is one int holding a row of symbols, one lane per
 entry, so that adding rows is one XOR. Over m <= 8 a lane is a byte and
@@ -681,6 +684,34 @@ def lagrange_rows(field: Field, nodes, targets) -> Matrix:
 
     where = {x: j for j, x in enumerate(nodes)}
     return Matrix(field, [[int(j == where[x]) for j in range(len(nodes))] if x in where else row(x) for x in targets])
+
+
+def lagrange_columns(field: Field, nodes) -> list[list[int]]:
+    """Column j is the coefficient vector, constant term first, of the
+    Lagrange basis polynomial L_j on nodes: the columns of V_nodes^-1 for
+    the Vandermonde matrix with len(nodes) columns, with no elimination.
+
+    L_j = w_j q_j with l(x) = prod_i (x - n_i), q_j = l(x)/(x - n_j) by
+    synthetic division and the barycentric weight w_j of lagrange_rows.
+    The products run as sums of logs.
+    """
+    nodes = list(nodes)
+    if len(set(nodes)) != len(nodes):
+        raise DuplicatePointError("repeated interpolation node")
+    exp, log, order = field._exp, field._log, field.order
+    top = [1]  # l(x), highest coefficient first
+    for a in nodes:
+        la = log[a]
+        top = [c ^ (exp[la + log[p]] if a and p else 0) for c, p in zip(top + [0], [0] + top)]
+    columns = []
+    for a in nodes:
+        la, w = log[a], -sum(log[a ^ b] for b in nodes if b != a) % order
+        q, acc = [], 0
+        for c in top[:-1]:  # q's coefficients, highest first: acc <- c + a acc
+            acc = c ^ (exp[la + log[acc]] if a and acc else 0)
+            q.append(exp[w + log[acc]] if acc else 0)
+        columns.append(q[::-1])
+    return columns
 
 
 def cauchy(field: Field, xs: list[int], ys: list[int]) -> Matrix:

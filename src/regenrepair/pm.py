@@ -11,6 +11,15 @@ first alpha columns of Psi); that is the family's projection. Node i's
 decoder over the rest of a pool of d+1 nodes (failed + helpers) comes from
 the framework's table (CouplingCode._pool_decoder): its column c_{i,l}
 weighs the transfer from l, so node i's content is sum_l t_{l->i} c_{i,l}.
+PM writes the table's entries in closed form (_single_decoder): the d
+transfers toward i from sources S are t = Psi_S M phi_i, so
+M phi_i = Psi_S^-1 t, and node i's shard, phi_i^t S1 + lam_i^alpha
+phi_i^t S2, is the low alpha entries of M phi_i plus lam_i^alpha times its
+high ones. Column t of Psi_S^-1 holds the coefficients of the Lagrange
+basis polynomial of source t, w_t prod_{s != t} (x + lam_s) with
+w_t = 1 / prod_{s != t} (lam_t + lam_s) (gf.lagrange_columns), so
+c_{i,l}[c] = w_l (q_l[c] + lam_i^alpha q_l[alpha + c]) for the quotient
+q_l = prod_{s in S} (x + lam_s) / (x + lam_l), with no elimination.
 The coupling coefficient of (i, j, l) is c_{i,l} . phi_j, and the
 right-hand side of row (i, j) is the helpers' part of node i's decode
 projected on phi_j. The framework writes these rows, packed (gf._pack),
@@ -46,7 +55,8 @@ identity.
 
 from .framework import CouplingCode, RepairableCode, RepairTranscript, SingularCouplingError, _is_word, _read_ids
 from .framework import check_message, dependent_pairs
-from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _unpack, dot, vandermonde
+from .gf import Matrix, SingularMatrixError, _lane_bits, _mul_packed, _reduce_packed, _unpack, dot, lagrange_columns
+from .gf import vandermonde
 
 
 class PMCode(CouplingCode):
@@ -126,6 +136,23 @@ class PMCode(CouplingCode):
     def _projection(self, target):
         """phi_target: what a live node projects its content on toward target."""
         return self.Phi.data[target - 1]
+
+    def _single_decoder(self, node, sources):
+        """Node's single-failure decoder over d distinct sources, in closed
+        form: the transfers toward node are t = Psi_S M phi_node, so
+        M phi_node = Psi_S^-1 t, and node's shard is its low alpha entries
+        plus lam_node^alpha times its high ones. Column t, which weighs the
+        transfer from sources[t], is column t of Psi_S^-1
+        (gf.lagrange_columns) folded by [I | lam_node^alpha I]. Sources
+        that are not d distinct nodes leave node undetermined or the
+        transfers dependent, and raise SingularMatrixError, as
+        CouplingCode._single_decoder does."""
+        if len(sources) != self.d or len(set(sources)) != self.d:
+            raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
+        f, a, lambdas = self.field, self.alpha, self.lambdas
+        scale, mul = f.pow(lambdas[node - 1], a), f.mul
+        columns = lagrange_columns(f, [lambdas[s - 1] for s in sources])
+        return [[x ^ mul(scale, y) for x, y in zip(column[:a], column[a:])] for column in columns]
 
     repair_transfer = CouplingCode.repair_transfer
     coupling_coefficient = CouplingCode.coupling_coefficient

@@ -327,9 +327,10 @@ def build_code(descriptor):
     Inverse of each family's descriptor() method, so JSON descriptors can be
     stored and later turned back into working encoders. A descriptor that
     is not a dict, or that lacks a field its family reads, holds anything
-    but ints in an integer field or names an MDS mode but "fixed" and
-    "adaptive", raises ValueError naming the field or the mode. Each field
-    is checked as it is read, before the family's constructor runs.
+    but ints in an integer field, names an MDS mode but "fixed" and
+    "adaptive" or gives an adaptive MDS code a d_or_range but [k, d_max],
+    raises ValueError naming the field or the mode. Each field is checked
+    as it is read, before the family's constructor runs.
     """
     if not isinstance(descriptor, dict):
         raise ValueError("a code descriptor is a JSON object, not %s" % type(descriptor).__name__)
@@ -356,8 +357,10 @@ def build_code(descriptor):
             raise ValueError("unknown MDS mode %r" % (mode,))
         if mode == "fixed":
             return MDSStripeCode(field, get("n"), get("k"), d=get("d_or_range"))
-        _, d_max = get("d_or_range")  # ValueError unless [k, d_max]
-        return MDSStripeCode(field, get("n"), get("k"), d_max=d_max)
+        d_or_range = get("d_or_range")
+        if len(d_or_range) != 2 or d_or_range[0] != get("k"):
+            raise ValueError("descriptor field 'd_or_range' of an adaptive MDS code must be [k, d_max]")
+        return MDSStripeCode(field, get("n"), get("k"), d_max=d_or_range[1])
     if family == "ambr":
         return AdaptiveMBRCode(field, get("n"), get("k"), get("d_min"), get("d_max"))
     raise ValueError("unknown code family %r" % (family,))

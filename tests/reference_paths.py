@@ -66,6 +66,7 @@ built on them, each decoder's weights by a mat_mul with the projections.
 
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -225,12 +226,19 @@ def ia_reconstruct(code, shards):
     return mat_solve(Matrix(f, rows), rhs)
 
 
+_IA_CONSTANTS = weakref.WeakKeyDictionary()
+
+
 def ia_constants(code):
     """(U', 1 - kappa^2, 1 + kappa) of an IA code: U' = kappa V P' is the
-    inverse transpose of U, and minus is plus in characteristic 2."""
-    f, kappa = code.field, code.kappa
-    ud = Matrix(f, [[f.mul(kappa, x) for x in row] for row in mat_mul(code.V, code.Pd).data])
-    return ud, f.add(1, f.mul(kappa, kappa)), f.add(1, kappa)
+    inverse transpose of U, and minus is plus in characteristic 2. Computed
+    once per code and kept while the code lives; callers only read them."""
+    constants = _IA_CONSTANTS.get(code)
+    if constants is None:
+        f, kappa = code.field, code.kappa
+        ud = Matrix(f, [[f.mul(kappa, x) for x in row] for row in mat_mul(code.V, code.Pd).data])
+        constants = _IA_CONSTANTS[code] = ud, f.add(1, f.mul(kappa, kappa)), f.add(1, kappa)
+    return constants
 
 
 def ia_decoder(code, target):

@@ -324,23 +324,33 @@ def test_a_different_pool_starts_a_new_table_and_its_ids_are_checked():
     assert code._pool_decoder(3, tuple(second)) is again and calls == [2]
 
 
-def test_the_sent_rows_are_built_once_per_code(monkeypatch):
-    """PM(13, 6) has n > d+1, so its pools differ. The first decoder table
-    it starts builds the sent-row table, one product per source with its
-    generator block; a second pool's table reads it and makes no
-    generator-block product, and its decoders are the reference's."""
-    code = PMCode(Field(8, 0x11D), 13, 6)
-    size, generator = code.shard_length, code._generator_rows()
-    blocks = [generator[(s - 1) * size : s * size] for s in code.node_ids()]
+def test_pm_decoders_take_no_generator_product_and_ia_builds_its_sent_rows_once(monkeypatch):
+    """PM derives its decoders in closed form: on PM(13, 6), whose pools
+    differ since n > d+1, the decoders of two pools make no product with a
+    generator block, start no sent-row table and are the reference's. IA
+    derives them from the sent-row table: its first decoder builds it, one
+    product per source with its generator block, and later decoders, those
+    of a fresh decoder table included, read it and make none."""
     products, mul = [], framework._mul_packed
     monkeypatch.setattr(framework, "_mul_packed", lambda f, coefs, rows, width: products.append(rows) or mul(f, coefs, rows, width))
-    block_products = lambda: sum(rows in blocks for rows in products)
-    code._pool_decoder(3, frozenset(range(1, 12)))
-    assert block_products() == code.n
-    second = frozenset(range(2, 13))
-    for i in (3, 12):
-        assert code._pool_decoder(i, second) == ref.pool_decoder(code, i, second)
-    assert block_products() == code.n
+
+    def block_products(code):
+        size, generator = code.shard_length, code._generator_rows()
+        blocks = [generator[(s - 1) * size : s * size] for s in code.node_ids()]
+        return sum(rows in blocks for rows in products)
+
+    pm = PMCode(Field(8, 0x11D), 13, 6)
+    for pool in (frozenset(range(1, 12)), frozenset(range(2, 13))):
+        for i in (3, 11):
+            assert pm._pool_decoder(i, pool) == ref.pool_decoder(pm, i, pool)
+    assert block_products(pm) == 0 and "_sent_table" not in vars(pm)
+    ia, pool = IACode(Field(8, 0x11D), 4), frozenset(range(1, 9))
+    for i in (1, 6):
+        assert ia._pool_decoder(i, pool) == ref.pool_decoder(ia, i, pool)
+    assert block_products(ia) == ia.n
+    del ia._decoder_table
+    assert ia._pool_decoder(2, pool) == ref.pool_decoder(ia, 2, pool)
+    assert block_products(ia) == ia.n
 
 
 def test_pm_repairs_still_read_coupling_coefficients(monkeypatch):

@@ -1,5 +1,6 @@
 """Field and matrix layer: frozen arithmetic values, axioms, dual multiply paths."""
 
+import functools
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from regenrepair.gf import (
     all_square_submatrices_invertible,
     cauchy,
     is_irreducible,
+    lagrange_columns,
     lagrange_rows,
     mat_det,
     mat_inv,
@@ -29,6 +31,10 @@ from regenrepair.gf import (
     mat_vec,
     vandermonde,
 )
+
+
+# Each field once: building GF(2^16)'s tables takes tens of milliseconds.
+field_of = functools.cache(Field)
 
 
 # --- independent oracle: bitwise polynomial multiply written from scratch ---
@@ -455,6 +461,30 @@ def test_lagrange_rows_match_vandermonde_elimination(case):
 def test_lagrange_rows_refuse_repeated_nodes():
     with pytest.raises(DuplicatePointError):
         lagrange_rows(Field(4), [3, 5, 3], [1])
+
+
+@st.composite
+def interpolation_nodes(draw):
+    """(field, nodes) over GF(2^1..2^16): 1..12 distinct nodes in drawn
+    order, 0 among them or not."""
+    field = field_of(draw(st.integers(1, 16)))
+    count = draw(st.integers(1, min(field.size, 12)))
+    return field, draw(st.lists(st.integers(0, field.order), min_size=count, max_size=count, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(interpolation_nodes())
+def test_lagrange_columns_are_the_vandermonde_inverse(case):
+    """lagrange_columns(nodes) is mat_inv(vandermonde(nodes)) column by
+    column, over every m, 0 among the nodes or not, in the drawn order."""
+    field, nodes = case
+    inverse = mat_inv(vandermonde(field, nodes, len(nodes)))
+    assert lagrange_columns(field, nodes) == [list(column) for column in zip(*inverse.data)]
+
+
+def test_lagrange_columns_refuse_repeated_nodes():
+    with pytest.raises(DuplicatePointError):
+        lagrange_columns(Field(4), [3, 5, 3])
 
 
 @st.composite

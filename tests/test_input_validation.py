@@ -451,6 +451,36 @@ def test_degree_flexible_families_refuse_a_degree_that_is_not_an_int(encoded, fa
     assert code.repair_multi(survivors, (1,), d=code.d_max)[0][1] == shards[1]
 
 
+# default_helpers sliced the live nodes by its count: -1 gave PM(11, 6) all
+# but the last of its 9 live nodes, 8 helpers.
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_default_helpers_refuse_a_count_that_is_not_an_int_at_least_zero(encoded, family):
+    code, _ = encoded[family]
+    for bad in (-1, -5, 2.0, "2", True, None):
+        with pytest.raises(InvalidHelperCountError):
+            code.default_helpers(code.node_ids(), (1, 2), bad)
+    assert code.default_helpers(code.node_ids(), (1, 2), 0) == ()
+    assert code.default_helpers(code.node_ids(), (1, 2), 2) == (3, 4)
+
+
+# coupling_system(None) and assemble_multi(shards, None) died with a raw
+# TypeError from None + (), where repair_multi refuses a failed of None.
+@pytest.mark.parametrize("family", ["ia", "pm"])
+def test_the_coupling_views_refuse_failed_ids_that_are_not_a_collection(encoded, family):
+    code, shards = encoded[family]
+    helpers = list(range(3, code.d + 2))
+    calls = [
+        lambda: code.repair_multi(shards, None),
+        lambda: code.coupling_system(None),
+        lambda: code.coupling_system(None, helpers),
+        lambda: code.assemble_multi(shards, None),
+        lambda: code.assemble_multi(shards, None, helpers),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidRepairInputError, match="collections"):
+            call()
+
+
 # AMBR's coefficient_matrix read node 0 as node n through a negative index
 # and died on n + 1 with IndexError.
 @pytest.mark.parametrize("bad", [0, 9])
@@ -550,6 +580,17 @@ def test_build_code_refuses_malformed_descriptors():
         assert build_code(desc).descriptor() == desc
     with pytest.raises(ValueError):
         build_code({**descriptors()["mds"], "d_or_range": [4]})  # was IndexError
+
+
+# An adaptive MDS descriptor's d_or_range of [9, 4] built the code of [3, 4],
+# whose descriptor differed from the input: only [k, d_max] round-trips.
+def test_build_code_refuses_an_adaptive_range_that_does_not_start_at_k():
+    desc = descriptors()["mds"]
+    assert desc["mode"] == "adaptive" and desc["d_or_range"] == [3, 4]
+    for bad in ([9, 4], [2, 4], [4, 4], [3], [3, 4, 5], []):
+        with pytest.raises(ValueError) as refused:
+            build_code({**desc, "d_or_range": bad})
+        assert type(refused.value) is ValueError and "'d_or_range'" in str(refused.value)
 
 
 # An MDS mode but "fixed" built an adaptive code, and a missing field died

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import reference_paths as ref
 from regenrepair import pm
-from regenrepair.framework import InvalidRepairInputError, SingularCouplingError
-from regenrepair.gf import Field, dot, mat_det, mat_inv, mat_solve
+from regenrepair.framework import CouplingCode, InvalidRepairInputError, SingularCouplingError
+from regenrepair.gf import Field, SingularMatrixError, dot, mat_det, mat_inv, mat_solve
 from regenrepair.pm import PMCode
 from regenrepair.workbench import AssignmentNotFoundError, run_sweep, search_assignment, verify_exact_repair
 
@@ -120,6 +121,61 @@ def test_derived_decoders_equal_the_lagrange_rows(case):
             row = ref.pm_decoder_row(code, i, l, pool)
             assert column == row, (i, l)
             assert projected == [dot(code.field, row, phi) for phi in code.Phi.data], (i, l)
+
+
+# Each field once: building GF(2^16)'s tables takes tens of milliseconds.
+field_of = functools.cache(Field)
+
+
+@st.composite
+def decoder_cases(draw):
+    """A PM code over GF(2^3..2^16) at n = d+1, d+2 or d+4, its lambdas
+    drawn, 0 among them or not, with distinct alpha-th powers; a node, and
+    d sources in drawn order, the node among them or not."""
+    field = field_of(draw(st.integers(3, 16)))
+    order = field.order
+    powers = lambda k: order // math.gcd(k - 1, order) + 1  # distinct (k-1)-th powers, 0's included
+    k = draw(st.sampled_from([k for k in range(2, 8) if 2 * k - 1 <= powers(k)]))
+    d, alpha = 2 * k - 2, k - 1
+    n = d + draw(st.sampled_from([x for x in (1, 2, 4) if d + x <= powers(k)]))
+    rng = draw(st.randoms(use_true_random=False))
+    lambdas = [0] if draw(st.booleans()) else []
+    seen = {field.pow(x, alpha) for x in lambdas}
+    for x in (rng.randrange(field.size) for _ in range(40 * n)):
+        if len(lambdas) < n and field.pow(x, alpha) not in seen:
+            lambdas.append(x)
+            seen.add(field.pow(x, alpha))
+    assume(len(lambdas) == n)
+    code = PMCode(field, n, k, rng.sample(lambdas, n))
+    node = draw(st.integers(1, n))
+    among = draw(st.booleans())
+    sources = rng.sample([s for s in code.node_ids() if among or s != node], d)
+    return code, node, sources
+
+
+@settings(max_examples=150, deadline=None)
+@given(decoder_cases())
+def test_closed_form_decoders_equal_the_generator_space_derivation(case):
+    """PM's closed-form decoder over d sources is the one CouplingCode
+    derives from the generator, column by column in sources order, and,
+    with the node outside its sources, the Lagrange row c_{i,l} of the pool
+    node + sources for each source l. Both refuse a repeated source, and,
+    with the node outside its sources, one source fewer. (A node among d-1
+    sources can be determined by its own transfer: at alpha = 1 that is its
+    shard. The derivation from the generator takes such sources and the
+    closed form refuses them; no pool decoder lists its node as a source.)"""
+    code, node, sources = case
+    decoder = code._single_decoder(node, sources)
+    assert decoder == CouplingCode._single_decoder(code, node, sources)
+    refused = [sources[:-1] + sources[:1]]
+    if node not in sources:
+        pool = [node, *sources]
+        assert decoder == [ref.pm_decoder_row(code, node, l, pool) for l in sources]
+        refused.append(sources[1:])
+    for bad in refused:
+        for derive in (code._single_decoder, lambda *args: CouplingCode._single_decoder(code, *args)):
+            with pytest.raises(SingularMatrixError, match="do not determine node %d" % node):
+                derive(node, bad)
 
 
 @settings(max_examples=100, deadline=None)
