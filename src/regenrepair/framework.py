@@ -86,9 +86,19 @@ from .gf import LinearMap, Matrix, SingularMatrixError, _mul_packed, _pack, _red
 from .gf import _lane_bits, _transpose_packed, _unpack, _unpack_rows, dot, mat_det
 
 # Compiled maps and plans kept per code; the least recently used goes
-# first. An IA(6) plan holds ~1.8 KB, and on draws over all 2,509 of its
-# patterns 512 entries miss on 70% of repairs against 65% with 1,024.
-MAP_CACHE_LIMIT = 512
+# first. An IA(6)/GF(2^8) plan holds 2.6 KB at e = 2, 3.7 KB at e = 4 and
+# 4.4 KB at e = 6 (sys.getsizeof over its objects, key included), so a full
+# cache holds about 4 MB. IA(6) has 2,509 patterns. Replaying the IA
+# benchmark sweep's pattern stream (22 repairs a cycle, e = 1..6, ~147
+# cycles per code), the share of repairs that find their plan cached:
+#
+#   entries     all   e=4   e=5   e=6
+#   512         36%   20%   13%   13%
+#   1,024       48%   35%   25%   25%
+#   unbounded   53%   42%   30%   31%
+#
+# Unbounded, a code could keep all 2,509 of its plans, about 10 MB.
+MAP_CACHE_LIMIT = 1024
 
 NO_FAILED_NODE = "need at least one failed node, none holding a shard"
 
@@ -481,13 +491,16 @@ class CouplingCode(RepairableCode):
         and the recipe for b, known[(x, y)] listing (helper, weight) for each
         nonzero weight of the transfer from the helper toward x. helpers
         default to the first d-e+1 nodes that did not fail, the set
-        condition_check vets (IA's every survivor). Ids that are not nodes
-        raise InvalidRepairInputError."""
+        condition_check vets (IA's every survivor). A pattern past the
+        failure limit raises what repair_multi raises (_failures), before
+        anything else is read; ids that are not nodes raise
+        InvalidRepairInputError."""
         failed, helpers = _read_ids(failed, helpers)
+        e = self._failures(failed)
         check_input(self, (), 0, (), chain(failed, helpers or ()))
         system, known = CouplingSystem(self.field, failed), {}
         if helpers is None:
-            helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - len(system.failed))
+            helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - e)
         pool = frozenset(system.failed + helpers)
         rows = self._coupling_rows(system.failed, pool)[1]
         system.A = Matrix(self.field, _unpack_rows(self.field, rows, system.size))
@@ -499,12 +512,14 @@ class CouplingCode(RepairableCode):
     def assemble_multi(self, shards, failed, helpers=None):
         """coupling_system with b, its recipe applied to the transfers the
         helpers' shards send, and those transfers, {(helper, failed node):
-        symbol}; helpers default as there. Ids that are not nodes and missing
-        or malformed helper shards raise InvalidRepairInputError; failed
-        nodes' shards are not read."""
+        symbol}; helpers default as there. The failure limit is checked
+        first, as there. Ids that are not nodes and missing or malformed
+        helper shards raise InvalidRepairInputError; failed nodes' shards
+        are not read."""
         failed, helpers = _read_ids(failed, helpers)
+        e = self._failures(failed)
         if helpers is None:
-            helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - failure_count(self, failed))
+            helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - e)
         check_input(self, shards, self.shard_length, helpers, chain(failed, helpers, shards))
         system, known = self.coupling_system(failed, helpers)
         transfers = {(h, j): dot(self.field, shards[h], self._projection(j)) for h in helpers for j in system.failed}

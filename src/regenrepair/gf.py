@@ -172,19 +172,37 @@ class Field:
         return polymod_gf2(polymul_gf2(a, b), self.modulus)
 
     def mul(self, a: int, b: int) -> int:
+        """The product through the log tables. It is the hot kernel and
+        checks nothing: a symbol outside 0..2^m-1 reads the wrong entry or
+        raises IndexError, so callers check their symbols first, as
+        check_input and check_message do for shards and messages."""
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
+    def _check_symbol(self, a) -> None:
+        if type(a) is not int or not 0 <= a < self.size:
+            raise ValueError("%r is not a symbol of GF(2^%d), an int in 0..%d" % (a, self.m, self.order))
+
     def inv(self, a: int) -> int:
+        """1/a; a symbol outside the field raises ValueError, and 0
+        ZeroInverseError."""
+        self._check_symbol(a)
         if a == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
         return self._exp[self.order - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
+        """a/b; both are checked as inv checks."""
+        self._check_symbol(a)
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
+        """a^e for any int e, a negative one through inv; a symbol outside
+        the field or an exponent that is not an int raises ValueError."""
+        self._check_symbol(a)
+        if type(e) is not int:
+            raise ValueError("exponent %r is not an int" % (e,))
         if e < 0:
             a, e = self.inv(a), -e
         result = 1

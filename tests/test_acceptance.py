@@ -379,3 +379,49 @@ def test_criterion_12_randomized_round_trips_and_field_invariants():
                 assert mat_vec(a, mat_solve(a, rhs)) == rhs
     report("criterion 12 PASS: 10000 randomized repair round trips; "
            "field and matrix invariants hold")
+
+
+def sweep_totals(code, e, **repair_args):
+    """The transcript totals of a seeded run_sweep at e, singular patterns
+    left out; at least one pattern repairs."""
+    report = run_sweep(code, e, seed=13, sample=12, **repair_args)
+    assert all(x.success or x.singular for x in report.entries)
+    totals = {x.bandwidth for x in report.entries if x.success}
+    assert totals
+    return totals
+
+
+def test_the_code_families_meet_the_tradeoff_they_claim():
+    """The two halves judge each other: each family's repairs, as run_sweep
+    reports them, against the tradeoff module at SystemParams(message
+    length, n, k, helpers, e), the helper count as the paper's d. PM and IA
+    sit on the minimum-storage point; the stripe code is optimal once e >=
+    k; adaptive MBR's sequential repair misses the optimum at its storage,
+    pinned as exact gaps."""
+    f = Field(8)
+    points = 0
+    for code in (PMCode(f, 11, 6), PMCode(Field(6), 13, 6), IACode(f, 4), IACode(f, 6)):
+        for e in range(1, code._max_failures() + 1):
+            point = msmr_point(SystemParams(code.message_length, code.n, code.k, code.d - e + 1, e))
+            assert point.alpha == code.shard_length
+            assert sweep_totals(code, e) == {point.gamma}, (code.descriptor(), e)
+            points += 1
+
+    mds = MDSStripeCode(f, 7, 3, d_max=4)
+    assert (mds.shard_length, mds.message_length) == (12, 36)
+    for e in (3, 4):
+        params = SystemParams(mds.message_length, mds.n, mds.k, min(mds.d_max, mds.n - e), e)
+        assert gamma_min_for_alpha(params, 12) == 36
+        assert sweep_totals(mds, e) == {36}
+        points += 1
+
+    ambr = AdaptiveMBRCode(f, 8, 3, 4, 5)
+    assert ambr.shard_length == 20
+    # (e, d): (the sequential repair's total, the least gamma at alpha = 20)
+    gaps = {(1, 4): (20, F(20)), (1, 5): (20, F(75, 4)), (2, 4): (35, F(100, 3)), (2, 5): (35, F(125, 4))}
+    for (e, d), (total, least) in gaps.items():
+        assert sweep_totals(ambr, e, d=d) == {total}
+        assert gamma_min_for_alpha(SystemParams(ambr.message_length, ambr.n, ambr.k, d, e), 20) == least
+        points += 1
+    report("two halves PASS: %d (code, e) transcript totals on the tradeoff; AMBR gaps %s"
+           % (points, ", ".join(str(total - least) for total, least in gaps.values())))

@@ -146,6 +146,32 @@ def test_pow_and_div():
         f.div(3, 0)
 
 
+# A negative symbol indexed the log table from its end: in GF(2^8),
+# inv(-1) returned 253, pow(-3, 2) 230 and div(5, -1) 46, and a symbol of
+# 300 died with IndexError. mul stays unchecked; its callers check.
+@pytest.mark.parametrize("m", [1, 8, 16])
+def test_inv_pow_and_div_refuse_a_symbol_outside_the_field(m):
+    f = field_of(m)
+    for bad in (-1, -3, f.size, f.size + 44, 1.0, "2", True):
+        calls = [
+            lambda: f.inv(bad),
+            lambda: f.pow(bad, 2),
+            lambda: f.pow(bad, -1),
+            lambda: f.pow(bad, 0),
+            lambda: f.div(5 % f.size or 1, bad),
+            lambda: f.div(bad, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not a symbol of GF"):
+                call()
+    for bad in (1.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="exponent"):
+            f.pow(1, bad)
+    # the ends of the field still work
+    assert f.inv(1) == 1 and f.pow(f.order, 0) == 1 and f.div(0, f.order) == 0
+    assert f.mul(f.inv(f.order), f.order) == 1
+
+
 def test_wide_fields_agree_with_mul_direct():
     """GF(2^13..2^16) multiply, invert and raise through their tables like
     every other field; each result is checked by shift-and-reduce."""

@@ -356,6 +356,40 @@ def test_condition_check_refuses_what_repair_refuses(case):
     assert type(check.value) is want and ("can repair 1.." in str(check.value)) == bool(failed)
 
 
+# The coupling views never applied the failure limit: PM(11, 6) built a
+# 30-unknown system for six failed nodes, IA(GF(256), 6) 42 unknowns for
+# seven, and PM(GF(64), 13, 6) with twelve failed nodes blamed the helper
+# count ("a helper count is an int >= 0, not -1").
+PAST_THE_LIMIT = {
+    "pm11_six": (lambda: PMCode(F256, 11, 6), range(1, 7)),
+    "pm13_twelve": (lambda: PMCode(F64, 13, 6), range(1, 13)),
+    "ia6_seven": (lambda: IACode(F256, 6), range(1, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_THE_LIMIT))
+def test_the_coupling_views_refuse_what_repair_refuses(case):
+    """The same error, type and message, as a repair of the pattern, with
+    the helpers left to default or given, before any helper is read."""
+    build, failed = PAST_THE_LIMIT[case]
+    code = build()
+    survivors = {m: [0] * code.shard_length for m in code.node_ids() if m not in failed}
+    with pytest.raises(ValueError) as repair:
+        code.repair_multi(survivors, failed)
+    assert str(repair.value).startswith("can repair 1..")
+    helpers = [m for m in code.node_ids() if m not in failed]
+    calls = [
+        lambda: code.coupling_system(failed),
+        lambda: code.coupling_system(iter(failed), helpers),
+        lambda: code.assemble_multi(survivors, failed),
+        lambda: code.assemble_multi({}, failed, [0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as view:
+            call()
+        assert (type(view.value), str(view.value)) == (type(repair.value), str(repair.value))
+
+
 # assemble_multi builds a coupling system from raw shards, outside
 # repair_multi's checks. On IA(GF(2^8), 3) with failed (1, 4), a missing
 # helper died with KeyError (2, 1) and a symbol of 300 with IndexError in a

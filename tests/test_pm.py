@@ -709,13 +709,18 @@ def test_singular_pattern_raises_for_direct_repair():
 
 def test_k2_e2_coupling_is_always_singular():
     # with alpha = 1 the two coupling coefficients are exact inverses, so
-    # det(A) = 1 - c12*c21 = 0 identically; e=2 is out of reach at k=2
+    # det(A) = 1 - c12*c21 = 0 identically; e=2 is out of reach at k=2, and
+    # the coupling views refuse it as a repair does
     code = PMCode(F16, 4, 2)
     shards = code.encode([3, 7])
     for failed in itertools.combinations(code.node_ids(), 2):
+        a, b = failed
         helpers = code.default_helpers(shards, failed, 1)
-        system, _ = code.assemble_multi(shards, failed, helpers)
-        assert system.determinant() == 0
+        pool = frozenset(failed + helpers)
+        c12, c21 = code.coupling_coefficient(a, b, b, pool), code.coupling_coefficient(b, a, a, pool)
+        assert F16.mul(c12, c21) == 1
+        with pytest.raises(ValueError, match=r"can repair 1\.\.1 nodes at once"):
+            code.assemble_multi(shards, failed, helpers)
 
 
 def test_verify_exact_repair_outcomes():
