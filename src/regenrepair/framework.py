@@ -10,13 +10,15 @@ toward x: the transfer from l weighs projection_y . decoder_x[:, l].
 CouplingCode._pool_decoder is the one table of these decoders: for a
 pool of d+1 nodes (failed + helpers; IA's pool is every node) it holds
 each node's decoder column for every source with its product with every
-projection, packed too (_pool_rows). The columns come from the family's
-_single_decoder. PM writes its own in closed form, one Vandermonde
-inverse (gf.lagrange_columns) folded by [I | lam^alpha I]. IA's is
-CouplingCode's, which solves the decoder from the generator, reading its
-transfers from the code's one sent-row table (_sent_rows): what every
-node sends toward every node, as rows of generator space, built once per
-code. The tests hold PM's closed form to that derivation.
+projection, packed too (_pool_rows). The family writes each node's entry,
+columns and products together (_pool_entry), from what it made once when
+the pool's table started (_pool_table). IA's entry is CouplingCode's:
+_single_decoder solves the decoder from the generator, reading its
+transfers from the code's one sent-row table (_sent_rows), what every node
+sends toward every node as rows of generator space, built once per code,
+and the products are one packed product with the projections. PM writes
+its entries in closed form from one Lagrange table per pool (see the pm
+module), and the tests hold them to that derivation.
 
 Moving the terms from failed sources to one side yields a square linear
 system A s = b in the e(e-1) unknown cross-failure transfers. When A is
@@ -374,9 +376,9 @@ class CouplingCode(RepairableCode):
 
         Row t of T is what sources[t] sends toward node, read from the
         code's sent-row table (_sent_rows). Dependent transfers, or ones
-        that do not determine node, raise SingularMatrixError. IA decodes
-        so; PM writes the same D in closed form, and its tests call this
-        derivation as its reference."""
+        that do not determine node, raise SingularMatrixError. IA's pool
+        entries come from it; PM writes the same D in closed form from its
+        pool table, and its tests call this derivation as its reference."""
         size, sent = self.shard_length, self._sent_rows()
         transfers = [sent[s - 1][node - 1] for s in sources]
         try:
@@ -394,25 +396,44 @@ class CouplingCode(RepairableCode):
         once per code and kept with it, outside the bounded cache as the
         packed generator is, so every decoder table a code starts reads it.
         Only CouplingCode._single_decoder reads it: IA's decoders, and PM's
-        only where its tests call that derivation."""
+        only where its tests call that derivation, as PM's pool entries
+        read none."""
         sent = self.__dict__.get("_sent_table")
         if sent is None:
             projections = [self._projection(y) for y in self.node_ids()]
             sent = self._sent_table = [self._received([(s, projections)]) for s in self.node_ids()]
         return sent
 
+    def _pool_table(self, pool):
+        """What the family's _pool_entry reads for every node of pool, made
+        once when the decoder table of pool starts: here the rows [I |
+        projections], row a holding 1 in lane a and, past the shard's
+        lanes, entry a of every node's projection, so that a decoder
+        column times them is the column followed by its weights."""
+        f, size, lane = self.field, self.shard_length, _lane_bits(self.field)
+        projections = zip(*(self._projection(y) for y in self.node_ids()))
+        return [1 << lane * a | _pack(f, row, size) for a, row in enumerate(projections)]
+
+    def _pool_entry(self, i, sources, table):
+        """Node i's decoder over sources as packed rows [c_{i,l} | weights]
+        (shard_length + n lanes), one per source l in sources order, table
+        being _pool_table(pool): _single_decoder times the rows [I |
+        projections]. PM writes its rows from its own pool table."""
+        return _mul_packed(self.field, self._single_decoder(i, sources), table, self.shard_length + self.n)
+
     def _pool_decoder(self, i, pool):
         """Node i's decoder over the other nodes of pool, as {source l:
         (c_{i,l}, weights)}: i's content is sum_l t_{l->i} c_{i,l}, and
         weights[y-1] = projection_y . c_{i,l} for every node y.
 
-        Written by the family's _single_decoder on first use, its weights
-        by one packed product with the projections, and kept for one pool of
-        d+1 nodes at a time (IA's pool is every node), outside the bounded
-        cache, so compiled plans never push a decoder out. The table keeps
-        the last pool object it was given: that object hits with no set
-        comparison, and an equal fresh one takes its place. A new pool's
-        ids are checked when its table is started (InvalidRepairInputError).
+        Kept for one pool of d+1 nodes at a time (IA's pool is every node),
+        outside the bounded cache, so compiled plans never push a decoder
+        out. Starting a pool's table makes the family's _pool_table once;
+        each node's entry is written by the family's _pool_entry on first
+        use, columns and weights together. The table keeps the last pool
+        object it was given: that object hits with no set comparison, and
+        an equal fresh one takes its place. A new pool's ids are checked
+        when its table is started (InvalidRepairInputError).
         """
         table = self.__dict__.get("_decoder_table")
         if table is None or table[0] is not pool:
@@ -423,19 +444,18 @@ class CouplingCode(RepairableCode):
                 check_input(self, (), 0, (), pool)
                 if len(pool) != self.d + 1:
                     raise ValueError("pool must hold d+1 = %d nodes" % (self.d + 1))
-                # row a holds entry a of every node's projection, for the weights
-                projections = zip(*(self._projection(y) for y in self.node_ids()))
-                table = (pool, {}, [_pack(self.field, row) for row in projections], {})
+                table = (pool, {}, self._pool_table(pool), {})
             self._decoder_table = table
         columns = table[1].get(i)
         if columns is None:
             if i not in table[0]:
                 raise ValueError("node %r is not in the pool" % (i,))
-            f, sources = self.field, sorted(table[0] - {i})
-            decoder = self._single_decoder(i, sources)
-            weights = _mul_packed(f, decoder, table[2], self.n)
-            columns = table[1][i] = dict(zip(sources, zip(decoder, _unpack_rows(f, weights, self.n))))
-            table[3][i] = (sources, [_pack(f, c) for c in decoder], weights)
+            f, size, sources = self.field, self.shard_length, sorted(table[0] - {i})
+            rows = self._pool_entry(i, sources, table[2])
+            entry = _unpack_rows(f, rows, size + self.n)
+            columns = table[1][i] = {l: (e[:size], e[size:]) for l, e in zip(sources, entry)}
+            shift = _lane_bits(f) * size
+            table[3][i] = (sources, [r & (1 << shift) - 1 for r in rows], [r >> shift for r in rows])
         return columns
 
     def _pool_rows(self, i, pool):
@@ -450,14 +470,17 @@ class CouplingCode(RepairableCode):
         pool is the full participant set (failed + helpers); the repair of
         node i reads one transfer from every node of pool except i itself.
         The weight is node i's decoder column for source l, projected on
-        projection_j. A hit on the table's pool object takes no call.
+        projection_j. A hit on the table's pool object takes no call. Ids
+        that are not ints, bools included, are refused as ids outside the
+        pool or past n are, before the table is read.
         """
         table = self.__dict__.get("_decoder_table")
-        columns = table[1].get(i) if table is not None and table[0] is pool else None
-        column = (columns or self._pool_decoder(i, pool)).get(l)
-        if column is None or not 1 <= j <= self.n:
-            raise ValueError("need distinct nodes %r and %r from the pool and j in 1..%d" % (i, l, self.n))
-        return column[1][j - 1]
+        if type(i) is int and type(j) is int and type(l) is int:
+            columns = table[1].get(i) if table is not None and table[0] is pool else None
+            column = (columns or self._pool_decoder(i, pool)).get(l)
+            if column is not None and 1 <= j <= self.n:
+                return column[1][j - 1]
+        raise ValueError("need distinct nodes %r and %r from the pool and j in 1..%d" % (i, l, self.n))
 
     def _coupling_rows(self, failed, pool, toward=None):
         """(pairs, rows): unknown_pairs(failed), built once here for the
@@ -492,11 +515,13 @@ class CouplingCode(RepairableCode):
         nonzero weight of the transfer from the helper toward x. helpers
         default to the first d-e+1 nodes that did not fail, the set
         condition_check vets (IA's every survivor). A pattern past the
-        failure limit raises what repair_multi raises (_failures), before
-        anything else is read; ids that are not nodes raise
-        InvalidRepairInputError."""
+        failure limit (_failures) or with no failed node raises what
+        repair_multi raises, before anything else is read; ids that are not
+        nodes raise InvalidRepairInputError."""
         failed, helpers = _read_ids(failed, helpers)
         e = self._failures(failed)
+        if not e:
+            raise InvalidRepairInputError(NO_FAILED_NODE)
         check_input(self, (), 0, (), chain(failed, helpers or ()))
         system, known = CouplingSystem(self.field, failed), {}
         if helpers is None:
@@ -512,12 +537,14 @@ class CouplingCode(RepairableCode):
     def assemble_multi(self, shards, failed, helpers=None):
         """coupling_system with b, its recipe applied to the transfers the
         helpers' shards send, and those transfers, {(helper, failed node):
-        symbol}; helpers default as there. The failure limit is checked
-        first, as there. Ids that are not nodes and missing or malformed
-        helper shards raise InvalidRepairInputError; failed nodes' shards
-        are not read."""
+        symbol}; helpers default as there. The failed set is checked first,
+        as there. Ids that are not nodes and missing or malformed helper
+        shards raise InvalidRepairInputError; failed nodes' shards are not
+        read."""
         failed, helpers = _read_ids(failed, helpers)
         e = self._failures(failed)
+        if not e:
+            raise InvalidRepairInputError(NO_FAILED_NODE)
         if helpers is None:
             helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - e)
         check_input(self, shards, self.shard_length, helpers, chain(failed, helpers, shards))

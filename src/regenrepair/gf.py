@@ -16,15 +16,13 @@ mat_det, mat_rank and PM's condition_check run it below the pivots
 only. A map from a polynomial's values at some points to its values at
 others, V_targets V_nodes^-1, needs no elimination: lagrange_rows writes
 it down as a table of Lagrange basis values, and the MDS generator and
-MDS repair decode maps are such tables. V_nodes^-1 itself, the
-coefficients of the Lagrange basis polynomials, needs none either:
-lagrange_columns writes its columns, which PM's single-failure decoders
-fold.
+MDS repair decode maps are such tables.
 
 A packed row (`_pack`) is one int holding a row of symbols, one lane per
 entry, so that adding rows is one XOR. Over m <= 8 a lane is a byte and
 scaling a row is one bytes.translate through the multiply table:
-`_reduce_packed` eliminates and `_mul_packed` multiplies on such rows,
+`_reduce_packed` eliminates, `_mul_packed` multiplies and `_scale_packed`
+scales each row by its own symbol (PM's pool decoder tables) on such rows,
 `_transpose_packed` turns rows into columns by strided slices of their
 bytes, and LinearMap.from_packed cuts a map's columns from rows, as
 LinearMap.from_columns takes them ready-made. Past m = 8 a lane is two
@@ -479,6 +477,21 @@ def _mul_packed(field: Field, coefs: list[list[int]], rows: list[int], width: in
     return out
 
 
+def _scale_packed(field: Field, scalars: list[int], rows: list[int], width: int) -> list[int]:
+    """scalars[t] times the packed row rows[t] (width entries each), packed:
+    one translate through the multiply table of the scalar, or past m = 8
+    the rows unpacked by one struct call for a loop on the log tables."""
+    if field.m > 8:
+        exp, log = field._exp, field._log
+        out = []
+        for x, row in zip(scalars, _unpack_rows(field, rows, width)):
+            lx = log[x]
+            out.append(_pack(field, [exp[lx + log[y]] if y else 0 for y in row]) if x else 0)
+        return out
+    tables, from_bytes = field.mul_tables(), int.from_bytes
+    return [from_bytes(row.to_bytes(width, "little").translate(tables[x]), "little") for x, row in zip(scalars, rows)]
+
+
 def _mul_lists(field: Field, a: list[list[int]], b: list[list[int]], width: int) -> list[list[int]]:
     """a times b on lists, products through the log/antilog tables."""
     exp, log = field._exp, field._log
@@ -702,34 +715,6 @@ def lagrange_rows(field: Field, nodes, targets) -> Matrix:
 
     where = {x: j for j, x in enumerate(nodes)}
     return Matrix(field, [[int(j == where[x]) for j in range(len(nodes))] if x in where else row(x) for x in targets])
-
-
-def lagrange_columns(field: Field, nodes) -> list[list[int]]:
-    """Column j is the coefficient vector, constant term first, of the
-    Lagrange basis polynomial L_j on nodes: the columns of V_nodes^-1 for
-    the Vandermonde matrix with len(nodes) columns, with no elimination.
-
-    L_j = w_j q_j with l(x) = prod_i (x - n_i), q_j = l(x)/(x - n_j) by
-    synthetic division and the barycentric weight w_j of lagrange_rows.
-    The products run as sums of logs.
-    """
-    nodes = list(nodes)
-    if len(set(nodes)) != len(nodes):
-        raise DuplicatePointError("repeated interpolation node")
-    exp, log, order = field._exp, field._log, field.order
-    top = [1]  # l(x), highest coefficient first
-    for a in nodes:
-        la = log[a]
-        top = [c ^ (exp[la + log[p]] if a and p else 0) for c, p in zip(top + [0], [0] + top)]
-    columns = []
-    for a in nodes:
-        la, w = log[a], -sum(log[a ^ b] for b in nodes if b != a) % order
-        q, acc = [], 0
-        for c in top[:-1]:  # q's coefficients, highest first: acc <- c + a acc
-            acc = c ^ (exp[la + log[acc]] if a and acc else 0)
-            q.append(exp[w + log[acc]] if acc else 0)
-        columns.append(q[::-1])
-    return columns
 
 
 def cauchy(field: Field, xs: list[int], ys: list[int]) -> Matrix:

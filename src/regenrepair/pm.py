@@ -8,18 +8,24 @@ system of the framework module.
 
 A live node sends w^t phi_j toward node j, phi_j being row j of Phi (the
 first alpha columns of Psi); that is the family's projection. Node i's
-decoder over the rest of a pool of d+1 nodes (failed + helpers) comes from
-the framework's table (CouplingCode._pool_decoder): its column c_{i,l}
+decoder over the rest of a pool P of d+1 nodes (failed + helpers) comes
+from the framework's table (CouplingCode._pool_decoder): its column c_{i,l}
 weighs the transfer from l, so node i's content is sum_l t_{l->i} c_{i,l}.
-PM writes the table's entries in closed form (_single_decoder): the d
-transfers toward i from sources S are t = Psi_S M phi_i, so
-M phi_i = Psi_S^-1 t, and node i's shard, phi_i^t S1 + lam_i^alpha
-phi_i^t S2, is the low alpha entries of M phi_i plus lam_i^alpha times its
-high ones. Column t of Psi_S^-1 holds the coefficients of the Lagrange
-basis polynomial of source t, w_t prod_{s != t} (x + lam_s) with
-w_t = 1 / prod_{s != t} (lam_t + lam_s) (gf.lagrange_columns), so
-c_{i,l}[c] = w_l (q_l[c] + lam_i^alpha q_l[alpha + c]) for the quotient
-q_l = prod_{s in S} (x + lam_s) / (x + lam_l), with no elimination.
+PM writes the table in closed form from one table per pool
+(_pool_table, _pool_entry). The d transfers toward i from sources
+S = P - {i} are t = Psi_S M phi_i, so M phi_i = Psi_S^-1 t, and node i's
+shard, phi_i^t S1 + lam_i^alpha phi_i^t S2, is the low alpha entries of
+M phi_i plus lam_i^alpha times its high ones. Column l of Psi_S^-1 holds
+the coefficients of the Lagrange basis polynomial of source l on S. With
+L = prod_{p in P} (x + lam_p), Q_p = L / (x + lam_p) and
+W_p = 1 / prod_{u != p} (lam_p + lam_u), partial fractions write it, in
+characteristic 2, as W_l (Q_l + Q_i), whose leading terms cancel. So
+c_{i,l} = W_l (lo_l + lo_i + lam_i^alpha (hi_l + hi_i)), lo and hi being
+a quotient's low and high alpha coefficients, and the weights of c_{i,l}
+toward every node are W_l (A_l + A_i + lam_i^alpha (B_l + B_i)), with A_p
+and B_p the projections of lo_p and hi_p on every phi_j. The pool table
+holds every Q_p, W_p, A_p and B_p, made once per pool; each node's entry
+is then two scalings of packed rows per source, with no elimination.
 The coupling coefficient of (i, j, l) is c_{i,l} . phi_j, and the
 right-hand side of row (i, j) is the helpers' part of node i's decode
 projected on phi_j. The framework writes these rows, packed (gf._pack),
@@ -55,8 +61,7 @@ identity.
 
 from .framework import CouplingCode, RepairableCode, RepairTranscript, SingularCouplingError, _is_word, _read_ids
 from .framework import check_message, dependent_pairs
-from .gf import Matrix, SingularMatrixError, _lane_bits, _mul_packed, _reduce_packed, _unpack, dot, lagrange_columns
-from .gf import vandermonde
+from .gf import Matrix, _lane_bits, _mul_packed, _reduce_packed, _scale_packed, _unpack, dot, vandermonde
 
 
 class PMCode(CouplingCode):
@@ -76,7 +81,8 @@ class PMCode(CouplingCode):
         if len(set(lambdas)) != n:
             raise ValueError("lambdas must be distinct")
         alpha = k - 1
-        if len({field.pow(x, alpha) for x in lambdas}) != n:
+        scales = [field.pow(x, alpha) for x in lambdas]
+        if len(set(scales)) != n:
             raise ValueError("alpha-th powers of lambdas must be distinct")
         self.field = field
         self.n = n
@@ -84,6 +90,7 @@ class PMCode(CouplingCode):
         self.d = d
         self.alpha = self.shard_length = alpha
         self.lambdas = list(lambdas)
+        self._scales = scales  # lam^alpha of every node, which folds its decoders
         self.Psi = vandermonde(field, lambdas, d)
         self.Phi = self.Psi.submatrix(range(n), range(alpha))
         # at n = d+1 every pattern's pool is every node: one object, so that
@@ -137,22 +144,48 @@ class PMCode(CouplingCode):
         """phi_target: what a live node projects its content on toward target."""
         return self.Phi.data[target - 1]
 
-    def _single_decoder(self, node, sources):
-        """Node's single-failure decoder over d distinct sources, in closed
-        form: the transfers toward node are t = Psi_S M phi_node, so
-        M phi_node = Psi_S^-1 t, and node's shard is its low alpha entries
-        plus lam_node^alpha times its high ones. Column t, which weighs the
-        transfer from sources[t], is column t of Psi_S^-1
-        (gf.lagrange_columns) folded by [I | lam_node^alpha I]. Sources
-        that are not d distinct nodes leave node undetermined or the
-        transfers dependent, and raise SingularMatrixError, as
-        CouplingCode._single_decoder does."""
-        if len(sources) != self.d or len(set(sources)) != self.d:
-            raise SingularMatrixError("transfers from %s do not determine node %d" % (list(sources), node))
-        f, a, lambdas = self.field, self.alpha, self.lambdas
-        scale, mul = f.pow(lambdas[node - 1], a), f.mul
-        columns = lagrange_columns(f, [lambdas[s - 1] for s in sources])
-        return [[x ^ mul(scale, y) for x, y in zip(column[:a], column[a:])] for column in columns]
+    def _pool_table(self, pool):
+        """The table every node of pool P reads (module docstring): each
+        node p's quotient Q_p = L / (x + lam_p), by synthetic division, and
+        weight W_p. Q_p's coefficients below its leading 1, split into low
+        and high alpha, times the rows [I | projections]
+        (CouplingCode._pool_table) are the packed rows [lo | A]_p and
+        [hi | B]_p: one product per half for the whole pool. Returns
+        ({p: its place}, weights, low rows, high rows), all in node order."""
+        f, a, rows = self.field, self.alpha, CouplingCode._pool_table(self, pool)
+        exp, log, order = f._exp, f._log, f.order
+        nodes = sorted(pool)
+        points = [self.lambdas[p - 1] for p in nodes]
+        top = [1]  # L, highest coefficient first
+        for x in points:
+            top = [c ^ (exp[log[x] + log[y]] if x and y else 0) for c, y in zip(top + [0], [0] + top)]
+        quotients = []
+        for x in points:
+            q, acc = [], 1  # Q's coefficients below its leading 1, highest first: acc <- c + x acc
+            for c in top[1:-1]:
+                acc = c ^ (exp[log[x] + log[acc]] if x and acc else 0)
+                q.append(acc)
+            quotients.append(q[::-1])
+        width = a + self.n
+        low = _mul_packed(f, [q[:a] for q in quotients], rows, width)
+        high = _mul_packed(f, [q[a:] for q in quotients], rows, width)
+        weights = [exp[-sum(log[x ^ y] for y in points if y != x) % order] for x in points]
+        return {p: t for t, p in enumerate(nodes)}, weights, low, high
+
+    def _pool_entry(self, i, sources, table):
+        """Node i's decoder over the other d nodes of the pool of table
+        (_pool_table's), as packed rows [c_{i,t} | weights], one per source
+        t in sources order: with Z_p = [lo | A]_p + lam_i^alpha [hi | B]_p,
+        the row of t is W_t (Z_t + Z_i) (module docstring), so two
+        scalings per source and no elimination. Sources that are not the
+        pool without i, in any order, raise ValueError."""
+        place, weights, low, high = table
+        if len(sources) != self.d or {i, *sources} != place.keys():
+            raise ValueError("node %r decodes from the other %d nodes of its pool, not %s" % (i, self.d, list(sources)))
+        f, width = self.field, self.alpha + self.n
+        z = [r ^ h for r, h in zip(low, _scale_packed(f, [self._scales[i - 1]] * len(high), high, width))]
+        zi, ts = z[place[i]], [place[t] for t in sources]
+        return _scale_packed(f, [weights[t] for t in ts], [z[t] ^ zi for t in ts], width)
 
     repair_transfer = CouplingCode.repair_transfer
     coupling_coefficient = CouplingCode.coupling_coefficient

@@ -56,6 +56,11 @@ gf kept as the reference for its table kernels.
 So does SplitRandom's draw as it ran before each stream hashed its
 "seed|path|" prefix once: the whole key formatted and hashed per draw.
 
+So does gf.lagrange_columns, the Vandermonde inverse by one product
+polynomial and a synthetic division per node, which PM's single-failure
+decoders folded node by node (pm_lagrange_decoder) before each pool's
+entries were written from one partial-fraction table.
+
 So does the generator-space derivation on list rows, before the generator
 was packed once per code: what a send carries as one product of the send
 rows, spread over every node's generator columns, with the generator; D
@@ -74,6 +79,7 @@ from types import SimpleNamespace
 
 from regenrepair.framework import CouplingSystem, RepairPlan, RepairTranscript, dependent_pairs
 from regenrepair.gf import (
+    DuplicatePointError,
     LinearMap,
     Matrix,
     SingularMatrixError,
@@ -147,6 +153,37 @@ def vec_mat(v, a):
 def map_columns(linear_map):
     """A LinearMap's matrix, column by column, read through apply."""
     return [linear_map.apply([int(i == j) for i in range(linear_map.cols)]) for j in range(linear_map.cols)]
+
+
+# --- gf: the Vandermonde inverse by synthetic division, one node set at a time ---
+
+
+def lagrange_columns(field, nodes):
+    """Column j is the coefficient vector, constant term first, of the
+    Lagrange basis polynomial L_j on nodes: the columns of V_nodes^-1 for
+    the Vandermonde matrix with len(nodes) columns, with no elimination.
+
+    L_j = w_j q_j with l(x) = prod_i (x - n_i), q_j = l(x)/(x - n_j) by
+    synthetic division and the barycentric weight w_j of lagrange_rows.
+    The products run as sums of logs.
+    """
+    nodes = list(nodes)
+    if len(set(nodes)) != len(nodes):
+        raise DuplicatePointError("repeated interpolation node")
+    exp, log, order = field._exp, field._log, field.order
+    top = [1]  # l(x), highest coefficient first
+    for a in nodes:
+        la = log[a]
+        top = [c ^ (exp[la + log[p]] if a and p else 0) for c, p in zip(top + [0], [0] + top)]
+    columns = []
+    for a in nodes:
+        la, w = log[a], -sum(log[a ^ b] for b in nodes if b != a) % order
+        q, acc = [], 0
+        for c in top[:-1]:  # q's coefficients, highest first: acc <- c + a acc
+            acc = c ^ (exp[la + log[acc]] if a and acc else 0)
+            q.append(exp[w + log[acc]] if acc else 0)
+        columns.append(q[::-1])
+    return columns
 
 
 # --- PM: Psi times the message matrix; a generic solve on the readers' rows ---
@@ -806,6 +843,16 @@ def pm_decoder_row(code, i, l, pool):
         pw = f.mul(pw, code.lambdas[l - 1])
     lam_i = f.pow(code.lambdas[i - 1], code.alpha)
     return [f.div(f.add(gam[h], f.mul(lam_i, gam[h + code.alpha])), den) for h in range(code.alpha)]
+
+
+def pm_lagrange_decoder(code, node, sources):
+    """PM's decoder over d distinct sources as it was written node by node
+    before its pool tables: column t of the sources' Vandermonde inverse
+    (lagrange_columns) folded by [I | lam_node^alpha I]."""
+    f, a = code.field, code.alpha
+    scale = f.pow(code.lambdas[node - 1], a)
+    columns = lagrange_columns(f, [code.lambdas[s - 1] for s in sources])
+    return [[x ^ f.mul(scale, y) for x, y in zip(column[:a], column[a:])] for column in columns]
 
 
 def pm_coupling_matrix(code, failed, helpers):

@@ -286,14 +286,15 @@ def test_ambr_plans_match_the_list_derivation(data):
 
 
 def counting_decoders(code):
-    """code with its _single_decoder counted in calls[0]."""
-    calls, derive = [0], code._single_decoder
+    """code with its _pool_entry, the writer of a node's decoder table
+    entry, counted in calls[0]."""
+    calls, derive = [0], code._pool_entry
 
     def counted(*args):
         calls[0] += 1
         return derive(*args)
 
-    code._single_decoder = counted
+    code._pool_entry = counted
     return calls
 
 
@@ -487,6 +488,8 @@ def test_condition_check_and_repair_take_the_failure_limit_and_refuse_one_more(c
 COUPLING_METHODS = (
     "_single_decoder",
     "_sent_rows",
+    "_pool_table",
+    "_pool_entry",
     "_pool_decoder",
     "_pool_rows",
     "coupling_coefficient",

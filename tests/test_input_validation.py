@@ -19,7 +19,7 @@ import pytest
 from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.cli import main
 from regenrepair.framework import CouplingSystem, InvalidHelperCountError, InvalidRepairInputError, RepairableCode
-from regenrepair.framework import SingularCouplingError
+from regenrepair.framework import NO_FAILED_NODE, SingularCouplingError
 from regenrepair.gf import Field, Matrix, dot
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
@@ -359,24 +359,30 @@ def test_condition_check_refuses_what_repair_refuses(case):
 # The coupling views never applied the failure limit: PM(11, 6) built a
 # 30-unknown system for six failed nodes, IA(GF(256), 6) 42 unknowns for
 # seven, and PM(GF(64), 13, 6) with twelve failed nodes blamed the helper
-# count ("a helper count is an int >= 0, not -1").
-PAST_THE_LIMIT = {
+# count ("a helper count is an int >= 0, not -1"). Given no failed node,
+# PM(11, 6) and IA(GF(256), 3) returned a system of no unknowns.
+REFUSED_BY_REPAIR = {
     "pm11_six": (lambda: PMCode(F256, 11, 6), range(1, 7)),
     "pm13_twelve": (lambda: PMCode(F64, 13, 6), range(1, 13)),
     "ia6_seven": (lambda: IACode(F256, 6), range(1, 8)),
+    "pm11_none": (lambda: PMCode(F256, 11, 6), ()),
+    "ia3_none": (lambda: IACode(F256, 3), ()),
 }
 
 
-@pytest.mark.parametrize("case", sorted(PAST_THE_LIMIT))
+@pytest.mark.parametrize("case", sorted(REFUSED_BY_REPAIR))
 def test_the_coupling_views_refuse_what_repair_refuses(case):
     """The same error, type and message, as a repair of the pattern, with
     the helpers left to default or given, before any helper is read."""
-    build, failed = PAST_THE_LIMIT[case]
+    build, failed = REFUSED_BY_REPAIR[case]
     code = build()
     survivors = {m: [0] * code.shard_length for m in code.node_ids() if m not in failed}
     with pytest.raises(ValueError) as repair:
         code.repair_multi(survivors, failed)
-    assert str(repair.value).startswith("can repair 1..")
+    if failed:
+        assert str(repair.value).startswith("can repair 1..")
+    else:
+        assert (type(repair.value), str(repair.value)) == (InvalidRepairInputError, NO_FAILED_NODE)
     helpers = [m for m in code.node_ids() if m not in failed]
     calls = [
         lambda: code.coupling_system(failed),

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_paths as ref
 from regenrepair import pm
 from regenrepair.framework import CouplingCode, InvalidRepairInputError, SingularCouplingError
-from regenrepair.gf import Field, SingularMatrixError, dot, mat_det, mat_inv, mat_solve
+from regenrepair.gf import Field, SingularMatrixError, _pack, _unpack_rows, dot, mat_det, mat_inv, mat_solve
 from regenrepair.pm import PMCode
 from regenrepair.workbench import AssignmentNotFoundError, run_sweep, search_assignment, verify_exact_repair
 
@@ -128,10 +128,10 @@ field_of = functools.cache(Field)
 
 
 @st.composite
-def decoder_cases(draw):
+def drawn_codes(draw):
     """A PM code over GF(2^3..2^16) at n = d+1, d+2 or d+4, its lambdas
-    drawn, 0 among them or not, with distinct alpha-th powers; a node, and
-    d sources in drawn order, the node among them or not."""
+    drawn, 0 among them or not, with distinct alpha-th powers, and the
+    Random it was drawn with."""
     field = field_of(draw(st.integers(3, 16)))
     order = field.order
     powers = lambda k: order // math.gcd(k - 1, order) + 1  # distinct (k-1)-th powers, 0's included
@@ -146,36 +146,121 @@ def decoder_cases(draw):
             lambdas.append(x)
             seen.add(field.pow(x, alpha))
     assume(len(lambdas) == n)
-    code = PMCode(field, n, k, rng.sample(lambdas, n))
-    node = draw(st.integers(1, n))
+    return PMCode(field, n, k, rng.sample(lambdas, n)), rng
+
+
+@st.composite
+def decoder_cases(draw):
+    """A drawn code, a node, and d sources in drawn order, the node among
+    them or not."""
+    code, rng = draw(drawn_codes())
+    node = draw(st.integers(1, code.n))
     among = draw(st.booleans())
-    sources = rng.sample([s for s in code.node_ids() if among or s != node], d)
+    sources = rng.sample([s for s in code.node_ids() if among or s != node], code.d)
     return code, node, sources
+
+
+def pool_entry(code, node, sources, pool):
+    """(columns, weights) of PM's rows for node over sources, written from
+    the pool table of pool, unpacked."""
+    rows = _unpack_rows(code.field, code._pool_entry(node, sources, code._pool_table(pool)), code.alpha + code.n)
+    return [row[: code.alpha] for row in rows], [row[code.alpha :] for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
 @given(decoder_cases())
 def test_closed_form_decoders_equal_the_generator_space_derivation(case):
-    """PM's closed-form decoder over d sources is the one CouplingCode
-    derives from the generator, column by column in sources order, and,
-    with the node outside its sources, the Lagrange row c_{i,l} of the pool
-    node + sources for each source l. Both refuse a repeated source, and,
-    with the node outside its sources, one source fewer. (A node among d-1
-    sources can be determined by its own transfer: at alpha = 1 that is its
-    shard. The derivation from the generator takes such sources and the
-    closed form refuses them; no pool decoder lists its node as a source.)"""
+    """PM's closed-form decoder over d sources, written from the pool table
+    of the node and its sources, is the one CouplingCode derives from the
+    generator, column by column in sources order, and the Lagrange row
+    c_{i,l} of that pool for each source l; its weights are each column's
+    dot with every phi_j. PM refuses sources that are not the pool without
+    the node: a repeated source and one source fewer, which the derivation
+    refuses too, and a node among its own sources. (A node among d
+    sources is determined by them, and the derivation from the generator
+    takes such sources; no pool decoder lists its node as a source, and
+    PM's closed form, which reads the node's own quotient, refuses them.)"""
     code, node, sources = case
-    decoder = code._single_decoder(node, sources)
-    assert decoder == CouplingCode._single_decoder(code, node, sources)
-    refused = [sources[:-1] + sources[:1]]
-    if node not in sources:
-        pool = [node, *sources]
-        assert decoder == [ref.pm_decoder_row(code, node, l, pool) for l in sources]
-        refused.append(sources[1:])
-    for bad in refused:
-        for derive in (code._single_decoder, lambda *args: CouplingCode._single_decoder(code, *args)):
-            with pytest.raises(SingularMatrixError, match="do not determine node %d" % node):
-                derive(node, bad)
+    refused = "node %d decodes from the other %d nodes of its pool" % (node, code.d)
+    repeated = sources[:-1] + sources[:1]
+    with pytest.raises(SingularMatrixError, match="do not determine node %d" % node):
+        CouplingCode._single_decoder(code, node, repeated)
+    if node in sources:
+        pool = sources + [next(s for s in code.node_ids() if s not in sources)]
+        for bad in (sources, repeated):
+            with pytest.raises(ValueError, match=refused):
+                pool_entry(code, node, bad, pool)
+        assert len(CouplingCode._single_decoder(code, node, sources)) == code.d
+        return
+    pool = [node, *sources]
+    columns, weights = pool_entry(code, node, sources, pool)
+    assert columns == CouplingCode._single_decoder(code, node, sources)
+    assert columns == [ref.pm_decoder_row(code, node, l, pool) for l in sources]
+    assert weights == [[dot(code.field, column, phi) for phi in code.Phi.data] for column in columns]
+    for bad in (repeated, sources[1:]):
+        with pytest.raises(ValueError, match=refused):
+            pool_entry(code, node, bad, pool)
+    with pytest.raises(SingularMatrixError, match="do not determine node %d" % node):
+        CouplingCode._single_decoder(code, node, sources[1:])
+
+
+@st.composite
+def drawn_pools(draw):
+    """A drawn code and a pool of d+1 of its nodes in drawn order."""
+    code, rng = draw(drawn_codes())
+    return code, rng.sample(code.node_ids(), code.d + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_pools())
+def test_every_entry_of_a_pool_table_is_the_derived_decoder(case):
+    """Every node of a drawn pool, m = 3..16, 0 among the lambdas or not:
+    its decoder table entry, written from the pool's one table, holds the
+    reference's columns and weights (the decoder derived on list rows, the
+    weights by a mat_mul with the projections); the columns are
+    CouplingCode's derivation and the sources' Vandermonde inverse folded
+    node by node (ref.pm_lagrange_decoder), and _pool_rows holds the same
+    columns and weights packed, in sources order."""
+    code, pool = case
+    f = code.field
+    for i in pool:
+        sources = sorted(set(pool) - {i})
+        entry = code._pool_decoder(i, pool)
+        assert entry == ref.pool_decoder(code, i, pool)
+        columns = [entry[l][0] for l in sources]
+        assert columns == CouplingCode._single_decoder(code, i, sources) == ref.pm_lagrange_decoder(code, i, sources)
+        packed = [_pack(f, entry[l][0]) for l in sources], [_pack(f, entry[l][1]) for l in sources]
+        assert code._pool_rows(i, pool) == (sources, *packed)
+
+
+def test_a_pool_table_is_made_once_per_pool_whatever_is_read(monkeypatch):
+    """PM's pool table is made when a pool's decoder table starts, once,
+    however many of its nodes are read and through whichever call; a new
+    pool makes a new one, and so does a return to an earlier pool. At
+    n = d+1 every repair and verdict reads one table per code."""
+    made, build = [], PMCode._pool_table
+    monkeypatch.setattr(PMCode, "_pool_table", lambda self, pool: made.append(frozenset(pool)) or build(self, pool))
+    code = PMCode(F256, 13, 6)
+    first, second = frozenset(range(1, 12)), frozenset(range(2, 13))
+    code._pool_decoder(3, first)
+    assert made == [first]
+    for i in first:
+        code._pool_decoder(i, tuple(first))
+        code._pool_rows(i, frozenset(first))
+        code.coupling_coefficient(i, 12, min(first - {i}), list(first))
+    assert made == [first]
+    for i in (2, 12):
+        code._pool_decoder(i, second)
+    code._pool_decoder(3, first)
+    assert made == [first, second, first]
+    made.clear()
+    code = example_code()
+    shards = code.encode(code.random_message(random.Random(7)))
+    for failed in ((1,), (2, 5), (3, 7, 11), (1, 4, 6, 9), (2, 3, 5, 8, 10)):
+        code.condition_check(failed)
+        survivors = {m: s for m, s in shards.items() if m not in failed}
+        assert code.repair_multi(survivors, failed)[0] == {x: shards[x] for x in failed}
+    assert made == [frozenset(code.node_ids())]
 
 
 @settings(max_examples=100, deadline=None)
@@ -436,15 +521,15 @@ def test_e3_verdicts_build_no_rows(monkeypatch):
 def test_vetting_up_to_three_failures_reads_the_decoder_table_directly(monkeypatch, field, n):
     """Vetting every pattern of two and three failures reads its coupling
     coefficients from the failed nodes' decoder columns, with no
-    coupling_coefficient call, and derives each failed node's decoder once
+    coupling_coefficient call, and writes each failed node's decoder once
     per pool: at n = d+1 the pool is every node; past it, it is the pattern
     with its default helpers, and a new pool starts a new table."""
     code = PMCode(field, n, 6)
     reads, derived = [], []
-    read, derive = PMCode.coupling_coefficient, PMCode._single_decoder
+    read, write = PMCode.coupling_coefficient, PMCode._pool_entry
     monkeypatch.setattr(PMCode, "coupling_coefficient", lambda *args: reads.append(args) or read(*args))
     monkeypatch.setattr(
-        PMCode, "_single_decoder", lambda self, i, sources: derived.append((i, {i, *sources})) or derive(self, i, sources)
+        PMCode, "_pool_entry", lambda self, i, sources, table: derived.append((i, {i, *sources})) or write(self, i, sources, table)
     )
     want, pool, held = [], None, set()
     for e in (2, 3):
@@ -516,6 +601,28 @@ def test_coupling_coefficient_rejects_nodes_outside_the_pool():
     for i, j in ((1, 0), (1, 12), (12, 2)):
         with pytest.raises(ValueError):
             code.coupling_coefficient(i, j, 2, pool)
+
+
+# On the whole pool of PM(11, 6), (True, 2, 3) and (1.0, 2, 3) read node
+# 1's coefficient, (1, True, 3) that of j = 1, (2, 3, True) source 1's, and
+# j = 2.0 or "2" died with TypeError.
+NOT_INT_IDS = [(True, 2, 3), (1.0, 2, 3), (1, True, 3), (1, 2.0, 3), (1, "2", 3), (2, 3, True), (2, 3, 1.0), (None, 2, 3)]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_coupling_coefficient_refuses_ids_that_are_not_ints(warm):
+    """Any id that is not an int, bools included, gets the ValueError an id
+    outside the pool gets, with the table cold or holding every node."""
+    code = example_code()
+    pool = frozenset(code.node_ids())
+    if warm:
+        for i in pool:
+            code._pool_decoder(i, pool)
+    for i, j, l in NOT_INT_IDS:
+        with pytest.raises(ValueError, match="need distinct nodes") as refused:
+            code.coupling_coefficient(i, j, l, pool)
+        assert type(refused.value) is ValueError, (i, j, l)
+    assert code.coupling_coefficient(1, 2, 3, pool) == code._pool_decoder(1, pool)[3][1][1]
 
 
 def test_construction_validation():
