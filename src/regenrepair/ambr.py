@@ -21,15 +21,22 @@ and its first alpha/d rows are what a helper sends toward l in a repair of
 degree d. A degree-d theta is the blocks of d sources stacked. The
 constructor proves every d-subset's theta invertible, for every d in
 d_min+1..d_max, before it returns, so d helpers' sends always determine a
-lost node and no repair meets a singular decode map.
+lost node and no repair meets a singular decode map. Below d = 2 d_min it
+decides each subset S on Q_S, of order z(d - d_min) against theta's alpha
+= z d_min: Q_S is invertible exactly when theta_S is, as
+docs/ambr-decode-maps.md proves. The rows of Q_S are one scaled, shifted
+segment per (node, block), the scalars sums of logs of point differences.
+From d = 2 d_min on, which the caps allow only at d_min <= 2, theta_S
+itself is reduced.
 """
 
 import random
 from itertools import combinations
 from math import prod
+from operator import itemgetter
 
 from .framework import InvalidHelperCountError, RepairableCode, RepairPlan, check_input, failure_count
-from .gf import LinearMap, Matrix, _pack, _reduce_packed, vandermonde
+from .gf import LinearMap, Matrix, _lane_bits, _pack, _reduce_packed, _scale_packed, vandermonde
 
 
 class AdaptiveMBRCode(RepairableCode):
@@ -65,16 +72,21 @@ class AdaptiveMBRCode(RepairableCode):
         rng = random.Random(66423 + 1009 * n + 101 * d_min + d_max)
         pool = [x for x in field.elements() if x != 0]
         for _ in range(25):
-            points = sorted(rng.sample(pool, self.z * n))
-            # rows [x, x^2, ..., x^d_min]: the Vandermonde rows without their leading 1
-            self.Psi = Matrix(field, [row[1:] for row in vandermonde(field, points, d_min + 1).data])
-            self._blocks = [self._block(src) for src in self.node_ids()]
+            self._place(sorted(rng.sample(pool, self.z * n)))
             if self._decode_maps_invertible():
                 break
         else:
             raise ValueError("no point assignment found with invertible decode maps")
 
     # --- structure helpers ---
+
+    def _place(self, points):
+        """Put node l's psi point for block i at points[(l-1)z + i-1]: Psi's
+        rows are [x, x^2, ..., x^d_min], the Vandermonde rows without their
+        leading 1, and the theta blocks are built from them."""
+        vander = vandermonde(self.field, points, self.d_min + 1)
+        self.Psi = Matrix(self.field, [row[1:] for row in vander.data])
+        self._blocks = [self._block(src) for src in self.node_ids()]
 
     def _psi_row(self, node, block):
         return self.Psi.data[(node - 1) * self.z + (block - 1)]
@@ -90,16 +102,84 @@ class AdaptiveMBRCode(RepairableCode):
 
     def _decode_maps_invertible(self):
         """Every d-subset of the nodes stacks to an invertible theta, for
-        every d in d_min+1..d_max. The blocks are packed once and each
-        subset's theta reduces on packed rows."""
-        f, alpha = self.field, self.alpha
-        blocks = [[_pack(f, row) for row in block] for block in self._blocks]
-        for d in range(self.d_min + 1, self.d_max + 1):
-            for subset in combinations(blocks, d):
-                theta = [row for block in subset for row in block[: alpha // d]]
-                if not _reduce_packed(f, theta, alpha, alpha, False)[1]:
-                    return False
-        return True
+        every d in d_min+1..d_max: _singular_helper_sets yields nothing. The
+        check stops at the first singular set, and below d = 2 d_min decides
+        each set on the z(d - d_min)-square Q_S rather than theta_S."""
+        return next(self._singular_helper_sets(), None) is None
+
+    def _singular_helper_sets(self):
+        """(d, S) for each degree d in d_min+1..d_max and each d-subset S of
+        the node ids, in combinations order, whose theta_S is singular.
+
+        Below d = 2 d_min, S is decided on Q_S (_q_stacks), of order
+        z(d - d_min), which is invertible exactly when the alpha-square
+        theta_S is (docs/ambr-decode-maps.md). From d = 2 d_min on (so
+        d_min <= 2), Q is no smaller and theta_S itself is reduced.
+        """
+        f, dm = self.field, self.d_min
+        for d in range(dm + 1, self.d_max + 1):
+            size = self.z * (d - dm) if d < 2 * dm else self.alpha
+            for subset, rows in self._q_stacks(d) if d < 2 * dm else self._theta_stacks(d):
+                if not _reduce_packed(f, rows, size, size, False)[1]:
+                    yield d, subset
+
+    def _theta_stacks(self, d):
+        """(S, theta_S packed) for every d-subset S: the first alpha/d rows
+        of each block of S, stacked; the blocks are packed once."""
+        f, rows = self.field, self.alpha // d
+        blocks = [[_pack(f, row) for row in block[:rows]] for block in self._blocks]
+        for subset in combinations(self.node_ids(), d):
+            yield subset, [row for l in subset for row in blocks[l - 1]]
+
+    def _q_stacks(self, d):
+        """(S, Q_S packed) for every d-subset S, d_min < d < 2 d_min.
+
+        Row (i, s) of Q_S, for block i and s < u = d - d_min, holds w_{l,i}
+        x_{l,i}^(s-1) omega_i^q in column (l, q), for l in S and q < t =
+        z - alpha/d: x_{l,i} is node l's psi point in block i, omega_i is
+        Omega's point and w_{l,i} = 1/prod_{l' in S, l' != l} (x_{l,i} +
+        x_{l',i}). Each (l, i) has one packed segment, its entries x^s
+        omega_i^q for every s; a subset scales each segment by w_{l,i}
+        x_{l,i}^-1, summed from logs of the points and their differences,
+        and shifts it into l's columns. When the segment is the one symbol
+        1 (d = d_min + 1 = z), the scalars are Q's entries.
+        """
+        f, z, n, lane = self.field, self.z, self.n, _lane_bits(self.field)
+        exp, log, order = f._exp, f._log, f.order
+        u, t = d - self.d_min, z - self.alpha // d
+        width = z * u
+        span = (u - 1) * width + t
+        points = [[self._psi_row(l, i)[0] for i in range(1, z + 1)] for l in self.node_ids()]
+        # logs[i][l][l'] = log(x_{l,i} + x_{l',i}) and logs[i][l][l] = log x_{l,i}
+        # (0-based ids), so minus their sum over S is log(w_{l,i} x_{l,i}^-1)
+        logs = [[[log[x[i] ^ y[i] if x is not y else x[i]] for y in points] for x in points] for i in range(z)]
+        if span > 1:
+            # segments[i][l]: x_{l,i}^s omega_i^q in lane s*width + q
+            segments = []
+            for i in range(z):
+                omegas = [row[i] for row in self.Omega.data[:t]]
+                segments.append([])
+                for l in self.node_ids():
+                    entries = [0] * span
+                    for s, x in enumerate([1] + self._psi_row(l, i + 1)[: u - 1]):
+                        entries[s * width : s * width + t] = [f.mul(x, w) for w in omegas]
+                    segments[-1].append(_pack(f, entries))
+            shifts = [lane * t * pos for pos in range(d)]
+            mask = (1 << lane * width) - 1
+        for subset in combinations(range(n), d):
+            get = itemgetter(*subset)
+            scalars = [exp[-sum(get(row)) % order] for rows in logs for row in get(rows)]
+            if span == 1:
+                yield tuple(l + 1 for l in subset), [_pack(f, scalars[j : j + d]) for j in range(0, z * d, d)]
+                continue
+            scaled = iter(_scale_packed(f, scalars, [seg for segs in segments for seg in get(segs)], span))
+            rows = []
+            for _ in range(z):
+                block = 0
+                for shift in shifts:
+                    block |= next(scaled) << shift
+                rows += [block >> lane * width * s & mask for s in range(u)]
+            yield tuple(l + 1 for l in subset), rows
 
     def _block_index(self, r, c):
         """Position within the block's free symbols of entry (r, c) of M_i,

@@ -433,7 +433,9 @@ class CouplingCode(RepairableCode):
         use, columns and weights together. The table keeps the last pool
         object it was given: that object hits with no set comparison, and
         an equal fresh one takes its place. A new pool's ids are checked
-        when its table is started (InvalidRepairInputError).
+        when its table is started (InvalidRepairInputError). An i that is
+        not an int, bools included, is refused as an i outside the pool is
+        (ValueError), never read as the node it equals.
         """
         table = self.__dict__.get("_decoder_table")
         if table is None or table[0] is not pool:
@@ -446,9 +448,9 @@ class CouplingCode(RepairableCode):
                     raise ValueError("pool must hold d+1 = %d nodes" % (self.d + 1))
                 table = (pool, {}, self._pool_table(pool), {})
             self._decoder_table = table
-        columns = table[1].get(i)
+        columns = table[1].get(i) if type(i) is int else None
         if columns is None:
-            if i not in table[0]:
+            if type(i) is not int or i not in table[0]:
                 raise ValueError("node %r is not in the pool" % (i,))
             f, size, sources = self.field, self.shard_length, sorted(table[0] - {i})
             rows = self._pool_entry(i, sources, table[2])

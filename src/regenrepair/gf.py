@@ -22,7 +22,8 @@ A packed row (`_pack`) is one int holding a row of symbols, one lane per
 entry, so that adding rows is one XOR. Over m <= 8 a lane is a byte and
 scaling a row is one bytes.translate through the multiply table:
 `_reduce_packed` eliminates, `_mul_packed` multiplies and `_scale_packed`
-scales each row by its own symbol (PM's pool decoder tables) on such rows,
+scales each row by its own symbol (PM's pool decoder tables, AMBR's
+construction check) on such rows,
 `_transpose_packed` turns rows into columns by strided slices of their
 bytes, and LinearMap.from_packed cuts a map's columns from rows, as
 LinearMap.from_columns takes them ready-made. Past m = 8 a lane is two

@@ -72,7 +72,9 @@ class IACode(CouplingCode):
         self.d = 2 * k - 1
         self.alpha = self.shard_length = k
         for name, given in (("P", P), ("V", V)):
-            if given is not None and not (given.rows == k and all(_is_word(field, r, k) for r in given.data)):
+            if given is not None and not (
+                isinstance(given, Matrix) and given.rows == k and all(_is_word(field, r, k) for r in given.data)
+            ):
                 raise ValueError("%s must be k x k ints in 0..%d" % (name, field.order))
         if V is None:
             V = Matrix.identity(field, k)

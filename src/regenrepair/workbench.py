@@ -49,10 +49,15 @@ class SplitRandom:
 
     split(label) returns an independent deterministic stream, so per-pattern
     messages do not depend on sweep order or on how many draws came before.
+    A seed that is not an int, bools included, is a ValueError, as
+    randrange refuses its bound, so no other value stands in for an int's
+    stream.
     """
 
     def __init__(self, seed, path=()):
-        self.seed = int(seed)
+        if type(seed) is not int:
+            raise ValueError("need a seed that is an int, got %r" % (seed,))
+        self.seed = seed
         self.path = tuple(str(p) for p in path)
         self.counter = 0
         # draw t hashes "seed|path|t"; the prefix is hashed once per stream

@@ -16,9 +16,11 @@ ran before they read Lagrange tables and per-node theta blocks: MDS's
 generator V_all V_sys^-1 by mat_inv and mat_mul and its decode maps by a
 Gauss-Jordan on [G_pos^T | G_failed^T]; AMBR's theta built entry by entry
 through Field.mul for every subset and the constructor's mat_det of every
-subset's theta. So does the AMBR plan compile that chained theta^-1 step
-by step through the regenerated nodes, before AMBR's decode maps were
-solved from the sends and the generator.
+subset's theta. So does the check that then reduced every subset's theta
+stacked from the packed blocks, before the constructor decided each subset
+below d = 2 d_min on the smaller Q_S. So does the AMBR plan compile that
+chained theta^-1 step by step through the regenerated nodes, before AMBR's
+decode maps were solved from the sends and the generator.
 
 So does IA's hand expansion of each coupling row, in four flavors by the
 sides of the code the two failed nodes live on, which the rows derived
@@ -84,7 +86,9 @@ from regenrepair.gf import (
     Matrix,
     SingularMatrixError,
     _gauss_jordan,
+    _pack,
     _reduce,
+    _reduce_packed,
     dot,
     mat_det,
     mat_inv,
@@ -550,6 +554,26 @@ def ambr_points(field, n, k, d_min, d_max):
         ):
             return shape.Psi
     raise ValueError("no point assignment found with invertible decode maps")
+
+
+def ambr_theta_nullities(code):
+    """{(d, S): dim ker theta_S} for each degree d in d_min+1..d_max and each
+    d-subset S of the node ids, in combinations order: theta_S is the first
+    alpha/d rows of the code's block of each node of S, packed and stacked,
+    reduced alpha-square on packed rows."""
+    f, alpha = code.field, code.alpha
+    blocks = [[_pack(f, row) for row in block] for block in code._blocks]
+    nullities = {}
+    for d in range(code.d_min + 1, code.d_max + 1):
+        for subset in combinations(code.node_ids(), d):
+            theta = [row for l in subset for row in blocks[l - 1][: alpha // d]]
+            nullities[d, subset] = alpha - len(_reduce_packed(f, theta, alpha, alpha, False)[0])
+    return nullities
+
+
+def ambr_singular_sets(code):
+    """The (d, S) whose theta_S is singular, in ambr_theta_nullities' order."""
+    return [key for key, nullity in ambr_theta_nullities(code).items() if nullity]
 
 
 def ambr_compile_plan(code, failed, d, helpers):

@@ -7,12 +7,15 @@ stacked node contents.
 
 import random
 from itertools import combinations
+from math import prod
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, Phase, find, given, settings, strategies as st
 
 import reference_paths as ref
 from regenrepair.framework import InvalidHelperCountError
-from regenrepair.gf import Field, mat_rank
+from regenrepair.gf import Field, _lane_bits, _reduce_packed, mat_rank
 from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.workbench import run_sweep
 
@@ -254,3 +257,64 @@ def test_plans_match_the_compile_on_rebuilt_theta(m, params, count):
                     assert ref.map_columns(plan.decode) == ref.map_columns(reference.decode)
                     plans += 1
     assert plans == count
+
+
+# (d_min, d_max) with a degree above d_min, gap <= 2 and d_max <= 6
+GAPPED_SHAPES = [(lo, hi) for lo in range(1, 5) for hi in range(lo + 1, min(lo + 2, 6) + 1)]
+
+
+@st.composite
+def drawn_point_sets(draw):
+    """A drawn shape, n = d_max+1..d_max+3 within the field, and z*n drawn
+    distinct nonzero points placed on the nodes of an AMBR code with k = 1.
+    Past m = 8, where theta reduces on list rows, alpha stays <= 24."""
+    m = draw(st.sampled_from([5, 6, 8, 10, 13]))
+    field = Field(m)
+    shapes = [
+        (n, lo, hi)
+        for lo, hi in GAPPED_SHAPES
+        if m <= 8 or prod(range(lo, hi + 1)) <= 24
+        for n in range(hi + 1, hi + 4)
+        if prod(range(lo, hi + 1)) // lo * n <= field.order
+    ]
+    n, d_min, d_max = draw(st.sampled_from(shapes))
+    z = prod(range(d_min, d_max + 1)) // d_min
+    points = draw(st.lists(st.integers(1, field.order), min_size=z * n, max_size=z * n, unique=True))
+    with mock.patch.object(AdaptiveMBRCode, "_decode_maps_invertible", return_value=True):
+        code = AdaptiveMBRCode(field, n, 1, d_min, d_max)
+    code._place(points)
+    return code
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn_point_sets())
+def test_q_and_theta_find_the_same_singular_helper_sets(code):
+    """On drawn shapes (gap <= 2, d_min = 1..4) and drawn point sets over
+    m = 5, 6, 8, 10 and 13, the constructor's check names the same singular
+    (d, S) as the reduction of every alpha-square theta_S (ref), so its
+    verdict on the points is theirs. Below d = 2 d_min, where it decides S
+    on the z(d - d_min)-square Q_S, Q_S's kernel has theta_S's dimension,
+    as docs/ambr-decode-maps.md proves."""
+    nullities = ref.ambr_theta_nullities(code)
+    singular = [key for key, nullity in nullities.items() if nullity]
+    assert list(code._singular_helper_sets()) == singular
+    assert code._decode_maps_invertible() == (singular == [])
+    for d in range(code.d_min + 1, min(code.d_max, 2 * code.d_min - 1) + 1):
+        order = code.z * (d - code.d_min)
+        for subset, rows in code._q_stacks(d):
+            assert len(rows) == order and all(row >> _lane_bits(code.field) * order == 0 for row in rows)
+            rank = len(_reduce_packed(code.field, rows, order, order, False)[0])
+            assert order - rank == nullities[d, subset], (d, subset)
+
+
+def test_the_drawn_point_sets_include_singular_helper_sets():
+    """The strategy above draws singular helper sets on the Q side: a point
+    set with a singular S at some d < 2 d_min turns up (no shrinking), and
+    Q finds the same sets."""
+    code = find(
+        drawn_point_sets(),
+        lambda c: any(d < 2 * c.d_min for d, _ in ref.ambr_singular_sets(c)),
+        settings=settings(max_examples=200, database=None, derandomize=True, phases=[Phase.generate]),
+    )
+    singular = ref.ambr_singular_sets(code)
+    assert list(code._singular_helper_sets()) == singular and not code._decode_maps_invertible()

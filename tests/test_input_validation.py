@@ -572,6 +572,18 @@ def test_constructors_refuse_coefficients_outside_the_field(build):
     build(2)  # and the same code builds on a field element
 
 
+@pytest.mark.parametrize("name", ["P", "V"])
+@pytest.mark.parametrize("bad", [[[1, 0], [0, 1]], "12", 2, ((1, 0), (0, 1))], ids=["list", "str", "int", "tuple"])
+def test_ia_refuses_a_p_or_v_that_is_not_a_matrix(name, bad):
+    """A P or V that is not a Matrix gets the ValueError of the shape check;
+    a list, a string or an int died with AttributeError ('list' object has
+    no attribute 'rows')."""
+    with pytest.raises(ValueError, match="%s must be k x k ints" % name) as refused:
+        IACode(F256, 2, **{name: bad})
+    assert type(refused.value) is ValueError
+    IACode(F256, 2, **{name: IACode(F256, 2).P})
+
+
 # Sizes that are not ints: IACode(F256, True) built a code with k = True,
 # and a float size died with TypeError in range() or on &.
 SIZES = {

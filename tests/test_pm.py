@@ -625,6 +625,28 @@ def test_coupling_coefficient_refuses_ids_that_are_not_ints(warm):
     assert code.coupling_coefficient(1, 2, 3, pool) == code._pool_decoder(1, pool)[3][1][1]
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_pool_decoder_and_rows_refuse_ids_that_are_not_ints(warm):
+    """_pool_decoder and _pool_rows give an id that is not an int, bools
+    included, the ValueError an id outside the pool gets, with the table
+    cold or holding every node. A cold True stored node 1's entry under
+    the key True, a cold 1.0 died with TypeError in _pool_entry, and a warm
+    _pool_rows(1.0, pool) returned node 1's rows."""
+    code = example_code()
+    pool = frozenset(code.node_ids())
+    if warm:
+        for i in pool:
+            code._pool_decoder(i, pool)
+    for bad in (True, 1.0, "1", None):
+        for read in (code._pool_decoder, code._pool_rows):
+            with pytest.raises(ValueError, match="is not in the pool") as refused:
+                read(bad, pool)
+            assert type(refused.value) is ValueError, (bad, read)
+    assert not any(type(key) is not int for key in code._decoder_table[1])
+    assert len(code._decoder_table[1]) == (len(pool) if warm else 0)
+    assert code._pool_rows(1, pool)[0] == sorted(pool - {1})
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         PMCode(F16, 2, 2)  # n < d+1

@@ -84,6 +84,20 @@ def test_split_random_randrange_refuses_a_bound_that_is_not_an_int_from_one(boun
         SplitRandom(7).randrange(bound)
 
 
+@pytest.mark.parametrize("seed", [2.5, 2.0, "2", True, None])
+def test_split_random_refuses_a_seed_that_is_not_an_int(seed):
+    """SplitRandom(2.5), SplitRandom(2.0) and SplitRandom("2") drew seed 2's
+    stream and SplitRandom(True) seed 1's, so run_sweep(code, e, seed=2.5)
+    ran seed 2; the seed is refused as randrange refuses its bound. Int
+    seeds keep their streams."""
+    with pytest.raises(ValueError, match="seed"):
+        SplitRandom(seed)
+    with pytest.raises(ValueError, match="seed"):
+        run_sweep(PMCode(F32, 6, 3), 1, seed=seed)
+    rng = SplitRandom(2)
+    assert [rng._next64() for _ in range(3)] == ref.split_random_draws(2, (), 3)
+
+
 def test_verify_exact_repair_reports_success_and_bandwidth():
     code = PMCode(F32, 6, 3)
     ok, bandwidth, singular = verify_exact_repair(code, (2, 5))
