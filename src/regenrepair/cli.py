@@ -8,6 +8,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .ambr import AdaptiveMBRCode
@@ -28,9 +29,10 @@ from .tradeoff import (
 from .workbench import (
     AssignmentNotFoundError,
     build_code,
+    comparison_rows,
     emit_comparison,
     emit_curve,
-    fraction_parts,
+    json_default,
     open_out,
     run_sweep,
     search_assignment,
@@ -73,19 +75,9 @@ def parse_ints(text):
     return tuple(int(p) for p in text.split(",") if p.strip() != "")
 
 
-def params_json(params):
-    return {
-        "M": fraction_parts(params.M),
-        "n": params.n,
-        "k": params.k,
-        "d": params.d,
-        "e": params.e,
-    }
-
-
 def dump_json(path, payload):
     with open_out(path) as out:
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(payload, indent=2, sort_keys=True, default=json_default) + "\n")
 
 
 def load_json(path):
@@ -95,16 +87,20 @@ def load_json(path):
 
 def load_shards(path):
     """Accept either {"shards": {...}} (encode output) or a bare node map,
-    node id -> list of symbols; refuse any other JSON."""
+    node id -> list of symbols; refuse any other JSON, and any node key but
+    str(node), as encode writes it, so no "01" or "+1" aliases node 1."""
     data = load_json(path)
     if isinstance(data, dict) and "shards" in data:
         data = data["shards"]
     if not isinstance(data, dict) or not all(isinstance(vals, list) for vals in data.values()):
         raise InvalidRepairInputError("shards must map node ids to lists of symbols")
     try:
-        return {int(node): vals for node, vals in data.items()}
+        nodes = [int(key) for key in data]
     except ValueError:
-        raise InvalidRepairInputError("node ids must be integers") from None
+        nodes = []
+    if list(map(str, nodes)) != list(data):
+        raise InvalidRepairInputError('node ids must be integers as encode writes them, such as "1", not "01" or "+1"')
+    return dict(zip(nodes, data.values()))
 
 
 # --- tradeoff subcommands ---
@@ -114,12 +110,8 @@ def cmd_curve(args):
     params = parse_params(args.params)
     if args.format == "csv":
         emit_curve(params, args.out)
-        return EXIT_OK
-    points = [
-        {"gamma": fraction_parts(p.gamma), "alpha": fraction_parts(p.alpha), "segment": p.segment}
-        for p in tradeoff_curve(params)
-    ]
-    dump_json(args.out, {"params": params_json(params), "points": points})
+    else:
+        dump_json(args.out, {"params": asdict(params), "points": [asdict(p) for p in tradeoff_curve(params)]})
     return EXIT_OK
 
 
@@ -132,29 +124,15 @@ def cmd_point(args):
         alpha = parse_fraction(args.alpha)
         gamma = gamma_min_for_alpha(params, alpha)
     beta = gamma / params.d
-    scenario = optimal_scenario(params, alpha, beta)
-    payload = {
-        "params": params_json(params),
-        "alpha": fraction_parts(alpha),
-        "beta": fraction_parts(beta),
-        "gamma": fraction_parts(gamma),
-        "scenario": list(scenario.u),
-    }
-    dump_json(args.out, payload)
+    scenario = optimal_scenario(params, alpha, beta).u
+    dump_json(args.out, dict(params=asdict(params), alpha=alpha, beta=beta, gamma=gamma, scenario=scenario))
     return EXIT_OK
 
 
 def cmd_mbcr(args):
     params = parse_params(args.params)
     point, on_curve = mbcr_check(params)
-    payload = {
-        "params": params_json(params),
-        "alpha": fraction_parts(point.alpha),
-        "beta": fraction_parts(point.beta),
-        "gamma": fraction_parts(point.gamma),
-        "on_curve": on_curve,
-    }
-    dump_json(args.out, payload)
+    dump_json(args.out, {"params": asdict(params), **asdict(point), "on_curve": on_curve})
     return EXIT_OK
 
 
@@ -162,26 +140,9 @@ def cmd_compare(args):
     params = parse_params(args.params)
     if args.format == "csv":
         emit_comparison(params, args.out)
-        return EXIT_OK
-    report = compare_strategies(params)
-    rows = []
-    for row in report.rows:
-        fewer = row.gamma_centralized_fewer
-        rows.append(
-            {
-                "alpha": fraction_parts(row.alpha),
-                "batched": fraction_parts(row.gamma_centralized),
-                "separate": fraction_parts(row.gamma_separate),
-                "batched_fewer": fraction_parts(fewer) if fewer is not None else None,
-            }
-        )
-    ratio = report.msmr_ratio
-    payload = {
-        "params": params_json(params),
-        "rows": rows,
-        "msmr_ratio": fraction_parts(ratio) if ratio is not None else None,
-    }
-    dump_json(args.out, payload)
+    else:
+        report = compare_strategies(params)
+        dump_json(args.out, {"params": asdict(params), "rows": comparison_rows(report), "msmr_ratio": report.msmr_ratio})
     return EXIT_OK
 
 

@@ -1,6 +1,10 @@
 """Verification orchestration: golden round trips, pattern sweeps, seeded
 randomness, assignment search, and CSV/JSON exports for the tradeoff curves.
 
+Each table is written once, from dict rows, by write_csv (a Fraction or None
+column as name_num,name_den) or with json_default, the JSON writers' hook
+that writes a Fraction as [numerator, denominator]; no other code splits one.
+
 Code families plug in through a small duck-typed surface: node_ids(),
 random_message(rng), encode(msg) -> {node: symbols}, repair_multi(shards,
 failed, helpers=None, ...) -> ({node: symbols}, transcript), descriptor().
@@ -19,7 +23,7 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .ambr import AdaptiveMBRCode
@@ -131,14 +135,7 @@ class SweepReport:
         return all(x.success for x in self.entries)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "descriptor": self.descriptor,
-                "e": self.e,
-                "entries": [x.to_dict() for x in self.entries],
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def verify_exact_repair(code, pattern, helpers=None, rng=None, **repair_args):
@@ -208,8 +205,8 @@ def search_assignment(family, params, budget=200, seed=0):
     counting once it has as many singular patterns as the best trial so
     far. Returns the first clean code's descriptor, or raises
     AssignmentNotFoundError with the first candidate of fewest singular
-    patterns (PM's lambdas, IA's code). Params no code has raise ValueError
-    before any trial.
+    patterns (PM's lambdas, IA's code). Params no code has, and a seed that
+    is not an int, bools included, raise ValueError before any trial.
     """
     if family not in ("pm", "ia"):
         raise ValueError("search supports the pm and ia families")
@@ -217,8 +214,8 @@ def search_assignment(family, params, budget=200, seed=0):
     k = params.get("k")
     n = params.get("n", 2 * k if family == "ia" and type(k) is int else None)
     e_max = params.get("e_max", n - k if type(n) is int and type(k) is int else None)
-    if any(type(x) is not int for x in (n, k, e_max, budget)):
-        raise ValueError("n, k, e_max and budget must be ints, not %r" % ((n, k, e_max, budget),))
+    if any(type(x) is not int for x in (n, k, e_max, budget, seed)):
+        raise ValueError("n, k, e_max, budget and seed must be ints, not %r" % ((n, k, e_max, budget, seed),))
     if family == "pm" and (k < 2 or n < 2 * k - 1):
         raise ValueError("no PM code has n = %d, k = %d: need k >= 2 and n >= 2k-1" % (n, k))
     if family == "pm" and n > field.size:
@@ -258,10 +255,12 @@ def search_assignment(family, params, budget=200, seed=0):
     raise AssignmentNotFoundError(family, best=best, best_failures=best_bad)
 
 
-def fraction_parts(q):
-    """(numerator, denominator) of q as a Fraction."""
-    q = Fraction(q)
-    return q.numerator, q.denominator
+def json_default(value):
+    """json.dumps's hook for what JSON cannot hold: a Fraction is written as
+    [numerator, denominator], the one JSON encoding of an exact rational."""
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
 def open_out(path):
@@ -271,45 +270,43 @@ def open_out(path):
     return open(path, "w", newline="")
 
 
+def write_csv(path, rows):
+    """Write dict rows as CSV under the first row's columns, in its order,
+    the one CSV encoding of a table row: an int column as it is, a Fraction
+    column as name_num,name_den, and None as those two left empty."""
+    def cells(name, value):
+        if isinstance(value, int):
+            return [(name, value)]
+        return zip((name + "_num", name + "_den"), ("", "") if value is None else (value.numerator, value.denominator))
+
+    rows = [dict(cell for name, value in row.items() for cell in cells(name, value)) for row in rows]
+    with open_out(path) as out:
+        w = csv.DictWriter(out, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
+
+
+def comparison_rows(report):
+    """The comparison table's rows, alpha with the batched, separate and
+    batched-fewer (None without d-e+1 >= k) repair bandwidths."""
+    return [
+        dict(alpha=r.alpha, batched=r.gamma_centralized, separate=r.gamma_separate,
+             batched_fewer=r.gamma_centralized_fewer)
+        for r in report.rows
+    ]
+
+
 def emit_curve(params, path):
     """Write the storage-bandwidth tradeoff breakpoints as exact rationals."""
-    rows = tradeoff_curve(params)
-    with open_out(path) as out:
-        w = csv.writer(out)
-        w.writerow(["gamma_num", "gamma_den", "alpha_num", "alpha_den", "segment"])
-        for p in rows:
-            w.writerow([*fraction_parts(p.gamma), *fraction_parts(p.alpha), p.segment])
+    rows = [asdict(p) for p in tradeoff_curve(params)]
+    write_csv(path, rows)
     return len(rows)
 
 
 def emit_comparison(params, path):
     """Write batched-vs-separate repair bandwidths over a shared alpha grid."""
     report = compare_strategies(params)
-    with open_out(path) as out:
-        w = csv.writer(out)
-        w.writerow(
-            [
-                "alpha_num",
-                "alpha_den",
-                "batched_num",
-                "batched_den",
-                "separate_num",
-                "separate_den",
-                "batched_fewer_num",
-                "batched_fewer_den",
-            ]
-        )
-        for row in report.rows:
-            fewer = row.gamma_centralized_fewer
-            fewer_cols = fraction_parts(fewer) if fewer is not None else ("", "")
-            w.writerow(
-                [
-                    *fraction_parts(row.alpha),
-                    *fraction_parts(row.gamma_centralized),
-                    *fraction_parts(row.gamma_separate),
-                    *fewer_cols,
-                ]
-            )
+    write_csv(path, comparison_rows(report))
     return report
 
 

@@ -1,5 +1,6 @@
 """CLI tests: argument parsing, JSON/CSV output shapes, exit codes."""
 
+import csv
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from regenrepair.cli import load_shards, main, parse_field, parse_params
 from regenrepair.framework import InvalidRepairInputError
+from regenrepair.tradeoff import compare_strategies, tradeoff_curve
 
 OK, INFEASIBLE, NOT_FOUND, VERIFY = 0, 2, 3, 4
 
@@ -107,6 +109,63 @@ def test_compare_json_includes_msmr_ratio(capsys):
     code, payload = run_json(capsys, "tradeoff", "compare", "--params", "10,6,1,3,2")
     assert code == OK
     assert payload["msmr_ratio"] == [1, 2]
+
+
+def csv_table(path):
+    """A CSV table's rows with each name_num, name_den pair read back as
+    one Fraction, or None where both cells are empty, and other cells as
+    ints."""
+    rows = []
+    with open(path, newline="") as fh:
+        for cells in csv.DictReader(fh):
+            row = {}
+            for col, cell in cells.items():
+                if col.endswith("_num"):
+                    den = cells[col[:-4] + "_den"]
+                    assert (cell == "") == (den == "")
+                    row[col[:-4]] = Fraction(int(cell), int(den)) if cell else None
+                elif not col.endswith("_den"):
+                    row[col] = int(cell)
+            rows.append(row)
+    return rows
+
+
+def json_table(rows):
+    """A JSON table's rows with each [numerator, denominator] read back as
+    one Fraction."""
+    return [{col: Fraction(*v) if isinstance(v, list) else v for col, v in row.items()} for row in rows]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        "25/2,12,4,6,2",
+        "30,12,7,8,3",  # d-e+1 < k: no fewer-helper bandwidth in any row
+        "10,6,1,3,2",  # k <= e: the single-point regime
+    ],
+)
+def test_tradeoff_tables_carry_the_same_rows_in_csv_and_json(capsys, tmp_path, params):
+    """Each table's CSV and JSON hold the same values row for row, and
+    those of the library's own rows."""
+    p = parse_params(params)
+    curve = [{"gamma": x.gamma, "alpha": x.alpha, "segment": x.segment} for x in tradeoff_curve(p)]
+    report = compare_strategies(p)
+    comparison = [
+        {"alpha": r.alpha, "batched": r.gamma_centralized, "separate": r.gamma_separate,
+         "batched_fewer": r.gamma_centralized_fewer}
+        for r in report.rows
+    ]
+    for command, key, expected in (("curve", "points", curve), ("compare", "rows", comparison)):
+        path = tmp_path / (command + ".csv")
+        code, _ = run(capsys, "tradeoff", command, "--params", params, "--format", "csv", "--out", str(path))
+        assert code == OK
+        code, payload = run_json(capsys, "tradeoff", command, "--params", params, "--format", "json")
+        assert code == OK
+        assert csv_table(path) == json_table(payload[key]) == expected
+    if params == "30,12,7,8,3":
+        assert all(row["batched_fewer"] is None for row in comparison)
+    if params == "10,6,1,3,2":
+        assert len(curve) == 1
 
 
 def test_build_encode_repair_round_trip(capsys, tmp_path):
@@ -221,6 +280,44 @@ def test_shards_node_entry_that_is_a_number_exits_infeasible(capsys, tmp_path):
         code, _ = run(capsys, "code", *verb[:1], "--descriptor", str(desc),
                       "--shards", str(path), *verb[1:])
         assert code == INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        {"01": "2"},  # beside "1": int() read both as node 1 and kept the later
+        {"02": "2"},
+        {"0_2": "2"},  # int() reads "1_0" as 10 and "0_2" as 2
+        {" 2 ": "2"},
+        {"+2": "2"},
+        {"-0": "2"},
+    ],
+)
+def test_shards_node_key_but_its_decimal_form_exits_infeasible(capsys, tmp_path, keys):
+    """A node key must be str(node), as encode writes it; any other form
+    that int() reads as an int could stand for a node, or two keys for
+    one."""
+    desc = tmp_path / "mds.json"
+    enc = tmp_path / "enc.json"
+    run(capsys, "code", "build", "--family", "mds", "--field", "8:11d",
+        "--n", "7", "--k", "3", "--d-max", "4", "--out", str(desc))
+    run(capsys, "code", "encode", "--descriptor", str(desc), "--seed", "5",
+        "--out", str(enc))
+    shards = json.loads(enc.read_text())["shards"]
+    good = {node: shards[node] for node in ("1", "2", "3", "5", "6", "7")}
+    bad = {key: shards[node] for key, node in keys.items()}
+    if "01" not in keys:
+        good.pop("2")
+    bad.update(good)
+    for name, data, want in (("good", good, OK), ("bad", bad, INFEASIBLE)):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({"shards": data}))
+        for verb in (("reconstruct",), ("repair", "--failed", "4")):
+            code, _ = run(capsys, "code", *verb[:1], "--descriptor", str(desc),
+                          "--shards", str(path), *verb[1:])
+            assert code == want, (name, verb)
+    with pytest.raises(InvalidRepairInputError, match="node ids"):
+        load_shards(path)
 
 
 def test_encode_with_explicit_message(capsys, tmp_path):

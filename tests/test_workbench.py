@@ -12,6 +12,7 @@ from regenrepair.gf import Field
 from regenrepair.ia import IACode
 from regenrepair.mds import MDSStripeCode
 from regenrepair.pm import PMCode
+from regenrepair import workbench
 from regenrepair.tradeoff import SystemParams
 from regenrepair.workbench import (
     AssignmentNotFoundError,
@@ -167,6 +168,20 @@ def test_run_sweep_records_singular_patterns():
     assert all(x.bandwidth == 0 for x in report.entries if x.singular)
 
 
+def test_sweep_report_json_is_pinned():
+    """The exact JSON of a sweep with a clean and a singular entry: keys
+    sorted at every level, patterns as lists, no field added, dropped or
+    retyped."""
+    report = run_sweep(IACode(Field(2), 3), 2, seed=0, sample=2)
+    assert report.singular_patterns == [(1, 6)]
+    assert report.to_json() == (
+        '{"descriptor": {"P": [[1, 1, 1], [1, 2, 3], [1, 3, 2]], "V": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+        '"family": "ia", "k": 3, "kappa": 2, "m": 2, "modulus": 7}, "e": 2, "entries": ['
+        '{"bandwidth": 8, "pattern": [1, 2], "singular": false, "success": true}, '
+        '{"bandwidth": 0, "pattern": [1, 6], "singular": true, "success": false}]}'
+    )
+
+
 def test_emit_curve_csv_shape(tmp_path):
     params = SystemParams(12, 10, 4, 6, 2)
     path = tmp_path / "curve.csv"
@@ -211,6 +226,19 @@ def test_search_assignment_pm_and_ia():
     with pytest.raises(AssignmentNotFoundError) as err:
         search_assignment("ia", {"m": 2, "n": 6, "k": 3}, budget=5, seed=0)
     assert err.value.best_failures > 0
+
+
+@pytest.mark.parametrize("family", ["pm", "ia"])
+@pytest.mark.parametrize("seed", [2.0, True, "2", None])
+def test_search_assignment_refuses_a_seed_that_is_not_an_int(family, seed, monkeypatch):
+    """seed=2.0 returned seed 2's descriptor, seed=True seed 1's, and
+    seed="2" ran a string-hashed stream; the seed is refused before any
+    trial, as SplitRandom refuses it."""
+    monkeypatch.setattr(workbench, "PMCode", lambda *args, **kwargs: pytest.fail("a trial ran"))
+    monkeypatch.setattr(workbench, "IACode", lambda *args, **kwargs: pytest.fail("a trial ran"))
+    params = {"m": 6, "modulus": 0x43, "n": 7, "k": 3} if family == "pm" else {"m": 5, "k": 4, "e_max": 2}
+    with pytest.raises(ValueError, match="seed"):
+        search_assignment(family, params, budget=50, seed=seed)
 
 
 @pytest.mark.parametrize(
