@@ -21,13 +21,13 @@ and its first alpha/d rows are what a helper sends toward l in a repair of
 degree d. A degree-d theta is the blocks of d sources stacked. The
 constructor proves every d-subset's theta invertible, for every d in
 d_min+1..d_max, before it returns, so d helpers' sends always determine a
-lost node and no repair meets a singular decode map. Below d = 2 d_min it
-decides each subset S on Q_S, of order z(d - d_min) against theta's alpha
-= z d_min: Q_S is invertible exactly when theta_S is, as
-docs/ambr-decode-maps.md proves. The rows of Q_S are one scaled, shifted
-segment per (node, block), the scalars sums of logs of point differences.
-From d = 2 d_min on, which the caps allow only at d_min <= 2, theta_S
-itself is reduced.
+lost node and no repair meets a singular decode map. It decides each
+subset S on Q_S, of order z(d - d_min): Q_S is invertible exactly when
+theta_S is, at every degree, as docs/ambr-decode-maps.md proves. Below
+d = 2 d_min Q_S is smaller than theta's alpha = z d_min; at d = 2 d_min it
+is alpha-square, and only at d_min = 1, d = 3 is it 2 alpha. The rows of
+Q_S are one scaled, shifted segment per (node, block), the scalars sums of
+logs of point differences.
 """
 
 import random
@@ -103,36 +103,26 @@ class AdaptiveMBRCode(RepairableCode):
     def _decode_maps_invertible(self):
         """Every d-subset of the nodes stacks to an invertible theta, for
         every d in d_min+1..d_max: _singular_helper_sets yields nothing. The
-        check stops at the first singular set, and below d = 2 d_min decides
-        each set on the z(d - d_min)-square Q_S rather than theta_S."""
+        check stops at the first singular set, and decides each set on the
+        z(d - d_min)-square Q_S rather than theta_S."""
         return next(self._singular_helper_sets(), None) is None
 
     def _singular_helper_sets(self):
         """(d, S) for each degree d in d_min+1..d_max and each d-subset S of
-        the node ids, in combinations order, whose theta_S is singular.
-
-        Below d = 2 d_min, S is decided on Q_S (_q_stacks), of order
-        z(d - d_min), which is invertible exactly when the alpha-square
-        theta_S is (docs/ambr-decode-maps.md). From d = 2 d_min on (so
-        d_min <= 2), Q is no smaller and theta_S itself is reduced.
+        the node ids, in combinations order, whose theta_S is singular: S is
+        decided on Q_S (_q_stacks), of order z(d - d_min), which is
+        invertible exactly when the alpha-square theta_S is
+        (docs/ambr-decode-maps.md).
         """
         f, dm = self.field, self.d_min
         for d in range(dm + 1, self.d_max + 1):
-            size = self.z * (d - dm) if d < 2 * dm else self.alpha
-            for subset, rows in self._q_stacks(d) if d < 2 * dm else self._theta_stacks(d):
+            size = self.z * (d - dm)
+            for subset, rows in self._q_stacks(d):
                 if not _reduce_packed(f, rows, size, size, False)[1]:
                     yield d, subset
 
-    def _theta_stacks(self, d):
-        """(S, theta_S packed) for every d-subset S: the first alpha/d rows
-        of each block of S, stacked; the blocks are packed once."""
-        f, rows = self.field, self.alpha // d
-        blocks = [[_pack(f, row) for row in block[:rows]] for block in self._blocks]
-        for subset in combinations(self.node_ids(), d):
-            yield subset, [row for l in subset for row in blocks[l - 1]]
-
     def _q_stacks(self, d):
-        """(S, Q_S packed) for every d-subset S, d_min < d < 2 d_min.
+        """(S, Q_S packed) for every d-subset S, d_min < d <= d_max.
 
         Row (i, s) of Q_S, for block i and s < u = d - d_min, holds w_{l,i}
         x_{l,i}^(s-1) omega_i^q in column (l, q), for l in S and q < t =

@@ -29,15 +29,17 @@ bug.
 
 The system is built once, here, in CouplingCode, for PM and IA alone:
 _coupling_rows writes [A | b] as packed rows (gf._pack), rows and
-columns in unknown_pairs order, which it hands back too, its one pair
-of views, coupling_system and assemble_multi, fills a CouplingSystem from
-them, and dependent_pairs names the dependent transfers of a singular
-pattern.
+columns in unknown_pairs order, which it hands back too, and b has no
+other writer. Its one pair of views, coupling_system and assemble_multi,
+unpacks a CouplingSystem from those rows: b at zero, or b of the
+transfers the helpers' shards send, as PM's repair reduces it.
+dependent_pairs names the dependent transfers of a singular pattern.
 Whether a pattern's system is solvable is condition_check, said once here
 for both: the boundary check a repair makes (the failure limit,
 _failures, and the ids), then the family's unchecked core, _repairable,
 which the coefficient search calls directly on the patterns it
-generates.
+generates. condition_check and the two views read a pattern through one
+boundary, _pattern.
 
 Once the code and the failure pattern are fixed, the whole repair, the
 coupling solve included, is one linear map from the helpers' shards to the
@@ -353,7 +355,14 @@ class RepairableCode:
         return columns, picks
 
     def random_message(self, rng):
-        return [rng.randrange(self.field.size) for _ in range(self.message_length)]
+        """message_length symbols, each rng.randrange(2^m); an rng with no
+        callable randrange, such as None or 5, raises ValueError before
+        anything is drawn."""
+        draw = getattr(rng, "randrange", None)
+        if not callable(draw):
+            raise ValueError("need an rng with a randrange method, not %r" % (rng,))
+        size = self.field.size
+        return [draw(size) for _ in range(self.message_length)]
 
     def repair_single(self, shards, failed, helpers=None, **degree):
         contents, transcript = self.repair_multi(shards, (failed,), helpers, **degree)
@@ -511,51 +520,60 @@ class CouplingCode(RepairableCode):
             rows.append(row)
         return pairs, rows
 
+    def _pattern(self, failed, helpers=None, shards=()):
+        """The boundary of condition_check and the coupling views: failed and
+        helpers read once (_read_ids), the failure limit (_failures), at
+        least one failed node, and every id of failed, helpers and shards'
+        keys a node (InvalidRepairInputError), in that order, so a pattern
+        repair_multi refuses gets its error. Returns the sorted distinct
+        failed nodes and the helpers, given or by default the first d-e+1
+        nodes that did not fail (IA's every survivor); condition_check, which
+        reads none, gives ()."""
+        failed, helpers = _read_ids(failed, helpers)
+        e = self._failures(failed)
+        if not e:
+            raise InvalidRepairInputError(NO_FAILED_NODE)
+        check_input(self, (), 0, (), chain(failed, helpers or (), shards))
+        if helpers is None:
+            helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - e)
+        return tuple(sorted(set(failed))), helpers
+
+    def _system(self, failed, pool, toward=None):
+        """The CouplingSystem of the sorted failed nodes, A and b unpacked
+        from _coupling_rows(failed, pool, toward): b is zero with no
+        transfers."""
+        f, system = self.field, CouplingSystem(self.field, failed)
+        rows = self._coupling_rows(failed, pool, toward)[1]
+        entries = _unpack_rows(f, rows, system.size + 1)
+        system.A = Matrix(f, [row[:-1] for row in entries])
+        system.b = [row[-1] for row in entries]
+        return system
+
     def coupling_system(self, failed, helpers=None):
         """(system, known): the coupling system of a pattern with b at zero,
         and the recipe for b, known[(x, y)] listing (helper, weight) for each
-        nonzero weight of the transfer from the helper toward x. helpers
-        default to the first d-e+1 nodes that did not fail, the set
-        condition_check vets (IA's every survivor). A pattern past the
-        failure limit (_failures) or with no failed node raises what
-        repair_multi raises, before anything else is read; ids that are not
-        nodes raise InvalidRepairInputError."""
-        failed, helpers = _read_ids(failed, helpers)
-        e = self._failures(failed)
-        if not e:
-            raise InvalidRepairInputError(NO_FAILED_NODE)
-        check_input(self, (), 0, (), chain(failed, helpers or ()))
-        system, known = CouplingSystem(self.field, failed), {}
-        if helpers is None:
-            helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - e)
-        pool = frozenset(system.failed + helpers)
-        rows = self._coupling_rows(system.failed, pool)[1]
-        system.A = Matrix(self.field, _unpack_rows(self.field, rows, system.size))
+        nonzero weight of the transfer from the helper toward x. failed and
+        helpers pass _pattern first, so helpers default to the set
+        condition_check vets."""
+        failed, helpers = self._pattern(failed, helpers)
+        pool, known = frozenset(failed + helpers), {}
+        system = self._system(failed, pool)
         for x, y in system.pairs:
             columns = self._pool_decoder(x, pool).items()
-            known[(x, y)] = [(h, c[1][y - 1]) for h, c in columns if c[1][y - 1] and h not in system.failed]
+            known[(x, y)] = [(h, c[1][y - 1]) for h, c in columns if c[1][y - 1] and h not in failed]
         return system, known
 
     def assemble_multi(self, shards, failed, helpers=None):
-        """coupling_system with b, its recipe applied to the transfers the
-        helpers' shards send, and those transfers, {(helper, failed node):
-        symbol}; helpers default as there. The failed set is checked first,
-        as there. Ids that are not nodes and missing or malformed helper
-        shards raise InvalidRepairInputError; failed nodes' shards are not
-        read."""
-        failed, helpers = _read_ids(failed, helpers)
-        e = self._failures(failed)
-        if not e:
-            raise InvalidRepairInputError(NO_FAILED_NODE)
-        if helpers is None:
-            helpers = self.default_helpers(self.node_ids(), failed, self.d + 1 - e)
-        check_input(self, shards, self.shard_length, helpers, chain(failed, helpers, shards))
-        system, known = self.coupling_system(failed, helpers)
-        transfers = {(h, j): dot(self.field, shards[h], self._projection(j)) for h in helpers for j in system.failed}
-        for t, (x, y) in enumerate(system.pairs):
-            for h, w in known[(x, y)]:
-                system.b[t] ^= self.field.mul(w, transfers[(h, x)])
-        return system, transfers
+        """coupling_system with b, the coupling rows' b of the transfers the
+        helpers' shards send, as a repair builds it, and those transfers,
+        {(helper, failed node): symbol}. failed, helpers and shards' keys
+        pass _pattern first; missing or malformed helper shards raise
+        InvalidRepairInputError; failed nodes' shards are not read."""
+        failed, helpers = self._pattern(failed, helpers, shards)
+        check_input(self, shards, self.shard_length, helpers)
+        toward = {j: {h: dot(self.field, shards[h], self._projection(j)) for h in helpers} for j in failed}
+        transfers = {(h, j): toward[j][h] for h in helpers for j in failed}
+        return self._system(failed, frozenset(failed + helpers), toward), transfers
 
     def _max_failures(self):
         """min(n-k, d-k+1), the most failures PM or IA repairs at once: the
@@ -573,15 +591,11 @@ class CouplingCode(RepairableCode):
         """Whether the coupling system of a failure pattern is solvable from
         its default helpers, the first d-e+1 nodes that did not fail: its
         coupling matrix over them has full rank. Once n > d+1 another
-        helper set can answer otherwise. failed is read once and a repeated
-        id counts once; a pattern repair_multi refuses for its ids or its
-        size gets the same error. Then the family's _repairable answers."""
-        [failed] = _read_ids(failed)
-        e = self._failures(failed)
-        check_input(self, (), 0, (), failed)
-        if not e:
-            raise InvalidRepairInputError(NO_FAILED_NODE)
-        return self._repairable(tuple(sorted(set(failed))))
+        helper set can answer otherwise. failed passes _pattern, so it is
+        read once, a repeated id counts once, and a pattern repair_multi
+        refuses for its ids or its size gets the same error. Then the
+        family's _repairable answers."""
+        return self._repairable(self._pattern(failed, ())[0])
 
     def repair_transfer(self, shard, target):
         """The symbol a live node sends toward failed node target: its shard

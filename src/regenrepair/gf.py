@@ -7,16 +7,18 @@ it is made; they hold 0.7 MB at m = 13 and 5.5 MB at m = 16. Carry-less
 shift-and-reduce (`mul_direct`) builds them and stays as the reference
 the tests check them against.
 
-Every elimination goes through one row-reduction kernel, `_reduce`,
-which returns the pivot columns and the determinant. mat_solve and
-mat_inv run it Gauss-Jordan on an augmented matrix, and the framework's
-derivations of read maps, IA's decoders and AMBR repair plans, the IA plan
-compile and PM's coupling solve run its packed form, `_reduce_packed`;
-mat_det, mat_rank and PM's condition_check run it below the pivots
-only. A map from a polynomial's values at some points to its values at
-others, V_targets V_nodes^-1, needs no elimination: lagrange_rows writes
-it down as a table of Lagrange basis values, and the MDS generator and
-MDS repair decode maps are such tables.
+Every elimination goes through one row-reduction kernel on packed rows,
+`_reduce_packed`, which returns the pivot columns and the determinant.
+`_reduce` packs list rows for it: mat_solve, mat_inv and the framework's
+CouplingSystem.solve run it Gauss-Jordan on an augmented matrix, IA's
+condition_check below the pivots only. mat_det and mat_rank, the
+framework's derivations of read maps, IA's decoders and AMBR repair
+plans, the IA plan compile, PM's coupling solve and condition_check and
+AMBR's construction check call `_reduce_packed` on rows they pack
+themselves. A map from a polynomial's values at some points
+to its values at others, V_targets V_nodes^-1, needs no elimination:
+lagrange_rows writes it down as a table of Lagrange basis values, and the
+MDS generator and MDS repair decode maps are such tables.
 
 A packed row (`_pack`) is one int holding a row of symbols, one lane per
 entry, so that adding rows is one XOR. Over m <= 8 a lane is a byte and
@@ -28,14 +30,13 @@ construction check) on such rows,
 bytes, and LinearMap.from_packed cuts a map's columns from rows, as
 LinearMap.from_columns takes them ready-made. Past m = 8 a lane is two
 bytes, and the same calls unpack the rows for the list loops on the
-log/antilog tables, all of a call's rows by one struct call
-(`_unpack_rows`); callers such as the IA plan compile never look at the
-lanes, and the framework and PM read a row's right part by shifting out
-`_lane_bits` per lane. `_reduce` packs its rows over m <= 8 when it
-carries more than one column past the reduced ones (an inverse); square
-det and rank, and mat_solve's one right-hand side, keep the list loop.
-The tests hold both kernels to the same loop through Field.mul
-(tests/reference_paths.py). mat_mul runs on packed rows over m <= 8 too.
+log/antilog tables (`_reduce_lists`, `_mul_lists`), all of a call's rows
+by one struct call (`_unpack_rows`); callers such as the IA plan compile
+never look at the lanes, and the framework and PM read a row's right part
+by shifting out `_lane_bits` per lane. Only these packed kernels branch on
+the field: mat_mul runs `_mul_packed` at every m, and mat_vec is `dot` per
+row. The tests hold the kernels to the same loop through Field.mul
+(tests/reference_paths.py).
 
 A LinearMap is a matrix compiled for many products. Over m <= 8 it keeps
 the matrix as one bytes object per column, runs each column through
@@ -278,9 +279,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.data)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [list(col) for col in zip(*self.data)])
 
@@ -453,8 +451,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     f = a.field
-    if f.m > 8:
-        return Matrix(f, _mul_lists(f, a.data, b.data, b.cols))
     out = _mul_packed(f, a.data, [_pack(f, row) for row in b.data], b.cols)
     return Matrix(f, _unpack_rows(f, out, b.cols))
 
@@ -494,7 +490,8 @@ def _scale_packed(field: Field, scalars: list[int], rows: list[int], width: int)
 
 
 def _mul_lists(field: Field, a: list[list[int]], b: list[list[int]], width: int) -> list[list[int]]:
-    """a times b on lists, products through the log/antilog tables."""
+    """a times b on lists, products through the log/antilog tables:
+    _mul_packed's kernel past m = 8."""
     exp, log = field._exp, field._log
     out = []
     for ai in a:
@@ -512,15 +509,7 @@ def _mul_lists(field: Field, a: list[list[int]], b: list[list[int]], width: int)
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     if a.cols != len(v):
         raise ValueError("shape mismatch")
-    mul = a.field.mul
-    out = []
-    for row in a.data:
-        acc = 0
-        for c, x in zip(row, v):
-            if c and x:
-                acc ^= mul(c, x)
-        out.append(acc)
-    return out
+    return [dot(a.field, row, v) for row in a.data]
 
 
 def dot(field: Field, u: list[int], v: list[int]) -> int:
@@ -535,33 +524,31 @@ def dot(field: Field, u: list[int], v: list[int]) -> int:
 def _reduce(field: Field, rows: list[list[int]], ncols: int, full: bool):
     """Row-reduce rows in place on their first ncols columns.
 
-    The one elimination behind mat_solve, mat_inv, mat_det, mat_rank and,
-    as _reduce_packed, the derivations and repair-plan compiles. Column by
-    column, the pivot is the first nonzero entry at or below the current
-    rank; its row moves up to that rank and is scaled by the pivot's
-    inverse, and the column is cleared below the pivot, and above it too
-    when full is set (Gauss-Jordan). A column with no pivot is skipped. The
-    pivot column is never read again, so it is not written. Columns past
-    ncols (a right-hand side, an identity) are carried along; with two or
-    more of them and m <= 8 the rows are packed and reduced by
-    _reduce_packed, which gives the same rows; PM's coupling solve, one
-    right-hand side packed with its rows, calls _reduce_packed itself.
+    The elimination on list rows behind mat_solve, mat_inv,
+    CouplingSystem.solve and IA's condition_check; the rest call
+    _reduce_packed on rows they pack. Column by column, the pivot is the
+    first nonzero entry at or below the current rank; its row moves up to
+    that rank and is scaled by the pivot's inverse, and the column is
+    cleared below the pivot, and above it too when full is set
+    (Gauss-Jordan). A column with no pivot is skipped. The pivot column is
+    never read again, so it is not written. Columns past ncols (a
+    right-hand side, an identity) are carried along. The rows are packed,
+    reduced by _reduce_packed and unpacked.
 
     Returns (pivot_cols, det): det is the product of the pivots when every
     one of the ncols columns has one, else 0; row swaps leave it alone in
-    characteristic 2. Products run on the log/antilog tables.
+    characteristic 2.
     """
     width = len(rows[0]) if rows else 0
-    if width > ncols + 1 and field.m <= 8:
-        packed = [_pack(field, row) for row in rows]
-        result = _reduce_packed(field, packed, width, ncols, full)
-        rows[:] = _unpack_rows(field, packed, width)
-        return result
-    return _reduce_lists(field, rows, ncols, full)
+    packed = [_pack(field, row) for row in rows]
+    result = _reduce_packed(field, packed, width, ncols, full)
+    rows[:] = _unpack_rows(field, packed, width)
+    return result
 
 
 def _reduce_lists(field: Field, rows: list[list[int]], ncols: int, full: bool):
-    """_reduce's loop on list rows, products on the log/antilog tables."""
+    """_reduce's loop on list rows, products on the log/antilog tables:
+    _reduce_packed's kernel past m = 8."""
     nrows = len(rows)
     width = len(rows[0]) if rows else 0
     exp, log, order = field._exp, field._log, field.order
@@ -669,11 +656,11 @@ def mat_inv(a: Matrix) -> Matrix:
 def mat_det(a: Matrix) -> int:
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    return _reduce(a.field, [row[:] for row in a.data], a.cols, False)[1]
+    return _reduce_packed(a.field, [_pack(a.field, row) for row in a.data], a.cols, a.cols, False)[1]
 
 
 def mat_rank(a: Matrix) -> int:
-    return len(_reduce(a.field, [row[:] for row in a.data], a.cols, False)[0])
+    return len(_reduce_packed(a.field, [_pack(a.field, row) for row in a.data], a.cols, a.cols, False)[0])
 
 
 def vandermonde(field: Field, points: list[int], cols: int) -> Matrix:

@@ -95,10 +95,6 @@ class Scenario:
         if not self.u or any(type(x) is not int or x < 1 for x in self.u):
             raise InvalidScenarioError(f"group sizes must be ints >= 1: {self.u}")
 
-    @property
-    def groups(self) -> int:
-        return len(self.u)
-
 
 @dataclass(frozen=True)
 class TradeoffPoint:

@@ -104,14 +104,6 @@ class SweepEntry:
     bandwidth: int
     singular: bool
 
-    def to_dict(self):
-        return {
-            "pattern": list(self.pattern),
-            "success": self.success,
-            "bandwidth": self.bandwidth,
-            "singular": self.singular,
-        }
-
 
 @dataclass
 class SweepReport:

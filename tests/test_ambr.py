@@ -292,14 +292,14 @@ def test_q_and_theta_find_the_same_singular_helper_sets(code):
     """On drawn shapes (gap <= 2, d_min = 1..4) and drawn point sets over
     m = 5, 6, 8, 10 and 13, the constructor's check names the same singular
     (d, S) as the reduction of every alpha-square theta_S (ref), so its
-    verdict on the points is theirs. Below d = 2 d_min, where it decides S
-    on the z(d - d_min)-square Q_S, Q_S's kernel has theta_S's dimension,
-    as docs/ambr-decode-maps.md proves."""
+    verdict on the points is theirs. At every degree, where it decides S on
+    the z(d - d_min)-square Q_S, Q_S's kernel has theta_S's dimension, as
+    docs/ambr-decode-maps.md proves."""
     nullities = ref.ambr_theta_nullities(code)
     singular = [key for key, nullity in nullities.items() if nullity]
     assert list(code._singular_helper_sets()) == singular
     assert code._decode_maps_invertible() == (singular == [])
-    for d in range(code.d_min + 1, min(code.d_max, 2 * code.d_min - 1) + 1):
+    for d in range(code.d_min + 1, code.d_max + 1):
         order = code.z * (d - code.d_min)
         for subset, rows in code._q_stacks(d):
             assert len(rows) == order and all(row >> _lane_bits(code.field) * order == 0 for row in rows)

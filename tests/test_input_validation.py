@@ -229,6 +229,20 @@ def test_valid_input_still_round_trips(encoded, family):
     assert contents[1] == shards[1]
 
 
+# random_message read rng.randrange once per symbol, so None and 5 died with
+# AttributeError, and an object whose randrange is not callable with TypeError
+class NotCallableDraw:
+    randrange = 3
+
+
+@pytest.mark.parametrize("rng", [None, 5, "rng", NotCallableDraw()], ids=["None", "int", "str", "attribute"])
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_random_message_refuses_an_rng_with_no_callable_randrange(encoded, family, rng):
+    code = encoded[family][0]
+    with pytest.raises(ValueError, match="need an rng with a randrange method"):
+        code.random_message(rng)
+
+
 @pytest.mark.parametrize("family", sorted(CODES))
 def test_non_int_symbols_are_refused(encoded, family):
     code, shards = encoded[family]
@@ -389,6 +403,7 @@ def test_the_coupling_views_refuse_what_repair_refuses(case):
         lambda: code.coupling_system(iter(failed), helpers),
         lambda: code.assemble_multi(survivors, failed),
         lambda: code.assemble_multi({}, failed, [0]),
+        lambda: code.condition_check(failed),
     ]
     for call in calls:
         with pytest.raises(ValueError) as view:

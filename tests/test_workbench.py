@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -133,9 +134,9 @@ def test_run_sweep_sample_mode_subsets_patterns():
     assert len(set(patterns)) == 6
     full = run_sweep(code, 2, seed=3)
     # sampled entries replay the exact per-pattern outcome of the full sweep
-    by_pattern = {tuple(x.pattern): x.to_dict() for x in full.entries}
+    by_pattern = {tuple(x.pattern): asdict(x) for x in full.entries}
     for x in report.entries:
-        assert x.to_dict() == by_pattern[tuple(x.pattern)]
+        assert asdict(x) == by_pattern[tuple(x.pattern)]
 
 
 @pytest.mark.parametrize(
