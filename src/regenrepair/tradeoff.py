@@ -18,12 +18,10 @@ on one params object share one build.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import neg
 from typing import NamedTuple
 
 # an int (not a bool), a Fraction, or a string Fraction parses, e.g. "25/2"
@@ -229,7 +227,8 @@ class _Segments(NamedTuple):
 
 def _segments(params: SystemParams) -> _Segments:
     """The pieces of alpha*(gamma) with alpha* computed once at every
-    breakpoint, so that a query bisects instead of rescanning the pieces.
+    breakpoint, so that a query walks the breakpoints (_walk) instead of
+    rescanning the pieces.
 
     Built on first use and kept with params, written past the frozen
     dataclass as __post_init__ writes M: every later query on the same
@@ -284,23 +283,15 @@ def tradeoff_curve(params: SystemParams) -> list[CurvePoint]:
 
 
 def gamma_min_for_alpha(params: SystemParams, alpha: RationalLike) -> Fraction:
-    """Least feasible gamma at per-node storage alpha (inverse threshold)."""
-    return _gamma_min(params, _segments(params), _rational(alpha, "alpha"))
-
-
-def _gamma_min(params: SystemParams, segs: _Segments, alpha: Fraction) -> Fraction:
-    """Least gamma with alpha*(gamma) <= alpha: the first breakpoint at or
-    below alpha is found by bisection over segs.alphas (falling), and
-    gamma is read off the piece that ends there."""
-    alphas = segs.alphas
-    if alpha < alphas[-1]:
+    """Least feasible gamma at per-node storage alpha (inverse threshold):
+    alpha over the breakpoints' common denominator, walked as
+    compare_strategies walks its alphas (_walk)."""
+    alpha, segs = _rational(alpha, "alpha"), _segments(params)
+    if alpha < segs.alphas[-1]:
         M, k = params.M, params.k
         raise ValueError(f"alpha={alpha} below M/k={M / Fraction(k)}; no gamma suffices")
-    if alpha >= alphas[0]:
-        return segs.gammas[0]
-    t = bisect_left(alphas, -alpha, 1, key=neg)
-    _, _, g, den = segs.pieces[t - 1]
-    return (params.M - den * alpha) / g
+    den = lcm(alpha.denominator, *(a.denominator for a in segs.alphas))
+    return _walk(segs, params.M, 1, den, [alpha.numerator * (den // alpha.denominator)])[0]
 
 
 # -- named operating points ------------------------------------------
@@ -410,7 +401,8 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
         rows[i] = ComparisonRow(values[i], g_cent, g_sep, g_few)
     ratio = None
     if fewer:
-        ratio = _gamma_min(fewer, curves[2][0], floor) / (e * _gamma_min(single, curves[1][0], floor))
+        # gamma_min at alpha = M/k is each curve's last breakpoint
+        ratio = curves[2][0].gammas[-1] / (e * curves[1][0].gammas[-1])
         # at alpha = M/k a batch of e >= k failures downloads the whole file M
         if e <= k:
             expected, form = Fraction(d - e + 1, d), "(d-e+1)/d"
@@ -422,10 +414,10 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
 
 
 def _walk(segs: _Segments, M: Fraction, scale: int, den: int, nums: list[int]) -> list[Fraction]:
-    """scale * _gamma_min at each alpha = x/den for x in nums, which rise
-    and are none below M/k. Entry s is the flat top (s = 0) or the piece
-    ending at breakpoint s, as (p, q, r) with gamma = (p - q*x)/r, so one
-    pointer moves down the breakpoints as alpha rises."""
+    """scale * gamma_min_for_alpha at each alpha = x/den for x in nums,
+    which rise and are none below M/k. Entry s is the flat top (s = 0) or
+    the piece ending at breakpoint s, as (p, q, r) with gamma =
+    (p - q*x)/r, so one pointer moves down the breakpoints as alpha rises."""
     ends = [a.numerator * (den // a.denominator) for a in segs.alphas]
     top = scale * segs.gammas[0]
     entries = [(top.numerator, 0, top.denominator)]

@@ -197,11 +197,14 @@ def search_assignment(family, params, budget=200, seed=0):
     counting once it has as many singular patterns as the best trial so
     far. Returns the first clean code's descriptor, or raises
     AssignmentNotFoundError with the first candidate of fewest singular
-    patterns (PM's lambdas, IA's code). Params no code has, and a seed that
-    is not an int, bools included, raise ValueError before any trial.
+    patterns (PM's lambdas, IA's code). Params that are not a dict, or that
+    hold a key besides those five, params no code has, and a seed that is
+    not an int, bools included, raise ValueError before any trial.
     """
     if family not in ("pm", "ia"):
         raise ValueError("search supports the pm and ia families")
+    if not isinstance(params, dict) or params.keys() - {"m", "modulus", "n", "k", "e_max"}:
+        raise ValueError("params must be a dict of m, modulus, n, k and e_max, not %r" % (params,))
     field = Field(params.get("m"), params.get("modulus"))
     k = params.get("k")
     n = params.get("n", 2 * k if family == "ia" and type(k) is int else None)

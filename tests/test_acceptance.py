@@ -46,6 +46,7 @@ from regenrepair.tradeoff import (
 )
 from regenrepair.workbench import SplitRandom, run_sweep, verify_exact_repair
 
+from coupling import coupling
 from exhaustive import exhaustive_min_cut
 
 # shared parameter grid: every (k, e, d) with 2<=k<=10, 1<=e<=k, k<=d<=13
@@ -202,9 +203,8 @@ def test_criterion_07_one_sided_patterns_always_repair_with_known_det():
         base = code.field.add(1, code.field.mul(code.kappa, code.kappa))
         for e in range(2, k + 1):
             for failed in (tuple(range(1, e + 1)), tuple(range(k + 1, k + e + 1))):
-                system, _ = code.coupling_system(failed)
                 want = code.field.pow(base, e * (e - 1) // 2)
-                assert mat_det(system.A) == want, (k, failed)
+                assert coupling(code, failed).det == want, (k, failed)
                 ok, _, sing = verify_exact_repair(
                     code, failed, rng=SplitRandom(7).split("os-%d-%s" % (k, failed))
                 )
@@ -232,8 +232,7 @@ def test_criterion_08_closed_form_conditions_agree_with_determinants():
             continue  # singular draw, not a covered code
         codes += 1
         for failed in shapes:
-            system, _ = code.coupling_system(failed)
-            assert code.condition_check(failed) == (mat_det(system.A) != 0), (
+            assert code.condition_check(failed) == (coupling(code, failed).det != 0), (
                 code.descriptor(), failed)
             agreements += 1
     report("criterion 08 PASS: %d/%d closed-form vs determinant agreements "

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_paths as ref
+from coupling import coupling, known_terms
 from regenrepair import framework
 from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.framework import (
@@ -521,10 +522,13 @@ def test_the_coupling_views_agree_with_condition_check_and_each_other():
     where condition_check says so; over any helpers, assemble_multi's A is
     coupling_system's, and each entry of b is its known-term recipe applied
     to the transfers assemble_multi returns; a solvable system gives back
-    the transfers the failed nodes would have sent. Every singular pattern
-    of each code is drawn (IA(6) has 17, PM(13, 6) over GF(2^6) 13), with
-    a seeded sample of the rest; PM(13, 6) also swaps its last default
-    helper for the highest live node."""
+    the transfers the failed nodes would have sent. Both views' A, rank and
+    determinant are those of the coupling rows the identity tests read
+    (tests/coupling.py), and the recipe is the helpers' weights in the
+    decoder tables. Every singular pattern of each code is drawn (IA(6) has
+    17, PM(13, 6) over GF(2^6) 13), with a seeded sample of the rest;
+    PM(13, 6) also swaps its last default helper for the highest live node,
+    a pool that is not the default one."""
     rng = random.Random(30)
     for code in (PMCode(F256, 11, 6), PMCode(Field(6), 13, 6), IACode(F256, 6)):
         f, shards = code.field, code.encode(code.random_message(rng))
@@ -544,6 +548,11 @@ def test_the_coupling_views_agree_with_condition_check_and_each_other():
                 system, known = code.coupling_system(failed, helpers)
                 assembled, transfers = code.assemble_multi(survivors, failed, helpers)
                 assert assembled.A == system.A and system.b == [0] * system.size
+                rows = coupling(code, failed, helpers)
+                assert rows.A == system.A.data, (failed, helpers)
+                for view in (system, assembled):
+                    assert (rows.rank, rows.det) == (mat_rank(view.A), view.determinant()), (failed, helpers)
+                assert {pair: dict(terms) for pair, terms in known.items()} == known_terms(code, failed, helpers)
                 assert set(transfers) == {(h, j) for h in helpers or default for j in failed}
                 for t, (x, y) in enumerate(system.pairs):
                     recipe = 0

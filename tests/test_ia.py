@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_paths as ref
+from coupling import coupling, known_terms
 from regenrepair import ia
 from regenrepair.framework import SingularCouplingError
 from regenrepair.gf import Field, Matrix, all_square_submatrices_invertible, cauchy, mat_det, mat_mul
@@ -140,19 +141,16 @@ def test_one_sided_determinants_frozen():
         for e in range(2, k + 1):
             want = f.pow(base, e * (e - 1) // 2)
             for pat in combinations(range(1, k + 1), e):
-                system, _ = code.coupling_system(pat)
-                assert system.determinant() == want
+                assert coupling(code, pat).det == want
             for pat in combinations(range(k + 1, 2 * k + 1), e):
-                system, _ = code.coupling_system(pat)
-                assert system.determinant() == want
+                assert coupling(code, pat).det == want
 
 
 def test_condition_check_matches_determinant_on_example():
     code = example_code()
     for e in (2, 3, 4):
         for pat in combinations(code.node_ids(), e):
-            system, _ = code.coupling_system(pat)
-            assert code.condition_check(pat) == (system.determinant() != 0)
+            assert code.condition_check(pat) == (coupling(code, pat).det != 0)
 
 
 def test_condition_check_matches_determinant_random_p():
@@ -167,8 +165,7 @@ def test_condition_check_matches_determinant_random_p():
         code = IACode(F256, 4, P=p)
         codes += 1
         for pat in shapes:
-            system, _ = code.coupling_system(pat)
-            assert code.condition_check(pat) == (system.determinant() != 0)
+            assert code.condition_check(pat) == (coupling(code, pat).det != 0)
 
 
 def random_ia_code(field, k, rng, random_v=False):
@@ -211,19 +208,20 @@ def random_ia_codes(draw, ms=range(3, 9), k_min=2, k_max=5, random_v=False):
 @example(IACode(F256, 6))
 @example(random_ia_code(F256, 6, random.Random(6)))
 def test_coupling_system_and_closed_forms_on_random_codes(code):
-    """On every pattern of e = 2..k the coupling system equals the one built
-    entry by entry and condition_check is det(A) != 0, the slow reference
-    it replaces, so the search can vet by it alone; on the six shapes the
+    """On every pattern of e = 2..k the coupling rows' A and the decoder
+    tables' known terms equal those built entry by entry, and
+    condition_check is det(A) != 0 on the rows, the slow reference it
+    replaces, so the search can vet by it alone; on the six shapes the
     retired hand formulas covered, it agrees with them. The two fixed
     k = 6 codes carry the check past the strategy's k <= 5."""
     for e in range(2, code.k + 1):
         for pat in combinations(code.node_ids(), e):
-            system, known = code.coupling_system(pat)
             want, want_known = ref.ia_coupling_system(code, pat)
-            assert system.A == want.A
-            assert {pair: dict(terms) for pair, terms in known.items()} == want_known
+            got = coupling(code, pat)
+            assert got.A == want.A.data
+            assert known_terms(code, pat) == want_known
             repairable = code.condition_check(pat)
-            assert repairable == (system.determinant() != 0), pat
+            assert repairable == (got.det != 0), pat
             try:
                 assert repairable == ref.ia_condition_table(code, pat), pat
             except UnsupportedPatternError:
@@ -279,9 +277,8 @@ def test_shapes_past_the_retired_hand_formulas_take_the_closed_form(monkeypatch,
     code = IACode(F256, k)
     with pytest.raises(UnsupportedPatternError):
         ref.ia_condition_table(code, failed)
-    system, _ = code.coupling_system(failed)
-    assert (system.determinant() != 0) is repairable
-    monkeypatch.setattr(code, "coupling_system", None)
+    assert (coupling(code, failed).det != 0) is repairable
+    monkeypatch.setattr(code, "_coupling_rows", None)
     assert code.condition_check(failed) is repairable
 
 
@@ -329,9 +326,9 @@ def test_coupling_rows_match_the_proof(code):
     """Step 4 of the proof, row by row, on every pattern of e = 2..k."""
     for e in range(2, code.k + 1):
         for pat in combinations(code.node_ids(), e):
-            system, _ = code.coupling_system(pat)
+            system = coupling(code, pat)
             pairs = system.pairs
-            got = {pair: {pairs[c]: w for c, w in enumerate(row) if w} for pair, row in zip(pairs, system.A.data)}
+            got = {pair: {pairs[c]: w for c, w in enumerate(row) if w} for pair, row in zip(pairs, system.A)}
             assert got == proof_rows(code, pat), pat
 
 
@@ -375,7 +372,7 @@ def test_product_formula_matches_determinant(code):
     on random P, kappa and V."""
     for e in range(2, code.k + 1):
         for pat in combinations(code.node_ids(), e):
-            assert code.coupling_system(pat)[0].determinant() == product_formula(code, pat), pat
+            assert coupling(code, pat).det == product_formula(code, pat), pat
 
 
 IA6 = IACode(F256, 6)
@@ -410,7 +407,7 @@ def test_repairable_from_the_product_table_matches_the_determinant(code, rng):
     singular = [p for p in patterns if not verdicts[p]]
     checked = patterns if code.k <= 4 else set(rng.sample(patterns, 30) + singular)
     for pattern in checked:
-        assert verdicts[pattern] == (ref.ia_coupling_system(code, pattern)[0].determinant() != 0), pattern
+        assert verdicts[pattern] == (mat_det(ref.ia_coupling_system(code, pattern)[0].A) != 0), pattern
     if code is IA6:
         assert singular == IA6_SINGULAR
 
@@ -449,8 +446,8 @@ def test_packed_compile_matches_the_list_compile(code, rng):
 
 def test_a_singular_compile_names_its_dependent_transfers_from_its_own_reduction(monkeypatch):
     """Each singular pattern of IA(6)/GF(2^8) at e = 3 builds its coupling
-    rows once and reduces them once, and names the dependent transfers
-    CouplingSystem.solve names on coupling_system."""
+    rows once and reduces them once, and names the dependent transfers that
+    a reduction of the same rows below the pivots names."""
     code = IACode(F256, 6)
     singular = [pat for pat in combinations(code.node_ids(), 3) if not code.condition_check(pat)]
     assert len(singular) == 4
@@ -461,9 +458,7 @@ def test_a_singular_compile_names_its_dependent_transfers_from_its_own_reduction
         calls.clear()
         plan = code._compile_plan(pat)
         assert calls == ["rows", "reduce"], pat
-        with pytest.raises(SingularCouplingError) as err:
-            code.coupling_system(pat)[0].solve()
-        assert plan.dependent == err.value.dependent != (), pat
+        assert plan.dependent == coupling(code, pat).dependent != (), pat
 
 
 @settings(max_examples=20, deadline=None)
@@ -475,8 +470,8 @@ def test_coupling_matrix_does_not_depend_on_v(code, seed):
     other = IACode(code.field, code.k, P=code.P, V=v, kappa=code.kappa)
     for e in range(2, code.k + 1):
         for pat in combinations(code.node_ids(), e):
-            (a, known_a), (b, known_b) = code.coupling_system(pat), other.coupling_system(pat)
-            assert a.A == b.A and known_a == known_b, pat
+            assert coupling(code, pat).A == coupling(other, pat).A, pat
+            assert known_terms(code, pat) == known_terms(other, pat), pat
 
 
 def test_systematic_decode_matrix_is_closed_form_inverse():
@@ -504,34 +499,28 @@ def test_column_order_permutation_keeps_determinant():
     # s_{1,1}, sbar_{1,1}, r_{1,2}, r_{2,1}, s_{2,1}, sbar_{1,2}
     code = example_code()
     failed = (1, 2, 5)
-    system, _ = code.coupling_system(failed)
-    ours = system.pairs
+    system = coupling(code, failed)
+    ours, a = system.pairs, system.A
     theirs = [(1, 5), (5, 1), (1, 2), (2, 1), (2, 5), (5, 2)]
     assert sorted(ours) == sorted(theirs)
     pos = {pair: i for i, pair in enumerate(ours)}
     perm = [pos[pair] for pair in theirs]
-    reordered = Matrix(
-        code.field, [[system.A.data[perm[r]][perm[c]] for c in range(6)] for r in range(6)]
-    )
-    from regenrepair.gf import mat_det
-
-    assert mat_det(reordered) == system.determinant() != 0
+    reordered = Matrix(code.field, [[a[perm[r]][perm[c]] for c in range(6)] for r in range(6)])
+    assert mat_det(reordered) == system.det != 0
 
 
 def test_gf4_k3_mixed_pairs_all_singular():
     code = IACode(F4, 3)
     singular = []
     for pat in combinations(code.node_ids(), 2):
-        system, _ = code.coupling_system(pat)
-        if system.determinant() == 0:
+        if coupling(code, pat).det == 0:
             singular.append(pat)
     assert singular == [(l, m) for l in (1, 2, 3) for m in (4, 5, 6)]
     for l in (1, 2, 3):
         for m in (1, 2, 3):
             assert ref.ia_pi(code, l, m) == 1  # Pi = 1 is exactly the failure condition
     for pat in combinations(code.node_ids(), 3):
-        system, _ = code.coupling_system(pat)
-        assert system.determinant() != 0
+        assert coupling(code, pat).det != 0
 
 
 def test_singular_coupling_reported():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_paths as ref
+from coupling import coupling
 from regenrepair import pm
 from regenrepair.framework import CouplingCode, InvalidRepairInputError, SingularCouplingError
 from regenrepair.gf import Field, SingularMatrixError, _pack, _unpack_rows, dot, mat_det, mat_inv, mat_solve
@@ -290,16 +291,16 @@ def test_multi_repair_on_drawn_pools_matches_reference_system(case, rng, data):
     e = data.draw(st.integers(2, e_cap))
     failed = tuple(sorted(data.draw(st.permutations(pool))[:e]))
     helpers = tuple(sorted(set(pool) - set(failed)))
-    assert code.coupling_system(failed, helpers)[0].A == ref.pm_coupling_matrix(code, failed, helpers).A
+    system = coupling(code, failed, helpers)
+    assert system.A == ref.pm_coupling_matrix(code, failed, helpers).A.data
     shards = code.encode(code.random_message(rng))
     survivors = {m: v for m, v in shards.items() if m not in failed}
-    system, _ = code.assemble_multi(survivors, failed, helpers)
     try:
         contents, _ = code.repair_multi(survivors, failed, helpers)
     except SingularCouplingError:
-        assert mat_det(system.A) == 0
+        assert system.det == 0
         return
-    assert mat_det(system.A) != 0
+    assert system.det != 0
     assert all(contents[m] == shards[m] for m in failed)
 
 
@@ -839,7 +840,7 @@ def test_singular_pattern_raises_for_direct_repair():
 def test_k2_e2_coupling_is_always_singular():
     # with alpha = 1 the two coupling coefficients are exact inverses, so
     # det(A) = 1 - c12*c21 = 0 identically; e=2 is out of reach at k=2, and
-    # the coupling views refuse it as a repair does
+    # condition_check refuses it as a repair does
     code = PMCode(F16, 4, 2)
     shards = code.encode([3, 7])
     for failed in itertools.combinations(code.node_ids(), 2):
@@ -848,8 +849,11 @@ def test_k2_e2_coupling_is_always_singular():
         pool = frozenset(failed + helpers)
         c12, c21 = code.coupling_coefficient(a, b, b, pool), code.coupling_coefficient(b, a, a, pool)
         assert F16.mul(c12, c21) == 1
-        with pytest.raises(ValueError, match=r"can repair 1\.\.1 nodes at once"):
-            code.assemble_multi(shards, failed, helpers)
+        assert coupling(code, failed, helpers).det == 0
+        survivors = {m: v for m, v in shards.items() if m not in failed}
+        for call in (lambda: code.condition_check(failed), lambda: code.repair_multi(survivors, failed, helpers)):
+            with pytest.raises(ValueError, match=r"can repair 1\.\.1 nodes at once"):
+                call()
 
 
 def test_verify_exact_repair_outcomes():
@@ -900,8 +904,8 @@ def test_field_search_vets_the_default_helpers_only():
     assert Field(6).modulus == F64.modulus
     assert code.condition_check((1, 2)) and code.condition_check([2, 1, 2])
     default, other = tuple(range(3, 12)), tuple(range(3, 11)) + (12,)
-    assert code.coupling_system((1, 2), default)[0].determinant() == 58
-    assert code.coupling_system((1, 2), other)[0].determinant() == 0
+    assert coupling(code, (1, 2), default).det == 58
+    assert coupling(code, (1, 2), other).det == 0
     shards = code.encode(code.random_message(random.Random(3)))
     live = {i: s for i, s in shards.items() if i not in (1, 2)}
     assert code.repair_multi(live, (1, 2))[0] == {1: shards[1], 2: shards[2]}

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_paths as ref
+from coupling import coupling
 from regenrepair.ambr import AdaptiveMBRCode
 from regenrepair.framework import CouplingSystem, RepairPlan, SingularCouplingError, unknown_pairs
 from regenrepair import pm
@@ -94,7 +95,7 @@ def singular_ia_patterns(code):
         pattern
         for e in range(2, code.k + 1)
         for pattern in combinations(code.node_ids(), e)
-        if code.coupling_system(pattern)[0].determinant() == 0
+        if coupling(code, pattern).det == 0
     ]
 
 
@@ -184,7 +185,7 @@ def test_singular_ia_pattern_names_its_dependent_transfers(m, k):
     assert patterns
     for pattern in patterns:
         survivors = {node: shard for node, shard in shards.items() if node not in pattern}
-        system, _ = code.coupling_system(pattern)
+        system = coupling(code, pattern)
         errors = []
         for _ in range(2):
             with pytest.raises(SingularCouplingError) as info:
@@ -194,13 +195,11 @@ def test_singular_ia_pattern_names_its_dependent_transfers(m, k):
         assert first is not second  # a fresh error per call, not a stored one
         assert first.failed == second.failed == pattern
         assert first.dependent == second.dependent
-        assert len(first.dependent) == system.size - mat_rank(system.A) > 0
+        assert len(first.dependent) == len(system.pairs) - system.rank > 0
         order = unknown_pairs(pattern)
         assert sorted(first.dependent, key=order.index) == list(first.dependent)
         assert code._maps[("repair", pattern)].decode is None  # the marker is cached
-        with pytest.raises(SingularCouplingError) as info:
-            system.solve()
-        assert info.value.dependent == first.dependent
+        assert system.dependent == first.dependent
 
 
 def test_singular_pm_pattern_names_its_dependent_transfers():
@@ -210,13 +209,13 @@ def test_singular_pm_pattern_names_its_dependent_transfers():
     for pattern in combinations(code.node_ids(), 2):
         survivors = {node: shard for node, shard in shards.items() if node not in pattern}
         helpers = code.default_helpers(survivors, pattern, code.d - 1)
-        system, _ = code.assemble_multi(survivors, pattern, helpers)
-        if system.determinant() != 0:
+        system = coupling(code, pattern, helpers)
+        if system.det != 0:
             continue
         singular += 1
         with pytest.raises(SingularCouplingError) as info:
             code.repair_multi(survivors, pattern)
-        assert len(info.value.dependent) == system.size - mat_rank(system.A) > 0
+        assert len(info.value.dependent) == len(system.pairs) - system.rank > 0
         assert set(info.value.dependent) <= set(unknown_pairs(pattern))
     assert singular
 

@@ -183,6 +183,76 @@ def test_modules_parse_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
+# The coupling views, coupling_system and assemble_multi, and the
+# CouplingSystem they fill have no caller in the library: repairs build and
+# reduce the packed coupling rows, and the tests of the coupling identities
+# read those rows (tests/coupling.py). Only the tests of the views
+# themselves call them: CouplingSystem's own unit tests, the views' input
+# checks and their agreement tests, named here by file and by the top-level
+# function or module-level name the call sits in.
+VIEW_TESTS = {
+    "test_framework.py": {
+        "test_unknown_order_frozen",
+        "test_slot_is_bijection_and_matches_pair_list",
+        "test_unknown_order_ignores_input_permutation",
+        "test_coupling_system_layout",
+        "test_coupling_solve_round_trip",
+        "test_coupling_singular_reports_pattern",
+        "test_a_repeated_failed_id_is_one_node",
+        "test_the_coupling_views_agree_with_condition_check_and_each_other",
+    },
+    "test_input_validation.py": {
+        "COUPLING_CALLS",
+        "test_the_coupling_views_refuse_what_repair_refuses",
+        "assemble_cases",
+        "test_assemble_multi_checks_ids_and_helper_shards",
+        "test_the_coupling_views_refuse_failed_ids_that_are_not_a_collection",
+        "ONE_SHOT_ENTRIES",
+    },
+    "test_pm.py": {"test_coupling_matrix_is_assemble_multis_matrix_without_shards"},
+    "test_repair_plans.py": {"test_dependent_lists_every_column_without_a_pivot"},
+}
+VIEW_METHODS = {"coupling_system", "assemble_multi", "determinant"}
+
+
+def _view_calls(path):
+    """(line, owner) of every call in path of a coupling view, of
+    .determinant() or of CouplingSystem(...), owner being the top-level
+    def or class, or the module-level name assigned, that holds the call."""
+    calls = []
+    for statement in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = statement.name
+        else:
+            targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+            owner = next((t.id for t in targets if isinstance(t, ast.Name)), "<module>")
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "CouplingSystem" or (name in VIEW_METHODS and isinstance(func, ast.Attribute)):
+                    calls.append((node.lineno, owner))
+    return calls
+
+
+def test_only_the_views_own_tests_call_the_coupling_views():
+    """Every test_*.py file (tests/reference_paths.py, the references, is
+    not one): a call of coupling_system, assemble_multi, .determinant() or
+    CouplingSystem(...) outside VIEW_TESTS fails, and so does a VIEW_TESTS
+    name that no longer calls them, so the list names exactly the tests
+    that retiring the views touches."""
+    offenders, used = [], set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for line, owner in _view_calls(path):
+            if owner in VIEW_TESTS.get(path.name, ()):
+                used.add((path.name, owner))
+            else:
+                offenders.append("tests/%s:%d in %s" % (path.name, line, owner))
+    stale = sorted({(name, owner) for name, owners in VIEW_TESTS.items() for owner in owners} - used)
+    assert offenders == [], "calls of the coupling views outside their own tests: %s" % offenders
+    assert stale == [], "VIEW_TESTS names that call no coupling view: %s" % stale
+
+
 def test_every_name_the_benchmark_traces_exists():
     """perfbench/tracing.py wraps library functions and methods by name;
     each (owner, attribute) of its TRACED list must still be defined on

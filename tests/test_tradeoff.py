@@ -390,35 +390,37 @@ def test_bisected_gamma_min_matches_linear_scan(case):
 
 
 def test_compare_strategies_checks_the_msmr_ratio_without_assert(monkeypatch):
+    # the ratio reads each curve's last breakpoint; doubling the e = 1
+    # curve's last gamma must trip the check
     from regenrepair import tradeoff
 
-    real = tradeoff._gamma_min
+    real = tradeoff._segments
 
-    def skewed(params, segs, alpha):
-        gamma = real(params, segs, alpha)
-        return 2 * gamma if params.e == 1 else gamma
+    def skewed(params):
+        segs = real(params)
+        return segs._replace(gammas=segs.gammas[:-1] + [2 * segs.gammas[-1]]) if params.e == 1 else segs
 
-    monkeypatch.setattr(tradeoff, "_gamma_min", skewed)
+    monkeypatch.setattr(tradeoff, "_segments", skewed)
     with pytest.raises(ArithmeticError):
         compare_strategies(SystemParams(1, 12, 7, 9, 3))
 
 
 def test_compare_strategies_walks_instead_of_bisecting(monkeypatch):
-    # the rows come from one walk per curve; only the MSMR ratio's two
-    # gamma_min reads may go through the bisecting query
+    # the rows come from one walk per curve, and the MSMR ratio from the
+    # curves' last breakpoints, with no further walk
     from regenrepair import tradeoff
 
     calls = []
-    real = tradeoff._gamma_min
+    real = tradeoff._walk
 
-    def counted(params, segs, alpha):
-        calls.append(alpha)
-        return real(params, segs, alpha)
+    def counted(segs, *args):
+        calls.append(segs)
+        return real(segs, *args)
 
-    monkeypatch.setattr(tradeoff, "_gamma_min", counted)
+    monkeypatch.setattr(tradeoff, "_walk", counted)
     report = compare_strategies(SystemParams(300, 23, 18, 20, 2))
-    assert len(report.rows) > 2
-    assert len(calls) <= 2
+    assert len(report.rows) > 2 and report.msmr_ratio is not None
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(

@@ -253,9 +253,17 @@ def test_search_assignment_refuses_a_seed_that_is_not_an_int(family, seed, monke
         ("pm", {"m": 5, "k": 3}),
         ("pm", {"n": 7, "k": 3}),
         ("ia", {"m": 5}),
+        # a misspelt key was dropped: "emax" left e_max at n - k = 4
+        ("pm", {"m": 6, "modulus": 0x43, "n": 7, "k": 3, "emax": 2}),
+        ("ia", {"m": 5, "k": 4, "e-max": 2}),
+        # params of None or a list died with AttributeError
+        ("pm", None),
+        ("ia", [("m", 5), ("k", 4)]),
     ],
 )
-def test_search_assignment_refuses_malformed_params_before_any_trial(family, params):
+def test_search_assignment_refuses_malformed_params_before_any_trial(family, params, monkeypatch):
+    monkeypatch.setattr(workbench, "PMCode", lambda *args, **kwargs: pytest.fail("a trial ran"))
+    monkeypatch.setattr(workbench, "IACode", lambda *args, **kwargs: pytest.fail("a trial ran"))
     with pytest.raises(ValueError):
         search_assignment(family, params, budget=5, seed=0)
 
