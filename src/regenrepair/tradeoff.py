@@ -4,16 +4,20 @@ A data collector must recover a file of size M from any k of n nodes, each
 storing alpha symbols, after any sequence of repairs in which a central node
 rebuilds batches of e failed nodes by downloading beta symbols from each of
 d helpers (gamma = d*beta per batch). Feasibility is governed by the minimum
-cut over repair scenarios u = composition of k into parts of size <= e; all
-arithmetic here is exact rational (fractions.Fraction), no floats: every
-rational argument (M, alpha, beta, gamma) passes one conversion at the
-boundary, which takes an int, a Fraction or a string Fraction parses and
-refuses floats and bools with ValueError.
+cut over repair scenarios u = composition of k into parts of size <= e. The
+results are exact, no floats: every rational argument (M, alpha, beta,
+gamma) passes one conversion at the boundary, which takes an int, a Fraction
+or a string Fraction parses and refuses floats and bools with ValueError,
+and every params argument that is not a SystemParams is refused with
+ValueError too.
 
 The curve alpha*(gamma) is a table of linear pieces (_segments), built on
 first use and kept with its SystemParams object, so the curve, alpha*,
 the MBCR check, the inverse gamma_min_for_alpha and the comparison's rows
-on one params object share one build.
+on one params object share one build. Its formulas are integer ratios in
+M's numerator and denominator (docs/tradeoff-pieces.md), so each value is
+computed and compared on integers and made a Fraction once, as a value
+returned or kept in the table, never for an intermediate step.
 """
 
 from __future__ import annotations
@@ -82,6 +86,13 @@ class SystemParams:
         return self.k % self.e
 
 
+def _system(params) -> SystemParams:
+    """params itself; anything but a SystemParams raises ValueError."""
+    if not isinstance(params, SystemParams):
+        raise ValueError(f"params must be a SystemParams, got {params!r}")
+    return params
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Group sizes of successive repair batches feeding a data collector."""
@@ -137,6 +148,7 @@ def min_cut_oracle(params: SystemParams, alpha: RationalLike, beta: RationalLike
     the lexicographically smallest minimiser. O(k*e) integer steps:
     denominators are cleared up front and restored on the way out.
     """
+    _system(params)
     alpha, beta = _rational(alpha, "alpha"), _rational(beta, "beta")
     if alpha < 0 or beta < 0:
         raise InvalidScenarioError("alpha and beta must be nonnegative")
@@ -167,7 +179,7 @@ def optimal_scenario(params: SystemParams, alpha: RationalLike, beta: RationalLi
     """Closed-form minimizing scenario. The residual group r goes first
     when alpha <= (d + eta*r - eta*e)*beta/r (ties keep the r-first form).
     A negative alpha or beta raises InvalidScenarioError."""
-    k, e, d = params.k, params.e, params.d
+    k, e, d = _system(params).k, params.e, params.d
     alpha, beta = _rational(alpha, "alpha"), _rational(beta, "beta")
     if alpha < 0 or beta < 0:
         raise InvalidScenarioError("alpha and beta must be nonnegative")
@@ -186,27 +198,28 @@ def optimal_scenario(params: SystemParams, alpha: RationalLike, beta: RationalLi
 
 
 def _f(params: SystemParams, i: int) -> Fraction:
-    """Bandwidth at which the optimal alpha leaves linear piece i."""
+    """Bandwidth at which the optimal alpha leaves linear piece i:
+    gamma_i = 2*e*d*M/den_i (docs/tradeoff-pieces.md), one Fraction over
+    M's numerator and denominator."""
     M, k, d, e, r = params.M, params.k, params.d, params.e, params.r
     den = -k * k - r * r + e * (k - r) + 2 * k * d - e * e * (i * i + i) - 2 * i * e * r
-    return Fraction(2 * e * d, den) * M
+    return Fraction(2 * e * d * M.numerator, den * M.denominator)
 
 
 def _g(params: SystemParams, i: int) -> Fraction:
+    """Slope of linear piece i: alpha* = (M - gamma*g)/(r + i*e) on it."""
     eta, e, d, r = params.eta, params.e, params.d, params.r
     return Fraction((eta - i) * (-2 * r + e + 2 * d - eta * e - e * i), 2 * d)
 
 
 def gamma_mbmr(params: SystemParams) -> Fraction:
-    """Minimum feasible repair bandwidth (gamma at the MBMR point)."""
-    M, k, d, e = params.M, params.k, params.d, params.e
+    """Minimum feasible repair bandwidth (gamma at the MBMR point):
+    d*M/(d*h - e*C(h, 2)) with h = ceil(k/e) groups, or M when k <= e."""
+    M, k, d, e = _system(params).M, params.k, params.d, params.e
     if k <= e:
-        return Fraction(M)
-    eta, r = params.eta, params.r
-    if r == 0:
-        return Fraction(d, d * eta - e * (eta * (eta - 1) // 2)) * M
-    h = eta + 1
-    return Fraction(d, d * h - e * (h * (h - 1) // 2)) * M
+        return M
+    h = params.eta + (params.r > 0)
+    return Fraction(d * M.numerator, (d * h - e * (h * (h - 1) // 2)) * M.denominator)
 
 
 class _Segments(NamedTuple):
@@ -228,7 +241,9 @@ class _Segments(NamedTuple):
 def _segments(params: SystemParams) -> _Segments:
     """The pieces of alpha*(gamma) with alpha* computed once at every
     breakpoint, so that a query walks the breakpoints (_walk) instead of
-    rescanning the pieces.
+    rescanning the pieces. Each breakpoint's alpha, (M - gamma*g)/den, is
+    one Fraction built from the numerators and denominators of M, gamma
+    and g (docs/tradeoff-pieces.md gives it in closed form).
 
     Built on first use and kept with params, written past the frozen
     dataclass as __post_init__ writes M: every later query on the same
@@ -238,8 +253,9 @@ def _segments(params: SystemParams) -> _Segments:
     if segs is not None:
         return segs
     M, k, e = params.M, params.k, params.e
+    Mn, Md = M.numerator, M.denominator
     if k <= e:
-        segs = _Segments([], [Fraction(M)], [M / Fraction(k)])
+        segs = _Segments([], [M], [Fraction(Mn, Md * k)])
     else:
         eta, r = params.eta, params.r
         pieces = []
@@ -253,32 +269,41 @@ def _segments(params: SystemParams) -> _Segments:
             pieces.append((lo, hi, _g(params, i), r + i * e))
             lo = hi
         lo0, _, g0, den0 = pieces[0]
-        gammas = [lo0] + [hi for _, hi, _, _ in pieces]
-        alphas = [(M - lo0 * g0) / den0] + [(M - hi * g) / den for _, hi, g, den in pieces]
+        gammas, alphas = [], []
+        for gamma, g, den in [(lo0, g0, den0)] + [(hi, g, den) for _, hi, g, den in pieces]:
+            gd = gamma.denominator * g.denominator
+            gammas.append(gamma)
+            alphas.append(Fraction(Mn * gd - gamma.numerator * g.numerator * Md, Md * gd * den))
         segs = _Segments(pieces, gammas, alphas)
     object.__setattr__(params, "_segments", segs)
     return segs
 
 
 def alpha_star(params: SystemParams, gamma: RationalLike) -> Fraction:
-    """Minimum per-node storage supporting file size M at bandwidth gamma."""
+    """Minimum per-node storage supporting file size M at bandwidth gamma.
+    gamma's piece is found by cross-multiplying it with the breakpoints,
+    and alpha* = (M - gamma*g)/den (docs/tradeoff-pieces.md) is built as
+    one Fraction from the integer parts of M, gamma and g."""
+    segs = _segments(_system(params))
     gamma = _rational(gamma, "gamma")
-    M, k = params.M, params.k
-    floor = gamma_mbmr(params)
-    if gamma < floor:
+    gn, gd = gamma.numerator, gamma.denominator
+    floor = segs.gammas[0]
+    if gn * floor.denominator < floor.numerator * gd:
         raise InfeasibleBandwidthError(
             f"gamma={gamma} below minimum feasible bandwidth {floor}"
         )
-    for lo, hi, g, den in _segments(params).pieces:
-        if gamma <= hi:
-            return (M - gamma * g) / den
-    return M / Fraction(k)
+    M = params.M
+    for _, hi, g, den in segs.pieces:
+        if gn * hi.denominator <= hi.numerator * gd:
+            gd *= g.denominator
+            return Fraction(M.numerator * gd - gn * g.numerator * M.denominator, M.denominator * gd * den)
+    return segs.alphas[-1]
 
 
 def tradeoff_curve(params: SystemParams) -> list[CurvePoint]:
     """Breakpoints of alpha*(gamma), gamma ascending; the function is
     linear between consecutive rows and flat at M/k after the last."""
-    segs = _segments(params)
+    segs = _segments(_system(params))
     return [CurvePoint(g, a, t) for t, (g, a) in enumerate(zip(segs.gammas, segs.alphas))]
 
 
@@ -286,10 +311,10 @@ def gamma_min_for_alpha(params: SystemParams, alpha: RationalLike) -> Fraction:
     """Least feasible gamma at per-node storage alpha (inverse threshold):
     alpha over the breakpoints' common denominator, walked as
     compare_strategies walks its alphas (_walk)."""
-    alpha, segs = _rational(alpha, "alpha"), _segments(params)
-    if alpha < segs.alphas[-1]:
-        M, k = params.M, params.k
-        raise ValueError(f"alpha={alpha} below M/k={M / Fraction(k)}; no gamma suffices")
+    segs = _segments(_system(params))
+    alpha, floor = _rational(alpha, "alpha"), segs.alphas[-1]
+    if alpha.numerator * floor.denominator < floor.numerator * alpha.denominator:
+        raise ValueError(f"alpha={alpha} below M/k={floor}; no gamma suffices")
     den = lcm(alpha.denominator, *(a.denominator for a in segs.alphas))
     return _walk(segs, params.M, 1, den, [alpha.numerator * (den // alpha.denominator)])[0]
 
@@ -298,40 +323,43 @@ def gamma_min_for_alpha(params: SystemParams, alpha: RationalLike) -> Fraction:
 
 
 def msmr_point(params: SystemParams) -> TradeoffPoint:
-    """Minimum-storage end of the curve."""
-    M, k, d, e = params.M, params.k, params.d, params.e
-    alpha = M / Fraction(k)
+    """Minimum-storage end of the curve: alpha = M/k and, for k > e,
+    gamma = e*d*M/(k*(d - k + e))."""
+    M, k, d, e = _system(params).M, params.k, params.d, params.e
+    Mn, Md = M.numerator, M.denominator
+    alpha = Fraction(Mn, Md * k)
     if k <= e:
-        return TradeoffPoint(alpha, M / Fraction(d), Fraction(M))
-    gamma = alpha * Fraction(e * d, d - k + e)
-    return TradeoffPoint(alpha, gamma / d, gamma)
+        return TradeoffPoint(alpha, Fraction(Mn, Md * d), M)
+    den = Md * k * (d - k + e)
+    return TradeoffPoint(alpha, Fraction(Mn * e, den), Fraction(Mn * e * d, den))
 
 
 def mbmr_point(params: SystemParams) -> TradeoffPoint:
     """Minimum-bandwidth end of the curve (defined for e < k)."""
-    M, k, d, e = params.M, params.k, params.d, params.e
-    if not params.e < params.k:
+    k, d, e = _system(params).k, params.d, params.e
+    if not e < k:
         raise ValueError("minimum-bandwidth point needs e < k")
     eta, r = params.eta, params.r
     gamma = gamma_mbmr(params)
+    gn, gd = gamma.numerator, gamma.denominator
     if r == 0:
-        alpha = gamma / e
+        alpha = Fraction(gn, gd * e)
     else:
-        alpha = gamma * Fraction(d + eta * r - e * eta, r * d)
-    return TradeoffPoint(alpha, gamma / d, gamma)
+        alpha = Fraction(gn * (d + eta * r - e * eta), gd * r * d)
+    return TradeoffPoint(alpha, Fraction(gn, gd * d), gamma)
 
 
 def mbcr_check(params: SystemParams) -> tuple[TradeoffPoint, bool]:
     """Cooperative minimum-bandwidth point and whether it lies on the
     centralized tradeoff (it does exactly when k = 1 mod e)."""
-    M, k, d, e = params.M, params.k, params.d, params.e
+    M, k, d, e = _system(params).M, params.k, params.d, params.e
     if not 1 < e <= k:
         raise ValueError("comparison point needs 1 < e <= k")
-    den = k * (2 * d - k + e)
-    alpha = Fraction(2 * d + e - 1, den) * M
-    gamma = Fraction(2 * d * e, den) * M
+    den = k * (2 * d - k + e) * M.denominator
+    alpha = Fraction((2 * d + e - 1) * M.numerator, den)
+    gamma = Fraction(2 * d * e * M.numerator, den)
     on_curve = alpha_star(params, gamma) == alpha
-    return TradeoffPoint(alpha, gamma / d, gamma), on_curve
+    return TradeoffPoint(alpha, Fraction(2 * e * M.numerator, den), gamma), on_curve
 
 
 # -- centralized vs one-by-one repair --------------------------------
@@ -361,38 +389,41 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
     the midpoint of each gap between them, alpha ascending; explicit alphas,
     an iterable of RationalLike, keep the caller's order, and one below M/k,
     or alphas given as a string or a non-iterable, raise ValueError. Either
-    way the alphas are put over one common denominator and visited in
-    rising order, so each curve is walked once from M/k toward its MBMR
-    end, and each entry is an integer numerator over its piece's
-    denominator; nothing bisects."""
-    M, n, k, d, e = params.M, params.n, params.k, params.d, params.e
-    floor = M / Fraction(k)
+    way the alphas are put over one common denominator and merged, deduped
+    and sorted as integer numerators, never as Fractions, so each curve is
+    walked once from M/k toward its MBMR end, and each entry is an integer
+    numerator over its piece's denominator (docs/tradeoff-pieces.md);
+    nothing bisects, and a Fraction is built only for a row's values and
+    the ratio."""
+    M, n, k, d, e = _system(params).M, params.n, params.k, params.d, params.e
     single = SystemParams(M, n, k, d, 1)
     curves = [(_segments(params), 1), (_segments(single), e)]
     fewer = None
     if d - e + 1 >= k:
         fewer = SystemParams(M, max(n, d - e + 1 + e), k, d - e + 1, e)
         curves.append((_segments(fewer), 1))
-    points = sorted({a for segs, _ in curves for a in segs.alphas})
+    points = [a for segs, _ in curves for a in segs.alphas]
     if alphas is None:
         # twice the lcm, so that every midpoint is an integer too
         den = 2 * lcm(*(a.denominator for a in points))
-        ends = [a.numerator * (den // a.denominator) for a in points]
+        ends = sorted({a.numerator * (den // a.denominator) for a in points})
         nums = [x for a, b in zip(ends, ends[1:]) for x in (a, (a + b) // 2)] + ends[-1:]
         values = [Fraction(x, den) for x in nums]
         order = range(len(nums))
     else:
         if isinstance(alphas, (str, bytes)) or not isinstance(alphas, Iterable):
             raise ValueError(f"alphas must be an iterable of alphas, got {alphas!r}")
+        Mn, Mdk = M.numerator, M.denominator * k
         values = []
         for alpha in alphas:
             alpha = _rational(alpha, "alpha")
-            if alpha < floor:
-                raise ValueError(f"alpha={alpha} below M/k={floor}; no gamma suffices")
+            if alpha.numerator * Mdk < Mn * alpha.denominator:
+                raise ValueError(f"alpha={alpha} below M/k={Fraction(Mn, Mdk)}; no gamma suffices")
             values.append(alpha)
-        order = sorted(range(len(values)), key=values.__getitem__)
         den = lcm(*(a.denominator for a in points), *(a.denominator for a in values))
-        nums = [values[i].numerator * (den // values[i].denominator) for i in order]
+        given = [a.numerator * (den // a.denominator) for a in values]
+        order = sorted(range(len(given)), key=given.__getitem__)
+        nums = [given[i] for i in order]
     columns = [_walk(segs, M, scale, den, nums) for segs, scale in curves]
     if not fewer:
         columns.append([None] * len(nums))
@@ -402,7 +433,8 @@ def compare_strategies(params: SystemParams, alphas=None) -> ComparisonReport:
     ratio = None
     if fewer:
         # gamma_min at alpha = M/k is each curve's last breakpoint
-        ratio = curves[2][0].gammas[-1] / (e * curves[1][0].gammas[-1])
+        few, sep = curves[2][0].gammas[-1], curves[1][0].gammas[-1]
+        ratio = Fraction(few.numerator * sep.denominator, few.denominator * e * sep.numerator)
         # at alpha = M/k a batch of e >= k failures downloads the whole file M
         if e <= k:
             expected, form = Fraction(d - e + 1, d), "(d-e+1)/d"
@@ -419,8 +451,8 @@ def _walk(segs: _Segments, M: Fraction, scale: int, den: int, nums: list[int]) -
     the piece ending at breakpoint s, as (p, q, r) with gamma =
     (p - q*x)/r, so one pointer moves down the breakpoints as alpha rises."""
     ends = [a.numerator * (den // a.denominator) for a in segs.alphas]
-    top = scale * segs.gammas[0]
-    entries = [(top.numerator, 0, top.denominator)]
+    top = segs.gammas[0]
+    entries = [(scale * top.numerator, 0, top.denominator)]
     for _, _, g, d in segs.pieces:
         # (M - d*x/den)/g with M = Mn/Md and g = gn/gd
         c = scale * g.denominator

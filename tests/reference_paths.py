@@ -44,7 +44,10 @@ So do the vetting paths of the coefficient searches and the tradeoff
 queries: one elimination per square submatrix for superregularity, IA and
 PM coupling matrices built entry by entry (PM's weights by one dot per
 (i, j, l)), both searches vetting every pattern of every trial by its
-determinant, and gamma_min rescanning every linear piece.
+determinant, and gamma_min rescanning every linear piece. So does the
+tradeoff's rational core as it ran before it worked on integer numerators:
+each breakpoint, slope, alpha and operating point a chain of Fraction
+operations, and alpha* a scan of the pieces by Fraction comparisons.
 
 So does PM's repair as it ran on lists before it solved [A | b] on packed
 rows: the helpers' part of each failed node's decode by one axpy per
@@ -99,7 +102,7 @@ from regenrepair.gf import (
 )
 from regenrepair.ia import IACode, UnsupportedPatternError
 from regenrepair.pm import PMCode
-from regenrepair.tradeoff import SystemParams, _f, _g, gamma_mbmr
+from regenrepair.tradeoff import InfeasibleBandwidthError, SystemParams
 
 
 # --- gf: the row reduction one Field.mul at a time ---
@@ -966,7 +969,30 @@ def pm_field_search(field, n, k, e_max, trials=200, seed=0):
     return None, (best, best_bad)
 
 
-# --- tradeoff: every query rescans the linear pieces ---
+# --- tradeoff: every step a Fraction, every query rescans the pieces ---
+
+
+def _f(params, i):
+    """gamma at breakpoint i, as Fraction(2ed, den_i) * M."""
+    M, k, d, e, r = params.M, params.k, params.d, params.e, params.r
+    den = -k * k - r * r + e * (k - r) + 2 * k * d - e * e * (i * i + i) - 2 * i * e * r
+    return Fraction(2 * e * d, den) * M
+
+
+def _g(params, i):
+    eta, e, d, r = params.eta, params.e, params.d, params.r
+    return Fraction((eta - i) * (-2 * r + e + 2 * d - eta * e - e * i), 2 * d)
+
+
+def gamma_mbmr(params):
+    M, k, d, e = params.M, params.k, params.d, params.e
+    if k <= e:
+        return Fraction(M)
+    eta, r = params.eta, params.r
+    if r == 0:
+        return Fraction(d, d * eta - e * (eta * (eta - 1) // 2)) * M
+    h = eta + 1
+    return Fraction(d, d * h - e * (h * (h - 1) // 2)) * M
 
 
 def segments(params):
@@ -993,6 +1019,55 @@ def curve_alphas(params, segs):
         return [M / Fraction(params.k)]
     lo0, _, g0, den0 = segs[0]
     return [(M - lo0 * g0) / den0] + [(M - hi * g) / den for lo, hi, g, den in segs]
+
+
+def curve(params):
+    """tradeoff_curve's (gamma, alpha, segment) rows."""
+    segs = segments(params)
+    gammas = [segs[0][0]] + [hi for _, hi, _, _ in segs] if segs else [Fraction(params.M)]
+    return [(g, a, t) for t, (g, a) in enumerate(zip(gammas, curve_alphas(params, segs)))]
+
+
+def alpha_star(params, gamma):
+    """alpha* by a scan of the pieces for the first that reaches gamma."""
+    M, k = params.M, params.k
+    floor = gamma_mbmr(params)
+    if gamma < floor:
+        raise InfeasibleBandwidthError(f"gamma={gamma} below minimum feasible bandwidth {floor}")
+    for lo, hi, g, den in segments(params):
+        if gamma <= hi:
+            return (M - gamma * g) / den
+    return M / Fraction(k)
+
+
+def msmr_point(params):
+    """(alpha, beta, gamma) at the minimum-storage end."""
+    M, k, d, e = params.M, params.k, params.d, params.e
+    alpha = M / Fraction(k)
+    if k <= e:
+        return alpha, M / Fraction(d), Fraction(M)
+    gamma = alpha * Fraction(e * d, d - k + e)
+    return alpha, gamma / d, gamma
+
+
+def mbmr_point(params):
+    """(alpha, beta, gamma) at the minimum-bandwidth end (e < k)."""
+    d, e, eta, r = params.d, params.e, params.eta, params.r
+    gamma = gamma_mbmr(params)
+    if r == 0:
+        alpha = gamma / e
+    else:
+        alpha = gamma * Fraction(d + eta * r - e * eta, r * d)
+    return alpha, gamma / d, gamma
+
+
+def mbcr_check(params):
+    """((alpha, beta, gamma), on_curve) of the cooperative MBR point (1 < e <= k)."""
+    M, k, d, e = params.M, params.k, params.d, params.e
+    den = k * (2 * d - k + e)
+    alpha = Fraction(2 * d + e - 1, den) * M
+    gamma = Fraction(2 * d * e, den) * M
+    return (alpha, gamma / d, gamma), alpha_star(params, gamma) == alpha
 
 
 def gamma_min(params, segs, alpha):

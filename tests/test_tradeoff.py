@@ -389,6 +389,86 @@ def test_bisected_gamma_min_matches_linear_scan(case):
             assert gamma_min_for_alpha(p, alpha) == want
 
 
+@st.composite
+def integer_path_cases(draw):
+    """Params with k in 1..30, e in 1..8 and M's denominator up to 10^6;
+    one draw in three has k <= e and one e | k (r = 0). With them a shuffled
+    list of explicit alphas: the three curves' breakpoint alphas, midpoints,
+    alphas past the top and random ones above M/k."""
+    e = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(("k <= e", "r = 0", "any")))
+    if shape == "k <= e":
+        k = draw(st.integers(1, e))
+    elif shape == "r = 0":
+        k = e * draw(st.integers(1, 30 // e))
+    else:
+        k = draw(st.integers(1, 30))
+    d = draw(st.integers(k, k + 8))
+    M = F(draw(st.integers(1, 10**9)), draw(st.integers(1, 10**6)))
+    params = SystemParams(M, d + e + draw(st.integers(0, 3)), k, d, e)
+    floor = M / k
+    curves = [params, SystemParams(M, params.n, k, d, 1)]
+    curves += [SystemParams(M, max(params.n, d + 1), k, d - e + 1, e)] if d - e + 1 >= k else []
+    points = sorted({a for p in curves for _, a, _ in ref.curve(p)})
+    alphas = points + [(a + b) / 2 for a, b in zip(points, points[1:])] + [points[-1] * 3]
+    alphas += [floor + F(draw(st.integers(0, 10**6)), draw(st.integers(1, 10**6))) for _ in range(3)]
+    return params, draw(st.permutations(alphas))
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_path_cases())
+def test_integer_paths_match_the_fraction_chain_references(case):
+    """Every value the integer paths return equals, in value and repr, the
+    one the Fraction-chain forms of tests/reference_paths.py compute."""
+    from regenrepair import tradeoff
+
+    params, alphas = case
+    M, k, d, e = params.M, params.k, params.d, params.e
+    segs = tradeoff._segments(params)
+    assert repr(segs.pieces) == repr(ref.segments(params))
+    curve = ref.curve(params)
+    assert repr((segs.gammas, segs.alphas)) == repr(([g for g, _, _ in curve], [a for _, a, _ in curve]))
+    assert repr([(pt.gamma, pt.alpha, pt.segment) for pt in tradeoff_curve(params)]) == repr(curve)
+    gammas = [g for g, _, _ in curve]
+    probes = gammas + [(a + b) / 2 for a, b in zip(gammas, gammas[1:])]
+    probes += [gammas[-1] * 2, gammas[-1] + F(1, 10**9), gammas[0] - F(1, 10**9)]
+    for gamma in probes:
+        try:
+            want = ref.alpha_star(params, gamma)
+        except InfeasibleBandwidthError:
+            with pytest.raises(InfeasibleBandwidthError):
+                alpha_star(params, gamma)
+            continue
+        assert repr(alpha_star(params, gamma)) == repr(want)
+    msmr = msmr_point(params)
+    assert repr((msmr.alpha, msmr.beta, msmr.gamma)) == repr(ref.msmr_point(params))
+    assert repr(gamma_mbmr(params)) == repr(ref.gamma_mbmr(params))
+    if e < k:
+        mbmr = mbmr_point(params)
+        assert repr((mbmr.alpha, mbmr.beta, mbmr.gamma)) == repr(ref.mbmr_point(params))
+    if 1 < e <= k:
+        point, on_curve = mbcr_check(params)
+        assert repr(((point.alpha, point.beta, point.gamma), on_curve)) == repr(ref.mbcr_check(params))
+    report = compare_strategies(params)
+    rows, ratio = ref.compare_strategies(params)
+    got = [(r.alpha, r.gamma_centralized, r.gamma_separate, r.gamma_centralized_fewer) for r in report.rows]
+    assert repr((got, report.msmr_ratio)) == repr((rows, ratio))
+    single = SystemParams(M, params.n, k, d, 1)
+    fewer = SystemParams(M, max(params.n, d + 1), k, d - e + 1, e) if d - e + 1 >= k else None
+    want = [
+        (
+            alpha,
+            ref.gamma_min_for_alpha(params, alpha),
+            e * ref.gamma_min_for_alpha(single, alpha),
+            ref.gamma_min_for_alpha(fewer, alpha) if fewer else None,
+        )
+        for alpha in alphas
+    ]
+    report = compare_strategies(params, alphas)
+    got = [(r.alpha, r.gamma_centralized, r.gamma_separate, r.gamma_centralized_fewer) for r in report.rows]
+    assert repr((got, report.msmr_ratio)) == repr((want, ratio))
+
+
 def test_compare_strategies_checks_the_msmr_ratio_without_assert(monkeypatch):
     # the ratio reads each curve's last breakpoint; doubling the e = 1
     # curve's last gamma must trip the check
@@ -491,6 +571,40 @@ def test_rational_inputs_are_checked_at_the_boundary():
     assert optimal_scenario(p, "3/2", 1) == optimal_scenario(p, F(3, 2), 1)
     assert cut_value((2, 2), "1/2", 1, 6) == cut_value((2, 2), F(1, 2), 1, 6)
     assert compare_strategies(p, ["7/2", 4]).rows == compare_strategies(p, [F(7, 2), 4]).rows
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: min_cut_oracle(p, 1, 1),
+        lambda p: optimal_scenario(p, 1, 1),
+        gamma_mbmr,
+        lambda p: alpha_star(p, 1),
+        tradeoff_curve,
+        lambda p: gamma_min_for_alpha(p, 1),
+        msmr_point,
+        mbmr_point,
+        mbcr_check,
+        compare_strategies,
+    ],
+    ids=[
+        "min_cut_oracle",
+        "optimal_scenario",
+        "gamma_mbmr",
+        "alpha_star",
+        "tradeoff_curve",
+        "gamma_min_for_alpha",
+        "msmr_point",
+        "mbmr_point",
+        "mbcr_check",
+        "compare_strategies",
+    ],
+)
+def test_params_that_are_not_system_params_are_refused_at_the_boundary(call):
+    # these died with AttributeError, on the first attribute read
+    for bad in ((1, 2), None, "x", {"M": 1, "n": 4, "k": 2, "d": 2, "e": 1}):
+        with pytest.raises(ValueError, match="params must be a SystemParams"):
+            call(bad)
 
 
 def test_an_analysis_builds_each_piece_table_once(monkeypatch):
